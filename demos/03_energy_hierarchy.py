@@ -8,7 +8,7 @@ This demo sweeps delta at fixed right-travelling data and fits the scaling.
 """
 
 from stringlab import Grid1D, monitor, run_evolution
-from stringlab.cli import _initial_report, _tracker
+from stringlab.cli import _tracker
 from stringlab.config import ExperimentConfig
 from stringlab.energy import fit_hierarchy
 
@@ -28,7 +28,7 @@ for delta in (0.1, 0.05, 0.025):
     fam = c.family()
     tracker = _tracker(c)
     res = run_evolution(fam, grid, t_end=T, callbacks=[tracker])
-    reports = [_initial_report(c, fam, grid)] + tracker.reports
+    reports = [tracker.initial_report(fam, grid)] + tracker.reports
     mon = monitor(reports, delta)
     monitors.append(mon)
     print(f"{delta:>7g} {mon.sup_e2:>12.4e} {mon.sup_eb2:>12.4e} "

@@ -81,19 +81,6 @@ def _tracker(cfg) -> en.EnergyTracker:
                             gmin=cfg.gmin)
 
 
-def _initial_report(cfg, fam, grid):
-    table = higher_order_traces(fam, cfg.N, grid.x)
-    tower = en.DerivativeTower(t=0.0, grid=grid, N=cfg.N, rows=table.rows)
-    e2, eb2 = en.energy_orders(tower, cfg.gamma)
-    sup_l, sup_lb, am_l, am_lb = en._sobolev_stats(tower, cfg.gamma)
-    return en.EnergyReport(t=0.0, e2=e2, eb2=eb2, min_g=float(np.min(tower.g)),
-                           sup_l=sup_l, sup_lb=sup_lb,
-                           agmon_l_margin=am_l, agmon_lb_margin=am_lb,
-                           flux_t=0.0,
-                           f2=np.zeros((len(cfg.probes_u), cfg.N + 1)),
-                           fb2=np.zeros((len(cfg.probes_ub), cfg.N + 1)))
-
-
 def _energy_csv(path, cfg, reports):
     header = ["t", "k", "E2", "Eb2"]
     header += [f"F2_u{u0:g}" for u0 in cfg.probes_u]
@@ -133,11 +120,11 @@ def _monitors_pass(cfg, mon):
     return bool(ok)
 
 
-def _single_run(cfg, fam, grid, out=None, prefix=""):
-    tracker = _tracker(cfg)
+def _single_run(cfg, fam, grid, out=None, prefix="", tracker=None):
+    tracker = tracker if tracker is not None else _tracker(cfg)
     result = run_evolution(fam, grid, t_end=cfg.t_end, cfl=cfg.cfl,
                            eps_ko=cfg.eps_ko, gmin=cfg.gmin, callbacks=[tracker])
-    reports = [_initial_report(cfg, fam, grid)] + tracker.reports
+    reports = [tracker.initial_report(fam, grid)] + tracker.reports
     if out is not None:
         _energy_csv(out / f"{prefix}energy.csv", cfg, reports)
     mon = en.monitor(reports, cfg.delta) if reports else None
@@ -157,7 +144,12 @@ def cmd_run(cfg, out: Path) -> int:
     print(f"criterion: {'pass' if crit.passed else 'FAIL'} "
           f"(gap {crit.gap_min:.3e}, ordering margin {crit.order_margin:.3e})")
 
-    result, reports, mon = _single_run(cfg, fam, grid, out)
+    tracker = _tracker(cfg)
+    result, reports, mon = _single_run(cfg, fam, grid, out, tracker=tracker)
+    left = tracker.truncated_probes()
+    if left:
+        print("stringlab: warning: flux probe lines left the grid and stopped "
+              f"accumulating: {', '.join(left)}", file=sys.stderr)
     if cfg.dump_fields:
         st0, st1 = init_state(fam, grid), result.state
         rows = [[s.t, xi, ph, wv, pv] for s in (st0, st1)

@@ -1,10 +1,19 @@
 """Weighted energies, null fluxes, stress contractions, and run monitors.
 
 The derivative tower holds grid samples of L(d^k phi) and Lb(d^k phi) for
-all multi-indices k = (k1, k2) with k1 + k2 <= N.  Mixed traces with up to
-one time derivative come from spatial stencils on (phi, w); deeper time
-derivatives come from nested 2nd-order centered differences across stored
-time levels, so building an order-N tower needs 2N+1 consecutive states.
+all multi-indices k = (k1, k2) with k1 + k2 <= N.  It is built in two
+steps.  `spatial_rows` gives the k1 = 0 rows of one time level: spatial
+stencils of the base null gradients w +- d_x(phi).  `time_rows` gives the
+deeper time derivatives as nested 2nd-order centered differences of those
+rows across stored levels, so an order-N tower needs 2N+1 consecutive
+levels.  `null_rows` and `build_tower` are the composition of the two.
+
+The run tracker differentiates each level once, on the full grid, when it
+enters its ring of the last 2N+1 levels, and keeps only those spatial
+rows.  Flux probes take the time differences on the four grid columns
+around each probe; reports take them on the whole grid.  Every stencil is
+elementwise, so both are byte-identical to differencing a tower built
+afresh from the same states.
 
 Energies at order k aggregate all multi-index rows of that total order:
 
@@ -29,10 +38,67 @@ import numpy as np
 
 from .errors import InsufficientHistory, TimelikeViolation
 from .evolve import FieldState, Grid1D
+from .initialdata import higher_order_traces
 from .nullgeom import GMIN_DEFAULT, weight_a
-from .stencils import deriv1
+from .stencils import cubic_weights, deriv1
 
 N_DEFAULT = 4
+
+
+def spatial_rows(phi, w, dx, N):
+    """The k1 = 0 null rows L and Lb of d_x^k2 phi, k2 = 0..N, at one level.
+
+    phi and w may carry any leading axes (grid axis last).  Returns shape
+    (N+1, 2, *phi.shape), indexed [k2, L or Lb].  Each order costs one
+    deriv1 call on the stacked (L, Lb) pair.
+    """
+    phi = np.asarray(phi, dtype=float)
+    w = np.asarray(w, dtype=float)
+    rows = np.empty((N + 1, 2) + phi.shape)
+    phx = deriv1(phi, dx)
+    rows[0, 0] = w + phx
+    rows[0, 1] = w - phx
+    for k2 in range(1, N + 1):
+        rows[k2] = deriv1(rows[k2 - 1], dx)
+    return rows
+
+
+def time_rows(levels, dt, N):
+    """All tower rows at the center of an odd stack of spatial rows.
+
+    levels has the time axis first, then the (N+1, 2, ...) layout of
+    `spatial_rows`, at consecutive, equally spaced times.  Each extra time
+    derivative is one centered difference of the row below, applied to the
+    whole stack at once.  Returns shape (N+1, N+1, 2, ...) indexed
+    [k1, k2, L or Lb]; entries with k1 + k2 > N are zero.
+
+    Differencing the null rows themselves (rather than assembling them from
+    mixed-derivative fields) matters: the left-travelling rows are small and
+    would otherwise inherit order-one cancellation errors from the large
+    right-travelling part.  Here every row keeps a relative O(dt^2) error.
+    """
+    n_levels = levels.shape[0]
+    if n_levels < 2 * N + 1:
+        raise InsufficientHistory(f"need {2 * N + 1} levels for an order-{N} tower, "
+                                  f"have {n_levels}")
+    if n_levels % 2 == 0:
+        raise InsufficientHistory("level stack must have odd length")
+    out = np.zeros((N + 1,) + levels.shape[1:])
+    out[0] = levels[n_levels // 2]
+    half = 2.0 * dt
+    cur = levels
+    for k1 in range(1, N + 1):
+        keep = N + 1 - k1
+        cur = cur[2:, :keep] - cur[:-2, :keep]
+        cur /= half
+        out[k1, :keep] = cur[cur.shape[0] // 2]
+    return out
+
+
+def _rows_dict(rows, N):
+    """(k1, k2) -> (L row, Lb row) for the tower entries of a `time_rows` array."""
+    return {(k1, k2): (rows[k1, k2, 0], rows[k1, k2, 1])
+            for k1 in range(N + 1) for k2 in range(N + 1 - k1)}
 
 
 def null_rows(phis, ws, dt, dx, N):
@@ -40,35 +106,13 @@ def null_rows(phis, ws, dt, dx, N):
     of a level stack.
 
     phis/ws are sequences of 2N+1 arrays (each possibly batched, grid axis
-    last) at consecutive, equally spaced times.  The k1 = 0 rows are spatial
-    stencils of the base null gradients w +- d_x(phi); each extra time
-    derivative is one centered difference of the row below, applied to the
-    whole level stack at once.
-
-    Differencing the null rows themselves (rather than assembling them from
-    mixed-derivative fields) matters: the left-travelling rows are small and
-    would otherwise inherit order-one cancellation errors from the large
-    right-travelling part.  Here every row keeps a relative O(dt^2) error.
+    last) at consecutive, equally spaced times.  Returns
+    (k1, k2) -> (L row, Lb row).
     """
-    L = len(phis)
-    if L < 2 * N + 1:
-        raise InsufficientHistory(f"need {2 * N + 1} levels for an order-{N} tower, have {L}")
-    if L % 2 == 0:
-        raise InsufficientHistory("level stack must have odd length")
     ph = np.stack([np.asarray(f, dtype=float) for f in phis])
     w = np.stack([np.asarray(f, dtype=float) for f in ws])
-    phx = deriv1(ph, dx)
-    stacked = {(0, 0): (w + phx, w - phx)}
-    for j in range(1, N + 1):
-        lo, lbo = stacked[(0, j - 1)]
-        stacked[(0, j)] = (deriv1(lo, dx), deriv1(lbo, dx))
-    half = 2.0 * dt
-    for k1 in range(1, N + 1):
-        for j in range(N + 1 - k1):
-            lo, lbo = stacked[(k1 - 1, j)]
-            stacked[(k1, j)] = ((lo[2:] - lo[:-2]) / half, (lbo[2:] - lbo[:-2]) / half)
-    return {key: (lo[lo.shape[0] // 2], lbo[lbo.shape[0] // 2])
-            for key, (lo, lbo) in stacked.items()}
+    levels = np.moveaxis(spatial_rows(ph, w, dx, N), 2, 0)
+    return _rows_dict(time_rows(levels, dt, N), N)
 
 
 @dataclass
@@ -97,17 +141,21 @@ class DerivativeTower:
         return [self.rows[(k1, k - k1)] for k1 in range(k + 1)]
 
 
+def _level_dt(times):
+    """The common time step of a stack of levels."""
+    times = np.asarray(times, dtype=float)
+    if len(times) < 2:
+        raise InsufficientHistory("need at least 3 levels")
+    dts = np.diff(times)
+    if np.max(np.abs(dts - dts[0])) > 1e-9 * max(abs(dts[0]), 1e-30):
+        raise InsufficientHistory("stored levels are not equally spaced in time")
+    return float(dts[0])
+
+
 def build_tower(states, N=N_DEFAULT) -> DerivativeTower:
     """Tower at the center state of an odd stack of >= 2N+1 equal-dt levels."""
     states = list(states)
-    times = np.array([s.t for s in states])
-    if len(times) >= 2:
-        dts = np.diff(times)
-        if np.max(np.abs(dts - dts[0])) > 1e-9 * max(abs(dts[0]), 1e-30):
-            raise InsufficientHistory("stored levels are not equally spaced in time")
-        dt = float(dts[0])
-    else:
-        raise InsufficientHistory("need at least 3 levels")
+    dt = _level_dt([s.t for s in states])
     grid = states[0].grid
     rows = null_rows([s.phi for s in states], [s.w for s in states], dt, grid.dx, N)
     return DerivativeTower(t=float(states[len(states) // 2].t), grid=grid, N=N, rows=rows)
@@ -262,17 +310,40 @@ class EnergyReport:
         return float(np.sum(self.eb2))
 
 
+def report_from_tower(tower: DerivativeTower, gamma, flux_t, f2, fb2) -> EnergyReport:
+    """Energies, weighted sups and Agmon margins of a tower, with the flux
+    totals accumulated up to flux_t."""
+    e2, eb2 = energy_orders(tower, gamma)
+    sup_l, sup_lb, am_l, am_lb = _sobolev_stats(tower, gamma)
+    return EnergyReport(
+        t=tower.t, e2=e2, eb2=eb2, min_g=float(np.min(tower.g)),
+        sup_l=sup_l, sup_lb=sup_lb,
+        agmon_l_margin=am_l, agmon_lb_margin=am_lb,
+        flux_t=flux_t, f2=f2, fb2=fb2)
+
+
 class EnergyTracker:
     """Run callback: accumulates null fluxes each step and emits periodic
     EnergyReports from the derivative tower.
 
+    Each accepted level is differentiated once, on the full grid, when it
+    enters the tracker: its k1 = 0 spatial rows (`spatial_rows`, N+1
+    deriv1 calls) go into a ring holding the last 2N+1 levels.  The ring
+    keeps only those rows and their times, no field states.
+
     Flux probes are fixed before the run: probes_u are retarded coordinates
     u0 of outgoing lines (x = t - 2 u0), probes_ub advanced coordinates ub0
-    of incoming lines (x = 2 ub0 - t).  Each accepted step adds
+    of incoming lines (x = 2 ub0 - t).  Each accepted step gathers the four
+    interpolation columns around every active probe from the ring, forms
+    the k1 >= 1 rows there by nested centered time differences, and adds
     dt * weight * |row|^2 * sqrt(g) at the line's current abscissa by cubic
-    interpolation (trapezoidal in time, lagged to the center of the level
-    ring so all tower rows exist).  A probe whose line leaves the grid is
-    flagged truncated and stops accumulating.
+    interpolation (trapezoidal in time, lagged to the center of the ring so
+    all tower rows exist).  Reports difference the whole ring the same way.
+
+    A line accumulates while it stays hw+1 cells inside the grid.  One that
+    has not reached the grid yet (an outgoing line left of it, an incoming
+    line right of it) waits; one that leaves is flagged truncated and stops
+    accumulating for good.
     """
 
     def __init__(self, gamma, N=N_DEFAULT, probes_u=(), probes_ub=(),
@@ -284,7 +355,11 @@ class EnergyTracker:
         self.report_every = int(report_every)
         self.gmin = gmin
         self.reports: list[EnergyReport] = []
-        self._ring = deque(maxlen=2 * self.N + 1)
+        self._n_levels = 2 * self.N + 1
+        self._grid = None
+        self._rows = None              # (2N+1, N+1, 2, n) ring of spatial rows
+        self._times = deque(maxlen=self._n_levels)
+        self._levels_seen = 0
         self._steps = 0
         self._f2 = np.zeros((len(self.probes_u), self.N + 1))
         self._fb2 = np.zeros((len(self.probes_ub), self.N + 1))
@@ -293,108 +368,126 @@ class EnergyTracker:
         self._prev_tau = None
         self.truncated_u = np.zeros(len(self.probes_u), dtype=bool)
         self.truncated_ub = np.zeros(len(self.probes_ub), dtype=bool)
-        # window wide enough for N+1 nested first-derivative stencils plus
-        # cubic interpolation margin
+        self._inside_u = np.zeros(len(self.probes_u), dtype=bool)
+        self._inside_ub = np.zeros(len(self.probes_ub), dtype=bool)
+        # probes keep hw+1 cells from the edges, clear of the one-sided edge
+        # stencils under N+1 nested first derivatives plus the cubic
+        # interpolation; hw cells below the probe is also the reference
+        # point of its interpolation coordinate
         self._hw = 2 * (self.N + 2) + 4
 
     def on_start(self, state: FieldState):
-        self._ring.append(state.copy())
+        self._push(state)
 
     def on_step(self, state: FieldState):
-        self._ring.append(state.copy())
+        self._push(state)
         self._steps += 1
-        if len(self._ring) == self._ring.maxlen:
+        if len(self._times) == self._n_levels:
             self._accumulate_flux()
             if self._steps % self.report_every == 0:
                 self.reports.append(self._make_report())
 
+    def _push(self, state: FieldState):
+        if self._rows is None:
+            self._grid = state.grid
+            self._rows = np.empty((self._n_levels, self.N + 1, 2, state.grid.n))
+        self._rows[self._levels_seen % self._n_levels] = spatial_rows(
+            state.phi, state.w, state.grid.dx, self.N)
+        self._times.append(state.t)
+        self._levels_seen += 1
+
+    def _ring_order(self):
+        """Ring slots from the oldest level to the newest."""
+        return (self._levels_seen + np.arange(self._n_levels)) % self._n_levels
+
     # -- flux ---------------------------------------------------------------
 
-    def _row_sq_at(self, states, xq, side):
-        """sum over rows per order of weight*|row(xq)|^2*sqrt(g(xq)), for all
-        probes at once; xq has one abscissa per active probe."""
-        grid = states[0].grid
-        dt = states[1].t - states[0].t
-        tau = states[len(states) // 2].t
-        idx = np.round((xq - grid.x0) / grid.dx).astype(int)
-        i0 = idx - self._hw
-        win = 2 * self._hw + 1
-        offs = np.arange(win)
-        take = i0[:, None] + offs[None, :]
-        phis = [s.phi[take] for s in states]     # (P, win) per level
-        ws = [s.w[take] for s in states]
-        rows = null_rows(phis, ws, dt, grid.dx, self.N)
-        # local cubic interpolation at the exact abscissa
+    def _probe_rows(self, xq):
+        """All tower rows at the abscissae xq, shape (N+1, N+1, 2, P)."""
+        grid = self._grid
+        # interpolation coordinate taken from cell i0, hw below the probe:
+        # (xq - x0)/dx would round differently in the last bits
+        i0 = np.round((xq - grid.x0) / grid.dx).astype(int) - self._hw
         pos = (xq - (grid.x0 + i0 * grid.dx)) / grid.dx
-        base = np.clip(np.floor(pos).astype(int) - 1, 0, win - 4)
-        th = pos - base
-        wts = np.stack([-(th - 1) * (th - 2) * (th - 3) / 6.0,
-                        th * (th - 2) * (th - 3) / 2.0,
-                        -th * (th - 1) * (th - 3) / 2.0,
-                        th * (th - 1) * (th - 2) / 6.0])
-        rowsel = np.arange(len(xq))
+        base, (w0, w1, w2, w3) = cubic_weights(pos, 2 * self._hw + 1)
+        idx = (i0 + base)[:, None] + np.arange(4)
+        cols = self._rows.take(idx, axis=-1)[self._ring_order()]      # (2N+1, N+1, 2, P, 4)
+        rows = time_rows(cols, self._times[1] - self._times[0], self.N)
+        return (w0 * rows[..., 0] + w1 * rows[..., 1]
+                + w2 * rows[..., 2] + w3 * rows[..., 3])
 
-        def at(arr):
-            return sum(wts[j] * arr[rowsel, base + j] for j in range(4))
-
-        lphi0 = at(rows[(0, 0)][0])
-        lbphi0 = at(rows[(0, 0)][1])
-        sqrt_g = np.sqrt(np.maximum(1.0 - lphi0 * lbphi0, 0.0))
-        if side == "TL":
+    def _flux_density(self, rows, xq, tau, side):
+        """weight*|row(xq)|^2*sqrt(g(xq)) summed over the rows of each order,
+        shape (P, N+1); side 0 takes the L rows, side 1 the Lb rows."""
+        sqrt_g = np.sqrt(np.maximum(1.0 - rows[0, 0, 0] * rows[0, 0, 1], 0.0))
+        if side == 0:
             wgt = weight_a((tau + xq) / 2.0, self.gamma)
         else:
             wgt = weight_a((tau - xq) / 2.0, self.gamma)
+        dens = wgt * rows[:, :, side] ** 2 * sqrt_g          # (N+1, N+1, P)
         out = np.zeros((len(xq), self.N + 1))
-        for (k1, k2), (lrow, lbrow) in rows.items():
-            val = at(lrow) if side == "TL" else at(lbrow)
-            out[:, k1 + k2] += wgt * val ** 2 * sqrt_g
-        return out, tau
+        for k1 in range(self.N + 1):
+            out[:, k1:] += dens[k1, :self.N + 1 - k1].T
+        return out
+
+    @staticmethod
+    def _active(inside, past_exit, was_inside, truncated):
+        """Update the truncation flags of one probe family; return the lines
+        that accumulate this step."""
+        truncated |= (was_inside & ~inside) | past_exit
+        was_inside[:] = inside
+        return inside & ~truncated
 
     def _accumulate_flux(self):
-        states = list(self._ring)
-        grid = states[0].grid
-        tau = states[len(states) // 2].t
+        grid = self._grid
+        tau = self._times[self.N]
         margin = (self._hw + 1) * grid.dx
+        lo, hi = grid.x0 + margin, grid.x_end - margin
+        xu = tau - 2.0 * self.probes_u
+        xub = 2.0 * self.probes_ub - tau
+        act_u = self._active((xu > lo) & (xu < hi), xu >= hi,
+                             self._inside_u, self.truncated_u)
+        act_ub = self._active((xub > lo) & (xub < hi), xub <= lo,
+                              self._inside_ub, self.truncated_ub)
         cur_f = np.zeros_like(self._f2)
         cur_fb = np.zeros_like(self._fb2)
-        if len(self.probes_u):
-            xq = tau - 2.0 * self.probes_u
-            inside = (xq > grid.x0 + margin) & (xq < grid.x_end - margin)
-            self.truncated_u |= ~inside
-            act = inside & ~self.truncated_u
-            if np.any(act):
-                vals, _ = self._row_sq_at(states, xq[act], "TL")
-                cur_f[act] = vals
-        if len(self.probes_ub):
-            xq = 2.0 * self.probes_ub - tau
-            inside = (xq > grid.x0 + margin) & (xq < grid.x_end - margin)
-            self.truncated_ub |= ~inside
-            act = inside & ~self.truncated_ub
-            if np.any(act):
-                vals, _ = self._row_sq_at(states, xq[act], "TLb")
-                cur_fb[act] = vals
+        xq = np.concatenate([xu[act_u], xub[act_ub]])
+        if len(xq):
+            rows = self._probe_rows(xq)
+            nu = int(np.count_nonzero(act_u))
+            cur_f[act_u] = self._flux_density(rows[..., :nu], xq[:nu], tau, 0)
+            cur_fb[act_ub] = self._flux_density(rows[..., nu:], xq[nu:], tau, 1)
         if self._prev_tau is not None:
             dtau = tau - self._prev_tau
             self._f2 += 0.5 * dtau * (self._prev_f + cur_f)
             self._fb2 += 0.5 * dtau * (self._prev_fb + cur_fb)
         self._prev_f, self._prev_fb, self._prev_tau = cur_f, cur_fb, tau
 
+    def truncated_probes(self):
+        """Names of the probe lines that left the grid, e.g. 'u0=3'."""
+        return ([f"u0={u0:g}" for u0 in self.probes_u[self.truncated_u]]
+                + [f"ub0={ub0:g}" for ub0 in self.probes_ub[self.truncated_ub]])
+
     # -- reports ------------------------------------------------------------
 
     def _make_report(self) -> EnergyReport:
-        tower = build_tower(list(self._ring), self.N)
-        e2, eb2 = energy_orders(tower, self.gamma)
-        sup_l, sup_lb, am_l, am_lb = _sobolev_stats(tower, self.gamma)
-        return EnergyReport(
-            t=tower.t, e2=e2, eb2=eb2, min_g=float(np.min(tower.g)),
-            sup_l=sup_l, sup_lb=sup_lb,
-            agmon_l_margin=am_l, agmon_lb_margin=am_lb,
-            flux_t=self._prev_tau if self._prev_tau is not None else tower.t,
-            f2=self._f2.copy(), fb2=self._fb2.copy())
+        dt = _level_dt(self._times)
+        rows = time_rows(self._rows[self._ring_order()], dt, self.N)
+        tower = DerivativeTower(t=float(self._times[self.N]), grid=self._grid, N=self.N,
+                                rows=_rows_dict(rows, self.N))
+        flux_t = self._prev_tau if self._prev_tau is not None else tower.t
+        return report_from_tower(tower, self.gamma, flux_t, self._f2.copy(), self._fb2.copy())
+
+    def initial_report(self, fam, grid) -> EnergyReport:
+        """Report at t = 0 from the exact trace table of the data, zero flux."""
+        table = higher_order_traces(fam, self.N, grid.x)
+        tower = DerivativeTower(t=0.0, grid=grid, N=self.N, rows=table.rows)
+        return report_from_tower(tower, self.gamma, 0.0,
+                                 np.zeros_like(self._f2), np.zeros_like(self._fb2))
 
     def final_report(self):
-        if not self.reports or self.reports[-1].t < self._ring[len(self._ring) // 2].t:
-            if len(self._ring) == self._ring.maxlen:
+        if not self.reports or self.reports[-1].t < self._times[len(self._times) // 2]:
+            if len(self._times) == self._n_levels:
                 self.reports.append(self._make_report())
         return self.reports
 

@@ -51,6 +51,22 @@ def ko_dissipation(f, dx, eps):
     return out
 
 
+def cubic_weights(pos, n):
+    """Base index and 4-point Lagrange weights on a uniform grid of n points.
+
+    pos holds fractional grid positions (cells from point 0).  The stencil
+    covers points base..base+3, clamped to the grid; combine neighbour values
+    as ((w0*v0 + w1*v1) + w2*v2) + w3*v3.
+    """
+    base = np.clip(np.floor(pos).astype(int) - 1, 0, n - 4)
+    th = pos - base
+    w0 = -(th - 1.0) * (th - 2.0) * (th - 3.0) / 6.0
+    w1 = th * (th - 2.0) * (th - 3.0) / 2.0
+    w2 = -th * (th - 1.0) * (th - 3.0) / 2.0
+    w3 = th * (th - 1.0) * (th - 2.0) / 6.0
+    return base, (w0, w1, w2, w3)
+
+
 def cubic_interp(values, x0, dx, xq):
     """4-point Lagrange interpolation on a uniform grid.
 
@@ -58,17 +74,10 @@ def cubic_interp(values, x0, dx, xq):
     (...,) for scalar xq.  Query points are clamped to the grid interior.
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[-1]
     xq = np.asarray(xq, dtype=float)
     scalar = xq.ndim == 0
     xq = np.atleast_1d(xq)
-    pos = (xq - x0) / dx
-    base = np.clip(np.floor(pos).astype(int) - 1, 0, n - 4)
-    th = pos - base
-    w0 = -(th - 1.0) * (th - 2.0) * (th - 3.0) / 6.0
-    w1 = th * (th - 2.0) * (th - 3.0) / 2.0
-    w2 = -th * (th - 1.0) * (th - 3.0) / 2.0
-    w3 = th * (th - 1.0) * (th - 2.0) / 6.0
+    base, (w0, w1, w2, w3) = cubic_weights((xq - x0) / dx, values.shape[-1])
     out = (w0 * values[..., base] + w1 * values[..., base + 1]
            + w2 * values[..., base + 2] + w3 * values[..., base + 3])
     return out[..., 0] if scalar else out

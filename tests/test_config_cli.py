@@ -103,6 +103,18 @@ def test_cli_run_exit_zero(tmp_path, capsys):
     assert "criterion: pass" in out and "monitors pass" in out
 
 
+def test_cli_run_warns_on_truncated_probe(tmp_path, capsys):
+    # the outgoing line u0 = -8 (x = t + 16) leaves the grid before t_end
+    text = SMALL_RUN.replace("probes_u = 0", "probes_u = 0, -8")
+    rc = main(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "left the grid" in err[0]
+    assert err[0].endswith(": u0=-8")
+    main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN), "--out", str(tmp_path / "b")])
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_energy_csv_schema(tmp_path):
     rc = main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN),
                "--out", str(tmp_path / "out")])

@@ -5,7 +5,8 @@ from scipy import integrate
 from stringlab import (EnergyTracker, Grid1D, InsufficientHistory, TimelikeViolation,
                        build_tower, higher_order_traces, init_state, monitor,
                        order_energy, row_energy, run_evolution, stress_density)
-from stringlab.energy import DerivativeTower, energy_orders, null_rows
+from stringlab.energy import (DerivativeTower, _sobolev_stats, energy_orders, null_rows,
+                             spatial_rows, time_rows)
 from stringlab.evolve import FieldState
 
 
@@ -277,3 +278,88 @@ def test_null_rows_rejects_short_stack():
     z = [np.zeros(32)] * 3
     with pytest.raises(InsufficientHistory):
         null_rows(z, z, 0.1, 0.1, 2)
+
+
+# ---------------------------------------------------------------------------
+# incremental tower inside the tracker
+
+
+@pytest.mark.parametrize("N", [2, 4])
+def test_tracker_reports_equal_reference_tower(default_family, N):
+    grid = Grid1D(-16, 0.1, 321)
+    tr = EnergyTracker(gamma=0.5, N=N, probes_u=(0.0,), probes_ub=(0.0,),
+                       report_every=7)
+    res = run_evolution(default_family, grid, t_end=1.5, store_history=True,
+                        callbacks=[tr])
+    assert len(tr.reports) >= 3
+    times = [s.t for s in res.history]
+    for rep in tr.reports:
+        i = times.index(rep.t)
+        tower = build_tower(res.history[i - N:i + N + 1], N=N)
+        e2, eb2 = energy_orders(tower, 0.5)
+        sup_l, sup_lb, am_l, am_lb = _sobolev_stats(tower, 0.5)
+        assert tower.t == rep.t
+        assert np.array_equal(rep.e2, e2) and np.array_equal(rep.eb2, eb2)
+        assert rep.min_g == float(np.min(tower.g))
+        assert np.array_equal(rep.sup_l, sup_l) and np.array_equal(rep.sup_lb, sup_lb)
+        assert rep.agmon_l_margin == am_l and rep.agmon_lb_margin == am_lb
+
+
+def test_spatial_then_time_rows_is_null_rows():
+    rng = np.random.default_rng(3)
+    phis = rng.standard_normal((5, 3, 40))
+    ws = rng.standard_normal((5, 3, 40))
+    ref = null_rows(list(phis), list(ws), 0.05, 0.1, 2)
+    per_level = np.stack([spatial_rows(p, w, 0.1, 2) for p, w in zip(phis, ws)])
+    rows = time_rows(per_level, 0.05, 2)
+    assert set(ref) == {(k1, k2) for k1 in range(3) for k2 in range(3 - k1)}
+    for (k1, k2), (lrow, lbrow) in ref.items():
+        assert np.array_equal(rows[k1, k2, 0], lrow)
+        assert np.array_equal(rows[k1, k2, 1], lbrow)
+    assert np.all(rows[2, 1:] == 0) and np.all(rows[1, 2] == 0)
+
+
+def test_tracker_deriv1_budget(default_family, monkeypatch):
+    # N+1 deriv1 calls per level entering the ring; flux probes and reports
+    # reuse the cached rows instead of differentiating again
+    import stringlab.energy as energy
+    calls = []
+    orig = energy.deriv1
+
+    def counted(f, dx):
+        calls.append(1)
+        return orig(f, dx)
+
+    monkeypatch.setattr(energy, "deriv1", counted)
+    grid = Grid1D(-16, 0.1, 321)
+    N = 3
+    tr = EnergyTracker(gamma=0.5, N=N, probes_u=(-1.0, 0.0, 1.0), probes_ub=(0.0, 1.0),
+                       report_every=5)
+    res = run_evolution(default_family, grid, t_end=1.0, callbacks=[tr])
+    assert res.n_steps >= 2 * N + 1 and len(tr.reports) >= 2
+    assert len(calls) <= (N + 1) * (res.n_steps + 1)
+
+
+def test_tracker_probe_entering_late_accumulates(default_family):
+    # ub0 = 11: the incoming line x = 22 - t starts right of the grid and
+    # enters at t ~ 3.3; on a wider grid the same line starts inside
+    tr = EnergyTracker(gamma=0.5, N=2, probes_ub=(11.0,), report_every=50)
+    run_evolution(default_family, Grid1D(-20, 0.1, 401), t_end=12.0, callbacks=[tr])
+    wide = EnergyTracker(gamma=0.5, N=2, probes_ub=(11.0,), report_every=50)
+    run_evolution(default_family, Grid1D(-20, 0.1, 481), t_end=12.0, callbacks=[wide])
+    assert not tr.truncated_ub[0] and not wide.truncated_ub[0]
+    f_late = tr.final_report()[-1].fb2
+    f_wide = wide.final_report()[-1].fb2
+    assert np.all(f_late > 0)
+    assert np.allclose(f_late, f_wide, rtol=1e-6, atol=0)
+
+
+def test_tracker_probe_leaving_is_truncated(default_family):
+    # u0 = -8: the outgoing line x = t + 16 leaves the grid at t ~ 2.7
+    tr = EnergyTracker(gamma=0.5, N=2, probes_u=(-8.0, 0.0), report_every=10)
+    run_evolution(default_family, Grid1D(-20, 0.1, 401), t_end=5.0, callbacks=[tr])
+    assert list(tr.truncated_u) == [True, False]
+    assert tr.truncated_probes() == ["u0=-8"]
+    # the flux stops growing once the line is gone
+    f_series = [float(r.f2[0].sum()) for r in tr.reports if r.flux_t > 3.0]
+    assert len(f_series) >= 2 and len(set(f_series)) == 1
