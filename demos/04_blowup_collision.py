@@ -11,8 +11,8 @@ the degeneration approaches.
 
 import numpy as np
 
-from stringlab import Grid1D, blowup_fixture, criterion_for_family, run_evolution, trace_characteristics
-from stringlab.cli import richardson_time
+from stringlab import (CharacteristicTracer, Grid1D, blowup_fixture, criterion_for_family,
+                       richardson_time, run_evolution)
 
 print(__doc__)
 
@@ -23,19 +23,19 @@ print(f"ordering margin of the data: {rep.order_margin:+.4f} (< 0: criterion vio
 
 X = 28.0
 t_blowups = []
-fine = None
+# the finest level traces plus-family characteristics while it runs,
+# holding a few time levels instead of the whole history
+seeds = np.linspace(-6.0, 6.0, 17)
+tracer = CharacteristicTracer(seeds, family="plus")
 print(f"{'dx':>9} {'t_blowup':>10} {'reason'}")
 for dx in (1 / 32, 1 / 64, 1 / 128):
     grid = Grid1D(-X, dx, int(round(2 * X / dx)) + 1)
-    res = run_evolution(fam, grid, t_end=12.0, store_history=(dx == 1 / 128))
+    res = run_evolution(fam, grid, t_end=12.0, callbacks=[tracer] if dx == 1 / 128 else ())
     t_blowups.append(res.t_blowup)
     print(f"{dx:>9.5f} {res.t_blowup:>10.5f} {res.blowup_reason}")
-    if dx == 1 / 128:
-        fine = res
 print(f"extrapolated blow-up time: {richardson_time(t_blowups):.5f}\n")
 
-seeds = np.linspace(-6.0, 6.0, 17)
-paths, min_sep = trace_characteristics(fine, seeds, family="plus")
+paths, min_sep = tracer.finish()
 print(f"plus-family characteristics seeded {seeds[1]-seeds[0]:.3f} apart focus down to "
       f"{min_sep:.3e} before detection")
 

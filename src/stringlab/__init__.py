@@ -13,9 +13,9 @@ from .energy import (DerivativeTower, EnergyReport, EnergyTracker, build_tower,
 from .errors import (BlowupDetected, HyperbolicityLoss, InsufficientHistory,
                      NonIntegrable, ParseError, StringLabError, TimelikeViolation,
                      ValidationError)
-from .evolve import (CharPath, FieldState, Grid1D, RunResult, exact_travelling,
-                     exact_travelling_fields, init_state, rhs, run_evolution, step,
-                     trace_characteristics)
+from .evolve import (CharacteristicTracer, CharPath, FieldState, Grid1D, RunResult,
+                     exact_travelling, exact_travelling_fields, init_state, rhs,
+                     richardson_time, run_evolution, step, trace_characteristics)
 from .initialdata import (CriterionReport, DataFamily, TraceTable, blowup_fixture,
                           build_data, check_kong_tsuji, criterion_for_family,
                           data_eigenvalues, higher_order_traces)

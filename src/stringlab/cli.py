@@ -10,7 +10,8 @@ sweep       one run per delta in `deltas`; emits per-delta sups and the
 converge    3-level refinement against the exact travelling-wave solution
             (requires delta = 0).
 blowup      3-level refinement of the detected blow-up time plus
-            characteristic focusing on the finest level.
+            characteristic focusing, traced while the finest level runs;
+            stderr names each level's blow-up time and reason.
 verify      manufactured-field identity suite (divergence, deformation,
             trace, equivalence band, energy balance); exit 1 names the
             failing identity.
@@ -50,7 +51,8 @@ from . import energy as en
 from . import identities as ident
 from .config import ExperimentConfig, parse_config, validate_config
 from .errors import StringLabError, ValidationError
-from .evolve import Grid1D, exact_travelling, init_state, run_evolution, step, trace_characteristics
+from .evolve import (CharacteristicTracer, Grid1D, exact_travelling, init_state,
+                     richardson_time, run_evolution, step)
 from .initialdata import criterion_for_family, higher_order_traces
 from .manufactured import MovingGaussian, ZeroField, random_mixture
 
@@ -224,49 +226,37 @@ def cmd_blowup(cfg, out: Path) -> int:
     crit = criterion_for_family(fam, grid.x)
     print(f"criterion: {'pass' if crit.passed else 'FAIL (blow-up data)'} "
           f"(ordering margin {crit.order_margin:.3e})")
+    # adjacent plus-family characteristics through the collision, traced on
+    # the finest level while it runs
+    half = max(abs(fam.f.center), abs(fam.fb.center)) + 2.0 * max(fam.f.width, fam.fb.width)
+    seeds = np.linspace(-half, half, 17)
+    tracer = CharacteristicTracer(seeds, family="plus")
     rows = []
     t_blowups = []
-    result_fine = None
     for level in range(3):
         res = run_evolution(fam, grid, t_end=cfg.t_end, cfl=cfg.cfl,
                             eps_ko=cfg.eps_ko, gmin=cfg.gmin,
-                            store_history=(level == 2))
+                            callbacks=[tracer] if level == 2 else ())
         tb = res.t_blowup if res.status == "blowup" else float("nan")
         rows.append([level, grid.n, grid.dx, tb])
         t_blowups.append(tb)
-        if level == 2:
-            result_fine = res
+        what = (f"t_blowup = {tb:.6g}, {res.blowup_reason}" if res.status == "blowup"
+                else f"no blow-up up to t_end = {cfg.t_end:g}")
+        print(f"stringlab: blowup level {level}: n = {grid.n}, {what}", file=sys.stderr)
         grid = grid.refined()
     _write_csv(out / "blowup.csv", ["level", "n", "dx", "t_blowup"], rows)
     if any(np.isnan(tb) for tb in t_blowups):
         print("blowup: no blow-up detected on some level")
         return 1
     t_star = richardson_time(t_blowups)
-    seeds, min_sep, sep0 = _focusing(cfg, fam, result_fine)
+    _, min_sep = tracer.finish()
+    sep0 = float(seeds[1] - seeds[0])
     _write_csv(out / "blowup_summary.csv",
                ["t_star", "criterion_passed", "min_separation", "initial_separation"],
                [[t_star, int(crit.passed), min_sep, sep0]])
     print(f"blowup: t = {', '.join(f'{tb:.5f}' for tb in t_blowups)} -> t* = {t_star:.5f}; "
           f"plus-family separation {sep0:.3f} -> {min_sep:.2e}")
     return 0
-
-
-def richardson_time(t_blowups):
-    """Extrapolate the detected times across three grids (halving dx)."""
-    t0, t1, t2 = t_blowups
-    d0, d1 = t1 - t0, t2 - t1
-    if d1 == 0 or d0 == 0 or abs(d1) >= abs(d0):
-        return t2
-    r = d1 / d0
-    return t2 + d1 * r / (1.0 - r)
-
-
-def _focusing(cfg, fam, result):
-    """Adjacent plus-family characteristic separation through the collision."""
-    half = max(abs(fam.f.center), abs(fam.fb.center)) + 2.0 * max(fam.f.width, fam.fb.width)
-    seeds = np.linspace(-half, half, 17)
-    _, min_sep = trace_characteristics(result, seeds, family="plus")
-    return seeds, min_sep, float(seeds[1] - seeds[0])
 
 
 def cmd_verify(cfg, out: Path) -> int:
@@ -349,6 +339,7 @@ def cmd_tracecheck(cfg, out: Path) -> int:
         table = higher_order_traces(fam, cfg.N, grid.x)
         if level == 0:
             table.write_csv(out / "traces.csv")
+            den_min = table.den_min
         tower = _tower_at_zero(cfg, fam, grid)
         lev = {}
         for (k1, k2), (lt, lbt) in table.rows.items():
@@ -369,9 +360,8 @@ def cmd_tracecheck(cfg, out: Path) -> int:
                              order if lvl == 1 else ""])
     _write_csv(out / "tracecheck.csv",
                ["k1", "k2", "level", "dx", "dt", "discrepancy", "order"], rows_out)
-    table = higher_order_traces(fam, cfg.N, _grid(cfg).x)
     print(f"tracecheck: max discrepancy {worst[0]:.3e} -> {worst[1]:.3e} under refinement; "
-          f"induction denominator min {table.den_min:.6f} (>= 4)")
+          f"induction denominator min {den_min:.6f} (>= 4)")
     return 0
 
 

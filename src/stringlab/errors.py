@@ -49,7 +49,8 @@ class NonIntegrable(StringLabError):
 
 
 class InsufficientHistory(StringLabError):
-    """Not enough stored time levels to build the requested derivative tower."""
+    """Not enough time levels for a computation that spans several of them:
+    a derivative tower, or tracing characteristics through a run."""
 
 
 class ParseError(StringLabError):

@@ -18,11 +18,13 @@ interior (checked by the nested-domain tests).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .errors import BlowupDetected, HyperbolicityLoss
+from .errors import BlowupDetected, HyperbolicityLoss, InsufficientHistory
 from .initialdata import DataFamily
 from .nullgeom import GMIN_DEFAULT
 from .profiles import profile_derivative
@@ -275,71 +277,132 @@ class CharPath:
     alive: np.ndarray       # False once the path left the usable domain
 
 
-def _speed_field(result: RunResult, family: str):
-    hist = result.history
-    if len(hist) < 4:
-        raise ValueError("characteristic tracing needs a stored run history")
-    times = result.times
-    dt = times[1] - times[0]
-    W = np.stack([s.w for s in hist])
-    P = np.stack([s.p for s in hist])
-    grid = hist[0].grid
-    sign = 1.0 if family == "plus" else -1.0
+class CharacteristicTracer:
+    """Integrate dx/dt = lambda_family along a run, as it is produced.
 
-    def lam(t, xq):
+    A run_evolution callback (on_start/on_step) followed by finish().  Path
+    step i is the RK4 step of the field evolution with cubic space-time
+    interpolation of (w, p) over the 4 levels j..j+3 nearest its time,
+    j = floor((t - t0)/dt) - 1.  Accumulated step times carry roundoff, so
+    j is one of i-2, i-1, i.  The step runs once level i+4 has arrived, so
+    the clip of j to the last 4 levels of the run cannot act before the run
+    ends; the tracer then drops every level older than i-1.  It references
+    at most 7 levels (step returns fresh arrays, so none is copied) plus one
+    stacked copy of the current 4-level window, so memory is O(n) whatever
+    the run length.  finish() runs the remaining tail steps with j clipped
+    to the last 4 levels, exactly as a replay of the stored history would.
+    """
+
+    def __init__(self, seeds, family: str = "plus"):
+        if family not in ("plus", "minus"):
+            raise ValueError("family must be 'plus' or 'minus'")
+        self.family = family
+        self.seeds = np.asarray(seeds, dtype=float)
+        self._sign = 1.0 if family == "plus" else -1.0
+
+    @property
+    def levels_held(self):
+        """Number of (w, p) levels currently referenced."""
+        return len(self._levels)
+
+    def on_start(self, state: FieldState):
+        grid = state.grid
+        self._grid = grid
+        self._lo, self._hi = grid.x0 + 2 * grid.dx, grid.x_end - 2 * grid.dx
+        self._times = []
+        self._levels = deque()
+        self._first = 0                  # run index of self._levels[0]
+        self._window = (None, None)      # (j, stacked (4, 2, n) levels j..j+3)
+        xs = self.seeds.copy()
+        self._xs = xs
+        self._alive = (xs > self._lo) & (xs < self._hi)
+        self._traj = [xs.copy()]
+        self._alive_hist = [self._alive.copy()]
+        self._min_sep = float(np.min(np.abs(np.diff(xs)))) if xs.size > 1 else np.inf
+        self.on_step(state)
+
+    def on_step(self, state: FieldState):
+        self._times.append(state.t)
+        self._levels.append((state.w, state.p))
+        i = len(self._traj) - 1
+        if len(self._times) >= i + 5:
+            self._advance(i)
+            while self._first < i - 1:
+                self._levels.popleft()
+                self._first += 1
+
+    def finish(self):
+        """Run the tail steps and return (paths, min_sep) for every seed."""
+        count = len(self._times)
+        if count < 4:
+            raise InsufficientHistory(
+                f"characteristic tracing needs at least 4 time levels, the run has {count}")
+        for i in range(len(self._traj) - 1, count - 1):
+            self._advance(i)
+        ts = np.array(self._times)
+        traj = np.array(self._traj)
+        alive_hist = np.array(self._alive_hist)
+        paths = [CharPath(family=self.family, seed_x=float(s), ts=ts,
+                          xs=traj[:, k], alive=alive_hist[:, k])
+                 for k, s in enumerate(self.seeds)]
+        return paths, self._min_sep
+
+    def _lam(self, t, xq):
+        times, dt = self._times, self._times[1] - self._times[0]
         # cubic in time over the 4 nearest levels, then cubic in space
         j = int(np.clip(np.floor((t - times[0]) / dt) - 1, 0, len(times) - 4))
-        wq = cubic_interp(W[j:j + 4], grid.x0, grid.dx, xq)          # (4, m)
-        pq = cubic_interp(P[j:j + 4], grid.x0, grid.dx, xq)
-        wt = cubic_interp(wq.T, times[j], dt, t)                      # (m,)
-        pt = cubic_interp(pq.T, times[j], dt, t)
+        if self._window[0] != j:
+            k = j - self._first
+            self._window = (j, np.array(list(islice(self._levels, k, k + 4))))
+        grid = self._grid
+        q = cubic_interp(self._window[1], grid.x0, grid.dx, xq)       # (4, 2, m)
+        wt, pt = cubic_interp(np.moveaxis(q, 0, -1), times[j], dt, t)  # (2, m)
         disc = np.maximum(1.0 + pt * pt - wt * wt, 0.0)
-        return (-wt * pt + sign * np.sqrt(disc)) / (1.0 + pt * pt)
+        return (-wt * pt + self._sign * np.sqrt(disc)) / (1.0 + pt * pt)
 
-    return lam, times, grid
-
-
-def trace_characteristics(result: RunResult, seeds, family: str = "plus"):
-    """Integrate dx/dt = lambda_family through the stored run history.
-
-    Uses the same RK4 stepping as the field evolution with cubic space-time
-    interpolation of (w, p).  Paths freeze when they reach the edge of the
-    usable domain; they all stop at the last stored time (the blow-up time
-    for a run that ended early).  Returns the paths and the minimum
-    separation between adjacent same-family paths over the whole trace.
-    """
-    if family not in ("plus", "minus"):
-        raise ValueError("family must be 'plus' or 'minus'")
-    lam, times, grid = _speed_field(result, family)
-    dt = times[1] - times[0]
-    lo, hi = grid.x0 + 2 * grid.dx, grid.x_end - 2 * grid.dx
-
-    xs = np.asarray(seeds, dtype=float).copy()
-    alive = (xs > lo) & (xs < hi)
-    traj = [xs.copy()]
-    alive_hist = [alive.copy()]
-    min_sep = np.inf
-    if xs.size > 1:
-        min_sep = float(np.min(np.abs(np.diff(xs))))
-
-    for i in range(len(times) - 1):
-        t = times[i]
+    def _advance(self, i):
+        t, dt = self._times[i], self._times[1] - self._times[0]
+        xs, alive, lam = self._xs, self._alive, self._lam
         k1 = lam(t, xs)
         k2 = lam(t + 0.5 * dt, xs + 0.5 * dt * k1)
         k3 = lam(t + 0.5 * dt, xs + 0.5 * dt * k2)
         k4 = lam(t + dt, xs + dt * k3)
         xs = np.where(alive, xs + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), xs)
-        alive = alive & (xs > lo) & (xs < hi)
-        traj.append(xs.copy())
-        alive_hist.append(alive.copy())
+        alive = alive & (xs > self._lo) & (xs < self._hi)
+        self._xs, self._alive = xs, alive
+        self._traj.append(xs.copy())
+        self._alive_hist.append(alive.copy())
         if xs.size > 1:
             pair_alive = alive[1:] & alive[:-1]
             if np.any(pair_alive):
-                min_sep = min(min_sep, float(np.min(np.abs(np.diff(xs))[pair_alive])))
+                self._min_sep = min(self._min_sep,
+                                    float(np.min(np.abs(np.diff(xs))[pair_alive])))
 
-    traj = np.array(traj)
-    alive_hist = np.array(alive_hist)
-    paths = [CharPath(family=family, seed_x=float(s), ts=times,
-                      xs=traj[:, i], alive=alive_hist[:, i])
-             for i, s in enumerate(np.asarray(seeds, dtype=float))]
-    return paths, min_sep
+
+def trace_characteristics(result: RunResult, seeds, family: str = "plus"):
+    """Replay a stored run history through a CharacteristicTracer.
+
+    Same paths, bit for bit, as passing the tracer to run_evolution as a
+    callback, which needs no stored history and O(n) memory.  Paths freeze
+    when they reach the edge of the usable domain; they all stop at the last
+    stored time (the blow-up time for a run that ended early).  Returns the
+    paths and the minimum separation between adjacent same-family paths
+    over the whole trace; raises InsufficientHistory below 4 stored levels.
+    """
+    tracer = CharacteristicTracer(seeds, family)
+    if not result.history:
+        raise InsufficientHistory("characteristic tracing needs a stored run history")
+    tracer.on_start(result.history[0])
+    for state in result.history[1:]:
+        tracer.on_step(state)
+    return tracer.finish()
+
+
+def richardson_time(t_blowups):
+    """Extrapolate the detected times across three grids (halving dx)."""
+    t0, t1, t2 = t_blowups
+    d0, d1 = t1 - t0, t2 - t1
+    if d1 == 0 or d0 == 0 or abs(d1) >= abs(d0):
+        return t2
+    r = d1 / d0
+    return t2 + d1 * r / (1.0 - r)

@@ -12,9 +12,10 @@ import pytest
 from stringlab import (DataFamily, Grid1D, ProfileSpec, blowup_fixture,
                        check_kong_tsuji, criterion_for_family, exact_travelling,
                        higher_order_traces, run_evolution, trace_characteristics)
-from stringlab.cli import _single_run, _tower_at_zero, richardson_time
+from stringlab.cli import _single_run, _tower_at_zero
 from stringlab.config import ExperimentConfig
 from stringlab.energy import fit_hierarchy
+from stringlab.evolve import richardson_time
 from stringlab.identities import (deformation_check, divergence_identity_study,
                                   energy_balance_study)
 from stringlab.manufactured import random_mixture

@@ -152,6 +152,37 @@ n = 441
     assert "blow-up detected" in capsys.readouterr().out
 
 
+def test_cli_blowup_small(tmp_path, capsys):
+    text = """
+mode = blowup
+delta = 1
+f_amplitude = 2.4
+f_center = 4
+fb_amplitude = 2.4
+fb_center = -4
+f_width = 1
+fb_width = 1
+t_end = 5
+x0 = -18
+dx = 0.1
+n = 361
+"""
+    rc = main(["blowup", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    rows = (tmp_path / "out" / "blowup.csv").read_text().splitlines()
+    assert rows[0] == "level,n,dx,t_blowup" and len(rows) == 4
+    summary = (tmp_path / "out" / "blowup_summary.csv").read_text().splitlines()
+    assert summary[0] == "t_star,criterion_passed,min_separation,initial_separation"
+    sep, sep0 = (float(v) for v in summary[1].split(",")[2:])
+    assert sep < 0.2 * sep0
+    captured = capsys.readouterr()
+    # one stderr line per level names its blow-up time and reason
+    for level, n in enumerate((361, 721, 1441)):
+        assert f"stringlab: blowup level {level}: n = {n}, t_blowup = " in captured.err
+    assert captured.err.count("hyperbolicity loss") == 3
+    assert "blowup level" not in captured.out
+
+
 def test_cli_bad_config_exit_one(tmp_path, capsys):
     rc = main(["run", "--config", _cfg_file(tmp_path, "gamma = 1.5"),
                "--out", str(tmp_path / "out")])

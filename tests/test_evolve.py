@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from stringlab import (BlowupDetected, DataFamily, Grid1D, HyperbolicityLoss,
-                       ProfileSpec, blowup_fixture, exact_travelling,
-                       exact_travelling_fields, init_state, rhs, run_evolution, step,
-                       trace_characteristics)
+from stringlab import (BlowupDetected, CharacteristicTracer, DataFamily, Grid1D,
+                       HyperbolicityLoss, InsufficientHistory, ProfileSpec, StringLabError,
+                       blowup_fixture, exact_travelling, exact_travelling_fields,
+                       init_state, rhs, run_evolution, step, trace_characteristics)
 from stringlab.evolve import FieldState, max_speed
 from stringlab.stencils import cubic_interp, deriv1
 
@@ -203,6 +203,99 @@ def test_characteristics_early_speed_delta_zero(travelling_family):
     for p in paths:
         slope = (p.xs[-1] - p.xs[0]) / (p.ts[-1] - p.ts[0])
         assert slope == pytest.approx(1.0, abs=1e-7)
+
+
+def _stored_history_trace(result, seeds, family):
+    """Characteristic RK4 over a fully stored history: every level stacked,
+    cubic time interpolation over levels j..j+3 with j clipped to the run."""
+    hist = result.history
+    times = np.array([s.t for s in hist])
+    dt = times[1] - times[0]
+    W = np.stack([s.w for s in hist])
+    P = np.stack([s.p for s in hist])
+    grid = hist[0].grid
+    sign = 1.0 if family == "plus" else -1.0
+
+    def lam(t, xq):
+        j = int(np.clip(np.floor((t - times[0]) / dt) - 1, 0, len(times) - 4))
+        wq = cubic_interp(W[j:j + 4], grid.x0, grid.dx, xq)
+        pq = cubic_interp(P[j:j + 4], grid.x0, grid.dx, xq)
+        wt = cubic_interp(wq.T, times[j], dt, t)
+        pt = cubic_interp(pq.T, times[j], dt, t)
+        disc = np.maximum(1.0 + pt * pt - wt * wt, 0.0)
+        return (-wt * pt + sign * np.sqrt(disc)) / (1.0 + pt * pt)
+
+    lo, hi = grid.x0 + 2 * grid.dx, grid.x_end - 2 * grid.dx
+    xs = np.asarray(seeds, dtype=float).copy()
+    alive = (xs > lo) & (xs < hi)
+    traj, alive_hist = [xs.copy()], [alive.copy()]
+    min_sep = float(np.min(np.abs(np.diff(xs))))
+    for i in range(len(times) - 1):
+        t = times[i]
+        k1 = lam(t, xs)
+        k2 = lam(t + 0.5 * dt, xs + 0.5 * dt * k1)
+        k3 = lam(t + 0.5 * dt, xs + 0.5 * dt * k2)
+        k4 = lam(t + dt, xs + dt * k3)
+        xs = np.where(alive, xs + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), xs)
+        alive = alive & (xs > lo) & (xs < hi)
+        traj.append(xs.copy())
+        alive_hist.append(alive.copy())
+        pair_alive = alive[1:] & alive[:-1]
+        if np.any(pair_alive):
+            min_sep = min(min_sep, float(np.min(np.abs(np.diff(xs))[pair_alive])))
+    return times, np.array(traj), np.array(alive_hist), min_sep
+
+
+@pytest.mark.parametrize("t_end,status", [(10.0, "blowup"), (2.0, "completed")])
+def test_streamed_characteristics_match_stored_history(t_end, status):
+    fam = blowup_fixture()
+    grid = Grid1D(-16, 0.1, 321)
+    # the outer seeds leave the usable domain, one per family
+    seeds = np.r_[-15.7, np.linspace(-6.0, 6.0, 9), 15.7]
+    tracers = {fam_: CharacteristicTracer(seeds, fam_) for fam_ in ("plus", "minus")}
+    streamed = run_evolution(fam, grid, t_end=t_end, callbacks=list(tracers.values()))
+    stored = run_evolution(fam, grid, t_end=t_end, store_history=True)
+    assert streamed.status == stored.status == status
+    for family, tracer in tracers.items():
+        ts, xs, alive, min_sep = _stored_history_trace(stored, seeds, family)
+        assert not alive[-1].all()
+        for paths, sep in (tracer.finish(), trace_characteristics(stored, seeds, family)):
+            assert sep == min_sep
+            for k, path in enumerate(paths):
+                assert np.array_equal(path.ts, ts)
+                assert np.array_equal(path.xs, xs[:, k])
+                assert np.array_equal(path.alive, alive[:, k])
+
+
+def test_tracer_holds_bounded_levels():
+    grid = Grid1D(-2.0, 0.1, 41)
+    z = np.zeros(grid.n)
+    tracer = CharacteristicTracer([-1.0, 0.0, 1.0], "plus")
+    held = []
+
+    class Probe:
+        def on_step(self, state):
+            held.append(tracer.levels_held)
+
+    res = run_evolution(_state(grid, z, z, z), t_end=40.0, callbacks=[tracer, Probe()])
+    assert res.status == "completed" and res.n_steps >= 1000
+    assert len(held) == res.n_steps and max(held) <= 8
+    paths, _ = tracer.finish()
+    assert len(paths[0].ts) == res.n_steps + 1
+
+
+def test_tracer_needs_four_levels():
+    grid = Grid1D(-10, 0.05, 401)
+    z = np.zeros(grid.n)
+    st = _state(grid, z, z, z)
+    tracer = CharacteristicTracer([0.0, 1.0], "plus")
+    tracer.on_start(st)
+    tracer.on_step(step(st, dt=0.02))
+    with pytest.raises(InsufficientHistory, match="4 time levels") as exc_info:
+        tracer.finish()
+    assert isinstance(exc_info.value, StringLabError)
+    with pytest.raises(InsufficientHistory):
+        trace_characteristics(run_evolution(st, t_end=1.0), [0.0], "plus")
 
 
 def test_nested_domain_causality(default_family):
