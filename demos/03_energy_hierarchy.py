@@ -7,8 +7,7 @@ energies scale like delta^2, and the null fluxes follow the same two tiers.
 This demo sweeps delta at fixed right-travelling data and fits the scaling.
 """
 
-from stringlab import Grid1D, monitor, run_evolution
-from stringlab.cli import _tracker
+from stringlab import Grid1D, tracked_sweep
 from stringlab.config import ExperimentConfig
 from stringlab.energy import fit_hierarchy
 
@@ -22,15 +21,9 @@ grid = Grid1D(cfg.x0, cfg.dx, cfg.n)
 
 print(f"gamma = {cfg.gamma}, N = {cfg.N}, T = {T:g}; sweeping delta:\n")
 print(f"{'delta':>7} {'sup E2':>12} {'sup Eb2':>12} {'sup F2':>12} {'sup Fb2':>12} {'min g':>8}")
-monitors = []
-for delta in (0.1, 0.05, 0.025):
-    c = cfg.with_(delta=delta)
-    fam = c.family()
-    tracker = _tracker(c)
-    res = run_evolution(fam, grid, t_end=T, callbacks=[tracker])
-    reports = [tracker.initial_report(fam, grid)] + tracker.reports
-    mon = monitor(reports, delta)
-    monitors.append(mon)
+# the three deltas share dt, so they evolve in lockstep as one ensemble
+monitors = [mon for _, _, mon in tracked_sweep(cfg, grid, (0.1, 0.05, 0.025))]
+for delta, mon in zip((0.1, 0.05, 0.025), monitors):
     print(f"{delta:>7g} {mon.sup_e2:>12.4e} {mon.sup_eb2:>12.4e} "
           f"{mon.sup_f2:>12.4e} {mon.sup_fb2:>12.4e} {mon.min_g:>8.4f}")
 

@@ -8,14 +8,15 @@ energy method, and a deterministic experiment CLI (`stringlab`).
 
 from .config import ExperimentConfig, parse_config, serialize_config
 from .energy import (DerivativeTower, EnergyReport, EnergyTracker, build_tower,
-                     fit_hierarchy, monitor, order_energy, row_energy,
-                     stress_contraction, stress_density)
+                     fit_hierarchy, monitor, order_energy, row_energy, stress_density,
+                     tracked_run, tracked_sweep)
 from .errors import (BlowupDetected, HyperbolicityLoss, InsufficientHistory,
                      NonIntegrable, ParseError, StringLabError, TimelikeViolation,
                      ValidationError)
 from .evolve import (CharacteristicTracer, CharPath, FieldState, Grid1D, RunResult,
-                     exact_travelling, exact_travelling_fields, init_state, rhs,
-                     richardson_time, run_evolution, step, trace_characteristics)
+                     exact_travelling, exact_travelling_fields, init_state,
+                     lockstep_groups, rhs, richardson_time, run_evolution, stack_states,
+                     step, trace_characteristics)
 from .initialdata import (CriterionReport, DataFamily, TraceTable, blowup_fixture,
                           build_data, check_kong_tsuji, criterion_for_family,
                           data_eigenvalues, higher_order_traces)

@@ -6,7 +6,8 @@ run         criterion check, evolve to t_end, energy/monitor CSV.
             Exit 0 when no blow-up and all monitors pass, 2 on blow-up,
             1 on error or failed monitor.
 sweep       one run per delta in `deltas`; emits per-delta sups and the
-            fitted hierarchy slopes/constants.
+            fitted hierarchy slopes/constants.  Deltas with equal dt step
+            in lockstep as one ensemble.
 converge    3-level refinement against the exact travelling-wave solution
             (requires delta = 0).
 blowup      3-level refinement of the detected blow-up time plus
@@ -42,7 +43,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,7 @@ from . import identities as ident
 from .config import ExperimentConfig, parse_config, validate_config
 from .errors import StringLabError, ValidationError
 from .evolve import (CharacteristicTracer, Grid1D, exact_travelling, init_state,
-                     richardson_time, run_evolution, step)
+                     richardson_time, run_evolution)
 from .initialdata import criterion_for_family, higher_order_traces
 from .manufactured import MovingGaussian, ZeroField, random_mixture
 
@@ -75,12 +75,6 @@ def _write_csv(path, header, rows):
 
 def _grid(cfg) -> Grid1D:
     return Grid1D(cfg.x0, cfg.dx, cfg.n)
-
-
-def _tracker(cfg) -> en.EnergyTracker:
-    return en.EnergyTracker(gamma=cfg.gamma, N=cfg.N, probes_u=cfg.probes_u,
-                            probes_ub=cfg.probes_ub, report_every=cfg.report_every,
-                            gmin=cfg.gmin)
 
 
 def _energy_csv(path, cfg, reports):
@@ -122,17 +116,6 @@ def _monitors_pass(cfg, mon):
     return bool(ok)
 
 
-def _single_run(cfg, fam, grid, out=None, prefix="", tracker=None):
-    tracker = tracker if tracker is not None else _tracker(cfg)
-    result = run_evolution(fam, grid, t_end=cfg.t_end, cfl=cfg.cfl,
-                           eps_ko=cfg.eps_ko, gmin=cfg.gmin, callbacks=[tracker])
-    reports = [tracker.initial_report(fam, grid)] + tracker.reports
-    if out is not None:
-        _energy_csv(out / f"{prefix}energy.csv", cfg, reports)
-    mon = en.monitor(reports, cfg.delta) if reports else None
-    return result, reports, mon
-
-
 def cmd_run(cfg, out: Path) -> int:
     fam = cfg.family()
     grid = _grid(cfg)
@@ -146,8 +129,9 @@ def cmd_run(cfg, out: Path) -> int:
     print(f"criterion: {'pass' if crit.passed else 'FAIL'} "
           f"(gap {crit.gap_min:.3e}, ordering margin {crit.order_margin:.3e})")
 
-    tracker = _tracker(cfg)
-    result, reports, mon = _single_run(cfg, fam, grid, out, tracker=tracker)
+    tracker = en.config_tracker(cfg)
+    result, reports, mon = en.tracked_run(cfg, fam, grid, tracker=tracker)
+    _energy_csv(out / "energy.csv", cfg, reports)
     left = tracker.truncated_probes()
     if left:
         print("stringlab: warning: flux probe lines left the grid and stopped "
@@ -171,19 +155,7 @@ def cmd_run(cfg, out: Path) -> int:
 def cmd_sweep(cfg, out: Path) -> int:
     if len(cfg.deltas) < 3:
         raise ValidationError("sweep needs at least 3 delta values")
-    grid = _grid(cfg)
-
-    def one(delta):
-        c = cfg.with_(delta=delta)
-        fam = c.family()
-        _, _, mon = _single_run(c, fam, grid)
-        return mon
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            monitors = list(pool.map(one, cfg.deltas))
-    else:
-        monitors = [one(d) for d in cfg.deltas]
+    monitors = [mon for _, _, mon in en.tracked_sweep(cfg, _grid(cfg), cfg.deltas)]
     _write_csv(out / "sweep.csv", _MONITOR_HEADER, [_monitor_row(m) for m in monitors])
     fit = en.fit_hierarchy(monitors)
     _write_csv(out / "hierarchy.csv",
@@ -340,7 +312,7 @@ def cmd_tracecheck(cfg, out: Path) -> int:
         if level == 0:
             table.write_csv(out / "traces.csv")
             den_min = table.den_min
-        tower = _tower_at_zero(cfg, fam, grid)
+        tower = en.tower_at_zero(cfg, fam, grid)
         lev = {}
         for (k1, k2), (lt, lbt) in table.rows.items():
             if k1 + k2 > kmax:
@@ -365,23 +337,6 @@ def cmd_tracecheck(cfg, out: Path) -> int:
     return 0
 
 
-def _tower_at_zero(cfg, fam, grid):
-    """Tower centered at t = 0 from forward and backward evolution."""
-    state0 = init_state(fam, grid)
-    dt = cfg.cfl * grid.dx
-    fwd, back = [], []
-    s = state0.copy()
-    for _ in range(cfg.N):
-        s = step(s, dt=dt, eps_ko=cfg.eps_ko, gmin=cfg.gmin)
-        fwd.append(s.copy())
-    s = state0.copy()
-    for _ in range(cfg.N):
-        s = step(s, dt=-dt, eps_ko=cfg.eps_ko, gmin=cfg.gmin)
-        back.append(s.copy())
-    stack = list(reversed(back)) + [state0] + fwd
-    return en.build_tower(stack, cfg.N)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="stringlab",
@@ -392,7 +347,6 @@ def main(argv=None) -> int:
     ap.add_argument("--config", help="path to a key = value config file")
     ap.add_argument("--out", help="output directory (default: config `out`)")
     ap.add_argument("--seed", type=int, help="override the config rng seed")
-    ap.add_argument("--threads", type=int, help="parallel jobs for sweeps")
     args = ap.parse_args(argv)
     try:
         if args.config:
@@ -404,8 +358,6 @@ def main(argv=None) -> int:
             over["out"] = args.out
         if args.seed is not None:
             over["seed"] = args.seed
-        if args.threads is not None:
-            over["threads"] = args.threads
         cfg = cfg.with_(**over)
         validate_config(cfg)
         out = Path(cfg.out)

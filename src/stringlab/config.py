@@ -19,7 +19,7 @@ MODES = ("run", "sweep", "converge", "blowup", "verify", "tracecheck")
 _FLOAT_KEYS = {"x0", "dx", "t_end", "cfl", "eps_ko", "gamma", "delta", "gmin",
                "f_amplitude", "f_center", "f_width",
                "fb_amplitude", "fb_center", "fb_width"}
-_INT_KEYS = {"n", "N", "seed", "report_every", "threads"}
+_INT_KEYS = {"n", "N", "seed", "report_every"}
 _STR_KEYS = {"mode", "f_kind", "fb_kind", "out"}
 _LIST_KEYS = {"deltas", "probes_u", "probes_ub"}
 _BOOL_KEYS = {"dump_fields"}
@@ -53,7 +53,6 @@ class ExperimentConfig:
     gmin: float = 1e-6
     seed: int = 0
     out: str = "out"
-    threads: int = 1
     dump_fields: bool = False
 
     def family(self) -> DataFamily:
@@ -119,8 +118,6 @@ def validate_config(cfg: ExperimentConfig, check_domain: bool = True):
         raise ValidationError(f"eps_ko must be >= 0: {cfg.eps_ko}")
     if cfg.mode == "sweep" and len(cfg.deltas) < 3:
         raise ValidationError("sweep needs at least 3 delta values")
-    if cfg.threads < 1:
-        raise ValidationError(f"threads must be >= 1: {cfg.threads}")
     if check_domain and cfg.mode in ("run", "sweep", "blowup", "tracecheck"):
         fam = cfg.family()
         need = fam.support_radius(k_max=2) + cfg.t_end + 2.0

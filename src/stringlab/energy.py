@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistory, TimelikeViolation
-from .evolve import FieldState, Grid1D
+from .evolve import (FieldState, Grid1D, init_state, lockstep_groups, run_evolution,
+                     stack_states, step)
 from .initialdata import higher_order_traces
 from .nullgeom import GMIN_DEFAULT, weight_a
 from .stencils import cubic_weights, deriv1
@@ -207,17 +208,6 @@ def stress_density(base_lphi, base_lbphi, row_lphi, row_lbphi, weight, side, dir
     raise ValueError(f"direction must be 'u', 'ub', or 't', got {direction!r}")
 
 
-def stress_contraction(tower: DerivativeTower, k, side, direction, gamma, gmin=GMIN_DEFAULT):
-    """Pointwise contraction density for tower row k = (k1, k2)."""
-    x = tower.grid.x
-    if side == "TL":
-        wgt = weight_a((tower.t + x) / 2.0, gamma)
-    else:
-        wgt = weight_a((tower.t - x) / 2.0, gamma)
-    lrow, lbrow = tower.rows[tuple(k)]
-    return stress_density(tower.lphi, tower.lbphi, lrow, lbrow, wgt, side, direction, gmin)
-
-
 # ---------------------------------------------------------------------------
 # energies
 
@@ -331,6 +321,12 @@ class EnergyTracker:
     deriv1 calls) go into a ring holding the last 2N+1 levels.  The ring
     keeps only those rows and their times, no field states.
 
+    An ensemble (fields (B, n), see `run_evolution`) shares one ring of
+    shape (2N+1, N+1, 2, B, n): a level costs N+1 deriv1 calls whatever B
+    is, and the probe abscissae, weights and truncation flags are computed
+    once per step.  `member_reports[b]` lists member b's reports; a member
+    that `on_drop` removes keeps those it has.
+
     Flux probes are fixed before the run: probes_u are retarded coordinates
     u0 of outgoing lines (x = t - 2 u0), probes_ub advanced coordinates ub0
     of incoming lines (x = 2 ub0 - t).  Each accepted step gathers the four
@@ -354,15 +350,15 @@ class EnergyTracker:
         self.probes_ub = np.asarray(probes_ub, dtype=float)
         self.report_every = int(report_every)
         self.gmin = gmin
-        self.reports: list[EnergyReport] = []
+        self.member_reports: list[list[EnergyReport]] = []
         self._n_levels = 2 * self.N + 1
         self._grid = None
-        self._rows = None              # (2N+1, N+1, 2, n) ring of spatial rows
+        self._members = None           # member index of each ring column
+        self._rows = None              # (2N+1, N+1, 2, B, n) ring of spatial rows
         self._times = deque(maxlen=self._n_levels)
         self._levels_seen = 0
         self._steps = 0
-        self._f2 = np.zeros((len(self.probes_u), self.N + 1))
-        self._fb2 = np.zeros((len(self.probes_ub), self.N + 1))
+        self._f2 = self._fb2 = None    # (B, probes, N+1) running fluxes
         self._prev_f = None
         self._prev_fb = None
         self._prev_tau = None
@@ -376,6 +372,13 @@ class EnergyTracker:
         # point of its interpolation coordinate
         self._hw = 2 * (self.N + 2) + 4
 
+    @property
+    def reports(self) -> list[EnergyReport]:
+        """The reports of a single-member run."""
+        if len(self.member_reports) > 1:
+            raise ValueError("an ensemble has member_reports, one list per member")
+        return self.member_reports[0] if self.member_reports else []
+
     def on_start(self, state: FieldState):
         self._push(state)
 
@@ -385,14 +388,28 @@ class EnergyTracker:
         if len(self._times) == self._n_levels:
             self._accumulate_flux()
             if self._steps % self.report_every == 0:
-                self.reports.append(self._make_report())
+                self._report()
+
+    def on_drop(self, keep):
+        """Members blew up; keep marks the ones that go on."""
+        self._members = self._members[keep]
+        self._rows = self._rows[..., keep, :]
+        self._f2, self._fb2 = self._f2[keep], self._fb2[keep]
+        if self._prev_tau is not None:
+            self._prev_f, self._prev_fb = self._prev_f[keep], self._prev_fb[keep]
 
     def _push(self, state: FieldState):
+        phi, w = np.atleast_2d(state.phi), np.atleast_2d(state.w)
         if self._rows is None:
+            n_members = w.shape[0]
             self._grid = state.grid
-            self._rows = np.empty((self._n_levels, self.N + 1, 2, state.grid.n))
+            self._members = np.arange(n_members)
+            self.member_reports = [[] for _ in range(n_members)]
+            self._rows = np.empty((self._n_levels, self.N + 1, 2, n_members, state.grid.n))
+            self._f2 = np.zeros((n_members, len(self.probes_u), self.N + 1))
+            self._fb2 = np.zeros((n_members, len(self.probes_ub), self.N + 1))
         self._rows[self._levels_seen % self._n_levels] = spatial_rows(
-            state.phi, state.w, state.grid.dx, self.N)
+            phi, w, state.grid.dx, self.N)
         self._times.append(state.t)
         self._levels_seen += 1
 
@@ -403,7 +420,7 @@ class EnergyTracker:
     # -- flux ---------------------------------------------------------------
 
     def _probe_rows(self, xq):
-        """All tower rows at the abscissae xq, shape (N+1, N+1, 2, P)."""
+        """All tower rows at the abscissae xq, shape (N+1, N+1, 2, B, P)."""
         grid = self._grid
         # interpolation coordinate taken from cell i0, hw below the probe:
         # (xq - x0)/dx would round differently in the last bits
@@ -411,23 +428,23 @@ class EnergyTracker:
         pos = (xq - (grid.x0 + i0 * grid.dx)) / grid.dx
         base, (w0, w1, w2, w3) = cubic_weights(pos, 2 * self._hw + 1)
         idx = (i0 + base)[:, None] + np.arange(4)
-        cols = self._rows.take(idx, axis=-1)[self._ring_order()]      # (2N+1, N+1, 2, P, 4)
+        cols = self._rows.take(idx, axis=-1)[self._ring_order()]   # (2N+1, N+1, 2, B, P, 4)
         rows = time_rows(cols, self._times[1] - self._times[0], self.N)
         return (w0 * rows[..., 0] + w1 * rows[..., 1]
                 + w2 * rows[..., 2] + w3 * rows[..., 3])
 
     def _flux_density(self, rows, xq, tau, side):
         """weight*|row(xq)|^2*sqrt(g(xq)) summed over the rows of each order,
-        shape (P, N+1); side 0 takes the L rows, side 1 the Lb rows."""
+        shape (B, P, N+1); side 0 takes the L rows, side 1 the Lb rows."""
         sqrt_g = np.sqrt(np.maximum(1.0 - rows[0, 0, 0] * rows[0, 0, 1], 0.0))
         if side == 0:
             wgt = weight_a((tau + xq) / 2.0, self.gamma)
         else:
             wgt = weight_a((tau - xq) / 2.0, self.gamma)
-        dens = wgt * rows[:, :, side] ** 2 * sqrt_g          # (N+1, N+1, P)
-        out = np.zeros((len(xq), self.N + 1))
+        dens = np.moveaxis(wgt * rows[:, :, side] ** 2 * sqrt_g, 1, -1)   # (N+1, B, P, N+1)
+        out = np.zeros(dens.shape[1:])
         for k1 in range(self.N + 1):
-            out[:, k1:] += dens[k1, :self.N + 1 - k1].T
+            out[..., k1:] += dens[k1, ..., :self.N + 1 - k1]
         return out
 
     @staticmethod
@@ -455,8 +472,8 @@ class EnergyTracker:
         if len(xq):
             rows = self._probe_rows(xq)
             nu = int(np.count_nonzero(act_u))
-            cur_f[act_u] = self._flux_density(rows[..., :nu], xq[:nu], tau, 0)
-            cur_fb[act_ub] = self._flux_density(rows[..., nu:], xq[nu:], tau, 1)
+            cur_f[:, act_u] = self._flux_density(rows[..., :nu], xq[:nu], tau, 0)
+            cur_fb[:, act_ub] = self._flux_density(rows[..., nu:], xq[nu:], tau, 1)
         if self._prev_tau is not None:
             dtau = tau - self._prev_tau
             self._f2 += 0.5 * dtau * (self._prev_f + cur_f)
@@ -470,26 +487,95 @@ class EnergyTracker:
 
     # -- reports ------------------------------------------------------------
 
-    def _make_report(self) -> EnergyReport:
+    def _report(self):
+        """Append a report from the current ring to each running member.  The
+        members are differenced one at a time, so the temporaries stay at the
+        size of a single-member ring."""
         dt = _level_dt(self._times)
-        rows = time_rows(self._rows[self._ring_order()], dt, self.N)
-        tower = DerivativeTower(t=float(self._times[self.N]), grid=self._grid, N=self.N,
-                                rows=_rows_dict(rows, self.N))
-        flux_t = self._prev_tau if self._prev_tau is not None else tower.t
-        return report_from_tower(tower, self.gamma, flux_t, self._f2.copy(), self._fb2.copy())
+        t = float(self._times[self.N])
+        flux_t = self._prev_tau if self._prev_tau is not None else t
+        for k, m in enumerate(self._members):
+            rows = time_rows(self._rows[..., k, :][self._ring_order()], dt, self.N)
+            tower = DerivativeTower(t=t, grid=self._grid, N=self.N, rows=_rows_dict(rows, self.N))
+            self.member_reports[m].append(report_from_tower(
+                tower, self.gamma, flux_t, self._f2[k].copy(), self._fb2[k].copy()))
 
     def initial_report(self, fam, grid) -> EnergyReport:
         """Report at t = 0 from the exact trace table of the data, zero flux."""
         table = higher_order_traces(fam, self.N, grid.x)
         tower = DerivativeTower(t=0.0, grid=grid, N=self.N, rows=table.rows)
         return report_from_tower(tower, self.gamma, 0.0,
-                                 np.zeros_like(self._f2), np.zeros_like(self._fb2))
+                                 np.zeros((len(self.probes_u), self.N + 1)),
+                                 np.zeros((len(self.probes_ub), self.N + 1)))
 
     def final_report(self):
-        if not self.reports or self.reports[-1].t < self._times[len(self._times) // 2]:
-            if len(self._times) == self._n_levels:
-                self.reports.append(self._make_report())
+        """Report the last full ring if the run ended between reports."""
+        if len(self._times) == self._n_levels and len(self._members):
+            last = self.member_reports[self._members[0]]
+            if not last or last[-1].t < self._times[self.N]:
+                self._report()
         return self.reports
+
+
+# ---------------------------------------------------------------------------
+# runs under a tracker
+
+
+def config_tracker(cfg) -> EnergyTracker:
+    """The EnergyTracker of an ExperimentConfig."""
+    return EnergyTracker(gamma=cfg.gamma, N=cfg.N, probes_u=cfg.probes_u,
+                         probes_ub=cfg.probes_ub, report_every=cfg.report_every,
+                         gmin=cfg.gmin)
+
+
+def _tracked_ensemble(cfg, grid, members, tracker):
+    """Evolve members, (family, initial state, delta) triples, as one
+    ensemble under tracker: (RunResult, reports with the exact t = 0 report
+    first, MonitorResult) per member."""
+    fams, states, deltas = zip(*members)
+    result = run_evolution(stack_states(states), t_end=cfg.t_end, cfl=cfg.cfl,
+                           eps_ko=cfg.eps_ko, gmin=cfg.gmin, callbacks=[tracker])
+    out = []
+    for res, fam, delta, reports in zip(result.members, fams, deltas, tracker.member_reports):
+        reports = [tracker.initial_report(fam, grid)] + reports
+        out.append((res, reports, monitor(reports, delta)))
+    return out
+
+
+def tracked_run(cfg, fam, grid, tracker=None):
+    """Evolve fam on grid under cfg's EnergyTracker (or tracker): returns
+    (RunResult, reports with the exact t = 0 report first, MonitorResult)."""
+    return _tracked_ensemble(cfg, grid, [(fam, init_state(fam, grid), cfg.delta)],
+                             tracker or config_tracker(cfg))[0]
+
+
+def tracked_sweep(cfg, grid, deltas):
+    """tracked_run of cfg.with_(delta=d) for each d in deltas, in order.
+
+    The members in one `lockstep_groups` group evolve as one ensemble, so
+    each result is bit for bit its tracked_run.
+    """
+    fams = [cfg.with_(delta=d).family() for d in deltas]
+    members = [(fam, init_state(fam, grid), d) for fam, d in zip(fams, deltas)]
+    out = [None] * len(members)
+    for group in lockstep_groups([m[1] for m in members], cfg.t_end, cfg.cfl):
+        runs = _tracked_ensemble(cfg, grid, [members[b] for b in group], config_tracker(cfg))
+        for b, run in zip(group, runs):
+            out[b] = run
+    return out
+
+
+def tower_at_zero(cfg, fam, grid):
+    """Tower centered at t = 0 from forward and backward evolution."""
+    state0 = init_state(fam, grid)
+    sides = []
+    for dt in (-cfg.cfl * grid.dx, cfg.cfl * grid.dx):
+        s, levels = state0, []
+        for _ in range(cfg.N):
+            s = step(s, dt=dt, eps_ko=cfg.eps_ko, gmin=cfg.gmin)
+            levels.append(s)
+        sides.append(levels)
+    return build_tower(sides[0][::-1] + [state0] + sides[1], cfg.N)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,13 @@ class HyperbolicityLoss(StringLabError):
 
 
 class BlowupDetected(StringLabError):
-    """Raised by the time stepper when the evolution cannot continue."""
+    """Raised by the time stepper when the evolution cannot continue.  For
+    an ensemble step, members holds each member's reason (None if it passed)."""
 
-    def __init__(self, t_last, reason):
+    def __init__(self, t_last, reason, members=None):
         self.t_last = float(t_last)
         self.reason = reason
+        self.members = members
         super().__init__(f"blow-up at t={self.t_last:.6g}: {reason}")
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -64,7 +65,8 @@ class Grid1D:
 
 @dataclass
 class FieldState:
-    """Grid samples of (phi, w, p) at one time level."""
+    """Grid samples of (phi, w, p) at one time level; an ensemble of B
+    members on one grid at one time has fields of shape (B, n)."""
 
     t: float
     grid: Grid1D
@@ -80,10 +82,15 @@ class FieldState:
     def lbphi(self):
         return self.w - self.p
 
+    @cached_property
+    def disc(self):
+        """The determinant 1 - Lphi*Lbphi = 1 + p^2 - w^2, computed once."""
+        return 1.0 + self.p * self.p - self.w * self.w
+
     @property
     def min_g(self):
-        """min over the grid of the determinant 1 - Lphi*Lbphi = 1 + p^2 - w^2."""
-        return float(np.min(1.0 + self.p ** 2 - self.w ** 2))
+        """min over the grid (and the members) of the determinant."""
+        return float(np.min(self.disc))
 
     def compatibility_residual(self):
         """||p - D_x phi||_inf; stays at stencil level because dt(p) = D_x(dt phi)."""
@@ -92,47 +99,80 @@ class FieldState:
     def copy(self):
         return FieldState(self.t, self.grid, self.phi.copy(), self.w.copy(), self.p.copy())
 
+    def member(self, k):
+        """Member k of an ensemble (an index, or a mask for a sub-ensemble)."""
+        return FieldState(self.t, self.grid, self.phi[k], self.w[k], self.p[k])
+
+
+def stack_states(states) -> FieldState:
+    """The ensemble of single-member states at one time on one grid."""
+    return FieldState(states[0].t, states[0].grid,
+                      *(np.stack([getattr(s, f) for s in states]) for f in ("phi", "w", "p")))
+
 
 def init_state(fam: DataFamily, grid: Grid1D) -> FieldState:
     """Sample (F, G, F') from closed forms; rejects non-hyperbolic data."""
     x = grid.x
     state = FieldState(t=0.0, grid=grid, phi=fam.F(x), w=fam.G(x), p=fam.F_prime(x))
-    disc = 1.0 + state.p ** 2 - state.w ** 2
-    if np.min(disc) <= 0.0:
-        raise HyperbolicityLoss(np.min(disc), where="initial data")
+    if state.min_g <= 0.0:
+        raise HyperbolicityLoss(state.min_g, where="initial data")
     return state
 
 
-def max_speed(w, p):
-    """max over the grid of |lambda_pm|; raises HyperbolicityLoss if degenerate."""
-    disc = 1.0 + p * p - w * w
+def max_speed(w, p, disc=None):
+    """max over the grid of |lambda_pm|, per member for an ensemble; raises
+    HyperbolicityLoss if degenerate.  disc = 1 + p^2 - w^2 if not given."""
+    disc = 1.0 + p * p - w * w if disc is None else disc
     mdisc = float(np.min(disc))
     if mdisc <= 0.0:
         raise HyperbolicityLoss(mdisc)
     den = 1.0 + p * p
     root = np.sqrt(disc)
-    return float(np.max(np.maximum(np.abs(-w * p - root), np.abs(-w * p + root)) / den))
+    lam = np.max(np.maximum(np.abs(-w * p - root), np.abs(-w * p + root)) / den, axis=-1)
+    return float(lam) if lam.ndim == 0 else lam
 
 
-def _stage_rhs(w, p, dx, eps_ko):
-    disc = 1.0 + p * p - w * w
-    mdisc = float(np.min(disc))
-    if mdisc <= 0.0:
-        raise HyperbolicityLoss(mdisc)
-    wx = deriv1(w, dx)
-    px = deriv1(p, dx)
+def _time_step(lam0, dx, t0, t_end, cfl):
+    """(dt, n_steps) of a run: dt = cfl*dx / max(lam0, 1/2) for initial
+    speed lam0, rounded so that n_steps steps land exactly on t_end."""
+    dt = cfl * dx / max(lam0, 0.5)
+    n_steps = max(1, int(np.ceil((t_end - t0) / dt - 1e-12)))
+    return (t_end - t0) / n_steps, n_steps
+
+
+def lockstep_groups(states, t_end, cfl=CFL_DEFAULT):
+    """Indices of the states whose run_evolution dt and step count are
+    bitwise equal, one list per group in first-seen order.  Each group can
+    evolve as one ensemble and still give every member its single run."""
+    groups = {}
+    for b, s in enumerate(states):
+        plan = _time_step(max_speed(s.w, s.p, s.disc), s.grid.dx, s.t, t_end, cfl)
+        groups.setdefault(plan, []).append(b)
+    return list(groups.values())
+
+
+def _stage_rhs(y, dx, eps_ko):
+    """dt of the rows y = (w rows, p rows) and the discriminant 1 + p^2 - w^2:
+    one deriv1 and one ko_dissipation call whatever the number of members."""
+    half = len(y) // 2
+    w, p = y[:half], y[half:]
+    yx = deriv1(y, dx)
+    wx, px = yx[:half], yx[half:]
     den = 1.0 + p * p
-    dw = (2.0 * w * p * wx - (w * w - 1.0) * px) / den
-    dp = wx
+    ww = w * w
+    k = np.empty_like(y)
+    np.divide(2.0 * w * p * wx - (ww - 1.0) * px, den, out=k[:half])
+    k[half:] = wx
     if eps_ko:
-        dw = dw + ko_dissipation(w, dx, eps_ko)
-        dp = dp + ko_dissipation(p, dx, eps_ko)
-    return dw, dp
+        k += ko_dissipation(y, dx, eps_ko)
+    return k, den - ww
 
 
 def rhs(state: FieldState):
     """Pure right-hand side (no dissipation): (dt phi, dt w, dt p)."""
-    dw, dp = _stage_rhs(state.w, state.p, state.grid.dx, 0.0)
+    if state.min_g <= 0.0:
+        raise HyperbolicityLoss(state.min_g)
+    (dw, dp), _ = _stage_rhs(np.stack((state.w, state.p)), state.grid.dx, 0.0)
     return state.w.copy(), dw, dp
 
 
@@ -141,37 +181,68 @@ def step(state: FieldState, cfl: float = CFL_DEFAULT, eps_ko: float = EPS_KO_DEF
     """One RK4 step; dt defaults to cfl*dx / max|lambda|.
 
     Raises BlowupDetected (with the last valid time) on loss of the timelike
-    or hyperbolic regime, runaway field size, or non-finite values.
+    or hyperbolic regime, runaway field size, or non-finite values.  The
+    members of an ensemble step with one dt and are checked one by one; if
+    any fails, the exception lists each member's reason (None if it passed)
+    in `members`, over the flattened leading axes.
     """
     dx = state.grid.dx
-    try:
+    shape = state.w.shape
+    phi0 = state.phi.reshape(-1, shape[-1])
+    n_members = len(phi0)
+    why = [None] * n_members
+
+    def blowup():
+        return BlowupDetected(state.t, next(filter(None, why)),
+                              tuple(why) if len(shape) > 1 else None)
+
+    def flag(bad, reason):
+        if bad.any():
+            for i in np.flatnonzero(bad):
+                why[i] = why[i] or reason(i)
+            if all(why):
+                raise blowup()
+
+    def hyperbolic(disc):
+        mdisc = np.min(disc, axis=-1)
+        flag(mdisc <= 0.0, lambda i: f"hyperbolicity loss ({HyperbolicityLoss(mdisc[i])})")
+
+    # a failed member goes on to the end of the step beside the others; its
+    # overflow is reported by name, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
         if dt is None:
-            dt = cfl * dx / max_speed(state.w, state.p)
-        phi0, w0, p0 = state.phi, state.w, state.p
+            hyperbolic(state.disc.reshape(phi0.shape))
+            dt = cfl * dx / float(np.max(max_speed(state.w, state.p, state.disc)))
+        # the w rows of all members, then their p rows, ride through the
+        # stages as one 2-d array; phi's slopes are the stage values of w
+        y0 = np.concatenate((state.w.reshape(phi0.shape), state.p.reshape(phi0.shape)))
+        w_rows, p_rows = slice(n_members), slice(n_members, None)
+        k1, disc = _stage_rhs(y0, dx, eps_ko)
+        hyperbolic(disc)
+        y2 = y0 + 0.5 * dt * k1
+        k2, disc = _stage_rhs(y2, dx, eps_ko)
+        hyperbolic(disc)
+        y3 = y0 + 0.5 * dt * k2
+        k3, disc = _stage_rhs(y3, dx, eps_ko)
+        hyperbolic(disc)
+        y4 = y0 + dt * k3
+        k4, disc = _stage_rhs(y4, dx, eps_ko)
+        hyperbolic(disc)
+        y1 = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phi1 = phi0 + dt / 6.0 * (y0[w_rows] + 2.0 * y2[w_rows] + 2.0 * y3[w_rows] + y4[w_rows])
 
-        kw1, kp1 = _stage_rhs(w0, p0, dx, eps_ko)
-        kphi1 = w0
-        kw2, kp2 = _stage_rhs(w0 + 0.5 * dt * kw1, p0 + 0.5 * dt * kp1, dx, eps_ko)
-        kphi2 = w0 + 0.5 * dt * kw1
-        kw3, kp3 = _stage_rhs(w0 + 0.5 * dt * kw2, p0 + 0.5 * dt * kp2, dx, eps_ko)
-        kphi3 = w0 + 0.5 * dt * kw2
-        kw4, kp4 = _stage_rhs(w0 + dt * kw3, p0 + dt * kp3, dx, eps_ko)
-        kphi4 = w0 + dt * kw3
-
-        w1 = w0 + dt / 6.0 * (kw1 + 2.0 * kw2 + 2.0 * kw3 + kw4)
-        p1 = p0 + dt / 6.0 * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
-        phi1 = phi0 + dt / 6.0 * (kphi1 + 2.0 * kphi2 + 2.0 * kphi3 + kphi4)
-    except HyperbolicityLoss as exc:
-        raise BlowupDetected(state.t, f"hyperbolicity loss ({exc})") from exc
-
-    if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(p1)) and np.all(np.isfinite(phi1))):
-        raise BlowupDetected(state.t, "non-finite values")
-    sup = max(float(np.max(np.abs(w1))), float(np.max(np.abs(p1))))
-    if sup > FIELD_CAP:
-        raise BlowupDetected(state.t, f"field size {sup:.3e} exceeds cap")
-    new = FieldState(t=state.t + dt, grid=state.grid, phi=phi1, w=w1, p=p1)
-    if new.min_g <= gmin:
-        raise BlowupDetected(state.t, f"timelike violation (min g = {new.min_g:.3e})")
+        finite = np.isfinite(y1).all(axis=-1)
+        flag(~(finite[w_rows] & finite[p_rows] & np.isfinite(phi1).all(axis=-1)),
+             lambda i: "non-finite values")
+        sup = np.max(np.abs(y1), axis=-1)
+        sup = np.maximum(sup[w_rows], sup[p_rows])
+        flag(sup > FIELD_CAP, lambda i: f"field size {sup[i]:.3e} exceeds cap")
+        new = FieldState(t=state.t + dt, grid=state.grid, phi=phi1.reshape(shape),
+                         w=y1[w_rows].reshape(shape), p=y1[p_rows].reshape(shape))
+        min_g = np.min(new.disc.reshape(phi0.shape), axis=-1)
+        flag(min_g <= gmin, lambda i: f"timelike violation (min g = {min_g[i]:.3e})")
+    if any(why):
+        raise blowup()
     return new
 
 
@@ -186,6 +257,7 @@ class RunResult:
     t_blowup: float | None = None
     blowup_reason: str | None = None
     history: list = field(default_factory=list)   # FieldState per step when kept
+    members: list = field(default_factory=list)   # RunResult per member of an ensemble
 
     @property
     def times(self):
@@ -201,42 +273,75 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     steps lands exactly on t_end.  Speeds never exceed 1 on a timelike
     state, so the effective Courant number stays below 2*cfl.  Callbacks get
     on_start(state) and on_step(state) with each accepted state.
+
+    Fields with leading axes make an ensemble, flattened to (B, n), whose
+    members step in lockstep with the dt of the fastest one; a member whose
+    own dt is that dt gets its single run's result bit for bit (see
+    `lockstep_groups`).  A member that blows up is finalised as its single
+    run would be, callbacks with on_drop(keep) learn which members go on,
+    and those redo the step.  The result lists one RunResult per member in
+    `members`; its own fields hold the last ensemble state, the stored
+    ensemble states, the extremes over the members and the earliest
+    blow-up.  A single-member run is the B = 1 case of the same loop.
     """
     if isinstance(fam_or_state, FieldState):
         state = fam_or_state.copy()
         grid = state.grid
     else:
         state = init_state(fam_or_state, grid)
+    single = state.w.ndim == 1
+    state = FieldState(state.t, grid,
+                       *(f.reshape(-1, grid.n) for f in (state.phi, state.w, state.p)))
+    lam0 = max_speed(state.w, state.p, state.disc)
+    dt, n_steps = _time_step(np.max(lam0), grid.dx, state.t, t_end, cfl)
+    ids = np.arange(len(lam0))             # the members still running
+    max_seen, min_g_seen = lam0, np.min(state.disc, axis=-1)
+    results, snapshots, histories = [None] * len(ids), [], [[] for _ in ids]
 
-    lam0 = max_speed(state.w, state.p)
-    dt = cfl * grid.dx / max(lam0, 0.5)
-    n_steps = max(1, int(np.ceil((t_end - state.t) / dt - 1e-12)))
-    dt = (t_end - state.t) / n_steps
+    def accept(hook):
+        if store_history:
+            snapshots.append(state.copy())
+            for k, i in enumerate(ids):
+                histories[i].append(snapshots[-1].member(k))
+        for cb in callbacks:
+            if hasattr(cb, hook):
+                getattr(cb, hook)(state.member(0) if single else state)
 
-    history = [state.copy()] if store_history else []
-    max_seen = lam0
-    min_g_seen = state.min_g
-    for cb in callbacks:
-        if hasattr(cb, "on_start"):
-            cb.on_start(state)
+    def finish(k, status, **blowup):
+        results[ids[k]] = RunResult(status, state.member(k), dt, n_steps, float(max_seen[k]),
+                                    float(min_g_seen[k]), history=histories[ids[k]], **blowup)
 
+    accept("on_start")
     for _ in range(n_steps):
         try:
-            state = step(state, cfl=cfl, eps_ko=eps_ko, dt=dt, gmin=gmin)
+            new = step(state, cfl=cfl, eps_ko=eps_ko, dt=dt, gmin=gmin)
         except BlowupDetected as exc:
-            return RunResult(status="blowup", state=state, dt=dt, n_steps=n_steps,
-                             max_speed_seen=max_seen, min_g_seen=min_g_seen,
-                             t_blowup=exc.t_last, blowup_reason=exc.reason,
-                             history=history)
-        max_seen = max(max_seen, max_speed(state.w, state.p))
-        min_g_seen = min(min_g_seen, state.min_g)
-        if store_history:
-            history.append(state.copy())
-        for cb in callbacks:
-            cb.on_step(state)
+            keep = np.array([r is None for r in exc.members])
+            for k in np.flatnonzero(~keep):
+                finish(k, "blowup", t_blowup=exc.t_last, blowup_reason=exc.members[k])
+            ids, max_seen, min_g_seen = ids[keep], max_seen[keep], min_g_seen[keep]
+            if not len(ids):
+                break
+            state = state.member(keep)
+            for cb in callbacks:
+                if hasattr(cb, "on_drop"):
+                    cb.on_drop(keep)
+            new = step(state, cfl=cfl, eps_ko=eps_ko, dt=dt, gmin=gmin)
+        state = new
+        max_seen = np.maximum(max_seen, max_speed(state.w, state.p, state.disc))
+        min_g_seen = np.minimum(min_g_seen, np.min(state.disc, axis=-1))
+        accept("on_step")
+    for k in range(len(ids)):
+        finish(k, "completed")
 
-    return RunResult(status="completed", state=state, dt=dt, n_steps=n_steps,
-                     max_speed_seen=max_seen, min_g_seen=min_g_seen, history=history)
+    if single:
+        return results[0]
+    # the earliest blow-up, or a completed member when none blew up
+    first = min((r for r in results if r.status == "blowup"), key=lambda r: r.t_blowup,
+                default=results[0])
+    return RunResult(first.status, state, dt, n_steps, max(r.max_speed_seen for r in results),
+                     min(r.min_g_seen for r in results), first.t_blowup, first.blowup_reason,
+                     snapshots, results)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +411,8 @@ class CharacteristicTracer:
         return len(self._levels)
 
     def on_start(self, state: FieldState):
+        if state.w.ndim != 1:
+            raise ValueError("characteristics are traced along a single-member run")
         grid = state.grid
         self._grid = grid
         self._lo, self._hi = grid.x0 + 2 * grid.dx, grid.x_end - 2 * grid.dx

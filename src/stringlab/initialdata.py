@@ -37,7 +37,7 @@ from math import comb
 import numpy as np
 
 from . import nullgeom
-from .profiles import ProfileSpec, profile_antiderivative, profile_derivative, support_radius, weighted_norm
+from .profiles import ProfileSpec, profile_antiderivative, profile_derivative, support_radius
 
 CRITERION_MARGIN_DEFAULT = 1e-10
 
@@ -84,15 +84,6 @@ class DataFamily:
     def support_radius(self, tol=1e-14, k_max=2):
         return max(abs(self.f.center) + support_radius(self.f, tol, k_max),
                    abs(self.fb.center) + support_radius(self.fb, tol, k_max))
-
-    def norm_bound(self, k_max):
-        """max_k of the joint weighted integral of |f^(k)|^2 + |fb^(k)|^2.
-
-        The admissible class asks for this bound at every order; here it is
-        enforced up to k_max only (documented truncation).
-        """
-        return max(weighted_norm(self.f, self.gamma, k) + weighted_norm(self.fb, self.gamma, k)
-                   for k in range(k_max + 1))
 
 
 def build_data(fam: DataFamily, x):

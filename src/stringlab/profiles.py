@@ -90,10 +90,6 @@ def profile_derivative(h: ProfileSpec, k: int, x):
     return float(out) if out.ndim == 0 else out
 
 
-def profile_value(h: ProfileSpec, x):
-    return profile_derivative(h, 0, x)
-
-
 # dense cumulative integral of the bump core exp(1 - 1/(1-s^2)) on [-1, 1]
 @lru_cache(maxsize=None)
 def _bump_cumulative():

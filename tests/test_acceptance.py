@@ -12,9 +12,9 @@ import pytest
 from stringlab import (DataFamily, Grid1D, ProfileSpec, blowup_fixture,
                        check_kong_tsuji, criterion_for_family, exact_travelling,
                        higher_order_traces, run_evolution, trace_characteristics)
-from stringlab.cli import _single_run, _tower_at_zero
 from stringlab.config import ExperimentConfig
-from stringlab.energy import fit_hierarchy
+from stringlab.energy import (fit_hierarchy, tower_at_zero as _tower_at_zero,
+                             tracked_run as _single_run, tracked_sweep)
 from stringlab.evolve import richardson_time
 from stringlab.identities import (deformation_check, divergence_identity_study,
                                   energy_balance_study)
@@ -88,9 +88,9 @@ def hierarchy_fits():
         cfg = ExperimentConfig(x0=-X, dx=dx, n=n, t_end=T, report_every=50, N=4,
                                gamma=0.5)
         monitors = []
-        for delta in (0.1, 0.05, 0.025):
-            c = cfg.with_(delta=delta)
-            res, _, mon = _single_run(c, c.family(), Grid1D(c.x0, c.dx, c.n))
+        # the three deltas step in lockstep as one ensemble
+        for res, _, mon in tracked_sweep(cfg, Grid1D(cfg.x0, cfg.dx, cfg.n),
+                                         (0.1, 0.05, 0.025)):
             assert res.status == "completed"
             assert res.max_speed_seen <= 1.0 + 1e-12
             monitors.append(mon)

@@ -25,6 +25,13 @@ def test_unknown_key_rejected_with_line_number():
         parse_config("gamma = 0.5\nbogus = 1\n")
 
 
+def test_threads_key_is_gone():
+    # sweeps batch their deltas in lockstep; there is no thread pool to size
+    with pytest.raises(ParseError, match="unknown key 'threads'"):
+        parse_config("mode = sweep\nthreads = 2\n")
+    assert "threads" not in serialize_config(ExperimentConfig())
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ParseError, match="duplicate"):
         parse_config("gamma = 0.5\ngamma = 0.6\n")
@@ -219,7 +226,7 @@ def test_cli_verify_seeded(tmp_path, capsys):
 def test_cli_sweep_small(tmp_path, capsys):
     text = SMALL_RUN + "\ndeltas = 0.2,0.1,0.05\n"
     rc = main(["sweep", "--config", _cfg_file(tmp_path, text),
-               "--out", str(tmp_path / "sw"), "--threads", "2"])
+               "--out", str(tmp_path / "sw")])
     assert rc == 0
     sweep_lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
     assert len(sweep_lines) == 4   # header + one row per delta

@@ -1,13 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from stringlab import (EnergyTracker, Grid1D, InsufficientHistory, TimelikeViolation,
-                       build_tower, higher_order_traces, init_state, monitor,
-                       order_energy, row_energy, run_evolution, stress_density)
+from stringlab import (DataFamily, EnergyReport, EnergyTracker, Grid1D, InsufficientHistory,
+                       ProfileSpec, TimelikeViolation, blowup_fixture, build_tower,
+                       higher_order_traces, init_state, monitor, order_energy, row_energy,
+                       run_evolution, stack_states, stress_density, tracked_run, tracked_sweep)
+from stringlab.config import ExperimentConfig
 from stringlab.energy import (DerivativeTower, _sobolev_stats, energy_orders, null_rows,
                              spatial_rows, time_rows)
 from stringlab.evolve import FieldState
+
+GAUSS2 = ProfileSpec("gaussian", 1.0, 0.0, 2.0)
 
 
 def _run_stack(fam, grid, n_levels, dt=0.02, eps_ko=0.0):
@@ -363,3 +369,69 @@ def test_tracker_probe_leaving_is_truncated(default_family):
     # the flux stops growing once the line is gone
     f_series = [float(r.f2[0].sum()) for r in tr.reports if r.flux_t > 3.0]
     assert len(f_series) >= 2 and len(set(f_series)) == 1
+
+
+# ---------------------------------------------------------------------------
+# ensembles: one tracker over members stepping in lockstep
+
+
+def _assert_same_reports(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(EnergyReport):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert np.array_equal(x, y), f.name
+
+
+def _small_cfg(**kw):
+    return ExperimentConfig(x0=-24.0, dx=0.1, n=481, t_end=3.0, report_every=10, **kw)
+
+
+def test_tracked_sweep_members_equal_tracked_runs():
+    cfg = _small_cfg()
+    grid = Grid1D(cfg.x0, cfg.dx, cfg.n)
+    deltas = (0.1, 0.05, 0.025)
+    swept = tracked_sweep(cfg, grid, deltas)
+    for delta, (res, reports, mon) in zip(deltas, swept):
+        c = cfg.with_(delta=delta)
+        res1, reports1, mon1 = tracked_run(c, c.family(), grid)
+        assert res.status == res1.status == "completed"
+        for f in ("phi", "w", "p"):
+            assert np.array_equal(getattr(res.state, f), getattr(res1.state, f))
+        assert res.max_speed_seen == res1.max_speed_seen
+        assert res.min_g_seen == res1.min_g_seen
+        assert len(reports) > 3
+        _assert_same_reports(reports, reports1)
+        assert mon == mon1
+
+
+def test_tracker_member_blowup_keeps_its_reports():
+    grid = Grid1D(-16, 0.05, 641)
+    fams = [blowup_fixture(), DataFamily(0.5, 0.1, GAUSS2, GAUSS2),
+            DataFamily(0.5, 0.05, GAUSS2, GAUSS2)]
+    tracker = EnergyTracker(gamma=0.5, N=2, probes_u=(0.0,), probes_ub=(0.0, 1.0),
+                            report_every=10)
+    ens = run_evolution(stack_states([init_state(f, grid) for f in fams]), t_end=6.0,
+                        callbacks=[tracker])
+    assert [m.status for m in ens.members] == ["blowup", "completed", "completed"]
+    with pytest.raises(ValueError, match="member_reports"):
+        tracker.reports
+    for fam, reports in zip(fams, tracker.member_reports):
+        single = EnergyTracker(gamma=0.5, N=2, probes_u=(0.0,), probes_ub=(0.0, 1.0),
+                               report_every=10)
+        run_evolution(fam, grid, t_end=6.0, callbacks=[single])
+        _assert_same_reports(reports, single.reports)
+    assert len(tracker.member_reports[0]) < len(tracker.member_reports[1])
+
+
+def test_ensemble_tracker_deriv1_budget(monkeypatch):
+    import stringlab.energy as energy
+    calls = []
+    orig = energy.deriv1
+    monkeypatch.setattr(energy, "deriv1", lambda f, dx: calls.append(1) or orig(f, dx))
+    cfg = _small_cfg(N=3)
+    grid = Grid1D(cfg.x0, cfg.dx, cfg.n)
+    for deltas in ((0.1,), (0.1, 0.05, 0.025)):
+        calls.clear()
+        (res, _, _), *_ = tracked_sweep(cfg, grid, deltas)
+        assert len(calls) == (cfg.N + 1) * (res.n_steps + 1)

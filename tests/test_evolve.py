@@ -4,7 +4,8 @@ import pytest
 from stringlab import (BlowupDetected, CharacteristicTracer, DataFamily, Grid1D,
                        HyperbolicityLoss, InsufficientHistory, ProfileSpec, StringLabError,
                        blowup_fixture, exact_travelling, exact_travelling_fields,
-                       init_state, rhs, run_evolution, step, trace_characteristics)
+                       init_state, lockstep_groups, rhs, run_evolution, stack_states, step,
+                       trace_characteristics)
 from stringlab.evolve import FieldState, max_speed
 from stringlab.stencils import cubic_interp, deriv1
 
@@ -315,3 +316,124 @@ def test_max_speed_helper():
     assert max_speed(np.zeros(4), np.zeros(4)) == pytest.approx(1.0)
     with pytest.raises(HyperbolicityLoss):
         max_speed(np.array([1.2]), np.array([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# ensembles: members step in lockstep as one (B, n) state
+
+
+def _assert_same_run(member, serial):
+    assert member.status == serial.status
+    assert (member.dt, member.n_steps) == (serial.dt, serial.n_steps)
+    assert member.state.t == serial.state.t
+    for f in ("phi", "w", "p"):
+        assert np.array_equal(getattr(member.state, f), getattr(serial.state, f))
+    assert member.max_speed_seen == serial.max_speed_seen
+    assert member.min_g_seen == serial.min_g_seen
+    assert (member.t_blowup, member.blowup_reason) == (serial.t_blowup, serial.blowup_reason)
+    assert len(member.history) == len(serial.history)
+    for a, b in zip(member.history, serial.history):
+        assert a.t == b.t and np.array_equal(a.w, b.w) and np.array_equal(a.phi, b.phi)
+
+
+def _families(*deltas):
+    g2 = ProfileSpec("gaussian", 1.0, 0.0, 2.0)
+    return [DataFamily(0.5, d, g2, g2) for d in deltas]
+
+
+def test_ensemble_members_equal_their_single_runs():
+    grid = Grid1D(-20, 0.1, 401)
+    fams = _families(0.1, 0.05, 0.025)
+    states = [init_state(fam, grid) for fam in fams]
+    assert lockstep_groups(states, 3.0) == [[0, 1, 2]]
+    ens = run_evolution(stack_states(states), t_end=3.0, store_history=True)
+    assert ens.status == "completed" and len(ens.members) == 3
+    assert ens.state.w.shape == (3, grid.n) and len(ens.history) == ens.n_steps + 1
+    for member, fam in zip(ens.members, fams):
+        _assert_same_run(member, run_evolution(fam, grid, t_end=3.0, store_history=True))
+
+
+def test_ensemble_groups_by_dt_and_matches_single_runs():
+    grid = Grid1D(-20, 0.1, 401)
+    x = grid.x
+    bump = np.exp(-x * x / 8.0)
+    # a moving background keeps the speeds below 1 everywhere: its own dt
+    # is larger than that of the compactly supported data
+    slow = [FieldState(0.0, grid, 0.3 * x, 0.6 + 0.1 * a * bump, 0.3 + 0.0 * x)
+            for a in (1.0, 0.5)]
+    fast = [init_state(fam, grid) for fam in _families(0.1, 0.05)]
+    states = [fast[0], slow[0], fast[1], slow[1]]
+    groups = lockstep_groups(states, 2.0)
+    assert groups == [[0, 2], [1, 3]]
+    singles = [run_evolution(s, t_end=2.0) for s in states]
+    assert singles[0].dt != singles[1].dt
+    for group in groups:
+        ens = run_evolution(stack_states([states[b] for b in group]), t_end=2.0)
+        for member, b in zip(ens.members, group):
+            _assert_same_run(member, singles[b])
+
+
+def test_ensemble_member_blowup_leaves_the_others_unchanged():
+    # slow moving backgrounds around the blow-up data: on this coarse grid
+    # all three take 50 steps, and the survivors' speeds differ
+    grid = Grid1D(-16, 0.25, 129)
+    x = grid.x
+    bump = np.exp(-x * x / 8.0)
+    states = [FieldState(0.0, grid, 0.05 * x, w0 + 0.1 * bump, 0.05 + 0.0 * x)
+              for w0 in (0.2, 0.1)]
+    states.insert(1, init_state(blowup_fixture(), grid))
+    assert lockstep_groups(states, 5.0) == [[0, 1, 2]]
+
+    class Drops:
+        def __init__(self):
+            self.keeps = []
+
+        def on_step(self, state):
+            pass
+
+        def on_drop(self, keep):
+            self.keeps.append(list(keep))
+
+    drops = Drops()
+    ens = run_evolution(stack_states(states), t_end=5.0, store_history=True, callbacks=[drops])
+    singles = [run_evolution(s, t_end=5.0, store_history=True) for s in states]
+    assert [r.status for r in singles] == ["completed", "blowup", "completed"]
+    assert singles[0].max_speed_seen != singles[2].max_speed_seen
+    assert drops.keeps == [[True, False, True]]
+    for member, serial in zip(ens.members, singles):
+        _assert_same_run(member, serial)
+    assert ens.status == "blowup" and ens.t_blowup == singles[1].t_blowup
+    assert ens.state.w.shape == (2, grid.n)
+
+
+def test_ensemble_step_names_each_failed_member():
+    grid = Grid1D(-16, 0.05, 641)
+    fams = [blowup_fixture(), _families(0.1)[0]]
+    st = stack_states([init_state(fam, grid) for fam in fams])
+    single = init_state(fams[0], grid)
+    with pytest.raises(BlowupDetected) as exc_info:
+        for _ in range(10000):
+            st = step(st, dt=0.02)
+            single = step(single, dt=0.02)
+    with pytest.raises(BlowupDetected) as single_info:
+        step(single, dt=0.02)
+    exc = exc_info.value
+    assert exc.members == (single_info.value.reason, None)
+    assert exc.t_last == single_info.value.t_last == st.t
+    assert single_info.value.members is None
+
+
+def test_ensemble_stencil_calls_do_not_grow_with_members(monkeypatch):
+    import stringlab.evolve as evolve
+    calls = {"deriv1": 0, "ko_dissipation": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(evolve, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(evolve, name, counted)
+    grid = Grid1D(-20, 0.1, 401)
+    states = [init_state(fam, grid) for fam in _families(0.1, 0.05, 0.025)]
+    for n_members in (1, 3):
+        calls.update(deriv1=0, ko_dissipation=0)
+        res = run_evolution(stack_states(states[:n_members]), t_end=1.0)
+        assert calls == {"deriv1": 4 * res.n_steps, "ko_dissipation": 4 * res.n_steps}
