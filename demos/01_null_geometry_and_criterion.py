@@ -13,30 +13,34 @@ import numpy as np
 
 from stringlab import (DataFamily, ProfileSpec, blowup_fixture, causal_norm,
                        criterion_for_family, eigenvalues, metric_scalars, multiplier,
-                       null_coords, null_gradient, weight_a)
+                       side_weight, weight_a)
 
 print(__doc__)
 
 # -- null frame at a point --------------------------------------------------
-pt = null_coords(t=2.0, x=1.0)
-print(f"event (t, x) = (2, 1): retarded u = {pt.u}, advanced ub = {pt.ub}")
+t, x = 2.0, 1.0
+u, ub = (t - x) / 2.0, (t + x) / 2.0
+print(f"event (t, x) = (2, 1): retarded u = {u}, advanced ub = {ub}")
 
-ng = null_gradient(w=0.3, p=-0.2)     # w = dt(phi), p = dx(phi)
-ms = metric_scalars(ng)
-print(f"gradients (w, p) = (0.3, -0.2): Lphi = {ng.lphi:.2f}, Lbphi = {ng.lbphi:.2f}")
-print(f"determinant g = {ms.g:.4f};  g^uu = {ms.guu:.4f} <= 0, g^ubub = {ms.gubub:.4f} <= 0")
+w, p = 0.3, -0.2                      # w = dt(phi), p = dx(phi)
+lphi, lbphi = w + p, w - p
+g, guu, gubub, _ = metric_scalars(lphi, lbphi)
+print(f"gradients (w, p) = (0.3, -0.2): Lphi = {lphi:.2f}, Lbphi = {lbphi:.2f}")
+print(f"determinant g = {g:.4f};  g^uu = {guu:.4f} <= 0, g^ubub = {gubub:.4f} <= 0")
 
-lam = eigenvalues(0.3, -0.2)
+lam = eigenvalues(w, p)
 print(f"characteristic speeds: lambda- = {lam[0]:+.4f}, lambda+ = {lam[1]:+.4f} (|.| <= 1)\n")
 
 # -- weights and multipliers -------------------------------------------------
 gamma = 0.5
 print(f"weight a(x) = (1+x^2)^(1+gamma) at x = 0, 1, 2 (gamma = {gamma}):",
       ", ".join(f"{weight_a(s, gamma):.4f}" for s in (0.0, 1.0, 2.0)))
-co = multiplier("TL", pt, ng, gamma)
-print(f"multiplier TL at this event: cl = {co.cl:.4f} (weight), clb = {co.clb:.6f} "
+weight = side_weight("TL", t, x, gamma)
+cl, clb = multiplier("TL", weight, lphi, lbphi)
+print(f"multiplier TL at this event: cl = {cl:.4f} (weight), clb = {clb:.6f} "
       f"(weight * |Lphi|^2)")
-print(f"its squared g-norm: {causal_norm('TL', pt, ng, gamma):+.6f} (<= 0: non-spacelike)\n")
+print(f"its squared g-norm: {causal_norm('TL', weight, lphi, lbphi):+.6f} "
+      f"(<= 0: non-spacelike)\n")
 
 # -- the criterion on two families -------------------------------------------
 x = np.linspace(-24, 24, 2001)

@@ -1,6 +1,6 @@
 """Numerical laboratory for the 1+1d relativistic string.
 
-Pointwise null-frame geometry, admissible initial-data families, a 4th-order
+Null-frame geometry kernels, admissible initial-data families, a 4th-order
 method-of-lines evolver with blow-up detection, weighted energy/flux
 diagnostics, discrete verification of the geometric identities behind the
 energy method, and a deterministic experiment CLI (`stringlab`).
@@ -20,9 +20,8 @@ from .evolve import (CharacteristicTracer, CharPath, FieldState, Grid1D, RunResu
 from .initialdata import (CriterionReport, DataFamily, TraceTable, blowup_fixture,
                           build_data, check_kong_tsuji, criterion_for_family,
                           data_eigenvalues, higher_order_traces)
-from .nullgeom import (MetricScalars, MultiplierCoeffs, NullGradientPair, NullPoint,
-                       causal_norm, eigenvalues, metric_scalars, multiplier,
-                       null_coords, null_gradient, weight_a, weight_a_prime)
+from .nullgeom import (causal_norm, eigenvalues, metric_scalars, multiplier, null_stress,
+                       side_weight, weight_a, weight_a_prime)
 from .profiles import ProfileSpec, profile_antiderivative, profile_derivative, weighted_norm
 
 __version__ = "0.1.0"

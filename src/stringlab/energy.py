@@ -36,14 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientHistory, TimelikeViolation
+from .errors import InsufficientHistory
 from .evolve import (FieldState, Grid1D, init_state, lockstep_groups, run_evolution,
                      stack_states, step)
 from .initialdata import higher_order_traces
-from .nullgeom import GMIN_DEFAULT, weight_a
+from .nullgeom import multiplier, null_stress, side_weight
 from .stencils import cubic_weights, deriv1
 
 N_DEFAULT = 4
+_SIDES = ("TL", "TLb")          # the side of the L row (index 0) and of the Lb row (1)
 
 
 def spatial_rows(phi, w, dx, N):
@@ -146,7 +147,7 @@ def _level_dt(times):
     """The common time step of a stack of levels."""
     times = np.asarray(times, dtype=float)
     if len(times) < 2:
-        raise InsufficientHistory("need at least 3 levels")
+        raise InsufficientHistory("need at least 2 levels")
     dts = np.diff(times)
     if np.max(np.abs(dts - dts[0])) > 1e-9 * max(abs(dts[0]), 1e-30):
         raise InsufficientHistory("stored levels are not equally spaced in time")
@@ -166,8 +167,7 @@ def build_tower(states, N=N_DEFAULT) -> DerivativeTower:
 # stress-tensor contractions
 
 
-def stress_density(base_lphi, base_lbphi, row_lphi, row_lbphi, weight, side, direction,
-                   gmin=GMIN_DEFAULT):
+def stress_density(base_lphi, base_lbphi, row_lphi, row_lbphi, weight, side, direction):
     """T[row](-D direction, multiplier), assembled exactly from null
     components of the inverse metric; no equivalence constants involved.
 
@@ -176,29 +176,12 @@ def stress_density(base_lphi, base_lbphi, row_lphi, row_lbphi, weight, side, dir
     """
     B = np.asarray(base_lphi, dtype=float)
     A = np.asarray(base_lbphi, dtype=float)
-    b = np.asarray(row_lphi, dtype=float)
-    a = np.asarray(row_lbphi, dtype=float)
-    g = 1.0 - A * B
-    if np.min(g) <= gmin:
-        raise TimelikeViolation(np.min(g), gmin)
-    guu = -B * B / (4.0 * g)
-    gubub = -A * A / (4.0 * g)
-    guub = -0.5 - A * B / (4.0 * g)
-    gradu = guu * a + guub * b
-    gradub = guub * a + gubub * b
-    qt = gradu * a + gradub * b
-    t_uu = gradu * a - 0.5 * qt
-    t_uub = gradu * b
-    t_ubu = gradub * a
-    t_ubub = gradub * b - 0.5 * qt
-    if side == "TL":
-        xi_u, xi_ub = weight * B * B, weight
-    elif side == "TLb":
-        xi_u, xi_ub = weight, weight * A * A
-    else:
-        raise ValueError(f"side must be 'TL' or 'TLb', got {side!r}")
-    pu = t_uu * xi_u + t_uub * xi_ub
-    pub = t_ubu * xi_u + t_ubub * xi_ub
+    t_uu, t_uub, t_ubu, t_ubub = null_stress(B, A, np.asarray(row_lphi, dtype=float),
+                                             np.asarray(row_lbphi, dtype=float))
+    # L = d/d(ub) and Lb = d/d(u): cl is the ub component, clb the u component
+    cl, clb = multiplier(side, weight, B, A)
+    pu = t_uu * clb + t_uub * cl
+    pub = t_ubu * clb + t_ubub * cl
     if direction == "u":
         return -pu
     if direction == "ub":
@@ -214,15 +197,9 @@ def stress_density(base_lphi, base_lbphi, row_lphi, row_lbphi, weight, side, dir
 
 def row_energy(tower: DerivativeTower, k, side, gamma):
     """Trapezoid quadrature of weight * |row|^2 * sqrt(g) for one row."""
-    x = tower.grid.x
-    lrow, lbrow = tower.rows[tuple(k)]
     sqrt_g = np.sqrt(np.maximum(tower.g, 0.0))
-    if side == "TL":
-        integrand = weight_a((tower.t + x) / 2.0, gamma) * lrow ** 2 * sqrt_g
-    elif side == "TLb":
-        integrand = weight_a((tower.t - x) / 2.0, gamma) * lbrow ** 2 * sqrt_g
-    else:
-        raise ValueError(f"side must be 'TL' or 'TLb', got {side!r}")
+    wgt = side_weight(side, tower.t, tower.grid.x, gamma)
+    integrand = wgt * tower.rows[tuple(k)][_SIDES.index(side)] ** 2 * sqrt_g
     return float(np.trapezoid(integrand, dx=tower.grid.dx))
 
 
@@ -246,33 +223,23 @@ def _sobolev_stats(tower: DerivativeTower, gamma):
     Returns (sup_L, sup_Lb, margin_L, margin_Lb): the weighted sups per
     order and the minimal slack of the bound over all rows.
     """
-    x = tower.grid.x
     dx = tower.grid.dx
     c0 = 0.25 * (1.0 + gamma)
-    wl = weight_a((tower.t + x) / 2.0, gamma)
-    wlb = weight_a((tower.t - x) / 2.0, gamma)
-    sup_l = np.zeros(tower.N)
-    sup_lb = np.zeros(tower.N)
-    margin_l = np.inf
-    margin_lb = np.inf
+    wgts = [side_weight(side, tower.t, tower.grid.x, gamma) for side in _SIDES]
+    sups = np.zeros((2, tower.N))
+    margins = [np.inf, np.inf]
     for k1 in range(tower.N):
         for k2 in range(tower.N - k1):
-            lrow, lbrow = tower.rows[(k1, k2)]
-            lnext, lbnext = tower.rows[(k1, k2 + 1)]
             order = k1 + k2
-            for (row, nxt, wgt, sup, which) in (
-                    (lrow, lnext, wl, sup_l, "L"), (lbrow, lbnext, wlb, sup_lb, "Lb")):
+            for s, wgt in enumerate(wgts):
+                row, nxt = tower.rows[(k1, k2)][s], tower.rows[(k1, k2 + 1)][s]
                 lhs = float(np.max(np.sqrt(wgt) * np.abs(row)))
                 l2 = float(np.sqrt(np.trapezoid(wgt * row ** 2, dx=dx)))
                 l2x = float(np.sqrt(np.trapezoid(wgt * nxt ** 2, dx=dx)))
                 bound = np.sqrt(2.0 * l2 * (c0 * l2 + l2x)) if l2 > 0 else 0.0
-                sup[order] = max(sup[order], lhs)
-                slack = bound - lhs
-                if which == "L":
-                    margin_l = min(margin_l, slack)
-                else:
-                    margin_lb = min(margin_lb, slack)
-    return sup_l, sup_lb, float(margin_l), float(margin_lb)
+                sups[s, order] = max(sups[s, order], lhs)
+                margins[s] = min(margins[s], bound - lhs)
+    return sups[0], sups[1], float(margins[0]), float(margins[1])
 
 
 @dataclass
@@ -343,13 +310,12 @@ class EnergyTracker:
     """
 
     def __init__(self, gamma, N=N_DEFAULT, probes_u=(), probes_ub=(),
-                 report_every=25, gmin=GMIN_DEFAULT):
+                 report_every=25):
         self.gamma = float(gamma)
         self.N = int(N)
         self.probes_u = np.asarray(probes_u, dtype=float)
         self.probes_ub = np.asarray(probes_ub, dtype=float)
         self.report_every = int(report_every)
-        self.gmin = gmin
         self.member_reports: list[list[EnergyReport]] = []
         self._n_levels = 2 * self.N + 1
         self._grid = None
@@ -437,10 +403,7 @@ class EnergyTracker:
         """weight*|row(xq)|^2*sqrt(g(xq)) summed over the rows of each order,
         shape (B, P, N+1); side 0 takes the L rows, side 1 the Lb rows."""
         sqrt_g = np.sqrt(np.maximum(1.0 - rows[0, 0, 0] * rows[0, 0, 1], 0.0))
-        if side == 0:
-            wgt = weight_a((tau + xq) / 2.0, self.gamma)
-        else:
-            wgt = weight_a((tau - xq) / 2.0, self.gamma)
+        wgt = side_weight(_SIDES[side], tau, xq, self.gamma)
         dens = np.moveaxis(wgt * rows[:, :, side] ** 2 * sqrt_g, 1, -1)   # (N+1, B, P, N+1)
         out = np.zeros(dens.shape[1:])
         for k1 in range(self.N + 1):
@@ -524,8 +487,7 @@ class EnergyTracker:
 def config_tracker(cfg) -> EnergyTracker:
     """The EnergyTracker of an ExperimentConfig."""
     return EnergyTracker(gamma=cfg.gamma, N=cfg.N, probes_u=cfg.probes_u,
-                         probes_ub=cfg.probes_ub, report_every=cfg.report_every,
-                         gmin=cfg.gmin)
+                         probes_ub=cfg.probes_ub, report_every=cfg.report_every)
 
 
 def _tracked_ensemble(cfg, grid, members, tracker):

@@ -52,7 +52,8 @@ class NonIntegrable(StringLabError):
 
 class InsufficientHistory(StringLabError):
     """Not enough time levels for a computation that spans several of them:
-    a derivative tower, or tracing characteristics through a run."""
+    a derivative tower, tracing characteristics through a run, or the
+    discrete energy balance of a run."""
 
 
 class ParseError(StringLabError):

@@ -30,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TimelikeViolation
+from .energy import stress_density
+from .errors import InsufficientHistory, TimelikeViolation
 from .evolve import Grid1D, run_evolution
 from .manufactured import random_mixture
-from .nullgeom import GMIN_DEFAULT, weight_a, weight_a_prime
+from .nullgeom import (GMIN_DEFAULT, multiplier, null_stress, side_weight, weight_a,
+                       weight_a_prime)
 from .stencils import cubic_interp, deriv_k
 
 
@@ -61,50 +63,53 @@ def _orders(residuals):
 # Cartesian current assembly on manufactured fields
 
 
-def _multiplier_cartesian(phi, t, x, gamma, side):
-    """(xi^t, xi^x) of the weighted multiplier; side may be 'TL', 'TLb', or
-    ('const', cl, clb) for a fixed null combination cl*L + clb*Lb."""
+def _multiplier_cartesian(w, p, t, x, gamma, side):
+    """(xi^t, xi^x) of the weighted multiplier over the base gradient (w, p)
+    at the events (t, x); side may be 'TL', 'TLb', or ('const', cl, clb) for
+    a fixed null combination cl*L + clb*Lb."""
     if isinstance(side, tuple):
         _, cl, clb = side
         shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
         cl = np.broadcast_to(float(cl), shape)
         clb = np.broadcast_to(float(clb), shape)
-        return cl + clb, cl - clb
-    w = phi.d(1, 0, t, x)
-    p = phi.d(0, 1, t, x)
-    if side == "TL":
-        wgt = weight_a((np.asarray(t) + np.asarray(x)) / 2.0, gamma)
-        cl, clb = wgt, wgt * (w + p) ** 2
-    elif side == "TLb":
-        wgt = weight_a((np.asarray(t) - np.asarray(x)) / 2.0, gamma)
-        cl, clb = wgt * (w - p) ** 2, wgt
     else:
-        raise ValueError(f"bad side {side!r}")
+        cl, clb = multiplier(side, side_weight(side, t, x, gamma), w + p, w - p)
     return cl + clb, cl - clb
 
 
-def _current(phi, varphi, t, x, gamma, side, gmin=GMIN_DEFAULT):
-    """(V^t, V^x) = sqrt(g) * (P^t, P^x) from closed-form fields."""
-    w = phi.d(1, 0, t, x)
-    p = phi.d(0, 1, t, x)
-    vt = varphi.d(1, 0, t, x)
-    vx = varphi.d(0, 1, t, x)
+def _cartesian_stress(w, p, vt, vx):
+    """Cartesian (g, (g^tt, g^tx, g^xx), (T^t_t, T^t_x, T^x_t, T^x_x)): the
+    determinant and inverse metric over the base gradient (w, p), and the
+    stress of the row gradient (vt, vx).  Raises TimelikeViolation when
+    min(g) <= GMIN_DEFAULT."""
     g = 1.0 - w * w + p * p
-    if np.min(g) <= gmin:
-        raise TimelikeViolation(np.min(g), gmin)
+    if np.min(g) <= GMIN_DEFAULT:
+        raise TimelikeViolation(np.min(g), GMIN_DEFAULT)
     gtt = -(1.0 + p * p) / g
     gtx = w * p / g
     gxx = (1.0 - w * w) / g
     gradt = gtt * vt + gtx * vx
     gradx = gtx * vt + gxx * vx
     qt = gradt * vt + gradx * vx
-    t_tt = gradt * vt - 0.5 * qt
-    t_tx = gradt * vx
-    t_xt = gradx * vt
-    t_xx = gradx * vx - 0.5 * qt
-    xit, xix = _multiplier_cartesian(phi, t, x, gamma, side)
+    return g, (gtt, gtx, gxx), (gradt * vt - 0.5 * qt, gradt * vx, gradx * vt,
+                                gradx * vx - 0.5 * qt)
+
+
+def _current_density(w, p, vt, vx, xi):
+    """(V^t, V^x) = sqrt(g) * T^a_b xi^b for the row gradient (vt, vx) over
+    the base gradient (w, p) and the multiplier xi = (xi^t, xi^x)."""
+    g, _, (t_tt, t_tx, t_xt, t_xx) = _cartesian_stress(w, p, vt, vx)
+    xit, xix = xi
     sq = np.sqrt(g)
     return sq * (t_tt * xit + t_tx * xix), sq * (t_xt * xit + t_xx * xix)
+
+
+def _current(phi, varphi, t, x, gamma, side):
+    """(V^t, V^x) = sqrt(g) * (P^t, P^x) from closed-form fields."""
+    w = phi.d(1, 0, t, x)
+    p = phi.d(0, 1, t, x)
+    return _current_density(w, p, varphi.d(1, 0, t, x), varphi.d(0, 1, t, x),
+                            _multiplier_cartesian(w, p, t, x, gamma, side))
 
 
 def _metric_maps(phi, t, x):
@@ -126,17 +131,17 @@ def _stencil_x(fn, t, x, h):
             + 8.0 * fn(t, x + h) - fn(t, x + 2 * h)) / (12.0 * h)
 
 
-def divergence_residual(phi, varphi, gamma, side, h, t, x, gmin=GMIN_DEFAULT):
+def divergence_residual(phi, varphi, gamma, side, h, t, x):
     """max |d_a(sqrt(g) P^a) - sqrt(g)*(source + deformation + metric terms)|
     over the sample points, with stencil spacing h."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
 
     def vt_map(tt, xx):
-        return _current(phi, varphi, tt, xx, gamma, side, gmin)[0]
+        return _current(phi, varphi, tt, xx, gamma, side)[0]
 
     def vx_map(tt, xx):
-        return _current(phi, varphi, tt, xx, gamma, side, gmin)[1]
+        return _current(phi, varphi, tt, xx, gamma, side)[1]
 
     lhs = _stencil_t(vt_map, t, x, h) + _stencil_x(vx_map, t, x, h)
 
@@ -148,20 +153,10 @@ def divergence_residual(phi, varphi, gamma, side, h, t, x, gmin=GMIN_DEFAULT):
     vtt = varphi.d(2, 0, t, x)
     vtx = varphi.d(1, 1, t, x)
     vxx = varphi.d(0, 2, t, x)
-    g = 1.0 - w * w + p * p
+    g, (gtt, gtx, gxx), (t_tt, t_tx, t_xt, t_xx) = _cartesian_stress(w, p, vt, vx)
     sq = np.sqrt(g)
-    gtt = -(1.0 + p * p) / g
-    gtx = w * p / g
-    gxx = (1.0 - w * w) / g
-    gradt = gtt * vt + gtx * vx
-    gradx = gtx * vt + gxx * vx
-    qt = gradt * vt + gradx * vx
-    t_tt = gradt * vt - 0.5 * qt
-    t_tx = gradt * vx
-    t_xt = gradx * vt
-    t_xx = gradx * vx - 0.5 * qt
 
-    xit, xix = _multiplier_cartesian(phi, t, x, gamma, side)
+    xit, xix = _multiplier_cartesian(w, p, t, x, gamma, side)
     xi_varphi = xit * vt + xix * vx
 
     # wave operator: principal part analytic, gauge part by stencils on the
@@ -246,26 +241,11 @@ def _null_data(phi, varphi, t, x):
     return A, B, a, b, llb, l2, lb2
 
 
-def _stress_null_components(A, B, a, b):
-    g = 1.0 - A * B
-    guu = -B * B / (4.0 * g)
-    gubub = -A * A / (4.0 * g)
-    guub = -0.5 - A * B / (4.0 * g)
-    gradu = guu * a + guub * b
-    gradub = guub * a + gubub * b
-    qt = gradu * a + gradub * b
-    return (gradu * a - 0.5 * qt,      # T^u_u
-            gradu * b,                 # T^u_ub
-            gradub * a,                # T^ub_u
-            gradub * b - 0.5 * qt,     # T^ub_ub
-            g)
-
-
 def deformation_direct(phi, varphi, t, x, gamma, side):
     """T^a_b d_a(xi^b) by direct contraction with analytic coefficient
     derivatives in the null frame."""
     A, B, a, b, llb, l2, lb2 = _null_data(phi, varphi, t, x)
-    t_uu, t_uub, t_ubu, t_ubub, _ = _stress_null_components(A, B, a, b)
+    t_uu, t_uub, t_ubu, t_ubub = null_stress(B, A, b, a)
     if side == "TL":
         ub = (np.asarray(t) + np.asarray(x)) / 2.0
         wgt, wgtp = weight_a(ub, gamma), weight_a_prime(ub, gamma)
@@ -314,7 +294,7 @@ def deformation_closed(phi, varphi, t, x, gamma, side):
 def trace_residual(phi, varphi, t, x):
     """T^a_a and the quadratic scale it should be compared against."""
     A, B, a, b, *_ = _null_data(phi, varphi, t, x)
-    t_uu, _, _, t_ubub, _ = _stress_null_components(A, B, a, b)
+    t_uu, _, _, t_ubub = null_stress(B, A, b, a)
     scale = np.abs(a * b) + a * a + b * b + 1e-300
     return np.abs(t_uu + t_ubub), scale
 
@@ -350,8 +330,6 @@ def deformation_check(seed=0, n_fields=100, gamma=0.5, pts=None):
 def equivalence_ratios(seed=0, n_samples=10_000, lphi_cap=0.1, lbphi_cap=1.0):
     """Measured ratio band of each contraction against its quadratic
     comparator, sampled over the monitored regime."""
-    from .energy import stress_density
-
     rng = np.random.default_rng(seed)
     B = rng.uniform(0.01, lphi_cap, n_samples) * rng.choice([-1, 1], n_samples)
     A = rng.uniform(0.1, lbphi_cap, n_samples) * rng.choice([-1, 1], n_samples)
@@ -388,14 +366,13 @@ class BalanceAccumulator:
     region right of an outgoing line (u <= u0, boundary x = t - 2 u0).
     """
 
-    def __init__(self, side, coord, gamma, k2=0, gmin=GMIN_DEFAULT):
+    def __init__(self, side, coord, gamma, k2=0):
         if side not in ("TL", "TLb"):
             raise ValueError(f"bad side {side!r}")
         self.side = side
         self.coord = float(coord)
         self.gamma = float(gamma)
         self.k2 = int(k2)
-        self.gmin = gmin
         self._taus = []
         self._vts = []          # V^t profiles (kept: a run at desk scale fits)
         self._vxs = []
@@ -439,29 +416,8 @@ class BalanceAccumulator:
         w, p = state.w, state.p
         vt = deriv_k(state.w, grid.dx, self.k2)
         vx = deriv_k(state.phi, grid.dx, self.k2 + 1)
-        g = 1.0 - w * w + p * p
-        sq = np.sqrt(np.maximum(g, 1e-300))
-        gtt = -(1.0 + p * p) / g
-        gtx = w * p / g
-        gxx = (1.0 - w * w) / g
-        gradt = gtt * vt + gtx * vx
-        gradx = gtx * vt + gxx * vx
-        qt = gradt * vt + gradx * vx
-        t_tt = gradt * vt - 0.5 * qt
-        t_tx = gradt * vx
-        t_xt = gradx * vt
-        t_xx = gradx * vx - 0.5 * qt
-        x = grid.x
-        if self.side == "TL":
-            wgt = weight_a((state.t + x) / 2.0, self.gamma)
-            cl, clb = wgt, wgt * (w + p) ** 2
-        else:
-            wgt = weight_a((state.t - x) / 2.0, self.gamma)
-            cl, clb = wgt * (w - p) ** 2, wgt
-        xit, xix = cl + clb, cl - clb
-        vt_cur = sq * (t_tt * xit + t_tx * xix)
-        vx_cur = sq * (t_xt * xit + t_xx * xix)
-        return vt_cur, vx_cur
+        xi = _multiplier_cartesian(w, p, state.t, grid.x, self.gamma, self.side)
+        return _current_density(w, p, vt, vx, xi)
 
     # callback protocol ----------------------------------------------------
     def on_start(self, state):
@@ -501,7 +457,7 @@ class BalanceAccumulator:
         taus = np.asarray(self._taus)
         n = len(taus)
         if n < 3:
-            raise ValueError("balance check needs at least 3 stored steps")
+            raise InsufficientHistory(f"balance check needs at least 3 levels, have {n}")
         dt = taus[1] - taus[0]
         grid = self._grid
         sigma_t = self._region_integral(-self._vts[-1], grid, self._boundary_x(taus[-1]))

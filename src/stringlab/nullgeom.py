@@ -1,4 +1,4 @@
-"""Pointwise null-frame geometry of the timelike string surface.
+"""Null-frame geometry of the timelike string surface.
 
 Null coordinates and derivatives::
 
@@ -8,18 +8,22 @@ Null coordinates and derivatives::
 The induced metric of the graph y = phi(t, x) is
 g_ab = eta_ab + da(phi) db(phi) with determinant g = 1 - Lphi*Lbphi,
 which is also the strict-hyperbolicity discriminant 1 + p^2 - w^2 of the
-first-order system.
+first-order system.  The null gradient of phi is (Lphi, Lbphi) = (w + p, w - p).
+
+This module is the one home of the null-frame algebra of the energy
+method: the inverse metric, the stress tensor T^a_b of a row over the
+base field, the side weights a(ub) and a(u), and the dynamically corrected
+multipliers built from them.
 
 Naming note: the time and space derivatives of phi are called w and p
 everywhere in this package, so that the letter u always means the retarded
 null coordinate and never the unknown.
 
-All functions are pure, vectorize over numpy arrays, and hold no state.
+All functions are pure, take scalars or numpy arrays, return tuples of
+them, and hold no state.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,88 +32,37 @@ from .errors import HyperbolicityLoss, TimelikeViolation
 GMIN_DEFAULT = 1e-6
 
 
-@dataclass(frozen=True)
-class NullPoint:
-    """Event in both Cartesian and null coordinates; u + ub = t, ub - u = x."""
+def metric_scalars(lphi, lbphi):
+    """(g, g^uu, g^ubub, g^uub): determinant g = 1 - Lphi*Lbphi and the
+    inverse-metric null components.
 
-    t: float
-    x: float
-    u: float
-    ub: float
-
-
-@dataclass(frozen=True)
-class NullGradientPair:
-    """Null gradient (Lphi, Lbphi) = (w + p, w - p)."""
-
-    lphi: float
-    lbphi: float
-
-    def to_wp(self):
-        """Invert back to (w, p); exact up to roundoff."""
-        return 0.5 * (self.lphi + self.lbphi), 0.5 * (self.lphi - self.lbphi)
-
-
-@dataclass(frozen=True)
-class MetricScalars:
-    """Determinant and inverse-metric null components of the string metric.
-
-    guu and gubub are nonpositive whenever g > 0: the coordinate gradients
-    Du, Dub are non-spacelike on a timelike surface.
+    Raises TimelikeViolation when min(g) <= GMIN_DEFAULT; callers treat that
+    as a blow-up indicator.  g^uu and g^ubub are nonpositive whenever g > 0:
+    the coordinate gradients Du, Dub are non-spacelike on a timelike surface.
+    The cross component g^uub = -1/2 - Lphi*Lbphi/(4g) comes from inverting
+    the 2x2 null-frame metric directly (checked against matrix inversion in
+    the tests).
     """
-
-    g: float
-    guu: float
-    gubub: float
-    guub: float
-    timelike: bool
-
-
-@dataclass(frozen=True)
-class MultiplierCoeffs:
-    """Null-frame coefficients of a weighted multiplier vector field.
-
-    The field is cl*L + clb*Lb.  For side "TL" the weight rides the advanced
-    coordinate, cl = a(ub) and clb = a(ub)*|Lphi|^2; side "TLb" mirrors it,
-    clb = a(u) and cl = a(u)*|Lbphi|^2.
-    """
-
-    cl: float
-    clb: float
-    weight: float
-
-
-def null_coords(t, x) -> NullPoint:
-    """Map (t, x) to the null pair (u, ub) = ((t-x)/2, (t+x)/2)."""
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
-    x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-    return NullPoint(t=t, x=x, u=(t - x) / 2.0, ub=(t + x) / 2.0)
-
-
-def null_gradient(w, p) -> NullGradientPair:
-    """Switch (w, p) = (dt phi, dx phi) to the null frame (w+p, w-p)."""
-    return NullGradientPair(lphi=w + p, lbphi=w - p)
-
-
-def metric_scalars(ng: NullGradientPair, gmin: float = GMIN_DEFAULT) -> MetricScalars:
-    """Determinant g = 1 - Lphi*Lbphi and inverse components.
-
-    Raises TimelikeViolation when min(g) <= gmin; callers treat that as a
-    blow-up indicator.  The cross component guub = -1/2 - Lphi*Lbphi/(4g)
-    comes from inverting the 2x2 null-frame metric directly (checked against
-    matrix inversion in the tests).
-    """
-    lphi = np.asarray(ng.lphi, dtype=float)
-    lbphi = np.asarray(ng.lbphi, dtype=float)
     g = 1.0 - lphi * lbphi
-    if np.min(g) <= gmin:
-        raise TimelikeViolation(np.min(g), gmin)
-    guu = -(lphi ** 2) / (4.0 * g)
-    gubub = -(lbphi ** 2) / (4.0 * g)
+    if np.min(g) <= GMIN_DEFAULT:
+        raise TimelikeViolation(np.min(g), GMIN_DEFAULT)
+    guu = -lphi * lphi / (4.0 * g)
+    gubub = -lbphi * lbphi / (4.0 * g)
     guub = -0.5 - lphi * lbphi / (4.0 * g)
-    if np.ndim(ng.lphi) == 0:
-        g, guu, gubub, guub = float(g), float(guu), float(gubub), float(guub)
-    return MetricScalars(g=g, guu=guu, gubub=gubub, guub=guub, timelike=True)
+    return g, guu, gubub, guub
+
+
+def null_stress(lphi, lbphi, row_l, row_lb):
+    """(T^u_u, T^u_ub, T^ub_u, T^ub_ub): null components of the stress
+    T^a_b = D^a(row) d_b(row) - 1/2 delta^a_b |D row|^2 of a row with null
+    gradient (row_l, row_lb) = (L row, Lb row) over the base field's null
+    gradient (lphi, lbphi).  Raises TimelikeViolation like metric_scalars.
+    """
+    _, guu, gubub, guub = metric_scalars(lphi, lbphi)
+    gradu = guu * row_lb + guub * row_l
+    gradub = guub * row_lb + gubub * row_l
+    qt = gradu * row_lb + gradub * row_l
+    return gradu * row_lb - 0.5 * qt, gradu * row_l, gradub * row_lb, gradub * row_l - 0.5 * qt
 
 
 def eigenvalues(w, p):
@@ -160,35 +113,38 @@ def _check_gamma(gamma):
         raise ValueError(f"weight exponent gamma must lie in (0, 1), got {gamma}")
 
 
-def multiplier(side: str, point: NullPoint, ng: NullGradientPair, gamma: float) -> MultiplierCoeffs:
-    """Coefficients of the dynamically corrected null multiplier.
+def side_weight(side: str, t, x, gamma: float):
+    """The multiplier weight of a side at the events (t, x): a(ub) with
+    ub = (t + x)/2 for side "TL", a(u) with u = (t - x)/2 for side "TLb"."""
+    if side == "TL":
+        return weight_a((t + x) / 2.0, gamma)
+    if side == "TLb":
+        return weight_a((t - x) / 2.0, gamma)
+    raise ValueError(f"side must be 'TL' or 'TLb', got {side!r}")
+
+
+def multiplier(side: str, weight, lphi, lbphi):
+    """(cl, clb): coefficients of the dynamically corrected null multiplier
+    cl*L + clb*Lb, with weight = side_weight(side, ...).
 
     side "TL":  a(ub) * (L + |Lphi|^2 Lb)
     side "TLb": a(u)  * (Lb + |Lbphi|^2 L)
     """
     if side == "TL":
-        wgt = weight_a(point.ub, gamma)
-        return MultiplierCoeffs(cl=wgt, clb=wgt * np.asarray(ng.lphi) ** 2, weight=wgt)
+        return weight, weight * lphi ** 2
     if side == "TLb":
-        wgt = weight_a(point.u, gamma)
-        return MultiplierCoeffs(cl=wgt * np.asarray(ng.lbphi) ** 2, clb=wgt, weight=wgt)
+        return weight * lbphi ** 2, weight
     raise ValueError(f"side must be 'TL' or 'TLb', got {side!r}")
 
 
-def causal_norm(side: str, point: NullPoint, ng: NullGradientPair, gamma: float):
+def causal_norm(side: str, weight, lphi, lbphi):
     """Squared g-norm of the multiplier; <= 0 means non-spacelike.
 
-    Both multipliers share the scalar factor
+    With g(L, L) = |Lphi|^2, g(Lb, Lb) = |Lbphi|^2 and
+    g(L, Lb) = -2 + Lphi Lbphi, both multipliers come out as weight^2 times
+    the square of their corrected null gradient times the shared factor
     -3 + 2 Lphi Lbphi + |Lphi|^2 |Lbphi|^2, so they are causal exactly when
     that factor is <= 0 (it is -3 at the flat state).
     """
-    lphi = np.asarray(ng.lphi, dtype=float)
-    lbphi = np.asarray(ng.lbphi, dtype=float)
-    factor = -3.0 + 2.0 * lphi * lbphi + (lphi * lbphi) ** 2
-    if side == "TL":
-        out = weight_a(point.ub, gamma) ** 2 * lphi ** 2 * factor
-    elif side == "TLb":
-        out = weight_a(point.u, gamma) ** 2 * lbphi ** 2 * factor
-    else:
-        raise ValueError(f"side must be 'TL' or 'TLb', got {side!r}")
-    return float(out) if np.ndim(out) == 0 else out
+    cl, clb = multiplier(side, weight, lphi, lbphi)
+    return cl * cl * lphi ** 2 + clb * clb * lbphi ** 2 + 2.0 * cl * clb * (lphi * lbphi - 2.0)

@@ -35,6 +35,8 @@ def test_build_tower_needs_enough_levels(default_family):
         build_tower(states, N=4)
     with pytest.raises(InsufficientHistory):
         build_tower(states[:4], N=1)   # even-length stack
+    with pytest.raises(InsufficientHistory, match="at least 2 levels"):
+        build_tower(states[:1], N=0)   # no time step to read off
 
 
 def test_tower_zero_solution():

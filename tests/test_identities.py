@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stringlab import DataFamily, Grid1D, ProfileSpec, run_evolution
+from stringlab import (DataFamily, Grid1D, InsufficientHistory, ProfileSpec, identities,
+                       init_state, metric_scalars, run_evolution, step)
 from stringlab.identities import (BalanceAccumulator, deformation_check,
                                   deformation_closed, deformation_direct,
                                   divergence_identity_study, divergence_residual,
@@ -116,6 +117,62 @@ def test_equivalence_band():
 
 
 # ---------------------------------------------------------------------------
+# the shared stress kernels stay checked by an independent side
+
+
+def _planted_null_stress(coef):
+    """The null-frame stress with coef in place of the 1/2 of its trace term."""
+    def kernel(lphi, lbphi, row_l, row_lb):
+        _, guu, gubub, guub = metric_scalars(lphi, lbphi)
+        gradu = guu * row_lb + guub * row_l
+        gradub = guub * row_lb + gubub * row_l
+        qt = gradu * row_lb + gradub * row_l
+        return (gradu * row_lb - coef * qt, gradu * row_l, gradub * row_lb,
+                gradub * row_l - coef * qt)
+    return kernel
+
+
+def _planted_cartesian_stress(coef):
+    """The Cartesian stress with coef in place of the 1/2 of its trace term."""
+    def kernel(w, p, vt, vx):
+        g = 1.0 - w * w + p * p
+        gtt = -(1.0 + p * p) / g
+        gtx = w * p / g
+        gxx = (1.0 - w * w) / g
+        gradt = gtt * vt + gtx * vx
+        gradx = gtx * vt + gxx * vx
+        qt = gradt * vt + gradx * vx
+        return g, (gtt, gtx, gxx), (gradt * vt - coef * qt, gradt * vx, gradx * vt,
+                                    gradx * vx - coef * qt)
+    return kernel
+
+
+@pytest.mark.parametrize("coef,flagged", [(0.5, False), (0.45, True)])
+def test_shared_null_stress_checked_by_closed_forms(monkeypatch, coef, flagged):
+    # deformation_direct and trace_residual take the stress from
+    # nullgeom.null_stress (patched where identities binds it); the closed
+    # form and the vanishing 1+1d trace do not, so a planted coefficient
+    # shows in both checks, and the faithful copy (coef 1/2) in neither
+    monkeypatch.setattr(identities, "null_stress", _planted_null_stress(coef))
+    worst, worst_trace = deformation_check(seed=5, n_fields=4)
+    assert (worst > 1e-10) == flagged
+    assert (worst_trace > 1e-13) == flagged
+
+
+@pytest.mark.parametrize("side", ["TL", "TLb"])
+@pytest.mark.parametrize("coef,flagged", [(0.5, False), (0.45, True)])
+def test_shared_cartesian_stress_checked_by_analytic_side(monkeypatch, rng, side, coef,
+                                                         flagged):
+    # the stencil side and the deformation term both take the stress from
+    # _cartesian_stress; the analytic box term does not
+    monkeypatch.setattr(identities, "_cartesian_stress", _planted_cartesian_stress(coef))
+    phi = random_mixture(rng, amp=0.25)
+    varphi = random_mixture(rng, amp=0.5)
+    study = divergence_identity_study(phi, varphi, side=side)
+    assert (study.observed_order < 1.5) == flagged
+
+
+# ---------------------------------------------------------------------------
 # energy balance
 
 
@@ -149,3 +206,12 @@ def test_balance_higher_spatial_row(default_family):
     study = energy_balance_study(default_family, "TLb", 0.5,
                                  Grid1D(-22.0, 0.25, 177), t_end=2.0, k2=1)
     assert study.observed_order > 1.5
+
+
+def test_balance_finalize_needs_three_levels(default_family):
+    acc = BalanceAccumulator("TLb", 1.0, 0.5)
+    state = init_state(default_family, Grid1D(-12, 0.1, 241))
+    acc.on_start(state)
+    acc.on_step(step(state, dt=0.04))
+    with pytest.raises(InsufficientHistory, match="at least 3 levels, have 2"):
+        acc.finalize()

@@ -3,27 +3,41 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stringlab import (HyperbolicityLoss, TimelikeViolation, causal_norm, eigenvalues,
-                       metric_scalars, multiplier, null_coords, null_gradient,
-                       weight_a, weight_a_prime)
+                       metric_scalars, multiplier, null_stress, side_weight, weight_a,
+                       weight_a_prime)
+from stringlab.energy import spatial_rows
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 
 
+# The null coordinates u = (t - x)/2, ub = (t + x)/2 live in side_weight:
+# side TL takes a(ub), side TLb takes a(u).
 @pytest.mark.parametrize("t,x,u,ub", [
     (0.0, 0.0, 0.0, 0.0),
     (2.0, 1.0, 0.5, 1.5),
     (1.0, -1.0, 1.0, 0.0),
 ])
 def test_null_coords_examples(t, x, u, ub):
-    pt = null_coords(t, x)
-    assert pt.u == pytest.approx(u) and pt.ub == pytest.approx(ub)
+    assert side_weight("TLb", t, x, 0.5) == pytest.approx(weight_a(u, 0.5))
+    assert side_weight("TL", t, x, 0.5) == pytest.approx(weight_a(ub, 0.5))
 
 
 @given(finite, finite)
 def test_null_coords_roundtrip(t, x):
-    pt = null_coords(t, x)
-    assert pt.u + pt.ub == pytest.approx(t, abs=1e-12)
-    assert pt.ub - pt.u == pytest.approx(x, abs=1e-12)
+    assert side_weight("TL", t, x, 0.5) == weight_a((t + x) / 2.0, 0.5)
+    assert side_weight("TLb", t, x, 0.5) == weight_a((t - x) / 2.0, 0.5)
+    assert side_weight("TLb", t, x, 0.5) == side_weight("TL", t, -x, 0.5)
+    # read (t, x) as null coordinates (u, ub) of the event (u + ub, ub - u)
+    u, ub = t, x
+    assert side_weight("TLb", u + ub, ub - u, 0.5) == pytest.approx(weight_a(u, 0.5), rel=1e-12)
+    assert side_weight("TL", u + ub, ub - u, 0.5) == pytest.approx(weight_a(ub, 0.5), rel=1e-12)
+
+
+def _null_gradient(w, p):
+    # the k = 0 null rows of phi = p*x with phi_t = w; the stencil is exact on lines
+    x = 0.5 * np.arange(-3, 4)
+    rows = spatial_rows(p * x, np.full_like(x, w), 0.5, 0)
+    return rows[0, 0], rows[0, 1]
 
 
 @pytest.mark.parametrize("w,p,lphi,lbphi", [
@@ -32,33 +46,34 @@ def test_null_coords_roundtrip(t, x):
     (1.0, -1.0, 0.0, 2.0),    # pure right-travelling profile
 ])
 def test_null_gradient_examples(w, p, lphi, lbphi):
-    ng = null_gradient(w, p)
-    assert ng.lphi == pytest.approx(lphi) and ng.lbphi == pytest.approx(lbphi)
+    lrow, lbrow = _null_gradient(w, p)
+    assert lrow == pytest.approx(np.full(7, lphi), abs=1e-12)
+    assert lbrow == pytest.approx(np.full(7, lbphi), abs=1e-12)
+    g, *_ = metric_scalars(lphi, lbphi)
+    assert g == pytest.approx(1.0 + p * p - w * w)   # the hyperbolicity discriminant
 
 
 @given(finite, finite)
 def test_null_gradient_roundtrip(w, p):
-    back = null_gradient(w, p).to_wp()
-    assert back[0] == pytest.approx(w, abs=1e-12)
-    assert back[1] == pytest.approx(p, abs=1e-12)
+    lrow, lbrow = _null_gradient(w, p)
+    assert (lrow + lbrow) / 2.0 == pytest.approx(np.full(7, w), abs=1e-12)
+    assert (lrow - lbrow) / 2.0 == pytest.approx(np.full(7, p), abs=1e-12)
 
 
 def test_metric_scalars_flat():
-    ms = metric_scalars(null_gradient(0.0, 0.0))
-    assert ms.g == 1.0 and ms.guu == 0.0 and ms.gubub == 0.0
-    assert ms.guub == pytest.approx(-0.5)
+    g, guu, gubub, guub = metric_scalars(0.0, 0.0)
+    assert g == 1.0 and guu == 0.0 and gubub == 0.0
+    assert guub == pytest.approx(-0.5)
 
 
 def test_metric_scalars_example():
-    from stringlab.nullgeom import NullGradientPair
-    ms = metric_scalars(NullGradientPair(lphi=0.2, lbphi=-1.0))
-    assert ms.g == pytest.approx(1.2)
+    g, *_ = metric_scalars(0.2, -1.0)
+    assert g == pytest.approx(1.2)
 
 
 def test_metric_scalars_boundary_raises():
-    from stringlab.nullgeom import NullGradientPair
     with pytest.raises(TimelikeViolation):
-        metric_scalars(NullGradientPair(lphi=1.0, lbphi=1.0))
+        metric_scalars(1.0, 1.0)
 
 
 def test_metric_inverse_matches_matrix_inversion(rng):
@@ -68,15 +83,30 @@ def test_metric_inverse_matches_matrix_inversion(rng):
         lphi, lbphi = rng.uniform(-0.9, 0.9, 2)
         if 1.0 - lphi * lbphi <= 1e-3:
             continue
-        from stringlab.nullgeom import NullGradientPair
-        ms = metric_scalars(NullGradientPair(lphi, lbphi))
+        _, guu, gubub, guub = metric_scalars(lphi, lbphi)
         gmat = np.array([[lbphi ** 2, -2.0 + lphi * lbphi],
                          [-2.0 + lphi * lbphi, lphi ** 2]])
         ginv = np.linalg.inv(gmat)
-        assert ms.guu == pytest.approx(ginv[0, 0], rel=1e-12, abs=1e-12)
-        assert ms.guub == pytest.approx(ginv[0, 1], rel=1e-12, abs=1e-12)
-        assert ms.gubub == pytest.approx(ginv[1, 1], rel=1e-12, abs=1e-12)
-        assert ms.guu <= 0.0 and ms.gubub <= 0.0
+        assert guu == pytest.approx(ginv[0, 0], rel=1e-12, abs=1e-12)
+        assert guub == pytest.approx(ginv[0, 1], rel=1e-12, abs=1e-12)
+        assert gubub == pytest.approx(ginv[1, 1], rel=1e-12, abs=1e-12)
+        assert guu <= 0.0 and gubub <= 0.0
+
+
+def test_null_stress_matches_matrix_form(rng):
+    # T^a_b = g^{ac} d_c(row) d_b(row) - 1/2 delta^a_b g^{cd} d_c(row) d_d(row),
+    # with the inverse metric from direct inversion; index 0 is u, 1 is ub,
+    # and d_u = Lb, d_ub = L
+    for _ in range(100):
+        lphi, lbphi = rng.uniform(-0.9, 0.9, 2)
+        row_l, row_lb = rng.uniform(-1.0, 1.0, 2)
+        gmat = np.array([[lbphi ** 2, -2.0 + lphi * lbphi],
+                         [-2.0 + lphi * lbphi, lphi ** 2]])
+        ginv = np.linalg.inv(gmat)
+        d = np.array([row_lb, row_l])
+        stress = np.outer(ginv @ d, d) - 0.5 * (d @ ginv @ d) * np.eye(2)
+        got = null_stress(lphi, lbphi, row_l, row_lb)
+        assert got == pytest.approx(list(stress.ravel()), rel=1e-10, abs=1e-12)
 
 
 @pytest.mark.parametrize("w,p,lo,hi", [
@@ -125,39 +155,47 @@ def test_weight_rejects_bad_gamma(gamma):
         weight_a(1.0, gamma)
 
 
+@pytest.mark.parametrize("side", ["L", "tl", ""])
+def test_side_rejects_unknown(side):
+    with pytest.raises(ValueError, match="side must be"):
+        side_weight(side, 0.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="side must be"):
+        multiplier(side, 1.0, 0.1, 0.2)
+
+
 def test_multiplier_examples():
-    from stringlab.nullgeom import NullGradientPair
-    pt = null_coords(0.0, 0.0)
-    co = multiplier("TL", pt, NullGradientPair(0.0, 0.7), 0.5)
-    assert co.cl == pytest.approx(1.0) and co.clb == pytest.approx(0.0)
+    weight = side_weight("TL", 0.0, 0.0, 0.5)
+    cl, clb = multiplier("TL", weight, 0.0, 0.7)
+    assert cl == pytest.approx(1.0) and clb == pytest.approx(0.0)
 
-    co = multiplier("TLb", pt, NullGradientPair(0.1, 2.0), 0.5)
-    assert co.cl == pytest.approx(4.0) and co.clb == pytest.approx(1.0)
+    weight = side_weight("TLb", 0.0, 0.0, 0.5)
+    cl, clb = multiplier("TLb", weight, 0.1, 2.0)
+    assert cl == pytest.approx(4.0) and clb == pytest.approx(1.0)
 
-    pt = null_coords(1.0, 1.0)     # ub = 1
-    co = multiplier("TL", pt, NullGradientPair(0.5, 0.3), 0.5)
-    assert co.cl == pytest.approx(2.8284271, abs=1e-6)
-    assert co.clb == pytest.approx(0.7071068, abs=1e-6)
+    weight = side_weight("TL", 1.0, 1.0, 0.5)     # ub = 1
+    cl, clb = multiplier("TL", weight, 0.5, 0.3)
+    assert cl == pytest.approx(2.8284271, abs=1e-6)
+    assert clb == pytest.approx(0.7071068, abs=1e-6)
 
 
 def test_causal_norm_examples():
-    from stringlab.nullgeom import NullGradientPair
-    pt = null_coords(0.0, 0.0)
-    assert causal_norm("TL", pt, NullGradientPair(0.0, 1.3), 0.5) == 0.0
-    val = causal_norm("TL", pt, NullGradientPair(0.1, 1.0), 0.5)
+    weight = side_weight("TL", 0.0, 0.0, 0.5)
+    assert causal_norm("TL", weight, 0.0, 1.3) == 0.0
+    val = causal_norm("TL", weight, 0.1, 1.0)
     assert val == pytest.approx(0.01 * (-3 + 0.2 + 0.01), abs=1e-12)
-    val = causal_norm("TL", pt, NullGradientPair(2.0, 2.0), 0.5)
+    val = causal_norm("TL", weight, 2.0, 2.0)
     assert val > 0.0   # non-causal regime
 
 
 def test_causal_norm_sign(rng):
-    from stringlab.nullgeom import NullGradientPair
-    pt = null_coords(0.3, -0.8)
+    t, x = 0.3, -0.8
     for _ in range(300):
         lphi, lbphi = rng.uniform(-1.0, 1.0, 2)
         factor = -3 + 2 * lphi * lbphi + (lphi * lbphi) ** 2
-        val = causal_norm("TLb", pt, NullGradientPair(lphi, lbphi), 0.4)
+        weight = side_weight("TLb", t, x, 0.4)
+        val = causal_norm("TLb", weight, lphi, lbphi)
+        assert val == pytest.approx(weight ** 2 * lbphi ** 2 * factor, rel=1e-12, abs=1e-14)
         if factor <= 0:
             assert val <= 0.0
         if lphi == 0.0:
-            assert causal_norm("TL", pt, NullGradientPair(lphi, lbphi), 0.4) == 0.0
+            assert causal_norm("TL", side_weight("TL", t, x, 0.4), lphi, lbphi) == 0.0
