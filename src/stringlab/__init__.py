@@ -10,18 +10,18 @@ from .config import ExperimentConfig, parse_config, serialize_config
 from .energy import (DerivativeTower, EnergyReport, EnergyTracker, build_tower,
                      fit_hierarchy, monitor, order_energy, row_energy, stress_density,
                      tracked_run, tracked_sweep)
-from .errors import (BlowupDetected, HyperbolicityLoss, InsufficientHistory,
-                     NonIntegrable, ParseError, StringLabError, TimelikeViolation,
-                     ValidationError)
+from .errors import (BlowupDetected, HyperbolicityLoss, InsufficientHistory, ParseError,
+                     StringLabError, TimelikeViolation, ValidationError)
 from .evolve import (CharacteristicTracer, CharPath, FieldState, Grid1D, RunResult,
-                     exact_travelling, exact_travelling_fields, init_state,
-                     lockstep_groups, rhs, richardson_time, run_evolution, stack_states,
-                     step, trace_characteristics)
+                     blowup_study, convergence_study, exact_travelling,
+                     exact_travelling_fields, init_state, lockstep_groups, rhs,
+                     richardson_time, run_evolution, stack_states, step,
+                     trace_characteristics)
 from .initialdata import (CriterionReport, DataFamily, TraceTable, blowup_fixture,
                           build_data, check_kong_tsuji, criterion_for_family,
                           data_eigenvalues, higher_order_traces)
 from .nullgeom import (causal_norm, eigenvalues, metric_scalars, multiplier, null_stress,
                        side_weight, weight_a, weight_a_prime)
-from .profiles import ProfileSpec, profile_antiderivative, profile_derivative, weighted_norm
+from .profiles import ProfileSpec, profile_antiderivative, profile_derivative
 
 __version__ = "0.1.0"

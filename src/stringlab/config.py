@@ -118,6 +118,10 @@ def validate_config(cfg: ExperimentConfig, check_domain: bool = True):
         raise ValidationError(f"eps_ko must be >= 0: {cfg.eps_ko}")
     if cfg.mode == "sweep" and len(cfg.deltas) < 3:
         raise ValidationError("sweep needs at least 3 delta values")
+    if cfg.mode == "converge" and cfg.delta != 0.0:
+        raise ValidationError("converge mode needs the travelling-wave oracle: set delta = 0")
+    if cfg.mode == "tracecheck" and cfg.N < 2:
+        raise ValidationError("tracecheck needs N >= 2")
     if check_domain and cfg.mode in ("run", "sweep", "blowup", "tracecheck"):
         fam = cfg.family()
         need = fam.support_radius(k_max=2) + cfg.t_end + 2.0

@@ -39,11 +39,13 @@ import numpy as np
 from .errors import InsufficientHistory
 from .evolve import (FieldState, Grid1D, init_state, lockstep_groups, run_evolution,
                      stack_states, step)
-from .initialdata import higher_order_traces
+from .initialdata import TraceTable, higher_order_traces
 from .nullgeom import multiplier, null_stress, side_weight
 from .stencils import cubic_weights, deriv1
 
 N_DEFAULT = 4
+AGMON_SLACK = 1e-6              # Agmon margins may dip this far below 0, relative to sqrt(sup E)
+SUP_RATIO_CAP = 2.0             # embedding cap on the weighted sups in units of the fitted M
 _SIDES = ("TL", "TLb")          # the side of the L row (index 0) and of the Lb row (1)
 
 
@@ -540,6 +542,42 @@ def tower_at_zero(cfg, fam, grid):
     return build_tower(sides[0][::-1] + [state0] + sides[1], cfg.N)
 
 
+@dataclass
+class TraceCheckStudy:
+    """Exact t = 0 trace table against the tower time differences of the
+    evolved solution, on a grid and its 2x refinement (dt = cfl*dx)."""
+
+    dxs: list                      # grid spacing per level
+    discrepancy: dict              # (k1, k2) -> [relative max discrepancy per level]
+    table: TraceTable              # exact table of level 0, with its den_min
+
+    def worst(self, level):
+        return max(d[level] for d in self.discrepancy.values())
+
+    def order(self, key):
+        """log2 of the discrepancy ratio of (k1, k2); None if level 1 is 0."""
+        d0, d1 = self.discrepancy[key]
+        return float(np.log2(d0 / d1)) if d1 > 0 else None
+
+
+def trace_check_study(cfg, fam, grid) -> TraceCheckStudy:
+    """trace table vs tower_at_zero for the rows of total order <= min(N, 3),
+    each discrepancy relative to the larger of its two trace sups."""
+    grids = (grid, grid.refined())
+    tables = [higher_order_traces(fam, cfg.N, g.x) for g in grids]
+    discrepancy = {}
+    for g, table in zip(grids, tables):
+        tower = tower_at_zero(cfg, fam, g)
+        for (k1, k2), (lt, lbt) in table.rows.items():
+            if k1 + k2 > min(cfg.N, 3):
+                continue
+            tl, tlb = tower.rows[(k1, k2)]
+            scale = max(float(np.max(np.abs(lt))), float(np.max(np.abs(lbt))), 1e-12)
+            discrepancy.setdefault((k1, k2), []).append(
+                max(float(np.max(np.abs(tl - lt))), float(np.max(np.abs(tlb - lbt)))) / scale)
+    return TraceCheckStudy([g.dx for g in grids], discrepancy, tables[0])
+
+
 # ---------------------------------------------------------------------------
 # monitors and hierarchy fits
 
@@ -561,6 +599,16 @@ class MonitorResult:
     agmon_l_margin: float
     agmon_lb_margin: float
     min_g: float
+
+    def passed(self, gmin) -> bool:
+        """The run stayed timelike above gmin, the Agmon bounds held up to
+        quadrature noise, and the weighted sups obeyed the embedding cap
+        under the fitted M (c_l only for delta != 0)."""
+        slack = -AGMON_SLACK * np.sqrt(max(self.sup_eb2, self.sup_e2, 1e-30))
+        return bool(self.min_g > gmin and self.agmon_l_margin > slack
+                    and self.agmon_lb_margin > slack
+                    and (self.delta == 0.0 or self.c_l <= SUP_RATIO_CAP)
+                    and self.c_lb <= SUP_RATIO_CAP)
 
 
 def monitor(reports, delta, eps=1e-300) -> MonitorResult:

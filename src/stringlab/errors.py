@@ -46,10 +46,6 @@ class BlowupDetected(StringLabError):
         super().__init__(f"blow-up at t={self.t_last:.6g}: {reason}")
 
 
-class NonIntegrable(StringLabError):
-    """Weighted-norm tail test failed: profile is not in the admissible class."""
-
-
 class InsufficientHistory(StringLabError):
     """Not enough time levels for a computation that spans several of them:
     a derivative tower, tracing characteristics through a run, or the

@@ -513,3 +513,80 @@ def richardson_time(t_blowups):
         return t2
     r = d1 / d0
     return t2 + d1 * r / (1.0 - r)
+
+
+# ---------------------------------------------------------------------------
+# refinement studies
+
+
+@dataclass
+class ConvergenceLevel:
+    n: int
+    dx: float
+    err: float                  # max |phi - exact travelling wave| at the final time
+    order: float | None         # log2 of the error ratio to the coarser level
+    max_speed_seen: float
+
+
+def convergence_study(fam: DataFamily, grids, t_end, cfl=CFL_DEFAULT, eps_ko=EPS_KO_DEFAULT,
+                      gmin=GMIN_DEFAULT) -> list[ConvergenceLevel]:
+    """Error against the exact travelling wave of a delta = 0 family on each
+    grid, coarse to fine.
+
+    Raises BlowupDetected, naming the level, when a run stops before t_end:
+    its last state would be compared with the wave at another time.
+    """
+    levels = []
+    for k, grid in enumerate(grids):
+        res = run_evolution(fam, grid, t_end=t_end, cfl=cfl, eps_ko=eps_ko, gmin=gmin)
+        if res.status == "blowup":
+            raise BlowupDetected(res.t_blowup,
+                                 f"{res.blowup_reason} on level {k} (n = {grid.n})")
+        err = float(np.max(np.abs(res.state.phi - exact_travelling(fam, res.state.t, grid.x))))
+        prev = levels[-1].err if levels else 0.0
+        order = float(np.log2(prev / err)) if prev > 0 and err > 0 else None
+        levels.append(ConvergenceLevel(grid.n, grid.dx, err, order, res.max_speed_seen))
+    return levels
+
+
+@dataclass
+class BlowupLevel:
+    n: int
+    dx: float
+    t_blowup: float             # nan when the level ran to t_end
+    reason: str | None
+
+
+@dataclass
+class BlowupStudy:
+    levels: list                # BlowupLevel per grid, coarse to fine
+    t_star: float               # richardson_time of the levels; nan unless all blew up
+    initial_sep: float          # spacing of the plus-family characteristic seeds
+    paths: list = field(default_factory=list)   # CharPath per seed on the finest level
+    min_sep: float = float("nan")               # paths and min_sep only when t_star is set
+
+
+def blowup_study(fam: DataFamily, grid: Grid1D, t_end, cfl=CFL_DEFAULT,
+                 eps_ko=EPS_KO_DEFAULT, gmin=GMIN_DEFAULT) -> BlowupStudy:
+    """Detected blow-up time on grid and its 2x and 4x refinements, and the
+    focusing of adjacent plus-family characteristics.
+
+    17 seeds span max|center| + 2 max width on each side of the origin, so
+    they cover both packets.  They are traced while the finest level runs,
+    in O(n) memory.
+    """
+    half = max(abs(fam.f.center), abs(fam.fb.center)) + 2.0 * max(fam.f.width, fam.fb.width)
+    seeds = np.linspace(-half, half, 17)
+    tracer = CharacteristicTracer(seeds, family="plus")
+    levels = []
+    for k in range(3):
+        g = grid.refined(2 ** k)
+        res = run_evolution(fam, g, t_end=t_end, cfl=cfl, eps_ko=eps_ko, gmin=gmin,
+                            callbacks=[tracer] if k == 2 else ())
+        tb = res.t_blowup if res.status == "blowup" else float("nan")
+        levels.append(BlowupLevel(g.n, g.dx, tb, res.blowup_reason))
+    t_blowups = [lev.t_blowup for lev in levels]
+    sep0 = float(seeds[1] - seeds[0])
+    if np.isnan(t_blowups).any():
+        return BlowupStudy(levels, float("nan"), sep0)
+    return BlowupStudy(levels, richardson_time(t_blowups), sep0, *tracer.finish())

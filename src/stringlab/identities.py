@@ -32,8 +32,8 @@ import numpy as np
 
 from .energy import stress_density
 from .errors import InsufficientHistory, TimelikeViolation
-from .evolve import Grid1D, run_evolution
-from .manufactured import random_mixture
+from .evolve import CFL_DEFAULT, EPS_KO_DEFAULT, Grid1D, run_evolution
+from .manufactured import MovingGaussian, ZeroField, random_mixture
 from .nullgeom import (GMIN_DEFAULT, multiplier, null_stress, side_weight, weight_a,
                        weight_a_prime)
 from .stencils import cubic_interp, deriv_k
@@ -504,3 +504,71 @@ def energy_balance_study(fam, side, coord, base_grid: Grid1D, t_end,
     name = "energy_balance_plus" if side == "TL" else "energy_balance_minus"
     return IdentityResidual(identity=name, levels=hs, residuals=residuals,
                             orders=_orders(residuals))
+
+
+# ---------------------------------------------------------------------------
+# the identity suite
+
+# pass thresholds
+DIVERGENCE_FLAT_TOL = 1e-12     # flat background: the identity is exact
+ORDER_MIN = 1.5                 # observed order of every refinement study
+DEFORMATION_TOL = 1e-10         # closed form vs direct contraction, relative
+TRACE_TOL = 1e-13               # |T^a_a| relative to its quadratic scale
+EQUIVALENCE_BAND = (1.0 / 16.0, 16.0)
+
+
+@dataclass
+class SuiteResult:
+    rows: list            # identities.csv rows: identity, level, dx, residual, order
+    failures: list        # names of the failed identities, in suite order
+
+
+def verify_suite(fam, seed, cfl=CFL_DEFAULT, eps_ko=EPS_KO_DEFAULT) -> SuiteResult:
+    """The six identity studies at fam.gamma: divergence on a flat and a
+    curved background, deformation closed forms, the trace identity, the
+    equivalence band, and the energy balance of fam on both null regions.
+    The curved background and the deformation fields are drawn from seed."""
+    gamma = fam.gamma
+    rng = np.random.default_rng(seed)
+    suite = SuiteResult([], [])
+
+    def check(study, ok):
+        suite.rows.extend([study.identity, i, h, r, study.orders[i - 1] if i > 0 else ""]
+                          for i, (h, r) in enumerate(zip(study.levels, study.residuals)))
+        if not ok:
+            suite.failures.append(study.identity)
+
+    def scalar(name, value):
+        return IdentityResidual(name, levels=[0.0], residuals=[value], orders=[])
+
+    # divergence identity: flat background, constant null multiplier, exact
+    flat = divergence_identity_study(ZeroField(), MovingGaussian(0.7, 0.0, 1.3, 1.0),
+                                     gamma=gamma, side=("const", 1.0, 0.0), hs=(0.05,))
+    check(flat, flat.residuals[0] <= DIVERGENCE_FLAT_TOL)
+
+    # divergence identity: curved background, both multipliers, refinement
+    phi = random_mixture(rng, amp=0.25)
+    varphi = random_mixture(rng, amp=0.5)
+    for side in ("TL", "TLb"):
+        study = divergence_identity_study(phi, varphi, gamma=gamma, side=side)
+        check(study, study.observed_order >= ORDER_MIN)
+
+    # deformation closed forms and the trace identity
+    worst, worst_trace = deformation_check(seed=seed, gamma=gamma)
+    check(scalar("deformation_closed_vs_direct", worst), worst <= DEFORMATION_TOL)
+    check(scalar("trace_identity", worst_trace), worst_trace <= TRACE_TOL)
+
+    # two-sided equivalence band of the contractions
+    bands = equivalence_ratios(seed=seed)
+    lo = min(b[0] for b in bands.values())
+    hi = max(b[1] for b in bands.values())
+    check(scalar("equivalence_band_lo", lo), EQUIVALENCE_BAND[0] <= lo)
+    check(scalar("equivalence_band_hi", hi), hi <= EQUIVALENCE_BAND[1])
+
+    # discrete energy balance on both null regions
+    bal_grid = Grid1D(-24.0, 0.125, 385)
+    for side, coord in (("TL", -1.0), ("TLb", 1.0)):
+        study = energy_balance_study(fam, side, coord, bal_grid, t_end=4.0,
+                                     cfl=cfl, eps_ko=eps_ko)
+        check(study, study.observed_order >= ORDER_MIN)
+    return suite

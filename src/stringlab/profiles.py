@@ -24,8 +24,6 @@ from numpy.polynomial import Polynomial
 from scipy import integrate
 from scipy.special import erf
 
-from .errors import NonIntegrable
-
 KINDS = ("gaussian", "polynomial-gaussian", "bump")
 
 # Largest |s| at which exp(1 - 1/(1-s^2)) is distinguishable from zero.
@@ -138,37 +136,3 @@ def support_radius(h: ProfileSpec, tol: float = 1e-14, k_max: int = 0) -> float:
         s += 0.5
     return 60.0 * h.width
 
-
-def weighted_norm(h: ProfileSpec, gamma: float, k_max: int, tol: float = 1e-14) -> float:
-    """max over k <= k_max of int (1+|x|)^(2+2*gamma) |h^(k)(x)|^2 dx.
-
-    Adaptive quadrature on [-R, R], with R chosen where the weighted
-    integrand has fallen below tol times its peak.  Raises NonIntegrable if
-    no such truncation radius exists within a generous scan range.
-    """
-    if abs(h.amplitude) == 0.0:
-        return 0.0
-    best = 0.0
-    for k in range(k_max + 1):
-        def integrand(x, k=k):
-            return (1.0 + np.abs(x)) ** (2.0 + 2.0 * gamma) * profile_derivative(h, k, x) ** 2
-
-        radius = _truncation_radius(h, integrand, tol)
-        val, _ = integrate.quad(integrand, h.center - radius, h.center + radius,
-                                limit=400, epsabs=1e-14, epsrel=1e-11)
-        best = max(best, val)
-    return best
-
-
-def _truncation_radius(h, integrand, tol):
-    probe = np.linspace(h.center - 2 * h.width, h.center + 2 * h.width, 41)
-    peak = float(np.max(integrand(probe)))
-    if peak == 0.0:
-        return 2.0 * h.width
-    r = 2.0 * h.width
-    while r < 300.0 * h.width + 300.0:
-        lo, hi = h.center - r, h.center + r
-        if max(integrand(np.array([lo]))[0], integrand(np.array([hi]))[0]) < tol * peak:
-            return r
-        r *= 1.5
-    raise NonIntegrable(f"no truncation radius found for {h}")

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringlab import ExperimentConfig, ParseError, ValidationError, parse_config, serialize_config
+from stringlab import identities
 from stringlab.cli import main
 
 
@@ -47,6 +48,8 @@ def test_bad_value_rejected():
     ("N = 9", "N"),
     ("dx = -0.5", "dx"),
     ("mode = fly", "mode"),
+    ("mode = converge", "travelling-wave oracle"),
+    ("mode = tracecheck\nN = 1", "N >= 2"),
 ])
 def test_invariant_violations_named(line, match):
     with pytest.raises(ValidationError, match=match):
@@ -159,8 +162,7 @@ n = 441
     assert "blow-up detected" in capsys.readouterr().out
 
 
-def test_cli_blowup_small(tmp_path, capsys):
-    text = """
+BLOWUP_SMALL = """
 mode = blowup
 delta = 1
 f_amplitude = 2.4
@@ -174,7 +176,11 @@ x0 = -18
 dx = 0.1
 n = 361
 """
-    rc = main(["blowup", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "out")])
+
+
+def test_cli_blowup_small(tmp_path, capsys):
+    rc = main(["blowup", "--config", _cfg_file(tmp_path, BLOWUP_SMALL),
+               "--out", str(tmp_path / "out")])
     assert rc == 0
     rows = (tmp_path / "out" / "blowup.csv").read_text().splitlines()
     assert rows[0] == "level,n,dx,t_blowup" and len(rows) == 4
@@ -188,6 +194,15 @@ n = 361
         assert f"stringlab: blowup level {level}: n = {n}, t_blowup = " in captured.err
     assert captured.err.count("hyperbolicity loss") == 3
     assert "blowup level" not in captured.out
+
+
+def test_cli_blowup_without_blowup_exit_one(tmp_path, capsys):
+    text = BLOWUP_SMALL.replace("t_end = 5", "t_end = 1")
+    rc = main(["blowup", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "no blow-up detected on some level" in capsys.readouterr().out
+    assert (tmp_path / "out" / "blowup.csv").exists()
+    assert not (tmp_path / "out" / "blowup_summary.csv").exists()
 
 
 def test_cli_bad_config_exit_one(tmp_path, capsys):
@@ -213,6 +228,19 @@ def test_cli_tracecheck(tmp_path, capsys):
     assert "induction denominator min 4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("target,value,failed", [
+    ("deformation_check", (1.0, 0.0), "deformation_closed_vs_direct"),
+    ("equivalence_ratios", {("u", "TL"): (0.01, 1.0)}, "equivalence_band_lo"),
+])
+def test_cli_verify_names_a_failed_identity(tmp_path, capsys, monkeypatch, target, value, failed):
+    monkeypatch.setattr(identities, target, lambda **kw: value)
+    rc = main(["verify", "--out", str(tmp_path / "v"), "--seed", "1"])
+    assert rc == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.endswith(": FAIL")] == [f"verify: {failed}: FAIL"]
+    assert out[-1] == f"verify failed: {failed}"
+
+
 def test_cli_verify_seeded(tmp_path, capsys):
     rc = main(["verify", "--out", str(tmp_path / "v"), "--seed", "1"])
     assert rc == 0
@@ -236,10 +264,7 @@ def test_cli_sweep_small(tmp_path, capsys):
     assert "slope(E2)" in out
 
 
-def test_cli_converge_dissipation_pairing(tmp_path):
-    # observed orders with and without the damping term agree at tested
-    # resolutions
-    base = """
+CONVERGE_SMALL = """
 mode = converge
 delta = 0
 t_end = 4
@@ -247,12 +272,29 @@ x0 = -18
 dx = 0.140625
 n = 257
 """
+
+
+def test_cli_converge_dissipation_pairing(tmp_path):
+    # observed orders with and without the damping term agree at tested
+    # resolutions
     orders = {}
     for eps in ("0", "0.01"):
-        cfgf = _cfg_file(tmp_path, base + f"eps_ko = {eps}\n")
+        cfgf = _cfg_file(tmp_path, CONVERGE_SMALL + f"eps_ko = {eps}\n")
         rc = main(["converge", "--config", cfgf, "--out", str(tmp_path / f"c{eps}")])
         assert rc == 0
         rows = (tmp_path / f"c{eps}" / "converge.csv").read_text().splitlines()[1:]
         orders[eps] = [float(r.split(",")[4]) for r in rows[1:]]
     for a, b in zip(orders["0"], orders["0.01"]):
         assert abs(a - b) <= 0.3
+
+
+def test_cli_converge_names_a_level_that_blows_up(tmp_path, capsys):
+    # the field-size cap stops every level at its first step; comparing that
+    # state with the wave at t_end would report a meaningless error
+    text = CONVERGE_SMALL + "f_amplitude = 3e6\nfb_amplitude = 3e6\n"
+    rc = main(["converge", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "c")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stringlab: error: blow-up at t=0: field size ")
+    assert err.rstrip().endswith("exceeds cap on level 0 (n = 257)")
+    assert not (tmp_path / "c" / "converge.csv").exists()

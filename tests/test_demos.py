@@ -1,4 +1,5 @@
-"""The demos that call the null-frame and identity kernels run as scripts."""
+"""The demos that call the null-frame and identity kernels and the
+convergence study run as scripts."""
 
 import os
 import subprocess
@@ -11,6 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_null_geometry_and_criterion.py",
+                                  "02_travelling_wave_convergence.py",
                                   "05_identity_checks.py"])
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)

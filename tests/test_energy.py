@@ -280,6 +280,13 @@ def test_monitor_and_sobolev(default_family):
     assert mon.c_l <= 2.0 and mon.c_lb <= 2.0
     # weighted sup bounds hold with slack at every report
     assert mon.agmon_l_margin > 0 and mon.agmon_lb_margin > 0
+    assert mon.passed(gmin=1e-6)
+    # each monitor check fails on its own; c_L is exempt at delta = 0
+    assert not dataclasses.replace(mon, min_g=1e-6).passed(gmin=1e-6)
+    assert not dataclasses.replace(mon, agmon_lb_margin=-1e-3).passed(gmin=1e-6)
+    assert not dataclasses.replace(mon, c_lb=2.5).passed(gmin=1e-6)
+    assert not dataclasses.replace(mon, c_l=2.5).passed(gmin=1e-6)
+    assert dataclasses.replace(mon, c_l=2.5, delta=0.0).passed(gmin=1e-6)
 
 
 def test_null_rows_rejects_short_stack():

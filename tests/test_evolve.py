@@ -3,9 +3,9 @@ import pytest
 
 from stringlab import (BlowupDetected, CharacteristicTracer, DataFamily, Grid1D,
                        HyperbolicityLoss, InsufficientHistory, ProfileSpec, StringLabError,
-                       blowup_fixture, exact_travelling, exact_travelling_fields,
-                       init_state, lockstep_groups, rhs, run_evolution, stack_states, step,
-                       trace_characteristics)
+                       blowup_fixture, blowup_study, exact_travelling,
+                       exact_travelling_fields, init_state, lockstep_groups, rhs,
+                       run_evolution, stack_states, step, trace_characteristics)
 from stringlab.evolve import FieldState, max_speed
 from stringlab.stencils import cubic_interp, deriv1
 
@@ -266,6 +266,23 @@ def test_streamed_characteristics_match_stored_history(t_end, status):
                 assert np.array_equal(path.ts, ts)
                 assert np.array_equal(path.xs, xs[:, k])
                 assert np.array_equal(path.alive, alive[:, k])
+
+
+def test_blowup_study_matches_plain_runs():
+    fam = blowup_fixture()
+    grid = Grid1D(-18.0, 0.1, 361)
+    study = blowup_study(fam, grid, t_end=5.0)
+    grids = [grid, grid.refined(), grid.refined().refined()]
+    runs = [run_evolution(fam, g, t_end=5.0, store_history=(k == 2)) for k, g in enumerate(grids)]
+    assert [lev.n for lev in study.levels] == [361, 721, 1441]
+    assert [lev.t_blowup for lev in study.levels] == [r.t_blowup for r in runs]
+    assert [lev.reason for lev in study.levels] == [r.blowup_reason for r in runs]
+    # 17 seeds span max|center| + 2 max width = 6 on each side
+    seeds = np.linspace(-6.0, 6.0, 17)
+    assert [p.seed_x for p in study.paths] == list(seeds) and study.initial_sep == 0.75
+    paths, min_sep = trace_characteristics(runs[-1], seeds, family="plus")
+    assert study.min_sep == min_sep
+    assert all(np.array_equal(a.xs, b.xs) for a, b in zip(study.paths, paths))
 
 
 def test_tracer_holds_bounded_levels():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stringlab import NonIntegrable, ProfileSpec, profile_antiderivative, profile_derivative, weighted_norm
+from stringlab import ProfileSpec, profile_antiderivative, profile_derivative
 from stringlab.profiles import support_radius
 
 
@@ -65,32 +65,3 @@ def test_bump_compact_support():
     assert profile_derivative(h, 4, -1.6) == 0.0
     assert support_radius(h) == 1.5
 
-
-def test_weighted_norm_zero_amplitude():
-    assert weighted_norm(ProfileSpec("gaussian", 0.0), 0.5, 3) == 0.0
-
-
-def test_weighted_norm_matches_trapezoid_oracle(unit_gaussian):
-    # independent fine-grid trapezoid oracle for k = 0
-    val = weighted_norm(unit_gaussian, 0.5, 0)
-    x = np.linspace(-40, 40, 800_001)
-    oracle = np.trapezoid((1 + np.abs(x)) ** 3 * np.exp(-2 * x * x), x)
-    assert val == pytest.approx(oracle, rel=1e-8)
-
-
-def test_weighted_norm_amplitude_homogeneity(unit_gaussian):
-    double = ProfileSpec("gaussian", 2.0, 0.0, 1.0)
-    assert weighted_norm(double, 0.4, 0) == pytest.approx(4.0 * weighted_norm(unit_gaussian, 0.4, 0), rel=1e-10)
-
-
-def test_weighted_norm_takes_max_over_orders(unit_gaussian):
-    lo = weighted_norm(unit_gaussian, 0.5, 0)
-    hi = weighted_norm(unit_gaussian, 0.5, 4)
-    assert hi >= lo
-
-
-def test_truncation_radius_rejects_fat_tails():
-    from stringlab.profiles import _truncation_radius
-    h = ProfileSpec("gaussian", 1.0, 0.0, 1.0)
-    with pytest.raises(NonIntegrable):
-        _truncation_radius(h, lambda x: 1.0 / (1.0 + np.asarray(x) ** 2), 1e-14)
