@@ -21,7 +21,7 @@ grid = Grid1D(cfg.x0, cfg.dx, cfg.n)
 
 print(f"gamma = {cfg.gamma}, N = {cfg.N}, T = {T:g}; sweeping delta:\n")
 print(f"{'delta':>7} {'sup E2':>12} {'sup Eb2':>12} {'sup F2':>12} {'sup Fb2':>12} {'min g':>8}")
-# the three deltas share dt, so they evolve in lockstep as one ensemble
+# the three deltas evolve in lockstep as one ensemble
 monitors = [mon for _, _, mon in tracked_sweep(cfg, grid, (0.1, 0.05, 0.025))]
 for delta, mon in zip((0.1, 0.05, 0.025), monitors):
     print(f"{delta:>7g} {mon.sup_e2:>12.4e} {mon.sup_eb2:>12.4e} "

@@ -14,9 +14,8 @@ from .errors import (BlowupDetected, HyperbolicityLoss, InsufficientHistory, Par
                      StringLabError, TimelikeViolation, ValidationError)
 from .evolve import (CharacteristicTracer, CharPath, FieldState, Grid1D, RunResult,
                      blowup_study, convergence_study, exact_travelling,
-                     exact_travelling_fields, init_state, lockstep_groups, rhs,
-                     richardson_time, run_evolution, stack_states, step,
-                     trace_characteristics)
+                     exact_travelling_fields, init_state, rhs, richardson_time,
+                     run_evolution, stack_states, step, trace_characteristics)
 from .initialdata import (CriterionReport, DataFamily, TraceTable, blowup_fixture,
                           build_data, check_kong_tsuji, criterion_for_family,
                           data_eigenvalues, higher_order_traces)

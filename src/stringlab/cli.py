@@ -6,8 +6,8 @@ run         criterion check, evolve to t_end, energy/monitor CSV.
             Exit 0 when no blow-up and all monitors pass, 2 on blow-up,
             1 on error or failed monitor.
 sweep       one run per delta in `deltas`; emits per-delta sups and the
-            fitted hierarchy slopes/constants.  Deltas with equal dt step
-            in lockstep as one ensemble.
+            fitted hierarchy slopes/constants.  All deltas step in
+            lockstep as one ensemble.
 converge    3-level refinement against the exact travelling-wave solution
             (requires delta = 0); a level that blows up is an error.
 blowup      3-level refinement of the detected blow-up time plus

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistory
-from .evolve import (FieldState, Grid1D, init_state, lockstep_groups, run_evolution,
-                     stack_states, step)
+from .evolve import FieldState, Grid1D, init_state, run_evolution, stack_states, step
 from .initialdata import TraceTable, higher_order_traces
 from .nullgeom import multiplier, null_stress, side_weight
 from .stencils import cubic_weights, deriv1
@@ -516,17 +515,12 @@ def tracked_run(cfg, fam, grid, tracker=None):
 def tracked_sweep(cfg, grid, deltas):
     """tracked_run of cfg.with_(delta=d) for each d in deltas, in order.
 
-    The members in one `lockstep_groups` group evolve as one ensemble, so
-    each result is bit for bit its tracked_run.
+    All deltas evolve as one ensemble, so each result is bit for bit its
+    tracked_run.
     """
     fams = [cfg.with_(delta=d).family() for d in deltas]
     members = [(fam, init_state(fam, grid), d) for fam, d in zip(fams, deltas)]
-    out = [None] * len(members)
-    for group in lockstep_groups([m[1] for m in members], cfg.t_end, cfg.cfl):
-        runs = _tracked_ensemble(cfg, grid, [members[b] for b in group], config_tracker(cfg))
-        for b, run in zip(group, runs):
-            out[b] = run
-    return out
+    return _tracked_ensemble(cfg, grid, members, config_tracker(cfg))
 
 
 def tower_at_zero(cfg, fam, grid):

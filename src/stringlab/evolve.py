@@ -33,6 +33,7 @@ from .stencils import cubic_interp, deriv1, ko_dissipation
 
 FIELD_CAP = 1e6
 CFL_DEFAULT = 0.4
+CFL_MAX = 0.9
 EPS_KO_DEFAULT = 0.01
 
 
@@ -132,23 +133,18 @@ def max_speed(w, p, disc=None):
     return float(lam) if lam.ndim == 0 else lam
 
 
-def _time_step(lam0, dx, t0, t_end, cfl):
-    """(dt, n_steps) of a run: dt = cfl*dx / max(lam0, 1/2) for initial
-    speed lam0, rounded so that n_steps steps land exactly on t_end."""
-    dt = cfl * dx / max(lam0, 0.5)
+def _time_step(dx, t0, t_end, cfl):
+    """(dt, n_steps) of a run: dt = cfl*dx, rounded so that n_steps steps
+    land exactly on t_end.  Both characteristic speeds of a timelike state
+    lie in [-1, 1] (`nullgeom.eigenvalues`), so the Courant number is at
+    most cfl whatever the state."""
+    if not 0.0 < cfl <= CFL_MAX:
+        raise ValueError(f"cfl out of (0, {CFL_MAX}]: {cfl}")
+    if not t_end > t0:
+        raise ValueError(f"t_end = {t_end} is not after the start time {t0}")
+    dt = cfl * dx
     n_steps = max(1, int(np.ceil((t_end - t0) / dt - 1e-12)))
     return (t_end - t0) / n_steps, n_steps
-
-
-def lockstep_groups(states, t_end, cfl=CFL_DEFAULT):
-    """Indices of the states whose run_evolution dt and step count are
-    bitwise equal, one list per group in first-seen order.  Each group can
-    evolve as one ensemble and still give every member its single run."""
-    groups = {}
-    for b, s in enumerate(states):
-        plan = _time_step(max_speed(s.w, s.p, s.disc), s.grid.dx, s.t, t_end, cfl)
-        groups.setdefault(plan, []).append(b)
-    return list(groups.values())
 
 
 def _stage_rhs(y, dx, eps_ko):
@@ -176,9 +172,9 @@ def rhs(state: FieldState):
     return state.w.copy(), dw, dp
 
 
-def step(state: FieldState, cfl: float = CFL_DEFAULT, eps_ko: float = EPS_KO_DEFAULT,
-         dt: float | None = None, gmin: float = GMIN_DEFAULT) -> FieldState:
-    """One RK4 step; dt defaults to cfl*dx / max|lambda|.
+def step(state: FieldState, dt: float, eps_ko: float = EPS_KO_DEFAULT,
+         gmin: float = GMIN_DEFAULT) -> FieldState:
+    """One RK4 step of size dt (run_evolution takes dt = cfl*dx).
 
     Raises BlowupDetected (with the last valid time) on loss of the timelike
     or hyperbolic regime, runaway field size, or non-finite values.  The
@@ -210,9 +206,6 @@ def step(state: FieldState, cfl: float = CFL_DEFAULT, eps_ko: float = EPS_KO_DEF
     # a failed member goes on to the end of the step beside the others; its
     # overflow is reported by name, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if dt is None:
-            hyperbolic(state.disc.reshape(phi0.shape))
-            dt = cfl * dx / float(np.max(max_speed(state.w, state.p, state.disc)))
         # the w rows of all members, then their p rows, ride through the
         # stages as one 2-d array; phi's slopes are the stage values of w
         y0 = np.concatenate((state.w.reshape(phi0.shape), state.p.reshape(phi0.shape)))
@@ -267,35 +260,32 @@ class RunResult:
 def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
                   cfl: float = CFL_DEFAULT, eps_ko: float = EPS_KO_DEFAULT,
                   gmin: float = GMIN_DEFAULT, callbacks=(), store_history: bool = False) -> RunResult:
-    """Evolve to t_end with a fixed dt chosen once from the initial speeds.
-
-    dt = cfl*dx / max(max|lambda|(0), 1/2), rounded so an integer number of
-    steps lands exactly on t_end.  Speeds never exceed 1 on a timelike
-    state, so the effective Courant number stays below 2*cfl.  Callbacks get
-    on_start(state) and on_step(state) with each accepted state.
+    """Evolve to t_end with the fixed dt = cfl*dx of the grid, rounded so an
+    integer number of steps lands exactly on t_end; the Courant number is at
+    most cfl (see `_time_step`).  Raises ValueError unless t_end is after the
+    start time and cfl lies in (0, CFL_MAX].  Callbacks get on_start(state)
+    and on_step(state) with each accepted state.
 
     Fields with leading axes make an ensemble, flattened to (B, n), whose
-    members step in lockstep with the dt of the fastest one; a member whose
-    own dt is that dt gets its single run's result bit for bit (see
-    `lockstep_groups`).  A member that blows up is finalised as its single
-    run would be, callbacks with on_drop(keep) learn which members go on,
-    and those redo the step.  The result lists one RunResult per member in
-    `members`; its own fields hold the last ensemble state, the stored
-    ensemble states, the extremes over the members and the earliest
-    blow-up.  A single-member run is the B = 1 case of the same loop.
+    members step in lockstep; each member gets its single run's result bit
+    for bit.  A member that blows up is finalised as its single run would
+    be, callbacks with on_drop(keep) learn which members go on, and those
+    redo the step.  The result lists one RunResult per member in `members`;
+    its own fields hold the last ensemble state, the stored ensemble states,
+    the extremes over the members and the earliest blow-up.  A
+    single-member run is the B = 1 case of the same loop.
     """
     if isinstance(fam_or_state, FieldState):
         state = fam_or_state.copy()
         grid = state.grid
     else:
         state = init_state(fam_or_state, grid)
+    dt, n_steps = _time_step(grid.dx, state.t, t_end, cfl)
     single = state.w.ndim == 1
     state = FieldState(state.t, grid,
                        *(f.reshape(-1, grid.n) for f in (state.phi, state.w, state.p)))
-    lam0 = max_speed(state.w, state.p, state.disc)
-    dt, n_steps = _time_step(np.max(lam0), grid.dx, state.t, t_end, cfl)
-    ids = np.arange(len(lam0))             # the members still running
-    max_seen, min_g_seen = lam0, np.min(state.disc, axis=-1)
+    ids = np.arange(len(state.w))          # the members still running
+    max_seen, min_g_seen = max_speed(state.w, state.p, state.disc), np.min(state.disc, axis=-1)
     results, snapshots, histories = [None] * len(ids), [], [[] for _ in ids]
 
     def accept(hook):
@@ -314,7 +304,7 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     accept("on_start")
     for _ in range(n_steps):
         try:
-            new = step(state, cfl=cfl, eps_ko=eps_ko, dt=dt, gmin=gmin)
+            new = step(state, dt, eps_ko=eps_ko, gmin=gmin)
         except BlowupDetected as exc:
             keep = np.array([r is None for r in exc.members])
             for k in np.flatnonzero(~keep):
@@ -326,7 +316,7 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
             for cb in callbacks:
                 if hasattr(cb, "on_drop"):
                     cb.on_drop(keep)
-            new = step(state, cfl=cfl, eps_ko=eps_ko, dt=dt, gmin=gmin)
+            new = step(state, dt, eps_ko=eps_ko, gmin=gmin)
         state = new
         max_seen = np.maximum(max_seen, max_speed(state.w, state.p, state.disc))
         min_g_seen = np.minimum(min_g_seen, np.min(state.disc, axis=-1))

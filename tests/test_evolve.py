@@ -4,8 +4,8 @@ import pytest
 from stringlab import (BlowupDetected, CharacteristicTracer, DataFamily, Grid1D,
                        HyperbolicityLoss, InsufficientHistory, ProfileSpec, StringLabError,
                        blowup_fixture, blowup_study, exact_travelling,
-                       exact_travelling_fields, init_state, lockstep_groups, rhs,
-                       run_evolution, stack_states, step, trace_characteristics)
+                       exact_travelling_fields, init_state, rhs, run_evolution,
+                       stack_states, step, trace_characteristics)
 from stringlab.evolve import FieldState, max_speed
 from stringlab.stencils import cubic_interp, deriv1
 
@@ -362,7 +362,6 @@ def test_ensemble_members_equal_their_single_runs():
     grid = Grid1D(-20, 0.1, 401)
     fams = _families(0.1, 0.05, 0.025)
     states = [init_state(fam, grid) for fam in fams]
-    assert lockstep_groups(states, 3.0) == [[0, 1, 2]]
     ens = run_evolution(stack_states(states), t_end=3.0, store_history=True)
     assert ens.status == "completed" and len(ens.members) == 3
     assert ens.state.w.shape == (3, grid.n) and len(ens.history) == ens.n_steps + 1
@@ -370,24 +369,36 @@ def test_ensemble_members_equal_their_single_runs():
         _assert_same_run(member, run_evolution(fam, grid, t_end=3.0, store_history=True))
 
 
-def test_ensemble_groups_by_dt_and_matches_single_runs():
+def test_ensemble_of_mixed_speeds_matches_single_runs():
     grid = Grid1D(-20, 0.1, 401)
     x = grid.x
     bump = np.exp(-x * x / 8.0)
-    # a moving background keeps the speeds below 1 everywhere: its own dt
-    # is larger than that of the compactly supported data
+    # a moving background keeps the speeds below 1 everywhere, while the
+    # compactly supported data reach 1; dt = cfl*dx is the same for all
     slow = [FieldState(0.0, grid, 0.3 * x, 0.6 + 0.1 * a * bump, 0.3 + 0.0 * x)
             for a in (1.0, 0.5)]
     fast = [init_state(fam, grid) for fam in _families(0.1, 0.05)]
     states = [fast[0], slow[0], fast[1], slow[1]]
-    groups = lockstep_groups(states, 2.0)
-    assert groups == [[0, 2], [1, 3]]
     singles = [run_evolution(s, t_end=2.0) for s in states]
-    assert singles[0].dt != singles[1].dt
-    for group in groups:
-        ens = run_evolution(stack_states([states[b] for b in group]), t_end=2.0)
-        for member, b in zip(ens.members, group):
-            _assert_same_run(member, singles[b])
+    assert singles[0].max_speed_seen != singles[1].max_speed_seen
+    assert all((r.dt, r.n_steps) == (0.04, 50) for r in singles)
+    ens = run_evolution(stack_states(states), t_end=2.0)
+    assert len(ens.members) == 4
+    for member, single in zip(ens.members, singles):
+        _assert_same_run(member, single)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"t_end": -0.5}, "t_end"),
+    ({"t_end": 2.0, "cfl": -0.4}, "cfl"),
+    ({"t_end": 2.0, "cfl": 5.0}, "cfl"),
+])
+def test_run_rejects_a_backward_or_unstable_step(kwargs, match):
+    # each used to "complete": one backward step of dt = -0.5, one step of
+    # dt = 2.0 (Courant number 20), or four steps at Courant number 5
+    grid = Grid1D(-20, 0.1, 401)
+    with pytest.raises(ValueError, match=match):
+        run_evolution(_families(0.1)[0], grid, **kwargs)
 
 
 def test_ensemble_member_blowup_leaves_the_others_unchanged():
@@ -399,7 +410,6 @@ def test_ensemble_member_blowup_leaves_the_others_unchanged():
     states = [FieldState(0.0, grid, 0.05 * x, w0 + 0.1 * bump, 0.05 + 0.0 * x)
               for w0 in (0.2, 0.1)]
     states.insert(1, init_state(blowup_fixture(), grid))
-    assert lockstep_groups(states, 5.0) == [[0, 1, 2]]
 
     class Drops:
         def __init__(self):
