@@ -45,7 +45,8 @@ fam = DataFamily(gamma=0.5, delta=0.1,
                  f=ProfileSpec("gaussian", 1.0, 0.0, 2.0),
                  fb=ProfileSpec("gaussian", 1.0, 0.0, 2.0))
 print("\nintegrated energy balance on null regions (residual under refinement):")
-for side, coord, label in (("TL", -1.0, "outgoing"), ("TLb", 1.0, "incoming")):
-    st = energy_balance_study(fam, side, coord, Grid1D(-24.0, 0.125, 385), t_end=4.0)
+studies = energy_balance_study(fam, (("TL", -1.0), ("TLb", 1.0)), Grid1D(-24.0, 0.125, 385),
+                               t_end=4.0)
+for st, side, label in zip(studies, ("TL", "TLb"), ("outgoing", "incoming")):
     pairs = ", ".join(f"{r:.3e}" for r in st.residuals)
     print(f"  {label} region ({side}): residuals {pairs} (order {st.observed_order:.2f})")

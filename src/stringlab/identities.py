@@ -26,6 +26,7 @@ Three families of checks:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,6 +227,8 @@ def divergence_identity_study(phi, varphi, gamma=0.5, side="TL",
 
 
 def _null_data(phi, varphi, t, x):
+    """Null-frame inputs of the deformation and trace identities at the
+    events (t, x): (A, B, a, b, L Lb phi, L^2 phi, Lb^2 phi)."""
     w = phi.d(1, 0, t, x)
     p = phi.d(0, 1, t, x)
     vt = varphi.d(1, 0, t, x)
@@ -241,10 +244,10 @@ def _null_data(phi, varphi, t, x):
     return A, B, a, b, llb, l2, lb2
 
 
-def deformation_direct(phi, varphi, t, x, gamma, side):
+def deformation_direct(nd, t, x, gamma, side):
     """T^a_b d_a(xi^b) by direct contraction with analytic coefficient
-    derivatives in the null frame."""
-    A, B, a, b, llb, l2, lb2 = _null_data(phi, varphi, t, x)
+    derivatives in the null frame; nd is `_null_data` at the events (t, x)."""
+    A, B, a, b, llb, l2, lb2 = nd
     t_uu, t_uub, t_ubu, t_ubub = null_stress(B, A, b, a)
     if side == "TL":
         ub = (np.asarray(t) + np.asarray(x)) / 2.0
@@ -261,8 +264,9 @@ def deformation_direct(phi, varphi, t, x, gamma, side):
     raise ValueError(f"bad side {side!r}")
 
 
-def deformation_closed(phi, varphi, t, x, gamma, side):
-    """Closed form of the deformation contraction.
+def deformation_closed(nd, t, x, gamma, side):
+    """Closed form of the deformation contraction; nd is `_null_data` at the
+    events (t, x).
 
     correction part: products of the dynamical correction's derivatives with
     two explicit stress components.  weight part: the weight derivative
@@ -270,7 +274,7 @@ def deformation_closed(phi, varphi, t, x, gamma, side):
     |Lphi Lb varphi| = |Lb phi L varphi|, e.g. varphi = phi or flat
     background, but not in general).
     """
-    A, B, a, b, llb, l2, lb2 = _null_data(phi, varphi, t, x)
+    A, B, a, b, llb, l2, lb2 = nd
     g = 1.0 - A * B
     if side == "TL":
         ub = (np.asarray(t) + np.asarray(x)) / 2.0
@@ -291,9 +295,10 @@ def deformation_closed(phi, varphi, t, x, gamma, side):
     raise ValueError(f"bad side {side!r}")
 
 
-def trace_residual(phi, varphi, t, x):
-    """T^a_a and the quadratic scale it should be compared against."""
-    A, B, a, b, *_ = _null_data(phi, varphi, t, x)
+def trace_residual(nd):
+    """T^a_a and the quadratic scale it should be compared against; nd is
+    `_null_data` at the events."""
+    A, B, a, b, *_ = nd
     t_uu, _, _, t_ubub = null_stress(B, A, b, a)
     scale = np.abs(a * b) + a * a + b * b + 1e-300
     return np.abs(t_uu + t_ubub), scale
@@ -301,7 +306,9 @@ def trace_residual(phi, varphi, t, x):
 
 def deformation_check(seed=0, n_fields=100, gamma=0.5, pts=None):
     """Max relative closed-vs-direct discrepancy and max relative trace over
-    random field pairs; both should sit at roundoff."""
+    random field pairs; both should sit at roundoff.  Each pair's null data
+    is evaluated once and shared by both sides of every check: the direct
+    contraction and the closed form stay independent computations."""
     rng = np.random.default_rng(seed)
     if pts is None:
         tt, xx = np.meshgrid(np.linspace(0.0, 2.0, 5), np.linspace(-4.0, 4.0, 33),
@@ -313,12 +320,13 @@ def deformation_check(seed=0, n_fields=100, gamma=0.5, pts=None):
     for _ in range(n_fields):
         phi = random_mixture(rng, amp=0.25)
         varphi = random_mixture(rng, amp=0.5)
+        nd = _null_data(phi, varphi, tt, xx)
         for side in ("TL", "TLb"):
-            d = deformation_direct(phi, varphi, tt, xx, gamma, side)
-            c = deformation_closed(phi, varphi, tt, xx, gamma, side)
+            d = deformation_direct(nd, tt, xx, gamma, side)
+            c = deformation_closed(nd, tt, xx, gamma, side)
             scale = np.max(np.abs(d)) + 1e-30
             worst = max(worst, float(np.max(np.abs(d - c)) / scale))
-        tr, scale = trace_residual(phi, varphi, tt, xx)
+        tr, scale = trace_residual(nd)
         worst_trace = max(worst_trace, float(np.max(tr / scale)))
     return worst, worst_trace
 
@@ -364,6 +372,16 @@ class BalanceAccumulator:
     step including t = 0.  side 'TLb' pairs with the region left of an
     incoming line (ub <= ub0, boundary x = 2 ub0 - t); side 'TL' with the
     region right of an outgoing line (u <= u0, boundary x = t - 2 u0).
+
+    The terms are summed as the levels stream in.  Level i's bulk term (the
+    region integral of d_t V^t plus the boundary value of V^x) is added once
+    level i+1 has arrived (level 0's, by its one-sided stencil, once level 2
+    has), and finalize() adds only the last level's one-sided term, so the
+    sum runs over i = 0, 1, ..., n-1 as a stored-history replay would.  The
+    accumulator holds a window of at most 3 V^t profiles plus one boundary
+    scalar per held level: O(n) memory whatever the run length.  on_start
+    resets every accumulated quantity, so one accumulator can serve several
+    runs; it takes single-member runs only.
     """
 
     def __init__(self, side, coord, gamma, k2=0):
@@ -373,12 +391,23 @@ class BalanceAccumulator:
         self.coord = float(coord)
         self.gamma = float(gamma)
         self.k2 = int(k2)
-        self._taus = []
-        self._vts = []          # V^t profiles (kept: a run at desk scale fits)
-        self._vxs = []
+        self._reset()
+
+    def _reset(self):
+        self._n = 0                 # levels seen
+        self._taus = deque(maxlen=3)
+        self._vts = deque(maxlen=3)     # V^t profiles of the held levels
+        self._edges = deque(maxlen=3)   # boundary V^x terms of the held levels
+        self._dt = None
+        self._bulk = 0.0
         self.sigma0 = None
         self.flux = 0.0
         self._prev_flux_integrand = None
+
+    @property
+    def levels_held(self):
+        """Number of V^t profiles currently referenced."""
+        return len(self._vts)
 
     # geometry helpers -----------------------------------------------------
     def _boundary_x(self, tau):
@@ -421,10 +450,13 @@ class BalanceAccumulator:
 
     # callback protocol ----------------------------------------------------
     def on_start(self, state):
+        if state.w.ndim != 1:
+            raise ValueError("the energy balance is accumulated along a single-member run")
+        self._reset()
+        self._grid = state.grid
         self._record(state)
-        grid = state.grid
-        self.sigma0 = self._region_integral(-self._vts[0], grid, self._boundary_x(state.t))
-        self._grid = grid
+        self.sigma0 = self._region_integral(-self._vts[0], self._grid,
+                                            self._boundary_x(state.t))
 
     def on_step(self, state):
         self._record(state)
@@ -432,9 +464,6 @@ class BalanceAccumulator:
     def _record(self, state):
         vt_cur, vx_cur = self._currents(state)
         tau = state.t
-        self._taus.append(tau)
-        self._vts.append(vt_cur)
-        self._vxs.append(vx_cur)
         # null flux integrand: the exact boundary measure is 2*V^{null}
         xb = self._boundary_x(tau)
         grid = state.grid
@@ -444,66 +473,75 @@ class BalanceAccumulator:
             # minus region: 2 V^ub = V^t + V^x ; plus region: 2 V^u = V^t - V^x
             integrand = -(vt_b + vx_b) if self.side == "TLb" else -(vt_b - vx_b)
         else:
+            vx_b = 0.0
             integrand = 0.0
         if self._prev_flux_integrand is not None:
-            dtau = tau - self._taus[-2]
+            dtau = tau - self._taus[-1]
             self.flux += 0.5 * dtau * (self._prev_flux_integrand + integrand)
         self._prev_flux_integrand = integrand
+        # bulk: the V^x boundary term of the region integral of d_x V^x
+        edge = float(vx_b) - vx_cur[0] if self.side == "TLb" else vx_cur[-1] - float(vx_b)
+        self._taus.append(tau)
+        self._vts.append(vt_cur)
+        self._edges.append(edge)
+        self._n += 1
+        if self._n == 2:
+            self._dt = self._taus[1] - self._taus[0]
+        elif self._n >= 3:
+            v0, v1, v2 = self._vts
+            if self._n == 3:
+                self._bulk += self._bulk_term(
+                    (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * self._dt), 0, 0.5)
+            self._bulk += self._bulk_term((v2 - v0) / (2.0 * self._dt), 1, 1.0)
+
+    def _bulk_term(self, dvt, k, wgt):
+        """Weighted bulk term of the held level k with d_t V^t = dvt."""
+        q = self._region_integral(dvt, self._grid, self._boundary_x(self._taus[k]))
+        q += self._edges[k]
+        return wgt * self._dt * q
 
     # final assembly --------------------------------------------------------
     def finalize(self):
         """Returns (residual, scale): |Sigma(t) + flux - Sigma(0) + bulk| and
         the magnitude of the largest term."""
-        taus = np.asarray(self._taus)
-        n = len(taus)
-        if n < 3:
-            raise InsufficientHistory(f"balance check needs at least 3 levels, have {n}")
-        dt = taus[1] - taus[0]
-        grid = self._grid
-        sigma_t = self._region_integral(-self._vts[-1], grid, self._boundary_x(taus[-1]))
-
-        bulk = 0.0
-        for i in range(n):
-            if i == 0:
-                dvt = (-3.0 * self._vts[0] + 4.0 * self._vts[1] - self._vts[2]) / (2.0 * dt)
-            elif i == n - 1:
-                dvt = (3.0 * self._vts[-1] - 4.0 * self._vts[-2] + self._vts[-3]) / (2.0 * dt)
-            else:
-                dvt = (self._vts[i + 1] - self._vts[i - 1]) / (2.0 * dt)
-            xb = self._boundary_x(taus[i])
-            q = self._region_integral(dvt, grid, xb)
-            vx_cur = self._vxs[i]
-            if grid.x0 <= xb <= grid.x_end:
-                vx_b = float(cubic_interp(vx_cur, grid.x0, grid.dx, xb))
-            else:
-                vx_b = 0.0
-            if self.side == "TLb":
-                q += vx_b - vx_cur[0]
-            else:
-                q += vx_cur[-1] - vx_b
-            wgt = 0.5 if i in (0, n - 1) else 1.0
-            bulk += wgt * dt * q
+        if self._n < 3:
+            raise InsufficientHistory(
+                f"balance check needs at least 3 levels, have {self._n}")
+        v0, v1, v2 = self._vts
+        sigma_t = self._region_integral(-v2, self._grid, self._boundary_x(self._taus[-1]))
+        bulk = self._bulk + self._bulk_term((3.0 * v2 - 4.0 * v1 + v0) / (2.0 * self._dt),
+                                            2, 0.5)
         residual = abs(sigma_t + self.flux - self.sigma0 + bulk)
         scale = max(abs(sigma_t), abs(self.sigma0), abs(self.flux), abs(bulk), 1e-300)
         return residual, scale
 
 
-def energy_balance_study(fam, side, coord, base_grid: Grid1D, t_end,
-                         levels=3, k2=0, cfl=0.4, eps_ko=0.01) -> IdentityResidual:
-    """Balance residual under simultaneous (dx, dt) refinement."""
-    residuals = []
+def energy_balance_study(fam, regions, base_grid: Grid1D, t_end, levels=3, k2=0,
+                         cfl=CFL_DEFAULT, eps_ko=EPS_KO_DEFAULT) -> list:
+    """Balance residuals under simultaneous (dx, dt) refinement, one
+    IdentityResidual per (side, coord) pair of regions, in that order.
+
+    All regions share one evolution per level: their accumulators ride as
+    callbacks of the same run, each streaming its own terms in O(n) memory.
+    The identities stay independent: each compares its own Sigma(t) -
+    Sigma(0) with its own flux and bulk, and only the evolved solution is
+    shared."""
+    regions = list(regions)
+    residuals = [[] for _ in regions]
     hs = []
     grid = base_grid
     for _ in range(levels):
-        acc = BalanceAccumulator(side, coord, fam.gamma, k2=k2)
-        run_evolution(fam, grid, t_end=t_end, cfl=cfl, eps_ko=eps_ko, callbacks=[acc])
-        res, scale = acc.finalize()
-        residuals.append(res / scale)
+        accs = [BalanceAccumulator(side, coord, fam.gamma, k2=k2) for side, coord in regions]
+        run_evolution(fam, grid, t_end=t_end, cfl=cfl, eps_ko=eps_ko, callbacks=accs)
+        for acc, res in zip(accs, residuals):
+            r, scale = acc.finalize()
+            res.append(r / scale)
         hs.append(grid.dx)
         grid = grid.refined()
-    name = "energy_balance_plus" if side == "TL" else "energy_balance_minus"
-    return IdentityResidual(identity=name, levels=hs, residuals=residuals,
-                            orders=_orders(residuals))
+    return [IdentityResidual(identity="energy_balance_plus" if side == "TL"
+                             else "energy_balance_minus",
+                             levels=list(hs), residuals=res, orders=_orders(res))
+            for (side, _), res in zip(regions, residuals)]
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +605,7 @@ def verify_suite(fam, seed, cfl=CFL_DEFAULT, eps_ko=EPS_KO_DEFAULT) -> SuiteResu
 
     # discrete energy balance on both null regions
     bal_grid = Grid1D(-24.0, 0.125, 385)
-    for side, coord in (("TL", -1.0), ("TLb", 1.0)):
-        study = energy_balance_study(fam, side, coord, bal_grid, t_end=4.0,
-                                     cfl=cfl, eps_ko=eps_ko)
+    for study in energy_balance_study(fam, (("TL", -1.0), ("TLb", 1.0)), bal_grid,
+                                      t_end=4.0, cfl=cfl, eps_ko=eps_ko):
         check(study, study.observed_order >= ORDER_MIN)
     return suite

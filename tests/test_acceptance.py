@@ -62,11 +62,9 @@ def test_a2_identity_suite():
         div_orders.append(study.observed_order)
 
     fam = DataFamily(gamma=0.5, delta=0.1, f=GAUSS2, fb=GAUSS2)
-    bal_orders = []
-    for side, coord in (("TL", -1.0), ("TLb", 1.0)):
-        study = energy_balance_study(fam, side, coord, Grid1D(-24.0, 0.125, 385),
-                                     t_end=4.0)
-        bal_orders.append(study.observed_order)
+    bal_orders = [study.observed_order for study in
+                  energy_balance_study(fam, (("TL", -1.0), ("TLb", 1.0)),
+                                       Grid1D(-24.0, 0.125, 385), t_end=4.0)]
 
     worst, worst_trace = deformation_check(seed=2024, n_fields=100)
     wall = time.time() - t0

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from stringlab import (DataFamily, Grid1D, InsufficientHistory, ProfileSpec, identities,
-                       init_state, metric_scalars, run_evolution, step)
-from stringlab.identities import (BalanceAccumulator, deformation_check,
+                       init_state, metric_scalars, run_evolution, stack_states, step)
+from stringlab.identities import (BalanceAccumulator, _null_data, deformation_check,
                                   deformation_closed, deformation_direct,
                                   divergence_identity_study, divergence_residual,
                                   energy_balance_study, equivalence_ratios,
-                                  trace_residual)
+                                  trace_residual, verify_suite)
+from stringlab.stencils import cubic_interp
 from stringlab.manufactured import Mixture, MovingGaussian, ZeroField, random_mixture
 
 
@@ -51,7 +52,7 @@ def test_deformation_vanishes_when_correction_does(rng):
     phi = MovingGaussian(0.5, 0.0, 1.5, 1.0)     # f(x - t)
     varphi = MovingGaussian(0.9, 0.4, 1.1, 1.0)
     tt, xx = np.meshgrid(np.linspace(0, 1, 4), np.linspace(-3, 3, 21), indexing="ij")
-    val = deformation_direct(phi, varphi, tt, xx, 0.5, "TL")
+    val = deformation_direct(_null_data(phi, varphi, tt, xx), tt, xx, 0.5, "TL")
     assert np.max(np.abs(val)) < 1e-14
 
 
@@ -61,12 +62,12 @@ def test_deformation_weight_term_is_needed(rng):
     phi = random_mixture(rng, amp=0.25)
     varphi = random_mixture(rng, amp=0.5)
     tt, xx = np.meshgrid(np.linspace(0.2, 0.9, 4), np.linspace(-3, 3, 21), indexing="ij")
-    direct = deformation_direct(phi, varphi, tt, xx, 0.5, "TLb")
-    closed = deformation_closed(phi, varphi, tt, xx, 0.5, "TLb")
+    nd = _null_data(phi, varphi, tt, xx)
+    direct = deformation_direct(nd, tt, xx, 0.5, "TLb")
+    closed = deformation_closed(nd, tt, xx, 0.5, "TLb")
     # reconstruct the weight part and subtract it
-    from stringlab.identities import _null_data
     from stringlab.nullgeom import weight_a_prime
-    A, B, a, b, *_ = _null_data(phi, varphi, tt, xx)
+    A, B, a, b, *_ = nd
     g = 1.0 - A * B
     weight_part = weight_a_prime((tt - xx) / 2.0, 0.5) * (A * A * b * b - B * B * a * a) / (8 * g)
     truncated = closed - weight_part
@@ -80,10 +81,9 @@ def test_deformation_sign_mutation_detected(rng):
     varphi = random_mixture(rng, amp=0.5)
     tt, xx = np.meshgrid(np.linspace(0.2, 0.9, 4), np.linspace(-3, 3, 21), indexing="ij")
 
-    def corrupted_closed(phi, varphi, t, x, gamma, side):
-        from stringlab.identities import _null_data
+    def corrupted_closed(nd, t, x, gamma, side):
         from stringlab.nullgeom import weight_a, weight_a_prime
-        A, B, a, b, llb, l2, lb2 = _null_data(phi, varphi, t, x)
+        A, B, a, b, llb, l2, lb2 = nd
         g = 1.0 - A * B
         uu = (np.asarray(t) - np.asarray(x)) / 2.0
         wgt, wgtp = weight_a(uu, gamma), weight_a_prime(uu, gamma)
@@ -92,8 +92,9 @@ def test_deformation_sign_mutation_detected(rng):
                       + (B * B * a * a - A * A * b * b) / (8.0 * g) * 2.0 * wgt * A * llb)
         return correction + wgtp * (A * A * b * b - B * B * a * a) / (8.0 * g)
 
-    direct = deformation_direct(phi, varphi, tt, xx, 0.5, "TLb")
-    bad = corrupted_closed(phi, varphi, tt, xx, 0.5, "TLb")
+    nd = _null_data(phi, varphi, tt, xx)
+    direct = deformation_direct(nd, tt, xx, 0.5, "TLb")
+    bad = corrupted_closed(nd, tt, xx, 0.5, "TLb")
     rel = np.max(np.abs(direct - bad)) / np.max(np.abs(direct))
     assert rel > 1e-6
 
@@ -102,7 +103,7 @@ def test_trace_identity_roundoff(rng):
     phi = random_mixture(rng, amp=0.3)
     varphi = random_mixture(rng, amp=0.6)
     tt, xx = np.meshgrid(np.linspace(0, 1, 5), np.linspace(-4, 4, 33), indexing="ij")
-    tr, scale = trace_residual(phi, varphi, tt, xx)
+    tr, scale = trace_residual(_null_data(phi, varphi, tt, xx))
     assert np.max(tr / scale) < 1e-13
 
 
@@ -196,15 +197,15 @@ def test_balance_travelling_tl_side_noise(travelling_family):
 
 @pytest.mark.parametrize("side,coord", [("TL", -1.0), ("TLb", 1.0)])
 def test_balance_converges(side, coord, default_family):
-    study = energy_balance_study(default_family, side, coord,
-                                 Grid1D(-22.0, 0.25, 177), t_end=3.0)
+    study, = energy_balance_study(default_family, [(side, coord)],
+                                  Grid1D(-22.0, 0.25, 177), t_end=3.0)
     assert study.observed_order > 1.5
     assert study.residuals[-1] < 1e-3
 
 
 def test_balance_higher_spatial_row(default_family):
-    study = energy_balance_study(default_family, "TLb", 0.5,
-                                 Grid1D(-22.0, 0.25, 177), t_end=2.0, k2=1)
+    study, = energy_balance_study(default_family, [("TLb", 0.5)],
+                                  Grid1D(-22.0, 0.25, 177), t_end=2.0, k2=1)
     assert study.observed_order > 1.5
 
 
@@ -215,3 +216,146 @@ def test_balance_finalize_needs_three_levels(default_family):
     acc.on_step(step(state, dt=0.04))
     with pytest.raises(InsufficientHistory, match="at least 3 levels, have 2"):
         acc.finalize()
+
+
+class _StoredBalance(BalanceAccumulator):
+    """The stored-profile assembly that the streamed accumulator replaced:
+    every V^t and V^x profile is kept, and finalize() runs the bulk sum over
+    the whole history.  It shares only the current, geometry and region
+    integral helpers with the streamed accumulator."""
+
+    def on_start(self, state):
+        self._all_taus, self._all_vts, self._all_vxs = [], [], []
+        self.sigma0 = None
+        self.flux = 0.0
+        self._prev = None
+        self._record(state)
+        self._grid = state.grid
+        self.sigma0 = self._region_integral(-self._all_vts[0], state.grid,
+                                            self._boundary_x(state.t))
+
+    def _record(self, state):
+        vt_cur, vx_cur = self._currents(state)
+        tau = state.t
+        self._all_taus.append(tau)
+        self._all_vts.append(vt_cur)
+        self._all_vxs.append(vx_cur)
+        xb = self._boundary_x(tau)
+        grid = state.grid
+        if grid.x0 <= xb <= grid.x_end:
+            vt_b = cubic_interp(vt_cur, grid.x0, grid.dx, xb)
+            vx_b = cubic_interp(vx_cur, grid.x0, grid.dx, xb)
+            integrand = -(vt_b + vx_b) if self.side == "TLb" else -(vt_b - vx_b)
+        else:
+            integrand = 0.0
+        if self._prev is not None:
+            self.flux += 0.5 * (tau - self._all_taus[-2]) * (self._prev + integrand)
+        self._prev = integrand
+
+    def finalize(self):
+        taus = np.asarray(self._all_taus)
+        vts, vxs = self._all_vts, self._all_vxs
+        n = len(taus)
+        dt = taus[1] - taus[0]
+        grid = self._grid
+        sigma_t = self._region_integral(-vts[-1], grid, self._boundary_x(taus[-1]))
+        bulk = 0.0
+        for i in range(n):
+            if i == 0:
+                dvt = (-3.0 * vts[0] + 4.0 * vts[1] - vts[2]) / (2.0 * dt)
+            elif i == n - 1:
+                dvt = (3.0 * vts[-1] - 4.0 * vts[-2] + vts[-3]) / (2.0 * dt)
+            else:
+                dvt = (vts[i + 1] - vts[i - 1]) / (2.0 * dt)
+            xb = self._boundary_x(taus[i])
+            q = self._region_integral(dvt, grid, xb)
+            if grid.x0 <= xb <= grid.x_end:
+                vx_b = float(cubic_interp(vxs[i], grid.x0, grid.dx, xb))
+            else:
+                vx_b = 0.0
+            if self.side == "TLb":
+                q += vx_b - vxs[i][0]
+            else:
+                q += vxs[i][-1] - vx_b
+            wgt = 0.5 if i in (0, n - 1) else 1.0
+            bulk += wgt * dt * q
+        residual = abs(sigma_t + self.flux - self.sigma0 + bulk)
+        scale = max(abs(sigma_t), abs(self.sigma0), abs(self.flux), abs(bulk), 1e-300)
+        return residual, scale
+
+
+@pytest.mark.parametrize("k2", [0, 1])
+@pytest.mark.parametrize("side,coord,leaves", [("TL", -1.0, False), ("TLb", 1.0, False),
+                                               ("TL", -2.5, True), ("TLb", -2.5, True)])
+def test_streamed_balance_equals_stored_profiles(default_family, side, coord, leaves, k2):
+    # boundary lines at coord -2.5 start 1 inside the edge of the grid and
+    # leave it at t = 1
+    grid = Grid1D(-6.0, 0.1, 121)
+    streamed = BalanceAccumulator(side, coord, 0.5, k2=k2)
+    stored = _StoredBalance(side, coord, 0.5, k2=k2)
+    run_evolution(default_family, grid, t_end=2.0, callbacks=[streamed, stored])
+    xb = streamed._boundary_x(2.0)
+    assert (not grid.x0 <= xb <= grid.x_end) == leaves
+    assert streamed.finalize() == stored.finalize()
+    assert (streamed.sigma0, streamed.flux) == (stored.sigma0, stored.flux)
+    assert streamed.finalize() == stored.finalize()     # finalize leaves the sums alone
+
+
+def test_balance_window_stays_three_levels(default_family):
+    acc = BalanceAccumulator("TLb", 1.0, 0.5)
+    held = []
+
+    class Probe:
+        def on_step(self, state):
+            held.append(acc.levels_held)
+
+    res = run_evolution(default_family, Grid1D(-12.0, 0.1, 241), t_end=12.0,
+                        callbacks=[acc, Probe()])
+    assert res.n_steps == 300 and len(held) == 300
+    assert max(held) == 3
+    acc.finalize()
+    assert acc.levels_held == 3
+
+
+def test_reused_balance_accumulator_equals_fresh(default_family):
+    # the verify balance grid and family; a second run through one
+    # accumulator must not mix in the first run's terms
+    grid = Grid1D(-24.0, 0.125, 385)
+    reused = BalanceAccumulator("TLb", 1.0, 0.5)
+    run_evolution(default_family, grid, t_end=1.0, callbacks=[reused])
+    first = reused.finalize()
+    fresh = BalanceAccumulator("TLb", 1.0, 0.5)
+    run_evolution(default_family, grid, t_end=1.0, callbacks=[reused, fresh])
+    assert reused.finalize() == fresh.finalize() == first
+    assert (reused.sigma0, reused.flux) == (fresh.sigma0, fresh.flux)
+
+
+def test_balance_accumulator_rejects_an_ensemble(default_family):
+    grid = Grid1D(-12.0, 0.1, 241)
+    ens = stack_states([init_state(default_family, grid)] * 2)
+    with pytest.raises(ValueError, match="single-member run"):
+        run_evolution(ens, t_end=1.0, callbacks=[BalanceAccumulator("TLb", 1.0, 0.5)])
+
+
+def test_two_region_study_equals_one_region_studies(default_family):
+    grid = Grid1D(-22.0, 0.25, 177)
+    regions = [("TL", -1.0), ("TLb", 1.0)]
+    both = energy_balance_study(default_family, regions, grid, t_end=2.0)
+    singles = [energy_balance_study(default_family, [r], grid, t_end=2.0)[0] for r in regions]
+    assert both == singles
+    assert [s.identity for s in both] == ["energy_balance_plus", "energy_balance_minus"]
+
+
+def test_verify_suite_evolves_each_balance_level_once(monkeypatch, default_family):
+    # both balance regions ride on one run per level: 3 levels, 3 runs
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("callbacks"))
+        return run_evolution(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "run_evolution", counted)
+    suite = verify_suite(default_family, seed=1)
+    assert not suite.failures
+    assert len(calls) == 3
+    assert all(len(cbs) == 2 for cbs in calls)
