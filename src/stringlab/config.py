@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .errors import ParseError, ValidationError
+from .evolve import CFL_MAX
 from .initialdata import DataFamily
 from .profiles import ProfileSpec
-# last on purpose: importing evolve ahead of the scipy-backed modules above
-# measured about 0.07 s slower start-up (perfbench setup_s, 2-core x86-64)
-from .evolve import CFL_MAX
 
 MODES = ("run", "sweep", "converge", "blowup", "verify", "tracecheck")
 

@@ -468,8 +468,7 @@ class BalanceAccumulator:
         xb = self._boundary_x(tau)
         grid = state.grid
         if grid.x0 <= xb <= grid.x_end:
-            vt_b = cubic_interp(vt_cur, grid.x0, grid.dx, xb)
-            vx_b = cubic_interp(vx_cur, grid.x0, grid.dx, xb)
+            vt_b, vx_b = cubic_interp(np.stack((vt_cur, vx_cur)), grid.x0, grid.dx, xb)
             # minus region: 2 V^ub = V^t + V^x ; plus region: 2 V^u = V^t - V^x
             integrand = -(vt_b + vx_b) if self.side == "TLb" else -(vt_b - vx_b)
         else:

@@ -12,17 +12,22 @@ with s = (x - center)/width.  Derivatives come from exact polynomial
 recurrences in s (Hermite-style for the gaussian kinds, a rational-numerator
 recurrence for the bump), so any order is available everywhere without
 numerical differentiation.
+
+Everything here is numpy and the standard library: the gaussian
+antiderivative uses ``erf``, a port of the Cephes rational approximation
+that scipy also uses, and the bump antiderivative a cumulative Simpson table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy import integrate
-from scipy.special import erf
+
+from .stencils import cubic_interp
 
 KINDS = ("gaussian", "polynomial-gaussian", "bump")
 
@@ -88,24 +93,81 @@ def profile_derivative(h: ProfileSpec, k: int, x):
     return float(out) if out.ndim == 0 else out
 
 
-# dense cumulative integral of the bump core exp(1 - 1/(1-s^2)) on [-1, 1]
+# Cephes ndtr.c coefficients, highest degree first: erf = x T(x^2)/U(x^2) on
+# |x| <= 1, and erfc = exp(-x^2) P(x)/Q(x) on 1 < x < 8.  Cephes switches to a
+# third fit for erfc at x >= 8, but there erfc < 1.2e-29, far below half an
+# ulp of 1, so 1 - erfc rounds to exactly 1.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2, 1.82390916687909736289e3,
+           2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _polevl(x, coef):
+    out = coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def erf(x):
+    """Error function, elementwise; bit-identical to ``scipy.special.erf``.
+
+    A numpy port of the Cephes erf/erfc that scipy wraps, with its operation
+    order kept: odd symmetry erf(x) = sign(x) (1 - erfc(|x|)) for |x| > 1, and
+    exp(-x^2) taken from libm (``math.exp``), which rounds differently from
+    ``np.exp`` on a few percent of arguments.  erf(+-inf) = +-1, NaN stays
+    NaN and -0.0 keeps its sign.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    out = np.ones_like(a)                  # |x| >= 8, where 1 - erfc rounds to 1
+    core = a <= 1.0
+    ac = a[core]
+    z = ac * ac
+    out[core] = ac * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+    tail = ~core & ~(a >= 8.0)             # NaN falls here and propagates
+    at = a[tail]
+    e = np.fromiter(map(math.exp, (-(at * at)).tolist()), dtype=float, count=at.size)
+    out[tail] = 1.0 - e * _polevl(at, _ERFC_P) / _polevl(at, _ERFC_Q)
+    out = np.copysign(out, x)
+    return float(out) if out.ndim == 0 else out
+
+
+# Cumulative integral of the bump core exp(1 - 1/(1-s^2)) on 8193 nodes of
+# [-1, 1] (spacing 2**-12, exact in binary).  Each cell is integrated by the
+# quadratic through its node pair and the other node of its Simpson pair, so
+# every even node carries the composite Simpson sum.
+_BUMP_NODES = 8193
+_BUMP_DS = 2.0 / (_BUMP_NODES - 1)
+
+
 @lru_cache(maxsize=None)
 def _bump_cumulative():
-    from scipy.interpolate import CubicSpline
-
-    s = np.linspace(-1.0, 1.0, 8193)
+    s = np.linspace(-1.0, 1.0, _BUMP_NODES)
     v = np.zeros_like(s)
     inside = np.abs(s) < _BUMP_EDGE
     v[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-    cum = integrate.cumulative_simpson(v, x=s, initial=0.0)
-    return CubicSpline(s, cum), float(cum[-1])
+    f0, f1, f2 = v[:-2:2], v[1:-1:2], v[2::2]
+    cells = np.empty(_BUMP_NODES - 1)
+    cells[0::2] = _BUMP_DS / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
+    cells[1::2] = _BUMP_DS / 12.0 * (-f0 + 8.0 * f1 + 5.0 * f2)
+    cum = np.concatenate(([0.0], np.cumsum(cells)))
+    return cum, float(cum[-1])
 
 
 def profile_antiderivative(h: ProfileSpec, x):
     """Integral of the profile from -infinity to x.
 
-    Gaussian kinds have closed forms (erf / gaussian); the bump uses a cached
-    dense Simpson table, accurate to ~1e-12 of its mass.
+    Gaussian kinds have closed forms (``erf`` / gaussian); the bump reads a
+    cached cumulative Simpson table through 4-point Lagrange interpolation
+    (``stencils.cubic_interp``), accurate to ~1e-13 of its mass.
     """
     x = np.asarray(x, dtype=float)
     s = (x - h.center) / h.width
@@ -115,8 +177,9 @@ def profile_antiderivative(h: ProfileSpec, x):
     elif h.kind == "polynomial-gaussian":
         out = -0.5 * aw * np.exp(-s * s)
     else:
-        spline, total = _bump_cumulative()
-        out = aw * np.where(s <= -1.0, 0.0, np.where(s >= 1.0, total, spline(np.clip(s, -1.0, 1.0))))
+        cum, total = _bump_cumulative()
+        inner = cubic_interp(cum, -1.0, _BUMP_DS, np.clip(s, -1.0, 1.0).ravel()).reshape(s.shape)
+        out = aw * np.where(s <= -1.0, 0.0, np.where(s >= 1.0, total, inner))
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from stringlab import ProfileSpec, profile_antiderivative, profile_derivative
-from stringlab.profiles import support_radius
+from stringlab.profiles import erf, support_radius
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "polynomial-gaussian", "bump"])
@@ -65,3 +74,71 @@ def test_bump_compact_support():
     assert profile_derivative(h, 4, -1.6) == 0.0
     assert support_radius(h) == 1.5
 
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("lo, hi, n", [(-40.0, 40.0, 1_000_001), (-8.0, 8.0, 1_000_001)])
+def test_erf_bitwise_equals_scipy_on_dense_grid(lo, hi, n):
+    x = np.linspace(lo, hi, n)
+    assert _same_bits(erf(x), special.erf(x))
+
+
+def test_erf_bitwise_equals_scipy_at_edge_cases():
+    tiny = np.finfo(float).smallest_subnormal
+    x = np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -3e-320,
+                  np.finfo(float).tiny, 1e-200, 1.0, -1.0, np.nextafter(1.0, 2.0),
+                  8.0, -8.0, np.nextafter(8.0, 0.0), 26.5, 1e300, -1e300])
+    assert _same_bits(erf(x), special.erf(x))
+    assert erf(np.inf) == 1.0 and erf(-np.inf) == -1.0
+    assert np.signbit(erf(-0.0)) and not np.signbit(erf(0.0))
+    assert np.isnan(erf(np.nan)) and np.all(np.isnan(erf(np.array([np.nan, -np.nan]))))
+    assert isinstance(erf(0.3), float) and erf(0.3) == special.erf(0.3)
+
+
+def test_bump_antiderivative_matches_quadrature():
+    h = ProfileSpec("bump", 1.3, 0.5, 2.0)     # s = (x - 0.5)/2 is exact
+
+    def core(t):
+        return np.exp(1.0 - 1.0 / (1.0 - t * t)) if abs(t) < 1.0 else 0.0
+
+    def quad(a, b):
+        return 1.3 * 2.0 * integrate.quad(core, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+    mass = quad(-1.0, 1.0)
+    s = np.linspace(-1.0, 1.0, 41)
+    expect = np.array([quad(-1.0, si) for si in s])
+    assert np.max(np.abs(profile_antiderivative(h, 0.5 + 2.0 * s) - expect)) < 1e-12 * mass
+    beyond = profile_antiderivative(h, 0.5 + 2.0 * np.array([1.0, 1.0 + 1e-9, 1.5, 40.0]))
+    assert np.all(beyond == beyond[0]) and abs(beyond[0] - mass) < 1e-12 * mass
+    assert np.all(profile_antiderivative(h, 0.5 - 2.0 * np.array([1.0, 1.5, 40.0])) == 0.0)
+
+
+RUNTIME_CHECK = textwrap.dedent(r"""
+    import sys
+    from pathlib import Path
+    import stringlab.cli as cli
+    out = Path(sys.argv[1])
+    for kind in ("gaussian", "bump"):
+        cfg = out / (kind + ".cfg")
+        cfg.write_text("t_end = 1\nx0 = -16\ndx = 0.1\nn = 321\nreport_every = 5\n"
+                       "probes_u = 0\nprobes_ub = 0\nf_kind = " + kind + "\n")
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(out / kind)])
+        assert rc == 0, (kind, rc)
+        assert (out / kind / "energy.csv").exists()
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # A fresh interpreter: importing the package and running gaussian and bump
+    # seeds must never load scipy, which only the tests use as an oracle.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", RUNTIME_CHECK, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
