@@ -40,7 +40,7 @@ from .errors import InsufficientHistory
 from .evolve import FieldState, Grid1D, init_state, run_evolution, stack_states, step
 from .initialdata import TraceTable, higher_order_traces
 from .nullgeom import multiplier, null_stress, side_weight
-from .stencils import cubic_weights, deriv1
+from .stencils import cubic_combine, cubic_weights, deriv1
 
 N_DEFAULT = 4
 AGMON_SLACK = 1e-6              # Agmon margins may dip this far below 0, relative to sqrt(sup E)
@@ -393,12 +393,10 @@ class EnergyTracker:
         # (xq - x0)/dx would round differently in the last bits
         i0 = np.round((xq - grid.x0) / grid.dx).astype(int) - self._hw
         pos = (xq - (grid.x0 + i0 * grid.dx)) / grid.dx
-        base, (w0, w1, w2, w3) = cubic_weights(pos, 2 * self._hw + 1)
+        base, weights = cubic_weights(pos, 2 * self._hw + 1)
         idx = (i0 + base)[:, None] + np.arange(4)
         cols = self._rows.take(idx, axis=-1)[self._ring_order()]   # (2N+1, N+1, 2, B, P, 4)
-        rows = time_rows(cols, self._times[1] - self._times[0], self.N)
-        return (w0 * rows[..., 0] + w1 * rows[..., 1]
-                + w2 * rows[..., 2] + w3 * rows[..., 3])
+        return cubic_combine(weights, time_rows(cols, self._times[1] - self._times[0], self.N))
 
     def _flux_density(self, rows, xq, tau, side):
         """weight*|row(xq)|^2*sqrt(g(xq)) summed over the rows of each order,

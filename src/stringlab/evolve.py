@@ -18,6 +18,7 @@ interior (checked by the nested-domain tests).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,7 +30,7 @@ from .errors import BlowupDetected, HyperbolicityLoss, InsufficientHistory
 from .initialdata import DataFamily
 from .nullgeom import GMIN_DEFAULT
 from .profiles import profile_derivative
-from .stencils import cubic_interp, deriv1, ko_dissipation
+from .stencils import cubic_combine, cubic_weights, deriv1, ko_dissipation
 
 FIELD_CAP = 1e6
 CFL_DEFAULT = 0.4
@@ -127,9 +128,15 @@ def max_speed(w, p, disc=None):
     mdisc = float(np.min(disc))
     if mdisc <= 0.0:
         raise HyperbolicityLoss(mdisc)
-    den = 1.0 + p * p
-    root = np.sqrt(disc)
-    lam = np.max(np.maximum(np.abs(-w * p - root), np.abs(-w * p + root)) / den, axis=-1)
+    # max(|-wp - root|, |-wp + root|) is |wp| + root bit for bit: root >= 0
+    # and rounding is monotone
+    speed = w * p
+    np.abs(speed, out=speed)
+    speed += np.sqrt(disc)
+    den = p * p
+    den += 1.0
+    speed /= den
+    lam = np.max(speed, axis=-1)
     return float(lam) if lam.ndim == 0 else lam
 
 
@@ -149,19 +156,33 @@ def _time_step(dx, t0, t_end, cfl):
 
 def _stage_rhs(y, dx, eps_ko):
     """dt of the rows y = (w rows, p rows) and the discriminant 1 + p^2 - w^2:
-    one deriv1 and one ko_dissipation call whatever the number of members."""
+    one deriv1 and one ko_dissipation call whatever the number of members.
+
+    The w rows are (2 w p w_x - (w^2 - 1) p_x) / (1 + p^2) [+ ko], the p rows
+    w_x [+ ko], each evaluated in that order; the sums run in place."""
     half = len(y) // 2
     w, p = y[:half], y[half:]
     yx = deriv1(y, dx)
     wx, px = yx[:half], yx[half:]
-    den = 1.0 + p * p
+    den = p * p
+    den += 1.0
     ww = w * w
-    k = np.empty_like(y)
-    np.divide(2.0 * w * p * wx - (ww - 1.0) * px, den, out=k[:half])
-    k[half:] = wx
+    dw = 2.0 * w
+    dw *= p
+    dw *= wx
+    px_term = ww - 1.0
+    px_term *= px
+    dw -= px_term
     if eps_ko:
-        k += ko_dissipation(y, dx, eps_ko)
-    return k, den - ww
+        dw /= den
+        k = ko_dissipation(y, dx, eps_ko)
+        k[:half] += dw
+        k[half:] += wx
+    else:
+        k = np.empty_like(y)
+        np.divide(dw, den, out=k[:half])
+        k[half:] = wx
+    return k, np.subtract(den, ww, out=ww)
 
 
 def rhs(state: FieldState):
@@ -210,24 +231,45 @@ def step(state: FieldState, dt: float, eps_ko: float = EPS_KO_DEFAULT,
         # stages as one 2-d array; phi's slopes are the stage values of w
         y0 = np.concatenate((state.w.reshape(phi0.shape), state.p.reshape(phi0.shape)))
         w_rows, p_rows = slice(n_members), slice(n_members, None)
+        # y1 = y0 + dt/6 (k1 + 2 k2 + 2 k3 + k4) and
+        # phi1 = phi0 + dt/6 (y0 + 2 y2 + 2 y3 + y4)[w rows], accumulated in
+        # place in that order as the stages come in (stage values y2..y4
+        # share one buffer)
         k1, disc = _stage_rhs(y0, dx, eps_ko)
         hyperbolic(disc)
-        y2 = y0 + 0.5 * dt * k1
-        k2, disc = _stage_rhs(y2, dx, eps_ko)
+        y = k1 * (0.5 * dt)
+        y += y0
+        phi1 = y[w_rows] * 2.0
+        phi1 += y0[w_rows]
+        k2, disc = _stage_rhs(y, dx, eps_ko)
         hyperbolic(disc)
-        y3 = y0 + 0.5 * dt * k2
-        k3, disc = _stage_rhs(y3, dx, eps_ko)
+        np.multiply(k2, 0.5 * dt, out=y)
+        y += y0
+        phi1 += y[w_rows] * 2.0
+        ksum = k2
+        ksum *= 2.0
+        ksum += k1
+        k3, disc = _stage_rhs(y, dx, eps_ko)
         hyperbolic(disc)
-        y4 = y0 + dt * k3
-        k4, disc = _stage_rhs(y4, dx, eps_ko)
+        np.multiply(k3, dt, out=y)
+        y += y0
+        phi1 += y[w_rows]
+        k3 *= 2.0
+        ksum += k3
+        k4, disc = _stage_rhs(y, dx, eps_ko)
         hyperbolic(disc)
-        y1 = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        phi1 = phi0 + dt / 6.0 * (y0[w_rows] + 2.0 * y2[w_rows] + 2.0 * y3[w_rows] + y4[w_rows])
+        ksum += k4
+        ksum *= dt / 6.0
+        y1 = ksum
+        y1 += y0
+        phi1 *= dt / 6.0
+        phi1 += phi0
 
-        finite = np.isfinite(y1).all(axis=-1)
+        # a row's max |value| is finite exactly when all its values are
+        sup = np.max(np.abs(y1), axis=-1)
+        finite = np.isfinite(sup)
         flag(~(finite[w_rows] & finite[p_rows] & np.isfinite(phi1).all(axis=-1)),
              lambda i: "non-finite values")
-        sup = np.max(np.abs(y1), axis=-1)
         sup = np.maximum(sup[w_rows], sup[p_rows])
         flag(sup > FIELD_CAP, lambda i: f"field size {sup[i]:.3e} exceeds cap")
         new = FieldState(t=state.t + dt, grid=state.grid, phi=phi1.reshape(shape),
@@ -382,10 +424,11 @@ class CharacteristicTracer:
     j is one of i-2, i-1, i.  The step runs once level i+4 has arrived, so
     the clip of j to the last 4 levels of the run cannot act before the run
     ends; the tracer then drops every level older than i-1.  It references
-    at most 7 levels (step returns fresh arrays, so none is copied) plus one
-    stacked copy of the current 4-level window, so memory is O(n) whatever
-    the run length.  finish() runs the remaining tail steps with j clipped
-    to the last 4 levels, exactly as a replay of the stored history would.
+    at most 7 levels (step returns fresh arrays, so none is copied) and
+    gathers only the 4 stencil columns of each seed from each of the 4
+    levels it interpolates, so memory is O(n) whatever the run length.
+    finish() runs the remaining tail steps with j clipped to the last 4
+    levels, exactly as a replay of the stored history would.
     """
 
     def __init__(self, seeds, family: str = "plus"):
@@ -409,7 +452,6 @@ class CharacteristicTracer:
         self._times = []
         self._levels = deque()
         self._first = 0                  # run index of self._levels[0]
-        self._window = (None, None)      # (j, stacked (4, 2, n) levels j..j+3)
         xs = self.seeds.copy()
         self._xs = xs
         self._alive = (xs > self._lo) & (xs < self._hi)
@@ -446,14 +488,16 @@ class CharacteristicTracer:
 
     def _lam(self, t, xq):
         times, dt = self._times, self._times[1] - self._times[0]
-        # cubic in time over the 4 nearest levels, then cubic in space
-        j = int(np.clip(np.floor((t - times[0]) / dt) - 1, 0, len(times) - 4))
-        if self._window[0] != j:
-            k = j - self._first
-            self._window = (j, np.array(list(islice(self._levels, k, k + 4))))
+        # cubic in space at each of the 4 nearest levels, then cubic in time;
+        # only the 4 stencil columns of each seed are gathered
+        j = min(max(math.floor((t - times[0]) / dt) - 1, 0), len(times) - 4)
         grid = self._grid
-        q = cubic_interp(self._window[1], grid.x0, grid.dx, xq)       # (4, 2, m)
-        wt, pt = cubic_interp(np.moveaxis(q, 0, -1), times[j], dt, t)  # (2, m)
+        base, weights = cubic_weights((xq - grid.x0) / grid.dx, grid.n)
+        cols = base[:, None] + np.arange(4)
+        k = j - self._first
+        q = cubic_combine(weights, np.array([(w.take(cols), p.take(cols))
+                                             for w, p in islice(self._levels, k, k + 4)]))
+        wt, pt = cubic_combine(cubic_weights((t - times[j]) / dt, 4)[1], q, axis=0)   # (2, m)
         disc = np.maximum(1.0 + pt * pt - wt * wt, 0.0)
         return (-wt * pt + self._sign * np.sqrt(disc)) / (1.0 + pt * pt)
 

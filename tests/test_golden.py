@@ -47,7 +47,8 @@ dx = 0.140625
 n = 257
 """
 
-# mode -> (config text, extra CLI arguments, {CSV name: sha256})
+# name -> (config text, extra CLI arguments, {CSV name: sha256}); the CLI
+# mode is the name up to the first underscore
 GOLDEN = {
     "run": (SMALL_RUN, [], {
         "criterion.csv": "d471a669e139d361e53ac0d0e3aa79d2a9f8888a2e103f5c6a32a77a38a13376",
@@ -62,6 +63,10 @@ GOLDEN = {
     }),
     "converge": (CONVERGE, [], {
         "converge.csv": "9e1c1b70aa3149d24c2332e65bae93622fdd284db3a8c8190e73f5835b459a82",
+    }),
+    # the undamped branch of the stage right-hand side (no ko_dissipation)
+    "converge_undamped": (CONVERGE + "eps_ko = 0\n", [], {
+        "converge.csv": "d74159ceefb68a1aa59cb98736dfd9660ad719be9405c15543fad75a37a5d086",
     }),
     "blowup": (BLOWUP, [], {
         "blowup.csv": "f434279907c6c46a2496bcbb68d1183b0334c6c7420dda82c7d44302287e51c6",
@@ -78,9 +83,10 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("mode", list(GOLDEN))
-def test_cli_csv_outputs_are_pinned(tmp_path, capsys, mode):
-    text, extra, pinned = GOLDEN[mode]
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_cli_csv_outputs_are_pinned(tmp_path, capsys, name):
+    text, extra, pinned = GOLDEN[name]
+    mode = name.partition("_")[0]
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
