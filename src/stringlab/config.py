@@ -117,8 +117,18 @@ def validate_config(cfg: ExperimentConfig, check_domain: bool = True):
         raise ValidationError(f"t_end must be positive: {cfg.t_end}")
     if cfg.eps_ko < 0:
         raise ValidationError(f"eps_ko must be >= 0: {cfg.eps_ko}")
+    # with gmin >= 0 every state that step accepts is hyperbolic (evolve.run_evolution)
+    if not 0.0 <= cfg.gmin < 1.0:
+        raise ValidationError(f"gmin out of [0, 1): {cfg.gmin}")
+    for key in ("f_width", "fb_width"):
+        if not getattr(cfg, key) > 0:
+            raise ValidationError(f"{key} must be positive: {getattr(cfg, key)}")
     if cfg.mode == "sweep" and len(cfg.deltas) < 3:
         raise ValidationError("sweep needs at least 3 delta values")
+    # the hierarchy fit takes log delta over distinct deltas
+    if cfg.mode == "sweep" and not (all(d > 0 for d in cfg.deltas)
+                                    and len(set(cfg.deltas)) == len(cfg.deltas)):
+        raise ValidationError(f"sweep deltas must be positive and distinct: {cfg.deltas}")
     if cfg.mode == "converge" and cfg.delta != 0.0:
         raise ValidationError("converge mode needs the travelling-wave oracle: set delta = 0")
     if cfg.mode == "tracecheck" and cfg.N < 2:

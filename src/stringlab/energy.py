@@ -528,7 +528,7 @@ def tower_at_zero(cfg, fam, grid):
     for dt in (-cfg.cfl * grid.dx, cfg.cfl * grid.dx):
         s, levels = state0, []
         for _ in range(cfg.N):
-            s = step(s, dt=dt, eps_ko=cfg.eps_ko, gmin=cfg.gmin)
+            s, _ = step(s, dt=dt, eps_ko=cfg.eps_ko, gmin=cfg.gmin)
             levels.append(s)
         sides.append(levels)
     return build_tower(sides[0][::-1] + [state0] + sides[1], cfg.N)

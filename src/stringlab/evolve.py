@@ -14,6 +14,36 @@ Initial data are numerically compactly supported and the characteristic
 speeds never exceed 1 on a timelike state, so a domain sized
 support + t_end + margin makes the boundary treatment irrelevant for the
 interior (checked by the nested-domain tests).
+
+Active window.  Such a domain is mostly vacuum for most of a run, so
+run_evolution steps only a sub-grid where the fields live.  A cell is live
+where |w| or |p| exceeds LIVE_FLOOR (or is not finite).  One RK4 step moves
+information by _REACH = 8 cells (4 stages x a stencil radius of 2), so a
+member's live range widened by _REACH cells gets the same bits from a step
+of its live range widened by 2 _REACH cells as from the full step: every
+stage value those cells use comes from an interior stencil in both, or
+from the same edge stencil where the window meets the grid edge.  Each
+member keeps the new values on its own live range widened by _REACH cells
+and its old values elsewhere, so its result does not depend on the other
+members.  A member windows only when its window skips at least
+WINDOW_MIN_SKIP points, where the live mask costs a few per cent of what
+it saves.  Grids under WINDOW_MIN_SKIP + 33 points never build the mask,
+and the fields of the default run and of verify span too much of their
+larger grids to window.  The stepped sub-grid is the hull of the members'
+windows, grown to whole blocks of _WINDOW_BLOCK points, or the whole grid
+when some member does not window.
+
+No blow-up check can trip on the cells a windowed step leaves out.  A
+frozen cell holds |w|, |p| <= 1e-30, and a stepped cell outside the kept
+range is computed from such cells only (it lies more than _REACH cells from
+the live range, and the sub-grid edges, whose one-sided stencils reach 4
+points in, at least 2 _REACH): one step scales them by at most
+e^(dt L) with dt L of order 10, so all their squares lie below 2^-54.
+Their discriminant 1 + p^2 - w^2 and their speed are then exactly 1, they
+are finite and far below FIELD_CAP, and run_evolution takes gmin in [0, 1).
+Both sets are non-empty for a windowed member, so the minimum
+discriminant and the maximum speed over its stepped sub-grid row equal
+those over its whole new row.
 """
 
 from __future__ import annotations
@@ -36,6 +66,12 @@ FIELD_CAP = 1e6
 CFL_DEFAULT = 0.4
 CFL_MAX = 0.9
 EPS_KO_DEFAULT = 0.01
+LIVE_FLOOR = 1e-30        # a cell is live where |w| or |p| exceeds this
+WINDOW_MIN_SKIP = 1024    # points a member's window must skip for it to act
+_REACH = 8                # cells one RK4 step reaches: 4 stages x stencil radius 2
+# stepped widths are whole blocks of this many points, so that a step's
+# arrays fit the memory the last step freed (else peak memory grows)
+_WINDOW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -128,6 +164,11 @@ def max_speed(w, p, disc=None):
     mdisc = float(np.min(disc))
     if mdisc <= 0.0:
         raise HyperbolicityLoss(mdisc)
+    return _max_speed(w, p, disc)
+
+
+def _max_speed(w, p, disc):
+    """max_speed of a state already known to have disc > 0 everywhere."""
     # max(|-wp - root|, |-wp + root|) is |wp| + root bit for bit: root >= 0
     # and rounding is monotone
     speed = w * p
@@ -194,8 +235,12 @@ def rhs(state: FieldState):
 
 
 def step(state: FieldState, dt: float, eps_ko: float = EPS_KO_DEFAULT,
-         gmin: float = GMIN_DEFAULT) -> FieldState:
+         gmin: float = GMIN_DEFAULT):
     """One RK4 step of size dt (run_evolution takes dt = cfl*dx).
+
+    Returns the new state and each member's minimum discriminant
+    1 + p^2 - w^2 over the grid (an array over the flattened leading axes,
+    one entry for a single-member state), which the timelike check takes.
 
     Raises BlowupDetected (with the last valid time) on loss of the timelike
     or hyperbolic regime, runaway field size, or non-finite values.  The
@@ -278,7 +323,38 @@ def step(state: FieldState, dt: float, eps_ko: float = EPS_KO_DEFAULT,
         flag(min_g <= gmin, lambda i: f"timelike violation (min g = {min_g[i]:.3e})")
     if any(why):
         raise blowup()
-    return new
+    return new, min_g
+
+
+def _active_window(w, p):
+    """The sub-grid [lo, hi) that the next step of the (B, n) rows w, p
+    covers, and per member the range [a, b) that keeps the new values
+    (None: the whole stepped row); None when no member windows.  The rule
+    and why it keeps every bit is in the module docstring."""
+    n = w.shape[-1]
+    if n < WINDOW_MIN_SKIP + 4 * _REACH + 1:
+        return None
+    # NaN is live: a non-finite cell must reach step's checks
+    quiet = np.abs(w) <= LIVE_FLOOR
+    quiet &= np.abs(p) <= LIVE_FLOOR
+    # each member's live range [a, b]; an all-quiet row gets [0, n - 1]
+    ranges = list(zip(quiet.argmin(axis=-1).tolist(),
+                      (n - 1 - quiet[:, ::-1].argmin(axis=-1)).tolist()))
+
+    def widened(live, by):
+        return max(live[0] - by, 0), min(live[1] + by + 1, n)
+
+    windows = [widened(r, 2 * _REACH) for r in ranges]
+    windowed = [n - (hi - lo) >= WINDOW_MIN_SKIP for lo, hi in windows]
+    if not any(windowed):
+        return None
+    keep = [widened(r, _REACH) if on else None for r, on in zip(ranges, windowed)]
+    if not all(windowed):
+        return (0, n), keep
+    lo, hi = min(lo for lo, _ in windows), max(hi for _, hi in windows)
+    width = min(-(-(hi - lo) // _WINDOW_BLOCK) * _WINDOW_BLOCK, n)
+    hi = min(lo + width, n)
+    return (hi - width, hi), keep
 
 
 @dataclass
@@ -305,8 +381,18 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     """Evolve to t_end with the fixed dt = cfl*dx of the grid, rounded so an
     integer number of steps lands exactly on t_end; the Courant number is at
     most cfl (see `_time_step`).  Raises ValueError unless t_end is after the
-    start time and cfl lies in (0, CFL_MAX].  Callbacks get on_start(state)
-    and on_step(state) with each accepted state.
+    start time, cfl lies in (0, CFL_MAX] and gmin in [0, 1).  Callbacks get
+    on_start(state) and on_step(state) with each accepted state.
+
+    Each step covers only the active window of the module docstring: on a
+    grid of at least WINDOW_MIN_SKIP + 33 points, a member whose fields are
+    above LIVE_FLOOR on a small enough range keeps its old values outside
+    that range widened by 8 cells, bit for bit what the full step gives
+    inside it.  The cells left out cannot trip a blow-up check (module
+    docstring), so max_speed_seen and min_g_seen, reduced over the stepped
+    rows, equal their full-grid values.  Every accepted state holds fresh
+    arrays.  The per-step speeds skip max_speed's hyperbolicity check: step
+    accepted the state with min g > gmin >= 0; the t = 0 state is checked.
 
     Fields with leading axes make an ensemble, flattened to (B, n), whose
     members step in lockstep; each member gets its single run's result bit
@@ -317,6 +403,8 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     the extremes over the members and the earliest blow-up.  A
     single-member run is the B = 1 case of the same loop.
     """
+    if not 0.0 <= gmin < 1.0:
+        raise ValueError(f"gmin out of [0, 1): {gmin}")
     if isinstance(fam_or_state, FieldState):
         state = fam_or_state.copy()
         grid = state.grid
@@ -343,10 +431,29 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
         results[ids[k]] = RunResult(status, state.member(k), dt, n_steps, float(max_seen[k]),
                                     float(min_g_seen[k]), history=histories[ids[k]], **blowup)
 
+    def advance():
+        """step on the active window: the new state and each member's
+        min g and max speed"""
+        window = _active_window(state.w, state.p)
+        if window is None:
+            new, min_g = step(state, dt, eps_ko=eps_ko, gmin=gmin)
+            return new, min_g, _max_speed(new.w, new.p, new.disc)
+        (lo, hi), keep = window
+        part, min_g = step(FieldState(state.t, Grid1D(grid.x0 + lo * grid.dx, grid.dx, hi - lo),
+                                      state.phi[:, lo:hi], state.w[:, lo:hi], state.p[:, lo:hi]),
+                           dt, eps_ko=eps_ko, gmin=gmin)
+        fields = []
+        for old, part_f in zip((state.phi, state.w, state.p), (part.phi, part.w, part.p)):
+            new_f = old.copy()
+            for k, (a, b) in enumerate(kept or (lo, hi) for kept in keep):
+                new_f[k, a:b] = part_f[k, a - lo:b - lo]
+            fields.append(new_f)
+        return FieldState(part.t, grid, *fields), min_g, _max_speed(part.w, part.p, part.disc)
+
     accept("on_start")
     for _ in range(n_steps):
         try:
-            new = step(state, dt, eps_ko=eps_ko, gmin=gmin)
+            new, min_g, speed = advance()
         except BlowupDetected as exc:
             keep = np.array([r is None for r in exc.members])
             for k in np.flatnonzero(~keep):
@@ -358,10 +465,10 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
             for cb in callbacks:
                 if hasattr(cb, "on_drop"):
                     cb.on_drop(keep)
-            new = step(state, dt, eps_ko=eps_ko, gmin=gmin)
+            new, min_g, speed = advance()
         state = new
-        max_seen = np.maximum(max_seen, max_speed(state.w, state.p, state.disc))
-        min_g_seen = np.minimum(min_g_seen, np.min(state.disc, axis=-1))
+        max_seen = np.maximum(max_seen, speed)
+        min_g_seen = np.minimum(min_g_seen, min_g)
         accept("on_step")
     for k in range(len(ids)):
         finish(k, "completed")
@@ -424,9 +531,10 @@ class CharacteristicTracer:
     j is one of i-2, i-1, i.  The step runs once level i+4 has arrived, so
     the clip of j to the last 4 levels of the run cannot act before the run
     ends; the tracer then drops every level older than i-1.  It references
-    at most 7 levels (step returns fresh arrays, so none is copied) and
-    gathers only the 4 stencil columns of each seed from each of the 4
-    levels it interpolates, so memory is O(n) whatever the run length.
+    at most 7 levels (each accepted state has fresh arrays, so none is
+    copied) and gathers only the 4 stencil columns of each seed from each
+    of the 4 levels it interpolates, so memory is O(n) whatever the run
+    length.
     finish() runs the remaining tail steps with j clipped to the last 4
     levels, exactly as a replay of the stored history would.
     """
@@ -486,28 +594,36 @@ class CharacteristicTracer:
                  for k, s in enumerate(self.seeds)]
         return paths, self._min_sep
 
-    def _lam(self, t, xq):
+    def _at(self, t):
+        """The first j of the 4 levels j..j+3 nearest time t and the cubic
+        time weights at t over them."""
         times, dt = self._times, self._times[1] - self._times[0]
-        # cubic in space at each of the 4 nearest levels, then cubic in time;
-        # only the 4 stencil columns of each seed are gathered
         j = min(max(math.floor((t - times[0]) / dt) - 1, 0), len(times) - 4)
+        return j, cubic_weights((t - times[j]) / dt, 4)[1]
+
+    def _lam(self, at, xq):
+        # cubic in space at each of the 4 levels of `at`, then cubic in time;
+        # only the 4 stencil columns of each seed are gathered
+        j, time_weights = at
         grid = self._grid
         base, weights = cubic_weights((xq - grid.x0) / grid.dx, grid.n)
         cols = base[:, None] + np.arange(4)
         k = j - self._first
         q = cubic_combine(weights, np.array([(w.take(cols), p.take(cols))
                                              for w, p in islice(self._levels, k, k + 4)]))
-        wt, pt = cubic_combine(cubic_weights((t - times[j]) / dt, 4)[1], q, axis=0)   # (2, m)
+        wt, pt = cubic_combine(time_weights, q, axis=0)   # (2, m)
         disc = np.maximum(1.0 + pt * pt - wt * wt, 0.0)
         return (-wt * pt + self._sign * np.sqrt(disc)) / (1.0 + pt * pt)
 
     def _advance(self, i):
         t, dt = self._times[i], self._times[1] - self._times[0]
         xs, alive, lam = self._xs, self._alive, self._lam
-        k1 = lam(t, xs)
-        k2 = lam(t + 0.5 * dt, xs + 0.5 * dt * k1)
-        k3 = lam(t + 0.5 * dt, xs + 0.5 * dt * k2)
-        k4 = lam(t + dt, xs + dt * k3)
+        # RK stages 2 and 3 share the time t + dt/2
+        mid = self._at(t + 0.5 * dt)
+        k1 = lam(self._at(t), xs)
+        k2 = lam(mid, xs + 0.5 * dt * k1)
+        k3 = lam(mid, xs + 0.5 * dt * k2)
+        k4 = lam(self._at(t + dt), xs + dt * k3)
         xs = np.where(alive, xs + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), xs)
         alive = alive & (xs > self._lo) & (xs < self._hi)
         self._xs, self._alive = xs, alive

@@ -212,6 +212,39 @@ def test_cli_bad_config_exit_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _assert_named_error(capsys, rc, match):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("stringlab: error: ") and match in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("gmin", ["-1e-3", "1", "nan"])
+def test_cli_gmin_out_of_range_named(tmp_path, capsys, gmin):
+    # a negative gmin let step accept a degenerate state
+    rc = main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN + f"gmin = {gmin}\n"),
+               "--out", str(tmp_path / "out")])
+    _assert_named_error(capsys, rc, "gmin out of [0, 1)")
+
+
+@pytest.mark.parametrize("line", ["f_width = 0", "fb_width = -1"])
+def test_cli_nonpositive_profile_width_named(tmp_path, capsys, line):
+    # used to end in a ValueError traceback from the profile
+    rc = main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN + line + "\n"),
+               "--out", str(tmp_path / "out")])
+    _assert_named_error(capsys, rc, f"{line.split()[0]} must be positive")
+
+
+@pytest.mark.parametrize("deltas", ["0, 0.1, 0.2", "0.1, 0.1, 0.1", "-0.1, 0.1, 0.2"])
+def test_cli_sweep_deltas_positive_and_distinct(tmp_path, capsys, deltas):
+    # a zero delta gave a LinAlgError traceback from the log fit; equal ones
+    # exited 0 with a slope fitted over a single delta
+    rc = main(["sweep", "--config", _cfg_file(tmp_path, SMALL_RUN + f"deltas = {deltas}\n"),
+               "--out", str(tmp_path / "sw")])
+    _assert_named_error(capsys, rc, "sweep deltas must be positive and distinct")
+    assert not (tmp_path / "sw").exists()
+
+
 def test_cli_converge_requires_travelling(tmp_path, capsys):
     rc = main(["converge", "--config", _cfg_file(tmp_path, SMALL_RUN),
                "--out", str(tmp_path / "out")])

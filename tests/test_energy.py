@@ -23,7 +23,7 @@ def _run_stack(fam, grid, n_levels, dt=0.02, eps_ko=0.0):
     s = st
     for _ in range(n_levels - 1):
         from stringlab.evolve import step
-        s = step(s, dt=dt, eps_ko=eps_ko)
+        s, _ = step(s, dt=dt, eps_ko=eps_ko)
         states.append(s.copy())
     return states
 
@@ -88,11 +88,11 @@ def test_tower_matches_initial_traces(default_family):
     fwd, back = [], []
     s = st.copy()
     for _ in range(2):
-        s = step(s, dt=dt, eps_ko=0.0)
+        s, _ = step(s, dt=dt, eps_ko=0.0)
         fwd.append(s.copy())
     s = st.copy()
     for _ in range(2):
-        s = step(s, dt=-dt, eps_ko=0.0)
+        s, _ = step(s, dt=-dt, eps_ko=0.0)
         back.append(s.copy())
     tower = build_tower(list(reversed(back)) + [st] + fwd, N=2)
     table = higher_order_traces(default_family, 2, grid.x)

@@ -99,7 +99,7 @@ def test_step_zero_stays_zero():
     z = np.zeros(grid.n)
     st = _state(grid, z, z, z)
     for _ in range(20):
-        st = step(st, dt=0.02)
+        st, _ = step(st, dt=0.02)
     assert np.all(st.w == 0) and np.all(st.p == 0) and np.all(st.phi == 0)
 
 
@@ -107,7 +107,7 @@ def test_constant_states_are_fixed_points():
     grid = Grid1D(-5, 0.1, 101)
     z = np.zeros(grid.n)
     st = _state(grid, z, 0.4 * np.ones(grid.n), 0.2 * np.ones(grid.n))
-    out = step(st, dt=0.02, eps_ko=0.01)
+    out, _ = step(st, dt=0.02, eps_ko=0.01)
     assert np.allclose(out.w, 0.4, atol=1e-13)
     assert np.allclose(out.p, 0.2, atol=1e-13)
 
@@ -116,8 +116,8 @@ def test_time_reversal_roundtrip(default_family):
     grid = Grid1D(-24, 0.05, 961)
     st = init_state(default_family, grid)
     dt = 0.02
-    fwd = step(st, dt=dt, eps_ko=0.0)
-    back = step(fwd, dt=-dt, eps_ko=0.0)
+    fwd, _ = step(st, dt=dt, eps_ko=0.0)
+    back, _ = step(fwd, dt=-dt, eps_ko=0.0)
     assert np.max(np.abs(back.w - st.w)) < 10 * dt ** 5
     assert np.max(np.abs(back.p - st.p)) < 10 * dt ** 5
 
@@ -129,8 +129,8 @@ def test_reflection_symmetry(default_family):
     st = init_state(default_family, grid)
     refl = FieldState(t=0.0, grid=grid, phi=st.phi[::-1].copy(),
                       w=st.w[::-1].copy(), p=-st.p[::-1].copy())
-    a = step(st, dt=0.03)
-    b = step(refl, dt=0.03)
+    a, _ = step(st, dt=0.03)
+    b, _ = step(refl, dt=0.03)
     assert np.max(np.abs(b.w - a.w[::-1])) < 1e-13
     assert np.max(np.abs(b.p + a.p[::-1])) < 1e-13
 
@@ -179,7 +179,7 @@ def test_step_raises_blowup_with_last_valid_time():
     st = init_state(fam, grid)
     with pytest.raises(BlowupDetected) as exc_info:
         for _ in range(10000):
-            st = step(st, dt=0.02)
+            st, _ = step(st, dt=0.02)
     assert exc_info.value.t_last == pytest.approx(st.t)
 
 
@@ -308,7 +308,7 @@ def test_tracer_needs_four_levels():
     st = _state(grid, z, z, z)
     tracer = CharacteristicTracer([0.0, 1.0], "plus")
     tracer.on_start(st)
-    tracer.on_step(step(st, dt=0.02))
+    tracer.on_step(step(st, dt=0.02)[0])
     with pytest.raises(InsufficientHistory, match="4 time levels") as exc_info:
         tracer.finish()
     assert isinstance(exc_info.value, StringLabError)
@@ -392,6 +392,9 @@ def test_ensemble_of_mixed_speeds_matches_single_runs():
     ({"t_end": -0.5}, "t_end"),
     ({"t_end": 2.0, "cfl": -0.4}, "cfl"),
     ({"t_end": 2.0, "cfl": 5.0}, "cfl"),
+    # a negative gmin would let step accept a degenerate state
+    ({"t_end": 2.0, "gmin": -1e-3}, "gmin"),
+    ({"t_end": 2.0, "gmin": 1.0}, "gmin"),
 ])
 def test_run_rejects_a_backward_or_unstable_step(kwargs, match):
     # each used to "complete": one backward step of dt = -0.5, one step of
@@ -440,8 +443,8 @@ def test_ensemble_step_names_each_failed_member():
     single = init_state(fams[0], grid)
     with pytest.raises(BlowupDetected) as exc_info:
         for _ in range(10000):
-            st = step(st, dt=0.02)
-            single = step(single, dt=0.02)
+            st, _ = step(st, dt=0.02)
+            single, _ = step(single, dt=0.02)
     with pytest.raises(BlowupDetected) as single_info:
         step(single, dt=0.02)
     exc = exc_info.value
@@ -464,3 +467,137 @@ def test_ensemble_stencil_calls_do_not_grow_with_members(monkeypatch):
         calls.update(deriv1=0, ko_dissipation=0)
         res = run_evolution(stack_states(states[:n_members]), t_end=1.0)
         assert calls == {"deriv1": 4 * res.n_steps, "ko_dissipation": 4 * res.n_steps}
+
+
+# ---------------------------------------------------------------------------
+# active window: run_evolution steps only where the fields live
+
+
+def _bump_members(grid, centers, radius=3.0, amp=0.4):
+    """(B, n) state of compact bumps, exactly zero outside |x - c| < radius:
+    each member's live range is known without the window rule."""
+    x = grid.x
+    bumps = np.stack([np.maximum(1.0 - ((x - c) / radius) ** 2, 0.0) ** 4 for c in centers])
+    return FieldState(0.0, grid, 0.1 * bumps, amp * bumps, -0.5 * amp * bumps)
+
+
+def _record_step_grids(monkeypatch):
+    """Wrap evolve.step to record the (x0, n) of every grid it steps."""
+    import stringlab.evolve as evolve
+    seen = []
+
+    def recorded(state, *args, _orig=evolve.step, **kwargs):
+        seen.append((state.grid.x0, state.grid.n))
+        return _orig(state, *args, **kwargs)
+
+    monkeypatch.setattr(evolve, "step", recorded)
+    return seen
+
+
+def _kept_range(row, n):
+    live = np.flatnonzero(row != 0.0)
+    return max(live[0] - 8, 0), min(live[-1] + 9, n)
+
+
+@pytest.mark.parametrize("centers,wide", [
+    ((0.0,), False),                 # B = 1, inside the grid
+    ((-20.0, 0.0, 15.0), False),     # B = 3, three windows, one hull
+    ((-33.5,), False),               # the window touches the left edge
+    ((33.5,), False),                # and the right edge
+    ((-20.0, 20.0), True),           # a third, wide member steps the whole grid
+])
+def test_windowed_step_equals_full_step_on_kept_cells(monkeypatch, centers, wide):
+    grid = Grid1D(-35.0, 0.05, 1401)
+    state = _bump_members(grid, centers)
+    kept = [_kept_range(row, grid.n) for row in state.w]
+    if wide:
+        wide_row = 0.2 * np.exp(-grid.x ** 2 / 200.0)
+        state = stack_states([state.member(0), state.member(1),
+                              FieldState(0.0, grid, wide_row, wide_row, wide_row)])
+        kept.append((0, grid.n))
+    seen = _record_step_grids(monkeypatch)
+    res = run_evolution(state, t_end=0.02)
+    assert res.n_steps == 1
+    (x0, size), = seen
+    lo = int(round((x0 - grid.x0) / grid.dx))
+    hi = lo + size
+    if wide:
+        assert (lo, hi) == (0, grid.n)
+    else:
+        # a sub-grid that holds every live range widened by 16 cells
+        assert lo <= max(min(a for a, _ in kept) - 8, 0)
+        assert hi >= min(max(b for _, b in kept) + 8, grid.n)
+        assert size < grid.n
+    # the edge cases clip the window to the grid
+    assert (lo == 0) == (centers[0] < -33.0 or wide)
+    assert (hi == grid.n) == (centers[-1] > 33.0 or wide)
+    full, min_g = step(state, res.dt)
+    for k, (a, b) in enumerate(kept):
+        mask = np.zeros(grid.n, bool)
+        mask[a:b] = True
+        got = res.members[k]
+        for f in ("phi", "w", "p"):
+            new, old, want = getattr(got.state, f), getattr(state, f)[k], getattr(full, f)[k]
+            assert np.array_equal(new[mask], want[mask])
+            assert np.array_equal(new[~mask], old[~mask])
+        # the left-out cells cannot set the extremes: min g and the max
+        # speed over the whole new row are those the run reports
+        old = state.member(k)
+        assert got.min_g_seen == min(float(np.min(old.disc)), float(np.min(got.state.disc)))
+        assert got.max_speed_seen == max(max_speed(old.w, old.p),
+                                         max_speed(got.state.w, got.state.p))
+    assert np.array_equal(min_g, np.min(full.disc, axis=-1))
+
+
+def test_windowed_ensemble_members_equal_their_single_runs(monkeypatch):
+    # the default grid: the blow-up data and two bumps centred apart window
+    # differently, and the blow-up member drops out near t = 3.9
+    grid = Grid1D(-40.0, 0.05, 1601)
+    bumps = _bump_members(grid, (-25.0, 20.0))
+    states = [init_state(blowup_fixture(), grid), bumps.member(0), bumps.member(1)]
+    seen = _record_step_grids(monkeypatch)
+    extremes = []
+
+    class Extremes:
+        def on_step(self, state):
+            extremes.append((np.min(state.disc, axis=-1), max_speed(state.w, state.p)))
+
+    ens = run_evolution(stack_states(states), t_end=5.0, callbacks=[Extremes()])
+    # windowed while the blow-up data are narrow, then the whole grid
+    assert seen[0][1] < grid.n and seen[-1][1] == grid.n
+    singles = [run_evolution(s, t_end=5.0) for s in states]
+    assert [r.status for r in singles] == ["blowup", "completed", "completed"]
+    for member, single in zip(ens.members, singles):
+        _assert_same_run(member, single)
+    # min g and the max speed over the whole accepted states
+    state0 = stack_states(states)
+    min_g = min([float(np.min(state0.disc))] + [float(np.min(g)) for g, _ in extremes])
+    speed = max([max_speed(state0.w, state0.p).max()] + [float(np.max(v)) for _, v in extremes])
+    assert (ens.min_g_seen, ens.max_speed_seen) == (min_g, speed)
+
+
+@pytest.mark.parametrize("n", [1056, 1057])
+def test_window_needs_a_grid_it_can_skip_1024_points_of(monkeypatch, n):
+    # one live cell: its window spans 33 points, so it skips 1024 points
+    # from n = 1057 on; a smaller grid always steps whole
+    grid = Grid1D(-100.0, 0.5, n)
+    w = np.zeros(n)
+    w[200] = 1e-3
+    state = FieldState(0.0, grid, np.zeros(n), w, np.zeros(n))
+    seen = _record_step_grids(monkeypatch)
+    run_evolution(state, t_end=1.0)
+    assert len(seen) == 5
+    if n == 1056:
+        assert seen == [(grid.x0, n)] * 5
+    else:
+        assert seen[0][1] < n
+
+
+def test_a_non_finite_cell_is_live():
+    # far enough from the bump that a window of the finite cells alone
+    # would leave it out
+    grid = Grid1D(-100.0, 0.5, 1201)
+    state = _bump_members(grid, (0.0,)).member(0)
+    state.w[150] = np.nan
+    res = run_evolution(state, t_end=1.0)
+    assert (res.status, res.t_blowup, res.blowup_reason) == ("blowup", 0.0, "non-finite values")

@@ -183,11 +183,13 @@ def test_step_equals_written_out_rk4(eps_ko, amps, make):
     if len(amps) == 1:
         state = state.member(0)
     dt = 0.4 * grid.dx
-    new = step(state, dt, eps_ko=eps_ko)
+    new, min_g = step(state, dt, eps_ko=eps_ko)
     ref = _rk4_ref(phi, w, p, grid.dx, dt, eps_ko)
     assert new.t == 0.5 + dt
     for got, want in zip((new.phi, new.w, new.p), ref):
         _assert_bitwise(got, want.reshape(got.shape))
+    _, w1, p1 = ref
+    _assert_bitwise(min_g, np.min(1.0 + p1 * p1 - w1 * w1, axis=-1))
 
 
 def test_max_speed_equals_max_of_abs_form():

@@ -39,6 +39,10 @@ dx = 0.1
 n = 361
 """
 
+# the BLOWUP packets on a wider domain: the finest level (n = 3201) and at
+# first the middle one step only their active window
+BLOWUP_WINDOWED = BLOWUP.replace("x0 = -18", "x0 = -40").replace("n = 361", "n = 801")
+
 CONVERGE = """
 delta = 0
 t_end = 4
@@ -72,6 +76,11 @@ GOLDEN = {
         "blowup.csv": "f434279907c6c46a2496bcbb68d1183b0334c6c7420dda82c7d44302287e51c6",
         "blowup_summary.csv":
             "c5df2a4f3878cc215a125689c97618fb3cb892b23407e335e74cec844940d6af",
+    }),
+    "blowup_windowed": (BLOWUP_WINDOWED, [], {
+        "blowup.csv": "5000b9a84464a1c365e8f82bb641c56074ef69e9d66ba5613b77542866d3f049",
+        "blowup_summary.csv":
+            "f2839dbd7dc6e63623e0a0acd31a57db0bd46d2bd21671d6588b1a249bec69fc",
     }),
     "verify": ("", ["--seed", "1"], {
         "identities.csv": "ea337b9b2e33828d584c5cc84447550947d79808421d690d85f49d0b858f0119",

@@ -213,7 +213,7 @@ def test_balance_finalize_needs_three_levels(default_family):
     acc = BalanceAccumulator("TLb", 1.0, 0.5)
     state = init_state(default_family, Grid1D(-12, 0.1, 241))
     acc.on_start(state)
-    acc.on_step(step(state, dt=0.04))
+    acc.on_step(step(state, dt=0.04)[0])
     with pytest.raises(InsufficientHistory, match="at least 3 levels, have 2"):
         acc.finalize()
 
