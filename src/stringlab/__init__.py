@@ -8,17 +8,16 @@ energy method, and a deterministic experiment CLI (`stringlab`).
 
 from .config import ExperimentConfig, parse_config, serialize_config
 from .energy import (DerivativeTower, EnergyReport, EnergyTracker, build_tower,
-                     fit_hierarchy, monitor, order_energy, row_energy, stress_density,
-                     tracked_run, tracked_sweep)
-from .errors import (BlowupDetected, HyperbolicityLoss, InsufficientHistory, ParseError,
-                     StringLabError, TimelikeViolation, ValidationError)
+                     energy_orders, fit_hierarchy, monitor, stress_density, tracked_run,
+                     tracked_sweep)
+from .errors import (BlowupDetected, DataOutOfRange, HyperbolicityLoss, InsufficientHistory,
+                     ParseError, StringLabError, TimelikeViolation, ValidationError)
 from .evolve import (CharacteristicTracer, CharPath, FieldState, Grid1D, RunResult,
-                     blowup_study, convergence_study, exact_travelling,
-                     exact_travelling_fields, init_state, rhs, richardson_time,
-                     run_evolution, stack_states, step, trace_characteristics)
+                     blowup_study, convergence_study, exact_travelling, init_state,
+                     richardson_time, run_evolution, stack_states, step,
+                     trace_characteristics)
 from .initialdata import (CriterionReport, DataFamily, TraceTable, blowup_fixture,
-                          build_data, check_kong_tsuji, criterion_for_family,
-                          data_eigenvalues, higher_order_traces)
+                          check_kong_tsuji, criterion_for_family, higher_order_traces)
 from .nullgeom import (causal_norm, eigenvalues, metric_scalars, multiplier, null_stress,
                        side_weight, weight_a, weight_a_prime)
 from .profiles import ProfileSpec, profile_antiderivative, profile_derivative

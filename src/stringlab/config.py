@@ -8,6 +8,7 @@ canonical form; parse(serialize(parse(text))) is idempotent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ParseError, ValidationError
@@ -100,7 +101,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def validate_config(cfg: ExperimentConfig, check_domain: bool = True):
+def validate_config(cfg: ExperimentConfig):
     if cfg.mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     if not 0.0 < cfg.gamma < 1.0:
@@ -133,7 +134,11 @@ def validate_config(cfg: ExperimentConfig, check_domain: bool = True):
         raise ValidationError("converge mode needs the travelling-wave oracle: set delta = 0")
     if cfg.mode == "tracecheck" and cfg.N < 2:
         raise ValidationError("tracecheck needs N >= 2")
-    if check_domain and cfg.mode in ("run", "sweep", "blowup", "tracecheck"):
+    for key in sorted(_FLOAT_KEYS | _LIST_KEYS):
+        val = getattr(cfg, key)
+        if not all(math.isfinite(v) for v in (val if key in _LIST_KEYS else (val,))):
+            raise ValidationError(f"{key} must be finite: {val}")
+    if cfg.mode in ("run", "sweep", "blowup", "tracecheck"):
         fam = cfg.family()
         need = fam.support_radius(k_max=2) + cfg.t_end + 2.0
         x_end = cfg.x0 + cfg.dx * (cfg.n - 1)

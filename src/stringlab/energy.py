@@ -8,6 +8,12 @@ deeper time derivatives as nested 2nd-order centered differences of those
 rows across stored levels, so an order-N tower needs 2N+1 consecutive
 levels.  `null_rows` and `build_tower` are the composition of the two.
 
+A tower is one array from start to finish, the `time_rows` layout
+(N+1, N+1, 2, ..., n) indexed [k1, k2, L or Lb], with zeros where
+k1 + k2 > N; the exact t = 0 trace table (`higher_order_traces`) uses the
+same layout.  Energies, weighted sups and flux densities work on whole
+k1 slices of it, and `_order_sums` adds per-row values into orders.
+
 The run tracker differentiates each level once, on the full grid, when it
 enters its ring of the last 2N+1 levels, and keeps only those spatial
 rows.  Flux probes take the time differences on the four grid columns
@@ -98,24 +104,18 @@ def time_rows(levels, dt, N):
     return out
 
 
-def _rows_dict(rows, N):
-    """(k1, k2) -> (L row, Lb row) for the tower entries of a `time_rows` array."""
-    return {(k1, k2): (rows[k1, k2, 0], rows[k1, k2, 1])
-            for k1 in range(N + 1) for k2 in range(N + 1 - k1)}
-
-
 def null_rows(phis, ws, dt, dx, N):
     """Null-gradient rows (L and Lb of every mixed derivative) at the center
     of a level stack.
 
     phis/ws are sequences of 2N+1 arrays (each possibly batched, grid axis
-    last) at consecutive, equally spaced times.  Returns
-    (k1, k2) -> (L row, Lb row).
+    last) at consecutive, equally spaced times.  Returns the `time_rows`
+    array, indexed [k1, k2, L or Lb].
     """
     ph = np.stack([np.asarray(f, dtype=float) for f in phis])
     w = np.stack([np.asarray(f, dtype=float) for f in ws])
     levels = np.moveaxis(spatial_rows(ph, w, dx, N), 2, 0)
-    return _rows_dict(time_rows(levels, dt, N), N)
+    return time_rows(levels, dt, N)
 
 
 @dataclass
@@ -125,23 +125,11 @@ class DerivativeTower:
     t: float
     grid: Grid1D
     N: int
-    rows: dict                     # (k1, k2) -> (L row, Lb row)
-
-    @property
-    def lphi(self):
-        return self.rows[(0, 0)][0]
-
-    @property
-    def lbphi(self):
-        return self.rows[(0, 0)][1]
+    rows: np.ndarray               # (N+1, N+1, 2, n) `time_rows` layout
 
     @property
     def g(self):
-        return 1.0 - self.lphi * self.lbphi
-
-    def orders(self, k):
-        """All rows of total order k."""
-        return [self.rows[(k1, k - k1)] for k1 in range(k + 1)]
+        return 1.0 - self.rows[0, 0, 0] * self.rows[0, 0, 1]
 
 
 def _level_dt(times):
@@ -196,22 +184,38 @@ def stress_density(base_lphi, base_lbphi, row_lphi, row_lbphi, weight, side, dir
 # energies
 
 
-def row_energy(tower: DerivativeTower, k, side, gamma):
-    """Trapezoid quadrature of weight * |row|^2 * sqrt(g) for one row."""
-    sqrt_g = np.sqrt(np.maximum(tower.g, 0.0))
-    wgt = side_weight(side, tower.t, tower.grid.x, gamma)
-    integrand = wgt * tower.rows[tuple(k)][_SIDES.index(side)] ** 2 * sqrt_g
-    return float(np.trapezoid(integrand, dx=tower.grid.dx))
+def _order_sums(per_row):
+    """Per-row values summed over the rows of each total order.
+
+    per_row is indexed [k1, ..., k2], N+1 entries on each of those axes;
+    the result is indexed [..., k] with k = k1 + k2 <= N.  The rows are
+    added from zeros in the order k1 = 0..N.
+    """
+    n_orders = per_row.shape[0]
+    out = np.zeros(per_row.shape[1:])
+    for k1 in range(n_orders):
+        out[..., k1:] += per_row[k1, ..., :n_orders - k1]
+    return out
 
 
-def order_energy(tower: DerivativeTower, k, side, gamma):
-    """Energy at derivative order k: sum of row energies over |m| = k."""
-    return sum(row_energy(tower, (k1, k - k1), side, gamma) for k1 in range(k + 1))
+def _side_weights(tower: DerivativeTower, gamma):
+    """The weight of the L rows, a(ub), and of the Lb rows, a(u), on the grid."""
+    return [side_weight(side, tower.t, tower.grid.x, gamma) for side in _SIDES]
 
 
 def energy_orders(tower: DerivativeTower, gamma):
-    e2 = np.array([order_energy(tower, k, "TL", gamma) for k in range(tower.N + 1)])
-    eb2 = np.array([order_energy(tower, k, "TLb", gamma) for k in range(tower.N + 1)])
+    """E2 and Eb2 per order k = 0..N: the trapezoid quadrature of
+    weight * |row|^2 * sqrt(g) for each L (Lb) row, summed over |m| = k.
+    One k1 slice of rows is squared at a time."""
+    N = tower.N
+    sqrt_g = np.sqrt(np.maximum(tower.g, 0.0))
+    per_row = np.zeros((N + 1, 2, N + 1))
+    for s, wgt in enumerate(_side_weights(tower, gamma)):
+        for k1 in range(N + 1):
+            rows = tower.rows[k1, :N + 1 - k1, s]
+            per_row[k1, s, :N + 1 - k1] = np.trapezoid(wgt * rows ** 2 * sqrt_g,
+                                                       dx=tower.grid.dx)
+    e2, eb2 = _order_sums(per_row)
     return e2, eb2
 
 
@@ -224,22 +228,19 @@ def _sobolev_stats(tower: DerivativeTower, gamma):
     Returns (sup_L, sup_Lb, margin_L, margin_Lb): the weighted sups per
     order and the minimal slack of the bound over all rows.
     """
-    dx = tower.grid.dx
+    N = tower.N
     c0 = 0.25 * (1.0 + gamma)
-    wgts = [side_weight(side, tower.t, tower.grid.x, gamma) for side in _SIDES]
-    sups = np.zeros((2, tower.N))
+    sups = np.zeros((2, N))
     margins = [np.inf, np.inf]
-    for k1 in range(tower.N):
-        for k2 in range(tower.N - k1):
-            order = k1 + k2
-            for s, wgt in enumerate(wgts):
-                row, nxt = tower.rows[(k1, k2)][s], tower.rows[(k1, k2 + 1)][s]
-                lhs = float(np.max(np.sqrt(wgt) * np.abs(row)))
-                l2 = float(np.sqrt(np.trapezoid(wgt * row ** 2, dx=dx)))
-                l2x = float(np.sqrt(np.trapezoid(wgt * nxt ** 2, dx=dx)))
-                bound = np.sqrt(2.0 * l2 * (c0 * l2 + l2x)) if l2 > 0 else 0.0
-                sups[s, order] = max(sups[s, order], lhs)
-                margins[s] = min(margins[s], bound - lhs)
+    for s, wgt in enumerate(_side_weights(tower, gamma)):
+        for k1 in range(N):
+            # rows k2 = 0..N-k1-1 of orders k1..N-1, and the d_x row of each
+            rows = tower.rows[k1, :N + 1 - k1, s]
+            lhs = np.max(np.sqrt(wgt) * np.abs(rows[:-1]), axis=-1)
+            l2 = np.sqrt(np.trapezoid(wgt * rows ** 2, dx=tower.grid.dx))
+            bound = np.sqrt(2.0 * l2[:-1] * (c0 * l2[:-1] + l2[1:]))
+            np.maximum(sups[s, k1:], lhs, out=sups[s, k1:])
+            margins[s] = min(margins[s], float(np.min(bound - lhs)))
     return sups[0], sups[1], float(margins[0]), float(margins[1])
 
 
@@ -403,11 +404,7 @@ class EnergyTracker:
         shape (B, P, N+1); side 0 takes the L rows, side 1 the Lb rows."""
         sqrt_g = np.sqrt(np.maximum(1.0 - rows[0, 0, 0] * rows[0, 0, 1], 0.0))
         wgt = side_weight(_SIDES[side], tau, xq, self.gamma)
-        dens = np.moveaxis(wgt * rows[:, :, side] ** 2 * sqrt_g, 1, -1)   # (N+1, B, P, N+1)
-        out = np.zeros(dens.shape[1:])
-        for k1 in range(self.N + 1):
-            out[..., k1:] += dens[k1, ..., :self.N + 1 - k1]
-        return out
+        return _order_sums(np.moveaxis(wgt * rows[:, :, side] ** 2 * sqrt_g, 1, -1))
 
     @staticmethod
     def _active(inside, past_exit, was_inside, truncated):
@@ -458,7 +455,7 @@ class EnergyTracker:
         flux_t = self._prev_tau if self._prev_tau is not None else t
         for k, m in enumerate(self._members):
             rows = time_rows(self._rows[..., k, :][self._ring_order()], dt, self.N)
-            tower = DerivativeTower(t=t, grid=self._grid, N=self.N, rows=_rows_dict(rows, self.N))
+            tower = DerivativeTower(t=t, grid=self._grid, N=self.N, rows=rows)
             self.member_reports[m].append(report_from_tower(
                 tower, self.gamma, flux_t, self._f2[k].copy(), self._fb2[k].copy()))
 
@@ -556,17 +553,19 @@ def trace_check_study(cfg, fam, grid) -> TraceCheckStudy:
     """trace table vs tower_at_zero for the rows of total order <= min(N, 3),
     each discrepancy relative to the larger of its two trace sups."""
     grids = (grid, grid.refined())
-    tables = [higher_order_traces(fam, cfg.N, g.x) for g in grids]
-    discrepancy = {}
-    for g, table in zip(grids, tables):
+    top = min(cfg.N, 3)
+    discrepancy, tables = {}, []
+    for g in grids:
+        # the tower first: its level stack is gone before the table is built
         tower = tower_at_zero(cfg, fam, g)
-        for (k1, k2), (lt, lbt) in table.rows.items():
-            if k1 + k2 > min(cfg.N, 3):
-                continue
-            tl, tlb = tower.rows[(k1, k2)]
-            scale = max(float(np.max(np.abs(lt))), float(np.max(np.abs(lbt))), 1e-12)
-            discrepancy.setdefault((k1, k2), []).append(
-                max(float(np.max(np.abs(tl - lt))), float(np.max(np.abs(tlb - lbt)))) / scale)
+        table = higher_order_traces(fam, cfg.N, g.x)
+        tables.append(table)
+        for k1 in range(top + 1):
+            exact = table.rows[k1, :top + 1 - k1]
+            scale = np.maximum(np.max(np.abs(exact), axis=(1, 2)), 1e-12)
+            dev = np.max(np.abs(tower.rows[k1, :top + 1 - k1] - exact), axis=(1, 2))
+            for k2, d in enumerate(dev / scale):
+                discrepancy.setdefault((k1, k2), []).append(float(d))
     return TraceCheckStudy([g.dx for g in grids], discrepancy, tables[0])
 
 

@@ -46,6 +46,11 @@ class BlowupDetected(StringLabError):
         super().__init__(f"blow-up at t={self.t_last:.6g}: {reason}")
 
 
+class DataOutOfRange(StringLabError):
+    """The t = 0 fields hold a non-finite value or exceed the field cap: an
+    input error, raised before any geometry is computed from them."""
+
+
 class InsufficientHistory(StringLabError):
     """Not enough time levels for a computation that spans several of them:
     a derivative tower, tracing characteristics through a run, or the

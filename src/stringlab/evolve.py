@@ -57,12 +57,10 @@ from itertools import islice
 import numpy as np
 
 from .errors import BlowupDetected, HyperbolicityLoss, InsufficientHistory
-from .initialdata import DataFamily
-from .nullgeom import GMIN_DEFAULT
-from .profiles import profile_derivative
+from .initialdata import DataFamily, check_data
+from .nullgeom import FIELD_CAP, GMIN_DEFAULT
 from .stencils import cubic_combine, cubic_weights, deriv1, ko_dissipation
 
-FIELD_CAP = 1e6
 CFL_DEFAULT = 0.4
 CFL_MAX = 0.9
 EPS_KO_DEFAULT = 0.01
@@ -130,10 +128,6 @@ class FieldState:
         """min over the grid (and the members) of the determinant."""
         return float(np.min(self.disc))
 
-    def compatibility_residual(self):
-        """||p - D_x phi||_inf; stays at stencil level because dt(p) = D_x(dt phi)."""
-        return float(np.max(np.abs(self.p - deriv1(self.phi, self.grid.dx))))
-
     def copy(self):
         return FieldState(self.t, self.grid, self.phi.copy(), self.w.copy(), self.p.copy())
 
@@ -149,9 +143,11 @@ def stack_states(states) -> FieldState:
 
 
 def init_state(fam: DataFamily, grid: Grid1D) -> FieldState:
-    """Sample (F, G, F') from closed forms; rejects non-hyperbolic data."""
+    """Sample (F, G, F') from closed forms; rejects out-of-range
+    (`check_data`) and non-hyperbolic data."""
     x = grid.x
-    state = FieldState(t=0.0, grid=grid, phi=fam.F(x), w=fam.G(x), p=fam.F_prime(x))
+    w, p = check_data(fam.G(x), fam.F_prime(x))
+    state = FieldState(t=0.0, grid=grid, phi=fam.F(x), w=w, p=p)
     if state.min_g <= 0.0:
         raise HyperbolicityLoss(state.min_g, where="initial data")
     return state
@@ -224,14 +220,6 @@ def _stage_rhs(y, dx, eps_ko):
         np.divide(dw, den, out=k[:half])
         k[half:] = wx
     return k, np.subtract(den, ww, out=ww)
-
-
-def rhs(state: FieldState):
-    """Pure right-hand side (no dissipation): (dt phi, dt w, dt p)."""
-    if state.min_g <= 0.0:
-        raise HyperbolicityLoss(state.min_g)
-    (dw, dp), _ = _stage_rhs(np.stack((state.w, state.p)), state.grid.dx, 0.0)
-    return state.w.copy(), dw, dp
 
 
 def step(state: FieldState, dt: float, eps_ko: float = EPS_KO_DEFAULT,
@@ -497,15 +485,6 @@ def exact_travelling(fam: DataFamily, t, x):
     if fam.delta != 0.0:
         raise ValueError("travelling-wave oracle requires delta = 0")
     return fam.F(np.asarray(x) - t)
-
-
-def exact_travelling_fields(fam: DataFamily, t, x):
-    """(phi, w, p) of the travelling solution: w = -F'(x-t), p = F'(x-t)."""
-    if fam.delta != 0.0:
-        raise ValueError("travelling-wave oracle requires delta = 0")
-    xs = np.asarray(x) - t
-    fp = -0.5 * profile_derivative(fam.fb, 0, xs)
-    return fam.F(xs), -fp, fp
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from math import comb
 import numpy as np
 
 from . import nullgeom
+from .errors import DataOutOfRange
 from .profiles import ProfileSpec, profile_antiderivative, profile_derivative, support_radius
 
 CRITERION_MARGIN_DEFAULT = 1e-10
@@ -86,18 +87,15 @@ class DataFamily:
                    abs(self.fb.center) + support_radius(self.fb, tol, k_max))
 
 
-def build_data(fam: DataFamily, x):
-    """Sample (F', G, F) on x from the closed forms."""
-    return fam.F_prime(x), fam.G(x), fam.F(x)
-
-
-def data_eigenvalues(f_prime, g_data):
-    """Characteristic speeds restricted to the initial surface.
-
-    Same kernel as the pointwise eigenvalue map with (w, p) = (G, F').
-    """
-    return nullgeom.eigenvalues(np.asarray(g_data, dtype=float),
-                                np.asarray(f_prime, dtype=float))
+def check_data(w, p):
+    """The t = 0 fields (w, p) = (G, F') unchanged, after checking that every
+    sample is finite and at most FIELD_CAP in magnitude; raises
+    DataOutOfRange otherwise, before any arithmetic on them can overflow."""
+    size = np.maximum(np.max(np.abs(w)), np.max(np.abs(p)))   # NaN propagates
+    if not size <= nullgeom.FIELD_CAP:
+        raise DataOutOfRange(f"initial data out of range: max(|G|, |F'|) = {size:.3e}, "
+                             f"outside the field cap [0, {nullgeom.FIELD_CAP:g}]")
+    return w, p
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,7 @@ def check_kong_tsuji(lam_minus, lam_plus, threshold=CRITERION_MARGIN_DEFAULT) ->
 
 
 def criterion_for_family(fam: DataFamily, x, threshold=CRITERION_MARGIN_DEFAULT) -> CriterionReport:
-    lo, hi = data_eigenvalues(fam.F_prime(x), fam.G(x))
+    lo, hi = nullgeom.eigenvalues(*check_data(fam.G(x), fam.F_prime(x)))
     return check_kong_tsuji(lo, hi, threshold)
 
 
@@ -174,28 +172,25 @@ def blowup_fixture(amplitude=2.4, separation=4.0, width=1.0, gamma=0.5) -> DataF
 class TraceTable:
     """Grid samples of L(d^k phi)|_{t=0} and Lb(d^k phi)|_{t=0}.
 
-    rows maps the multi-index (k1, k2) = (time, space derivative counts) to
-    the pair of arrays (L_trace, Lb_trace).  den_min records the smallest
-    value of the induction denominator 4 + (Lphi - Lbphi)^2 seen on the grid
-    (always >= 4).
+    rows has the derivative-tower layout (N+1, N+1, 2, n), indexed
+    [k1, k2, L or Lb] by the time and space derivative counts, with zeros
+    where k1 + k2 > N.  den_min records the smallest value of the induction
+    denominator 4 + (Lphi - Lbphi)^2 seen on the grid (always >= 4).
     """
 
     x: np.ndarray
     N: int
-    rows: dict
+    rows: np.ndarray
     den_min: float
-
-    def row(self, k1, k2):
-        return self.rows[(k1, k2)]
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["x", "k1", "k2", "L_trace", "Lb_trace"])
-            for (k1, k2) in sorted(self.rows):
-                ltr, lbtr = self.rows[(k1, k2)]
-                for xi, lv, lbv in zip(self.x, ltr, lbtr):
-                    wr.writerow([f"{xi:.17g}", k1, k2, f"{lv:.17g}", f"{lbv:.17g}"])
+            for k1 in range(self.N + 1):
+                for k2 in range(self.N + 1 - k1):
+                    for xi, lv, lbv in zip(self.x, *self.rows[k1, k2]):
+                        wr.writerow([f"{xi:.17g}", k1, k2, f"{lv:.17g}", f"{lbv:.17g}"])
 
 
 def _multinomial(k, a, b):
@@ -223,6 +218,7 @@ def higher_order_traces(fam: DataFamily, N: int, x) -> TraceTable:
         T[(0, j)] = fam.F_deriv(j, x) if j >= 1 else fam.F(x)
     for j in range(M):
         T[(1, j)] = fam.G_deriv(j, x)
+    check_data(T[(1, 0)], T[(0, 1)])
 
     def ltr(c):
         return T[(c[0] + 1, c[1])] + T[(c[0], c[1] + 1)]
@@ -267,8 +263,8 @@ def higher_order_traces(fam: DataFamily, N: int, x) -> TraceTable:
             llb = (src - 2.0 * lbphi0 ** 2 * dx_l + 2.0 * lphi0 ** 2 * dx_lb) / den
             T[(m, j)] = llb + T[(m - 2, j + 2)]
 
-    rows = {}
+    rows = np.zeros((N + 1, N + 1, 2) + x.shape)
     for k1 in range(N + 1):
         for k2 in range(N + 1 - k1):
-            rows[(k1, k2)] = (ltr((k1, k2)), lbtr((k1, k2)))
+            rows[k1, k2] = ltr((k1, k2)), lbtr((k1, k2))
     return TraceTable(x=x, N=N, rows=rows, den_min=den_min)

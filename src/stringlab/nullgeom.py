@@ -30,6 +30,7 @@ import numpy as np
 from .errors import HyperbolicityLoss, TimelikeViolation
 
 GMIN_DEFAULT = 1e-6
+FIELD_CAP = 1e6           # largest |w| or |p| a state may hold
 
 
 def metric_scalars(lphi, lbphi):

@@ -185,7 +185,10 @@ def profile_antiderivative(h: ProfileSpec, x):
 
 def support_radius(h: ProfileSpec, tol: float = 1e-14, k_max: int = 0) -> float:
     """Radius around the center beyond which derivatives up to k_max are
-    below tol * amplitude.  The bump is exactly supported on one width."""
+    below tol * amplitude.  The bump is exactly supported on one width; a
+    zero profile has radius 0."""
+    if h.amplitude == 0.0:
+        return 0.0
     if h.kind == "bump":
         return h.width
     floor = tol * abs(h.amplitude)

@@ -1,8 +1,10 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stringlab import ExperimentConfig, ParseError, ValidationError, parse_config, serialize_config
-from stringlab import identities
+from stringlab import evolve, identities
 from stringlab.cli import main
 
 
@@ -235,6 +237,24 @@ def test_cli_nonpositive_profile_width_named(tmp_path, capsys, line):
     _assert_named_error(capsys, rc, f"{line.split()[0]} must be positive")
 
 
+@pytest.mark.parametrize("mode", ["run", "tracecheck"])
+def test_cli_out_of_range_data_named(tmp_path, capsys, mode):
+    # used to print about 20 numpy overflow warnings, then "blow-up detected
+    # at t = 0 (non-finite values)" and exit 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([mode, "--config", _cfg_file(tmp_path, SMALL_RUN + "f_amplitude = 1e200\n"),
+                   "--out", str(tmp_path / "out")])
+    _assert_named_error(capsys, rc, "initial data out of range")
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cli_non_finite_value_named(tmp_path, capsys, value):
+    rc = main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN + f"fb_amplitude = {value}\n"),
+               "--out", str(tmp_path / "out")])
+    _assert_named_error(capsys, rc, f"fb_amplitude must be finite: {value}")
+
+
 @pytest.mark.parametrize("deltas", ["0, 0.1, 0.2", "0.1, 0.1, 0.1", "-0.1, 0.1, 0.2"])
 def test_cli_sweep_deltas_positive_and_distinct(tmp_path, capsys, deltas):
     # a zero delta gave a LinAlgError traceback from the log fit; equal ones
@@ -321,10 +341,13 @@ def test_cli_converge_dissipation_pairing(tmp_path):
         assert abs(a - b) <= 0.3
 
 
-def test_cli_converge_names_a_level_that_blows_up(tmp_path, capsys):
+def test_cli_converge_names_a_level_that_blows_up(tmp_path, capsys, monkeypatch):
     # the field-size cap stops every level at its first step; comparing that
-    # state with the wave at t_end would report a meaningless error
-    text = CONVERGE_SMALL + "f_amplitude = 3e6\nfb_amplitude = 3e6\n"
+    # state with the wave at t_end would report a meaningless error.  Data
+    # over the cap are an input error (DataOutOfRange), so the stepper's cap
+    # is lowered below data of size 1.5 instead
+    monkeypatch.setattr(evolve, "FIELD_CAP", 1.0)
+    text = CONVERGE_SMALL + "f_amplitude = 3\nfb_amplitude = 3\n"
     rc = main(["converge", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "c")])
     assert rc == 1
     err = capsys.readouterr().err

@@ -6,11 +6,10 @@ from scipy import integrate
 
 from stringlab import (DataFamily, EnergyReport, EnergyTracker, Grid1D, InsufficientHistory,
                        ProfileSpec, TimelikeViolation, blowup_fixture, build_tower,
-                       higher_order_traces, init_state, monitor, order_energy, row_energy,
+                       energy_orders, higher_order_traces, init_state, monitor,
                        run_evolution, stack_states, stress_density, tracked_run, tracked_sweep)
 from stringlab.config import ExperimentConfig
-from stringlab.energy import (DerivativeTower, _sobolev_stats, energy_orders, null_rows,
-                             spatial_rows, time_rows)
+from stringlab.energy import DerivativeTower, _sobolev_stats, null_rows, spatial_rows, time_rows
 from stringlab.evolve import FieldState
 
 GAUSS2 = ProfileSpec("gaussian", 1.0, 0.0, 2.0)
@@ -44,8 +43,7 @@ def test_tower_zero_solution():
     z = np.zeros(grid.n)
     states = [FieldState(t=0.02 * i, grid=grid, phi=z, w=z, p=z) for i in range(5)]
     tower = build_tower(states, N=2)
-    for lrow, lbrow in tower.rows.values():
-        assert np.all(lrow == 0) and np.all(lbrow == 0)
+    assert np.all(tower.rows == 0)
     e2, eb2 = energy_orders(tower, 0.5)
     assert np.all(e2 == 0) and np.all(eb2 == 0)
 
@@ -63,7 +61,7 @@ def test_tower_manufactured_mixed_derivatives():
         tower = build_tower(states, N=2)
         # row (1,1): L(d_t d_x phi): d_t d_x phi = -cos(x) sin(t)
         # L = dt + dx: -> -cos(x)cos(t) + sin(x)sin(t) at t = 0: -cos(x)
-        lrow, lbrow = tower.rows[(1, 1)]
+        lrow, lbrow = tower.rows[1, 1]
         errs.append(np.max(np.abs(lrow - (-np.cos(x)))))
         assert np.max(np.abs(lbrow - (-np.cos(x)))) == pytest.approx(errs[-1], rel=0.5)
     assert errs[1] < 2.5e-4
@@ -75,8 +73,8 @@ def test_tower_travelling_l_rows_vanish(travelling_family):
     res = run_evolution(travelling_family, grid, t_end=0.5, store_history=True)
     states = res.history[-9:]
     tower = build_tower(states, N=4)
-    for (k1, k2), (lrow, _) in tower.rows.items():
-        assert np.max(np.abs(lrow)) < 2e-5, f"L row {(k1, k2)}"
+    for k1, k2 in np.ndindex(5, 5):
+        assert np.max(np.abs(tower.rows[k1, k2, 0])) < 2e-5, f"L row {(k1, k2)}"
 
 
 def test_tower_matches_initial_traces(default_family):
@@ -96,8 +94,10 @@ def test_tower_matches_initial_traces(default_family):
         back.append(s.copy())
     tower = build_tower(list(reversed(back)) + [st] + fwd, N=2)
     table = higher_order_traces(default_family, 2, grid.x)
-    for key, (lt, lbt) in table.rows.items():
-        tl, tlb = tower.rows[key]
+    for key in np.ndindex(3, 3):
+        if sum(key) > 2:
+            continue
+        (lt, lbt), (tl, tlb) = table.rows[key], tower.rows[key]
         scale = max(np.max(np.abs(lt)), np.max(np.abs(lbt)), 1e-12)
         assert np.max(np.abs(tl - lt)) / scale < 2e-3, key
         assert np.max(np.abs(tlb - lbt)) / scale < 2e-3, key
@@ -185,22 +185,21 @@ def test_stress_raises_on_degenerate_base():
 # energies
 
 
-def _tophat_tower():
+def _tophat_tower(scale=1.0):
     grid = Grid1D(-2.0, 4.0 / 1600, 1601)
     x = grid.x
-    lrow = np.where(np.abs(x) <= 1.0, 1.0, 0.0)
-    rows = {(0, 0): (lrow, np.zeros_like(x))}
+    lrow = np.where(np.abs(x) <= 1.0, scale, 0.0)
+    rows = np.stack([lrow, np.zeros_like(x)])[None, None]
     return DerivativeTower(t=0.0, grid=grid, N=0, rows=rows)
 
 
 def test_energy_slice_tophat_oracle():
     # int_{-1}^{1} (1 + x^2/4)^{3/2} dx by adaptive quadrature as the oracle
-    tower = _tophat_tower()
-    val = row_energy(tower, (0, 0), "TL", 0.5)
+    (val,), (val_b,) = energy_orders(_tophat_tower(), 0.5)
     oracle, _ = integrate.quad(lambda x: (1 + x * x / 4.0) ** 1.5, -1.0, 1.0)
     # top-hat edges cost one cell of trapezoid error
     assert val == pytest.approx(oracle, rel=2e-3)
-    assert row_energy(tower, (0, 0), "TLb", 0.5) == 0.0
+    assert val_b == 0.0
 
 
 def test_energy_delta_zero_noise_floor(travelling_family):
@@ -213,21 +212,9 @@ def test_energy_delta_zero_noise_floor(travelling_family):
 
 
 def test_energy_quadratic_homogeneity():
-    tower = _tophat_tower()
-    doubled = DerivativeTower(t=0.0, grid=tower.grid, N=0,
-                              rows={(0, 0): (2.0 * tower.rows[(0, 0)][0],
-                                             tower.rows[(0, 0)][1])})
-    assert row_energy(doubled, (0, 0), "TL", 0.5) == pytest.approx(
-        4.0 * row_energy(tower, (0, 0), "TL", 0.5), rel=1e-12)
-
-
-def test_order_energy_sums_rows(default_family):
-    grid = Grid1D(-24, 0.1, 481)
-    table = higher_order_traces(default_family, 2, grid.x)
-    tower = DerivativeTower(t=0.0, grid=grid, N=2, rows=table.rows)
-    total = order_energy(tower, 1, "TLb", 0.5)
-    parts = sum(row_energy(tower, k, "TLb", 0.5) for k in [(0, 1), (1, 0)])
-    assert total == pytest.approx(parts, rel=1e-14)
+    (val,), _ = energy_orders(_tophat_tower(), 0.5)
+    (doubled,), _ = energy_orders(_tophat_tower(2.0), 0.5)
+    assert doubled == pytest.approx(4.0 * val, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +314,8 @@ def test_spatial_then_time_rows_is_null_rows():
     ref = null_rows(list(phis), list(ws), 0.05, 0.1, 2)
     per_level = np.stack([spatial_rows(p, w, 0.1, 2) for p, w in zip(phis, ws)])
     rows = time_rows(per_level, 0.05, 2)
-    assert set(ref) == {(k1, k2) for k1 in range(3) for k2 in range(3 - k1)}
-    for (k1, k2), (lrow, lbrow) in ref.items():
-        assert np.array_equal(rows[k1, k2, 0], lrow)
-        assert np.array_equal(rows[k1, k2, 1], lbrow)
+    assert ref.shape == rows.shape == (3, 3, 2, 3, 40)
+    assert np.array_equal(ref, rows)
     assert np.all(rows[2, 1:] == 0) and np.all(rows[1, 2] == 0)
 
 

@@ -1,5 +1,6 @@
-"""The stepping and interpolation kernels against in-test copies of their
-written-out formulas, compared with == (NaN matched as NaN, zeros by sign).
+"""The stepping, interpolation and tower-report kernels against in-test
+copies of their written-out formulas, compared with == (NaN matched as NaN,
+zeros by sign).
 
 The kernels evaluate these formulas in place, with fewer array passes and
 over stacked rows laid end to end, but in the same operation order; any
@@ -9,7 +10,11 @@ reassociation moves the last bits of some value and fails here.
 import numpy as np
 import pytest
 
-from stringlab.evolve import FieldState, Grid1D, max_speed, step
+from stringlab.energy import DerivativeTower, _sobolev_stats, build_tower, energy_orders
+from stringlab.evolve import FieldState, Grid1D, init_state, max_speed, step
+from stringlab.initialdata import DataFamily, higher_order_traces
+from stringlab.nullgeom import side_weight
+from stringlab.profiles import ProfileSpec
 from stringlab.stencils import cubic_interp, cubic_weights, deriv1, ko_dissipation
 
 
@@ -218,3 +223,60 @@ def test_short_inputs_raise_named_errors():
     with pytest.raises(ValueError, match="at least 4 points, got 3"):
         cubic_interp([0.0, 1.0, 4.0], 0.0, 1.0, 1.5)
     assert cubic_interp([0.0, 1.0, 4.0, 9.0], 0.0, 1.0, 1.5) == 2.25
+
+
+def _row_energy_ref(tower, k1, k2, s, gamma):
+    """Trapezoid quadrature of weight * |row|^2 * sqrt(g) for one row."""
+    sqrt_g = np.sqrt(np.maximum(tower.g, 0.0))
+    wgt = side_weight(("TL", "TLb")[s], tower.t, tower.grid.x, gamma)
+    return float(np.trapezoid(wgt * tower.rows[k1, k2, s] ** 2 * sqrt_g, dx=tower.grid.dx))
+
+
+def _energy_orders_ref(tower, gamma):
+    """Row energies one row at a time, summed over the rows of each order."""
+    return tuple(np.array([sum(_row_energy_ref(tower, k1, k - k1, s, gamma)
+                               for k1 in range(k + 1)) for k in range(tower.N + 1)])
+                 for s in (0, 1))
+
+
+def _sobolev_stats_ref(tower, gamma):
+    """The weighted sups and Agmon slacks, one row at a time."""
+    dx = tower.grid.dx
+    c0 = 0.25 * (1.0 + gamma)
+    wgts = [side_weight(side, tower.t, tower.grid.x, gamma) for side in ("TL", "TLb")]
+    sups = np.zeros((2, tower.N))
+    margins = [np.inf, np.inf]
+    for k1 in range(tower.N):
+        for k2 in range(tower.N - k1):
+            for s, wgt in enumerate(wgts):
+                row, nxt = tower.rows[k1, k2, s], tower.rows[k1, k2 + 1, s]
+                lhs = float(np.max(np.sqrt(wgt) * np.abs(row)))
+                l2 = float(np.sqrt(np.trapezoid(wgt * row ** 2, dx=dx)))
+                l2x = float(np.sqrt(np.trapezoid(wgt * nxt ** 2, dx=dx)))
+                bound = np.sqrt(2.0 * l2 * (c0 * l2 + l2x)) if l2 > 0 else 0.0
+                sups[s, k1 + k2] = max(sups[s, k1 + k2], lhs)
+                margins[s] = min(margins[s], bound - lhs)
+    return sups[0], sups[1], float(margins[0]), float(margins[1])
+
+
+def _evolved_tower(fam, grid, N):
+    states = [init_state(fam, grid)]
+    for _ in range(2 * N):
+        states.append(step(states[-1], 0.4 * grid.dx)[0])
+    return build_tower(states, N)
+
+
+@pytest.mark.parametrize("N", [1, 4])
+def test_tower_reports_equal_per_row_loop(N):
+    fam = DataFamily(0.5, 0.1, ProfileSpec("gaussian", 1.0, 0.5, 2.0),
+                     ProfileSpec("polynomial-gaussian", 0.8, -1.0, 1.5))
+    grid = Grid1D(-16.0, 0.1, 321)
+    table = higher_order_traces(fam, N, grid.x)
+    towers = [_evolved_tower(fam, grid, N),
+              DerivativeTower(t=0.0, grid=grid, N=N, rows=table.rows)]
+    assert towers[0].t > 0.0
+    for tower in towers:
+        for got, want in zip(energy_orders(tower, 0.3), _energy_orders_ref(tower, 0.3)):
+            _assert_bitwise(got, want)
+        for got, want in zip(_sobolev_stats(tower, 0.3), _sobolev_stats_ref(tower, 0.3)):
+            _assert_bitwise(got, want)

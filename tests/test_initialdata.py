@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stringlab import (DataFamily, HyperbolicityLoss, ProfileSpec, blowup_fixture,
-                       build_data, check_kong_tsuji, criterion_for_family,
-                       data_eigenvalues, eigenvalues, higher_order_traces)
+from stringlab import (DataFamily, DataOutOfRange, Grid1D, HyperbolicityLoss, ProfileSpec,
+                       blowup_fixture, check_kong_tsuji, criterion_for_family, eigenvalues,
+                       higher_order_traces, init_state)
 
 
 def test_gamma_range_enforced():
@@ -15,7 +17,7 @@ def test_gamma_range_enforced():
 def test_build_data_identities(default_family, rng):
     # the defining relations hold pointwise to roundoff
     x = rng.uniform(-6, 6, 10)
-    fp, g, _ = build_data(default_family, x)
+    fp, g = default_family.F_prime(x), default_family.G(x)
     f = default_family.f_deriv(0, x)
     fb = default_family.fb_deriv(0, x)
     assert np.allclose(g + fp, 0.1 * f, atol=1e-15)
@@ -24,7 +26,7 @@ def test_build_data_identities(default_family, rng):
 
 def test_build_data_delta_zero(travelling_family):
     x = np.linspace(-5, 5, 33)
-    fp, g, _ = travelling_family.F_prime(x), travelling_family.G(x), None
+    fp, g = travelling_family.F_prime(x), travelling_family.G(x)
     # Lphi = g + fp vanishes identically
     assert np.max(np.abs(g + fp)) < 1e-15
 
@@ -38,26 +40,44 @@ def test_build_data_symmetric_case():
     assert np.allclose(fam.G(x), fam.f_deriv(0, x), atol=1e-16)
 
 
+@pytest.mark.parametrize("amplitude", [2.5e6, 1e200, float("nan")])
+def test_out_of_range_data_is_a_named_error(amplitude):
+    # a travelling family: G = amplitude/2 at the center, over the field cap
+    # or not finite
+    def fam(amp):
+        h = ProfileSpec("gaussian", amp, 0.0, 1.0)
+        return DataFamily(0.5, 0.0, h, h)
+
+    grid, bad = Grid1D(-8.0, 0.1, 161), fam(amplitude)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (lambda: criterion_for_family(bad, grid.x), lambda: init_state(bad, grid),
+                      lambda: higher_order_traces(bad, 2, grid.x)):
+            with pytest.raises(DataOutOfRange, match="initial data out of range"):
+                build()
+    assert init_state(fam(2e6), grid).w.max() == 1e6      # exactly at the cap
+
+
 def test_antiderivative_pins_left_edge(default_family):
     assert default_family.F(-60.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_data_eigenvalues_flat():
-    lo, hi = data_eigenvalues(np.zeros(5), np.zeros(5))
+    lo, hi = eigenvalues(np.zeros(5), np.zeros(5))
     assert np.allclose(lo, -1.0) and np.allclose(hi, 1.0)
 
 
 def test_data_eigenvalues_match_pointwise_kernel(default_family, rng):
+    # the criterion reads the pointwise kernel at (w, p) = (G, F')
     x = rng.uniform(-8, 8, 64)
-    fp, g = default_family.F_prime(x), default_family.G(x)
-    lo, hi = data_eigenvalues(fp, g)
-    lo2, hi2 = eigenvalues(g, fp)
-    assert np.array_equal(lo, lo2) and np.array_equal(hi, hi2)
+    rep = criterion_for_family(default_family, x)
+    lo, hi = eigenvalues(default_family.G(x), default_family.F_prime(x))
+    assert np.array_equal(rep.lambda_minus, lo) and np.array_equal(rep.lambda_plus, hi)
 
 
 def test_data_eigenvalues_delta_zero(travelling_family):
     x = np.linspace(-8, 8, 101)
-    lo, hi = data_eigenvalues(travelling_family.F_prime(x), travelling_family.G(x))
+    lo, hi = eigenvalues(travelling_family.G(x), travelling_family.F_prime(x))
     fb = travelling_family.fb_deriv(0, x)
     assert np.allclose(hi, 1.0, atol=1e-14)
     assert np.allclose(lo, (fb ** 2 - 4.0) / (fb ** 2 + 4.0), atol=1e-14)
@@ -73,14 +93,14 @@ def test_data_eigenvalues_seed_formula(default_family, rng):
     den = 4.0 + fb ** 2 + d ** 2 * f ** 2 - 2.0 * d * fb * f
     lo_ref = (fb ** 2 - d ** 2 * f ** 2 - 4.0 * np.sqrt(1.0 - d * fb * f)) / den
     hi_ref = (fb ** 2 - d ** 2 * f ** 2 + 4.0 * np.sqrt(1.0 - d * fb * f)) / den
-    lo, hi = data_eigenvalues(default_family.F_prime(x), default_family.G(x))
+    lo, hi = eigenvalues(default_family.G(x), default_family.F_prime(x))
     assert np.allclose(lo, lo_ref, atol=1e-13)
     assert np.allclose(hi, hi_ref, atol=1e-13)
 
 
 def test_data_eigenvalues_hyperbolicity_loss():
     with pytest.raises(HyperbolicityLoss):
-        data_eigenvalues(np.zeros(3), np.array([0.0, 1.0, 0.0]))
+        eigenvalues(np.array([0.0, 1.0, 0.0]), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +161,7 @@ def test_blowup_fixture_fails_criterion():
     rep = criterion_for_family(fam, x)
     assert not rep.passed and rep.order_margin < 0
     # but the initial data are healthy (separated packets)
-    lo, hi = data_eigenvalues(fam.F_prime(x), fam.G(x))
+    lo, hi = eigenvalues(fam.G(x), fam.F_prime(x))
     assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
 
 
@@ -152,11 +172,11 @@ def test_blowup_fixture_fails_criterion():
 def test_traces_base_rows(default_family):
     x = np.linspace(-10, 10, 201)
     table = higher_order_traces(default_family, 3, x)
-    lt, lbt = table.row(0, 0)
+    lt, lbt = table.rows[0, 0]
     assert np.allclose(lt, 0.1 * default_family.f_deriv(0, x), atol=1e-14)
     assert np.allclose(lbt, default_family.fb_deriv(0, x), atol=1e-14)
     # spatial rows are derivatives of the base rows
-    lt1, lbt1 = table.row(0, 1)
+    lt1, lbt1 = table.rows[0, 1]
     assert np.allclose(lt1, 0.1 * default_family.f_deriv(1, x), atol=1e-13)
     assert np.allclose(lbt1, default_family.fb_deriv(1, x), atol=1e-13)
 
@@ -172,7 +192,10 @@ def test_traces_delta_zero_travelling(travelling_family):
     # Lb rows equal spatial derivatives of the right-moving profile
     x = np.linspace(-10, 10, 161)
     table = higher_order_traces(travelling_family, 4, x)
-    for (k1, k2), (lt, lbt) in table.rows.items():
+    for k1, k2 in np.ndindex(5, 5):
+        if k1 + k2 > 4:
+            continue
+        lt, lbt = table.rows[k1, k2]
         assert np.max(np.abs(lt)) < 1e-13, f"L row {k1, k2} should vanish"
         expect = (-1.0) ** k1 * travelling_family.fb_deriv(k1 + k2, x)
         assert np.allclose(lbt, expect, atol=1e-11), f"Lb row {k1, k2}"
@@ -185,15 +208,14 @@ def test_traces_delta_scaling():
     x = np.linspace(-6, 6, 101)
     t1 = higher_order_traces(DataFamily(0.5, 0.2, f, zero), 3, x)
     t2 = higher_order_traces(DataFamily(0.5, 0.1, f, zero), 3, x)
-    for key in t1.rows:
-        assert np.allclose(t1.rows[key][0], 2.0 * t2.rows[key][0], rtol=1e-12, atol=1e-14)
+    assert np.allclose(t1.rows[:, :, 0], 2.0 * t2.rows[:, :, 0], rtol=1e-12, atol=1e-14)
 
     # with fb nonzero each L row is O(delta): log-log slope >= 1
     fb = ProfileSpec("gaussian", 1.0, 0.0, 2.0)
     sizes = []
     for d in (0.1, 0.05, 0.025):
         tb = higher_order_traces(DataFamily(0.5, d, f, fb), 3, x)
-        sizes.append(max(np.max(np.abs(r[0])) for r in tb.rows.values()))
+        sizes.append(np.max(np.abs(tb.rows[:, :, 0])))
     slopes = np.diff(np.log(sizes)) / np.diff(np.log([0.1, 0.05, 0.025]))
     assert np.all(slopes >= 0.99)
 
@@ -205,7 +227,7 @@ def test_traces_weighted_norms_stable_under_refinement(default_family):
         x = np.linspace(-20, 20, n)
         table = higher_order_traces(default_family, 3, x)
         w = (1 + np.abs(x)) ** 3
-        norm = sum(np.trapezoid(w * lb ** 2, x) for (_, lb) in table.rows.values())
+        norm = np.sum(np.trapezoid(w * table.rows[:, :, 1] ** 2, x))
         vals.append(norm)
     assert np.isfinite(vals).all()
     assert vals[1] == pytest.approx(vals[0], rel=1e-4)
@@ -218,5 +240,5 @@ def test_trace_table_csv_roundtrip(default_family, tmp_path):
     table.write_csv(path)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "x,k1,k2,L_trace,Lb_trace"
-    n_rows = sum(1 for _ in table.rows)
+    n_rows = 6                     # k1 + k2 <= 2
     assert len(rows) == 1 + n_rows * len(x)
