@@ -305,6 +305,12 @@ class EnergyTracker:
     interpolation (trapezoidal in time, lagged to the center of the ring so
     all tower rows exist).  Reports difference the whole ring the same way.
 
+    The lines form one array, the u-lines first and the ub-lines after
+    them: the running fluxes `_flux` (B, lines, N+1), the flux density of
+    the last step `_prev`, and the per-line flags `truncated` and
+    `_inside`.  A u-line takes the L rows under the weight a(ub), a ub-line
+    the Lb rows under a(u); reports split the fluxes into f2 and fb2.
+
     A line accumulates while it stays hw+1 cells inside the grid.  One that
     has not reached the grid yet (an outgoing line left of it, an incoming
     line right of it) waits; one that leaves is flagged truncated and stops
@@ -326,14 +332,12 @@ class EnergyTracker:
         self._times = deque(maxlen=self._n_levels)
         self._levels_seen = 0
         self._steps = 0
-        self._f2 = self._fb2 = None    # (B, probes, N+1) running fluxes
-        self._prev_f = None
-        self._prev_fb = None
+        self._nu = len(self.probes_u)
+        self._flux = None              # (B, lines, N+1) running fluxes
+        self._prev = None              # (B, lines, N+1) flux density at _prev_tau
         self._prev_tau = None
-        self.truncated_u = np.zeros(len(self.probes_u), dtype=bool)
-        self.truncated_ub = np.zeros(len(self.probes_ub), dtype=bool)
-        self._inside_u = np.zeros(len(self.probes_u), dtype=bool)
-        self._inside_ub = np.zeros(len(self.probes_ub), dtype=bool)
+        self.truncated = np.zeros(self._nu + len(self.probes_ub), dtype=bool)
+        self._inside = np.zeros_like(self.truncated)
         # probes keep hw+1 cells from the edges, clear of the one-sided edge
         # stencils under N+1 nested first derivatives plus the cubic
         # interpolation; hw cells below the probe is also the reference
@@ -362,9 +366,9 @@ class EnergyTracker:
         """Members blew up; keep marks the ones that go on."""
         self._members = self._members[keep]
         self._rows = self._rows[..., keep, :]
-        self._f2, self._fb2 = self._f2[keep], self._fb2[keep]
+        self._flux = self._flux[keep]
         if self._prev_tau is not None:
-            self._prev_f, self._prev_fb = self._prev_f[keep], self._prev_fb[keep]
+            self._prev = self._prev[keep]
 
     def _push(self, state: FieldState):
         phi, w = np.atleast_2d(state.phi), np.atleast_2d(state.w)
@@ -374,8 +378,7 @@ class EnergyTracker:
             self._members = np.arange(n_members)
             self.member_reports = [[] for _ in range(n_members)]
             self._rows = np.empty((self._n_levels, self.N + 1, 2, n_members, state.grid.n))
-            self._f2 = np.zeros((n_members, len(self.probes_u), self.N + 1))
-            self._fb2 = np.zeros((n_members, len(self.probes_ub), self.N + 1))
+            self._flux = np.zeros((n_members, len(self.truncated), self.N + 1))
         self._rows[self._levels_seen % self._n_levels] = spatial_rows(
             phi, w, state.grid.dx, self.N)
         self._times.append(state.t)
@@ -399,50 +402,42 @@ class EnergyTracker:
         cols = self._rows.take(idx, axis=-1)[self._ring_order()]   # (2N+1, N+1, 2, B, P, 4)
         return cubic_combine(weights, time_rows(cols, self._times[1] - self._times[0], self.N))
 
-    def _flux_density(self, rows, xq, tau, side):
+    def _flux_density(self, rows, xq, tau, nu):
         """weight*|row(xq)|^2*sqrt(g(xq)) summed over the rows of each order,
-        shape (B, P, N+1); side 0 takes the L rows, side 1 the Lb rows."""
+        shape (B, P, N+1): the L rows of the first nu lines (u-lines, weight
+        a(ub)), the Lb rows of the rest (ub-lines, weight a(u))."""
         sqrt_g = np.sqrt(np.maximum(1.0 - rows[0, 0, 0] * rows[0, 0, 1], 0.0))
-        wgt = side_weight(_SIDES[side], tau, xq, self.gamma)
-        return _order_sums(np.moveaxis(wgt * rows[:, :, side] ** 2 * sqrt_g, 1, -1))
-
-    @staticmethod
-    def _active(inside, past_exit, was_inside, truncated):
-        """Update the truncation flags of one probe family; return the lines
-        that accumulate this step."""
-        truncated |= (was_inside & ~inside) | past_exit
-        was_inside[:] = inside
-        return inside & ~truncated
+        dens = np.empty(rows.shape[:2] + rows.shape[3:])
+        for side, part in enumerate((slice(None, nu), slice(nu, None))):
+            wgt = side_weight(_SIDES[side], tau, xq[part], self.gamma)
+            dens[..., part] = wgt * rows[:, :, side, ..., part] ** 2 * sqrt_g[..., part]
+        return _order_sums(np.moveaxis(dens, 1, -1))
 
     def _accumulate_flux(self):
         grid = self._grid
         tau = self._times[self.N]
         margin = (self._hw + 1) * grid.dx
         lo, hi = grid.x0 + margin, grid.x_end - margin
-        xu = tau - 2.0 * self.probes_u
-        xub = 2.0 * self.probes_ub - tau
-        act_u = self._active((xu > lo) & (xu < hi), xu >= hi,
-                             self._inside_u, self.truncated_u)
-        act_ub = self._active((xub > lo) & (xub < hi), xub <= lo,
-                              self._inside_ub, self.truncated_ub)
-        cur_f = np.zeros_like(self._f2)
-        cur_fb = np.zeros_like(self._fb2)
-        xq = np.concatenate([xu[act_u], xub[act_ub]])
-        if len(xq):
-            rows = self._probe_rows(xq)
-            nu = int(np.count_nonzero(act_u))
-            cur_f[:, act_u] = self._flux_density(rows[..., :nu], xq[:nu], tau, 0)
-            cur_fb[:, act_ub] = self._flux_density(rows[..., nu:], xq[nu:], tau, 1)
+        x = np.concatenate([tau - 2.0 * self.probes_u, 2.0 * self.probes_ub - tau])
+        inside = (x > lo) & (x < hi)
+        # a u-line moves right and leaves past hi, a ub-line past lo
+        past_exit = np.concatenate([x[:self._nu] >= hi, x[self._nu:] <= lo])
+        self.truncated |= (self._inside & ~inside) | past_exit
+        self._inside = inside
+        active = inside & ~self.truncated
+        cur = np.zeros_like(self._flux)
+        if np.any(active):
+            xq = x[active]
+            cur[:, active] = self._flux_density(self._probe_rows(xq), xq, tau,
+                                                int(np.count_nonzero(active[:self._nu])))
         if self._prev_tau is not None:
-            dtau = tau - self._prev_tau
-            self._f2 += 0.5 * dtau * (self._prev_f + cur_f)
-            self._fb2 += 0.5 * dtau * (self._prev_fb + cur_fb)
-        self._prev_f, self._prev_fb, self._prev_tau = cur_f, cur_fb, tau
+            self._flux += 0.5 * (tau - self._prev_tau) * (self._prev + cur)
+        self._prev, self._prev_tau = cur, tau
 
     def truncated_probes(self):
         """Names of the probe lines that left the grid, e.g. 'u0=3'."""
-        return ([f"u0={u0:g}" for u0 in self.probes_u[self.truncated_u]]
-                + [f"ub0={ub0:g}" for ub0 in self.probes_ub[self.truncated_ub]])
+        names = [f"u0={c:g}" for c in self.probes_u] + [f"ub0={c:g}" for c in self.probes_ub]
+        return [name for name, gone in zip(names, self.truncated) if gone]
 
     # -- reports ------------------------------------------------------------
 
@@ -457,7 +452,8 @@ class EnergyTracker:
             rows = time_rows(self._rows[..., k, :][self._ring_order()], dt, self.N)
             tower = DerivativeTower(t=t, grid=self._grid, N=self.N, rows=rows)
             self.member_reports[m].append(report_from_tower(
-                tower, self.gamma, flux_t, self._f2[k].copy(), self._fb2[k].copy()))
+                tower, self.gamma, flux_t, self._flux[k, :self._nu].copy(),
+                self._flux[k, self._nu:].copy()))
 
     def initial_report(self, fam, grid) -> EnergyReport:
         """Report at t = 0 from the exact trace table of the data, zero flux."""
@@ -466,14 +462,6 @@ class EnergyTracker:
         return report_from_tower(tower, self.gamma, 0.0,
                                  np.zeros((len(self.probes_u), self.N + 1)),
                                  np.zeros((len(self.probes_ub), self.N + 1)))
-
-    def final_report(self):
-        """Report the last full ring if the run ended between reports."""
-        if len(self._times) == self._n_levels and len(self._members):
-            last = self.member_reports[self._members[0]]
-            if not last or last[-1].t < self._times[self.N]:
-                self._report()
-        return self.reports
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +477,18 @@ def config_tracker(cfg) -> EnergyTracker:
 def _tracked_ensemble(cfg, grid, members, tracker):
     """Evolve members, (family, initial state, delta) triples, as one
     ensemble under tracker: (RunResult, reports with the exact t = 0 report
-    first, MonitorResult) per member."""
+    first, MonitorResult) per member.  Raises InsufficientHistory when a
+    member completes without an evolved report: the run was too short to
+    fill the tower ring and reach a report step."""
     fams, states, deltas = zip(*members)
     result = run_evolution(stack_states(states), t_end=cfg.t_end, cfl=cfg.cfl,
                            eps_ko=cfg.eps_ko, gmin=cfg.gmin, callbacks=[tracker])
+    if any(res.status == "completed" and not reports
+           for res, reports in zip(result.members, tracker.member_reports)):
+        raise InsufficientHistory(
+            f"a run of {result.n_steps} steps gives no energy report: an order-{tracker.N} "
+            f"tower needs {2 * tracker.N + 1} levels and reports come every "
+            f"{tracker.report_every} steps")
     out = []
     for res, fam, delta, reports in zip(result.members, fams, deltas, tracker.member_reports):
         reports = [tracker.initial_report(fam, grid)] + reports

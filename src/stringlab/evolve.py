@@ -110,14 +110,6 @@ class FieldState:
     w: np.ndarray
     p: np.ndarray
 
-    @property
-    def lphi(self):
-        return self.w + self.p
-
-    @property
-    def lbphi(self):
-        return self.w - self.p
-
     @cached_property
     def disc(self):
         """The determinant 1 - Lphi*Lbphi = 1 + p^2 - w^2, computed once."""
@@ -357,10 +349,6 @@ class RunResult:
     blowup_reason: str | None = None
     history: list = field(default_factory=list)   # FieldState per step when kept
     members: list = field(default_factory=list)   # RunResult per member of an ensemble
-
-    @property
-    def times(self):
-        return np.array([s.t for s in self.history])
 
 
 def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,

@@ -248,6 +248,27 @@ def test_cli_out_of_range_data_named(tmp_path, capsys, mode):
     _assert_named_error(capsys, rc, "initial data out of range")
 
 
+@pytest.mark.parametrize("t_end,n_steps", [("0.05", 2), ("0.5", 13)])
+def test_cli_run_too_short_for_a_report_named(tmp_path, capsys, t_end, n_steps):
+    # 2 steps fill no order-4 tower ring (9 levels), 13 reach no report step
+    # (every 25); both used to exit 0 on the t = 0 report alone
+    text = SMALL_RUN.replace("t_end = 4", f"t_end = {t_end}").replace(
+        "report_every = 20", "report_every = 25")
+    rc = main(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "out")])
+    _assert_named_error(capsys, rc, f"a run of {n_steps} steps gives no energy report: "
+                                    "an order-4 tower needs 9 levels and reports come "
+                                    "every 25 steps")
+    assert not (tmp_path / "out" / "energy.csv").exists()
+
+
+def test_cli_sweep_too_short_for_a_report_named(tmp_path, capsys):
+    # used to print slopes fitted to the t = 0 data alone, with C1 = 0
+    text = SMALL_RUN.replace("t_end = 4", "t_end = 0.05") + "deltas = 0.2, 0.1, 0.05\n"
+    rc = main(["sweep", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "sw")])
+    _assert_named_error(capsys, rc, "a run of 2 steps gives no energy report")
+    assert not (tmp_path / "sw" / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_cli_non_finite_value_named(tmp_path, capsys, value):
     rc = main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN + f"fb_amplitude = {value}\n"),

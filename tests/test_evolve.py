@@ -50,7 +50,7 @@ def test_init_state_zero_family():
 
 def test_init_state_travelling_null(travelling_family):
     st = init_state(travelling_family, Grid1D(-20, 0.1, 401))
-    assert np.max(np.abs(st.lphi)) < 1e-15
+    assert np.max(np.abs(st.w + st.p)) < 1e-15
 
 
 def test_init_state_rejects_superluminal():

@@ -40,6 +40,26 @@ def test_divergence_quadratic_in_test_function(rng):
     assert r9 == pytest.approx(9.0 * r1, rel=1e-6)
 
 
+@pytest.mark.parametrize("side", ["TL", "TLb", ("const", 1.0, 0.0)])
+def test_divergence_residual_calls_each_shifted_field_once(side, rng, monkeypatch):
+    # the 4th-order stencils need the current and the metric maps at the 8
+    # shifted events only; every component comes from the same call
+    calls = {"_current": 0, "_metric_maps": 0}
+    for name in calls:
+        orig = getattr(identities, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(identities, name, counted)
+    phi = random_mixture(rng, amp=0.2)
+    varphi = random_mixture(rng, amp=0.4)
+    tt, xx = np.meshgrid(np.linspace(0.3, 0.8, 3), np.linspace(-2, 2, 9), indexing="ij")
+    divergence_residual(phi, varphi, 0.5, side, 0.05, tt, xx)
+    assert calls == {"_current": 8, "_metric_maps": 8}
+
+
 def test_deformation_closed_vs_direct_random_fields():
     worst, worst_trace = deformation_check(seed=3, n_fields=100)
     assert worst <= 1e-10
