@@ -7,7 +7,8 @@ run         criterion check, evolve to t_end, energy/monitor CSV.
             1 on error or failed monitor.
 sweep       one run per delta in `deltas`; emits per-delta sups and the
             fitted hierarchy slopes/constants.  All deltas step in
-            lockstep as one ensemble.
+            lockstep as one ensemble; a delta that blows up is an error
+            naming it.
 converge    3-level refinement against the exact travelling-wave solution
             (requires delta = 0); a level that blows up is an error.
 blowup      3-level refinement of the detected blow-up time plus
@@ -107,17 +108,18 @@ def cmd_run(cfg, out: Path) -> int:
     fam = cfg.family()
     grid = _grid(cfg)
     crit = criterion_for_family(fam, grid.x)
+    print(f"criterion: {'pass' if crit.passed else 'FAIL'} "
+          f"(gap {crit.gap_min:.3e}, ordering margin {crit.order_margin:.3e})")
+
+    tracker = en.config_tracker(cfg)
+    result, reports, mon = en.tracked_run(cfg, fam, grid, tracker=tracker)
+    # written after the run, so that a run that fails by name leaves no CSV
     _write_csv(out / "criterion.csv", ["x", "lambda_minus", "lambda_plus"],
                zip(grid.x, crit.lambda_minus, crit.lambda_plus))
     _write_csv(out / "criterion_summary.csv",
                ["lam_star_lo", "lam_star_hi", "gap_min", "order_margin", "passed"],
                [[crit.lam_star_lo, crit.lam_star_hi, crit.gap_min,
                  crit.order_margin, int(crit.passed)]])
-    print(f"criterion: {'pass' if crit.passed else 'FAIL'} "
-          f"(gap {crit.gap_min:.3e}, ordering margin {crit.order_margin:.3e})")
-
-    tracker = en.config_tracker(cfg)
-    result, reports, mon = en.tracked_run(cfg, fam, grid, tracker=tracker)
     _energy_csv(out / "energy.csv", cfg, reports)
     left = tracker.truncated_probes()
     if left:

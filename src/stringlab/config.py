@@ -18,15 +18,6 @@ from .profiles import ProfileSpec
 
 MODES = ("run", "sweep", "converge", "blowup", "verify", "tracecheck")
 
-_FLOAT_KEYS = {"x0", "dx", "t_end", "cfl", "eps_ko", "gamma", "delta", "gmin",
-               "f_amplitude", "f_center", "f_width",
-               "fb_amplitude", "fb_center", "fb_width"}
-_INT_KEYS = {"n", "N", "seed", "report_every"}
-_STR_KEYS = {"mode", "f_kind", "fb_kind", "out"}
-_LIST_KEYS = {"deltas", "probes_u", "probes_ub"}
-_BOOL_KEYS = {"dump_fields"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS | _BOOL_KEYS
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -67,6 +58,9 @@ class ExperimentConfig:
         return replace(self, **kw)
 
 
+_KINDS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -77,23 +71,20 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParseError(lineno, f"expected 'key = value', got {raw.strip()!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _ALL_KEYS:
+        kind = _KINDS.get(key)
+        if kind is None:
             raise ParseError(lineno, f"unknown key {key!r}")
         if key in values:
             raise ParseError(lineno, f"duplicate key {key!r}")
         try:
-            if key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _BOOL_KEYS:
+            if kind is bool:
                 if val not in ("0", "1", "true", "false"):
                     raise ValueError(val)
                 values[key] = val in ("1", "true")
-            elif key in _LIST_KEYS:
+            elif kind is tuple:
                 values[key] = tuple(float(v) for v in val.split(",") if v.strip())
             else:
-                values[key] = val
+                values[key] = kind(val)
         except ValueError:
             raise ParseError(lineno, f"bad value {val!r} for key {key!r}") from None
     cfg = ExperimentConfig(**values)
@@ -134,9 +125,9 @@ def validate_config(cfg: ExperimentConfig):
         raise ValidationError("converge mode needs the travelling-wave oracle: set delta = 0")
     if cfg.mode == "tracecheck" and cfg.N < 2:
         raise ValidationError("tracecheck needs N >= 2")
-    for key in sorted(_FLOAT_KEYS | _LIST_KEYS):
+    for key in sorted(k for k, kind in _KINDS.items() if kind in (float, tuple)):
         val = getattr(cfg, key)
-        if not all(math.isfinite(v) for v in (val if key in _LIST_KEYS else (val,))):
+        if not all(math.isfinite(v) for v in (val if _KINDS[key] is tuple else (val,))):
             raise ValidationError(f"{key} must be finite: {val}")
     if cfg.mode in ("run", "sweep", "blowup", "tracecheck"):
         fam = cfg.family()
@@ -151,12 +142,12 @@ def validate_config(cfg: ExperimentConfig):
 def serialize_config(cfg: ExperimentConfig) -> str:
     lines = []
     for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        if f.name in _LIST_KEYS:
+        val, kind = getattr(cfg, f.name), _KINDS[f.name]
+        if kind is tuple:
             txt = ",".join(f"{v:.17g}" for v in val)
-        elif f.name in _FLOAT_KEYS:
+        elif kind is float:
             txt = f"{val:.17g}"
-        elif f.name in _BOOL_KEYS:
+        elif kind is bool:
             txt = "1" if val else "0"
         else:
             txt = str(val)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientHistory
+from .errors import BlowupDetected, InsufficientHistory
 from .evolve import FieldState, Grid1D, init_state, run_evolution, stack_states, step
 from .initialdata import TraceTable, higher_order_traces
 from .nullgeom import multiplier, null_stress, side_weight
@@ -293,8 +293,7 @@ class EnergyTracker:
     An ensemble (fields (B, n), see `run_evolution`) shares one ring of
     shape (2N+1, N+1, 2, B, n): a level costs N+1 deriv1 calls whatever B
     is, and the probe abscissae, weights and truncation flags are computed
-    once per step.  `member_reports[b]` lists member b's reports; a member
-    that `on_drop` removes keeps those it has.
+    once per step.  `member_reports[b]` lists member b's reports.
 
     Flux probes are fixed before the run: probes_u are retarded coordinates
     u0 of outgoing lines (x = t - 2 u0), probes_ub advanced coordinates ub0
@@ -327,7 +326,6 @@ class EnergyTracker:
         self.member_reports: list[list[EnergyReport]] = []
         self._n_levels = 2 * self.N + 1
         self._grid = None
-        self._members = None           # member index of each ring column
         self._rows = None              # (2N+1, N+1, 2, B, n) ring of spatial rows
         self._times = deque(maxlen=self._n_levels)
         self._levels_seen = 0
@@ -362,20 +360,11 @@ class EnergyTracker:
             if self._steps % self.report_every == 0:
                 self._report()
 
-    def on_drop(self, keep):
-        """Members blew up; keep marks the ones that go on."""
-        self._members = self._members[keep]
-        self._rows = self._rows[..., keep, :]
-        self._flux = self._flux[keep]
-        if self._prev_tau is not None:
-            self._prev = self._prev[keep]
-
     def _push(self, state: FieldState):
         phi, w = np.atleast_2d(state.phi), np.atleast_2d(state.w)
         if self._rows is None:
             n_members = w.shape[0]
             self._grid = state.grid
-            self._members = np.arange(n_members)
             self.member_reports = [[] for _ in range(n_members)]
             self._rows = np.empty((self._n_levels, self.N + 1, 2, n_members, state.grid.n))
             self._flux = np.zeros((n_members, len(self.truncated), self.N + 1))
@@ -442,16 +431,16 @@ class EnergyTracker:
     # -- reports ------------------------------------------------------------
 
     def _report(self):
-        """Append a report from the current ring to each running member.  The
-        members are differenced one at a time, so the temporaries stay at the
-        size of a single-member ring."""
+        """Append a report from the current ring to each member.  The members
+        are differenced one at a time, so the temporaries stay at the size of
+        a single-member ring."""
         dt = _level_dt(self._times)
         t = float(self._times[self.N])
         flux_t = self._prev_tau if self._prev_tau is not None else t
-        for k, m in enumerate(self._members):
+        for k, reports in enumerate(self.member_reports):
             rows = time_rows(self._rows[..., k, :][self._ring_order()], dt, self.N)
             tower = DerivativeTower(t=t, grid=self._grid, N=self.N, rows=rows)
-            self.member_reports[m].append(report_from_tower(
+            reports.append(report_from_tower(
                 tower, self.gamma, flux_t, self._flux[k, :self._nu].copy(),
                 self._flux[k, self._nu:].copy()))
 
@@ -507,11 +496,16 @@ def tracked_sweep(cfg, grid, deltas):
     """tracked_run of cfg.with_(delta=d) for each d in deltas, in order.
 
     All deltas evolve as one ensemble, so each result is bit for bit its
-    tracked_run.
+    tracked_run.  Raises BlowupDetected, naming the delta, when a member
+    blows up: the hierarchy holds only for globally smooth solutions.
     """
     fams = [cfg.with_(delta=d).family() for d in deltas]
     members = [(fam, init_state(fam, grid), d) for fam, d in zip(fams, deltas)]
-    return _tracked_ensemble(cfg, grid, members, config_tracker(cfg))
+    out = _tracked_ensemble(cfg, grid, members, config_tracker(cfg))
+    for d, (res, _, _) in zip(deltas, out):
+        if res.status == "blowup":
+            raise BlowupDetected(res.t_blowup, f"{res.blowup_reason} at delta = {d:g}")
+    return out
 
 
 def tower_at_zero(cfg, fam, grid):
@@ -547,14 +541,15 @@ class TraceCheckStudy:
 
 def trace_check_study(cfg, fam, grid) -> TraceCheckStudy:
     """trace table vs tower_at_zero for the rows of total order <= min(N, 3),
-    each discrepancy relative to the larger of its two trace sups."""
+    each discrepancy relative to the larger of its two trace sups.  Only
+    level 0's table, which the study keeps, is built to order N."""
     grids = (grid, grid.refined())
     top = min(cfg.N, 3)
     discrepancy, tables = {}, []
-    for g in grids:
+    for level, g in enumerate(grids):
         # the tower first: its level stack is gone before the table is built
-        tower = tower_at_zero(cfg, fam, g)
-        table = higher_order_traces(fam, cfg.N, g.x)
+        tower = tower_at_zero(cfg.with_(N=top), fam, g)
+        table = higher_order_traces(fam, top if level else cfg.N, g.x)
         tables.append(table)
         for k1 in range(top + 1):
             exact = table.rows[k1, :top + 1 - k1]

@@ -37,7 +37,8 @@ class HyperbolicityLoss(StringLabError):
 
 class BlowupDetected(StringLabError):
     """Raised by the time stepper when the evolution cannot continue.  For
-    an ensemble step, members holds each member's reason (None if it passed)."""
+    an ensemble step, members holds each member's reason at the first check
+    that one failed (None if it passed)."""
 
     def __init__(self, t_last, reason, members=None):
         self.t_last = float(t_last)

@@ -224,33 +224,27 @@ def step(state: FieldState, dt: float, eps_ko: float = EPS_KO_DEFAULT,
 
     Raises BlowupDetected (with the last valid time) on loss of the timelike
     or hyperbolic regime, runaway field size, or non-finite values.  The
-    members of an ensemble step with one dt and are checked one by one; if
-    any fails, the exception lists each member's reason (None if it passed)
-    in `members`, over the flattened leading axes.
+    members of an ensemble step with one dt; the step stops at the first
+    check that any member fails, and the exception lists each member's
+    reason at that check (None if it passed) in `members`, over the
+    flattened leading axes.
     """
     dx = state.grid.dx
     shape = state.w.shape
     phi0 = state.phi.reshape(-1, shape[-1])
     n_members = len(phi0)
-    why = [None] * n_members
-
-    def blowup():
-        return BlowupDetected(state.t, next(filter(None, why)),
-                              tuple(why) if len(shape) > 1 else None)
 
     def flag(bad, reason):
         if bad.any():
-            for i in np.flatnonzero(bad):
-                why[i] = why[i] or reason(i)
-            if all(why):
-                raise blowup()
+            why = tuple(reason(i) if b else None for i, b in enumerate(bad.tolist()))
+            raise BlowupDetected(state.t, next(filter(None, why)),
+                                 why if len(shape) > 1 else None)
 
     def hyperbolic(disc):
         mdisc = np.min(disc, axis=-1)
         flag(mdisc <= 0.0, lambda i: f"hyperbolicity loss ({HyperbolicityLoss(mdisc[i])})")
 
-    # a failed member goes on to the end of the step beside the others; its
-    # overflow is reported by name, not as a warning
+    # overflow before a failed check is reported by name, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         # the w rows of all members, then their p rows, ride through the
         # stages as one 2-d array; phi's slopes are the stage values of w
@@ -301,8 +295,6 @@ def step(state: FieldState, dt: float, eps_ko: float = EPS_KO_DEFAULT,
                          w=y1[w_rows].reshape(shape), p=y1[p_rows].reshape(shape))
         min_g = np.min(new.disc.reshape(phi0.shape), axis=-1)
         flag(min_g <= gmin, lambda i: f"timelike violation (min g = {min_g[i]:.3e})")
-    if any(why):
-        raise blowup()
     return new, min_g
 
 
@@ -339,7 +331,7 @@ def _active_window(w, p):
 
 @dataclass
 class RunResult:
-    status: str                 # "completed" or "blowup"
+    status: str                 # "completed", "blowup" or "stopped" (see run_evolution)
     state: FieldState           # last valid state
     dt: float
     n_steps: int
@@ -371,13 +363,13 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     accepted the state with min g > gmin >= 0; the t = 0 state is checked.
 
     Fields with leading axes make an ensemble, flattened to (B, n), whose
-    members step in lockstep; each member gets its single run's result bit
-    for bit.  A member that blows up is finalised as its single run would
-    be, callbacks with on_drop(keep) learn which members go on, and those
-    redo the step.  The result lists one RunResult per member in `members`;
-    its own fields hold the last ensemble state, the stored ensemble states,
-    the extremes over the members and the earliest blow-up.  A
-    single-member run is the B = 1 case of the same loop.
+    members step in lockstep until a blow-up of any member stops the run.
+    The result lists one RunResult per member in `members`: a member that
+    blew up gets its single run's result bit for bit, the others status
+    "stopped" and their single runs' results up to the last accepted
+    step.  Its own fields hold the last ensemble state, the stored
+    ensemble states, the extremes over the members and the first failed
+    member's blow-up.  A single-member run is the B = 1 case of the loop.
     """
     if not 0.0 <= gmin < 1.0:
         raise ValueError(f"gmin out of [0, 1): {gmin}")
@@ -390,22 +382,16 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     single = state.w.ndim == 1
     state = FieldState(state.t, grid,
                        *(f.reshape(-1, grid.n) for f in (state.phi, state.w, state.p)))
-    ids = np.arange(len(state.w))          # the members still running
     max_seen, min_g_seen = max_speed(state.w, state.p, state.disc), np.min(state.disc, axis=-1)
-    results, snapshots, histories = [None] * len(ids), [], [[] for _ in ids]
+    snapshots = []
+    t_last, why = None, [None] * len(state.w)   # the blow-up time and each member's reason
 
     def accept(hook):
         if store_history:
             snapshots.append(state.copy())
-            for k, i in enumerate(ids):
-                histories[i].append(snapshots[-1].member(k))
         for cb in callbacks:
             if hasattr(cb, hook):
                 getattr(cb, hook)(state.member(0) if single else state)
-
-    def finish(k, status, **blowup):
-        results[ids[k]] = RunResult(status, state.member(k), dt, n_steps, float(max_seen[k]),
-                                    float(min_g_seen[k]), history=histories[ids[k]], **blowup)
 
     def advance():
         """step on the active window: the new state and each member's
@@ -431,31 +417,23 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
         try:
             new, min_g, speed = advance()
         except BlowupDetected as exc:
-            keep = np.array([r is None for r in exc.members])
-            for k in np.flatnonzero(~keep):
-                finish(k, "blowup", t_blowup=exc.t_last, blowup_reason=exc.members[k])
-            ids, max_seen, min_g_seen = ids[keep], max_seen[keep], min_g_seen[keep]
-            if not len(ids):
-                break
-            state = state.member(keep)
-            for cb in callbacks:
-                if hasattr(cb, "on_drop"):
-                    cb.on_drop(keep)
-            new, min_g, speed = advance()
+            # copy out, keep no exception: its traceback holds step's arrays
+            t_last, why = exc.t_last, exc.members
+            break
         state = new
         max_seen = np.maximum(max_seen, speed)
         min_g_seen = np.minimum(min_g_seen, min_g)
         accept("on_step")
-    for k in range(len(ids)):
-        finish(k, "completed")
 
+    done = "completed" if t_last is None else "stopped"
+    results = [RunResult(done if r is None else "blowup", state.member(k), dt, n_steps,
+                         float(max_seen[k]), float(min_g_seen[k]), None if r is None else t_last,
+                         r, [s.member(k) for s in snapshots]) for k, r in enumerate(why)]
     if single:
         return results[0]
-    # the earliest blow-up, or a completed member when none blew up
-    first = min((r for r in results if r.status == "blowup"), key=lambda r: r.t_blowup,
-                default=results[0])
-    return RunResult(first.status, state, dt, n_steps, max(r.max_speed_seen for r in results),
-                     min(r.min_g_seen for r in results), first.t_blowup, first.blowup_reason,
+    first = next((r for r in results if r.status == "blowup"), results[0])
+    return RunResult(first.status, state, dt, n_steps, float(np.max(max_seen)),
+                     float(np.min(min_g_seen)), first.t_blowup, first.blowup_reason,
                      snapshots, results)
 
 

@@ -258,7 +258,8 @@ def test_cli_run_too_short_for_a_report_named(tmp_path, capsys, t_end, n_steps):
     _assert_named_error(capsys, rc, f"a run of {n_steps} steps gives no energy report: "
                                     "an order-4 tower needs 9 levels and reports come "
                                     "every 25 steps")
-    assert not (tmp_path / "out" / "energy.csv").exists()
+    # the criterion CSVs too used to be written before the run
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_cli_sweep_too_short_for_a_report_named(tmp_path, capsys):
@@ -267,6 +268,20 @@ def test_cli_sweep_too_short_for_a_report_named(tmp_path, capsys):
     rc = main(["sweep", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "sw")])
     _assert_named_error(capsys, rc, "a run of 2 steps gives no energy report")
     assert not (tmp_path / "sw" / "sweep.csv").exists()
+
+
+def test_cli_sweep_member_blowup_named(tmp_path, capsys):
+    # delta = 1 blows up at t = 4; the sweep used to exit 0 with slopes
+    # fitted across it (slope(E2) = 2.94, slope(Eb2) = 2.06)
+    text = BLOWUP_SMALL.replace("mode = blowup", "mode = sweep")
+    text += "report_every = 10\ndeltas = 1, 0.5, 0.25\n"
+    rc = main(["sweep", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "sw")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    line, = err.splitlines()
+    assert line.startswith("stringlab: error: blow-up at t=") and line.endswith(" at delta = 1")
+    assert not (tmp_path / "sw" / "sweep.csv").exists()
+    assert not (tmp_path / "sw" / "hierarchy.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -402,22 +402,31 @@ def test_tracked_sweep_members_equal_tracked_runs():
 
 
 def test_tracker_member_blowup_keeps_its_reports():
+    # the blow-up member stops the ensemble: it keeps its single run's
+    # reports, the others their single runs' reports up to that step
     grid = Grid1D(-16, 0.05, 641)
     fams = [blowup_fixture(), DataFamily(0.5, 0.1, GAUSS2, GAUSS2),
             DataFamily(0.5, 0.05, GAUSS2, GAUSS2)]
     tracker = EnergyTracker(gamma=0.5, N=2, probes_u=(0.0,), probes_ub=(0.0, 1.0),
                             report_every=10)
     ens = run_evolution(stack_states([init_state(f, grid) for f in fams]), t_end=6.0,
-                        callbacks=[tracker])
-    assert [m.status for m in ens.members] == ["blowup", "completed", "completed"]
+                        callbacks=[tracker], store_history=True)
+    assert [m.status for m in ens.members] == ["blowup", "stopped", "stopped"]
     with pytest.raises(ValueError, match="member_reports"):
         tracker.reports
-    for fam, reports in zip(fams, tracker.member_reports):
+    steps = len(ens.history) - 1
+    for fam, member, reports in zip(fams, ens.members, tracker.member_reports):
         single = EnergyTracker(gamma=0.5, N=2, probes_u=(0.0,), probes_ub=(0.0, 1.0),
                                report_every=10)
-        run_evolution(fam, grid, t_end=6.0, callbacks=[single])
-        _assert_same_reports(reports, single.reports)
-    assert len(tracker.member_reports[0]) < len(tracker.member_reports[1])
+        res = run_evolution(fam, grid, t_end=6.0, callbacks=[single], store_history=True)
+        if member.status == "blowup":
+            _assert_same_reports(reports, single.reports)
+            continue
+        assert res.status == "completed" and len(reports) < len(single.reports)
+        _assert_same_reports(reports, single.reports[:len(reports)])
+        for f in ("phi", "w", "p"):
+            assert np.array_equal(getattr(member.state, f), getattr(res.history[steps], f))
+    assert len(tracker.member_reports[0]) == len(tracker.member_reports[1]) > 0
 
 
 def test_ensemble_tracker_deriv1_budget(monkeypatch):

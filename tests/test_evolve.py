@@ -350,6 +350,26 @@ def _assert_same_run(member, serial):
         assert a.t == b.t and np.array_equal(a.w, b.w) and np.array_equal(a.phi, b.phi)
 
 
+def _assert_stopped_run(member, serial, steps):
+    """member, stopped after `steps` accepted steps by another member's
+    blow-up, is serial's run up to that step: state, extremes and, when
+    stored, history."""
+    prefix = serial.history[:steps + 1]
+    assert steps < serial.n_steps and len(prefix) == steps + 1
+    assert member.status == "stopped"
+    assert member.t_blowup is None and member.blowup_reason is None
+    assert (member.dt, member.n_steps) == (serial.dt, serial.n_steps)
+    assert member.state.t == prefix[-1].t
+    for f in ("phi", "w", "p"):
+        assert np.array_equal(getattr(member.state, f), getattr(prefix[-1], f))
+    assert member.max_speed_seen == max(max_speed(s.w, s.p) for s in prefix)
+    assert member.min_g_seen == min(float(np.min(s.disc)) for s in prefix)
+    if member.history:
+        assert len(member.history) == len(prefix)
+        for a, b in zip(member.history, prefix):
+            assert a.t == b.t and np.array_equal(a.w, b.w) and np.array_equal(a.phi, b.phi)
+
+
 def _families(*deltas):
     g2 = ProfileSpec("gaussian", 1.0, 0.0, 2.0)
     return [DataFamily(0.5, d, g2, g2) for d in deltas]
@@ -403,34 +423,26 @@ def test_run_rejects_a_backward_or_unstable_step(kwargs, match):
 
 def test_ensemble_member_blowup_leaves_the_others_unchanged():
     # slow moving backgrounds around the blow-up data: on this coarse grid
-    # all three take 50 steps, and the survivors' speeds differ
+    # all three take 50 steps, and the other two members' speeds differ.
+    # The ensemble stops at the blow-up; the others stop where it did
     grid = Grid1D(-16, 0.25, 129)
     x = grid.x
     bump = np.exp(-x * x / 8.0)
     states = [FieldState(0.0, grid, 0.05 * x, w0 + 0.1 * bump, 0.05 + 0.0 * x)
               for w0 in (0.2, 0.1)]
     states.insert(1, init_state(blowup_fixture(), grid))
-
-    class Drops:
-        def __init__(self):
-            self.keeps = []
-
-        def on_step(self, state):
-            pass
-
-        def on_drop(self, keep):
-            self.keeps.append(list(keep))
-
-    drops = Drops()
-    ens = run_evolution(stack_states(states), t_end=5.0, store_history=True, callbacks=[drops])
+    ens = run_evolution(stack_states(states), t_end=5.0, store_history=True)
     singles = [run_evolution(s, t_end=5.0, store_history=True) for s in states]
     assert [r.status for r in singles] == ["completed", "blowup", "completed"]
     assert singles[0].max_speed_seen != singles[2].max_speed_seen
-    assert drops.keeps == [[True, False, True]]
-    for member, serial in zip(ens.members, singles):
-        _assert_same_run(member, serial)
+    assert [m.status for m in ens.members] == ["stopped", "blowup", "stopped"]
+    _assert_same_run(ens.members[1], singles[1])
+    steps = len(ens.history) - 1
+    for k in (0, 2):
+        _assert_stopped_run(ens.members[k], singles[k], steps)
     assert ens.status == "blowup" and ens.t_blowup == singles[1].t_blowup
-    assert ens.state.w.shape == (2, grid.n)
+    assert ens.blowup_reason == singles[1].blowup_reason
+    assert ens.state.w.shape == (3, grid.n) and ens.state.t == ens.t_blowup
 
 
 def test_ensemble_step_names_each_failed_member():
@@ -548,7 +560,7 @@ def test_windowed_step_equals_full_step_on_kept_cells(monkeypatch, centers, wide
 
 def test_windowed_ensemble_members_equal_their_single_runs(monkeypatch):
     # the default grid: the blow-up data and two bumps centred apart window
-    # differently, and the blow-up member drops out near t = 3.9
+    # differently, and the blow-up member stops the ensemble near t = 3.9
     grid = Grid1D(-40.0, 0.05, 1601)
     bumps = _bump_members(grid, (-25.0, 20.0))
     states = [init_state(blowup_fixture(), grid), bumps.member(0), bumps.member(1)]
@@ -562,10 +574,12 @@ def test_windowed_ensemble_members_equal_their_single_runs(monkeypatch):
     ens = run_evolution(stack_states(states), t_end=5.0, callbacks=[Extremes()])
     # windowed while the blow-up data are narrow, then the whole grid
     assert seen[0][1] < grid.n and seen[-1][1] == grid.n
-    singles = [run_evolution(s, t_end=5.0) for s in states]
+    singles = [run_evolution(s, t_end=5.0, store_history=k > 0) for k, s in enumerate(states)]
     assert [r.status for r in singles] == ["blowup", "completed", "completed"]
-    for member, single in zip(ens.members, singles):
-        _assert_same_run(member, single)
+    assert [m.status for m in ens.members] == ["blowup", "stopped", "stopped"]
+    _assert_same_run(ens.members[0], singles[0])
+    for member, single in zip(ens.members[1:], singles[1:]):
+        _assert_stopped_run(member, single, len(extremes))
     # min g and the max speed over the whole accepted states
     state0 = stack_states(states)
     min_g = min([float(np.min(state0.disc))] + [float(np.min(g)) for g, _ in extremes])
