@@ -18,7 +18,7 @@ verify      manufactured-field identity suite (divergence, deformation,
             trace, equivalence band, energy balance); stdout marks each
             identity pass or FAIL, exit 1 on any failure.
 tracecheck  inductive t=0 trace table against tower time differences of the
-            evolved solution under dt refinement.
+            evolved solution under dt refinement; exit 1 unless order >= 1.5.
 
 CSV schemas (all files carry a header row; floats use repr-precision %.17g):
   energy.csv      t,k,E2,Eb2,F2_u<u0>...,Fb2_ub<ub0>...,min_g,
@@ -218,7 +218,10 @@ def cmd_tracecheck(cfg, out: Path) -> int:
                ["k1", "k2", "level", "dx", "dt", "discrepancy", "order"], rows)
     print(f"tracecheck: max discrepancy {study.worst(0):.3e} -> {study.worst(1):.3e} under "
           f"refinement; induction denominator min {study.table.den_min:.6f} (>= 4)")
-    return 0
+    order, ok = study.worst_order(), study.passed()
+    print(f"tracecheck: order {'n/a' if order is None else f'{order:.2f}'}: "
+          f"{'pass' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def main(argv=None) -> int:

@@ -52,6 +52,7 @@ N_DEFAULT = 4
 AGMON_SLACK = 1e-6              # Agmon margins may dip this far below 0, relative to sqrt(sup E)
 SUP_RATIO_CAP = 2.0             # embedding cap on the weighted sups in units of the fitted M
 _SIDES = ("TL", "TLb")          # the side of the L row (index 0) and of the Lb row (1)
+TRACE_ORDER_MIN = 1.5           # floor of trace_check_study's log2(worst level 0 / level 1)
 
 
 def spatial_rows(phi, w, dx, N):
@@ -531,7 +532,16 @@ class TraceCheckStudy:
     table: TraceTable              # exact table of level 0, with its den_min
 
     def worst(self, level):
-        return max(d[level] for d in self.discrepancy.values())
+        return float(np.max([d[level] for d in self.discrepancy.values()]))
+
+    def worst_order(self):
+        """log2(worst(0) / worst(1)); None unless both are positive and finite."""
+        d0, d1 = self.worst(0), self.worst(1)
+        return float(np.log2(d0 / d1)) if 0 < d0 < np.inf and 0 < d1 < np.inf else None
+
+    def passed(self):
+        order = self.worst_order()
+        return order is not None and order >= TRACE_ORDER_MIN
 
     def order(self, key):
         """log2 of the discrepancy ratio of (k1, k2); None if level 1 is 0."""

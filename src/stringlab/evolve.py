@@ -339,13 +339,13 @@ class RunResult:
     min_g_seen: float
     t_blowup: float | None = None
     blowup_reason: str | None = None
-    history: list = field(default_factory=list)   # FieldState per step when kept
+    history: list = field(default_factory=list)   # always empty: perfbench reads it (item 6)
     members: list = field(default_factory=list)   # RunResult per member of an ensemble
 
 
 def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
                   cfl: float = CFL_DEFAULT, eps_ko: float = EPS_KO_DEFAULT,
-                  gmin: float = GMIN_DEFAULT, callbacks=(), store_history: bool = False) -> RunResult:
+                  gmin: float = GMIN_DEFAULT, callbacks=()) -> RunResult:
     """Evolve to t_end with the fixed dt = cfl*dx of the grid, rounded so an
     integer number of steps lands exactly on t_end; the Courant number is at
     most cfl (see `_time_step`).  Raises ValueError unless t_end is after the
@@ -367,9 +367,9 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     The result lists one RunResult per member in `members`: a member that
     blew up gets its single run's result bit for bit, the others status
     "stopped" and their single runs' results up to the last accepted
-    step.  Its own fields hold the last ensemble state, the stored
-    ensemble states, the extremes over the members and the first failed
-    member's blow-up.  A single-member run is the B = 1 case of the loop.
+    step.  Its own fields hold the last ensemble state, the extremes over
+    the members and the first failed member's blow-up.  A single-member run
+    is the B = 1 case of the loop.
     """
     if not 0.0 <= gmin < 1.0:
         raise ValueError(f"gmin out of [0, 1): {gmin}")
@@ -383,12 +383,9 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     state = FieldState(state.t, grid,
                        *(f.reshape(-1, grid.n) for f in (state.phi, state.w, state.p)))
     max_seen, min_g_seen = max_speed(state.w, state.p, state.disc), np.min(state.disc, axis=-1)
-    snapshots = []
     t_last, why = None, [None] * len(state.w)   # the blow-up time and each member's reason
 
     def accept(hook):
-        if store_history:
-            snapshots.append(state.copy())
         for cb in callbacks:
             if hasattr(cb, hook):
                 getattr(cb, hook)(state.member(0) if single else state)
@@ -428,13 +425,13 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     done = "completed" if t_last is None else "stopped"
     results = [RunResult(done if r is None else "blowup", state.member(k), dt, n_steps,
                          float(max_seen[k]), float(min_g_seen[k]), None if r is None else t_last,
-                         r, [s.member(k) for s in snapshots]) for k, r in enumerate(why)]
+                         r) for k, r in enumerate(why)]
     if single:
         return results[0]
     first = next((r for r in results if r.status == "blowup"), results[0])
     return RunResult(first.status, state, dt, n_steps, float(np.max(max_seen)),
                      float(np.min(min_g_seen)), first.t_blowup, first.blowup_reason,
-                     snapshots, results)
+                     members=results)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +478,7 @@ class CharacteristicTracer:
     of the 4 levels it interpolates, so memory is O(n) whatever the run
     length.
     finish() runs the remaining tail steps with j clipped to the last 4
-    levels, exactly as a replay of the stored history would.
+    levels, as an integration over all the levels at once would.
     """
 
     def __init__(self, seeds, family: str = "plus"):
@@ -490,11 +487,7 @@ class CharacteristicTracer:
         self.family = family
         self.seeds = np.asarray(seeds, dtype=float)
         self._sign = 1.0 if family == "plus" else -1.0
-
-    @property
-    def levels_held(self):
-        """Number of (w, p) levels currently referenced."""
-        return len(self._levels)
+        self._times = []                 # no level yet: finish() raises InsufficientHistory
 
     def on_start(self, state: FieldState):
         if state.w.ndim != 1:
@@ -581,22 +574,20 @@ class CharacteristicTracer:
                                     float(np.min(np.abs(np.diff(xs))[pair_alive])))
 
 
-def trace_characteristics(result: RunResult, seeds, family: str = "plus"):
-    """Replay a stored run history through a CharacteristicTracer.
+def trace_characteristics(states, seeds, family: str = "plus"):
+    """Replay recorded single-member states, in run order, through a
+    CharacteristicTracer.
 
     Same paths, bit for bit, as passing the tracer to run_evolution as a
-    callback, which needs no stored history and O(n) memory.  Paths freeze
+    callback, which records nothing and needs O(n) memory.  Paths freeze
     when they reach the edge of the usable domain; they all stop at the last
-    stored time (the blow-up time for a run that ended early).  Returns the
+    state's time (the blow-up time for a run that ended early).  Returns the
     paths and the minimum separation between adjacent same-family paths
-    over the whole trace; raises InsufficientHistory below 4 stored levels.
+    over the whole trace; raises InsufficientHistory below 4 states.
     """
     tracer = CharacteristicTracer(seeds, family)
-    if not result.history:
-        raise InsufficientHistory("characteristic tracing needs a stored run history")
-    tracer.on_start(result.history[0])
-    for state in result.history[1:]:
-        tracer.on_step(state)
+    for k, state in enumerate(states):
+        (tracer.on_step if k else tracer.on_start)(state)
     return tracer.finish()
 
 

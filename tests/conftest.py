@@ -4,6 +4,20 @@ import pytest
 from stringlab import DataFamily, ProfileSpec
 
 
+class Recorder:
+    """run_evolution callback that records every accepted state, the start
+    state first.  Each accepted state holds fresh arrays, so none is copied;
+    an ensemble member's history is [s.member(k) for s in rec.states]."""
+
+    def __init__(self):
+        self.states = []
+
+    def on_start(self, state):
+        self.states.append(state)
+
+    on_step = on_start
+
+
 @pytest.fixture
 def unit_gaussian():
     return ProfileSpec("gaussian", 1.0, 0.0, 1.0)

@@ -9,9 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from stringlab import (DataFamily, Grid1D, ProfileSpec, blowup_fixture,
+from stringlab import (CharacteristicTracer, DataFamily, Grid1D, ProfileSpec, blowup_fixture,
                        check_kong_tsuji, criterion_for_family, exact_travelling,
-                       higher_order_traces, run_evolution, trace_characteristics)
+                       higher_order_traces, run_evolution)
 from stringlab.config import ExperimentConfig
 from stringlab.energy import (fit_hierarchy, tower_at_zero as _tower_at_zero,
                              tracked_run as _single_run, tracked_sweep)
@@ -137,17 +137,15 @@ def test_a5_blowup_regime():
 
     X = 28.0
     t_blowups = []
-    result_fine = None
+    seeds = np.linspace(-6.0, 6.0, 17)
+    tracer = CharacteristicTracer(seeds, "plus")
     for dx in (1 / 32, 1 / 64, 1 / 128):
         grid = Grid1D(-X, dx, int(round(2 * X / dx)) + 1)
-        res = run_evolution(fam, grid, t_end=12.0, store_history=(dx == 1 / 128))
+        res = run_evolution(fam, grid, t_end=12.0, callbacks=[tracer] if dx == 1 / 128 else ())
         assert res.status == "blowup"
         t_blowups.append(res.t_blowup)
-        if dx == 1 / 128:
-            result_fine = res
     diffs = np.abs(np.diff(t_blowups))
-    seeds = np.linspace(-6.0, 6.0, 17)
-    _, min_sep = trace_characteristics(result_fine, seeds, family="plus")
+    _, min_sep = tracer.finish()
     sep0 = seeds[1] - seeds[0]
     wall = time.time() - t0
     ok = bool(diffs[1] * 2.0 <= diffs[0] and min_sep <= 0.2 * sep0 and wall <= 300.0)

@@ -1,0 +1,67 @@
+"""Guard of the benchmark's span tracer (perfbench/tracer.py), which wraps
+package functions by name from outside the package.  A rename or deletion
+in src that the tracer still names fails here, not only in the slower
+perfbench/tests."""
+
+import importlib
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_benchmark_target_resolves():
+    # install() looks each target up in its owner's own namespace
+    for name, modname, attr_path in _load_tracer().TARGETS:
+        owner = importlib.import_module(modname)
+        *classes, attr = attr_path.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        assert callable(vars(owner).get(attr)), name
+
+
+# small `run` and `blowup` configs: the run_evolution return hook and the
+# step call hook of the tracer both fire
+_CODE = """\
+import importlib.util, json, sys
+sys.path.insert(0, sys.argv[1])
+import stringlab.cli
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[2])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+t = tracer.Tracer()
+tracer.install(t)
+rcs = [stringlab.cli.main([mode, "--config", cfg, "--out", out])
+       for mode, cfg, out in zip(*[iter(sys.argv[3:])] * 3)]
+print(json.dumps({"rcs": rcs, "counts": t.counts}))
+"""
+
+_RUN = "t_end = 2\nx0 = -20\ndx = 0.1\nn = 401\nreport_every = 20\nprobes_u = 0\nprobes_ub = 0\n"
+_BLOWUP = ("delta = 1\nf_amplitude = 2.4\nf_center = 4\nfb_amplitude = 2.4\nfb_center = -4\n"
+           "f_width = 1\nfb_width = 1\nt_end = 5\nx0 = -18\ndx = 0.1\nn = 361\n")
+
+
+def test_traced_cli_modes_exit_zero(tmp_path):
+    args = []
+    for mode, text in (("run", _RUN), ("blowup", _BLOWUP)):
+        cfg = tmp_path / f"{mode}.cfg"
+        cfg.write_text(text)
+        args += [mode, str(cfg), str(tmp_path / mode)]
+    out = subprocess.run([sys.executable, "-c", _CODE, str(ROOT / "src"), str(TRACER), *args],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["rcs"] == [0, 0]
+    assert result["counts"]["evolve.history_mb"] == 0.0
+    assert result["counts"]["evolve.point_steps"] > 0

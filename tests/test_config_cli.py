@@ -314,7 +314,33 @@ def test_cli_tracecheck(tmp_path, capsys):
     assert rc == 0
     lines = (tmp_path / "out" / "tracecheck.csv").read_text().splitlines()
     assert lines[0] == "k1,k2,level,dx,dt,discrepancy,order"
-    assert "induction denominator min 4" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert "induction denominator min 4" in out[0]
+    assert out[1] == "tracecheck: order 2.04: pass"
+
+
+# the coarse level of acceptance A7
+TRACECHECK = "mode = tracecheck\nx0 = -16\ndx = 0.1\nn = 321\nt_end = 1\nN = 4\n"
+
+
+def test_cli_tracecheck_fails_a_wrong_w_equation(tmp_path, capsys, monkeypatch):
+    # a 0.1 % defect of the w-equation; the discrepancy grows under refinement
+    # (7.3e-4 -> 1.4e-3), which used to exit 0
+    stage_rhs = evolve._stage_rhs
+
+    def defective(y, dx, eps_ko):
+        k, disc = stage_rhs(y, dx, eps_ko)
+        k[:len(y) // 2] *= 1.001
+        return k, disc
+
+    monkeypatch.setattr(evolve, "_stage_rhs", defective)
+    rc = main(["tracecheck", "--config", _cfg_file(tmp_path, TRACECHECK),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "induction denominator min 4" in out[0]
+    assert out[1] == "tracecheck: order -0.93: FAIL"
+    assert (tmp_path / "out" / "tracecheck.csv").exists()
 
 
 @pytest.mark.parametrize("target,value,failed", [

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import Recorder
 from scipy import integrate
 
 from stringlab import (DataFamily, EnergyReport, EnergyTracker, Grid1D, InsufficientHistory,
@@ -9,7 +10,8 @@ from stringlab import (DataFamily, EnergyReport, EnergyTracker, Grid1D, Insuffic
                        energy_orders, higher_order_traces, init_state, monitor,
                        run_evolution, stack_states, stress_density, tracked_run, tracked_sweep)
 from stringlab.config import ExperimentConfig
-from stringlab.energy import DerivativeTower, _sobolev_stats, null_rows, spatial_rows, time_rows
+from stringlab.energy import (DerivativeTower, TraceCheckStudy, _sobolev_stats, null_rows,
+                             spatial_rows, time_rows)
 from stringlab.evolve import FieldState
 
 GAUSS2 = ProfileSpec("gaussian", 1.0, 0.0, 2.0)
@@ -70,9 +72,9 @@ def test_tower_manufactured_mixed_derivatives():
 
 def test_tower_travelling_l_rows_vanish(travelling_family):
     grid = Grid1D(-20, 0.05, 801)
-    res = run_evolution(travelling_family, grid, t_end=0.5, store_history=True)
-    states = res.history[-9:]
-    tower = build_tower(states, N=4)
+    rec = Recorder()
+    run_evolution(travelling_family, grid, t_end=0.5, callbacks=[rec])
+    tower = build_tower(rec.states[-9:], N=4)
     for k1, k2 in np.ndindex(5, 5):
         assert np.max(np.abs(tower.rows[k1, k2, 0])) < 2e-5, f"L row {(k1, k2)}"
 
@@ -204,8 +206,9 @@ def test_energy_slice_tophat_oracle():
 
 def test_energy_delta_zero_noise_floor(travelling_family):
     grid = Grid1D(-20, 0.05, 801)
-    res = run_evolution(travelling_family, grid, t_end=1.0, store_history=True)
-    tower = build_tower(res.history[-9:], N=4)
+    rec = Recorder()
+    run_evolution(travelling_family, grid, t_end=1.0, callbacks=[rec])
+    tower = build_tower(rec.states[-9:], N=4)
     e2, eb2 = energy_orders(tower, 0.5)
     assert np.all(e2 < 1e-7)
     assert eb2[0] > 1.0   # the right-travelling part carries order-one energy
@@ -291,13 +294,13 @@ def test_tracker_reports_equal_reference_tower(default_family, N):
     grid = Grid1D(-16, 0.1, 321)
     tr = EnergyTracker(gamma=0.5, N=N, probes_u=(0.0,), probes_ub=(0.0,),
                        report_every=7)
-    res = run_evolution(default_family, grid, t_end=1.5, store_history=True,
-                        callbacks=[tr])
+    rec = Recorder()
+    run_evolution(default_family, grid, t_end=1.5, callbacks=[tr, rec])
     assert len(tr.reports) >= 3
-    times = [s.t for s in res.history]
+    times = [s.t for s in rec.states]
     for rep in tr.reports:
         i = times.index(rep.t)
-        tower = build_tower(res.history[i - N:i + N + 1], N=N)
+        tower = build_tower(rec.states[i - N:i + N + 1], N=N)
         e2, eb2 = energy_orders(tower, 0.5)
         sup_l, sup_lb, am_l, am_lb = _sobolev_stats(tower, 0.5)
         assert tower.t == rep.t
@@ -409,23 +412,25 @@ def test_tracker_member_blowup_keeps_its_reports():
             DataFamily(0.5, 0.05, GAUSS2, GAUSS2)]
     tracker = EnergyTracker(gamma=0.5, N=2, probes_u=(0.0,), probes_ub=(0.0, 1.0),
                             report_every=10)
+    rec = Recorder()
     ens = run_evolution(stack_states([init_state(f, grid) for f in fams]), t_end=6.0,
-                        callbacks=[tracker], store_history=True)
+                        callbacks=[tracker, rec])
     assert [m.status for m in ens.members] == ["blowup", "stopped", "stopped"]
     with pytest.raises(ValueError, match="member_reports"):
         tracker.reports
-    steps = len(ens.history) - 1
+    steps = len(rec.states) - 1
     for fam, member, reports in zip(fams, ens.members, tracker.member_reports):
         single = EnergyTracker(gamma=0.5, N=2, probes_u=(0.0,), probes_ub=(0.0, 1.0),
                                report_every=10)
-        res = run_evolution(fam, grid, t_end=6.0, callbacks=[single], store_history=True)
+        single_rec = Recorder()
+        res = run_evolution(fam, grid, t_end=6.0, callbacks=[single, single_rec])
         if member.status == "blowup":
             _assert_same_reports(reports, single.reports)
             continue
         assert res.status == "completed" and len(reports) < len(single.reports)
         _assert_same_reports(reports, single.reports[:len(reports)])
         for f in ("phi", "w", "p"):
-            assert np.array_equal(getattr(member.state, f), getattr(res.history[steps], f))
+            assert np.array_equal(getattr(member.state, f), getattr(single_rec.states[steps], f))
     assert len(tracker.member_reports[0]) == len(tracker.member_reports[1]) > 0
 
 
@@ -440,3 +445,15 @@ def test_ensemble_tracker_deriv1_budget(monkeypatch):
         calls.clear()
         (res, _, _), *_ = tracked_sweep(cfg, grid, deltas)
         assert len(calls) == (cfg.N + 1) * (res.n_steps + 1)
+
+
+@pytest.mark.parametrize("level1,order,passed", [
+    ([2.0 ** -12, 2.0 ** -13], 2.0, True),
+    ([2.0 ** -11, 2.0 ** -12], 1.0, False),
+    ([0.0, 0.0], None, False),                   # undefined: nothing left at level 1
+    ([float("nan"), 2.0 ** -13], None, False),   # a nan discrepancy is not skipped
+])
+def test_trace_check_gate_on_the_worst_order(level1, order, passed):
+    study = TraceCheckStudy([0.1, 0.05], {(0, 0): [2.0 ** -10, level1[0]],
+                                          (1, 0): [2.0 ** -11, level1[1]]}, table=None)
+    assert study.worst_order() == order and study.passed() == passed

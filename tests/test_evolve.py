@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import Recorder
 
 from stringlab import (BlowupDetected, CharacteristicTracer, DataFamily, Grid1D,
                        HyperbolicityLoss, InsufficientHistory, ProfileSpec, StringLabError,
@@ -184,29 +185,31 @@ def test_characteristics_straight_on_zero_field():
     grid = Grid1D(-10, 0.05, 401)
     z = np.zeros(grid.n)
     st = _state(grid, z, z, z)
-    res = run_evolution(st, t_end=3.0, store_history=True)
-    paths, min_sep = trace_characteristics(res, [-4.0, -2.0, 0.0], family="plus")
+    rec = Recorder()
+    run_evolution(st, t_end=3.0, callbacks=[rec])
+    paths, min_sep = trace_characteristics(rec.states, [-4.0, -2.0, 0.0], family="plus")
     for p in paths:
         assert np.allclose(p.xs, p.seed_x + p.ts, atol=1e-12)
     assert min_sep == pytest.approx(2.0, abs=1e-12)
-    paths, _ = trace_characteristics(res, [0.0], family="minus")
+    paths, _ = trace_characteristics(rec.states, [0.0], family="minus")
     assert np.allclose(paths[0].xs, -paths[0].ts, atol=1e-12)
 
 
 def test_characteristics_early_speed_delta_zero(travelling_family):
     # plus-family speed field is exactly 1 on delta = 0 data
     grid = Grid1D(-20, 0.05, 801)
-    res = run_evolution(travelling_family, grid, t_end=2.0, store_history=True)
-    paths, _ = trace_characteristics(res, [-3.0, 0.0, 3.0], family="plus")
+    rec = Recorder()
+    run_evolution(travelling_family, grid, t_end=2.0, callbacks=[rec])
+    paths, _ = trace_characteristics(rec.states, [-3.0, 0.0, 3.0], family="plus")
     for p in paths:
         slope = (p.xs[-1] - p.xs[0]) / (p.ts[-1] - p.ts[0])
         assert slope == pytest.approx(1.0, abs=1e-7)
 
 
-def _stored_history_trace(result, seeds, family):
-    """Characteristic RK4 over a fully stored history: every level stacked,
-    cubic time interpolation over levels j..j+3 with j clipped to the run."""
-    hist = result.history
+def _stored_history_trace(hist, seeds, family):
+    """Characteristic RK4 over all the recorded states of a run: every level
+    stacked, cubic time interpolation over levels j..j+3 with j clipped to
+    the run."""
     times = np.array([s.t for s in hist])
     dt = times[1] - times[0]
     W = np.stack([s.w for s in hist])
@@ -251,13 +254,13 @@ def test_streamed_characteristics_match_stored_history(t_end, status):
     # the outer seeds leave the usable domain, one per family
     seeds = np.r_[-15.7, np.linspace(-6.0, 6.0, 9), 15.7]
     tracers = {fam_: CharacteristicTracer(seeds, fam_) for fam_ in ("plus", "minus")}
-    streamed = run_evolution(fam, grid, t_end=t_end, callbacks=list(tracers.values()))
-    stored = run_evolution(fam, grid, t_end=t_end, store_history=True)
-    assert streamed.status == stored.status == status
+    rec = Recorder()
+    res = run_evolution(fam, grid, t_end=t_end, callbacks=[*tracers.values(), rec])
+    assert res.status == status
     for family, tracer in tracers.items():
-        ts, xs, alive, min_sep = _stored_history_trace(stored, seeds, family)
+        ts, xs, alive, min_sep = _stored_history_trace(rec.states, seeds, family)
         assert not alive[-1].all()
-        for paths, sep in (tracer.finish(), trace_characteristics(stored, seeds, family)):
+        for paths, sep in (tracer.finish(), trace_characteristics(rec.states, seeds, family)):
             assert sep == min_sep
             for k, path in enumerate(paths):
                 assert np.array_equal(path.ts, ts)
@@ -270,14 +273,16 @@ def test_blowup_study_matches_plain_runs():
     grid = Grid1D(-18.0, 0.1, 361)
     study = blowup_study(fam, grid, t_end=5.0)
     grids = [grid, grid.refined(), grid.refined().refined()]
-    runs = [run_evolution(fam, g, t_end=5.0, store_history=(k == 2)) for k, g in enumerate(grids)]
+    rec = Recorder()
+    runs = [run_evolution(fam, g, t_end=5.0, callbacks=[rec] if k == 2 else ())
+            for k, g in enumerate(grids)]
     assert [lev.n for lev in study.levels] == [361, 721, 1441]
     assert [lev.t_blowup for lev in study.levels] == [r.t_blowup for r in runs]
     assert [lev.reason for lev in study.levels] == [r.blowup_reason for r in runs]
     # 17 seeds span max|center| + 2 max width = 6 on each side
     seeds = np.linspace(-6.0, 6.0, 17)
     assert [p.seed_x for p in study.paths] == list(seeds) and study.initial_sep == 0.75
-    paths, min_sep = trace_characteristics(runs[-1], seeds, family="plus")
+    paths, min_sep = trace_characteristics(rec.states, seeds, family="plus")
     assert study.min_sep == min_sep
     assert all(np.array_equal(a.xs, b.xs) for a, b in zip(study.paths, paths))
 
@@ -290,7 +295,7 @@ def test_tracer_holds_bounded_levels():
 
     class Probe:
         def on_step(self, state):
-            held.append(tracer.levels_held)
+            held.append(len(tracer._levels))
 
     res = run_evolution(_state(grid, z, z, z), t_end=40.0, callbacks=[tracer, Probe()])
     assert res.status == "completed" and res.n_steps >= 1000
@@ -309,8 +314,12 @@ def test_tracer_needs_four_levels():
     with pytest.raises(InsufficientHistory, match="4 time levels") as exc_info:
         tracer.finish()
     assert isinstance(exc_info.value, StringLabError)
-    with pytest.raises(InsufficientHistory):
-        trace_characteristics(run_evolution(st, t_end=1.0), [0.0], "plus")
+    rec = Recorder()
+    run_evolution(st, t_end=0.04, callbacks=[rec])
+    assert len(rec.states) == 3
+    for states in (rec.states, []):
+        with pytest.raises(InsufficientHistory, match="4 time levels"):
+            trace_characteristics(states, [0.0], "plus")
 
 
 def test_nested_domain_causality(default_family):
@@ -345,16 +354,23 @@ def _assert_same_run(member, serial):
     assert member.max_speed_seen == serial.max_speed_seen
     assert member.min_g_seen == serial.min_g_seen
     assert (member.t_blowup, member.blowup_reason) == (serial.t_blowup, serial.blowup_reason)
-    assert len(member.history) == len(serial.history)
-    for a, b in zip(member.history, serial.history):
+
+
+def _assert_same_states(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
         assert a.t == b.t and np.array_equal(a.w, b.w) and np.array_equal(a.phi, b.phi)
 
 
-def _assert_stopped_run(member, serial, steps):
+def _member_states(rec, k):
+    return [s.member(k) for s in rec.states]
+
+
+def _assert_stopped_run(member, serial, serial_states, steps):
     """member, stopped after `steps` accepted steps by another member's
-    blow-up, is serial's run up to that step: state, extremes and, when
-    stored, history."""
-    prefix = serial.history[:steps + 1]
+    blow-up, is serial's run up to that step: state and extremes, against
+    serial's recorded states."""
+    prefix = serial_states[:steps + 1]
     assert steps < serial.n_steps and len(prefix) == steps + 1
     assert member.status == "stopped"
     assert member.t_blowup is None and member.blowup_reason is None
@@ -364,10 +380,6 @@ def _assert_stopped_run(member, serial, steps):
         assert np.array_equal(getattr(member.state, f), getattr(prefix[-1], f))
     assert member.max_speed_seen == max(max_speed(s.w, s.p) for s in prefix)
     assert member.min_g_seen == min(float(np.min(s.disc)) for s in prefix)
-    if member.history:
-        assert len(member.history) == len(prefix)
-        for a, b in zip(member.history, prefix):
-            assert a.t == b.t and np.array_equal(a.w, b.w) and np.array_equal(a.phi, b.phi)
 
 
 def _families(*deltas):
@@ -379,11 +391,14 @@ def test_ensemble_members_equal_their_single_runs():
     grid = Grid1D(-20, 0.1, 401)
     fams = _families(0.1, 0.05, 0.025)
     states = [init_state(fam, grid) for fam in fams]
-    ens = run_evolution(stack_states(states), t_end=3.0, store_history=True)
+    rec = Recorder()
+    ens = run_evolution(stack_states(states), t_end=3.0, callbacks=[rec])
     assert ens.status == "completed" and len(ens.members) == 3
-    assert ens.state.w.shape == (3, grid.n) and len(ens.history) == ens.n_steps + 1
-    for member, fam in zip(ens.members, fams):
-        _assert_same_run(member, run_evolution(fam, grid, t_end=3.0, store_history=True))
+    assert ens.state.w.shape == (3, grid.n) and len(rec.states) == ens.n_steps + 1
+    for k, (member, fam) in enumerate(zip(ens.members, fams)):
+        single = Recorder()
+        _assert_same_run(member, run_evolution(fam, grid, t_end=3.0, callbacks=[single]))
+        _assert_same_states(_member_states(rec, k), single.states)
 
 
 def test_ensemble_of_mixed_speeds_matches_single_runs():
@@ -431,15 +446,19 @@ def test_ensemble_member_blowup_leaves_the_others_unchanged():
     states = [FieldState(0.0, grid, 0.05 * x, w0 + 0.1 * bump, 0.05 + 0.0 * x)
               for w0 in (0.2, 0.1)]
     states.insert(1, init_state(blowup_fixture(), grid))
-    ens = run_evolution(stack_states(states), t_end=5.0, store_history=True)
-    singles = [run_evolution(s, t_end=5.0, store_history=True) for s in states]
+    rec = Recorder()
+    ens = run_evolution(stack_states(states), t_end=5.0, callbacks=[rec])
+    recs = [Recorder() for _ in states]
+    singles = [run_evolution(s, t_end=5.0, callbacks=[r]) for s, r in zip(states, recs)]
     assert [r.status for r in singles] == ["completed", "blowup", "completed"]
     assert singles[0].max_speed_seen != singles[2].max_speed_seen
     assert [m.status for m in ens.members] == ["stopped", "blowup", "stopped"]
     _assert_same_run(ens.members[1], singles[1])
-    steps = len(ens.history) - 1
+    _assert_same_states(_member_states(rec, 1), recs[1].states)
+    steps = len(rec.states) - 1
     for k in (0, 2):
-        _assert_stopped_run(ens.members[k], singles[k], steps)
+        _assert_stopped_run(ens.members[k], singles[k], recs[k].states, steps)
+        _assert_same_states(_member_states(rec, k), recs[k].states[:steps + 1])
     assert ens.status == "blowup" and ens.t_blowup == singles[1].t_blowup
     assert ens.blowup_reason == singles[1].blowup_reason
     assert ens.state.w.shape == (3, grid.n) and ens.state.t == ens.t_blowup
@@ -574,12 +593,13 @@ def test_windowed_ensemble_members_equal_their_single_runs(monkeypatch):
     ens = run_evolution(stack_states(states), t_end=5.0, callbacks=[Extremes()])
     # windowed while the blow-up data are narrow, then the whole grid
     assert seen[0][1] < grid.n and seen[-1][1] == grid.n
-    singles = [run_evolution(s, t_end=5.0, store_history=k > 0) for k, s in enumerate(states)]
+    recs = [Recorder() for _ in states]
+    singles = [run_evolution(s, t_end=5.0, callbacks=[r]) for s, r in zip(states, recs)]
     assert [r.status for r in singles] == ["blowup", "completed", "completed"]
     assert [m.status for m in ens.members] == ["blowup", "stopped", "stopped"]
     _assert_same_run(ens.members[0], singles[0])
-    for member, single in zip(ens.members[1:], singles[1:]):
-        _assert_stopped_run(member, single, len(extremes))
+    for member, single, r in zip(ens.members[1:], singles[1:], recs[1:]):
+        _assert_stopped_run(member, single, r.states, len(extremes))
     # min g and the max speed over the whole accepted states
     state0 = stack_states(states)
     min_g = min([float(np.min(state0.disc))] + [float(np.min(g)) for g, _ in extremes])

@@ -3,6 +3,7 @@ import pytest
 
 from stringlab import (DataFamily, Grid1D, InsufficientHistory, ProfileSpec, identities,
                        init_state, metric_scalars, run_evolution, stack_states, step)
+from stringlab.config import ExperimentConfig
 from stringlab.identities import (BalanceAccumulator, _null_data, deformation_check,
                                   deformation_closed, deformation_direct,
                                   divergence_identity_study, divergence_residual,
@@ -327,14 +328,14 @@ def test_balance_window_stays_three_levels(default_family):
 
     class Probe:
         def on_step(self, state):
-            held.append(acc.levels_held)
+            held.append(len(acc._vts))
 
     res = run_evolution(default_family, Grid1D(-12.0, 0.1, 241), t_end=12.0,
                         callbacks=[acc, Probe()])
     assert res.n_steps == 300 and len(held) == 300
     assert max(held) == 3
     acc.finalize()
-    assert acc.levels_held == 3
+    assert len(acc._vts) == 3
 
 
 def test_reused_balance_accumulator_equals_fresh(default_family):
@@ -379,3 +380,29 @@ def test_verify_suite_evolves_each_balance_level_once(monkeypatch, default_famil
     assert not suite.failures
     assert len(calls) == 3
     assert all(len(cbs) == 2 for cbs in calls)
+
+
+def _scaled_weight_a_prime(x, gamma, _orig=identities.weight_a_prime):
+    return 1.01 * _orig(x, gamma)
+
+
+def _scaled_correction(side, weight, lphi, lbphi, _orig=identities.multiplier):
+    cl, clb = _orig(side, weight, lphi, lbphi)
+    return (cl, 1.01 * clb) if side == "TL" else (1.01 * cl, clb)
+
+
+@pytest.mark.parametrize("target,kernel,orders", [
+    # only the analytic right side of the divergence identity reads a'
+    ("weight_a_prime", _scaled_weight_a_prime, {"TL": (3.94, 2.79), "TLb": (4.24, 1.30)}),
+    # the |Lphi|^2 or |Lbphi|^2 term of the corrected multiplier
+    ("multiplier", _scaled_correction, {"TL": (3.98, 3.32), "TLb": (2.99, 0.57)}),
+])
+def test_verify_fails_a_one_percent_kernel_defect(monkeypatch, target, kernel, orders):
+    # the mean of the two ratios (2.77 and 1.78 for TLb) passed a gate of 1.5;
+    # every ratio must reach the 4th-order floor
+    monkeypatch.setattr(identities, target, kernel)
+    suite = verify_suite(ExperimentConfig().family(), seed=17611)
+    assert suite.failures == ["divergence_TL", "divergence_TLb"]
+    for side, want in orders.items():
+        got = [r[4] for r in suite.rows if r[0] == f"divergence_{side}" and r[1] > 0]
+        assert got == pytest.approx(want, abs=0.005)
