@@ -15,7 +15,7 @@ from stringlab import Grid1D, blowup_fixture, blowup_study, criterion_for_family
 
 print(__doc__)
 
-fam = blowup_fixture(amplitude=2.4, separation=4.0, width=1.0)
+fam = blowup_fixture()
 x = np.linspace(-20, 20, 2001)
 rep = criterion_for_family(fam, x)
 print(f"ordering margin of the data: {rep.order_margin:+.4f} (< 0: criterion violated)\n")

@@ -28,9 +28,9 @@ print("divergence identity (residual under stencil refinement):")
 for side in ("TL", "TLb"):
     st = divergence_identity_study(phi, varphi, side=side)
     pairs = ", ".join(f"h={h:g}: {r:.3e}" for h, r in zip(st.levels, st.residuals))
-    print(f"  side {side}: {pairs}  (observed order {st.observed_order:.2f})")
+    print(f"  side {side}: {pairs}  (smallest order {min(st.orders):.2f})")
 
-worst, worst_trace = deformation_check(seed=7, n_fields=100)
+worst, worst_trace = deformation_check(seed=7)
 print(f"\ndeformation closed form vs direct contraction over 100 random fields: "
       f"max relative discrepancy {worst:.2e}")
 print(f"trace of the stress tensor (vanishes in 1+1d): max relative {worst_trace:.2e}")
@@ -49,4 +49,4 @@ studies = energy_balance_study(fam, (("TL", -1.0), ("TLb", 1.0)), Grid1D(-24.0, 
                                t_end=4.0)
 for st, side, label in zip(studies, ("TL", "TLb"), ("outgoing", "incoming")):
     pairs = ", ".join(f"{r:.3e}" for r in st.residuals)
-    print(f"  {label} region ({side}): residuals {pairs} (order {st.observed_order:.2f})")
+    print(f"  {label} region ({side}): residuals {pairs} (smallest order {min(st.orders):.2f})")

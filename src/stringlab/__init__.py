@@ -10,8 +10,9 @@ from .config import ExperimentConfig, parse_config, serialize_config
 from .energy import (DerivativeTower, EnergyReport, EnergyTracker, build_tower,
                      energy_orders, fit_hierarchy, monitor, stress_density, tracked_run,
                      tracked_sweep)
-from .errors import (BlowupDetected, DataOutOfRange, HyperbolicityLoss, InsufficientHistory,
-                     ParseError, StringLabError, TimelikeViolation, ValidationError)
+from .errors import (BlowupDetected, DataOutOfRange, FitOverflow, HyperbolicityLoss,
+                     InsufficientHistory, ParseError, StringLabError, TimelikeViolation,
+                     ValidationError)
 from .evolve import (CharacteristicTracer, CharPath, FieldState, Grid1D, RunResult,
                      blowup_study, convergence_study, exact_travelling, init_state,
                      richardson_time, run_evolution, stack_states, step,

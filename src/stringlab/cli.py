@@ -16,7 +16,10 @@ blowup      3-level refinement of the detected blow-up time plus
             stderr names each level's blow-up time and reason.
 verify      manufactured-field identity suite (divergence, deformation,
             trace, equivalence band, energy balance); stdout marks each
-            identity pass or FAIL, exit 1 on any failure.
+            identity pass or FAIL, exit 1 on any failure.  Reads only the
+            profile keys, gamma, delta, cfl, eps_ko and seed; the balance
+            runs use GMIN_DEFAULT, not gmin, and a level that blows up is an
+            error naming it.
 tracecheck  inductive t=0 trace table against tower time differences of the
             evolved solution under dt refinement; exit 1 unless order >= 1.5.
 
@@ -143,8 +146,8 @@ def cmd_run(cfg, out: Path) -> int:
 
 def cmd_sweep(cfg, out: Path) -> int:
     monitors = [mon for _, _, mon in en.tracked_sweep(cfg, _grid(cfg), cfg.deltas)]
-    _write_csv(out / "sweep.csv", _MONITOR_HEADER, [_monitor_row(m) for m in monitors])
     fit = en.fit_hierarchy(monitors)
+    _write_csv(out / "sweep.csv", _MONITOR_HEADER, [_monitor_row(m) for m in monitors])
     _write_csv(out / "hierarchy.csv",
                ["slope_E2", "slope_Eb2", "eb2_variation", "M2", "C1_bar", "C1"],
                [[fit.slope_e2, fit.slope_eb2, fit.eb2_variation, fit.m2,

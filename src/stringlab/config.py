@@ -131,7 +131,7 @@ def validate_config(cfg: ExperimentConfig):
             raise ValidationError(f"{key} must be finite: {val}")
     if cfg.mode in ("run", "sweep", "blowup", "tracecheck"):
         fam = cfg.family()
-        need = fam.support_radius(k_max=2) + cfg.t_end + 2.0
+        need = fam.support_radius() + cfg.t_end + 2.0
         x_end = cfg.x0 + cfg.dx * (cfg.n - 1)
         if cfg.x0 > -need or x_end < need:
             raise ValidationError(

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupDetected, InsufficientHistory
+from .errors import BlowupDetected, FitOverflow, InsufficientHistory
 from .evolve import FieldState, Grid1D, init_state, run_evolution, stack_states, step
 from .initialdata import TraceTable, higher_order_traces
 from .nullgeom import multiplier, null_stress, side_weight
@@ -603,7 +603,7 @@ class MonitorResult:
                     and self.c_lb <= SUP_RATIO_CAP)
 
 
-def monitor(reports, delta, eps=1e-300) -> MonitorResult:
+def monitor(reports, delta) -> MonitorResult:
     """Fit the bootstrap constant M from a run and report weighted-sup
     ratios against it.
 
@@ -620,16 +620,16 @@ def monitor(reports, delta, eps=1e-300) -> MonitorResult:
     sup_fb2 = float(np.max(np.sum(last.fb2, axis=1))) if last.fb2.size else 0.0
     a_tier = sup_eb2 + sup_fb2
     b_tier = sup_e2 + sup_f2
-    d2 = max(delta ** 2, eps)
+    d2 = max(delta ** 2, 1e-300)
     m2 = max(a_tier, b_tier / d2)
-    m = np.sqrt(max(m2, eps))
+    m = np.sqrt(max(m2, 1e-300))
     c_l = max(float(np.max(r.sup_l)) if r.sup_l.size else 0.0 for r in reports)
     c_lb = max(float(np.max(r.sup_lb)) if r.sup_lb.size else 0.0 for r in reports)
     return MonitorResult(
         delta=delta, sup_e2=sup_e2, sup_eb2=sup_eb2, sup_f2=sup_f2, sup_fb2=sup_fb2,
         e2_initial=reports[0].e2_total, eb2_initial=reports[0].eb2_total,
         m2=m2,
-        c_l=c_l / max(abs(delta) * m, eps),
+        c_l=c_l / max(abs(delta) * m, 1e-300),
         c_lb=c_lb / m if m > 0 else 0.0,
         agmon_l_margin=min(r.agmon_l_margin for r in reports),
         agmon_lb_margin=min(r.agmon_lb_margin for r in reports),
@@ -657,7 +657,7 @@ def fit_hierarchy(monitors) -> HierarchyFit:
     The shape constants are envelope fits: c1_bar is the largest excess of
     sup(Eb2)+sup(Fb2) over its initial value in units of delta*M^4, and c1
     the same for the small tier in units of delta^3*M^6.  Both are positive
-    whenever any energy flows at all.
+    whenever any energy flows at all.  FitOverflow when M^4 or M^6 overflows.
     """
     monitors = sorted(monitors, key=lambda mo: mo.delta)
     deltas = np.array([mo.delta for mo in monitors])
@@ -670,8 +670,13 @@ def fit_hierarchy(monitors) -> HierarchyFit:
     slope_eb2 = float(np.polyfit(np.log(deltas), np.log(np.maximum(sup_eb2, 1e-300)), 1)[0])
     eb0 = np.array([mo.eb2_initial for mo in monitors])
     e0 = np.array([mo.e2_initial for mo in monitors])
-    c1_bar = float(np.max((a_tier - eb0) / (deltas * m2 ** 2)))
-    c1 = float(np.max((b_tier - e0) / (deltas ** 3 * m2 ** 3)))
+    try:
+        m4, m6 = m2 ** 2, m2 ** 3
+    except OverflowError:
+        raise FitOverflow(f"M2 = {m2:.4e} at deltas down to {deltas[0]:g}: the hierarchy "
+                          "constants divide by M2^2 and M2^3, which overflow a float") from None
+    c1_bar = float(np.max((a_tier - eb0) / (deltas * m4)))
+    c1 = float(np.max((b_tier - e0) / (deltas ** 3 * m6)))
     return HierarchyFit(
         deltas=deltas, sup_e2=sup_e2, sup_eb2=sup_eb2,
         slope_e2=slope_e2, slope_eb2=slope_eb2,

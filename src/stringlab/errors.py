@@ -52,6 +52,10 @@ class DataOutOfRange(StringLabError):
     input error, raised before any geometry is computed from them."""
 
 
+class FitOverflow(StringLabError):
+    """A sweep's M2 is so large that the hierarchy constants overflow."""
+
+
 class InsufficientHistory(StringLabError):
     """Not enough time levels for a computation that spans several of them:
     a derivative tower, tracing characteristics through a run, or the

@@ -40,7 +40,7 @@ from . import nullgeom
 from .errors import DataOutOfRange
 from .profiles import ProfileSpec, profile_antiderivative, profile_derivative, support_radius
 
-CRITERION_MARGIN_DEFAULT = 1e-10
+CRITERION_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,9 @@ class DataFamily:
     def G_deriv(self, j, x):
         return 0.5 * (self.delta * self.f_deriv(j, x) + self.fb_deriv(j, x))
 
-    def support_radius(self, tol=1e-14, k_max=2):
-        return max(abs(self.f.center) + support_radius(self.f, tol, k_max),
-                   abs(self.fb.center) + support_radius(self.fb, tol, k_max))
+    def support_radius(self):
+        return max(abs(self.f.center) + support_radius(self.f, k_max=2),
+                   abs(self.fb.center) + support_radius(self.fb, k_max=2))
 
 
 def check_data(w, p):
@@ -104,7 +104,7 @@ class CriterionReport:
 
     order_margin is min over x2 of Lam_+(x2) - max_{x1 <= x2} Lam_-(x1),
     computed with a single prefix-maximum scan (O(n)).  pass requires both
-    the pointwise gap and the ordering margin to clear the threshold;
+    the pointwise gap and the ordering margin to exceed CRITERION_MARGIN;
     sampled strict inequalities need the quantified slack.
     """
 
@@ -114,11 +114,10 @@ class CriterionReport:
     lam_star_hi: float
     gap_min: float
     order_margin: float
-    threshold: float
     passed: bool
 
 
-def check_kong_tsuji(lam_minus, lam_plus, threshold=CRITERION_MARGIN_DEFAULT) -> CriterionReport:
+def check_kong_tsuji(lam_minus, lam_plus) -> CriterionReport:
     lam_minus = np.asarray(lam_minus, dtype=float)
     lam_plus = np.asarray(lam_plus, dtype=float)
     if lam_minus.shape != lam_plus.shape or lam_minus.ndim != 1:
@@ -133,32 +132,29 @@ def check_kong_tsuji(lam_minus, lam_plus, threshold=CRITERION_MARGIN_DEFAULT) ->
         lam_star_hi=float(max(lam_minus.max(), lam_plus.max())),
         gap_min=gap_min,
         order_margin=order_margin,
-        threshold=float(threshold),
-        passed=bool(gap_min > threshold and order_margin > threshold),
+        passed=bool(gap_min > CRITERION_MARGIN and order_margin > CRITERION_MARGIN),
     )
 
 
-def criterion_for_family(fam: DataFamily, x, threshold=CRITERION_MARGIN_DEFAULT) -> CriterionReport:
+def criterion_for_family(fam: DataFamily, x) -> CriterionReport:
     lo, hi = nullgeom.eigenvalues(*check_data(fam.G(x), fam.F_prime(x)))
-    return check_kong_tsuji(lo, hi, threshold)
+    return check_kong_tsuji(lo, hi)
 
 
-def blowup_fixture(amplitude=2.4, separation=4.0, width=1.0, gamma=0.5) -> DataFamily:
+def blowup_fixture() -> DataFamily:
     """Colliding-packet family that violates the ordering condition.
 
-    A right-travelling packet on the left and a left-travelling packet on
-    the right, both w-dominant at their centers: the backward speed inside
-    the left packet exceeds the forward speed inside the right packet,
-    which sits ahead of it.  The packets are separated at t = 0, so the
-    data start timelike (g = 1 - delta^2 f fb ~ 1), and degenerate when
-    they meet.  Raises if the data accidentally satisfy the criterion.
+    Gaussians of amplitude 2.4 and width 1 at delta = 1: a right-travelling
+    packet at -4 and a left-travelling one at +4, both w-dominant at their
+    centers.  The backward speed inside the left packet exceeds the forward
+    speed inside the right packet, which sits ahead of it.  The packets are
+    separated at t = 0, so the data start timelike (g = 1 - delta^2 f fb ~ 1),
+    and degenerate when they meet.  Raises if the data accidentally satisfy
+    the criterion.
     """
-    fam = DataFamily(
-        gamma=gamma, delta=1.0,
-        f=ProfileSpec("gaussian", amplitude, +separation, width),
-        fb=ProfileSpec("gaussian", amplitude, -separation, width))
-    span = separation + 10.0 * width
-    x = np.linspace(-span, span, 4001)
+    fam = DataFamily(gamma=0.5, delta=1.0, f=ProfileSpec("gaussian", 2.4, 4.0, 1.0),
+                     fb=ProfileSpec("gaussian", 2.4, -4.0, 1.0))
+    x = np.linspace(-14.0, 14.0, 4001)
     if criterion_for_family(fam, x).passed:
         raise ValueError("fixture unexpectedly satisfies the global-existence criterion")
     return fam

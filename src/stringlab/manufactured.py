@@ -48,14 +48,14 @@ class ZeroField:
         return np.zeros(np.broadcast(np.asarray(t), np.asarray(x)).shape)
 
 
-def random_mixture(rng, amp=0.3, n_terms=3, speed_cap=0.8, box=3.0):
-    """Small-amplitude random mixture; amp bounds each term so mixtures stay
-    comfortably inside the timelike regime."""
+def random_mixture(rng, amp=0.3):
+    """Small-amplitude mixture of 3 random travelling gaussians; amp bounds
+    each term so mixtures stay comfortably inside the timelike regime."""
     terms = []
-    for _ in range(n_terms):
+    for _ in range(3):
         terms.append(MovingGaussian(
             amp=float(rng.uniform(-amp, amp)),
-            center=float(rng.uniform(-box, box)),
+            center=float(rng.uniform(-3.0, 3.0)),
             width=float(rng.uniform(0.8, 2.0)),
-            speed=float(rng.uniform(-speed_cap, speed_cap))))
+            speed=float(rng.uniform(-0.8, 0.8))))
     return Mixture(tuple(terms))

@@ -183,15 +183,15 @@ def profile_antiderivative(h: ProfileSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
-def support_radius(h: ProfileSpec, tol: float = 1e-14, k_max: int = 0) -> float:
+def support_radius(h: ProfileSpec, k_max: int = 0) -> float:
     """Radius around the center beyond which derivatives up to k_max are
-    below tol * amplitude.  The bump is exactly supported on one width; a
-    zero profile has radius 0."""
+    below 1e-14 times the amplitude.  The bump is exactly supported on one
+    width; a zero profile has radius 0."""
     if h.amplitude == 0.0:
         return 0.0
     if h.kind == "bump":
         return h.width
-    floor = tol * abs(h.amplitude)
+    floor = 1e-14 * abs(h.amplitude)
     s = 1.0
     while s < 60.0:
         xs = h.center + s * h.width

@@ -59,20 +59,20 @@ def test_a2_identity_suite():
     div_orders = []
     for side in ("TL", "TLb"):
         study = divergence_identity_study(phi, varphi, side=side)
-        div_orders.append(study.observed_order)
+        div_orders.append(min(study.orders))
 
     fam = DataFamily(gamma=0.5, delta=0.1, f=GAUSS2, fb=GAUSS2)
-    bal_orders = [study.observed_order for study in
+    bal_orders = [min(study.orders) for study in
                   energy_balance_study(fam, (("TL", -1.0), ("TLb", 1.0)),
                                        Grid1D(-24.0, 0.125, 385), t_end=4.0)]
 
-    worst, worst_trace = deformation_check(seed=2024, n_fields=100)
+    worst, worst_trace = deformation_check(seed=2024)
     wall = time.time() - t0
     ok = bool(np.all(np.array(div_orders) >= 1.5) and np.all(np.array(bal_orders) >= 1.5)
               and worst <= 1e-10 and worst_trace <= 1e-13 and wall <= 120.0)
     _report(2, "identity suite", ok,
-            f"divergence orders {div_orders[0]:.2f}/{div_orders[1]:.2f}; "
-            f"balance orders {bal_orders[0]:.2f}/{bal_orders[1]:.2f}; "
+            f"smallest divergence orders {div_orders[0]:.2f}/{div_orders[1]:.2f}; "
+            f"smallest balance orders {bal_orders[0]:.2f}/{bal_orders[1]:.2f}; "
             f"deformation {worst:.2e} <= 1e-10; trace {worst_trace:.2e} <= 1e-13; "
             f"{wall:.1f}s")
 

@@ -1,11 +1,17 @@
+import csv
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringlab import ExperimentConfig, ParseError, ValidationError, parse_config, serialize_config
+from stringlab import (ExperimentConfig, Grid1D, ParseError, ValidationError, init_state,
+                       parse_config, serialize_config)
 from stringlab import evolve, identities
 from stringlab.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_empty_file_gives_defaults():
@@ -61,6 +67,11 @@ def test_invariant_violations_named(line, match):
 def test_causal_margin_enforced():
     with pytest.raises(ValidationError, match="causal-margin"):
         parse_config("t_end = 100\n")   # default domain too small for T=100
+
+
+def test_readme_config_block_is_the_defaults():
+    block = README.read_text().split("### Config format", 1)[1].split("```")[1]
+    assert parse_config(block) == ExperimentConfig()
 
 
 def test_roundtrip_idempotent_on_defaults():
@@ -134,6 +145,21 @@ def test_cli_energy_csv_schema(tmp_path):
     header = (tmp_path / "out" / "energy.csv").read_text().splitlines()[0]
     assert header == ("t,k,E2,Eb2,F2_u0,Fb2_ub0,min_g,"
                       "sobolev_L_margin,sobolev_Lb_margin")
+
+
+def test_cli_run_dump_fields(tmp_path):
+    rc = main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN + "dump_fields = 1\n"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    with open(tmp_path / "out" / "fields.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["t", "x", "phi", "w", "p"] and len(rows) == 2 * 401
+    grid = Grid1D(-20.0, 0.1, 401)
+    st0 = init_state(parse_config(SMALL_RUN).family(), grid)
+    first = np.array(rows[:401], dtype=float)
+    assert np.array_equal(first, np.column_stack([np.zeros(401), grid.x, st0.phi, st0.w, st0.p]))
+    t_last, = {float(r[0]) for r in rows[401:]}
+    assert t_last == pytest.approx(4.0, abs=1e-12)
 
 
 def test_cli_run_deterministic(tmp_path):
@@ -284,6 +310,19 @@ def test_cli_sweep_member_blowup_named(tmp_path, capsys):
     assert not (tmp_path / "sw" / "hierarchy.csv").exists()
 
 
+@pytest.mark.parametrize("deltas", ["1e-80, 2e-80, 4e-80", "1e-170, 2e-170, 4e-170"])
+def test_cli_sweep_fit_overflow_named(tmp_path, capsys, deltas):
+    # M2 is about 1e151 and 1e291 here (sup E2 sits at the grid's floor, far
+    # above delta^2); fit_hierarchy used to raise OverflowError at M2 ** 3 and
+    # M2 ** 2 with a traceback
+    text = SMALL_RUN.replace("t_end = 4", "t_end = 2") + f"deltas = {deltas}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "sw")])
+    _assert_named_error(capsys, rc, "which overflow a float")
+    assert list((tmp_path / "sw").iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_cli_non_finite_value_named(tmp_path, capsys, value):
     rc = main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN + f"fb_amplitude = {value}\n"),
@@ -354,6 +393,20 @@ def test_cli_verify_names_a_failed_identity(tmp_path, capsys, monkeypatch, targe
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.endswith(": FAIL")] == [f"verify: {failed}: FAIL"]
     assert out[-1] == f"verify failed: {failed}"
+
+
+def test_cli_verify_names_a_balance_level_that_blows_up(tmp_path, capsys):
+    # the colliding packets of acceptance A5: balance level 0 (n = 385) runs
+    # to t_end = 4, levels 1 and 2 lose hyperbolicity at t = 3.95 and 3.94;
+    # verify used to pass both balance rows and exit 0
+    rc = main(["verify", "--config", _cfg_file(tmp_path, BLOWUP_SMALL),
+               "--out", str(tmp_path / "v")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("stringlab: error: blow-up at t=3.95: hyperbolicity loss")
+    assert line.endswith(" on balance level 1 (n = 769)")
+    assert not (tmp_path / "v" / "identities.csv").exists()
 
 
 def test_cli_verify_seeded(tmp_path, capsys):
