@@ -9,7 +9,8 @@ causal domain sizing makes the boundary treatment invisible to the interior.
 
 import numpy as np
 
-from stringlab import DataFamily, Grid1D, ProfileSpec, convergence_study, run_evolution
+from stringlab import (DataFamily, Grid1D, ProfileSpec, convergence_study, refinement_orders,
+                       run_evolution)
 
 print(__doc__)
 
@@ -22,8 +23,9 @@ print(f"evolving to T = {T:g} on [-{X:g}, {X:g}] at three resolutions:\n")
 print(f"{'n':>6} {'dx':>10} {'L_inf error':>14} {'order':>7} {'max |lambda|-1':>15}")
 # n = 512, 1024, 2048 on one interval is not a refined() chain of grids
 grids = [Grid1D(-X, 2 * X / (n - 1), n) for n in (512, 1024, 2048)]
-for lev in convergence_study(fam, grids, t_end=T):
-    order = "  -" if lev.order is None else f"{lev.order:.2f}"
+levels = convergence_study(fam, grids, t_end=T)
+for lev, order in zip(levels, [None, *refinement_orders([lev.err for lev in levels])]):
+    order = "  -" if order is None else f"{order:.2f}"
     print(f"{lev.n:>6} {lev.dx:>10.5f} {lev.err:>14.3e} {order:>7} {lev.max_speed_seen - 1:>15.2e}")
 
 print("\nnested-domain causality: rerunning on a domain shrunk by 15 ...")

@@ -7,7 +7,7 @@ energies scale like delta^2, and the null fluxes follow the same two tiers.
 This demo sweeps delta at fixed right-travelling data and fits the scaling.
 """
 
-from stringlab import Grid1D, tracked_sweep
+from stringlab import tracked_sweep
 from stringlab.config import ExperimentConfig
 from stringlab.energy import fit_hierarchy
 
@@ -16,14 +16,13 @@ print(__doc__)
 X, T = 34.0, 20.0
 dx = 0.1
 cfg = ExperimentConfig(x0=-X, dx=dx, n=int(round(2 * X / dx)) + 1, t_end=T,
-                       report_every=40, N=4)
-grid = Grid1D(cfg.x0, cfg.dx, cfg.n)
+                       report_every=40, N=4, deltas=(0.1, 0.05, 0.025))
 
 print(f"gamma = {cfg.gamma}, N = {cfg.N}, T = {T:g}; sweeping delta:\n")
 print(f"{'delta':>7} {'sup E2':>12} {'sup Eb2':>12} {'sup F2':>12} {'sup Fb2':>12} {'min g':>8}")
 # the three deltas evolve in lockstep as one ensemble
-monitors = [mon for _, _, mon in tracked_sweep(cfg, grid, (0.1, 0.05, 0.025))]
-for delta, mon in zip((0.1, 0.05, 0.025), monitors):
+monitors = [mon for _, _, mon in tracked_sweep(cfg)]
+for delta, mon in zip(cfg.deltas, monitors):
     print(f"{delta:>7g} {mon.sup_e2:>12.4e} {mon.sup_eb2:>12.4e} "
           f"{mon.sup_f2:>12.4e} {mon.sup_fb2:>12.4e} {mon.min_g:>8.4f}")
 

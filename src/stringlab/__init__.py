@@ -15,7 +15,7 @@ from .errors import (BlowupDetected, DataOutOfRange, FitOverflow, HyperbolicityL
                      ValidationError)
 from .evolve import (CharacteristicTracer, CharPath, FieldState, Grid1D, RunResult,
                      blowup_study, convergence_study, exact_travelling, init_state,
-                     richardson_time, run_evolution, stack_states, step,
+                     refinement_orders, richardson_time, run_evolution, stack_states, step,
                      trace_characteristics)
 from .initialdata import (CriterionReport, DataFamily, TraceTable, blowup_fixture,
                           check_kong_tsuji, criterion_for_family, higher_order_traces)

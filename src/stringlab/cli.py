@@ -10,7 +10,8 @@ sweep       one run per delta in `deltas`; emits per-delta sups and the
             lockstep as one ensemble; a delta that blows up is an error
             naming it.
 converge    3-level refinement against the exact travelling-wave solution
-            (requires delta = 0); a level that blows up is an error.
+            (requires delta = 0); a level that blows up is an error;
+            exit 1 unless every order >= 2.5.
 blowup      3-level refinement of the detected blow-up time plus
             characteristic focusing, traced while the finest level runs;
             stderr names each level's blow-up time and reason.
@@ -37,7 +38,12 @@ CSV schemas (all files carry a header row; floats use repr-precision %.17g):
   blowup_summary.csv  t_star,criterion_passed,min_separation,initial_separation
   identities.csv  identity,level,dx,residual,order
   tracecheck.csv  k1,k2,level,dx,dt,discrepancy,order
+  traces.csv      x,k1,k2,L_trace,Lb_trace
   fields.csv      t,x,phi,w,p   (with dump_fields = 1)
+
+An order is the log2 ratio of a level's value to the next finer level's.
+The order column reads n/a where that ratio is undefined (a value is zero
+or not finite), and an n/a order fails its gate.
 
 Same config and seed give byte-identical CSV.
 """
@@ -54,7 +60,8 @@ import numpy as np
 from . import energy as en
 from .config import ExperimentConfig, parse_config, validate_config
 from .errors import StringLabError
-from .evolve import Grid1D, blowup_study, convergence_study, init_state
+from .evolve import (CONVERGE_ORDER_MIN, blowup_study, convergence_study, init_state,
+                     orders_pass, refinement_orders)
 # re-exported: perfbench checks that its tracer patches this binding site
 from .evolve import run_evolution  # noqa: F401
 from .identities import verify_suite
@@ -66,7 +73,7 @@ _g = "{:.17g}".format
 def _fmt(v):
     if isinstance(v, (float, np.floating)):
         return _g(float(v))
-    return str(v)
+    return "n/a" if v is None else str(v)
 
 
 def _write_csv(path, header, rows):
@@ -77,8 +84,15 @@ def _write_csv(path, header, rows):
             wr.writerow([_fmt(v) for v in row])
 
 
-def _grid(cfg) -> Grid1D:
-    return Grid1D(cfg.x0, cfg.dx, cfg.n)
+def _order_text(order):
+    return "n/a" if order is None else f"{order:.2f}"
+
+
+def _order_verdict(mode, orders, ok) -> int:
+    """Print the smallest of orders and whether its gate passed; the exit code."""
+    print(f"{mode}: order {_order_text(None if None in orders else min(orders))}: "
+          f"{'pass' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def _energy_csv(path, cfg, reports):
@@ -108,14 +122,13 @@ _MONITOR_HEADER = ["delta", "sup_E2", "sup_Eb2", "sup_F2", "sup_Fb2", "M2",
 
 
 def cmd_run(cfg, out: Path) -> int:
-    fam = cfg.family()
-    grid = _grid(cfg)
+    fam, grid = cfg.family(), cfg.grid()
     crit = criterion_for_family(fam, grid.x)
     print(f"criterion: {'pass' if crit.passed else 'FAIL'} "
           f"(gap {crit.gap_min:.3e}, ordering margin {crit.order_margin:.3e})")
 
     tracker = en.config_tracker(cfg)
-    result, reports, mon = en.tracked_run(cfg, fam, grid, tracker=tracker)
+    result, reports, mon = en.tracked_run(cfg, tracker=tracker)
     # written after the run, so that a run that fails by name leaves no CSV
     _write_csv(out / "criterion.csv", ["x", "lambda_minus", "lambda_plus"],
                zip(grid.x, crit.lambda_minus, crit.lambda_plus))
@@ -145,7 +158,7 @@ def cmd_run(cfg, out: Path) -> int:
 
 
 def cmd_sweep(cfg, out: Path) -> int:
-    monitors = [mon for _, _, mon in en.tracked_sweep(cfg, _grid(cfg), cfg.deltas)]
+    monitors = [mon for _, _, mon in en.tracked_sweep(cfg)]
     fit = en.fit_hierarchy(monitors)
     _write_csv(out / "sweep.csv", _MONITOR_HEADER, [_monitor_row(m) for m in monitors])
     _write_csv(out / "hierarchy.csv",
@@ -159,21 +172,19 @@ def cmd_sweep(cfg, out: Path) -> int:
 
 
 def cmd_converge(cfg, out: Path) -> int:
-    grid = _grid(cfg)
-    levels = convergence_study(cfg.family(), [grid.refined(2 ** k) for k in range(3)],
+    levels = convergence_study(cfg.family(), [cfg.grid().refined(2 ** k) for k in range(3)],
                                cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko, gmin=cfg.gmin)
+    orders = refinement_orders([lev.err for lev in levels])
     _write_csv(out / "converge.csv", ["level", "n", "dx", "err_inf", "order"],
-               [[k, lev.n, lev.dx, lev.err, "n/a" if lev.order is None else lev.order]
-                for k, lev in enumerate(levels)])
-    orders = [lev.order for lev in levels if lev.order is not None]
+               [[k, lev.n, lev.dx, lev.err, order]
+                for k, (lev, order) in enumerate(zip(levels, [None, *orders]))])
     print("converge: errors", ", ".join(f"{lev.err:.3e}" for lev in levels),
-          "orders", ", ".join(f"{o:.2f}" for o in orders) if orders else "n/a")
-    return 0
+          "orders", ", ".join(map(_order_text, orders)))
+    return _order_verdict("converge", orders, orders_pass(orders, CONVERGE_ORDER_MIN))
 
 
 def cmd_blowup(cfg, out: Path) -> int:
-    fam = cfg.family()
-    grid = _grid(cfg)
+    fam, grid = cfg.family(), cfg.grid()
     crit = criterion_for_family(fam, grid.x)
     print(f"criterion: {'pass' if crit.passed else 'FAIL (blow-up data)'} "
           f"(ordering margin {crit.order_margin:.3e})")
@@ -209,22 +220,22 @@ def cmd_verify(cfg, out: Path) -> int:
 
 
 def cmd_tracecheck(cfg, out: Path) -> int:
-    study = en.trace_check_study(cfg, cfg.family(), _grid(cfg))
-    study.table.write_csv(out / "traces.csv")
-    rows = []
-    for key in sorted(study.discrepancy):
-        order = study.order(key)
-        for lvl, (dx, d) in enumerate(zip(study.dxs, study.discrepancy[key])):
-            rows.append([*key, lvl, dx, cfg.cfl * dx, d,
-                         "" if lvl == 0 else "n/a" if order is None else order])
+    study = en.trace_check_study(cfg)
+    table = study.table
+    _write_csv(out / "traces.csv", ["x", "k1", "k2", "L_trace", "Lb_trace"],
+               ([xi, k1, k2, lv, lbv] for k1 in range(table.N + 1)
+                for k2 in range(table.N + 1 - k1)
+                for xi, lv, lbv in zip(table.x, *table.rows[k1, k2])))
     _write_csv(out / "tracecheck.csv",
-               ["k1", "k2", "level", "dx", "dt", "discrepancy", "order"], rows)
+               ["k1", "k2", "level", "dx", "dt", "discrepancy", "order"],
+               ([*key, lvl, dx, cfg.cfl * dx, d, order]
+                for key, ds in sorted(study.discrepancy.items())
+                for lvl, (dx, d, order) in enumerate(zip(study.dxs, ds,
+                                                         ["", *refinement_orders(ds)]))))
     print(f"tracecheck: max discrepancy {study.worst(0):.3e} -> {study.worst(1):.3e} under "
-          f"refinement; induction denominator min {study.table.den_min:.6f} (>= 4)")
-    order, ok = study.worst_order(), study.passed()
-    print(f"tracecheck: order {'n/a' if order is None else f'{order:.2f}'}: "
-          f"{'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+          f"refinement; induction denominator min {table.den_min:.6f} (>= 4)")
+    return _order_verdict("tracecheck", refinement_orders([study.worst(0), study.worst(1)]),
+                          study.passed())
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ParseError, ValidationError
-from .evolve import CFL_MAX
+from .evolve import CFL_MAX, Grid1D
 from .initialdata import DataFamily
 from .profiles import ProfileSpec
 
@@ -53,6 +53,9 @@ class ExperimentConfig:
             gamma=self.gamma, delta=self.delta,
             f=ProfileSpec(self.f_kind, self.f_amplitude, self.f_center, self.f_width),
             fb=ProfileSpec(self.fb_kind, self.fb_amplitude, self.fb_center, self.fb_width))
+
+    def grid(self) -> Grid1D:
+        return Grid1D(self.x0, self.dx, self.n)
 
     def with_(self, **kw) -> "ExperimentConfig":
         return replace(self, **kw)
@@ -130,9 +133,8 @@ def validate_config(cfg: ExperimentConfig):
         if not all(math.isfinite(v) for v in (val if _KINDS[key] is tuple else (val,))):
             raise ValidationError(f"{key} must be finite: {val}")
     if cfg.mode in ("run", "sweep", "blowup", "tracecheck"):
-        fam = cfg.family()
-        need = fam.support_radius() + cfg.t_end + 2.0
-        x_end = cfg.x0 + cfg.dx * (cfg.n - 1)
+        need = cfg.family().support_radius() + cfg.t_end + 2.0
+        x_end = cfg.grid().x_end
         if cfg.x0 > -need or x_end < need:
             raise ValidationError(
                 f"domain [{cfg.x0:g}, {x_end:g}] violates the causal-margin rule: "

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupDetected, FitOverflow, InsufficientHistory
-from .evolve import FieldState, Grid1D, init_state, run_evolution, stack_states, step
+from .evolve import (FieldState, Grid1D, init_state, orders_pass, refinement_orders,
+                     run_evolution, stack_states, step)
 from .initialdata import TraceTable, higher_order_traces
 from .nullgeom import multiplier, null_stress, side_weight
 from .stencils import cubic_combine, cubic_weights, deriv1
@@ -464,15 +465,17 @@ def config_tracker(cfg) -> EnergyTracker:
                          probes_ub=cfg.probes_ub, report_every=cfg.report_every)
 
 
-def _tracked_ensemble(cfg, grid, members, tracker):
-    """Evolve members, (family, initial state, delta) triples, as one
-    ensemble under tracker: (RunResult, reports with the exact t = 0 report
-    first, MonitorResult) per member.  Raises InsufficientHistory when a
-    member completes without an evolved report: the run was too short to
-    fill the tower ring and reach a report step."""
-    fams, states, deltas = zip(*members)
-    result = run_evolution(stack_states(states), t_end=cfg.t_end, cfl=cfg.cfl,
-                           eps_ko=cfg.eps_ko, gmin=cfg.gmin, callbacks=[tracker])
+def _tracked_ensemble(cfg, deltas, tracker):
+    """Evolve the family of cfg.with_(delta=d) for each d in deltas on cfg's
+    grid, as one ensemble under tracker: (RunResult, reports with the exact
+    t = 0 report first, MonitorResult) per member.  Raises
+    InsufficientHistory when a member completes without an evolved report:
+    the run was too short to fill the tower ring and reach a report step."""
+    grid = cfg.grid()
+    fams = [cfg.with_(delta=d).family() for d in deltas]
+    result = run_evolution(stack_states([init_state(fam, grid) for fam in fams]),
+                           t_end=cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko, gmin=cfg.gmin,
+                           callbacks=[tracker])
     if any(res.status == "completed" and not reports
            for res, reports in zip(result.members, tracker.member_reports)):
         raise InsufficientHistory(
@@ -486,32 +489,29 @@ def _tracked_ensemble(cfg, grid, members, tracker):
     return out
 
 
-def tracked_run(cfg, fam, grid, tracker=None):
-    """Evolve fam on grid under cfg's EnergyTracker (or tracker): returns
+def tracked_run(cfg, tracker=None):
+    """Evolve cfg's family on cfg's grid under cfg's EnergyTracker (or tracker):
     (RunResult, reports with the exact t = 0 report first, MonitorResult)."""
-    return _tracked_ensemble(cfg, grid, [(fam, init_state(fam, grid), cfg.delta)],
-                             tracker or config_tracker(cfg))[0]
+    return _tracked_ensemble(cfg, (cfg.delta,), tracker or config_tracker(cfg))[0]
 
 
-def tracked_sweep(cfg, grid, deltas):
-    """tracked_run of cfg.with_(delta=d) for each d in deltas, in order.
+def tracked_sweep(cfg):
+    """tracked_run of cfg.with_(delta=d) for each d in cfg.deltas, in order.
 
     All deltas evolve as one ensemble, so each result is bit for bit its
     tracked_run.  Raises BlowupDetected, naming the delta, when a member
     blows up: the hierarchy holds only for globally smooth solutions.
     """
-    fams = [cfg.with_(delta=d).family() for d in deltas]
-    members = [(fam, init_state(fam, grid), d) for fam, d in zip(fams, deltas)]
-    out = _tracked_ensemble(cfg, grid, members, config_tracker(cfg))
-    for d, (res, _, _) in zip(deltas, out):
+    out = _tracked_ensemble(cfg, cfg.deltas, config_tracker(cfg))
+    for d, (res, _, _) in zip(cfg.deltas, out):
         if res.status == "blowup":
             raise BlowupDetected(res.t_blowup, f"{res.blowup_reason} at delta = {d:g}")
     return out
 
 
-def tower_at_zero(cfg, fam, grid):
-    """Tower centered at t = 0 from forward and backward evolution."""
-    state0 = init_state(fam, grid)
+def tower_at_zero(cfg, grid):
+    """Tower of cfg's family on grid centered at t = 0, from forward and backward steps."""
+    state0 = init_state(cfg.family(), grid)
     sides = []
     for dt in (-cfg.cfl * grid.dx, cfg.cfl * grid.dx):
         s, levels = state0, []
@@ -534,31 +534,20 @@ class TraceCheckStudy:
     def worst(self, level):
         return float(np.max([d[level] for d in self.discrepancy.values()]))
 
-    def worst_order(self):
-        """log2(worst(0) / worst(1)); None unless both are positive and finite."""
-        d0, d1 = self.worst(0), self.worst(1)
-        return float(np.log2(d0 / d1)) if 0 < d0 < np.inf and 0 < d1 < np.inf else None
-
     def passed(self):
-        order = self.worst_order()
-        return order is not None and order >= TRACE_ORDER_MIN
-
-    def order(self, key):
-        """log2 of the discrepancy ratio of (k1, k2); None if level 1 is 0."""
-        d0, d1 = self.discrepancy[key]
-        return float(np.log2(d0 / d1)) if d1 > 0 else None
+        return orders_pass(refinement_orders([self.worst(0), self.worst(1)]), TRACE_ORDER_MIN)
 
 
-def trace_check_study(cfg, fam, grid) -> TraceCheckStudy:
-    """trace table vs tower_at_zero for the rows of total order <= min(N, 3),
-    each discrepancy relative to the larger of its two trace sups.  Only
-    level 0's table, which the study keeps, is built to order N."""
-    grids = (grid, grid.refined())
+def trace_check_study(cfg) -> TraceCheckStudy:
+    """trace table vs tower_at_zero on cfg's grid and its 2x refinement for the
+    rows of total order <= min(N, 3), each relative to the larger of its two
+    trace sups.  Only level 0's table, which the study keeps, has order N."""
+    fam, grids = cfg.family(), (cfg.grid(), cfg.grid().refined())
     top = min(cfg.N, 3)
     discrepancy, tables = {}, []
     for level, g in enumerate(grids):
         # the tower first: its level stack is gone before the table is built
-        tower = tower_at_zero(cfg.with_(N=top), fam, g)
+        tower = tower_at_zero(cfg.with_(N=top), g)
         table = higher_order_traces(fam, top if level else cfg.N, g.x)
         tables.append(table)
         for k1 in range(top + 1):

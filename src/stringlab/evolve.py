@@ -170,10 +170,12 @@ def _max_speed(w, p, disc):
 
 
 def _time_step(dx, t0, t_end, cfl):
-    """(dt, n_steps) of a run: dt = cfl*dx, rounded so that n_steps steps
-    land exactly on t_end.  Both characteristic speeds of a timelike state
-    lie in [-1, 1] (`nullgeom.eigenvalues`), so the Courant number is at
-    most cfl whatever the state."""
+    """(dt, n_steps) of a run: dt = cfl*dx, shrunk so that n_steps whole
+    steps span t_end - t0; summed one by one, they end at t_end up to
+    roundoff (t_end = 4 in 100 steps ends at 4.000000000000003).  Both
+    characteristic speeds of a timelike state lie in [-1, 1]
+    (`nullgeom.eigenvalues`), so the Courant number is at most cfl whatever
+    the state."""
     if not 0.0 < cfl <= CFL_MAX:
         raise ValueError(f"cfl out of (0, {CFL_MAX}]: {cfl}")
     if not t_end > t0:
@@ -346,11 +348,12 @@ class RunResult:
 def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
                   cfl: float = CFL_DEFAULT, eps_ko: float = EPS_KO_DEFAULT,
                   gmin: float = GMIN_DEFAULT, callbacks=()) -> RunResult:
-    """Evolve to t_end with the fixed dt = cfl*dx of the grid, rounded so an
-    integer number of steps lands exactly on t_end; the Courant number is at
-    most cfl (see `_time_step`).  Raises ValueError unless t_end is after the
-    start time, cfl lies in (0, CFL_MAX] and gmin in [0, 1).  Callbacks get
-    on_start(state) and on_step(state) with each accepted state.
+    """Evolve to t_end with the fixed dt = cfl*dx of the grid, shrunk so that
+    a whole number of steps spans t_end, which the summed steps reach up to
+    roundoff; the Courant number is at most cfl (see `_time_step`).  Raises
+    ValueError unless t_end is after the start time, cfl lies in
+    (0, CFL_MAX] and gmin in [0, 1).  Callbacks get on_start(state) and
+    on_step(state) with each accepted state.
 
     Each step covers only the active window of the module docstring: on a
     grid of at least WINDOW_MIN_SKIP + 33 points, a member whose fields are
@@ -601,8 +604,21 @@ def richardson_time(t_blowups):
     return t2 + d1 * r / (1.0 - r)
 
 
+def refinement_orders(values):
+    """log2(v_i / v_{i+1}) per successive pair; None unless both are positive and finite."""
+    return [float(np.log2(a / b)) if 0 < a < np.inf and 0 < b < np.inf else None
+            for a, b in zip(values, values[1:])]
+
+
+def orders_pass(orders, order_min):
+    """The rule of every order gate: each order is defined and >= order_min."""
+    return None not in orders and min(orders) >= order_min
+
+
 # ---------------------------------------------------------------------------
 # refinement studies
+
+CONVERGE_ORDER_MIN = 2.5        # every ratio: damping's O(dx^3) error holds it near 3, not 4
 
 
 @dataclass
@@ -610,14 +626,13 @@ class ConvergenceLevel:
     n: int
     dx: float
     err: float                  # max |phi - exact travelling wave| at the final time
-    order: float | None         # log2 of the error ratio to the coarser level
     max_speed_seen: float
 
 
 def convergence_study(fam: DataFamily, grids, t_end, cfl=CFL_DEFAULT, eps_ko=EPS_KO_DEFAULT,
                       gmin=GMIN_DEFAULT) -> list[ConvergenceLevel]:
     """Error against the exact travelling wave of a delta = 0 family on each
-    grid, coarse to fine.
+    grid, coarse to fine; refinement_orders of the errors gives the orders.
 
     Raises BlowupDetected, naming the level, when a run stops before t_end:
     its last state would be compared with the wave at another time.
@@ -629,9 +644,7 @@ def convergence_study(fam: DataFamily, grids, t_end, cfl=CFL_DEFAULT, eps_ko=EPS
             raise BlowupDetected(res.t_blowup,
                                  f"{res.blowup_reason} on level {k} (n = {grid.n})")
         err = float(np.max(np.abs(res.state.phi - exact_travelling(fam, res.state.t, grid.x))))
-        prev = levels[-1].err if levels else 0.0
-        order = float(np.log2(prev / err)) if prev > 0 and err > 0 else None
-        levels.append(ConvergenceLevel(grid.n, grid.dx, err, order, res.max_speed_seen))
+        levels.append(ConvergenceLevel(grid.n, grid.dx, err, res.max_speed_seen))
     return levels
 
 

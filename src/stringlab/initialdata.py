@@ -30,7 +30,6 @@ the induction never degenerates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from math import comb
 
@@ -178,15 +177,6 @@ class TraceTable:
     N: int
     rows: np.ndarray
     den_min: float
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["x", "k1", "k2", "L_trace", "Lb_trace"])
-            for k1 in range(self.N + 1):
-                for k2 in range(self.N + 1 - k1):
-                    for xi, lv, lbv in zip(self.x, *self.rows[k1, k2]):
-                        wr.writerow([f"{xi:.17g}", k1, k2, f"{lv:.17g}", f"{lbv:.17g}"])
 
 
 def _multinomial(k, a, b):

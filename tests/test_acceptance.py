@@ -84,11 +84,10 @@ def hierarchy_fits():
         X, T = 64.0, 50.0
         n = int(round(2 * X / dx)) + 1
         cfg = ExperimentConfig(x0=-X, dx=dx, n=n, t_end=T, report_every=50, N=4,
-                               gamma=0.5)
+                               gamma=0.5, deltas=(0.1, 0.05, 0.025))
         monitors = []
         # the three deltas step in lockstep as one ensemble
-        for res, _, mon in tracked_sweep(cfg, Grid1D(cfg.x0, cfg.dx, cfg.n),
-                                         (0.1, 0.05, 0.025)):
+        for res, _, mon in tracked_sweep(cfg):
             assert res.status == "completed"
             assert res.max_speed_seen <= 1.0 + 1e-12
             monitors.append(mon)
@@ -116,7 +115,7 @@ def test_a4_global_existence_regime():
     dx = 0.1
     cfg = ExperimentConfig(x0=-X, dx=dx, n=int(round(2 * X / dx)) + 1, t_end=T,
                            delta=0.05, report_every=50)
-    res, reports, mon = _single_run(cfg, cfg.family(), Grid1D(cfg.x0, cfg.dx, cfg.n))
+    res, reports, mon = _single_run(cfg)
     wall = time.time() - t0
     margins_ok = all(r.agmon_l_margin > 0 and r.agmon_lb_margin > 0 for r in reports)
     ok = bool(res.status == "completed" and mon.min_g >= 0.5 and margins_ok
@@ -174,16 +173,16 @@ def test_a6_criterion_oracle():
 
 def test_a7_trace_induction():
     t0 = time.time()
-    fam = DataFamily(gamma=0.5, delta=0.1, f=GAUSS2, fb=GAUSS2)
     discrepancies = []
     den_mins = []
     for dx in (0.1, 0.05):
         X = 16.0
-        grid = Grid1D(-X, dx, int(round(2 * X / dx)) + 1)
-        cfg = ExperimentConfig(x0=-X, dx=dx, n=grid.n, N=4, t_end=1.0)
-        table = higher_order_traces(fam, 4, grid.x)
+        # the default family: gamma = 0.5, delta = 0.1, width-2 unit gaussians
+        cfg = ExperimentConfig(x0=-X, dx=dx, n=int(round(2 * X / dx)) + 1, N=4, t_end=1.0)
+        grid = cfg.grid()
+        table = higher_order_traces(cfg.family(), 4, grid.x)
         den_mins.append(table.den_min)
-        tower = _tower_at_zero(cfg, fam, grid)
+        tower = _tower_at_zero(cfg, grid)
         worst = 0.0
         for k1, k2 in np.ndindex(5, 5):
             if k1 + k2 > 3:

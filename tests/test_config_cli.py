@@ -409,6 +409,24 @@ def test_cli_verify_names_a_balance_level_that_blows_up(tmp_path, capsys):
     assert not (tmp_path / "v" / "identities.csv").exists()
 
 
+def test_cli_verify_zero_amplitude_balance_orders_are_undefined(tmp_path, capsys):
+    # with no data every balance residual is 0, so its orders are undefined:
+    # written n/a, both balance rows FAIL.  log2(0) used to write -inf with
+    # a divide-by-zero warning
+    cfgf = _cfg_file(tmp_path, "f_amplitude = 0\nfb_amplitude = 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--config", cfgf, "--out", str(tmp_path / "v")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == \
+        "verify failed: energy_balance_minus, energy_balance_plus"
+    with open(tmp_path / "v" / "identities.csv", newline="") as fh:
+        balance = [row[3:] for row in csv.reader(fh) if row[0].startswith("energy_balance")]
+    assert balance == [["0", ""], ["0", "n/a"], ["0", "n/a"]] * 2
+
+
 def test_cli_verify_seeded(tmp_path, capsys):
     rc = main(["verify", "--out", str(tmp_path / "v"), "--seed", "1"])
     assert rc == 0
@@ -454,6 +472,20 @@ def test_cli_converge_dissipation_pairing(tmp_path):
         orders[eps] = [float(r.split(",")[4]) for r in rows[1:]]
     for a, b in zip(orders["0"], orders["0.01"]):
         assert abs(a - b) <= 0.3
+
+
+def test_cli_converge_fails_below_its_order_floor(tmp_path, capsys):
+    # a 0.3-wide profile on dx = 0.5 is under-resolved: orders 2.13 and 1.67,
+    # which used to exit 0; converge.csv is written either way
+    text = ("delta = 0\nt_end = 4\nx0 = -18\ndx = 0.5\nn = 73\ncfl = 0.9\n"
+            "f_width = 0.3\nfb_width = 0.3\n")
+    rc = main(["converge", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "c")])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "converge: errors 1.659e-01, 3.780e-02, 1.191e-02 orders 2.13, 1.67",
+        "converge: order 1.67: FAIL"]
+    rows = (tmp_path / "c" / "converge.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1][:4] for row in rows] == ["n/a", "2.13", "1.66"]
 
 
 def test_cli_converge_names_a_level_that_blows_up(tmp_path, capsys, monkeypatch):

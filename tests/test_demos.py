@@ -1,5 +1,4 @@
-"""The demos that call the null-frame and identity kernels and the
-convergence study run as scripts."""
+"""Every demo runs as a script, with numpy's runtime warnings as errors."""
 
 import os
 import subprocess
@@ -11,14 +10,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_null_geometry_and_criterion.py",
-                                  "02_travelling_wave_convergence.py",
-                                  "05_identity_checks.py"])
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "demos" / demo)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

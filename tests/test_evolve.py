@@ -6,7 +6,7 @@ from stringlab import (BlowupDetected, CharacteristicTracer, DataFamily, Grid1D,
                        HyperbolicityLoss, InsufficientHistory, ProfileSpec, StringLabError,
                        blowup_fixture, blowup_study, exact_travelling, init_state,
                        run_evolution, stack_states, step, trace_characteristics)
-from stringlab.evolve import FieldState, _stage_rhs, max_speed
+from stringlab.evolve import FieldState, _stage_rhs, max_speed, orders_pass, refinement_orders
 from stringlab.stencils import cubic_interp, deriv1
 
 
@@ -632,3 +632,14 @@ def test_a_non_finite_cell_is_live():
     state.w[150] = np.nan
     res = run_evolution(state, t_end=1.0)
     assert (res.status, res.t_blowup, res.blowup_reason) == ("blowup", 0.0, "non-finite values")
+
+
+def test_refinement_orders_are_undefined_unless_both_values_are_positive_and_finite():
+    inf, nan = float("inf"), float("nan")
+    assert refinement_orders([8.0, 1.0, 0.25]) == [3.0, 2.0]
+    assert refinement_orders([1.0, 0.0, 0.0]) == [None, None]
+    assert refinement_orders([0.0, 1.0, -1.0, inf, nan, 1.0]) == [None] * 5
+    assert refinement_orders([1.0]) == []
+    # an undefined order fails the gate whatever the others read
+    assert orders_pass([4.0, 3.5], 3.5) and not orders_pass([4.0, 3.4], 3.5)
+    assert not orders_pass([4.0, None], 3.5)

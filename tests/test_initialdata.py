@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from stringlab import (DataFamily, DataOutOfRange, Grid1D, HyperbolicityLoss, ProfileSpec,
                        blowup_fixture, check_kong_tsuji, criterion_for_family, eigenvalues,
-                       higher_order_traces, init_state)
+                       higher_order_traces, init_state, parse_config)
+from stringlab.cli import main
 
 
 def test_gamma_range_enforced():
@@ -233,12 +234,21 @@ def test_traces_weighted_norms_stable_under_refinement(default_family):
     assert vals[1] == pytest.approx(vals[0], rel=1e-4)
 
 
-def test_trace_table_csv_roundtrip(default_family, tmp_path):
-    x = np.linspace(-3, 3, 11)
-    table = higher_order_traces(default_family, 2, x)
-    path = tmp_path / "traces.csv"
-    table.write_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "x,k1,k2,L_trace,Lb_trace"
-    n_rows = 6                     # k1 + k2 <= 2
-    assert len(rows) == 1 + n_rows * len(x)
+def test_trace_table_csv_roundtrip(tmp_path):
+    # tracecheck writes the exact table of its coarse level to traces.csv,
+    # one row per (k1, k2, x) with k1 + k2 <= N, and every value reads back
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("mode = tracecheck\nN = 2\nt_end = 0.5\nx0 = -6\ndx = 0.25\n"
+                        "n = 49\nf_width = 0.5\nfb_width = 0.5\n")
+    main(["tracecheck", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    header, *rows = (tmp_path / "out" / "traces.csv").read_text().splitlines()
+    assert header == "x,k1,k2,L_trace,Lb_trace"
+    cfg = parse_config(cfg_file.read_text())
+    table = higher_order_traces(cfg.family(), cfg.N, cfg.grid().x)
+    want = [(x, k1, k2, lv, lbv) for k1 in range(3) for k2 in range(3 - k1)
+            for x, lv, lbv in zip(table.x, *table.rows[k1, k2])]
+    assert len(rows) == 6 * cfg.n      # k1 + k2 <= 2
+    for row, (x, k1, k2, lv, lbv) in zip(rows, want):
+        got = row.split(",")
+        assert (float(got[0]), int(got[1]), int(got[2]), float(got[3]), float(got[4])) \
+            == (x, k1, k2, lv, lbv)
