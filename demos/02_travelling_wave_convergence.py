@@ -9,22 +9,18 @@ causal domain sizing makes the boundary treatment invisible to the interior.
 
 import numpy as np
 
-from stringlab import (DataFamily, Grid1D, ProfileSpec, convergence_study, refinement_orders,
-                       run_evolution)
+from stringlab import ExperimentConfig, Grid1D, convergence_study, run_evolution
 
 print(__doc__)
 
-fam = DataFamily(gamma=0.5, delta=0.0,
-                 f=ProfileSpec("gaussian", 1.0, 0.0, 2.0),
-                 fb=ProfileSpec("gaussian", 1.0, 0.0, 2.0))
-X, T = 24.0, 10.0
+# the default width-2 unit gaussians at delta = 0, on [-24, 24] with n = 512
+cfg = ExperimentConfig(delta=0.0, x0=-24.0, dx=48 / 511, n=512, t_end=10.0)
 
-print(f"evolving to T = {T:g} on [-{X:g}, {X:g}] at three resolutions:\n")
+print(f"evolving to T = {cfg.t_end:g} on [{cfg.x0:g}, {cfg.grid().x_end:g}] "
+      "at three resolutions:\n")
 print(f"{'n':>6} {'dx':>10} {'L_inf error':>14} {'order':>7} {'max |lambda|-1':>15}")
-# n = 512, 1024, 2048 on one interval is not a refined() chain of grids
-grids = [Grid1D(-X, 2 * X / (n - 1), n) for n in (512, 1024, 2048)]
-levels = convergence_study(fam, grids, t_end=T)
-for lev, order in zip(levels, [None, *refinement_orders([lev.err for lev in levels])]):
+study = convergence_study(cfg)
+for lev, order in zip(study.levels, [None, *study.orders]):
     order = "  -" if order is None else f"{order:.2f}"
     print(f"{lev.n:>6} {lev.dx:>10.5f} {lev.err:>14.3e} {order:>7} {lev.max_speed_seen - 1:>15.2e}")
 
@@ -32,9 +28,7 @@ print("\nnested-domain causality: rerunning on a domain shrunk by 15 ...")
 dx = 0.05
 big = Grid1D(-40.0, dx, 1601)
 small = Grid1D(-25.0, dx, 1001)
-fam2 = DataFamily(gamma=0.5, delta=0.1,
-                  f=ProfileSpec("gaussian", 1.0, 0.0, 2.0),
-                  fb=ProfileSpec("gaussian", 1.0, 0.0, 2.0))
+fam2 = ExperimentConfig().family()
 rb = run_evolution(fam2, big, t_end=5.0)
 rs = run_evolution(fam2, small, t_end=5.0)
 mask = np.abs(small.x) <= 25.0 - 7.0

@@ -11,19 +11,24 @@ the degeneration approaches.
 
 import numpy as np
 
-from stringlab import Grid1D, blowup_fixture, blowup_study, criterion_for_family
+from stringlab import ExperimentConfig, blowup_fixture, blowup_study, criterion_for_family
 
 print(__doc__)
 
-fam = blowup_fixture()
+X, dx = 28.0, 1 / 32
+# the colliding packets of blowup_fixture on [-X, X]; dx, dx/2 and dx/4, and
+# the finest level traces plus-family characteristics while it runs,
+# holding a few time levels instead of the whole history
+cfg = ExperimentConfig(x0=-X, dx=dx, n=int(round(2 * X / dx)) + 1, t_end=12.0, delta=1.0,
+                       f_amplitude=2.4, f_center=4.0, f_width=1.0,
+                       fb_amplitude=2.4, fb_center=-4.0, fb_width=1.0)
+fam = cfg.family()
+assert fam == blowup_fixture()
 x = np.linspace(-20, 20, 2001)
 rep = criterion_for_family(fam, x)
 print(f"ordering margin of the data: {rep.order_margin:+.4f} (< 0: criterion violated)\n")
 
-X, dx = 28.0, 1 / 32
-# dx, dx/2 and dx/4; the finest level traces plus-family characteristics
-# while it runs, holding a few time levels instead of the whole history
-study = blowup_study(fam, Grid1D(-X, dx, int(round(2 * X / dx)) + 1), t_end=12.0)
+study = blowup_study(cfg)
 print(f"{'dx':>9} {'t_blowup':>10} {'reason'}")
 for lev in study.levels:
     print(f"{lev.dx:>9.5f} {lev.t_blowup:>10.5f} {lev.reason}")

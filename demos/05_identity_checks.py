@@ -13,7 +13,7 @@ runs:
 
 import numpy as np
 
-from stringlab import DataFamily, Grid1D, ProfileSpec
+from stringlab import ExperimentConfig, Grid1D
 from stringlab.identities import (deformation_check, divergence_identity_study,
                                   energy_balance_study, equivalence_ratios)
 from stringlab.manufactured import random_mixture
@@ -41,12 +41,10 @@ hi = max(b[1] for b in bands.values())
 print(f"\ncontraction/comparator equivalence band over the monitored regime: "
       f"[{lo:.3f}, {hi:.3f}] (within [1/16, 16])")
 
-fam = DataFamily(gamma=0.5, delta=0.1,
-                 f=ProfileSpec("gaussian", 1.0, 0.0, 2.0),
-                 fb=ProfileSpec("gaussian", 1.0, 0.0, 2.0))
 print("\nintegrated energy balance on null regions (residual under refinement):")
-studies = energy_balance_study(fam, (("TL", -1.0), ("TLb", 1.0)), Grid1D(-24.0, 0.125, 385),
-                               t_end=4.0)
+# the default family: gamma = 0.5, delta = 0.1, width-2 unit gaussians
+studies = energy_balance_study(ExperimentConfig(), (("TL", -1.0), ("TLb", 1.0)),
+                               Grid1D(-24.0, 0.125, 385), t_end=4.0)
 for st, side, label in zip(studies, ("TL", "TLb"), ("outgoing", "incoming")):
     pairs = ", ".join(f"{r:.3e}" for r in st.residuals)
     print(f"  {label} region ({side}): residuals {pairs} (smallest order {min(st.orders):.2f})")

@@ -18,9 +18,8 @@ blowup      3-level refinement of the detected blow-up time plus
 verify      manufactured-field identity suite (divergence, deformation,
             trace, equivalence band, energy balance); stdout marks each
             identity pass or FAIL, exit 1 on any failure.  Reads only the
-            profile keys, gamma, delta, cfl, eps_ko and seed; the balance
-            runs use GMIN_DEFAULT, not gmin, and a level that blows up is an
-            error naming it.
+            profile keys, gamma, delta, cfl, eps_ko, gmin and seed; a
+            balance level that blows up is an error naming it.
 tracecheck  inductive t=0 trace table against tower time differences of the
             evolved solution under dt refinement; exit 1 unless order >= 1.5.
 
@@ -60,8 +59,7 @@ import numpy as np
 from . import energy as en
 from .config import ExperimentConfig, parse_config, validate_config
 from .errors import StringLabError
-from .evolve import (CONVERGE_ORDER_MIN, blowup_study, convergence_study, init_state,
-                     orders_pass, refinement_orders)
+from .evolve import blowup_study, convergence_study, init_state, refinement_orders
 # re-exported: perfbench checks that its tracer patches this binding site
 from .evolve import run_evolution  # noqa: F401
 from .identities import verify_suite
@@ -172,23 +170,21 @@ def cmd_sweep(cfg, out: Path) -> int:
 
 
 def cmd_converge(cfg, out: Path) -> int:
-    levels = convergence_study(cfg.family(), [cfg.grid().refined(2 ** k) for k in range(3)],
-                               cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko, gmin=cfg.gmin)
-    orders = refinement_orders([lev.err for lev in levels])
+    study = convergence_study(cfg)
+    orders = study.orders
     _write_csv(out / "converge.csv", ["level", "n", "dx", "err_inf", "order"],
                [[k, lev.n, lev.dx, lev.err, order]
-                for k, (lev, order) in enumerate(zip(levels, [None, *orders]))])
-    print("converge: errors", ", ".join(f"{lev.err:.3e}" for lev in levels),
+                for k, (lev, order) in enumerate(zip(study.levels, [None, *orders]))])
+    print("converge: errors", ", ".join(f"{lev.err:.3e}" for lev in study.levels),
           "orders", ", ".join(map(_order_text, orders)))
-    return _order_verdict("converge", orders, orders_pass(orders, CONVERGE_ORDER_MIN))
+    return _order_verdict("converge", orders, study.passed())
 
 
 def cmd_blowup(cfg, out: Path) -> int:
-    fam, grid = cfg.family(), cfg.grid()
-    crit = criterion_for_family(fam, grid.x)
+    crit = criterion_for_family(cfg.family(), cfg.grid().x)
     print(f"criterion: {'pass' if crit.passed else 'FAIL (blow-up data)'} "
           f"(ordering margin {crit.order_margin:.3e})")
-    study = blowup_study(fam, grid, cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko, gmin=cfg.gmin)
+    study = blowup_study(cfg)
     for k, lev in enumerate(study.levels):
         what = (f"no blow-up up to t_end = {cfg.t_end:g}" if lev.reason is None
                 else f"t_blowup = {lev.t_blowup:.6g}, {lev.reason}")
@@ -208,7 +204,7 @@ def cmd_blowup(cfg, out: Path) -> int:
 
 
 def cmd_verify(cfg, out: Path) -> int:
-    suite = verify_suite(cfg.family(), cfg.seed, cfl=cfg.cfl, eps_ko=cfg.eps_ko)
+    suite = verify_suite(cfg)
     _write_csv(out / "identities.csv",
                ["identity", "level", "dx", "residual", "order"], suite.rows)
     for name in sorted({r[0] for r in suite.rows}):

@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from .energy import N_DEFAULT
 from .errors import ParseError, ValidationError
-from .evolve import CFL_MAX, Grid1D
+from .evolve import CFL_DEFAULT, CFL_MAX, EPS_KO_DEFAULT, Grid1D
 from .initialdata import DataFamily
+from .nullgeom import GMIN_DEFAULT
 from .profiles import ProfileSpec
 
 MODES = ("run", "sweep", "converge", "blowup", "verify", "tracecheck")
@@ -26,12 +28,12 @@ class ExperimentConfig:
     dx: float = 0.05
     n: int = 1601
     t_end: float = 20.0
-    cfl: float = 0.4
-    eps_ko: float = 0.01
+    cfl: float = CFL_DEFAULT
+    eps_ko: float = EPS_KO_DEFAULT
     gamma: float = 0.5
     delta: float = 0.1
     deltas: tuple = (0.1, 0.05, 0.025)
-    N: int = 4
+    N: int = N_DEFAULT
     f_kind: str = "gaussian"
     f_amplitude: float = 1.0
     f_center: float = 0.0
@@ -43,7 +45,7 @@ class ExperimentConfig:
     probes_u: tuple = (-3.0, -1.5, 0.0, 1.5, 3.0)
     probes_ub: tuple = (-3.0, -1.5, 0.0, 1.5, 3.0)
     report_every: int = 25
-    gmin: float = 1e-6
+    gmin: float = GMIN_DEFAULT
     seed: int = 0
     out: str = "out"
     dump_fields: bool = False

@@ -331,7 +331,6 @@ class EnergyTracker:
         self._rows = None              # (2N+1, N+1, 2, B, n) ring of spatial rows
         self._times = deque(maxlen=self._n_levels)
         self._levels_seen = 0
-        self._steps = 0
         self._nu = len(self.probes_u)
         self._flux = None              # (B, lines, N+1) running fluxes
         self._prev = None              # (B, lines, N+1) flux density at _prev_tau
@@ -351,15 +350,12 @@ class EnergyTracker:
             raise ValueError("an ensemble has member_reports, one list per member")
         return self.member_reports[0] if self.member_reports else []
 
-    def on_start(self, state: FieldState):
-        self._push(state)
-
     def on_step(self, state: FieldState):
         self._push(state)
-        self._steps += 1
+        # the start state is level 0: level k is the state after k steps
         if len(self._times) == self._n_levels:
             self._accumulate_flux()
-            if self._steps % self.report_every == 0:
+            if (self._levels_seen - 1) % self.report_every == 0:
                 self._report()
 
     def _push(self, state: FieldState):

@@ -352,8 +352,8 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     a whole number of steps spans t_end, which the summed steps reach up to
     roundoff; the Courant number is at most cfl (see `_time_step`).  Raises
     ValueError unless t_end is after the start time, cfl lies in
-    (0, CFL_MAX] and gmin in [0, 1).  Callbacks get on_start(state) and
-    on_step(state) with each accepted state.
+    (0, CFL_MAX] and gmin in [0, 1).  Each callback's on_step(state) gets
+    the start state and then each accepted state.
 
     Each step covers only the active window of the module docstring: on a
     grid of at least WINDOW_MIN_SKIP + 33 points, a member whose fields are
@@ -388,10 +388,10 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     max_seen, min_g_seen = max_speed(state.w, state.p, state.disc), np.min(state.disc, axis=-1)
     t_last, why = None, [None] * len(state.w)   # the blow-up time and each member's reason
 
-    def accept(hook):
+    def accept():
+        seen = state.member(0) if single else state
         for cb in callbacks:
-            if hasattr(cb, hook):
-                getattr(cb, hook)(state.member(0) if single else state)
+            cb.on_step(seen)
 
     def advance():
         """step on the active window: the new state and each member's
@@ -412,7 +412,7 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
             fields.append(new_f)
         return FieldState(part.t, grid, *fields), min_g, _max_speed(part.w, part.p, part.disc)
 
-    accept("on_start")
+    accept()
     for _ in range(n_steps):
         try:
             new, min_g, speed = advance()
@@ -423,7 +423,7 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
         state = new
         max_seen = np.maximum(max_seen, speed)
         min_g_seen = np.minimum(min_g_seen, min_g)
-        accept("on_step")
+        accept()
 
     done = "completed" if t_last is None else "stopped"
     results = [RunResult(done if r is None else "blowup", state.member(k), dt, n_steps,
@@ -469,17 +469,17 @@ class CharPath:
 class CharacteristicTracer:
     """Integrate dx/dt = lambda_family along a run, as it is produced.
 
-    A run_evolution callback (on_start/on_step) followed by finish().  Path
-    step i is the RK4 step of the field evolution with cubic space-time
-    interpolation of (w, p) over the 4 levels j..j+3 nearest its time,
-    j = floor((t - t0)/dt) - 1.  Accumulated step times carry roundoff, so
-    j is one of i-2, i-1, i.  The step runs once level i+4 has arrived, so
-    the clip of j to the last 4 levels of the run cannot act before the run
-    ends; the tracer then drops every level older than i-1.  It references
-    at most 7 levels (each accepted state has fresh arrays, so none is
-    copied) and gathers only the 4 stencil columns of each seed from each
-    of the 4 levels it interpolates, so memory is O(n) whatever the run
-    length.
+    A run_evolution callback of one run (on_step, from the start state on)
+    followed by finish().  Path step i is the RK4 step of the field
+    evolution with cubic space-time interpolation of (w, p) over the 4
+    levels j..j+3 nearest its time, j = floor((t - t0)/dt) - 1.
+    Accumulated step times carry roundoff, so j is one of i-2, i-1, i.  The
+    step runs once level i+4 has arrived, so the clip of j to the last 4
+    levels of the run cannot act before the run ends; the tracer then drops
+    every level older than i-1.  It references at most 7 levels (each
+    accepted state has fresh arrays, so none is copied) and gathers only the
+    4 stencil columns of each seed from each of the 4 levels it
+    interpolates, so memory is O(n) whatever the run length.
     finish() runs the remaining tail steps with j clipped to the last 4
     levels, as an integration over all the levels at once would.
     """
@@ -491,25 +491,22 @@ class CharacteristicTracer:
         self.seeds = np.asarray(seeds, dtype=float)
         self._sign = 1.0 if family == "plus" else -1.0
         self._times = []                 # no level yet: finish() raises InsufficientHistory
-
-    def on_start(self, state: FieldState):
-        if state.w.ndim != 1:
-            raise ValueError("characteristics are traced along a single-member run")
-        grid = state.grid
-        self._grid = grid
-        self._lo, self._hi = grid.x0 + 2 * grid.dx, grid.x_end - 2 * grid.dx
-        self._times = []
         self._levels = deque()
         self._first = 0                  # run index of self._levels[0]
-        xs = self.seeds.copy()
-        self._xs = xs
-        self._alive = (xs > self._lo) & (xs < self._hi)
-        self._traj = [xs.copy()]
-        self._alive_hist = [self._alive.copy()]
-        self._min_sep = float(np.min(np.abs(np.diff(xs)))) if xs.size > 1 else np.inf
-        self.on_step(state)
+        self._xs = self.seeds.copy()
+        self._traj = [self._xs.copy()]
+        self._min_sep = (float(np.min(np.abs(np.diff(self._xs)))) if self._xs.size > 1
+                         else np.inf)
 
     def on_step(self, state: FieldState):
+        if not self._times:
+            if state.w.ndim != 1:
+                raise ValueError("characteristics are traced along a single-member run")
+            grid = state.grid
+            self._grid = grid
+            self._lo, self._hi = grid.x0 + 2 * grid.dx, grid.x_end - 2 * grid.dx
+            self._alive = (self._xs > self._lo) & (self._xs < self._hi)
+            self._alive_hist = [self._alive.copy()]
         self._times.append(state.t)
         self._levels.append((state.w, state.p))
         i = len(self._traj) - 1
@@ -589,8 +586,8 @@ def trace_characteristics(states, seeds, family: str = "plus"):
     over the whole trace; raises InsufficientHistory below 4 states.
     """
     tracer = CharacteristicTracer(seeds, family)
-    for k, state in enumerate(states):
-        (tracer.on_step if k else tracer.on_start)(state)
+    for state in states:
+        tracer.on_step(state)
     return tracer.finish()
 
 
@@ -629,23 +626,40 @@ class ConvergenceLevel:
     max_speed_seen: float
 
 
-def convergence_study(fam: DataFamily, grids, t_end, cfl=CFL_DEFAULT, eps_ko=EPS_KO_DEFAULT,
-                      gmin=GMIN_DEFAULT) -> list[ConvergenceLevel]:
-    """Error against the exact travelling wave of a delta = 0 family on each
-    grid, coarse to fine; refinement_orders of the errors gives the orders.
+@dataclass
+class ConvergenceStudy:
+    """Errors against the exact travelling wave on a grid and its 2x and 4x
+    refinements, and the converge gate on their orders."""
+
+    levels: list                # ConvergenceLevel per grid, coarse to fine
+
+    @property
+    def orders(self):
+        return refinement_orders([lev.err for lev in self.levels])
+
+    def passed(self):
+        return orders_pass(self.orders, CONVERGE_ORDER_MIN)
+
+
+def convergence_study(cfg) -> ConvergenceStudy:
+    """Error against the exact travelling wave of cfg's family (delta = 0)
+    on cfg's grid and its 2x and 4x refinements, coarse to fine.
 
     Raises BlowupDetected, naming the level, when a run stops before t_end:
     its last state would be compared with the wave at another time.
     """
+    fam = cfg.family()
     levels = []
-    for k, grid in enumerate(grids):
-        res = run_evolution(fam, grid, t_end=t_end, cfl=cfl, eps_ko=eps_ko, gmin=gmin)
+    for k in range(3):
+        grid = cfg.grid().refined(2 ** k)
+        res = run_evolution(fam, grid, t_end=cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
+                            gmin=cfg.gmin)
         if res.status == "blowup":
             raise BlowupDetected(res.t_blowup,
                                  f"{res.blowup_reason} on level {k} (n = {grid.n})")
         err = float(np.max(np.abs(res.state.phi - exact_travelling(fam, res.state.t, grid.x))))
         levels.append(ConvergenceLevel(grid.n, grid.dx, err, res.max_speed_seen))
-    return levels
+    return ConvergenceStudy(levels)
 
 
 @dataclass
@@ -665,23 +679,23 @@ class BlowupStudy:
     min_sep: float = float("nan")               # paths and min_sep only when t_star is set
 
 
-def blowup_study(fam: DataFamily, grid: Grid1D, t_end, cfl=CFL_DEFAULT,
-                 eps_ko=EPS_KO_DEFAULT, gmin=GMIN_DEFAULT) -> BlowupStudy:
-    """Detected blow-up time on grid and its 2x and 4x refinements, and the
-    focusing of adjacent plus-family characteristics.
+def blowup_study(cfg) -> BlowupStudy:
+    """Detected blow-up time of cfg's family on cfg's grid and its 2x and 4x
+    refinements, and the focusing of adjacent plus-family characteristics.
 
     17 seeds span max|center| + 2 max width on each side of the origin, so
     they cover both packets.  They are traced while the finest level runs,
     in O(n) memory.
     """
+    fam = cfg.family()
     half = max(abs(fam.f.center), abs(fam.fb.center)) + 2.0 * max(fam.f.width, fam.fb.width)
     seeds = np.linspace(-half, half, 17)
     tracer = CharacteristicTracer(seeds, family="plus")
     levels = []
     for k in range(3):
-        g = grid.refined(2 ** k)
-        res = run_evolution(fam, g, t_end=t_end, cfl=cfl, eps_ko=eps_ko, gmin=gmin,
-                            callbacks=[tracer] if k == 2 else ())
+        g = cfg.grid().refined(2 ** k)
+        res = run_evolution(fam, g, t_end=cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
+                            gmin=cfg.gmin, callbacks=[tracer] if k == 2 else ())
         tb = res.t_blowup if res.status == "blowup" else float("nan")
         levels.append(BlowupLevel(g.n, g.dx, tb, res.blowup_reason))
     t_blowups = [lev.t_blowup for lev in levels]

@@ -19,7 +19,7 @@ Three families of checks:
 
 * energy balance -- on the trapezoidal null regions, surface term + null
   flux equals the initial term minus the bulk divergence integral.  Checked
-  discretely along a run for pure-spatial-derivative rows; the null-segment
+  discretely along a run for the row phi itself; the null-segment
   measure carries the Jacobian factor 2 that makes the discrete divergence
   theorem close exactly.
 """
@@ -33,12 +33,11 @@ import numpy as np
 
 from .energy import stress_density
 from .errors import BlowupDetected, InsufficientHistory, TimelikeViolation
-from .evolve import (CFL_DEFAULT, EPS_KO_DEFAULT, Grid1D, orders_pass, refinement_orders,
-                     run_evolution)
+from .evolve import Grid1D, orders_pass, refinement_orders, run_evolution
 from .manufactured import MovingGaussian, ZeroField, random_mixture
 from .nullgeom import (GMIN_DEFAULT, multiplier, null_stress, side_weight, weight_a,
                        weight_a_prime)
-from .stencils import cubic_interp, deriv_k
+from .stencils import cubic_interp, deriv1
 
 
 @dataclass
@@ -348,11 +347,11 @@ def equivalence_ratios(seed=0):
 class BalanceAccumulator:
     """Run callback accumulating all terms of one null-region energy identity.
 
-    The test row is the pure spatial derivative d_x^{k2} phi, whose null
-    gradient needs no time differencing, so every term is available at every
-    step including t = 0.  side 'TLb' pairs with the region left of an
-    incoming line (ub <= ub0, boundary x = 2 ub0 - t); side 'TL' with the
-    region right of an outgoing line (u <= u0, boundary x = t - 2 u0).
+    The test row is phi itself, whose gradient (w, d_x phi) needs no time
+    differencing, so every term is available at every step including t = 0.
+    side 'TLb' pairs with the region left of an incoming line (ub <= ub0,
+    boundary x = 2 ub0 - t); side 'TL' with the region right of an outgoing
+    line (u <= u0, boundary x = t - 2 u0).
 
     The terms are summed as the levels stream in.  Level i's bulk term (the
     region integral of d_t V^t plus the boundary value of V^x) is added once
@@ -360,21 +359,16 @@ class BalanceAccumulator:
     has), and finalize() adds only the last level's one-sided term, so the
     sum runs over i = 0, 1, ..., n-1 as one sum over all levels would.  The
     accumulator holds a window of at most 3 V^t profiles plus one boundary
-    scalar per held level: O(n) memory whatever the run length.  on_start
-    resets every accumulated quantity, so one accumulator can serve several
-    runs; it takes single-member runs only.
+    scalar per held level: O(n) memory whatever the run length.  It follows
+    one single-member run, from its start state on.
     """
 
-    def __init__(self, side, coord, gamma, k2=0):
+    def __init__(self, side, coord, gamma):
         if side not in ("TL", "TLb"):
             raise ValueError(f"bad side {side!r}")
         self.side = side
         self.coord = float(coord)
         self.gamma = float(gamma)
-        self.k2 = int(k2)
-        self._reset()
-
-    def _reset(self):
         self._n = 0                 # levels seen
         self._taus = deque(maxlen=3)
         self._vts = deque(maxlen=3)     # V^t profiles of the held levels
@@ -415,29 +409,19 @@ class BalanceAccumulator:
             full += 0.5 * (f[lo] + fb) * frac
         return full
 
-    # current of the spatial-derivative row --------------------------------
+    # current of the row phi ------------------------------------------------
     def _currents(self, state):
         grid = state.grid
         w, p = state.w, state.p
-        vt = deriv_k(state.w, grid.dx, self.k2)
-        vx = deriv_k(state.phi, grid.dx, self.k2 + 1)
         xi = _multiplier_cartesian(w, p, state.t, grid.x, self.gamma, self.side)
-        return _current_density(w, p, vt, vx, xi)
+        return _current_density(w, p, w, deriv1(state.phi, grid.dx), xi)
 
     # callback protocol ----------------------------------------------------
-    def on_start(self, state):
-        if state.w.ndim != 1:
-            raise ValueError("the energy balance is accumulated along a single-member run")
-        self._reset()
-        self._grid = state.grid
-        self._record(state)
-        self.sigma0 = self._region_integral(-self._vts[0], self._grid,
-                                            self._boundary_x(state.t))
-
     def on_step(self, state):
-        self._record(state)
-
-    def _record(self, state):
+        if not self._n:
+            if state.w.ndim != 1:
+                raise ValueError("the energy balance is accumulated along a single-member run")
+            self._grid = state.grid
         vt_cur, vx_cur = self._currents(state)
         tau = state.t
         # null flux integrand: the exact boundary measure is 2*V^{null}
@@ -460,7 +444,9 @@ class BalanceAccumulator:
         self._vts.append(vt_cur)
         self._edges.append(edge)
         self._n += 1
-        if self._n == 2:
+        if self._n == 1:
+            self.sigma0 = self._region_integral(-vt_cur, grid, self._boundary_x(tau))
+        elif self._n == 2:
             self._dt = self._taus[1] - self._taus[0]
         elif self._n >= 3:
             v0, v1, v2 = self._vts
@@ -491,23 +477,24 @@ class BalanceAccumulator:
         return residual, scale
 
 
-def energy_balance_study(fam, regions, base_grid: Grid1D, t_end, k2=0,
-                         cfl=CFL_DEFAULT, eps_ko=EPS_KO_DEFAULT) -> list:
-    """Balance residuals on base_grid and its 2x and 4x refinements of
-    (dx, dt), one IdentityResidual per (side, coord) of regions, in order.
+def energy_balance_study(cfg, regions, base_grid: Grid1D, t_end) -> list:
+    """Balance residuals of cfg's family on base_grid and its 2x and 4x
+    refinements of (dx, dt), evolved to t_end under cfg's cfl, eps_ko and
+    gmin; one IdentityResidual per (side, coord) of regions, in order.
 
     All regions share one evolution per level: their accumulators ride as
     callbacks of the same run, each streaming its own terms in O(n) memory.
     The identities stay independent: each compares its own Sigma(t) -
     Sigma(0) with its own flux and bulk, and only the evolved solution is
     shared.  Raises BlowupDetected, naming the level, when a run stops early."""
-    regions = list(regions)
+    fam, regions = cfg.family(), list(regions)
     residuals = [[] for _ in regions]
     hs = []
     grid = base_grid
     for k in range(3):
-        accs = [BalanceAccumulator(side, coord, fam.gamma, k2=k2) for side, coord in regions]
-        run = run_evolution(fam, grid, t_end=t_end, cfl=cfl, eps_ko=eps_ko, callbacks=accs)
+        accs = [BalanceAccumulator(side, coord, fam.gamma) for side, coord in regions]
+        run = run_evolution(fam, grid, t_end=t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
+                            gmin=cfg.gmin, callbacks=accs)
         if run.status == "blowup":
             raise BlowupDetected(run.t_blowup,
                                  f"{run.blowup_reason} on balance level {k} (n = {grid.n})")
@@ -538,12 +525,13 @@ class SuiteResult:
     failures: list        # names of the failed identities, in suite order
 
 
-def verify_suite(fam, seed, cfl=CFL_DEFAULT, eps_ko=EPS_KO_DEFAULT) -> SuiteResult:
-    """The six identity studies at fam.gamma: divergence on a flat and a
+def verify_suite(cfg) -> SuiteResult:
+    """The six identity studies at cfg.gamma: divergence on a flat and a
     curved background, deformation closed forms, the trace identity, the
-    equivalence band, and the energy balance of fam on both null regions.
-    The curved background and the deformation fields are drawn from seed."""
-    gamma = fam.gamma
+    equivalence band, and the energy balance of cfg's family on both null
+    regions.  The curved background and the deformation fields are drawn
+    from cfg.seed."""
+    gamma, seed = cfg.gamma, cfg.seed
     rng = np.random.default_rng(seed)
     suite = SuiteResult([], [])
 
@@ -582,7 +570,6 @@ def verify_suite(fam, seed, cfl=CFL_DEFAULT, eps_ko=EPS_KO_DEFAULT) -> SuiteResu
 
     # discrete energy balance on both null regions
     bal_grid = Grid1D(-24.0, 0.125, 385)
-    for study in energy_balance_study(fam, (("TL", -1.0), ("TLb", 1.0)), bal_grid,
-                                      t_end=4.0, cfl=cfl, eps_ko=eps_ko):
+    for study in energy_balance_study(cfg, (("TL", -1.0), ("TLb", 1.0)), bal_grid, t_end=4.0):
         check(study, orders_pass(study.orders, BALANCE_ORDER_MIN))
     return suite

@@ -82,8 +82,8 @@ class DataFamily:
         return 0.5 * (self.delta * self.f_deriv(j, x) + self.fb_deriv(j, x))
 
     def support_radius(self):
-        return max(abs(self.f.center) + support_radius(self.f, k_max=2),
-                   abs(self.fb.center) + support_radius(self.fb, k_max=2))
+        return max(abs(self.f.center) + support_radius(self.f),
+                   abs(self.fb.center) + support_radius(self.fb))
 
 
 def check_data(w, p):

@@ -183,10 +183,10 @@ def profile_antiderivative(h: ProfileSpec, x):
     return float(out) if out.ndim == 0 else out
 
 
-def support_radius(h: ProfileSpec, k_max: int = 0) -> float:
-    """Radius around the center beyond which derivatives up to k_max are
-    below 1e-14 times the amplitude.  The bump is exactly supported on one
-    width; a zero profile has radius 0."""
+def support_radius(h: ProfileSpec) -> float:
+    """Radius around the center beyond which the profile and its first two
+    derivatives are below 1e-14 times the amplitude.  The bump is exactly
+    supported on one width; a zero profile has radius 0."""
     if h.amplitude == 0.0:
         return 0.0
     if h.kind == "bump":
@@ -195,8 +195,8 @@ def support_radius(h: ProfileSpec, k_max: int = 0) -> float:
     s = 1.0
     while s < 60.0:
         xs = h.center + s * h.width
-        vals = [abs(profile_derivative(h, k, xs)) for k in range(k_max + 1)]
-        vals += [abs(profile_derivative(h, k, 2 * h.center - xs)) for k in range(k_max + 1)]
+        vals = [abs(profile_derivative(h, k, xs)) for k in range(3)]
+        vals += [abs(profile_derivative(h, k, 2 * h.center - xs)) for k in range(3)]
         if max(vals) < floor:
             return s * h.width
         s += 0.5

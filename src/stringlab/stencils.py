@@ -63,14 +63,6 @@ def deriv1(f, dx):
     return out
 
 
-def deriv_k(f, dx, k):
-    """k-fold application of deriv1 (stays 4th order in the interior)."""
-    out = np.asarray(f, dtype=float)
-    for _ in range(k):
-        out = deriv1(out, dx)
-    return out
-
-
 def ko_dissipation(f, dx, eps):
     """Fourth-difference damping term, -eps/(16 dx) * D4[f].
 

@@ -12,10 +12,8 @@ class Recorder:
     def __init__(self):
         self.states = []
 
-    def on_start(self, state):
+    def on_step(self, state):
         self.states.append(state)
-
-    on_step = on_start
 
 
 @pytest.fixture

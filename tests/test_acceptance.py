@@ -61,9 +61,9 @@ def test_a2_identity_suite():
         study = divergence_identity_study(phi, varphi, side=side)
         div_orders.append(min(study.orders))
 
-    fam = DataFamily(gamma=0.5, delta=0.1, f=GAUSS2, fb=GAUSS2)
+    # the default family: gamma = 0.5, delta = 0.1, width-2 unit gaussians
     bal_orders = [min(study.orders) for study in
-                  energy_balance_study(fam, (("TL", -1.0), ("TLb", 1.0)),
+                  energy_balance_study(ExperimentConfig(), (("TL", -1.0), ("TLb", 1.0)),
                                        Grid1D(-24.0, 0.125, 385), t_end=4.0)]
 
     worst, worst_trace = deformation_check(seed=2024)

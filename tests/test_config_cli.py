@@ -409,6 +409,20 @@ def test_cli_verify_names_a_balance_level_that_blows_up(tmp_path, capsys):
     assert not (tmp_path / "v" / "identities.csv").exists()
 
 
+def test_cli_verify_balance_runs_read_gmin(tmp_path, capsys):
+    # the default data start at min g = 0.900, so a floor of 0.95 stops the
+    # first balance run at its first step, as it stops `run` at t = 0;
+    # verify used to ignore gmin and exit 0
+    rc = main(["verify", "--config", _cfg_file(tmp_path, "gmin = 0.95\n"),
+               "--out", str(tmp_path / "v")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("stringlab: error: blow-up at t=0: timelike violation")
+    assert line.endswith(" on balance level 0 (n = 385)")
+    assert not (tmp_path / "v" / "identities.csv").exists()
+
+
 def test_cli_verify_zero_amplitude_balance_orders_are_undefined(tmp_path, capsys):
     # with no data every balance residual is 0, so its orders are undefined:
     # written n/a, both balance rows FAIL.  log2(0) used to write -inf with

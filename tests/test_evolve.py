@@ -6,6 +6,7 @@ from stringlab import (BlowupDetected, CharacteristicTracer, DataFamily, Grid1D,
                        HyperbolicityLoss, InsufficientHistory, ProfileSpec, StringLabError,
                        blowup_fixture, blowup_study, exact_travelling, init_state,
                        run_evolution, stack_states, step, trace_characteristics)
+from stringlab.config import ExperimentConfig
 from stringlab.evolve import FieldState, _stage_rhs, max_speed, orders_pass, refinement_orders
 from stringlab.stencils import cubic_interp, deriv1
 
@@ -270,8 +271,12 @@ def test_streamed_characteristics_match_stored_history(t_end, status):
 
 def test_blowup_study_matches_plain_runs():
     fam = blowup_fixture()
-    grid = Grid1D(-18.0, 0.1, 361)
-    study = blowup_study(fam, grid, t_end=5.0)
+    cfg = ExperimentConfig(x0=-18.0, dx=0.1, n=361, t_end=5.0, delta=fam.delta,
+                           f_amplitude=2.4, f_center=4.0, f_width=1.0,
+                           fb_amplitude=2.4, fb_center=-4.0, fb_width=1.0)
+    assert cfg.family() == fam
+    grid = cfg.grid()
+    study = blowup_study(cfg)
     grids = [grid, grid.refined(), grid.refined().refined()]
     rec = Recorder()
     runs = [run_evolution(fam, g, t_end=5.0, callbacks=[rec] if k == 2 else ())
@@ -299,7 +304,7 @@ def test_tracer_holds_bounded_levels():
 
     res = run_evolution(_state(grid, z, z, z), t_end=40.0, callbacks=[tracer, Probe()])
     assert res.status == "completed" and res.n_steps >= 1000
-    assert len(held) == res.n_steps and max(held) <= 8
+    assert len(held) == res.n_steps + 1 and max(held) <= 8
     paths, _ = tracer.finish()
     assert len(paths[0].ts) == res.n_steps + 1
 
@@ -309,7 +314,7 @@ def test_tracer_needs_four_levels():
     z = np.zeros(grid.n)
     st = _state(grid, z, z, z)
     tracer = CharacteristicTracer([0.0, 1.0], "plus")
-    tracer.on_start(st)
+    tracer.on_step(st)
     tracer.on_step(step(st, dt=0.02)[0])
     with pytest.raises(InsufficientHistory, match="4 time levels") as exc_info:
         tracer.finish()
@@ -599,11 +604,10 @@ def test_windowed_ensemble_members_equal_their_single_runs(monkeypatch):
     assert [m.status for m in ens.members] == ["blowup", "stopped", "stopped"]
     _assert_same_run(ens.members[0], singles[0])
     for member, single, r in zip(ens.members[1:], singles[1:], recs[1:]):
-        _assert_stopped_run(member, single, r.states, len(extremes))
-    # min g and the max speed over the whole accepted states
-    state0 = stack_states(states)
-    min_g = min([float(np.min(state0.disc))] + [float(np.min(g)) for g, _ in extremes])
-    speed = max([max_speed(state0.w, state0.p).max()] + [float(np.max(v)) for _, v in extremes])
+        _assert_stopped_run(member, single, r.states, len(extremes) - 1)
+    # min g and the max speed over the whole states the callback saw, the start state first
+    min_g = min(float(np.min(g)) for g, _ in extremes)
+    speed = max(float(np.max(v)) for _, v in extremes)
     assert (ens.min_g_seen, ens.max_speed_seen) == (min_g, speed)
 
 

@@ -79,8 +79,8 @@ def test_support_radius_of_zero_profile():
     # a zero profile used to get the 60-width cap: 120 for a width-2 gaussian
     # against 12 at amplitude 1, so zero-amplitude configs demanded [-126, 126]
     for kind in ("gaussian", "polynomial-gaussian", "bump"):
-        assert support_radius(ProfileSpec(kind, 0.0, 1.0, 2.0), k_max=2) == 0.0
-    assert support_radius(ProfileSpec("gaussian", 1.0, 1.0, 2.0), k_max=2) == 12.0
+        assert support_radius(ProfileSpec(kind, 0.0, 1.0, 2.0)) == 0.0
+    assert support_radius(ProfileSpec("gaussian", 1.0, 1.0, 2.0)) == 12.0
     cfg = parse_config("f_amplitude = 0\nfb_amplitude = 0\nx0 = -23\nn = 921\nt_end = 20\n")
     assert cfg.family().support_radius() == 0.0
 
