@@ -14,12 +14,13 @@ k1 + k2 > N; the exact t = 0 trace table (`higher_order_traces`) uses the
 same layout.  Energies, weighted sups and flux densities work on whole
 k1 slices of it, and `_order_sums` adds per-row values into orders.
 
-The run tracker differentiates each level once, on the full grid, when it
-enters its ring of the last 2N+1 levels, and keeps only those spatial
-rows.  Flux probes take the time differences on the four grid columns
-around each probe; reports take them on the whole grid.  Every stencil is
-elementwise, so both are byte-identical to differencing a tower built
-afresh from the same states.
+The run tracker (`EnergyTracker`) holds the fields of its last levels, no
+derivatives, and works its flux centres off in blocks.  A block takes the
+spatial rows only on a window around each flux probe line and the time
+differences only on the four grid columns around each probe; a report
+takes both on the whole grid.  Every stencil is elementwise and every
+column read lies clear of the window and grid edges, so both are
+byte-identical to differencing a tower built afresh from the same states.
 
 Energies at order k aggregate all multi-index rows of that total order:
 
@@ -37,7 +38,6 @@ is the form the run monitors bound.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +53,15 @@ N_DEFAULT = 4
 AGMON_SLACK = 1e-6              # Agmon margins may dip this far below 0, relative to sqrt(sup E)
 SUP_RATIO_CAP = 2.0             # embedding cap on the weighted sups in units of the fitted M
 _SIDES = ("TL", "TLb")          # the side of the L row (index 0) and of the Lb row (1)
+_LB_SIGN = np.array([[1.0], [-1.0]])   # w + this * d_x(phi): the L and the Lb row
 TRACE_ORDER_MIN = 1.5           # floor of trace_check_study's log2(worst level 0 / level 1)
+# EnergyTracker centres per flush.  Replaying hierarchy_sweep's states, the
+# tracker ran fastest with blocks of 8 among 4 to 32 (4 and 16 took 1.33x
+# and 1.18x its time, 32 took 1.46x the time of 16): larger blocks'
+# temporaries spill out of a 2 MB L2 cache, smaller ones pay more calls per
+# centre.  It holds 2N+8 levels of phi and w, 0.8 MB there, and the
+# workload's peak RSS is 1.5 MiB below that at 16
+FLUX_BLOCK = 8
 
 
 def spatial_rows(phi, w, dx, N):
@@ -74,6 +82,23 @@ def spatial_rows(phi, w, dx, N):
     return rows
 
 
+def _centred_rows(base, dx, N):
+    """base, spatial rows w +- d_x(phi) at a stack of levels along axis 0,
+    and their nested d_x up to order N, shape (N+1, *base.shape).  Order
+    k2 is differenced only on the levels k2 .. L-1-k2 that order-N towers
+    centred on the stack read, and is zero on the others: one deriv1 call
+    per order, on ever fewer levels.  w + (-1)*d_x(phi) is w - d_x(phi)
+    bit for bit, so a base of w + sign*d_x(phi) holds `spatial_rows` rows."""
+    n_levels = len(base)
+    rows = np.empty((N + 1,) + base.shape)
+    rows[0] = base
+    for k2 in range(1, N + 1):
+        rows[k2, :k2] = 0.0
+        rows[k2, n_levels - k2:] = 0.0
+        rows[k2, k2:n_levels - k2] = deriv1(rows[k2 - 1, k2:n_levels - k2], dx)
+    return rows
+
+
 def time_rows(levels, dt, N):
     """All tower rows at the center of an odd stack of spatial rows.
 
@@ -81,7 +106,9 @@ def time_rows(levels, dt, N):
     `spatial_rows`, at consecutive, equally spaced times.  Each extra time
     derivative is one centered difference of the row below, applied to the
     whole stack at once.  Returns shape (N+1, N+1, 2, ...) indexed
-    [k1, k2, L or Lb]; entries with k1 + k2 > N are zero.
+    [k1, k2, L or Lb]; entries with k1 + k2 > N are zero.  dt may be an
+    array that broadcasts against the axes after k2, one step per stack
+    laid side by side there.
 
     Differencing the null rows themselves (rather than assembling them from
     mixed-derivative fields) matters: the left-travelling rows are small and
@@ -284,33 +311,49 @@ def report_from_tower(tower: DerivativeTower, gamma, flux_t, f2, fb2) -> EnergyR
 
 
 class EnergyTracker:
-    """Run callback: accumulates null fluxes each step and emits periodic
-    EnergyReports from the derivative tower.
-
-    Each accepted level is differentiated once, on the full grid, when it
-    enters the tracker: its k1 = 0 spatial rows (`spatial_rows`, N+1
-    deriv1 calls) go into a ring holding the last 2N+1 levels.  The ring
-    keeps only those rows and their times, no field states.
-
-    An ensemble (fields (B, n), see `run_evolution`) shares one ring of
-    shape (2N+1, N+1, 2, B, n): a level costs N+1 deriv1 calls whatever B
-    is, and the probe abscissae, weights and truncation flags are computed
-    once per step.  `member_reports[b]` lists member b's reports.
+    """Run callback: accumulates null fluxes along fixed probe lines and emits
+    periodic EnergyReports from the derivative tower.
 
     Flux probes are fixed before the run: probes_u are retarded coordinates
     u0 of outgoing lines (x = t - 2 u0), probes_ub advanced coordinates ub0
-    of incoming lines (x = 2 ub0 - t).  Each accepted step gathers the four
-    interpolation columns around every active probe from the ring, forms
-    the k1 >= 1 rows there by nested centered time differences, and adds
-    dt * weight * |row|^2 * sqrt(g) at the line's current abscissa by cubic
-    interpolation (trapezoidal in time, lagged to the center of the ring so
-    all tower rows exist).  Reports difference the whole ring the same way.
+    of incoming lines (x = 2 ub0 - t).  The lines form one array, the
+    u-lines first and the ub-lines after them: the running fluxes `_flux`
+    (B, lines, N+1), the flux density of the last centre `_prev`, and the
+    per-line flags `_truncated` and `_inside`.  A u-line takes the L rows
+    under the weight a(ub), a ub-line the Lb rows under a(u); reports split
+    the fluxes into f2 and fb2.
 
-    The lines form one array, the u-lines first and the ub-lines after
-    them: the running fluxes `_flux` (B, lines, N+1), the flux density of
-    the last step `_prev`, and the per-line flags `truncated` and
-    `_inside`.  A u-line takes the L rows under the weight a(ub), a ub-line
-    the Lb rows under a(u); reports split the fluxes into f2 and fb2.
+    The tracker holds the fields phi and w of the last 2N + FLUX_BLOCK
+    accepted levels, no derivatives.  A level is a centre once N levels
+    follow it; the flux at a centre adds dt * weight * |row|^2 * sqrt(g) at
+    each line's abscissa by cubic interpolation, trapezoidal in time.  The
+    centres are worked off in blocks, when FLUX_BLOCK of them are pending
+    and whenever `member_reports`, `reports` or `truncated_probes()` is read:
+
+    - the spatial rows of each line's own side (N+1 deriv1 calls per
+      block) only on probe windows: per line, the interpolation columns of
+      its centres in the block plus the 2(N+1) cells the nested stencils
+      reach, the windows of all lines laid end to end in one row per level
+      and member;
+    - one flat gather of those rows at each line's four columns over the
+      2N+1 levels of every centre, and one `time_rows` call with a
+      per-centre dt (the summed level times make the steps differ in the
+      last bits);
+    - the truncation flags and the running fluxes as accumulations along
+      the block, which add in the order of one centre at a time, so a
+      report reads the flux at its own centre.
+
+    A report centre (every report_every-th level, lagged by N) differences
+    the full grid: the spatial rows of its own 2N+1 levels, one member at a
+    time.  Every stencil is elementwise and every needed column lies at
+    least 2(N+1) cells inside its window and the grid, so all of this is
+    byte-identical to differencing a tower built afresh from the same
+    states, one centre at a time.
+
+    An ensemble (fields (B, n), see `run_evolution`) is tracked as one: a
+    block costs N+1 deriv1 calls whatever B is, and the probe abscissae,
+    weights and truncation flags are shared.  `member_reports[b]` lists
+    member b's reports.
 
     A line accumulates while it stays hw+1 cells inside the grid.  One that
     has not reached the grid yet (an outgoing line left of it, an incoming
@@ -325,18 +368,17 @@ class EnergyTracker:
         self.probes_u = np.asarray(probes_u, dtype=float)
         self.probes_ub = np.asarray(probes_ub, dtype=float)
         self.report_every = int(report_every)
-        self.member_reports: list[list[EnergyReport]] = []
-        self._n_levels = 2 * self.N + 1
+        self._member_reports: list[list[EnergyReport]] = []
         self._grid = None
-        self._rows = None              # (2N+1, N+1, 2, B, n) ring of spatial rows
-        self._times = deque(maxlen=self._n_levels)
+        self._fields = None            # (2, 2N+K, B, n): phi and w of the held levels
+        self._times = []               # times of the held levels
         self._levels_seen = 0
         self._nu = len(self.probes_u)
         self._flux = None              # (B, lines, N+1) running fluxes
         self._prev = None              # (B, lines, N+1) flux density at _prev_tau
         self._prev_tau = None
-        self.truncated = np.zeros(self._nu + len(self.probes_ub), dtype=bool)
-        self._inside = np.zeros_like(self.truncated)
+        self._truncated = np.zeros(self._nu + len(self.probes_ub), dtype=bool)
+        self._inside = np.zeros_like(self._truncated)
         # probes keep hw+1 cells from the edges, clear of the one-sided edge
         # stencils under N+1 nested first derivatives plus the cubic
         # interpolation; hw cells below the probe is also the reference
@@ -344,103 +386,176 @@ class EnergyTracker:
         self._hw = 2 * (self.N + 2) + 4
 
     @property
+    def member_reports(self) -> list[list[EnergyReport]]:
+        """The reports of each member, up to the last accepted level."""
+        self._flush()
+        return self._member_reports
+
+    @property
     def reports(self) -> list[EnergyReport]:
         """The reports of a single-member run."""
-        if len(self.member_reports) > 1:
+        member_reports = self.member_reports
+        if len(member_reports) > 1:
             raise ValueError("an ensemble has member_reports, one list per member")
-        return self.member_reports[0] if self.member_reports else []
-
-    def on_step(self, state: FieldState):
-        self._push(state)
-        # the start state is level 0: level k is the state after k steps
-        if len(self._times) == self._n_levels:
-            self._accumulate_flux()
-            if (self._levels_seen - 1) % self.report_every == 0:
-                self._report()
-
-    def _push(self, state: FieldState):
-        phi, w = np.atleast_2d(state.phi), np.atleast_2d(state.w)
-        if self._rows is None:
-            n_members = w.shape[0]
-            self._grid = state.grid
-            self.member_reports = [[] for _ in range(n_members)]
-            self._rows = np.empty((self._n_levels, self.N + 1, 2, n_members, state.grid.n))
-            self._flux = np.zeros((n_members, len(self.truncated), self.N + 1))
-        self._rows[self._levels_seen % self._n_levels] = spatial_rows(
-            phi, w, state.grid.dx, self.N)
-        self._times.append(state.t)
-        self._levels_seen += 1
-
-    def _ring_order(self):
-        """Ring slots from the oldest level to the newest."""
-        return (self._levels_seen + np.arange(self._n_levels)) % self._n_levels
-
-    # -- flux ---------------------------------------------------------------
-
-    def _probe_rows(self, xq):
-        """All tower rows at the abscissae xq, shape (N+1, N+1, 2, B, P)."""
-        grid = self._grid
-        # interpolation coordinate taken from cell i0, hw below the probe:
-        # (xq - x0)/dx would round differently in the last bits
-        i0 = np.round((xq - grid.x0) / grid.dx).astype(int) - self._hw
-        pos = (xq - (grid.x0 + i0 * grid.dx)) / grid.dx
-        base, weights = cubic_weights(pos, 2 * self._hw + 1)
-        idx = (i0 + base)[:, None] + np.arange(4)
-        cols = self._rows.take(idx, axis=-1)[self._ring_order()]   # (2N+1, N+1, 2, B, P, 4)
-        return cubic_combine(weights, time_rows(cols, self._times[1] - self._times[0], self.N))
-
-    def _flux_density(self, rows, xq, tau, nu):
-        """weight*|row(xq)|^2*sqrt(g(xq)) summed over the rows of each order,
-        shape (B, P, N+1): the L rows of the first nu lines (u-lines, weight
-        a(ub)), the Lb rows of the rest (ub-lines, weight a(u))."""
-        sqrt_g = np.sqrt(np.maximum(1.0 - rows[0, 0, 0] * rows[0, 0, 1], 0.0))
-        dens = np.empty(rows.shape[:2] + rows.shape[3:])
-        for side, part in enumerate((slice(None, nu), slice(nu, None))):
-            wgt = side_weight(_SIDES[side], tau, xq[part], self.gamma)
-            dens[..., part] = wgt * rows[:, :, side, ..., part] ** 2 * sqrt_g[..., part]
-        return _order_sums(np.moveaxis(dens, 1, -1))
-
-    def _accumulate_flux(self):
-        grid = self._grid
-        tau = self._times[self.N]
-        margin = (self._hw + 1) * grid.dx
-        lo, hi = grid.x0 + margin, grid.x_end - margin
-        x = np.concatenate([tau - 2.0 * self.probes_u, 2.0 * self.probes_ub - tau])
-        inside = (x > lo) & (x < hi)
-        # a u-line moves right and leaves past hi, a ub-line past lo
-        past_exit = np.concatenate([x[:self._nu] >= hi, x[self._nu:] <= lo])
-        self.truncated |= (self._inside & ~inside) | past_exit
-        self._inside = inside
-        active = inside & ~self.truncated
-        cur = np.zeros_like(self._flux)
-        if np.any(active):
-            xq = x[active]
-            cur[:, active] = self._flux_density(self._probe_rows(xq), xq, tau,
-                                                int(np.count_nonzero(active[:self._nu])))
-        if self._prev_tau is not None:
-            self._flux += 0.5 * (tau - self._prev_tau) * (self._prev + cur)
-        self._prev, self._prev_tau = cur, tau
+        return member_reports[0] if member_reports else []
 
     def truncated_probes(self):
         """Names of the probe lines that left the grid, e.g. 'u0=3'."""
+        self._flush()
         names = [f"u0={c:g}" for c in self.probes_u] + [f"ub0={c:g}" for c in self.probes_ub]
-        return [name for name, gone in zip(names, self.truncated) if gone]
+        return [name for name, gone in zip(names, self._truncated) if gone]
+
+    def on_step(self, state: FieldState):
+        phi, w = np.atleast_2d(state.phi), np.atleast_2d(state.w)
+        if self._fields is None:
+            self._grid = state.grid
+            self._member_reports = [[] for _ in range(w.shape[0])]
+            self._fields = np.empty((2, 2 * self.N + FLUX_BLOCK) + w.shape)
+            self._flux = np.zeros((w.shape[0], len(self._truncated), self.N + 1))
+        held = len(self._times)
+        self._fields[0, held] = phi
+        self._fields[1, held] = w
+        self._times.append(state.t)
+        self._levels_seen += 1
+        if held + 1 == self._fields.shape[1]:
+            self._flush()
+
+    def _flush(self):
+        """Fluxes and reports of every held centre; keeps the last 2N levels,
+        the older halves of the centres to come."""
+        N = self.N
+        n_centres = len(self._times) - 2 * N
+        if n_centres <= 0:
+            return
+        times = np.array(self._times)
+        tau = times[N:N + n_centres]
+        running = self._accumulate(tau, self._densities(tau, times[1:n_centres + 1]
+                                                        - times[:n_centres]))
+        # the start state is level 0: level k is the state after k steps
+        first_newest = self._levels_seen - len(self._times) + 2 * N
+        for i in range(n_centres):
+            if (first_newest + i) % self.report_every == 0:
+                self._report(i, times, running[i])
+        self._fields[:, :2 * N] = self._fields[:, n_centres:n_centres + 2 * N]
+        del self._times[:n_centres]
+
+    # -- flux ---------------------------------------------------------------
+
+    def _densities(self, tau, dts):
+        """Flux densities of the held centres at times tau, whose oldest
+        levels are dts apart: weight*|row(x)|^2*sqrt(g(x)) summed over the
+        rows of each order, shape (centres, B, lines, N+1), zero on lines
+        that are not active.  Updates the truncation flags."""
+        grid, N, nu = self._grid, self.N, self._nu
+        margin = (self._hw + 1) * grid.dx
+        lo, hi = grid.x0 + margin, grid.x_end - margin
+        t = tau[:, None]
+        x = np.concatenate([t - 2.0 * self.probes_u, 2.0 * self.probes_ub - t], axis=1)
+        inside = (x > lo) & (x < hi)
+        # a u-line moves right and leaves past hi, a ub-line past lo
+        past_exit = np.concatenate([x[:, :nu] >= hi, x[:, nu:] <= lo], axis=1)
+        leaving = (np.concatenate([self._inside[None], inside[:-1]]) & ~inside) | past_exit
+        truncated = np.logical_or.accumulate(
+            np.concatenate([self._truncated[None], leaving]))[1:]
+        self._truncated, self._inside = truncated[-1], inside[-1]
+        active = inside & ~truncated
+        cur = np.zeros((len(tau),) + self._flux.shape)
+        lines = np.flatnonzero(active.any(axis=0))
+        if lines.size:
+            active, x = active[:, lines], x[:, lines]
+            weights, cols = self._interpolation(x, active)
+            n_u = int(np.count_nonzero(lines < nu))
+            sign = np.where(np.arange(len(lines)) < n_u, 1.0, -1.0)
+            own, other = self._probe_rows(cols, sign, dts)
+            own = cubic_combine(weights, own)             # (N+1, N+1, centres, B, P)
+            sqrt_g = np.sqrt(np.maximum(1.0 - own[0, 0] * cubic_combine(weights, other), 0.0))
+            wgt = np.concatenate([side_weight("TL", t, x[:, :n_u], self.gamma),
+                                  side_weight("TLb", t, x[:, n_u:], self.gamma)], axis=1)
+            dens = wgt[:, None] * own ** 2 * sqrt_g
+            cur[:, :, lines] = np.where(active[:, None, :, None],
+                                        _order_sums(np.moveaxis(dens, 1, -1)), 0.0)
+        return cur
+
+    def _interpolation(self, x, active):
+        """Cubic weights (each (centres, 1, P)) at the abscissae x and the
+        first of the four grid columns (centres, P); inactive entries get
+        any column of an active one."""
+        grid = self._grid
+        # interpolation coordinate taken from cell i0, hw below the probe:
+        # (x - x0)/dx would round differently in the last bits
+        i0 = np.round((x - grid.x0) / grid.dx).astype(int) - self._hw
+        pos = (x - (grid.x0 + i0 * grid.dx)) / grid.dx
+        base, weights = cubic_weights(pos, 2 * self._hw + 1)
+        cols = i0 + base
+        cols = np.where(active, cols, np.max(np.where(active, cols, -1), axis=0))
+        return tuple(wt[:, None] for wt in weights), cols
+
+    def _probe_rows(self, cols, sign, dts):
+        """The tower rows of each line's own side at its four columns from
+        cols, (N+1, N+1, centres, B, P, 4), and the other side's k2 = 0 row
+        at the centre level, (centres, B, P, 4), for sqrt(g).  sign is +1
+        for a line of L rows, -1 for one of Lb rows.
+
+        The rows are differenced on one window per line, which holds the
+        columns of all centres plus the 2(N+1) cells the nested stencils
+        reach; the windows of all lines lie end to end in one row per level
+        and member, and each carries its line's side only.
+        """
+        N, n, dx = self.N, self._grid.n, self._grid.dx
+        reach = 2 * (N + 1)
+        first = np.min(cols, axis=0) - reach
+        width = int(np.max(np.max(cols, axis=0) + 4 + reach - first))
+        start = np.minimum(first, n - width)
+        n_lines, held = len(start), len(self._times)
+        phi, w = self._fields[:, :held][..., (start[:, None] + np.arange(width)).ravel()]
+        phx = deriv1(phi, dx)
+        rows = _centred_rows(w + np.repeat(sign, width) * phx, dx, N)   # (N+1, held, B, P*W)
+        # flat index of [level, b, p*W + column - start[p]] in a (held, B, P*W) array
+        level = w[0].size
+        n_members, n_centres = w.shape[1], len(cols)
+        centre = ((np.arange(n_centres) * level)[:, None, None, None]
+                  + (np.arange(n_members) * (n_lines * width))[:, None, None]
+                  + ((cols - start) + np.arange(n_lines) * width)[:, None, :, None]
+                  + np.arange(4))                                    # (centres, B, P, 4)
+        k2_centre = (np.arange(N + 1) * (held * level))[:, None] + centre.ravel()
+        own = rows.take((np.arange(2 * N + 1) * level)[:, None, None] + k2_centre)
+        own = own.reshape((2 * N + 1, N + 1) + centre.shape)
+        at_centre = centre + N * level
+        other = w.take(at_centre) - sign[:, None] * phx.take(at_centre)
+        return time_rows(own, dts[:, None, None, None], N), other
+
+    def _accumulate(self, tau, cur):
+        """The running fluxes at each centre, (centres, B, lines, N+1): the
+        trapezoid from the previous centre to each centre, summed in order."""
+        taus, curs = tau, cur
+        if self._prev_tau is not None:
+            taus = np.concatenate([[self._prev_tau], tau])
+            curs = np.concatenate([self._prev[None], cur])
+        # else the block holds the run's first centre: its flux is zero, and
+        # the first trapezoid starts there
+        steps = (0.5 * np.diff(taus))[:, None, None, None] * (curs[:-1] + curs[1:])
+        running = np.add.accumulate(np.concatenate([self._flux[None], steps]))[-len(tau):]
+        self._flux, self._prev, self._prev_tau = running[-1], cur[-1], tau[-1]
+        return running
 
     # -- reports ------------------------------------------------------------
 
-    def _report(self):
-        """Append a report from the current ring to each member.  The members
-        are differenced one at a time, so the temporaries stay at the size of
-        a single-member ring."""
-        dt = _level_dt(self._times)
-        t = float(self._times[self.N])
-        flux_t = self._prev_tau if self._prev_tau is not None else t
-        for k, reports in enumerate(self.member_reports):
-            rows = time_rows(self._rows[..., k, :][self._ring_order()], dt, self.N)
-            tower = DerivativeTower(t=t, grid=self._grid, N=self.N, rows=rows)
-            reports.append(report_from_tower(
-                tower, self.gamma, flux_t, self._flux[k, :self._nu].copy(),
-                self._flux[k, self._nu:].copy()))
+    def _report(self, i, times, flux):
+        """Append to each member the report at held centre i with the fluxes
+        flux (B, lines, N+1), from the full-grid spatial rows of the centre's
+        2N+1 levels; the members are differenced one at a time, so the
+        temporaries stay at the size of a single member."""
+        N, nu = self.N, self._nu
+        levels = slice(i, i + 2 * N + 1)
+        dt = _level_dt(times[levels])
+        t = float(times[i + N])
+        for k, reports in enumerate(self._member_reports):
+            phi, w = self._fields[:, levels, k, None]
+            rows = _centred_rows(w + _LB_SIGN * deriv1(phi, self._grid.dx), self._grid.dx, N)
+            rows = time_rows(np.moveaxis(rows, 1, 0), dt, N)
+            tower = DerivativeTower(t=t, grid=self._grid, N=N, rows=rows)
+            reports.append(report_from_tower(tower, self.gamma, t, flux[k, :nu].copy(),
+                                             flux[k, nu:].copy()))
 
     def initial_report(self, fam, grid) -> EnergyReport:
         """Report at t = 0 from the exact trace table of the data, zero flux."""

@@ -10,9 +10,12 @@ from stringlab import (DataFamily, EnergyReport, EnergyTracker, Grid1D, Insuffic
                        energy_orders, higher_order_traces, init_state, monitor,
                        run_evolution, stack_states, stress_density, tracked_run, tracked_sweep)
 from stringlab.config import ExperimentConfig
-from stringlab.energy import (DerivativeTower, TraceCheckStudy, _sobolev_stats, null_rows,
-                             spatial_rows, time_rows)
+from stringlab.energy import (FLUX_BLOCK, DerivativeTower, TraceCheckStudy, _level_dt,
+                              _order_sums, _sobolev_stats, null_rows, report_from_tower,
+                              spatial_rows, time_rows)
 from stringlab.evolve import FieldState, refinement_orders
+from stringlab.nullgeom import side_weight
+from stringlab.stencils import cubic_combine, cubic_weights
 
 GAUSS2 = ProfileSpec("gaussian", 1.0, 0.0, 2.0)
 
@@ -322,15 +325,21 @@ def test_spatial_then_time_rows_is_null_rows():
     assert np.all(rows[2, 1:] == 0) and np.all(rows[1, 2] == 0)
 
 
+def _blocks(n_steps, N):
+    """Flush blocks of a run of n_steps steps: one per FLUX_BLOCK centres
+    and one for the rest, the centres being the levels with N on each side."""
+    return -(-(n_steps + 1 - 2 * N) // FLUX_BLOCK)
+
+
 def test_tracker_deriv1_budget(default_family, monkeypatch):
-    # N+1 deriv1 calls per level entering the ring; flux probes and reports
-    # reuse the cached rows instead of differentiating again
+    # N+1 deriv1 calls per flush block on the probe windows, and N+1 per
+    # report on the full grid; the flux never differentiates a whole grid
     import stringlab.energy as energy
     calls = []
     orig = energy.deriv1
 
     def counted(f, dx):
-        calls.append(1)
+        calls.append(np.shape(f)[-1])
         return orig(f, dx)
 
     monkeypatch.setattr(energy, "deriv1", counted)
@@ -339,8 +348,10 @@ def test_tracker_deriv1_budget(default_family, monkeypatch):
     tr = EnergyTracker(gamma=0.5, N=N, probes_u=(-1.0, 0.0, 1.0), probes_ub=(0.0, 1.0),
                        report_every=5)
     res = run_evolution(default_family, grid, t_end=1.0, callbacks=[tr])
-    assert res.n_steps >= 2 * N + 1 and len(tr.reports) >= 2
-    assert len(calls) <= (N + 1) * (res.n_steps + 1)
+    n_reports = len(tr.reports)
+    assert res.n_steps >= 2 * N + FLUX_BLOCK and n_reports >= 2
+    assert len(calls) == (N + 1) * (_blocks(res.n_steps, N) + n_reports)
+    assert calls.count(grid.n) == (N + 1) * n_reports
 
 
 def test_tracker_probe_entering_late_accumulates(default_family):
@@ -371,7 +382,98 @@ def test_tracker_probe_leaving_is_truncated(default_family):
 
 
 # ---------------------------------------------------------------------------
-# ensembles: one tracker over members stepping in lockstep
+# the blocked tracker against the one-centre-at-a-time reference
+
+
+class RingTracker:
+    """Reference for EnergyTracker: the full-grid design.  Every level's
+    spatial rows enter a ring of the last 2N+1 levels on the whole grid;
+    each new level accumulates the flux of the ring centre at once, from the
+    four columns around each active line, and a report differences the ring."""
+
+    def __init__(self, gamma, N, probes_u=(), probes_ub=(), report_every=25):
+        self.gamma, self.N, self.report_every = gamma, N, report_every
+        self.probes_u = np.asarray(probes_u, dtype=float)
+        self.probes_ub = np.asarray(probes_ub, dtype=float)
+        self.member_reports = []
+        self._n_levels = 2 * N + 1
+        self._rows = None
+        self._times = []
+        self._levels_seen = 0
+        self._nu = len(self.probes_u)
+        self._prev = self._prev_tau = None
+        self.truncated = np.zeros(self._nu + len(self.probes_ub), dtype=bool)
+        self._inside = np.zeros_like(self.truncated)
+        self._hw = 2 * (N + 2) + 4
+
+    def truncated_probes(self):
+        names = [f"u0={c:g}" for c in self.probes_u] + [f"ub0={c:g}" for c in self.probes_ub]
+        return [name for name, gone in zip(names, self.truncated) if gone]
+
+    def on_step(self, state):
+        phi, w = np.atleast_2d(state.phi), np.atleast_2d(state.w)
+        if self._rows is None:
+            self._grid = state.grid
+            self.member_reports = [[] for _ in range(w.shape[0])]
+            self._rows = np.empty((self._n_levels, self.N + 1, 2) + w.shape)
+            self._flux = np.zeros((w.shape[0], len(self.truncated), self.N + 1))
+        self._rows[self._levels_seen % self._n_levels] = spatial_rows(
+            phi, w, state.grid.dx, self.N)
+        self._times = (self._times + [state.t])[-self._n_levels:]
+        self._levels_seen += 1
+        if len(self._times) == self._n_levels:
+            self._accumulate_flux()
+            if (self._levels_seen - 1) % self.report_every == 0:
+                self._report()
+
+    def _ring(self):
+        return self._rows[(self._levels_seen + np.arange(self._n_levels)) % self._n_levels]
+
+    def _probe_rows(self, xq):
+        grid = self._grid
+        i0 = np.round((xq - grid.x0) / grid.dx).astype(int) - self._hw
+        pos = (xq - (grid.x0 + i0 * grid.dx)) / grid.dx
+        base, weights = cubic_weights(pos, 2 * self._hw + 1)
+        cols = self._ring().take((i0 + base)[:, None] + np.arange(4), axis=-1)
+        return cubic_combine(weights, time_rows(cols, self._times[1] - self._times[0], self.N))
+
+    def _flux_density(self, rows, xq, tau, nu):
+        sqrt_g = np.sqrt(np.maximum(1.0 - rows[0, 0, 0] * rows[0, 0, 1], 0.0))
+        dens = np.empty(rows.shape[:2] + rows.shape[3:])
+        for side, part in enumerate((slice(None, nu), slice(nu, None))):
+            wgt = side_weight(("TL", "TLb")[side], tau, xq[part], self.gamma)
+            dens[..., part] = wgt * rows[:, :, side, ..., part] ** 2 * sqrt_g[..., part]
+        return _order_sums(np.moveaxis(dens, 1, -1))
+
+    def _accumulate_flux(self):
+        grid = self._grid
+        tau = self._times[self.N]
+        margin = (self._hw + 1) * grid.dx
+        lo, hi = grid.x0 + margin, grid.x_end - margin
+        x = np.concatenate([tau - 2.0 * self.probes_u, 2.0 * self.probes_ub - tau])
+        inside = (x > lo) & (x < hi)
+        past_exit = np.concatenate([x[:self._nu] >= hi, x[self._nu:] <= lo])
+        self.truncated |= (self._inside & ~inside) | past_exit
+        self._inside = inside
+        active = inside & ~self.truncated
+        cur = np.zeros_like(self._flux)
+        if np.any(active):
+            xq = x[active]
+            cur[:, active] = self._flux_density(self._probe_rows(xq), xq, tau,
+                                                int(np.count_nonzero(active[:self._nu])))
+        if self._prev_tau is not None:
+            self._flux += 0.5 * (tau - self._prev_tau) * (self._prev + cur)
+        self._prev, self._prev_tau = cur, tau
+
+    def _report(self):
+        dt = _level_dt(self._times)
+        t = float(self._times[self.N])
+        for k, reports in enumerate(self.member_reports):
+            rows = time_rows(self._ring()[..., k, :], dt, self.N)
+            tower = DerivativeTower(t=t, grid=self._grid, N=self.N, rows=rows)
+            reports.append(report_from_tower(tower, self.gamma, self._prev_tau,
+                                             self._flux[k, :self._nu].copy(),
+                                             self._flux[k, self._nu:].copy()))
 
 
 def _assert_same_reports(got, want):
@@ -380,6 +482,63 @@ def _assert_same_reports(got, want):
         for f in dataclasses.fields(EnergyReport):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert np.array_equal(x, y), f.name
+
+
+# On [-10, 10], with hw+1 = 2N+9 cells kept from each edge: u0 = -4 leaves
+# the grid at t ~ 0.3 to 0.7 (at N = 4 and cfl 0.9 it is past its exit at
+# the first centre); u0 = 30 never reaches the grid; u0 = -20 starts past
+# its exit; ub0 = 5.5 starts right of the grid and enters at t ~ 2.3 to
+# 2.7; ub0 = -3 leaves at t ~ 2.3 to 2.7.  Most of these events fall
+# inside a flush block, not on its first centre.
+_PROBES = dict(probes_u=(-4.0, 0.0, 30.0, -20.0), probes_ub=(5.5, 0.0, -3.0))
+
+
+@pytest.mark.parametrize("N,report_every,cfl,deltas,t_end", [
+    (2, 1, 0.4, (0.1,), 4.0),
+    (3, 7, 0.9, (0.1, 0.05, 0.025), 6.0),
+    (4, 50, 0.4, (0.1,), 6.0),
+    (4, 7, 0.9, (0.2, 0.1), 6.0),
+    (2, 7, 0.4, (0.1,), 0.4),                   # 10 steps: shorter than one block
+])
+def test_blocked_tracker_equals_ring_reference(N, report_every, cfl, deltas, t_end):
+    grid = Grid1D(-10.0, 0.1, 201)
+    fams = [DataFamily(0.5, d, GAUSS2, GAUSS2) for d in deltas]
+    trackers = [cls(gamma=0.5, N=N, report_every=report_every, **_PROBES)
+                for cls in (EnergyTracker, RingTracker)]
+    res = run_evolution(stack_states([init_state(f, grid) for f in fams]), t_end=t_end,
+                        cfl=cfl, callbacks=trackers)
+    assert res.status == "completed"
+    blocked, ring = trackers
+    assert len(blocked.member_reports) == len(deltas)
+    for got, want in zip(blocked.member_reports, ring.member_reports):
+        assert got
+        _assert_same_reports(got, want)
+    assert blocked.truncated_probes() == ring.truncated_probes()
+    if t_end > 1.0:
+        assert blocked.truncated_probes() == ["u0=-4", "u0=-20", "ub0=-3"]
+    else:
+        assert res.n_steps + 1 - 2 * N < FLUX_BLOCK
+
+
+def test_blocked_tracker_equals_ring_reference_at_a_blowup():
+    # the blow-up stops the ensemble inside a block
+    grid = Grid1D(-16.0, 0.1, 321)
+    fams = [blowup_fixture(), DataFamily(0.5, 0.1, GAUSS2, GAUSS2)]
+    trackers = [cls(gamma=0.5, N=3, report_every=5, probes_u=(0.0, 2.0), probes_ub=(0.0,))
+                for cls in (EnergyTracker, RingTracker)]
+    res = run_evolution(stack_states([init_state(f, grid) for f in fams]), t_end=6.0,
+                        cfl=0.9, callbacks=trackers)
+    assert [m.status for m in res.members] == ["blowup", "stopped"]
+    assert (res.n_steps - 2 * 3) % FLUX_BLOCK != 0
+    blocked, ring = trackers
+    for got, want in zip(blocked.member_reports, ring.member_reports):
+        assert got
+        _assert_same_reports(got, want)
+    assert blocked.truncated_probes() == ring.truncated_probes()
+
+
+# ---------------------------------------------------------------------------
+# ensembles: one tracker over members stepping in lockstep
 
 
 def _small_cfg(**kw):
@@ -432,6 +591,7 @@ def test_tracker_member_blowup_keeps_its_reports():
 
 
 def test_ensemble_tracker_deriv1_budget(monkeypatch):
+    # a flush block costs N+1 calls whatever B is; a report N+1 per member
     import stringlab.energy as energy
     calls = []
     orig = energy.deriv1
@@ -439,8 +599,32 @@ def test_ensemble_tracker_deriv1_budget(monkeypatch):
     cfg = _small_cfg(N=3)
     for deltas in ((0.1,), (0.1, 0.05, 0.025)):
         calls.clear()
-        (res, _, _), *_ = tracked_sweep(cfg.with_(deltas=deltas))
-        assert len(calls) == (cfg.N + 1) * (res.n_steps + 1)
+        (res, reports, _), *_ = tracked_sweep(cfg.with_(deltas=deltas))
+        # the t = 0 report comes from the exact trace table
+        n_reports = len(deltas) * (len(reports) - 1)
+        assert len(calls) == (cfg.N + 1) * (_blocks(res.n_steps, cfg.N) + n_reports)
+
+
+def test_tracker_holds_bounded_levels():
+    # over 1000 steps the tracker holds the fields of at most 2N + FLUX_BLOCK
+    # levels and no derivative rows between flushes
+    grid = Grid1D(-2.0, 0.1, 41)
+    z = np.zeros(grid.n)
+    N = 3
+    tr = EnergyTracker(gamma=0.5, N=N, probes_u=(0.0,), probes_ub=(0.0,), report_every=50)
+    held, nbytes = [], []
+
+    class Probe:
+        def on_step(self, state):
+            held.append(len(tr._times))
+            nbytes.append(sum(v.nbytes for v in vars(tr).values() if isinstance(v, np.ndarray)))
+
+    res = run_evolution(FieldState(0.0, grid, z, z, z), t_end=40.0, callbacks=[tr, Probe()])
+    assert res.status == "completed" and res.n_steps >= 1000
+    assert len(held) == res.n_steps + 1 and max(held) == 2 * N + FLUX_BLOCK - 1
+    assert tr._fields.shape == (2, 2 * N + FLUX_BLOCK, 1, grid.n)
+    assert max(nbytes) < tr._fields.nbytes + 1024
+    assert len(tr.reports) == res.n_steps // 50
 
 
 @pytest.mark.parametrize("level1,order,passed", [
