@@ -232,14 +232,17 @@ def _side_weights(tower: DerivativeTower, gamma):
     return [side_weight(side, tower.t, tower.grid.x, gamma) for side in _SIDES]
 
 
-def energy_orders(tower: DerivativeTower, gamma):
+def energy_orders(tower: DerivativeTower, gamma, weights=None):
     """E2 and Eb2 per order k = 0..N: the trapezoid quadrature of
     weight * |row|^2 * sqrt(g) for each L (Lb) row, summed over |m| = k.
-    One k1 slice of rows is squared at a time."""
+    One k1 slice of rows is squared at a time.  weights are the tower's
+    `_side_weights`, computed here unless given."""
     N = tower.N
     sqrt_g = np.sqrt(np.maximum(tower.g, 0.0))
     per_row = np.zeros((N + 1, 2, N + 1))
-    for s, wgt in enumerate(_side_weights(tower, gamma)):
+    if weights is None:
+        weights = _side_weights(tower, gamma)
+    for s, wgt in enumerate(weights):
         for k1 in range(N + 1):
             rows = tower.rows[k1, :N + 1 - k1, s]
             per_row[k1, s, :N + 1 - k1] = np.trapezoid(wgt * rows ** 2 * sqrt_g,
@@ -248,8 +251,9 @@ def energy_orders(tower: DerivativeTower, gamma):
     return e2, eb2
 
 
-def _sobolev_stats(tower: DerivativeTower, gamma):
-    """Weighted sup bounds for rows up to order N-1.
+def _sobolev_stats(tower: DerivativeTower, gamma, weights=None):
+    """Weighted sup bounds for rows up to order N-1; weights as in
+    `energy_orders`.
 
     For h = sqrt(weight) * row the 1d embedding gives
     sup h^2 <= 2 ||h|| (c0 ||h|| + ||sqrt(weight) d_x row||) with
@@ -261,7 +265,9 @@ def _sobolev_stats(tower: DerivativeTower, gamma):
     c0 = 0.25 * (1.0 + gamma)
     sups = np.zeros((2, N))
     margins = [np.inf, np.inf]
-    for s, wgt in enumerate(_side_weights(tower, gamma)):
+    if weights is None:
+        weights = _side_weights(tower, gamma)
+    for s, wgt in enumerate(weights):
         for k1 in range(N):
             # rows k2 = 0..N-k1-1 of orders k1..N-1, and the d_x row of each
             rows = tower.rows[k1, :N + 1 - k1, s]
@@ -301,8 +307,9 @@ class EnergyReport:
 def report_from_tower(tower: DerivativeTower, gamma, flux_t, f2, fb2) -> EnergyReport:
     """Energies, weighted sups and Agmon margins of a tower, with the flux
     totals accumulated up to flux_t."""
-    e2, eb2 = energy_orders(tower, gamma)
-    sup_l, sup_lb, am_l, am_lb = _sobolev_stats(tower, gamma)
+    weights = _side_weights(tower, gamma)
+    e2, eb2 = energy_orders(tower, gamma, weights)
+    sup_l, sup_lb, am_l, am_lb = _sobolev_stats(tower, gamma, weights)
     return EnergyReport(
         t=tower.t, e2=e2, eb2=eb2, min_g=float(np.min(tower.g)),
         sup_l=sup_l, sup_lb=sup_lb,

@@ -1,8 +1,20 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class StringLabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Every package error pickles, so that it crosses from a forked child
+    (`evolve.forked`) to its parent with its type, message and attributes.
+    The default pickling calls the class with `args`, which fails for a
+    subclass whose __init__ takes other arguments; these rebuild from
+    `args` and the instance dict without calling __init__.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class TimelikeViolation(StringLabError):

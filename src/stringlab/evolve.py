@@ -47,11 +47,30 @@ are finite and far below FIELD_CAP, and run_evolution takes gmin in [0, 1).
 Both sets are non-empty for a windowed member, so the minimum
 discriminant and the maximum speed over its stepped sub-grid row equal
 those over its whole new row.
+
+Refinement levels.  The three grids of a refinement study (converge,
+blowup, and verify's energy balance) do not depend on each other.
+refinement_levels runs the two coarse levels in one child process while
+the finest level runs in the caller.  The child comes from `forked`: an
+os.fork whose outcome, a value or an exception, is pickled back through a
+pipe.  Only the coarse levels' results cross, so a callback riding on the
+finest run, such as blowup_study's CharacteristicTracer, stays in the
+caller and is never pickled.  A level runs the same floating-point
+operations in either process, so the results are bit-identical to the
+serial loop.  So are the errors: the child is joined also when the finest
+level raises, and a coarse level's error is raised first, where the
+serial loop would have stopped.  Where os.fork is missing or fails with
+OSError, the forked function runs inline when joined, and a study is the
+serial loop again.  A 1-core host runs the child and the caller on one
+core and pays only the fork, about 3 ms.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -59,7 +78,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import BlowupDetected, HyperbolicityLoss, InsufficientHistory
+from .errors import BlowupDetected, HyperbolicityLoss, InsufficientHistory, StringLabError
 from .initialdata import DataFamily, check_data
 from .nullgeom import FIELD_CAP, GMIN_DEFAULT
 from .stencils import cubic_combine, cubic_weights, deriv1, ko_dissipation
@@ -622,6 +641,91 @@ def orders_pass(orders, order_min):
 
 
 # ---------------------------------------------------------------------------
+# independent work in a forked child
+
+
+def forked(fn):
+    """Start fn() in a forked child process; return join, which waits for
+    the child and returns fn's value or raises its exception.
+
+    The child pickles the outcome through a pipe and leaves by os._exit, so
+    it runs no exit handler and flushes no buffer it inherited.  join()
+    raises StringLabError when the child sends no readable outcome: a value
+    or exception that does not pickle, or a child that died.  Where os.fork
+    is missing or fails with OSError, join is fn itself, run inline when
+    joined.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns on any fork beside other threads; those of
+            # a numpy process are OpenBLAS workers, which OpenBLAS stops
+            # before a fork and the child starts again
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except (AttributeError, OSError):
+        os.close(read_fd)
+        os.close(write_fd)
+        return fn
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                outcome = True, fn()
+            except BaseException as exc:
+                outcome = False, exc
+            try:
+                data = pickle.dumps(outcome)
+            except Exception as exc:
+                data = pickle.dumps((False, StringLabError(
+                    f"a forked child's {'value' if outcome[0] else 'error'} "
+                    f"does not pickle: {exc}")))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+
+    def join():
+        try:
+            with os.fdopen(read_fd, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+        try:
+            ok, value = pickle.loads(data)
+        except Exception as exc:
+            raise StringLabError(f"forked child {pid} sent no readable outcome "
+                                 f"(wait status {status})") from exc
+        if ok:
+            return value
+        raise value
+
+    return join
+
+
+def run_both(first, second):
+    """(first(), second()), first in a forked child while second runs in the
+    caller.  The child is joined also when second raises, and when both
+    raise, first's error is raised, as if they had run in that order."""
+    join = forked(first)
+    try:
+        value = second()
+    except BaseException:
+        join()
+        raise
+    return join(), value
+
+
+def refinement_levels(level):
+    """[level(0), level(1), level(2)]: levels 0 and 1 in one forked child,
+    the finest in the caller (module docstring).  A lower level's error is
+    raised first, as in the serial loop."""
+    coarse, finest = run_both(lambda: [level(0), level(1)], lambda: level(2))
+    return [*coarse, finest]
+
+
+# ---------------------------------------------------------------------------
 # refinement studies
 
 CONVERGE_ORDER_MIN = 2.5        # every ratio: damping's O(dx^3) error holds it near 3, not 4
@@ -658,8 +762,8 @@ def convergence_study(cfg) -> ConvergenceStudy:
     its last state would be compared with the wave at another time.
     """
     fam = cfg.family()
-    levels = []
-    for k in range(3):
+
+    def level(k):
         grid = cfg.grid().refined(2 ** k)
         res = run_evolution(fam, grid, t_end=cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
                             gmin=cfg.gmin)
@@ -667,8 +771,9 @@ def convergence_study(cfg) -> ConvergenceStudy:
             raise BlowupDetected(res.t_blowup,
                                  f"{res.blowup_reason} on level {k} (n = {grid.n})")
         err = float(np.max(np.abs(res.state.phi - exact_travelling(fam, res.state.t, grid.x))))
-        levels.append(ConvergenceLevel(grid.n, grid.dx, err, res.max_speed_seen))
-    return ConvergenceStudy(levels)
+        return ConvergenceLevel(grid.n, grid.dx, err, res.max_speed_seen)
+
+    return ConvergenceStudy(refinement_levels(level))
 
 
 @dataclass
@@ -694,19 +799,21 @@ def blowup_study(cfg) -> BlowupStudy:
 
     17 seeds span max|center| + 2 max width on each side of the origin, so
     they cover both packets.  They are traced while the finest level runs,
-    in O(n) memory.
+    in O(n) memory, in the calling process (`refinement_levels`).
     """
     fam = cfg.family()
     half = max(abs(fam.f.center), abs(fam.fb.center)) + 2.0 * max(fam.f.width, fam.fb.width)
     seeds = np.linspace(-half, half, 17)
     tracer = CharacteristicTracer(seeds, family="plus")
-    levels = []
-    for k in range(3):
+
+    def level(k):
         g = cfg.grid().refined(2 ** k)
         res = run_evolution(fam, g, t_end=cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
                             gmin=cfg.gmin, callbacks=[tracer] if k == 2 else ())
         tb = res.t_blowup if res.status == "blowup" else float("nan")
-        levels.append(BlowupLevel(g.n, g.dx, tb, res.blowup_reason))
+        return BlowupLevel(g.n, g.dx, tb, res.blowup_reason)
+
+    levels = refinement_levels(level)
     t_blowups = [lev.t_blowup for lev in levels]
     sep0 = float(seeds[1] - seeds[0])
     if np.isnan(t_blowups).any():

@@ -33,7 +33,8 @@ import numpy as np
 
 from .energy import stress_density
 from .errors import BlowupDetected, InsufficientHistory, TimelikeViolation
-from .evolve import Grid1D, orders_pass, refinement_orders, run_evolution
+from .evolve import (Grid1D, orders_pass, refinement_levels, refinement_orders, run_both,
+                     run_evolution)
 from .manufactured import MovingGaussian, ZeroField, random_mixture
 from .nullgeom import (GMIN_DEFAULT, multiplier, null_stress, side_weight, weight_a,
                        weight_a_prime)
@@ -486,25 +487,25 @@ def energy_balance_study(cfg, regions, base_grid: Grid1D, t_end) -> list:
     callbacks of the same run, each streaming its own terms in O(n) memory.
     The identities stay independent: each compares its own Sigma(t) -
     Sigma(0) with its own flux and bulk, and only the evolved solution is
-    shared.  Raises BlowupDetected, naming the level, when a run stops early."""
+    shared.  The levels run as `evolve.refinement_levels`.  Raises
+    BlowupDetected, naming the level, when a run stops early."""
     fam, regions = cfg.family(), list(regions)
-    residuals = [[] for _ in regions]
-    hs = []
-    grid = base_grid
-    for k in range(3):
+
+    def level(k):
+        """(dx, each region's relative residual) of level k"""
+        grid = base_grid.refined(2 ** k)
         accs = [BalanceAccumulator(side, coord, fam.gamma) for side, coord in regions]
         run = run_evolution(fam, grid, t_end=t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
                             gmin=cfg.gmin, callbacks=accs)
         if run.status == "blowup":
             raise BlowupDetected(run.t_blowup,
                                  f"{run.blowup_reason} on balance level {k} (n = {grid.n})")
-        for acc, res in zip(accs, residuals):
-            r, scale = acc.finalize()
-            res.append(r / scale)
-        hs.append(grid.dx)
-        grid = grid.refined()
+        return grid.dx, [r / scale for r, scale in (acc.finalize() for acc in accs)]
+
+    hs, residuals = zip(*refinement_levels(level))
     return [IdentityResidual("energy_balance_plus" if side == "TL" else "energy_balance_minus",
-                             list(hs), res) for (side, _), res in zip(regions, residuals)]
+                             list(hs), [res[i] for res in residuals])
+            for i, (side, _) in enumerate(regions)]
 
 
 # ---------------------------------------------------------------------------
@@ -525,21 +526,10 @@ class SuiteResult:
     failures: list        # names of the failed identities, in suite order
 
 
-def verify_suite(cfg) -> SuiteResult:
-    """The six identity studies at cfg.gamma: divergence on a flat and a
-    curved background, deformation closed forms, the trace identity, the
-    equivalence band, and the energy balance of cfg's family on both null
-    regions.  The curved background and the deformation fields are drawn
-    from cfg.seed."""
-    gamma, seed = cfg.gamma, cfg.seed
+def _closed_form_studies(gamma, seed):
+    """(study, passed) of each identity of `verify_suite` but the energy
+    balance, in suite order."""
     rng = np.random.default_rng(seed)
-    suite = SuiteResult([], [])
-
-    def check(study, ok):
-        suite.rows.extend([study.identity, i, h, r, order] for i, (h, r, order) in
-                          enumerate(zip(study.levels, study.residuals, ["", *study.orders])))
-        if not ok:
-            suite.failures.append(study.identity)
 
     def scalar(name, value):
         return IdentityResidual(name, [0.0], [value])
@@ -547,29 +537,49 @@ def verify_suite(cfg) -> SuiteResult:
     # divergence identity: flat background, constant null multiplier, exact
     flat = divergence_identity_study(ZeroField(), MovingGaussian(0.7, 0.0, 1.3, 1.0),
                                      gamma=gamma, side="const", hs=(0.05,))
-    check(flat, flat.residuals[0] <= DIVERGENCE_FLAT_TOL)
+    studies = [(flat, flat.residuals[0] <= DIVERGENCE_FLAT_TOL)]
 
     # divergence identity: curved background, both multipliers, refinement
     phi = random_mixture(rng, amp=0.25)
     varphi = random_mixture(rng, amp=0.5)
     for side in ("TL", "TLb"):
         study = divergence_identity_study(phi, varphi, gamma=gamma, side=side)
-        check(study, orders_pass(study.orders, DIVERGENCE_ORDER_MIN))
+        studies.append((study, orders_pass(study.orders, DIVERGENCE_ORDER_MIN)))
 
     # deformation closed forms and the trace identity
     worst, worst_trace = deformation_check(seed=seed, gamma=gamma)
-    check(scalar("deformation_closed_vs_direct", worst), worst <= DEFORMATION_TOL)
-    check(scalar("trace_identity", worst_trace), worst_trace <= TRACE_TOL)
+    studies.append((scalar("deformation_closed_vs_direct", worst), worst <= DEFORMATION_TOL))
+    studies.append((scalar("trace_identity", worst_trace), worst_trace <= TRACE_TOL))
 
     # two-sided equivalence band of the contractions
     bands = equivalence_ratios(seed=seed)
     lo = min(b[0] for b in bands.values())
     hi = max(b[1] for b in bands.values())
-    check(scalar("equivalence_band_lo", lo), EQUIVALENCE_BAND[0] <= lo)
-    check(scalar("equivalence_band_hi", hi), hi <= EQUIVALENCE_BAND[1])
+    studies.append((scalar("equivalence_band_lo", lo), EQUIVALENCE_BAND[0] <= lo))
+    studies.append((scalar("equivalence_band_hi", hi), hi <= EQUIVALENCE_BAND[1]))
+    return studies
 
-    # discrete energy balance on both null regions
+
+def verify_suite(cfg) -> SuiteResult:
+    """The six identity studies at cfg.gamma: divergence on a flat and a
+    curved background, deformation closed forms, the trace identity, the
+    equivalence band, and the energy balance of cfg's family on both null
+    regions.  The curved background and the deformation fields are drawn
+    from cfg.seed.
+
+    The closed-form studies run in a forked child while the balance study
+    runs (`evolve.run_both`); rows and failures keep the suite order, and
+    a closed-form study's error is raised before the balance study's."""
     bal_grid = Grid1D(-24.0, 0.125, 385)
-    for study in energy_balance_study(cfg, (("TL", -1.0), ("TLb", 1.0)), bal_grid, t_end=4.0):
-        check(study, orders_pass(study.orders, BALANCE_ORDER_MIN))
+    closed_forms, balance = run_both(
+        lambda: _closed_form_studies(cfg.gamma, cfg.seed),
+        lambda: energy_balance_study(cfg, (("TL", -1.0), ("TLb", 1.0)), bal_grid, t_end=4.0))
+    suite = SuiteResult([], [])
+    for study, ok in [*closed_forms,
+                      *((study, orders_pass(study.orders, BALANCE_ORDER_MIN))
+                        for study in balance)]:
+        suite.rows.extend([study.identity, i, h, r, order] for i, (h, r, order) in
+                          enumerate(zip(study.levels, study.residuals, ["", *study.orders])))
+        if not ok:
+            suite.failures.append(study.identity)
     return suite

@@ -9,11 +9,12 @@ from stringlab import (DataFamily, EnergyReport, EnergyTracker, Grid1D, Insuffic
                        ProfileSpec, TimelikeViolation, blowup_fixture, build_tower,
                        energy_orders, higher_order_traces, init_state, monitor,
                        run_evolution, stack_states, stress_density, tracked_run, tracked_sweep)
+import stringlab.energy as energy
 from stringlab.config import ExperimentConfig
 from stringlab.energy import (FLUX_BLOCK, DerivativeTower, TraceCheckStudy, _level_dt,
                               _order_sums, _sobolev_stats, null_rows, report_from_tower,
                               spatial_rows, time_rows)
-from stringlab.evolve import FieldState, refinement_orders
+from stringlab.evolve import FieldState, refinement_orders, step
 from stringlab.nullgeom import side_weight
 from stringlab.stencils import cubic_combine, cubic_weights
 
@@ -311,6 +312,23 @@ def test_tracker_reports_equal_reference_tower(default_family, N):
         assert rep.min_g == float(np.min(tower.g))
         assert np.array_equal(rep.sup_l, sup_l) and np.array_equal(rep.sup_lb, sup_lb)
         assert rep.agmon_l_margin == am_l and rep.agmon_lb_margin == am_lb
+
+
+def test_report_evaluates_each_side_weight_once(default_family, monkeypatch):
+    # energy_orders and _sobolev_stats share the weights of one report
+    states = [init_state(default_family, Grid1D(-12, 0.1, 241))]
+    for _ in range(4):
+        states.append(step(states[-1], 0.04)[0])
+    tower = build_tower(states, N=2)
+    sides = []
+
+    def counted(side, *args):
+        sides.append(side)
+        return side_weight(side, *args)
+
+    monkeypatch.setattr(energy, "side_weight", counted)
+    report_from_tower(tower, 0.5, 0.0, np.zeros((0, 3)), np.zeros((0, 3)))
+    assert sides == ["TL", "TLb"]
 
 
 def test_spatial_then_time_rows_is_null_rows():

@@ -10,6 +10,7 @@ those of numpy 2 on x86-64; another platform may round differently.
 """
 
 import hashlib
+import os
 
 import pytest
 
@@ -92,8 +93,7 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", list(GOLDEN))
-def test_cli_csv_outputs_are_pinned(tmp_path, capsys, name):
+def _assert_pinned(tmp_path, name):
     text, extra, pinned = GOLDEN[name]
     mode = name.partition("_")[0]
     cfg = tmp_path / "exp.cfg"
@@ -102,3 +102,16 @@ def test_cli_csv_outputs_are_pinned(tmp_path, capsys, name):
     assert main([mode, "--config", str(cfg), "--out", str(out), *extra]) == 0
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert written == pinned
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_cli_csv_outputs_are_pinned(tmp_path, name):
+    _assert_pinned(tmp_path, name)
+
+
+@pytest.mark.parametrize("name", ["converge", "blowup_windowed", "verify"])
+def test_pins_hold_without_fork(tmp_path, monkeypatch, name):
+    # without os.fork the refinement levels and verify's closed-form checks
+    # run inline in the calling process (evolve.forked)
+    monkeypatch.delattr(os, "fork")
+    _assert_pinned(tmp_path, name)

@@ -348,17 +348,21 @@ def test_two_region_study_equals_one_region_studies():
     assert [s.identity for s in both] == ["energy_balance_plus", "energy_balance_minus"]
 
 
-def test_verify_suite_evolves_each_balance_level_once(monkeypatch):
-    # both balance regions ride on one run per level: 3 levels, 3 runs
-    calls = []
+def test_verify_suite_evolves_each_balance_level_once(monkeypatch, tmp_path):
+    # both balance regions ride on one run per level: 3 levels, 3 runs.  The
+    # coarse levels run in a forked child, so each call appends a line of
+    # its callbacks' class names to a file that both processes write
+    log = tmp_path / "calls"
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("callbacks"))
+        with open(log, "a") as fh:
+            print(*(type(cb).__name__ for cb in kwargs.get("callbacks")), file=fh)
         return run_evolution(*args, **kwargs)
 
     monkeypatch.setattr(identities, "run_evolution", counted)
     suite = verify_suite(ExperimentConfig(seed=1))
     assert not suite.failures
+    calls = [line.split() for line in log.read_text().splitlines()]
     assert len(calls) == 3
     assert all(len(cbs) == 2 for cbs in calls)
 
