@@ -125,8 +125,7 @@ def cmd_run(cfg, out: Path) -> int:
     print(f"criterion: {'pass' if crit.passed else 'FAIL'} "
           f"(gap {crit.gap_min:.3e}, ordering margin {crit.order_margin:.3e})")
 
-    tracker = en.config_tracker(cfg)
-    result, reports, mon = en.tracked_run(cfg, tracker=tracker)
+    result, reports, mon, left = en.tracked_run(cfg)
     # written after the run, so that a run that fails by name leaves no CSV
     _write_csv(out / "criterion.csv", ["x", "lambda_minus", "lambda_plus"],
                zip(grid.x, crit.lambda_minus, crit.lambda_plus))
@@ -135,7 +134,6 @@ def cmd_run(cfg, out: Path) -> int:
                [[crit.lam_star_lo, crit.lam_star_hi, crit.gap_min,
                  crit.order_margin, int(crit.passed)]])
     _energy_csv(out / "energy.csv", cfg, reports)
-    left = tracker.truncated_probes()
     if left:
         print("stringlab: warning: flux probe lines left the grid and stopped "
               f"accumulating: {', '.join(left)}", file=sys.stderr)

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupDetected, FitOverflow, InsufficientHistory
-from .evolve import (FieldState, Grid1D, init_state, orders_pass, refinement_orders,
-                     run_evolution, stack_states, step)
+from .evolve import (FieldState, Grid1D, init_state, observed_in_child, orders_pass,
+                     refinement_orders, run_evolution, stack_states, step)
 from .initialdata import TraceTable, higher_order_traces
 from .nullgeom import multiplier, null_stress, side_weight
 from .stencils import cubic_combine, cubic_weights, deriv1
@@ -227,9 +227,10 @@ def _order_sums(per_row):
     return out
 
 
-def _side_weights(tower: DerivativeTower, gamma):
-    """The weight of the L rows, a(ub), and of the Lb rows, a(u), on the grid."""
-    return [side_weight(side, tower.t, tower.grid.x, gamma) for side in _SIDES]
+def _side_weights(t, x, gamma):
+    """The weight of the L rows, a(ub), and of the Lb rows, a(u), at time t
+    on the points x."""
+    return [side_weight(side, t, x, gamma) for side in _SIDES]
 
 
 def energy_orders(tower: DerivativeTower, gamma, weights=None):
@@ -241,7 +242,7 @@ def energy_orders(tower: DerivativeTower, gamma, weights=None):
     sqrt_g = np.sqrt(np.maximum(tower.g, 0.0))
     per_row = np.zeros((N + 1, 2, N + 1))
     if weights is None:
-        weights = _side_weights(tower, gamma)
+        weights = _side_weights(tower.t, tower.grid.x, gamma)
     for s, wgt in enumerate(weights):
         for k1 in range(N + 1):
             rows = tower.rows[k1, :N + 1 - k1, s]
@@ -266,7 +267,7 @@ def _sobolev_stats(tower: DerivativeTower, gamma, weights=None):
     sups = np.zeros((2, N))
     margins = [np.inf, np.inf]
     if weights is None:
-        weights = _side_weights(tower, gamma)
+        weights = _side_weights(tower.t, tower.grid.x, gamma)
     for s, wgt in enumerate(weights):
         for k1 in range(N):
             # rows k2 = 0..N-k1-1 of orders k1..N-1, and the d_x row of each
@@ -304,10 +305,12 @@ class EnergyReport:
         return float(np.sum(self.eb2))
 
 
-def report_from_tower(tower: DerivativeTower, gamma, flux_t, f2, fb2) -> EnergyReport:
+def report_from_tower(tower: DerivativeTower, gamma, flux_t, f2, fb2,
+                      weights=None) -> EnergyReport:
     """Energies, weighted sups and Agmon margins of a tower, with the flux
-    totals accumulated up to flux_t."""
-    weights = _side_weights(tower, gamma)
+    totals accumulated up to flux_t; weights as in `energy_orders`."""
+    if weights is None:
+        weights = _side_weights(tower.t, tower.grid.x, gamma)
     e2, eb2 = energy_orders(tower, gamma, weights)
     sup_l, sup_lb, am_l, am_lb = _sobolev_stats(tower, gamma, weights)
     return EnergyReport(
@@ -551,18 +554,20 @@ class EnergyTracker:
         """Append to each member the report at held centre i with the fluxes
         flux (B, lines, N+1), from the full-grid spatial rows of the centre's
         2N+1 levels; the members are differenced one at a time, so the
-        temporaries stay at the size of a single member."""
+        temporaries stay at the size of a single member.  The members share
+        t and x, so they share the side weights."""
         N, nu = self.N, self._nu
         levels = slice(i, i + 2 * N + 1)
         dt = _level_dt(times[levels])
         t = float(times[i + N])
+        weights = _side_weights(t, self._grid.x, self.gamma)
         for k, reports in enumerate(self._member_reports):
             phi, w = self._fields[:, levels, k, None]
             rows = _centred_rows(w + _LB_SIGN * deriv1(phi, self._grid.dx), self._grid.dx, N)
             rows = time_rows(np.moveaxis(rows, 1, 0), dt, N)
             tower = DerivativeTower(t=t, grid=self._grid, N=N, rows=rows)
             reports.append(report_from_tower(tower, self.gamma, t, flux[k, :nu].copy(),
-                                             flux[k, nu:].copy()))
+                                             flux[k, nu:].copy(), weights))
 
     def initial_report(self, fam, grid) -> EnergyReport:
         """Report at t = 0 from the exact trace table of the data, zero flux."""
@@ -583,44 +588,64 @@ def config_tracker(cfg) -> EnergyTracker:
                          probes_ub=cfg.probes_ub, report_every=cfg.report_every)
 
 
-def _tracked_ensemble(cfg, deltas, tracker):
+def _tracked_reports(tracker):
+    """What an ensemble run's tracker sends back from its child: each
+    member's reports and the names of the probe lines that left the grid."""
+    return tracker.member_reports, tracker.truncated_probes()
+
+
+def _tracked_ensemble(cfg, deltas):
     """Evolve the family of cfg.with_(delta=d) for each d in deltas on cfg's
-    grid, as one ensemble under tracker: (RunResult, reports with the exact
-    t = 0 report first, MonitorResult) per member.  Raises
-    InsufficientHistory when a member completes without an evolved report:
-    the run was too short to fill the tower ring and reach a report step."""
+    grid, as one ensemble under cfg's tracker, which runs in a child
+    (`evolve.observed_in_child`): (RunResult, reports with the exact t = 0
+    report first, MonitorResult) per member, and the truncated probe names.
+    Raises InsufficientHistory when a member completes without an evolved
+    report: the run was too short to fill the tower ring and reach a report
+    step."""
     grid = cfg.grid()
     fams = [cfg.with_(delta=d).family() for d in deltas]
-    result = run_evolution(stack_states([init_state(fam, grid) for fam in fams]),
-                           t_end=cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko, gmin=cfg.gmin,
-                           callbacks=[tracker])
+    tracker = config_tracker(cfg)
+    proxy, join = observed_in_child(tracker, _tracked_reports)
+    try:
+        result = run_evolution(stack_states([init_state(fam, grid) for fam in fams]),
+                               t_end=cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
+                               gmin=cfg.gmin, callbacks=[proxy])
+    except BaseException:
+        join(run_failed=True)
+        raise
+    # the t = 0 reports need no run: they overlap the child's last states
+    initial = [tracker.initial_report(fam, grid) for fam in fams]
+    member_reports, truncated = join()
     if any(res.status == "completed" and not reports
-           for res, reports in zip(result.members, tracker.member_reports)):
+           for res, reports in zip(result.members, member_reports)):
         raise InsufficientHistory(
             f"a run of {result.n_steps} steps gives no energy report: an order-{tracker.N} "
             f"tower needs {2 * tracker.N + 1} levels and reports come every "
             f"{tracker.report_every} steps")
     out = []
-    for res, fam, delta, reports in zip(result.members, fams, deltas, tracker.member_reports):
-        reports = [tracker.initial_report(fam, grid)] + reports
+    for res, first, delta, reports in zip(result.members, initial, deltas, member_reports):
+        reports = [first] + reports
         out.append((res, reports, monitor(reports, delta)))
-    return out
+    return out, truncated
 
 
-def tracked_run(cfg, tracker=None):
-    """Evolve cfg's family on cfg's grid under cfg's EnergyTracker (or tracker):
-    (RunResult, reports with the exact t = 0 report first, MonitorResult)."""
-    return _tracked_ensemble(cfg, (cfg.delta,), tracker or config_tracker(cfg))[0]
+def tracked_run(cfg):
+    """Evolve cfg's family on cfg's grid under cfg's EnergyTracker: (RunResult,
+    reports with the exact t = 0 report first, MonitorResult, the names of
+    the probe lines that left the grid)."""
+    (member,), truncated = _tracked_ensemble(cfg, (cfg.delta,))
+    return (*member, truncated)
 
 
 def tracked_sweep(cfg):
-    """tracked_run of cfg.with_(delta=d) for each d in cfg.deltas, in order.
+    """tracked_run of cfg.with_(delta=d) for each d in cfg.deltas, in order,
+    without the truncated probe names.
 
     All deltas evolve as one ensemble, so each result is bit for bit its
     tracked_run.  Raises BlowupDetected, naming the delta, when a member
     blows up: the hierarchy holds only for globally smooth solutions.
     """
-    out = _tracked_ensemble(cfg, cfg.deltas, config_tracker(cfg))
+    out, _ = _tracked_ensemble(cfg, cfg.deltas)
     for d, (res, _, _) in zip(cfg.deltas, out):
         if res.status == "blowup":
             raise BlowupDetected(res.t_blowup, f"{res.blowup_reason} at delta = {d:g}")

@@ -54,8 +54,9 @@ refinement_levels runs the two coarse levels in one child process while
 the finest level runs in the caller.  The child comes from `forked`: an
 os.fork whose outcome, a value or an exception, is pickled back through a
 pipe.  Only the coarse levels' results cross, so a callback riding on the
-finest run, such as blowup_study's CharacteristicTracer, stays in the
-caller and is never pickled.  A level runs the same floating-point
+finest run is never pickled; blowup_study's CharacteristicTracer rides it
+through an observer stream (below), opened after the coarse levels' child
+is forked.  A level runs the same floating-point
 operations in either process, so the results are bit-identical to the
 serial loop.  So are the errors: the child is joined also when the finest
 level raises, and a coarse level's error is raised first, where the
@@ -63,6 +64,26 @@ serial loop would have stopped.  Where os.fork is missing or fails with
 OSError, the forked function runs inline when joined, and a study is the
 serial loop again.  A 1-core host runs the child and the caller on one
 core and pays only the fork, about 3 ms.
+
+Observers in a child.  `observed_in_child` takes a run's observer, such as
+sweep's EnergyTracker or blowup's CharacteristicTracer, off the stepping
+path.  Its proxy rides the run in the caller.  At the first state it maps
+an anonymous shared ring of slots, each holding the t, phi, w and p of one
+state, and forks the observer's child through `forked`.  It then copies
+each state into the next slot and writes one byte to a data pipe.  The
+child builds each state from fresh copies of its slot, acks the slot on a
+second pipe and calls the observer's on_step; the caller reads an ack
+before it reuses a slot.  join() closes the stream, and the child sends
+back only result(observer), never the levels the observer holds.  The
+states are bit for bit those of the run, so the observer's results are
+those of the serial run.  The ring holds RING_BYTES, at least two slots.
+An error of the observer reaches the caller at its next handoff or at
+join, with its type and message, and it wins over an error of the run,
+which came later in the serial order.  The one fallback is that of
+`forked`: without a fork the observer runs in the caller.  No fork may
+happen while a stream is open, since the forked process would inherit the
+data pipe's write end and the stream would never end; `forked` raises
+then.
 """
 
 from __future__ import annotations
@@ -73,7 +94,7 @@ import pickle
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 
 import numpy as np
@@ -95,6 +116,11 @@ _PRECHECK_CELL = (WINDOW_MIN_SKIP - 1) // 2 + 2 * _REACH
 # stepped widths are whole blocks of this many points, so that a step's
 # arrays fit the memory the last step freed (else peak memory grows)
 _WINDOW_BLOCK = 256
+# bytes of an observer stream's ring (observed_in_child): 16 slots of the
+# 3 x 1025 points of a hierarchy sweep, 6 of blowup's finest 7169.  The
+# tracker works in bursts of FLUX_BLOCK = 8 levels: with 8 slots the caller
+# waited about 0.1 s per sweep for acks, with 16 slots 5-30 ms
+RING_BYTES = 1_200_000
 
 
 @dataclass(frozen=True)
@@ -653,8 +679,12 @@ def forked(fn):
     raises StringLabError when the child sends no readable outcome: a value
     or exception that does not pickle, or a child that died.  Where os.fork
     is missing or fails with OSError, join is fn itself, run inline when
-    joined.
+    joined.  Raises StringLabError while an observer stream is open in this
+    process (module docstring).
     """
+    if _Stream.open_count:
+        raise StringLabError("no fork while an observer stream is open: the child "
+                             "would hold the stream's data pipe open")
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -725,6 +755,137 @@ def refinement_levels(level):
     return [*coarse, finest]
 
 
+class _Stream:
+    """The proxy of `observed_in_child`: a run callback that streams each
+    state to the observer's child through a shared ring (module
+    docstring)."""
+
+    open_count = 0          # streams open in this process; `forked` refuses then
+
+    def __init__(self, observer, result):
+        self._observer, self._result = observer, result
+        self._child = None  # forked's join while the child runs
+        self._deliver = self._open
+
+    def on_step(self, state):
+        self._deliver(state)
+
+    def _open(self, state):
+        """Map the ring, fork the child, then send the first state; without
+        a fork, hand this and every later state to the observer here."""
+        # imported here: the extension adds about 0.2 MiB to the peak memory
+        # of every process that loads it, also of those that stream nothing
+        import mmap
+
+        shape, grid, observer = state.w.shape, state.grid, self._observer
+        slot_bytes = 8 * (1 + 3 * state.w.size)
+        slots = max(2, RING_BYTES // slot_bytes)
+        ring = mmap.mmap(-1, slots * slot_bytes)
+        # slot k is times[k] and fields[k] = (phi, w, p)
+        times = np.frombuffer(ring, count=slots)
+        fields = np.frombuffer(ring, offset=8 * slots).reshape((slots, 3) + shape)
+        data_r, data_w = os.pipe()
+        ack_r, ack_w = os.pipe()
+
+        def observe():
+            os.close(data_w)
+            os.close(ack_r)
+            k = 0
+            while sent := os.read(data_r, slots):
+                for byte in sent:
+                    if byte:            # the run failed: no result is wanted
+                        return None
+                    fresh = FieldState(float(times[k]), grid, *(f.copy() for f in fields[k]))
+                    os.write(ack_w, b"\0")
+                    observer.on_step(fresh)
+                    k = (k + 1) % slots
+            return self._result(observer)
+
+        try:
+            join = forked(observe)
+        except BaseException:
+            for fd in (data_r, data_w, ack_r, ack_w):
+                os.close(fd)
+            raise
+        os.close(data_r)
+        os.close(ack_w)
+        if join is observe:
+            os.close(data_w)
+            os.close(ack_r)
+            self._deliver = observer.on_step
+        else:
+            _Stream.open_count += 1
+            self._child, self._times, self._fields = join, times, fields
+            self._data_w, self._ack_r, self._free, self._next = data_w, ack_r, slots, 0
+            self._deliver = self._send
+        self._deliver(state)
+
+    def _send(self, state):
+        """Copy state into the next free slot and tell the child."""
+        slots = len(self._times)
+        if not self._free:
+            acks = os.read(self._ack_r, slots)
+            if not acks:
+                self._lost()
+            self._free = len(acks)
+        k = self._next
+        self._times[k] = state.t
+        self._fields[k, 0] = state.phi
+        self._fields[k, 1] = state.w
+        self._fields[k, 2] = state.p
+        try:
+            os.write(self._data_w, b"\0")
+        except BrokenPipeError:
+            self._lost()
+        self._free -= 1
+        self._next = (k + 1) % slots
+
+    def _lost(self):
+        """The child ended inside the stream: raise the observer's error."""
+        self._close(run_failed=True)
+        raise StringLabError("an observer's child ended inside its stream")
+
+    def _close(self, run_failed):
+        """End the stream and reap the child: its result, or None when the
+        run failed; raises the observer's error."""
+        join, self._child = self._child, None
+        _Stream.open_count -= 1
+        if run_failed:
+            try:
+                os.write(self._data_w, b"\1")
+            except BrokenPipeError:
+                pass
+        os.close(self._data_w)
+        self._times = self._fields = None     # unmaps the ring
+        try:
+            value = join()
+        finally:
+            # the child acks its last slots until it ends
+            os.close(self._ack_r)
+        return None if run_failed else value
+
+    def join(self, run_failed=False):
+        if self._child is not None:
+            return self._close(run_failed)
+        return None if run_failed else self._result(self._observer)
+
+
+def observed_in_child(observer, result):
+    """(proxy, join): pass proxy to run_evolution in observer's place, so
+    that observer.on_step runs in a forked child, fed each state through a
+    shared ring (module docstring).
+
+    join() closes the stream, reaps the child and returns result(observer)
+    from the child.  After a run that raised, call join(run_failed=True): it
+    reaps the child, skips the result and returns None.  Either raises the
+    observer's error, which came first in the serial order.  Without a fork
+    the observer runs in the caller and join computes result(observer)
+    there.  A stream that never got a state starts no child.
+    """
+    proxy = _Stream(observer, result)
+    return proxy, proxy.join
+
+
 # ---------------------------------------------------------------------------
 # refinement studies
 
@@ -793,23 +954,44 @@ class BlowupStudy:
     min_sep: float = float("nan")               # paths and min_sep only when t_star is set
 
 
+def _finished(tracer):
+    """tracer.finish(), or the InsufficientHistory it raises as a value:
+    blowup_study raises it only where it reads the paths."""
+    try:
+        return tracer.finish()
+    except InsufficientHistory as exc:
+        return exc
+
+
 def blowup_study(cfg) -> BlowupStudy:
     """Detected blow-up time of cfg's family on cfg's grid and its 2x and 4x
     refinements, and the focusing of adjacent plus-family characteristics.
 
     17 seeds span max|center| + 2 max width on each side of the origin, so
     they cover both packets.  They are traced while the finest level runs,
-    in O(n) memory, in the calling process (`refinement_levels`).
+    in O(n) memory, in a child fed by `observed_in_child`; the coarse
+    levels' child (`refinement_levels`) is forked before that stream opens.
     """
     fam = cfg.family()
     half = max(abs(fam.f.center), abs(fam.fb.center)) + 2.0 * max(fam.f.width, fam.fb.width)
     seeds = np.linspace(-half, half, 17)
-    tracer = CharacteristicTracer(seeds, family="plus")
+    traced = []
 
     def level(k):
         g = cfg.grid().refined(2 ** k)
-        res = run_evolution(fam, g, t_end=cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
-                            gmin=cfg.gmin, callbacks=[tracer] if k == 2 else ())
+        run = partial(run_evolution, fam, g, t_end=cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
+                      gmin=cfg.gmin)
+        if k < 2:
+            res = run()
+        else:
+            proxy, join = observed_in_child(CharacteristicTracer(seeds, family="plus"),
+                                            _finished)
+            try:
+                res = run(callbacks=[proxy])
+            except BaseException:
+                join(run_failed=True)
+                raise
+            traced.append(join())
         tb = res.t_blowup if res.status == "blowup" else float("nan")
         return BlowupLevel(g.n, g.dx, tb, res.blowup_reason)
 
@@ -818,4 +1000,6 @@ def blowup_study(cfg) -> BlowupStudy:
     sep0 = float(seeds[1] - seeds[0])
     if np.isnan(t_blowups).any():
         return BlowupStudy(levels, float("nan"), sep0)
-    return BlowupStudy(levels, richardson_time(t_blowups), sep0, *tracer.finish())
+    if isinstance(traced[0], InsufficientHistory):
+        raise traced[0]
+    return BlowupStudy(levels, richardson_time(t_blowups), sep0, *traced[0])

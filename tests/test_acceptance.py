@@ -115,7 +115,7 @@ def test_a4_global_existence_regime():
     dx = 0.1
     cfg = ExperimentConfig(x0=-X, dx=dx, n=int(round(2 * X / dx)) + 1, t_end=T,
                            delta=0.05, report_every=50)
-    res, reports, mon = _single_run(cfg)
+    res, reports, mon, _ = _single_run(cfg)
     wall = time.time() - t0
     margins_ok = all(r.agmon_l_margin > 0 and r.agmon_lb_margin > 0 for r in reports)
     ok = bool(res.status == "completed" and mon.min_g >= 0.5 and margins_ok

@@ -567,7 +567,7 @@ def test_tracked_sweep_members_equal_tracked_runs():
     cfg = _small_cfg(deltas=(0.1, 0.05, 0.025))
     swept = tracked_sweep(cfg)
     for delta, (res, reports, mon) in zip(cfg.deltas, swept):
-        res1, reports1, mon1 = tracked_run(cfg.with_(delta=delta))
+        res1, reports1, mon1, _ = tracked_run(cfg.with_(delta=delta))
         assert res.status == res1.status == "completed"
         for f in ("phi", "w", "p"):
             assert np.array_equal(getattr(res.state, f), getattr(res1.state, f))
@@ -608,19 +608,27 @@ def test_tracker_member_blowup_keeps_its_reports():
     assert len(tracker.member_reports[0]) == len(tracker.member_reports[1]) > 0
 
 
-def test_ensemble_tracker_deriv1_budget(monkeypatch):
-    # a flush block costs N+1 calls whatever B is; a report N+1 per member
+def test_ensemble_tracker_deriv1_budget(monkeypatch, tmp_path):
+    # a flush block costs N+1 calls whatever B is; a report N+1 per member.
+    # The tracker runs in a forked child, so each call appends a line to a
+    # file that the child writes
     import stringlab.energy as energy
-    calls = []
     orig = energy.deriv1
-    monkeypatch.setattr(energy, "deriv1", lambda f, dx: calls.append(1) or orig(f, dx))
+
+    def counted(f, dx):
+        with open(log, "a") as fh:
+            print(1, file=fh)
+        return orig(f, dx)
+
+    monkeypatch.setattr(energy, "deriv1", counted)
     cfg = _small_cfg(N=3)
     for deltas in ((0.1,), (0.1, 0.05, 0.025)):
-        calls.clear()
+        log = tmp_path / f"calls{len(deltas)}"
         (res, reports, _), *_ = tracked_sweep(cfg.with_(deltas=deltas))
         # the t = 0 report comes from the exact trace table
         n_reports = len(deltas) * (len(reports) - 1)
-        assert len(calls) == (cfg.N + 1) * (_blocks(res.n_steps, cfg.N) + n_reports)
+        calls = len(log.read_text().splitlines())
+        assert calls == (cfg.N + 1) * (_blocks(res.n_steps, cfg.N) + n_reports)
 
 
 def test_tracker_holds_bounded_levels():

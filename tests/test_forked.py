@@ -1,7 +1,11 @@
 """Work in a forked child (`evolve.forked`): the primitive, the package
 errors that cross it, the inline fallback where os.fork is missing, the
-error order of the refinement levels, and no child left unreaped."""
+error order of the refinement levels, and no child left unreaped.  Also a
+run's observer streamed to a child (`evolve.observed_in_child`): the same
+results as in the caller, errors in serial order, and no fork while a
+stream is open."""
 
+import dataclasses
 import os
 import pickle
 
@@ -10,9 +14,12 @@ import pytest
 
 import stringlab.errors as errors
 import stringlab.evolve as evolve
-from stringlab import BlowupDetected, StringLabError, blowup_study, convergence_study
+from stringlab import (BlowupDetected, CharacteristicTracer, EnergyReport, EnergyTracker,
+                       InsufficientHistory, StringLabError, blowup_study, convergence_study,
+                       init_state, run_evolution, stack_states, tracked_sweep)
 from stringlab.config import ExperimentConfig
-from stringlab.evolve import forked, refinement_levels
+from stringlab.energy import _tracked_reports, config_tracker
+from stringlab.evolve import forked, observed_in_child, refinement_levels
 from stringlab.identities import verify_suite
 
 # one instance of every package error
@@ -152,3 +159,139 @@ def test_fallback_gives_the_forked_results(monkeypatch):
         assert a.seed_x == b.seed_x
         assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("ts", "xs", "alive"))
     assert verify_suite(ExperimentConfig(seed=1)) == suite
+
+
+# ---------------------------------------------------------------------------
+# an observer streamed to a child
+
+SWEEP = ExperimentConfig(x0=-24.0, dx=0.1, n=481, t_end=12.0, report_every=10,
+                         probes_u=(0.0, -6.0), probes_ub=(0.0, 2.0))
+
+
+def _sweep_run(callback, deltas=(0.1, 0.05)):
+    grid = SWEEP.grid()
+    states = [init_state(SWEEP.with_(delta=d).family(), grid) for d in deltas]
+    return run_evolution(stack_states(states), t_end=SWEEP.t_end, callbacks=[callback])
+
+
+@pytest.mark.parametrize("ring_bytes", [1, evolve.RING_BYTES])
+def test_streamed_tracker_equals_the_tracker_in_the_caller(monkeypatch, ring_bytes):
+    # a 2-slot ring, and the default ring of 51 slots under a run of 300
+    # steps: both wrap around
+    monkeypatch.setattr(evolve, "RING_BYTES", ring_bytes)
+    here = config_tracker(SWEEP)
+    res_here = _sweep_run(here)
+    proxy, join = observed_in_child(config_tracker(SWEEP), _tracked_reports)
+    res = _sweep_run(proxy)
+    member_reports, truncated = join()
+    _assert_no_child_left()
+    assert res.n_steps == 300 > evolve.RING_BYTES // (8 * (1 + 3 * 2 * SWEEP.n))
+    assert np.array_equal(res.state.phi, res_here.state.phi)
+    assert truncated == here.truncated_probes() == ["u0=-6"]
+    assert len(member_reports) == 2
+    for got, want in zip(member_reports, here.member_reports):
+        assert len(got) == len(want) == 30
+        for a, b in zip(got, want):
+            for f in dataclasses.fields(EnergyReport):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def test_streamed_blowup_paths_equal_a_tracer_in_the_caller(monkeypatch):
+    monkeypatch.setattr(evolve, "RING_BYTES", 1)
+    study = blowup_study(BLOWUP)
+    _assert_no_child_left()
+    tracer = CharacteristicTracer([p.seed_x for p in study.paths], "plus")
+    res = run_evolution(BLOWUP.family(), BLOWUP.grid().refined(4), t_end=BLOWUP.t_end,
+                        callbacks=[tracer])
+    assert res.t_blowup == study.levels[2].t_blowup
+    paths, min_sep = tracer.finish()
+    assert study.min_sep == min_sep
+    for a, b in zip(study.paths, paths):
+        assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("ts", "xs", "alive"))
+
+
+class _FailAt:
+    """An observer that raises at its state of index `at`."""
+
+    def __init__(self, at, exc):
+        self.at, self.exc, self.seen = at, exc, 0
+
+    def on_step(self, state):
+        if self.seen == self.at:
+            raise self.exc
+        self.seen += 1
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_an_observer_error_crosses_and_wins_over_a_run_error(monkeypatch, fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    bad = InsufficientHistory("observer stops at state 40")
+    # the error reaches a later handoff or join; the run cannot tell which
+    proxy, join = observed_in_child(_FailAt(40, bad), lambda obs: obs.seen)
+    with pytest.raises(InsufficientHistory, match="^observer stops at state 40$"):
+        _sweep_run(proxy)
+        join()
+    # the run fails at state 1, after the observer did: the observer's
+    # error is raised, as in the serial order
+    proxy, join = observed_in_child(_FailAt(1, ValueError("observer at 1")), len)
+    with pytest.raises(ValueError, match="^observer at 1$"):
+        try:
+            run_evolution(init_state(SWEEP.family(), SWEEP.grid()), t_end=1.0,
+                          callbacks=[proxy, _FailAt(1, BlowupDetected(0.0, "run at 1"))])
+        except BaseException:
+            join(run_failed=True)
+            raise
+    # a run error alone: join returns None, the observer's result unread
+    proxy, join = observed_in_child(_FailAt(10 ** 9, None), len)
+    with pytest.raises(BlowupDetected, match="run at 3"):
+        try:
+            run_evolution(init_state(SWEEP.family(), SWEEP.grid()), t_end=1.0,
+                          callbacks=[proxy, _FailAt(3, BlowupDetected(0.0, "run at 3"))])
+        except BaseException:
+            assert join(run_failed=True) is None
+            raise
+    if fork:
+        _assert_no_child_left()
+
+
+def test_a_tracker_error_crosses_a_sweep(monkeypatch):
+    def fail(self, state):
+        raise ValueError(f"tracker fails at t = {state.t:g}")
+
+    monkeypatch.setattr(EnergyTracker, "on_step", fail)
+    with pytest.raises(ValueError, match="^tracker fails at t = 0$"):
+        tracked_sweep(SWEEP.with_(deltas=(0.1, 0.05)))
+    _assert_no_child_left()
+
+
+def test_a_short_finest_level_raises_only_where_its_paths_are_read(monkeypatch):
+    # 2 steps on the finest level: 3 levels, too few to trace, but no level
+    # blows up, so the study reads no paths
+    study = blowup_study(BLOWUP.with_(t_end=0.02))
+    assert np.isnan(study.t_star) and study.paths == []
+    _assert_no_child_left()
+    # the field-size cap stops every level at its first step: the paths are
+    # read, and the finest level has 1 state
+    monkeypatch.setattr(evolve, "FIELD_CAP", 1.0)
+    with pytest.raises(InsufficientHistory, match="the run has 1$"):
+        blowup_study(BLOWUP)
+    _assert_no_child_left()
+
+
+def test_no_fork_while_a_stream_is_open():
+    proxy, join = observed_in_child(_FailAt(10 ** 9, None), lambda obs: obs.seen)
+    state = init_state(SWEEP.family(), SWEEP.grid())
+    proxy.on_step(state)
+    with pytest.raises(StringLabError, match="no fork while an observer stream is open"):
+        forked(lambda: None)
+    # a second stream cannot start, and leaves no pipe open
+    fds = len(os.listdir("/proc/self/fd"))
+    second, _ = observed_in_child(_FailAt(10 ** 9, None), len)
+    with pytest.raises(StringLabError, match="no fork while an observer stream is open"):
+        second.on_step(state)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    proxy.on_step(state)
+    assert join() == 2
+    assert forked(lambda: 3)() == 3
+    _assert_no_child_left()

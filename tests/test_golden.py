@@ -109,9 +109,11 @@ def test_cli_csv_outputs_are_pinned(tmp_path, name):
     _assert_pinned(tmp_path, name)
 
 
-@pytest.mark.parametrize("name", ["converge", "blowup_windowed", "verify"])
+@pytest.mark.parametrize("name", ["run", "sweep", "converge", "blowup", "blowup_windowed",
+                                  "verify"])
 def test_pins_hold_without_fork(tmp_path, monkeypatch, name):
-    # without os.fork the refinement levels and verify's closed-form checks
-    # run inline in the calling process (evolve.forked)
+    # without os.fork the refinement levels, verify's closed-form checks and
+    # the observers of run, sweep and blowup run inline in the calling
+    # process (evolve.forked, evolve.observed_in_child)
     monkeypatch.delattr(os, "fork")
     _assert_pinned(tmp_path, name)
