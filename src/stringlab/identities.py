@@ -16,17 +16,20 @@ Three families of checks:
   carries a weight-derivative cross term proportional to the null-null
   stress component; that term vanishes identically when the test function
   is the base field or the background is flat, and must be kept otherwise.
+  `deformation_check` evaluates all its random field pairs at once, stacked
+  on a leading axis, with the values of one pair at a time.
 
 * energy balance -- on the trapezoidal null regions, surface term + null
   flux equals the initial term minus the bulk divergence integral.  Checked
   discretely along a run for the row phi itself; the null-segment
   measure carries the Jacobian factor 2 that makes the discrete divergence
-  theorem close exactly.
+  theorem close exactly.  `BalanceAccumulator` works the levels off in
+  blocks of BALANCE_BLOCK, summing its terms in the order and to the bits
+  of one level at a time, in O(n) memory whatever the run length.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +38,7 @@ from .energy import stress_density
 from .errors import BlowupDetected, InsufficientHistory, TimelikeViolation
 from .evolve import (Grid1D, orders_pass, refinement_levels, refinement_orders, run_both,
                      run_evolution)
-from .manufactured import MovingGaussian, ZeroField, random_mixture
+from .manufactured import MixtureStack, MovingGaussian, ZeroField, random_mixture
 from .nullgeom import (GMIN_DEFAULT, multiplier, null_stress, side_weight, weight_a,
                        weight_a_prime)
 from .stencils import cubic_interp, deriv1
@@ -70,11 +73,16 @@ def _multiplier_cartesian(w, p, t, x, gamma, side):
 def _cartesian_stress(w, p, vt, vx):
     """Cartesian (g, (g^tt, g^tx, g^xx), (T^t_t, T^t_x, T^x_t, T^x_x)): the
     determinant and inverse metric over the base gradient (w, p), and the
-    stress of the row gradient (vt, vx).  Raises TimelikeViolation when
-    min(g) <= GMIN_DEFAULT."""
+    stress of the row gradient (vt, vx).  Raises TimelikeViolation when the
+    min of g along the last axis is <= GMIN_DEFAULT in some row, naming the
+    first such row's min."""
     g = 1.0 - w * w + p * p
-    if np.min(g) <= GMIN_DEFAULT:
-        raise TimelikeViolation(np.min(g), GMIN_DEFAULT)
+    # the floor holds row by row: a stack of levels names the first failing
+    # level's min g, as one level at a time would
+    low = np.ravel(np.min(np.atleast_1d(g), axis=-1))
+    bad = np.flatnonzero(low <= GMIN_DEFAULT)
+    if bad.size:
+        raise TimelikeViolation(low[bad[0]], GMIN_DEFAULT)
     gtt = -(1.0 + p * p) / g
     gtx = w * p / g
     gxx = (1.0 - w * w) / g
@@ -290,24 +298,29 @@ def trace_residual(nd):
 
 def deformation_check(seed=0, gamma=0.5):
     """Max relative closed-vs-direct discrepancy and max relative trace over
-    100 random field pairs; both should sit at roundoff.  Each pair's null
-    data is evaluated once and shared by both sides of every check: the
-    direct contraction and the closed form stay independent computations."""
+    100 random field pairs; both should sit at roundoff.  The pairs are
+    drawn in turn and evaluated together, stacked on a leading axis
+    (`manufactured.MixtureStack`): the null data once, shared by both sides
+    of every check, and each side once for all pairs.  The direct
+    contraction and the closed form stay independent computations.  Each
+    pair's worst values are those of the pair alone, reduced in pair
+    order."""
     rng = np.random.default_rng(seed)
     tt, xx = np.meshgrid(np.linspace(0.0, 2.0, 5), np.linspace(-4.0, 4.0, 33), indexing="ij")
-    worst = 0.0
-    worst_trace = 0.0
-    for _ in range(100):
-        phi = random_mixture(rng, amp=0.25)
-        varphi = random_mixture(rng, amp=0.5)
-        nd = _null_data(phi, varphi, tt, xx)
-        for side in ("TL", "TLb"):
-            d = deformation_direct(nd, tt, xx, gamma, side)
-            c = deformation_closed(nd, tt, xx, gamma, side)
-            scale = np.max(np.abs(d)) + 1e-30
-            worst = max(worst, float(np.max(np.abs(d - c)) / scale))
-        tr, scale = trace_residual(nd)
-        worst_trace = max(worst_trace, float(np.max(tr / scale)))
+    pairs = [(random_mixture(rng, amp=0.25), random_mixture(rng, amp=0.5)) for _ in range(100)]
+    nd = _null_data(*map(MixtureStack, zip(*pairs)), tt, xx)
+    events = (1, 2)
+    sides = []
+    for side in ("TL", "TLb"):
+        d = deformation_direct(nd, tt, xx, gamma, side)
+        c = deformation_closed(nd, tt, xx, gamma, side)
+        scale = np.max(np.abs(d), axis=events) + 1e-30
+        sides.append((np.max(np.abs(d - c), axis=events) / scale).tolist())
+    tr, scale = trace_residual(nd)
+    worst = worst_trace = 0.0
+    for tl, tlb, trace in zip(*sides, np.max(tr / scale, axis=events).tolist()):
+        worst = max(worst, tl, tlb)
+        worst_trace = max(worst_trace, trace)
     return worst, worst_trace
 
 
@@ -344,6 +357,11 @@ def equivalence_ratios(seed=0):
 # ---------------------------------------------------------------------------
 # discrete energy balance along a run
 
+# pending levels a BalanceAccumulator works off together.  Blocks of 8 and
+# 16 levels ran no faster on `verify` and raised its peak memory by 1.2 and
+# 3.7 MiB: each temporary of a block holds one row per level
+BALANCE_BLOCK = 4
+
 
 class BalanceAccumulator:
     """Run callback accumulating all terms of one null-region energy identity.
@@ -354,14 +372,24 @@ class BalanceAccumulator:
     boundary x = 2 ub0 - t); side 'TL' with the region right of an outgoing
     line (u <= u0, boundary x = t - 2 u0).
 
-    The terms are summed as the levels stream in.  Level i's bulk term (the
-    region integral of d_t V^t plus the boundary value of V^x) is added once
-    level i+1 has arrived (level 0's, by its one-sided stencil, once level 2
-    has), and finalize() adds only the last level's one-sided term, so the
-    sum runs over i = 0, 1, ..., n-1 as one sum over all levels would.  The
-    accumulator holds a window of at most 3 V^t profiles plus one boundary
-    scalar per held level: O(n) memory whatever the run length.  It follows
-    one single-member run, from its start state on.
+    on_step copies phi, w and p of each level into a buffer of
+    BALANCE_BLOCK levels.  The pending levels are worked off in one block
+    when the buffer is full, and whenever finalize(), sigma0 or flux is
+    read: one multiplier, one current density and one deriv1 over the
+    stacked rows, and one cubic_interp call for the boundary values of
+    every level whose boundary point lies on the grid.  The scalar terms
+    are then summed level by level, in the order of one level at a time:
+    level i's bulk term (the region integral of d_t V^t plus the boundary
+    value of V^x) once level i+1 is there (level 0's, by its one-sided
+    stencil, once level 2 is), and finalize() adds only the last level's
+    one-sided term, so the sum runs over i = 0, 1, ..., n-1 as one sum over
+    all levels would.  Every sum is bit for bit that of a level at a time;
+    a TimelikeViolation names the first failing level's min g.
+
+    The accumulator holds the V^t profiles of the last 3 levels worked off,
+    with their times and boundary terms, and fewer than BALANCE_BLOCK
+    pending levels: O(n) memory whatever the run length.  It follows one
+    single-member run, from its start state on.
     """
 
     def __init__(self, side, coord, gamma):
@@ -370,15 +398,30 @@ class BalanceAccumulator:
         self.side = side
         self.coord = float(coord)
         self.gamma = float(gamma)
-        self._n = 0                 # levels seen
-        self._taus = deque(maxlen=3)
-        self._vts = deque(maxlen=3)     # V^t profiles of the held levels
-        self._edges = deque(maxlen=3)   # boundary V^x terms of the held levels
+        self._grid = None
+        self._fields = None         # (3, BALANCE_BLOCK, n): phi, w, p of the pending levels
+        self._times = []            # times of the pending levels
+        self._n = 0                 # levels worked off
+        self._taus = []             # times, V^t profiles and boundary V^x terms
+        self._vts = None            # of the last 3 levels worked off
+        self._edges = []
         self._dt = None
         self._bulk = 0.0
-        self.sigma0 = None
-        self.flux = 0.0
+        self._sigma0 = None
+        self._flux = 0.0
         self._prev_flux_integrand = None
+
+    @property
+    def sigma0(self):
+        """Sigma(0), the region integral of -V^t at the start state."""
+        self._flush()
+        return self._sigma0
+
+    @property
+    def flux(self):
+        """The null flux through the boundary line up to the last level."""
+        self._flush()
+        return self._flux
 
     # geometry helpers -----------------------------------------------------
     def _boundary_x(self, tau):
@@ -411,70 +454,101 @@ class BalanceAccumulator:
         return full
 
     # current of the row phi ------------------------------------------------
-    def _currents(self, state):
-        grid = state.grid
-        w, p = state.w, state.p
-        xi = _multiplier_cartesian(w, p, state.t, grid.x, self.gamma, self.side)
-        return _current_density(w, p, w, deriv1(state.phi, grid.dx), xi)
+    def _currents(self, t, phi, w, p):
+        """(V^t, V^x) of the row phi at time t, or of a stack of levels
+        (rows of phi, w and p) at the column of times t."""
+        grid = self._grid
+        xi = _multiplier_cartesian(w, p, t, grid.x, self.gamma, self.side)
+        return _current_density(w, p, w, deriv1(phi, grid.dx), xi)
 
     # callback protocol ----------------------------------------------------
     def on_step(self, state):
-        if not self._n:
+        if self._grid is None:
             if state.w.ndim != 1:
                 raise ValueError("the energy balance is accumulated along a single-member run")
             self._grid = state.grid
-        vt_cur, vx_cur = self._currents(state)
-        tau = state.t
-        # null flux integrand: the exact boundary measure is 2*V^{null}
-        xb = self._boundary_x(tau)
-        grid = state.grid
-        if grid.x0 <= xb <= grid.x_end:
-            vt_b, vx_b = cubic_interp(np.stack((vt_cur, vx_cur)), grid.x0, grid.dx, xb)
-            # minus region: 2 V^ub = V^t + V^x ; plus region: 2 V^u = V^t - V^x
-            integrand = -(vt_b + vx_b) if self.side == "TLb" else -(vt_b - vx_b)
-        else:
-            vx_b = 0.0
-            integrand = 0.0
-        if self._prev_flux_integrand is not None:
-            dtau = tau - self._taus[-1]
-            self.flux += 0.5 * dtau * (self._prev_flux_integrand + integrand)
-        self._prev_flux_integrand = integrand
-        # bulk: the V^x boundary term of the region integral of d_x V^x
-        edge = float(vx_b) - vx_cur[0] if self.side == "TLb" else vx_cur[-1] - float(vx_b)
-        self._taus.append(tau)
-        self._vts.append(vt_cur)
-        self._edges.append(edge)
-        self._n += 1
-        if self._n == 1:
-            self.sigma0 = self._region_integral(-vt_cur, grid, self._boundary_x(tau))
-        elif self._n == 2:
-            self._dt = self._taus[1] - self._taus[0]
-        elif self._n >= 3:
-            v0, v1, v2 = self._vts
-            if self._n == 3:
-                self._bulk += self._bulk_term(
-                    (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * self._dt), 0, 0.5)
-            self._bulk += self._bulk_term((v2 - v0) / (2.0 * self._dt), 1, 1.0)
+            self._fields = np.empty((3, BALANCE_BLOCK, state.grid.n))
+            self._vts = np.empty((0, state.grid.n))
+        k = len(self._times)
+        self._fields[0, k] = state.phi
+        self._fields[1, k] = state.w
+        self._fields[2, k] = state.p
+        self._times.append(state.t)
+        if k + 1 == BALANCE_BLOCK:
+            self._flush()
 
-    def _bulk_term(self, dvt, k, wgt):
-        """Weighted bulk term of the held level k with d_t V^t = dvt."""
-        q = self._region_integral(dvt, self._grid, self._boundary_x(self._taus[k]))
-        q += self._edges[k]
+    def _flush(self):
+        """Work off the pending levels as one block (class docstring)."""
+        m, grid, taus = len(self._times), self._grid, self._times
+        if not m:
+            return
+        vts, vxs = self._currents(np.array(taus)[:, None], *self._fields[:, :m])
+        self._times = []
+        # null flux integrand: the exact boundary measure is 2*V^{null}
+        xbs = [self._boundary_x(tau) for tau in taus]
+        on = [k for k, xb in enumerate(xbs) if grid.x0 <= xb <= grid.x_end]
+        ends = {}
+        if on:
+            r = np.arange(len(on))
+            at = cubic_interp(np.stack((vts[on], vxs[on])), grid.x0, grid.dx,
+                              [xbs[k] for k in on])[:, r, r]
+            ends = dict(zip(on, zip(*at.tolist())))     # level: (V^t, V^x) there
+        vx_lo, vx_hi = vxs[:, 0].tolist(), vxs[:, -1].tolist()
+        edges = []
+        for k, tau in enumerate(taus):
+            if k in ends:
+                vt_b, vx_b = ends[k]
+                # minus region: 2 V^ub = V^t + V^x ; plus region: 2 V^u = V^t - V^x
+                integrand = -(vt_b + vx_b) if self.side == "TLb" else -(vt_b - vx_b)
+            else:
+                vx_b = integrand = 0.0
+            if self._prev_flux_integrand is not None:
+                dtau = tau - (taus[k - 1] if k else self._taus[-1])
+                self._flux += 0.5 * dtau * (self._prev_flux_integrand + integrand)
+            self._prev_flux_integrand = integrand
+            # bulk: the V^x boundary term of the region integral of d_x V^x
+            edges.append(vx_b - vx_lo[k] if self.side == "TLb" else vx_hi[k] - vx_b)
+        # rows of the held levels, then the block's: row i is level base + i
+        n0, n1 = self._n, self._n + m
+        v, ts, es = np.concatenate((self._vts, vts)), self._taus + taus, self._edges + edges
+        base = n0 - len(self._taus)
+        if not n0:
+            self._sigma0 = self._region_integral(-v[0], grid, xbs[0])
+        if self._dt is None and n1 >= 2:
+            self._dt = ts[1] - ts[0]
+        if n1 >= 3:
+            if n0 < 3:
+                self._bulk += self._bulk_term(
+                    (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * self._dt), ts[0], es[0], 0.5)
+            # centred levels max(n0 - 1, 1) .. n1 - 2: each needs the next level
+            lo, hi = max(n0 - 1, 1) - base, n1 - 1 - base
+            for i, dvt in enumerate((v[lo + 1:hi + 1] - v[lo - 1:hi - 1]) / (2.0 * self._dt),
+                                    lo):
+                self._bulk += self._bulk_term(dvt, ts[i], es[i], 1.0)
+        self._n = n1
+        self._vts, self._taus, self._edges = v[-3:].copy(), ts[-3:], es[-3:]
+
+    def _bulk_term(self, dvt, tau, edge, wgt):
+        """Weighted bulk term of the level at time tau with d_t V^t = dvt and
+        boundary V^x term edge."""
+        q = self._region_integral(dvt, self._grid, self._boundary_x(tau))
+        q += edge
         return wgt * self._dt * q
 
     # final assembly --------------------------------------------------------
     def finalize(self):
         """Returns (residual, scale): |Sigma(t) + flux - Sigma(0) + bulk| and
         the magnitude of the largest term."""
+        self._flush()
         if self._n < 3:
             raise InsufficientHistory(
                 f"balance check needs at least 3 levels, have {self._n}")
         v0, v1, v2 = self._vts
         sigma_t = self._region_integral(-v2, self._grid, self._boundary_x(self._taus[-1]))
         bulk = self._bulk + self._bulk_term((3.0 * v2 - 4.0 * v1 + v0) / (2.0 * self._dt),
-                                            2, 0.5)
-        residual = abs(sigma_t + self.flux - self.sigma0 + bulk)
-        scale = max(abs(sigma_t), abs(self.sigma0), abs(self.flux), abs(bulk), 1e-300)
+                                            self._taus[-1], self._edges[-1], 0.5)
+        residual = abs(sigma_t + self._flux - self._sigma0 + bulk)
+        scale = max(abs(sigma_t), abs(self._sigma0), abs(self._flux), abs(bulk), 1e-300)
         return residual, scale
 
 
@@ -498,6 +572,10 @@ def energy_balance_study(cfg, regions, base_grid: Grid1D, t_end) -> list:
         run = run_evolution(fam, grid, t_end=t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
                             gmin=cfg.gmin, callbacks=accs)
         if run.status == "blowup":
+            # the pending levels first: an accumulator's error at a level
+            # before the blow-up stopped the run, as it stops a serial one
+            for acc in accs:
+                acc._flush()
             raise BlowupDetected(run.t_blowup,
                                  f"{run.blowup_reason} on balance level {k} (n = {grid.n})")
         return grid.dx, [r / scale for r, scale in (acc.finalize() for acc in accs)]

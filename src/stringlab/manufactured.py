@@ -26,10 +26,19 @@ class MovingGaussian:
 
     def d(self, a, b, t, x):
         """d_t^a d_x^b at (t, x); each d_t pulls down a factor -speed."""
-        z = (np.asarray(x) - self.speed * np.asarray(t) - self.center) / self.width
-        k = a + b
-        return (self.amp * (-self.speed) ** a / self.width ** k
-                * _gauss_poly(k, "1")(z) * np.exp(-z * z))
+        return _gaussian(self.prefactor(a, b), self.speed, self.center, self.width, a + b, t, x)
+
+    def prefactor(self, a, b):
+        """amp * (-speed)^a / width^(a+b), the constant factor of d(a, b, ...)."""
+        return self.amp * (-self.speed) ** a / self.width ** (a + b)
+
+
+def _gaussian(prefactor, speed, center, width, k, t, x):
+    """prefactor * P_k(z) exp(-z^2) with z = (x - speed t - center) / width:
+    a k-th derivative of a travelling gaussian, whose parameters may be
+    arrays that broadcast against the events (t, x)."""
+    z = (np.asarray(x) - speed * np.asarray(t) - center) / width
+    return prefactor * _gauss_poly(k, "1")(z) * np.exp(-z * z)
 
 
 @dataclass(frozen=True)
@@ -40,6 +49,28 @@ class Mixture:
         out = self.terms[0].d(a, b, t, x)
         for term in self.terms[1:]:
             out = out + term.d(a, b, t, x)
+        return out
+
+
+class MixtureStack:
+    """Mixtures of equally many MovingGaussian terms, evaluated together:
+    d(a, b, t, x)[i] is mixtures[i].d(a, b, t, x) bit for bit, the
+    mixtures stacked on a leading axis.  Each term's prefactor is the
+    member's own Python float, since a power of an array may round
+    differently from a power of a float."""
+
+    def __init__(self, mixtures):
+        self.mixtures = tuple(mixtures)
+
+    def d(self, a, b, t, x):
+        t, x = np.asarray(t), np.asarray(x)
+        shape = (len(self.mixtures),) + (1,) * np.broadcast(t, x).ndim
+        out = None
+        for terms in zip(*(mix.terms for mix in self.mixtures)):
+            pref, speed, center, width = (np.reshape(column, shape) for column in zip(
+                *((g.prefactor(a, b), g.speed, g.center, g.width) for g in terms)))
+            term = _gaussian(pref, speed, center, width, a + b, t, x)
+            out = term if out is None else out + term
         return out
 
 

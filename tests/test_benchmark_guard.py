@@ -32,7 +32,8 @@ def test_every_benchmark_target_resolves():
 
 
 # small `run` and `blowup` configs: the run_evolution return hook and the
-# step call hook of the tracer both fire
+# step call hook of the tracer both fire; `verify` runs the wrapped
+# BalanceAccumulator methods and deformation_check
 _CODE = """\
 import importlib.util, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -44,7 +45,8 @@ t = tracer.Tracer()
 tracer.install(t)
 rcs = [stringlab.cli.main([mode, "--config", cfg, "--out", out])
        for mode, cfg, out in zip(*[iter(sys.argv[3:])] * 3)]
-print(json.dumps({"rcs": rcs, "counts": t.counts}))
+print(json.dumps({"rcs": rcs, "counts": t.counts,
+                  "called": sorted({t.names[k] for k in t.span_name})}))
 """
 
 _RUN = "t_end = 2\nx0 = -20\ndx = 0.1\nn = 401\nreport_every = 20\nprobes_u = 0\nprobes_ub = 0\n"
@@ -54,7 +56,7 @@ _BLOWUP = ("delta = 1\nf_amplitude = 2.4\nf_center = 4\nfb_amplitude = 2.4\nfb_c
 
 def test_traced_cli_modes_exit_zero(tmp_path):
     args = []
-    for mode, text in (("run", _RUN), ("blowup", _BLOWUP)):
+    for mode, text in (("run", _RUN), ("blowup", _BLOWUP), ("verify", "seed = 17611\n")):
         cfg = tmp_path / f"{mode}.cfg"
         cfg.write_text(text)
         args += [mode, str(cfg), str(tmp_path / mode)]
@@ -62,6 +64,9 @@ def test_traced_cli_modes_exit_zero(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.splitlines()[-1])
-    assert result["rcs"] == [0, 0]
+    assert result["rcs"] == [0, 0, 0]
     assert result["counts"]["evolve.history_mb"] == 0.0
     assert result["counts"]["evolve.point_steps"] > 0
+    # the finest balance level runs in the traced process
+    assert {"identities.BalanceAccumulator.on_step",
+            "identities.BalanceAccumulator.finalize"} <= set(result["called"])

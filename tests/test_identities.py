@@ -1,16 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from conftest import Recorder
 
-from stringlab import (DataFamily, Grid1D, InsufficientHistory, ProfileSpec, identities,
-                       init_state, metric_scalars, run_evolution, stack_states, step)
+from stringlab import (DataFamily, FieldState, Grid1D, InsufficientHistory, ProfileSpec,
+                       TimelikeViolation, identities, init_state, metric_scalars, run_evolution,
+                       stack_states, step)
 from stringlab.config import ExperimentConfig
-from stringlab.identities import (BalanceAccumulator, _null_data, deformation_check,
-                                  deformation_closed, deformation_direct,
+from stringlab.identities import (BALANCE_BLOCK, BalanceAccumulator, _null_data,
+                                  deformation_check, deformation_closed, deformation_direct,
                                   divergence_identity_study, divergence_residual,
                                   energy_balance_study, equivalence_ratios,
                                   trace_residual, verify_suite)
 from stringlab.stencils import cubic_interp
-from stringlab.manufactured import Mixture, MovingGaussian, ZeroField, random_mixture
+from stringlab.manufactured import (Mixture, MixtureStack, MovingGaussian, ZeroField,
+                                    random_mixture)
 
 
 def test_divergence_flat_free_wave_roundoff():
@@ -65,6 +70,43 @@ def test_deformation_closed_vs_direct_random_fields():
     worst, worst_trace = deformation_check(seed=3)
     assert worst <= 1e-10
     assert worst_trace <= 1e-13
+
+
+def _deformation_check_per_pair(seed=0, gamma=0.5):
+    """The per-pair loop that the stacked deformation_check replaced: each
+    pair's fields, null data and checks on their own."""
+    rng = np.random.default_rng(seed)
+    tt, xx = np.meshgrid(np.linspace(0.0, 2.0, 5), np.linspace(-4.0, 4.0, 33), indexing="ij")
+    worst = 0.0
+    worst_trace = 0.0
+    for _ in range(100):
+        phi = random_mixture(rng, amp=0.25)
+        varphi = random_mixture(rng, amp=0.5)
+        nd = _null_data(phi, varphi, tt, xx)
+        for side in ("TL", "TLb"):
+            d = deformation_direct(nd, tt, xx, gamma, side)
+            c = deformation_closed(nd, tt, xx, gamma, side)
+            scale = np.max(np.abs(d)) + 1e-30
+            worst = max(worst, float(np.max(np.abs(d - c)) / scale))
+        tr, scale = trace_residual(nd)
+        worst_trace = max(worst_trace, float(np.max(tr / scale)))
+    return worst, worst_trace
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17611])
+def test_stacked_deformation_check_equals_per_pair_loop(seed):
+    assert deformation_check(seed=seed) == _deformation_check_per_pair(seed)
+
+
+def test_mixture_stack_equals_each_mixture(rng):
+    mixtures = [random_mixture(rng, amp=0.4) for _ in range(6)]
+    tt, xx = np.meshgrid(np.linspace(0.0, 1.0, 3), np.linspace(-3.0, 3.0, 11), indexing="ij")
+    stack = MixtureStack(mixtures)
+    for a, b in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1)]:
+        got = stack.d(a, b, tt, xx)
+        assert got.shape == (6,) + tt.shape
+        for mix, row in zip(mixtures, got):
+            assert np.array_equal(row, mix.d(a, b, tt, xx))
 
 
 def test_deformation_vanishes_when_correction_does(rng):
@@ -229,6 +271,7 @@ def test_balance_finalize_needs_three_levels(default_family):
     state = init_state(default_family, Grid1D(-12, 0.1, 241))
     acc.on_step(state)
     acc.on_step(step(state, dt=0.04)[0])
+    assert len(acc._times) == 2         # both levels still pending
     with pytest.raises(InsufficientHistory, match="at least 3 levels, have 2"):
         acc.finalize()
 
@@ -239,16 +282,19 @@ class _StoredBalance(BalanceAccumulator):
     the whole history.  It shares only the current, geometry and region
     integral helpers with the streamed accumulator."""
 
+    sigma0 = None       # plain attributes, summed as the levels arrive
+    flux = 0.0
+
     def __init__(self, side, coord, gamma):
         super().__init__(side, coord, gamma)
         self._all_taus, self._all_vts, self._all_vxs = [], [], []
         self._prev = None
 
     def on_step(self, state):
-        vt_cur, vx_cur = self._currents(state)
+        self._grid = state.grid
+        vt_cur, vx_cur = self._currents(state.t, state.phi, state.w, state.p)
         tau = state.t
         if not self._all_taus:
-            self._grid = state.grid
             self.sigma0 = self._region_integral(-vt_cur, state.grid, self._boundary_x(tau))
         self._all_taus.append(tau)
         self._all_vts.append(vt_cur)
@@ -317,19 +363,114 @@ def test_streamed_balance_equals_stored_profiles(default_family, side, coord, le
 
 
 def test_balance_window_stays_three_levels(default_family):
+    # 3 V^t profiles plus fewer than BALANCE_BLOCK pending levels in a buffer
+    # of BALANCE_BLOCK, whatever the run length
     acc = BalanceAccumulator("TLb", 1.0, 0.5)
     held = []
 
     class Probe:
         def on_step(self, state):
-            held.append(len(acc._vts))
+            held.append((len(acc._vts), len(acc._times)))
 
     res = run_evolution(default_family, Grid1D(-12.0, 0.1, 241), t_end=12.0,
                         callbacks=[acc, Probe()])
     assert res.n_steps == 300 and len(held) == 301
-    assert max(held) == 3
+    assert max(v for v, _ in held) == 3
+    assert max(pending for _, pending in held) == BALANCE_BLOCK - 1
+    assert acc._fields.shape == (3, BALANCE_BLOCK, 241)
     acc.finalize()
-    assert len(acc._vts) == 3
+    assert (len(acc._vts), len(acc._times)) == (3, 0)
+
+
+@pytest.fixture(scope="module")
+def balance_states():
+    """The start state and the first 2 BALANCE_BLOCK + 2 accepted states of
+    the default family on a small grid (dt = 0.04)."""
+    fam = DataFamily(gamma=0.5, delta=0.1, f=ProfileSpec("gaussian", 1.0, 0.0, 2.0),
+                     fb=ProfileSpec("gaussian", 1.0, 0.0, 2.0))
+    rec = Recorder()
+    run_evolution(fam, Grid1D(-6.0, 0.1, 121), t_end=0.04 * (2 * BALANCE_BLOCK + 2),
+                  callbacks=[rec])
+    return rec.states
+
+
+# a line at coord -2.95 starts 1 cell inside the edge of the grid and leaves
+# it between t = 0.08 and t = 0.12, at level 3
+@pytest.mark.parametrize("side,coord", [("TL", -1.0), ("TLb", 1.0), ("TL", -2.95),
+                                        ("TLb", -2.95)])
+@pytest.mark.parametrize("levels", [BALANCE_BLOCK - 1, BALANCE_BLOCK, BALANCE_BLOCK + 1,
+                                    2 * BALANCE_BLOCK + 1])
+def test_blocked_balance_equals_stored_profiles_at_block_edges(balance_states, side, coord,
+                                                               levels):
+    blocked = BalanceAccumulator(side, coord, 0.5)
+    stored = _StoredBalance(side, coord, 0.5)
+    for state in balance_states[:levels]:
+        blocked.on_step(state)
+        stored.on_step(state)
+    grid = balance_states[0].grid
+    left = [k for k, s in enumerate(balance_states[:levels])
+            if not grid.x0 <= blocked._boundary_x(s.t) <= grid.x_end]
+    if coord == -2.95 and levels > 3:
+        assert left[0] == 3 and left[0] % BALANCE_BLOCK     # mid-block
+    assert (blocked.sigma0, blocked.flux) == (stored.sigma0, stored.flux)
+    assert blocked.finalize() == stored.finalize()
+
+
+def _near_singular(state, k, g):
+    """state with the determinant 1 - w^2 + p^2 = g at cell k (p = 0 there)."""
+    w, p = state.w.copy(), state.p.copy()
+    w[k], p[k] = np.sqrt(1.0 - g), 0.0
+    return FieldState(state.t, state.grid, state.phi, w, p)
+
+
+def _violating_levels(states):
+    """states[:4] with min g in (0, 1e-6] at levels 2 and 3 (5e-7, then the
+    lower 2e-7), as a run under gmin = 0 may accept them."""
+    return [*states[:2], _near_singular(states[2], 60, 5e-7), _near_singular(states[3], 50, 2e-7)]
+
+
+@pytest.mark.parametrize("side", ["TL", "TLb"])
+def test_blocked_balance_raises_the_first_violating_level(balance_states, side):
+    # the serial accumulator raised at level 2; the blocked one raises when
+    # it works the block off, naming level 2's min g, not the block's
+    levels = _violating_levels(balance_states)
+    stored, blocked = _StoredBalance(side, 1.0, 0.5), BalanceAccumulator(side, 1.0, 0.5)
+    with pytest.raises(TimelikeViolation) as serial:
+        for state in levels:
+            stored.on_step(state)
+    assert len(stored._all_taus) == 2
+    with pytest.raises(TimelikeViolation) as worked_off:
+        for state in levels:
+            blocked.on_step(state)
+        blocked.finalize()
+    assert type(worked_off.value) is type(serial.value)
+    assert str(worked_off.value) == str(serial.value)
+    assert worked_off.value.min_g == serial.value.min_g == pytest.approx(5e-7, rel=1e-6)
+
+
+def test_balance_study_raises_an_accumulator_error_before_the_blowup(balance_states,
+                                                                     monkeypatch):
+    # a run that blows up after accepting a violating level, which is still
+    # pending in the blocked accumulators when the run returns: the study
+    # raises the accumulator's error, as the serial accumulators did
+    levels = _violating_levels(balance_states)[:3]
+
+    def blows_up(fam, grid, callbacks=(), **kwargs):
+        for state in levels:
+            for cb in callbacks:
+                cb.on_step(state)
+        return SimpleNamespace(status="blowup", t_blowup=levels[-1].t,
+                               blowup_reason="hyperbolicity loss")
+
+    monkeypatch.setattr(identities, "run_evolution", blows_up)
+    stored = _StoredBalance("TL", -1.0, 0.5)
+    with pytest.raises(TimelikeViolation) as serial:
+        for state in levels:
+            stored.on_step(state)
+    with pytest.raises(TimelikeViolation) as study:
+        energy_balance_study(ExperimentConfig(), [("TL", -1.0), ("TLb", 1.0)],
+                             Grid1D(-6.0, 0.1, 121), t_end=1.0)
+    assert str(study.value) == str(serial.value)
 
 
 def test_balance_accumulator_rejects_an_ensemble(default_family):
