@@ -43,8 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupDetected, FitOverflow, InsufficientHistory
-from .evolve import (FieldState, Grid1D, init_state, observed_in_child, orders_pass,
-                     refinement_orders, run_evolution, stack_states, step)
+from .evolve import (FieldState, Grid1D, init_state, orders_pass, refinement_orders,
+                     run_evolution, stack_states, step)
+from .forking import streamed_run
 from .initialdata import TraceTable, higher_order_traces
 from .nullgeom import multiplier, null_stress, side_weight
 from .stencils import cubic_combine, cubic_weights, deriv1
@@ -167,7 +168,8 @@ def _level_dt(times):
     if len(times) < 2:
         raise InsufficientHistory("need at least 2 levels")
     dts = np.diff(times)
-    if np.max(np.abs(dts - dts[0])) > 1e-9 * max(abs(dts[0]), 1e-30):
+    # not <=: a NaN time fails the check
+    if not np.max(np.abs(dts - dts[0])) <= 1e-9 * max(abs(dts[0]), 1e-30):
         raise InsufficientHistory("stored levels are not equally spaced in time")
     return float(dts[0])
 
@@ -597,7 +599,7 @@ def _tracked_reports(tracker):
 def _tracked_ensemble(cfg, deltas):
     """Evolve the family of cfg.with_(delta=d) for each d in deltas on cfg's
     grid, as one ensemble under cfg's tracker, which runs in a child
-    (`evolve.observed_in_child`): (RunResult, reports with the exact t = 0
+    (`forking.streamed_run`): (RunResult, reports with the exact t = 0
     report first, MonitorResult) per member, and the truncated probe names.
     Raises InsufficientHistory when a member completes without an evolved
     report: the run was too short to fill the tower ring and reach a report
@@ -605,17 +607,16 @@ def _tracked_ensemble(cfg, deltas):
     grid = cfg.grid()
     fams = [cfg.with_(delta=d).family() for d in deltas]
     tracker = config_tracker(cfg)
-    proxy, join = observed_in_child(tracker, _tracked_reports)
-    try:
-        result = run_evolution(stack_states([init_state(fam, grid) for fam in fams]),
-                               t_end=cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
-                               gmin=cfg.gmin, callbacks=[proxy])
-    except BaseException:
-        join(run_failed=True)
-        raise
-    # the t = 0 reports need no run: they overlap the child's last states
-    initial = [tracker.initial_report(fam, grid) for fam in fams]
-    member_reports, truncated = join()
+    start = stack_states([init_state(fam, grid) for fam in fams])
+
+    def run(callbacks):
+        result = run_evolution(start, t_end=cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
+                               gmin=cfg.gmin, callbacks=callbacks)
+        # the t = 0 reports need no run: they overlap the child's last states
+        return result, [tracker.initial_report(fam, grid) for fam in fams]
+
+    (result, initial), (member_reports, truncated) = streamed_run(
+        run, tracker, _tracked_reports, start)
     if any(res.status == "completed" and not reports
            for res, reports in zip(result.members, member_reports)):
         raise InsufficientHistory(
@@ -727,11 +728,13 @@ class MonitorResult:
     def passed(self, gmin) -> bool:
         """The run stayed timelike above gmin, the Agmon bounds held up to
         quadrature noise, and the weighted sups obeyed the embedding cap
-        under the fitted M (c_l only for delta != 0)."""
+        under the fitted M (c_l only for delta != 0).  A NaN fails: every
+        comparison with it is False."""
         slack = -AGMON_SLACK * np.sqrt(max(self.sup_eb2, self.sup_e2, 1e-30))
         return bool(self.min_g > gmin and self.agmon_l_margin > slack
                     and self.agmon_lb_margin > slack
-                    and (self.delta == 0.0 or self.c_l <= SUP_RATIO_CAP)
+                    and (self.c_l <= SUP_RATIO_CAP
+                         or self.delta == 0.0 and not np.isnan(self.c_l))
                     and self.c_lb <= SUP_RATIO_CAP)
 
 
@@ -745,27 +748,28 @@ def monitor(reports, delta) -> MonitorResult:
     """
     if not reports:
         raise ValueError("no energy reports to monitor")
-    sup_e2 = max(r.e2_total for r in reports)
-    sup_eb2 = max(r.eb2_total for r in reports)
+    # np.max and np.min, unlike max and min, keep a NaN of any report
+    sup_e2 = float(np.max([r.e2_total for r in reports]))
+    sup_eb2 = float(np.max([r.eb2_total for r in reports]))
     last = reports[-1]
     sup_f2 = float(np.max(np.sum(last.f2, axis=1))) if last.f2.size else 0.0
     sup_fb2 = float(np.max(np.sum(last.fb2, axis=1))) if last.fb2.size else 0.0
     a_tier = sup_eb2 + sup_fb2
     b_tier = sup_e2 + sup_f2
     d2 = max(delta ** 2, 1e-300)
-    m2 = max(a_tier, b_tier / d2)
+    m2 = float(np.max([a_tier, b_tier / d2]))
     m = np.sqrt(max(m2, 1e-300))
-    c_l = max(float(np.max(r.sup_l)) if r.sup_l.size else 0.0 for r in reports)
-    c_lb = max(float(np.max(r.sup_lb)) if r.sup_lb.size else 0.0 for r in reports)
+    c_l = float(np.max([np.max(r.sup_l) if r.sup_l.size else 0.0 for r in reports]))
+    c_lb = float(np.max([np.max(r.sup_lb) if r.sup_lb.size else 0.0 for r in reports]))
     return MonitorResult(
         delta=delta, sup_e2=sup_e2, sup_eb2=sup_eb2, sup_f2=sup_f2, sup_fb2=sup_fb2,
         e2_initial=reports[0].e2_total, eb2_initial=reports[0].eb2_total,
         m2=m2,
         c_l=c_l / max(abs(delta) * m, 1e-300),
-        c_lb=c_lb / m if m > 0 else 0.0,
-        agmon_l_margin=min(r.agmon_l_margin for r in reports),
-        agmon_lb_margin=min(r.agmon_lb_margin for r in reports),
-        min_g=min(r.min_g for r in reports))
+        c_lb=c_lb / m,
+        agmon_l_margin=float(np.min([r.agmon_l_margin for r in reports])),
+        agmon_lb_margin=float(np.min([r.agmon_lb_margin for r in reports])),
+        min_g=float(np.min([r.min_g for r in reports])))
 
 
 @dataclass

@@ -7,7 +7,7 @@ class StringLabError(Exception):
     """Base class for all package errors.
 
     Every package error pickles, so that it crosses from a forked child
-    (`evolve.forked`) to its parent with its type, message and attributes.
+    (`forking.forked`) to its parent with its type, message and attributes.
     The default pickling calls the class with `args`, which fails for a
     subclass whose __init__ takes other arguments; these rebuild from
     `args` and the instance dict without calling __init__.

@@ -48,50 +48,13 @@ Both sets are non-empty for a windowed member, so the minimum
 discriminant and the maximum speed over its stepped sub-grid row equal
 those over its whole new row.
 
-Refinement levels.  The three grids of a refinement study (converge,
-blowup, and verify's energy balance) do not depend on each other.
-refinement_levels runs the two coarse levels in one child process while
-the finest level runs in the caller.  The child comes from `forked`: an
-os.fork whose outcome, a value or an exception, is pickled back through a
-pipe.  Only the coarse levels' results cross, so a callback riding on the
-finest run is never pickled; blowup_study's CharacteristicTracer rides it
-through an observer stream (below), opened after the coarse levels' child
-is forked.  A level runs the same floating-point
-operations in either process, so the results are bit-identical to the
-serial loop.  So are the errors: the child is joined also when the finest
-level raises, and a coarse level's error is raised first, where the
-serial loop would have stopped.  Where os.fork is missing or fails with
-OSError, the forked function runs inline when joined, and a study is the
-serial loop again.  A 1-core host runs the child and the caller on one
-core and pays only the fork, about 3 ms.
-
-Observers in a child.  `observed_in_child` takes a run's observer, such as
-sweep's EnergyTracker or blowup's CharacteristicTracer, off the stepping
-path.  Its proxy rides the run in the caller.  At the first state it maps
-an anonymous shared ring of slots, each holding the t, phi, w and p of one
-state, and forks the observer's child through `forked`.  It then copies
-each state into the next slot and writes one byte to a data pipe.  The
-child builds each state from fresh copies of its slot, acks the slot on a
-second pipe and calls the observer's on_step; the caller reads an ack
-before it reuses a slot.  join() closes the stream, and the child sends
-back only result(observer), never the levels the observer holds.  The
-states are bit for bit those of the run, so the observer's results are
-those of the serial run.  The ring holds RING_BYTES, at least two slots.
-An error of the observer reaches the caller at its next handoff or at
-join, with its type and message, and it wins over an error of the run,
-which came later in the serial order.  The one fallback is that of
-`forked`: without a fork the observer runs in the caller.  No fork may
-happen while a stream is open, since the forked process would inherit the
-data pipe's write end and the stream would never end; `forked` raises
-then.
+The refinement studies run their levels through `forking`, bit for bit
+as the serial loop.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -99,7 +62,8 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import BlowupDetected, HyperbolicityLoss, InsufficientHistory, StringLabError
+from .errors import BlowupDetected, HyperbolicityLoss, InsufficientHistory
+from .forking import refinement_levels, streamed_run
 from .initialdata import DataFamily, check_data
 from .nullgeom import FIELD_CAP, GMIN_DEFAULT
 from .stencils import cubic_combine, cubic_weights, deriv1, ko_dissipation
@@ -116,11 +80,6 @@ _PRECHECK_CELL = (WINDOW_MIN_SKIP - 1) // 2 + 2 * _REACH
 # stepped widths are whole blocks of this many points, so that a step's
 # arrays fit the memory the last step freed (else peak memory grows)
 _WINDOW_BLOCK = 256
-# bytes of an observer stream's ring (observed_in_child): 16 slots of the
-# 3 x 1025 points of a hierarchy sweep, 6 of blowup's finest 7169.  The
-# tracker works in bursts of FLUX_BLOCK = 8 levels: with 8 slots the caller
-# waited about 0.1 s per sweep for acks, with 16 slots 5-30 ms
-RING_BYTES = 1_200_000
 
 
 @dataclass(frozen=True)
@@ -667,226 +626,6 @@ def orders_pass(orders, order_min):
 
 
 # ---------------------------------------------------------------------------
-# independent work in a forked child
-
-
-def forked(fn):
-    """Start fn() in a forked child process; return join, which waits for
-    the child and returns fn's value or raises its exception.
-
-    The child pickles the outcome through a pipe and leaves by os._exit, so
-    it runs no exit handler and flushes no buffer it inherited.  join()
-    raises StringLabError when the child sends no readable outcome: a value
-    or exception that does not pickle, or a child that died.  Where os.fork
-    is missing or fails with OSError, join is fn itself, run inline when
-    joined.  Raises StringLabError while an observer stream is open in this
-    process (module docstring).
-    """
-    if _Stream.open_count:
-        raise StringLabError("no fork while an observer stream is open: the child "
-                             "would hold the stream's data pipe open")
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns on any fork beside other threads; those of
-            # a numpy process are OpenBLAS workers, which OpenBLAS stops
-            # before a fork and the child starts again
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except (AttributeError, OSError):
-        os.close(read_fd)
-        os.close(write_fd)
-        return fn
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            try:
-                outcome = True, fn()
-            except BaseException as exc:
-                outcome = False, exc
-            try:
-                data = pickle.dumps(outcome)
-            except Exception as exc:
-                data = pickle.dumps((False, StringLabError(
-                    f"a forked child's {'value' if outcome[0] else 'error'} "
-                    f"does not pickle: {exc}")))
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(data)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-
-    def join():
-        try:
-            with os.fdopen(read_fd, "rb") as pipe:
-                data = pipe.read()
-        finally:
-            _, status = os.waitpid(pid, 0)
-        try:
-            ok, value = pickle.loads(data)
-        except Exception as exc:
-            raise StringLabError(f"forked child {pid} sent no readable outcome "
-                                 f"(wait status {status})") from exc
-        if ok:
-            return value
-        raise value
-
-    return join
-
-
-def run_both(first, second):
-    """(first(), second()), first in a forked child while second runs in the
-    caller.  The child is joined also when second raises, and when both
-    raise, first's error is raised, as if they had run in that order."""
-    join = forked(first)
-    try:
-        value = second()
-    except BaseException:
-        join()
-        raise
-    return join(), value
-
-
-def refinement_levels(level):
-    """[level(0), level(1), level(2)]: levels 0 and 1 in one forked child,
-    the finest in the caller (module docstring).  A lower level's error is
-    raised first, as in the serial loop."""
-    coarse, finest = run_both(lambda: [level(0), level(1)], lambda: level(2))
-    return [*coarse, finest]
-
-
-class _Stream:
-    """The proxy of `observed_in_child`: a run callback that streams each
-    state to the observer's child through a shared ring (module
-    docstring)."""
-
-    open_count = 0          # streams open in this process; `forked` refuses then
-
-    def __init__(self, observer, result):
-        self._observer, self._result = observer, result
-        self._child = None  # forked's join while the child runs
-        self._deliver = self._open
-
-    def on_step(self, state):
-        self._deliver(state)
-
-    def _open(self, state):
-        """Map the ring, fork the child, then send the first state; without
-        a fork, hand this and every later state to the observer here."""
-        # imported here: the extension adds about 0.2 MiB to the peak memory
-        # of every process that loads it, also of those that stream nothing
-        import mmap
-
-        shape, grid, observer = state.w.shape, state.grid, self._observer
-        slot_bytes = 8 * (1 + 3 * state.w.size)
-        slots = max(2, RING_BYTES // slot_bytes)
-        ring = mmap.mmap(-1, slots * slot_bytes)
-        # slot k is times[k] and fields[k] = (phi, w, p)
-        times = np.frombuffer(ring, count=slots)
-        fields = np.frombuffer(ring, offset=8 * slots).reshape((slots, 3) + shape)
-        data_r, data_w = os.pipe()
-        ack_r, ack_w = os.pipe()
-
-        def observe():
-            os.close(data_w)
-            os.close(ack_r)
-            k = 0
-            while sent := os.read(data_r, slots):
-                for byte in sent:
-                    if byte:            # the run failed: no result is wanted
-                        return None
-                    fresh = FieldState(float(times[k]), grid, *(f.copy() for f in fields[k]))
-                    os.write(ack_w, b"\0")
-                    observer.on_step(fresh)
-                    k = (k + 1) % slots
-            return self._result(observer)
-
-        try:
-            join = forked(observe)
-        except BaseException:
-            for fd in (data_r, data_w, ack_r, ack_w):
-                os.close(fd)
-            raise
-        os.close(data_r)
-        os.close(ack_w)
-        if join is observe:
-            os.close(data_w)
-            os.close(ack_r)
-            self._deliver = observer.on_step
-        else:
-            _Stream.open_count += 1
-            self._child, self._times, self._fields = join, times, fields
-            self._data_w, self._ack_r, self._free, self._next = data_w, ack_r, slots, 0
-            self._deliver = self._send
-        self._deliver(state)
-
-    def _send(self, state):
-        """Copy state into the next free slot and tell the child."""
-        slots = len(self._times)
-        if not self._free:
-            acks = os.read(self._ack_r, slots)
-            if not acks:
-                self._lost()
-            self._free = len(acks)
-        k = self._next
-        self._times[k] = state.t
-        self._fields[k, 0] = state.phi
-        self._fields[k, 1] = state.w
-        self._fields[k, 2] = state.p
-        try:
-            os.write(self._data_w, b"\0")
-        except BrokenPipeError:
-            self._lost()
-        self._free -= 1
-        self._next = (k + 1) % slots
-
-    def _lost(self):
-        """The child ended inside the stream: raise the observer's error."""
-        self._close(run_failed=True)
-        raise StringLabError("an observer's child ended inside its stream")
-
-    def _close(self, run_failed):
-        """End the stream and reap the child: its result, or None when the
-        run failed; raises the observer's error."""
-        join, self._child = self._child, None
-        _Stream.open_count -= 1
-        if run_failed:
-            try:
-                os.write(self._data_w, b"\1")
-            except BrokenPipeError:
-                pass
-        os.close(self._data_w)
-        self._times = self._fields = None     # unmaps the ring
-        try:
-            value = join()
-        finally:
-            # the child acks its last slots until it ends
-            os.close(self._ack_r)
-        return None if run_failed else value
-
-    def join(self, run_failed=False):
-        if self._child is not None:
-            return self._close(run_failed)
-        return None if run_failed else self._result(self._observer)
-
-
-def observed_in_child(observer, result):
-    """(proxy, join): pass proxy to run_evolution in observer's place, so
-    that observer.on_step runs in a forked child, fed each state through a
-    shared ring (module docstring).
-
-    join() closes the stream, reaps the child and returns result(observer)
-    from the child.  After a run that raised, call join(run_failed=True): it
-    reaps the child, skips the result and returns None.  Either raises the
-    observer's error, which came first in the serial order.  Without a fork
-    the observer runs in the caller and join computes result(observer)
-    there.  A stream that never got a state starts no child.
-    """
-    proxy = _Stream(observer, result)
-    return proxy, proxy.join
-
-
-# ---------------------------------------------------------------------------
 # refinement studies
 
 CONVERGE_ORDER_MIN = 2.5        # every ratio: damping's O(dx^3) error holds it near 3, not 4
@@ -969,8 +708,9 @@ def blowup_study(cfg) -> BlowupStudy:
 
     17 seeds span max|center| + 2 max width on each side of the origin, so
     they cover both packets.  They are traced while the finest level runs,
-    in O(n) memory, in a child fed by `observed_in_child`; the coarse
-    levels' child (`refinement_levels`) is forked before that stream opens.
+    in O(n) memory, in a child fed by `forking.streamed_run`; the coarse
+    levels' child (`forking.refinement_levels`) is forked before that
+    stream opens.
     """
     fam = cfg.family()
     half = max(abs(fam.f.center), abs(fam.fb.center)) + 2.0 * max(fam.f.width, fam.fb.width)
@@ -984,14 +724,12 @@ def blowup_study(cfg) -> BlowupStudy:
         if k < 2:
             res = run()
         else:
-            proxy, join = observed_in_child(CharacteristicTracer(seeds, family="plus"),
-                                            _finished)
-            try:
-                res = run(callbacks=[proxy])
-            except BaseException:
-                join(run_failed=True)
-                raise
-            traced.append(join())
+            # the run builds its own start state, so that none is held
+            # beside it while it steps
+            res, paths = streamed_run(lambda callbacks: run(callbacks=callbacks),
+                                      CharacteristicTracer(seeds, family="plus"), _finished,
+                                      init_state(fam, g))
+            traced.append(paths)
         tb = res.t_blowup if res.status == "blowup" else float("nan")
         return BlowupLevel(g.n, g.dx, tb, res.blowup_reason)
 

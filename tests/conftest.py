@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,14 @@ class Recorder:
 
     def on_step(self, state):
         self.states.append(state)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test reaps each child process it starts."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -385,6 +385,11 @@ def test_cli_tracecheck_fails_a_wrong_w_equation(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("target,value,failed", [
     ("deformation_check", (1.0, 0.0), "deformation_closed_vs_direct"),
     ("equivalence_ratios", {("u", "TL"): (0.01, 1.0)}, "equivalence_band_lo"),
+    # a NaN in a band after the first fails that band's gate
+    ("equivalence_ratios", {("u", "TL"): (0.5, 1.0), ("ub", "TL"): (np.nan, 1.0)},
+     "equivalence_band_lo"),
+    ("equivalence_ratios", {("u", "TL"): (0.5, 1.0), ("ub", "TL"): (0.5, np.nan)},
+     "equivalence_band_hi"),
 ])
 def test_cli_verify_names_a_failed_identity(tmp_path, capsys, monkeypatch, target, value, failed):
     monkeypatch.setattr(identities, target, lambda **kw: value)

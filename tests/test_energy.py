@@ -283,6 +283,38 @@ def test_monitor_and_sobolev(default_family):
     assert dataclasses.replace(mon, c_l=2.5, delta=0.0).passed(gmin=1e-6)
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.0])
+@pytest.mark.parametrize("name", ["e2", "eb2", "sup_l", "sup_lb", "agmon_l_margin",
+                                  "agmon_lb_margin", "min_g"])
+def test_a_nan_after_the_first_report_fails_the_monitor(name, delta):
+    def report(t):
+        return EnergyReport(t=t, e2=np.array([0.01, 0.01]), eb2=np.array([1.0, 1.0]),
+                            min_g=0.9, sup_l=np.array([0.05, 0.05]),
+                            sup_lb=np.array([0.5, 0.5]), agmon_l_margin=0.1,
+                            agmon_lb_margin=0.1, flux_t=t, f2=np.zeros((1, 3)),
+                            fb2=np.zeros((1, 3)))
+
+    reports = [report(t) for t in (0.0, 1.0, 2.0)]
+    assert monitor(reports, delta).passed(gmin=0.0)
+    value = getattr(reports[1], name)
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value[1] = np.nan
+    else:
+        value = np.nan
+    setattr(reports[1], name, value)
+    assert not monitor(reports, delta).passed(gmin=0.0)
+
+
+@pytest.mark.parametrize("at", [1, 4])
+def test_level_dt_rejects_a_nan_time(at):
+    times = [0.0, 0.1, 0.2, 0.3, 0.4]
+    assert _level_dt(times) == pytest.approx(0.1)
+    times[at] = np.nan
+    with pytest.raises(InsufficientHistory, match="not equally spaced"):
+        _level_dt(times)
+
+
 def test_null_rows_rejects_short_stack():
     z = [np.zeros(32)] * 3
     with pytest.raises(InsufficientHistory):

@@ -1,9 +1,9 @@
-"""Work in a forked child (`evolve.forked`): the primitive, the package
+"""Work in a forked child (`forking.forked`): the primitive, the package
 errors that cross it, the inline fallback where os.fork is missing, the
-error order of the refinement levels, and no child left unreaped.  Also a
-run's observer streamed to a child (`evolve.observed_in_child`): the same
-results as in the caller, errors in serial order, and no fork while a
-stream is open."""
+error order of the refinement levels, and the number of children alive.
+Also a run's observer streamed to a child (`forking.streamed_run`): the
+same results as in the caller, errors in serial order, and no fork while a
+stream is open.  conftest checks that no test leaves a child unreaped."""
 
 import dataclasses
 import os
@@ -14,12 +14,13 @@ import pytest
 
 import stringlab.errors as errors
 import stringlab.evolve as evolve
+import stringlab.forking as forking
 from stringlab import (BlowupDetected, CharacteristicTracer, EnergyReport, EnergyTracker,
                        InsufficientHistory, StringLabError, blowup_study, convergence_study,
                        init_state, run_evolution, stack_states, tracked_sweep)
 from stringlab.config import ExperimentConfig
 from stringlab.energy import _tracked_reports, config_tracker
-from stringlab.evolve import forked, observed_in_child, refinement_levels
+from stringlab.forking import forked, refinement_levels, streamed_run
 from stringlab.identities import verify_suite
 
 # one instance of every package error
@@ -48,11 +49,6 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_every_package_error_survives_pickling():
     assert {type(e) for e in ERRORS} == {StringLabError, *_subclasses(StringLabError)}
     for exc in ERRORS:
@@ -71,7 +67,6 @@ def test_forked_returns_the_value_or_raises_the_error():
     with pytest.raises(BlowupDetected, match="field size") as info:
         forked(fail)()
     assert info.value.t_last == 2.0 and info.value.members == ("field size", None)
-    _assert_no_child_left()
 
 
 def test_forked_names_an_outcome_that_does_not_cross():
@@ -85,7 +80,6 @@ def test_forked_names_an_outcome_that_does_not_cross():
         forked(fail)()
     with pytest.raises(StringLabError, match="sent no readable outcome"):
         forked(lambda: os._exit(3))()
-    _assert_no_child_left()
 
 
 def test_without_fork_the_function_runs_when_joined(monkeypatch):
@@ -111,21 +105,19 @@ def test_a_lower_level_error_is_raised_first(monkeypatch, fork):
     with pytest.raises(BlowupDetected, match="on level 2"):
         refinement_levels(lambda k: level(k) if k else k)
     assert refinement_levels(lambda k: 10 * k) == [0, 10, 20]
-    if fork:
-        _assert_no_child_left()
 
 
 def test_no_child_outlives_a_study(monkeypatch):
     assert convergence_study(CONVERGE).passed()
-    _assert_no_child_left()
     # the field-size cap stops every level at its first step
     monkeypatch.setattr(evolve, "FIELD_CAP", 1.0)
     with pytest.raises(BlowupDetected, match="on level 0"):
         convergence_study(CONVERGE.with_(f_amplitude=3.0, fb_amplitude=3.0))
-    _assert_no_child_left()
 
 
 def test_verify_keeps_at_most_two_children_alive(monkeypatch):
+    # verify and blowup: the coarse levels' or closed forms' child and one
+    # more; a sweep: only its tracker's stream child
     alive, peak = [0], [0]
     real_fork, real_waitpid = os.fork, os.waitpid
 
@@ -142,8 +134,12 @@ def test_verify_keeps_at_most_two_children_alive(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "waitpid", waitpid)
-    assert not verify_suite(ExperimentConfig(seed=1)).failures
-    assert peak == [2] and alive == [0]
+    for study, want in [(lambda: not verify_suite(ExperimentConfig(seed=1)).failures, 2),
+                        (lambda: blowup_study(BLOWUP).paths, 2),
+                        (lambda: tracked_sweep(SWEEP.with_(deltas=(0.1, 0.05))), 1)]:
+        peak[0] = 0
+        assert study()
+        assert peak == [want] and alive == [0]
 
 
 def test_fallback_gives_the_forked_results(monkeypatch):
@@ -168,24 +164,27 @@ SWEEP = ExperimentConfig(x0=-24.0, dx=0.1, n=481, t_end=12.0, report_every=10,
                          probes_u=(0.0, -6.0), probes_ub=(0.0, 2.0))
 
 
-def _sweep_run(callback, deltas=(0.1, 0.05)):
+def _sweep_start(deltas=(0.1, 0.05)):
     grid = SWEEP.grid()
-    states = [init_state(SWEEP.with_(delta=d).family(), grid) for d in deltas]
-    return run_evolution(stack_states(states), t_end=SWEEP.t_end, callbacks=[callback])
+    return stack_states([init_state(SWEEP.with_(delta=d).family(), grid) for d in deltas])
 
 
-@pytest.mark.parametrize("ring_bytes", [1, evolve.RING_BYTES])
+def _sweep_run(start):
+    """run(callbacks), the run of streamed_run, from start."""
+    return lambda callbacks: run_evolution(start, t_end=SWEEP.t_end, callbacks=callbacks)
+
+
+@pytest.mark.parametrize("ring_bytes", [1, forking.RING_BYTES])
 def test_streamed_tracker_equals_the_tracker_in_the_caller(monkeypatch, ring_bytes):
     # a 2-slot ring, and the default ring of 51 slots under a run of 300
     # steps: both wrap around
-    monkeypatch.setattr(evolve, "RING_BYTES", ring_bytes)
+    monkeypatch.setattr(forking, "RING_BYTES", ring_bytes)
+    start = _sweep_start()
     here = config_tracker(SWEEP)
-    res_here = _sweep_run(here)
-    proxy, join = observed_in_child(config_tracker(SWEEP), _tracked_reports)
-    res = _sweep_run(proxy)
-    member_reports, truncated = join()
-    _assert_no_child_left()
-    assert res.n_steps == 300 > evolve.RING_BYTES // (8 * (1 + 3 * 2 * SWEEP.n))
+    res_here = _sweep_run(start)([here])
+    res, (member_reports, truncated) = streamed_run(_sweep_run(start), config_tracker(SWEEP),
+                                                    _tracked_reports, start)
+    assert res.n_steps == 300 > forking.RING_BYTES // (8 * (1 + 3 * 2 * SWEEP.n))
     assert np.array_equal(res.state.phi, res_here.state.phi)
     assert truncated == here.truncated_probes() == ["u0=-6"]
     assert len(member_reports) == 2
@@ -197,9 +196,8 @@ def test_streamed_tracker_equals_the_tracker_in_the_caller(monkeypatch, ring_byt
 
 
 def test_streamed_blowup_paths_equal_a_tracer_in_the_caller(monkeypatch):
-    monkeypatch.setattr(evolve, "RING_BYTES", 1)
+    monkeypatch.setattr(forking, "RING_BYTES", 1)
     study = blowup_study(BLOWUP)
-    _assert_no_child_left()
     tracer = CharacteristicTracer([p.seed_x for p in study.paths], "plus")
     res = run_evolution(BLOWUP.family(), BLOWUP.grid().refined(4), t_end=BLOWUP.t_end,
                         callbacks=[tracer])
@@ -222,37 +220,42 @@ class _FailAt:
         self.seen += 1
 
 
+def _unread(observer):
+    raise AssertionError("the result of a failed run was read")
+
+
 @pytest.mark.parametrize("fork", [True, False])
 def test_an_observer_error_crosses_and_wins_over_a_run_error(monkeypatch, fork):
     if not fork:
         monkeypatch.delattr(os, "fork")
+    start = _sweep_start()
     bad = InsufficientHistory("observer stops at state 40")
-    # the error reaches a later handoff or join; the run cannot tell which
-    proxy, join = observed_in_child(_FailAt(40, bad), lambda obs: obs.seen)
+    # the error reaches a later handoff or the stream's close; the run
+    # cannot tell which
     with pytest.raises(InsufficientHistory, match="^observer stops at state 40$"):
-        _sweep_run(proxy)
-        join()
+        streamed_run(_sweep_run(start), _FailAt(40, bad), lambda obs: obs.seen, start)
     # the run fails at state 1, after the observer did: the observer's
     # error is raised, as in the serial order
-    proxy, join = observed_in_child(_FailAt(1, ValueError("observer at 1")), len)
+    single = init_state(SWEEP.family(), SWEEP.grid())
+
+    def run_failing_at(at):
+        fail = _FailAt(at, BlowupDetected(0.0, f"run at {at}"))
+        return lambda callbacks: run_evolution(single, t_end=1.0, callbacks=[*callbacks, fail])
+
     with pytest.raises(ValueError, match="^observer at 1$"):
-        try:
-            run_evolution(init_state(SWEEP.family(), SWEEP.grid()), t_end=1.0,
-                          callbacks=[proxy, _FailAt(1, BlowupDetected(0.0, "run at 1"))])
-        except BaseException:
-            join(run_failed=True)
-            raise
-    # a run error alone: join returns None, the observer's result unread
-    proxy, join = observed_in_child(_FailAt(10 ** 9, None), len)
+        streamed_run(run_failing_at(1), _FailAt(1, ValueError("observer at 1")), len, single)
+    # a run error alone is raised, the observer's result unread
     with pytest.raises(BlowupDetected, match="run at 3"):
-        try:
-            run_evolution(init_state(SWEEP.family(), SWEEP.grid()), t_end=1.0,
-                          callbacks=[proxy, _FailAt(3, BlowupDetected(0.0, "run at 3"))])
-        except BaseException:
-            assert join(run_failed=True) is None
-            raise
-    if fork:
-        _assert_no_child_left()
+        streamed_run(run_failing_at(3), _FailAt(10 ** 9, None), _unread, single)
+
+
+def test_a_run_that_fails_before_its_first_state_leaves_no_child():
+    # the stream opens before the run starts; conftest checks the child is reaped
+    def run(callbacks):
+        raise ValueError("no state")
+
+    with pytest.raises(ValueError, match="^no state$"):
+        streamed_run(run, _FailAt(10 ** 9, None), _unread, _sweep_start())
 
 
 def test_a_tracker_error_crosses_a_sweep(monkeypatch):
@@ -262,7 +265,6 @@ def test_a_tracker_error_crosses_a_sweep(monkeypatch):
     monkeypatch.setattr(EnergyTracker, "on_step", fail)
     with pytest.raises(ValueError, match="^tracker fails at t = 0$"):
         tracked_sweep(SWEEP.with_(deltas=(0.1, 0.05)))
-    _assert_no_child_left()
 
 
 def test_a_short_finest_level_raises_only_where_its_paths_are_read(monkeypatch):
@@ -270,28 +272,31 @@ def test_a_short_finest_level_raises_only_where_its_paths_are_read(monkeypatch):
     # blows up, so the study reads no paths
     study = blowup_study(BLOWUP.with_(t_end=0.02))
     assert np.isnan(study.t_star) and study.paths == []
-    _assert_no_child_left()
     # the field-size cap stops every level at its first step: the paths are
     # read, and the finest level has 1 state
     monkeypatch.setattr(evolve, "FIELD_CAP", 1.0)
     with pytest.raises(InsufficientHistory, match="the run has 1$"):
         blowup_study(BLOWUP)
-    _assert_no_child_left()
 
 
 def test_no_fork_while_a_stream_is_open():
-    proxy, join = observed_in_child(_FailAt(10 ** 9, None), lambda obs: obs.seen)
     state = init_state(SWEEP.family(), SWEEP.grid())
-    proxy.on_step(state)
-    with pytest.raises(StringLabError, match="no fork while an observer stream is open"):
-        forked(lambda: None)
-    # a second stream cannot start, and leaves no pipe open
-    fds = len(os.listdir("/proc/self/fd"))
-    second, _ = observed_in_child(_FailAt(10 ** 9, None), len)
-    with pytest.raises(StringLabError, match="no fork while an observer stream is open"):
-        second.on_step(state)
-    assert len(os.listdir("/proc/self/fd")) == fds
-    proxy.on_step(state)
-    assert join() == 2
+    fds = []
+
+    def run(callbacks):
+        for cb in callbacks:
+            cb.on_step(state)
+        with pytest.raises(StringLabError, match="no fork while an observer stream is open"):
+            forked(lambda: None)
+        # a second stream cannot start, and leaves no pipe open
+        fds.append(len(os.listdir("/proc/self/fd")))
+        with pytest.raises(StringLabError, match="no fork while an observer stream is open"):
+            streamed_run(_unread, _FailAt(10 ** 9, None), len, state)
+        fds.append(len(os.listdir("/proc/self/fd")))
+        for cb in callbacks:
+            cb.on_step(state)
+        return "ran"
+
+    assert streamed_run(run, _FailAt(10 ** 9, None), lambda obs: obs.seen, state) == ("ran", 2)
+    assert fds[0] == fds[1]
     assert forked(lambda: 3)() == 3
-    _assert_no_child_left()

@@ -114,6 +114,6 @@ def test_cli_csv_outputs_are_pinned(tmp_path, name):
 def test_pins_hold_without_fork(tmp_path, monkeypatch, name):
     # without os.fork the refinement levels, verify's closed-form checks and
     # the observers of run, sweep and blowup run inline in the calling
-    # process (evolve.forked, evolve.observed_in_child)
+    # process (forking.forked, forking.streamed_run)
     monkeypatch.delattr(os, "fork")
     _assert_pinned(tmp_path, name)

@@ -98,6 +98,21 @@ def test_stacked_deformation_check_equals_per_pair_loop(seed):
     assert deformation_check(seed=seed) == _deformation_check_per_pair(seed)
 
 
+@pytest.mark.parametrize("target,at", [("deformation_closed", 0), ("trace_residual", 1)])
+def test_a_nan_after_the_first_pair_fails_deformation_check(monkeypatch, target, at):
+    # pair 1 of 100 is NaN: its check must fail, not be skipped
+    real = getattr(identities, target)
+
+    def with_nan(*args):
+        out = real(*args)
+        (out[0] if isinstance(out, tuple) else out)[1] = np.nan
+        return out
+
+    monkeypatch.setattr(identities, target, with_nan)
+    values = deformation_check(seed=3)
+    assert np.isnan(values[at]) and not np.isnan(values[1 - at])
+
+
 def test_mixture_stack_equals_each_mixture(rng):
     mixtures = [random_mixture(rng, amp=0.4) for _ in range(6)]
     tt, xx = np.meshgrid(np.linspace(0.0, 1.0, 3), np.linspace(-3.0, 3.0, 11), indexing="ij")
