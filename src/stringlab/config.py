@@ -16,7 +16,7 @@ from .errors import ParseError, ValidationError
 from .evolve import CFL_DEFAULT, CFL_MAX, EPS_KO_DEFAULT, Grid1D
 from .initialdata import DataFamily
 from .nullgeom import GMIN_DEFAULT
-from .profiles import ProfileSpec
+from .profiles import KINDS as PROFILE_KINDS, ProfileSpec
 
 MODES = ("run", "sweep", "converge", "blowup", "verify", "tracecheck")
 
@@ -120,6 +120,14 @@ def validate_config(cfg: ExperimentConfig):
     for key in ("f_width", "fb_width"):
         if not getattr(cfg, key) > 0:
             raise ValidationError(f"{key} must be positive: {getattr(cfg, key)}")
+    for key in ("f_kind", "fb_kind"):
+        if getattr(cfg, key) not in PROFILE_KINDS:
+            raise ValidationError(f"{key} must be one of {PROFILE_KINDS}: "
+                                  f"{getattr(cfg, key)!r}")
+    if cfg.report_every < 1:
+        raise ValidationError(f"report_every must be >= 1: {cfg.report_every}")
+    if cfg.seed < 0:
+        raise ValidationError(f"seed must be >= 0: {cfg.seed}")
     if cfg.mode == "sweep" and len(cfg.deltas) < 3:
         raise ValidationError("sweep needs at least 3 delta values")
     # the hierarchy fit takes log delta over distinct deltas

@@ -20,22 +20,23 @@ first, where the serial loop would have stopped.
 
 Observers in a child.  `streamed_run` takes a run's observer, such as
 sweep's EnergyTracker or blowup's CharacteristicTracer, off the stepping
-path.  It maps an anonymous shared ring of slots, each holding the t, phi,
-w and p of one state of the run's start shape, and forks the observer's
-child.  A proxy rides the run in the observer's place: it copies each
-state into the next slot and writes one byte to a data pipe.  The child
-builds each state from fresh copies of its slot, acks the slot on a
-second pipe and calls the observer's on_step; the caller reads an ack
-before it reuses a slot.  When the run ends the stream closes, and the
-child sends back only result(observer), never the levels the observer
-holds.  The states are bit for bit those of the run, so the observer's
-results are those of the serial run.  The ring holds RING_BYTES, at least
-two slots.  An error of the observer reaches the caller at its next
-handoff or when the stream closes, with its type and message, and it wins
-over an error of the run, which came later in the serial order.  No fork
-may happen while a stream is open, since the forked process would inherit
-the data pipe's write end and the stream would never end; `forked` raises
-then.
+path.  It opens one pipe and forks the observer's child.  A proxy rides the
+run in the observer's place: for each state it writes one frame, the t,
+phi, w and p of the state as float64, with one os.writev straight from the
+state's arrays.  The child reads each frame into fresh arrays and calls the
+observer's on_step.  The pipe holds PIPE_BYTES, resized once on Linux (on
+other systems it keeps its default size, and the caller only waits more);
+the kernel's pipe buffer is the stream's ring.  EOF on a frame boundary
+ends the stream, and the child sends back only result(observer), never the
+levels the observer holds.  After a run that raised, the caller writes a
+partial frame before it closes the pipe: EOF inside a frame, and the child
+skips result.  The states are bit for bit those of the run, so the
+observer's results are those of the serial run.  An error of the observer
+reaches the caller at its next write or when the stream closes, with its
+type and message, and it wins over an error of the run, which came later in
+the serial order.  No fork may happen while a stream is open, since the
+forked process would inherit the pipe's write end and the stream would
+never end; `forked` raises then.
 
 Cost.  The forks move work onto a second core; they do not cut the CPU
 time.  On one core (taskset -c 0) the forked runs are no faster than the
@@ -55,13 +56,12 @@ import numpy as np
 
 from .errors import StringLabError
 
-# bytes of an observer stream's ring: 16 slots of the 3 x 1025 points of a
-# hierarchy sweep, 6 of blowup's finest 7169.  The tracker works in bursts
-# of FLUX_BLOCK = 8 levels: with 8 slots the caller waited about 0.1 s per
-# sweep for acks, with 16 slots 5-30 ms
-RING_BYTES = 1_200_000
+# bytes of an observer stream's pipe: 14 frames of the 3 x 1025 points of
+# a hierarchy sweep, 6 of blowup's finest 7169.  1 MiB is the default
+# /proc/sys/fs/pipe-max-size, the most an unprivileged process may ask for
+PIPE_BYTES = 1 << 20
 
-# observer streams open in this process, which holds their data pipes:
+# observer streams open in this process, which holds their pipes' write ends:
 # `forked` refuses while any is open
 _streams_open = 0
 
@@ -80,7 +80,7 @@ def forked(fn):
     """
     if _streams_open:
         raise StringLabError("no fork while an observer stream is open: the child "
-                             "would hold the stream's data pipe open")
+                             "would hold the stream's pipe open")
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -153,8 +153,8 @@ def refinement_levels(level):
 
 def streamed_run(run, observer, result, start):
     """(run([proxy]), result(observer)), where the proxy hands each state
-    the run gives it to observer.on_step in a forked child, through a
-    shared ring (module docstring).
+    the run gives it to observer.on_step in a forked child, through a pipe
+    (module docstring).
 
     run takes the run's callbacks and calls their on_step(state) with
     states of start's type, grid and field shape, such as the run's start
@@ -166,75 +166,49 @@ def streamed_run(run, observer, result, start):
     the run in the caller.
     """
     global _streams_open
-    # imported here: the extension adds about 0.2 MiB to the peak memory
-    # of every process that loads it, also of those that stream nothing
-    import mmap
-
-    slot_bytes = 8 * (1 + 3 * start.w.size)
-    slots = max(2, RING_BYTES // slot_bytes)
-    ring = mmap.mmap(-1, slots * slot_bytes)
-    # slot k is times[k] and fields[k] = (phi, w, p); the views alone keep
-    # the ring mapped
-    times = np.frombuffer(ring, count=slots)
-    fields = np.frombuffer(ring, offset=8 * slots).reshape((slots, 3) + start.w.shape)
-    del ring
-    data_r, data_w = os.pipe()
-    ack_r, ack_w = os.pipe()
+    frame_bytes = 8 * (1 + 3 * start.w.size)
+    read_fd, write_fd = os.pipe()
 
     def observe():
-        os.close(data_w)
-        os.close(ack_r)
-        k = 0
-        while sent := os.read(data_r, slots):
-            for byte in sent:
-                if byte:            # the run failed: no result is wanted
-                    return None
-                # the whole slot is read before the ack frees it
-                t = float(times[k])
-                phi, w, p = (f.copy() for f in fields[k])
-                os.write(ack_w, b"\0")
-                observer.on_step(dataclasses.replace(start, t=t, phi=phi, w=w, p=p))
-                k = (k + 1) % slots
-        return result(observer)
+        os.close(write_fd)
+        while True:
+            t = np.empty(1)
+            fields = [np.empty(start.w.shape) for _ in range(3)]
+            got = _transfer(os.readv, read_fd, [t, *fields])
+            if got < frame_bytes:
+                # EOF: on a frame boundary the run ended; inside a frame it
+                # raised, and no result is wanted
+                return None if got else result(observer)
+            phi, w, p = fields
+            observer.on_step(dataclasses.replace(start, t=float(t[0]), phi=phi, w=w, p=p))
 
     try:
         join = forked(observe)
     except BaseException:
-        for fd in (data_r, data_w, ack_r, ack_w):
-            os.close(fd)
+        os.close(read_fd)
+        os.close(write_fd)
         raise
-    os.close(data_r)
-    os.close(ack_w)
+    os.close(read_fd)
     # only the child reads start: held here, it would add a state to the
     # peak memory of a run that builds its own
     start = None
     if join is observe:
-        os.close(data_w)
-        os.close(ack_r)
-        times = fields = None           # unmaps the ring
+        os.close(write_fd)
         return run([observer]), result(observer)
-
-    _streams_open += 1
-    free, k = slots, 0
+    try:
+        import fcntl
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):
+        pass                    # the default capacity: the caller waits more
 
     def send(state):
-        """Copy state into the next free slot and tell the child."""
-        nonlocal free, k
-        if not free:
-            free = len(os.read(ack_r, slots))
-            if not free:
-                raise StringLabError("an observer's child ended inside its stream")
-        times[k] = state.t
-        fields[k, 0] = state.phi
-        fields[k, 1] = state.w
-        fields[k, 2] = state.p
+        """Write state's frame straight from its arrays, which are C-contiguous."""
         try:
-            os.write(data_w, b"\0")
+            _transfer(os.writev, write_fd, [np.float64(state.t), state.phi, state.w, state.p])
         except BrokenPipeError:
             raise StringLabError("an observer's child ended inside its stream") from None
-        free -= 1
-        k = (k + 1) % slots
 
+    _streams_open += 1
     run_failed = True
     try:
         value = run([SimpleNamespace(on_step=send)])
@@ -243,17 +217,25 @@ def streamed_run(run, observer, result, start):
         _streams_open -= 1
         if run_failed:
             try:
-                os.write(data_w, b"\1")
+                os.write(write_fd, b"\0")   # a partial frame
             except BrokenPipeError:
                 pass
-        os.close(data_w)
-        # unmap the ring before the child's result is read: a ring still
-        # mapped there raised the peak memory of a sweep by about 1.2 MiB
-        times = fields = None
-        try:
-            # raises the observer's error, which then wins over the run's
-            observed = join()
-        finally:
-            # the child acks its last slots until it ends
-            os.close(ack_r)
+        os.close(write_fd)
+        # raises the observer's error, which then wins over the run's
+        observed = join()
     return value, observed
+
+
+def _transfer(call, fd, buffers):
+    """Fill or send buffers through fd with call, os.readv or os.writev,
+    resuming short transfers: the bytes moved, fewer than the buffers hold
+    only where a read meets EOF."""
+    views = [memoryview(b).cast("B") for b in buffers]
+    moved = 0
+    while views and (n := call(fd, views)):
+        moved += n
+        while views and n >= len(views[0]):
+            n -= len(views.pop(0))
+        if n:
+            views[0] = views[0][n:]
+    return moved

@@ -26,6 +26,18 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture(autouse=True)
+def no_fd_left():
+    """Every test closes each file descriptor it opens, where /proc/self/fd
+    lists them."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = sorted(os.listdir("/proc/self/fd"))
+    yield
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.fixture
 def unit_gaussian():
     return ProfileSpec("gaussian", 1.0, 0.0, 1.0)

@@ -263,6 +263,23 @@ def test_cli_nonpositive_profile_width_named(tmp_path, capsys, line):
     _assert_named_error(capsys, rc, f"{line.split()[0]} must be positive")
 
 
+@pytest.mark.parametrize("mode, line, argv, match", [
+    ("verify", "seed = -1", [], "seed must be >= 0"),
+    ("verify", "", ["--seed", "-3"], "seed must be >= 0"),
+    ("run", "report_every = 0", [], "report_every must be >= 1"),
+    ("run", "report_every = -5", [], "report_every must be >= 1"),
+    ("run", "f_kind = foo", [], "f_kind must be one of"),
+], ids=["seed", "seed-flag", "report_every-0", "report_every-negative", "f_kind"])
+def test_cli_config_gap_named(tmp_path, capsys, mode, line, argv, match):
+    # used to end in a traceback: a negative seed in np.random.default_rng, a
+    # zero report_every in the tracker's child, an unknown kind in family();
+    # a negative report_every ran
+    text = SMALL_RUN.replace("report_every = 20\n", "") + line + "\n"
+    rc = main([mode, "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "out"),
+               *argv])
+    _assert_named_error(capsys, rc, match)
+
+
 @pytest.mark.parametrize("mode", ["run", "tracecheck"])
 def test_cli_out_of_range_data_named(tmp_path, capsys, mode):
     # used to print about 20 numpy overflow warnings, then "blow-up detected

@@ -2,8 +2,9 @@
 errors that cross it, the inline fallback where os.fork is missing, the
 error order of the refinement levels, and the number of children alive.
 Also a run's observer streamed to a child (`forking.streamed_run`): the
-same results as in the caller, errors in serial order, and no fork while a
-stream is open.  conftest checks that no test leaves a child unreaped."""
+same results as in the caller, also on a one-page pipe and with short
+reads and writes, errors in serial order, and no fork while a stream is
+open.  conftest checks that no test leaves a child unreaped."""
 
 import dataclasses
 import os
@@ -174,17 +175,13 @@ def _sweep_run(start):
     return lambda callbacks: run_evolution(start, t_end=SWEEP.t_end, callbacks=callbacks)
 
 
-@pytest.mark.parametrize("ring_bytes", [1, forking.RING_BYTES])
-def test_streamed_tracker_equals_the_tracker_in_the_caller(monkeypatch, ring_bytes):
-    # a 2-slot ring, and the default ring of 51 slots under a run of 300
-    # steps: both wrap around
-    monkeypatch.setattr(forking, "RING_BYTES", ring_bytes)
+def _streamed_tracker_equals_the_tracker_in_the_caller():
     start = _sweep_start()
     here = config_tracker(SWEEP)
     res_here = _sweep_run(start)([here])
     res, (member_reports, truncated) = streamed_run(_sweep_run(start), config_tracker(SWEEP),
                                                     _tracked_reports, start)
-    assert res.n_steps == 300 > forking.RING_BYTES // (8 * (1 + 3 * 2 * SWEEP.n))
+    assert res.n_steps == 300 > forking.PIPE_BYTES // (8 * (1 + 3 * 2 * SWEEP.n))
     assert np.array_equal(res.state.phi, res_here.state.phi)
     assert truncated == here.truncated_probes() == ["u0=-6"]
     assert len(member_reports) == 2
@@ -195,8 +192,7 @@ def test_streamed_tracker_equals_the_tracker_in_the_caller(monkeypatch, ring_byt
                 assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
-def test_streamed_blowup_paths_equal_a_tracer_in_the_caller(monkeypatch):
-    monkeypatch.setattr(forking, "RING_BYTES", 1)
+def _streamed_blowup_paths_equal_a_tracer_in_the_caller():
     study = blowup_study(BLOWUP)
     tracer = CharacteristicTracer([p.seed_x for p in study.paths], "plus")
     res = run_evolution(BLOWUP.family(), BLOWUP.grid().refined(4), t_end=BLOWUP.t_end,
@@ -206,6 +202,39 @@ def test_streamed_blowup_paths_equal_a_tracer_in_the_caller(monkeypatch):
     assert study.min_sep == min_sep
     for a, b in zip(study.paths, paths):
         assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("ts", "xs", "alive"))
+
+
+@pytest.mark.parametrize("pipe_bytes", [4096, forking.PIPE_BYTES])
+def test_streamed_tracker_equals_the_tracker_in_the_caller(monkeypatch, pipe_bytes):
+    # a one-page pipe, smaller than one frame of 2 x 481 points, and the
+    # default pipe of 45 frames under a run of 300 steps
+    monkeypatch.setattr(forking, "PIPE_BYTES", pipe_bytes)
+    _streamed_tracker_equals_the_tracker_in_the_caller()
+
+
+def test_streamed_blowup_paths_equal_a_tracer_in_the_caller(monkeypatch):
+    monkeypatch.setattr(forking, "PIPE_BYTES", 4096)
+    _streamed_blowup_paths_equal_a_tracer_in_the_caller()
+
+
+def _at_most_a_page(call):
+    """call(fd, buffers), os.readv or os.writev, moving at most 4096 bytes."""
+    def short(fd, buffers):
+        views, room = [], 4096
+        for buf in buffers:
+            views.append(memoryview(buf).cast("B")[:room])
+            room -= len(views[-1])
+        return call(fd, views)
+    return short
+
+
+def test_short_reads_and_writes_are_resumed(monkeypatch):
+    # the child inherits the patched calls, so both ends move at most a page
+    # per call, and every frame of either stream spans several calls
+    monkeypatch.setattr(os, "writev", _at_most_a_page(os.writev))
+    monkeypatch.setattr(os, "readv", _at_most_a_page(os.readv))
+    _streamed_tracker_equals_the_tracker_in_the_caller()
+    _streamed_blowup_paths_equal_a_tracer_in_the_caller()
 
 
 class _FailAt:
