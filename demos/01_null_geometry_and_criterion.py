@@ -9,11 +9,12 @@ data-restricted speed criterion that separates globally smooth families from
 blow-up families.
 """
 
+from pathlib import Path
+
 import numpy as np
 
-from stringlab import (DataFamily, ProfileSpec, blowup_fixture, causal_norm,
-                       criterion_for_family, eigenvalues, metric_scalars, multiplier,
-                       side_weight, weight_a)
+from stringlab import (DataFamily, ProfileSpec, causal_norm, criterion_for_family, eigenvalues,
+                       metric_scalars, multiplier, parse_config, side_weight, weight_a)
 
 print(__doc__)
 
@@ -47,7 +48,9 @@ x = np.linspace(-24, 24, 2001)
 good = DataFamily(gamma=0.5, delta=0.1,
                   f=ProfileSpec("gaussian", 1.0, 0.0, 2.0),
                   fb=ProfileSpec("gaussian", 1.0, 0.0, 2.0))
-bad = blowup_fixture()
+# the colliding packets of acceptance A5
+bad = parse_config((Path(__file__).resolve().parents[1] / "fixtures"
+                    / "a5_blowup.cfg").read_text()).family()
 
 for name, fam in (("small-delta family", good), ("colliding packets", bad)):
     rep = criterion_for_family(fam, x)

@@ -9,21 +9,20 @@ time converges under grid refinement and forward characteristics focus as
 the degeneration approaches.
 """
 
+from pathlib import Path
+
 import numpy as np
 
-from stringlab import ExperimentConfig, blowup_fixture, blowup_study, criterion_for_family
+from stringlab import blowup_study, criterion_for_family, parse_config
 
 print(__doc__)
 
-X, dx = 28.0, 1 / 32
-# the colliding packets of blowup_fixture on [-X, X]; dx, dx/2 and dx/4, and
-# the finest level traces plus-family characteristics while it runs,
-# holding a few time levels instead of the whole history
-cfg = ExperimentConfig(x0=-X, dx=dx, n=int(round(2 * X / dx)) + 1, t_end=12.0, delta=1.0,
-                       f_amplitude=2.4, f_center=4.0, f_width=1.0,
-                       fb_amplitude=2.4, fb_center=-4.0, fb_width=1.0)
+# the colliding packets of acceptance A5 on [-28, 28]; dx = 1/32, 1/64 and
+# 1/128, and the finest level traces plus-family characteristics while it
+# runs, holding a few time levels instead of the whole history
+cfg = parse_config((Path(__file__).resolve().parents[1] / "fixtures"
+                    / "a5_blowup.cfg").read_text())
 fam = cfg.family()
-assert fam == blowup_fixture()
 x = np.linspace(-20, 20, 2001)
 rep = criterion_for_family(fam, x)
 print(f"ordering margin of the data: {rep.order_margin:+.4f} (< 0: criterion violated)\n")

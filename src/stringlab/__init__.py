@@ -17,8 +17,8 @@ from .evolve import (CharacteristicTracer, CharPath, FieldState, Grid1D, RunResu
                      blowup_study, convergence_study, exact_travelling, init_state,
                      refinement_orders, richardson_time, run_evolution, stack_states, step,
                      trace_characteristics)
-from .initialdata import (CriterionReport, DataFamily, TraceTable, blowup_fixture,
-                          check_kong_tsuji, criterion_for_family, higher_order_traces)
+from .initialdata import (CriterionReport, DataFamily, TraceTable, check_kong_tsuji,
+                          criterion_for_family, higher_order_traces)
 from .nullgeom import (causal_norm, eigenvalues, metric_scalars, multiplier, null_stress,
                        side_weight, weight_a, weight_a_prime)
 from .profiles import ProfileSpec, profile_antiderivative, profile_derivative

@@ -222,14 +222,13 @@ def cmd_tracecheck(cfg, out: Path) -> int:
                 for xi, lv, lbv in zip(table.x, *table.rows[k1, k2])))
     _write_csv(out / "tracecheck.csv",
                ["k1", "k2", "level", "dx", "dt", "discrepancy", "order"],
-               ([*key, lvl, dx, cfg.cfl * dx, d, order]
+               ([*key, lvl, dx, dt, d, order]
                 for key, ds in sorted(study.discrepancy.items())
-                for lvl, (dx, d, order) in enumerate(zip(study.dxs, ds,
-                                                         ["", *refinement_orders(ds)]))))
+                for lvl, (dx, dt, d, order) in enumerate(
+                    zip(study.dxs, study.dts, ds, ["", *refinement_orders(ds)]))))
     print(f"tracecheck: max discrepancy {study.worst(0):.3e} -> {study.worst(1):.3e} under "
           f"refinement; induction denominator min {table.den_min:.6f} (>= 4)")
-    return _order_verdict("tracecheck", refinement_orders([study.worst(0), study.worst(1)]),
-                          study.passed())
+    return _order_verdict("tracecheck", study.orders, study.passed())
 
 
 def main(argv=None) -> int:

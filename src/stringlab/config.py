@@ -1,9 +1,11 @@
 """Flat key = value experiment configuration.
 
 Grammar: one ``key = value`` per line, ``#`` starts a comment, blank lines
-ignored.  Unknown keys are rejected with the offending line number.  An
-empty file yields the all-defaults configuration.  serialize() emits the
-canonical form; parse(serialize(parse(text))) is idempotent.
+ignored.  Unknown keys are rejected with the offending line number.  A
+list value is comma separated; an empty value is the empty list, and an
+empty item (``0,,1``, ``1,``, ``,``) is rejected.  An empty file yields the
+all-defaults configuration.  serialize() emits the canonical form;
+parse(serialize(parse(text))) is idempotent.
 """
 
 from __future__ import annotations
@@ -87,7 +89,11 @@ def parse_config(text: str) -> ExperimentConfig:
                     raise ValueError(val)
                 values[key] = val in ("1", "true")
             elif kind is tuple:
-                values[key] = tuple(float(v) for v in val.split(",") if v.strip())
+                # an empty value is the empty list; an empty item is an error
+                items = val.split(",") if val else []
+                if not all(v.strip() for v in items):
+                    raise ParseError(lineno, f"empty item in {val!r} for key {key!r}")
+                values[key] = tuple(float(v) for v in items)
             else:
                 values[key] = kind(val)
         except ValueError:

@@ -2,11 +2,12 @@
 
 The derivative tower holds grid samples of L(d^k phi) and Lb(d^k phi) for
 all multi-indices k = (k1, k2) with k1 + k2 <= N.  It is built in two
-steps.  `spatial_rows` gives the k1 = 0 rows of one time level: spatial
-stencils of the base null gradients w +- d_x(phi).  `time_rows` gives the
-deeper time derivatives as nested 2nd-order centered differences of those
-rows across stored levels, so an order-N tower needs 2N+1 consecutive
-levels.  `null_rows` and `build_tower` are the composition of the two.
+steps.  `_centred_rows` gives the k1 = 0 rows of a stack of levels: nested
+spatial stencils of the base null gradients w +- d_x(phi).  `time_rows`
+gives the deeper time derivatives as nested 2nd-order centered differences
+of those rows across the levels, so an order-N tower needs 2N+1
+consecutive levels.  `null_rows` and `build_tower` are the composition of
+the two.
 
 A tower is one array from start to finish, the `time_rows` layout
 (N+1, N+1, 2, ..., n) indexed [k1, k2, L or Lb], with zeros where
@@ -54,7 +55,6 @@ N_DEFAULT = 4
 AGMON_SLACK = 1e-6              # Agmon margins may dip this far below 0, relative to sqrt(sup E)
 SUP_RATIO_CAP = 2.0             # embedding cap on the weighted sups in units of the fitted M
 _SIDES = ("TL", "TLb")          # the side of the L row (index 0) and of the Lb row (1)
-_LB_SIGN = np.array([[1.0], [-1.0]])   # w + this * d_x(phi): the L and the Lb row
 TRACE_ORDER_MIN = 1.5           # floor of trace_check_study's log2(worst level 0 / level 1)
 # EnergyTracker centres per flush.  Replaying hierarchy_sweep's states, the
 # tracker ran fastest with blocks of 8 among 4 to 32 (4 and 16 took 1.33x
@@ -65,31 +65,13 @@ TRACE_ORDER_MIN = 1.5           # floor of trace_check_study's log2(worst level 
 FLUX_BLOCK = 8
 
 
-def spatial_rows(phi, w, dx, N):
-    """The k1 = 0 null rows L and Lb of d_x^k2 phi, k2 = 0..N, at one level.
-
-    phi and w may carry any leading axes (grid axis last).  Returns shape
-    (N+1, 2, *phi.shape), indexed [k2, L or Lb].  Each order costs one
-    deriv1 call on the stacked (L, Lb) pair.
-    """
-    phi = np.asarray(phi, dtype=float)
-    w = np.asarray(w, dtype=float)
-    rows = np.empty((N + 1, 2) + phi.shape)
-    phx = deriv1(phi, dx)
-    rows[0, 0] = w + phx
-    rows[0, 1] = w - phx
-    for k2 in range(1, N + 1):
-        rows[k2] = deriv1(rows[k2 - 1], dx)
-    return rows
-
-
 def _centred_rows(base, dx, N):
     """base, spatial rows w +- d_x(phi) at a stack of levels along axis 0,
     and their nested d_x up to order N, shape (N+1, *base.shape).  Order
     k2 is differenced only on the levels k2 .. L-1-k2 that order-N towers
     centred on the stack read, and is zero on the others: one deriv1 call
     per order, on ever fewer levels.  w + (-1)*d_x(phi) is w - d_x(phi)
-    bit for bit, so a base of w + sign*d_x(phi) holds `spatial_rows` rows."""
+    bit for bit, so a base of w + sign*d_x(phi) holds the L and Lb rows."""
     n_levels = len(base)
     rows = np.empty((N + 1,) + base.shape)
     rows[0] = base
@@ -103,10 +85,10 @@ def _centred_rows(base, dx, N):
 def time_rows(levels, dt, N):
     """All tower rows at the center of an odd stack of spatial rows.
 
-    levels has the time axis first, then the (N+1, 2, ...) layout of
-    `spatial_rows`, at consecutive, equally spaced times.  Each extra time
-    derivative is one centered difference of the row below, applied to the
-    whole stack at once.  Returns shape (N+1, N+1, 2, ...) indexed
+    levels has the time axis first, then k2 and the L or Lb row, shape
+    (levels, N+1, 2, ...), at consecutive, equally spaced times.  Each
+    extra time derivative is one centered difference of the row below,
+    applied to the whole stack at once.  Returns shape (N+1, N+1, 2, ...) indexed
     [k1, k2, L or Lb]; entries with k1 + k2 > N are zero.  dt may be an
     array that broadcasts against the axes after k2, one step per stack
     laid side by side there.
@@ -138,14 +120,16 @@ def null_rows(phis, ws, dt, dx, N):
     """Null-gradient rows (L and Lb of every mixed derivative) at the center
     of a level stack.
 
-    phis/ws are sequences of 2N+1 arrays (each possibly batched, grid axis
-    last) at consecutive, equally spaced times.  Returns the `time_rows`
-    array, indexed [k1, k2, L or Lb].
+    phis/ws are sequences of 2N+1 arrays, or arrays with the level axis
+    first (each level possibly batched, grid axis last), at consecutive,
+    equally spaced times.  Returns the `time_rows` array, indexed
+    [k1, k2, L or Lb].
     """
-    ph = np.stack([np.asarray(f, dtype=float) for f in phis])
-    w = np.stack([np.asarray(f, dtype=float) for f in ws])
-    levels = np.moveaxis(spatial_rows(ph, w, dx, N), 2, 0)
-    return time_rows(levels, dt, N)
+    ph = np.asarray(phis, dtype=float)
+    w = np.asarray(ws, dtype=float)
+    phx = deriv1(ph, dx)
+    rows = _centred_rows(np.stack([w + phx, w - phx], axis=1), dx, N)
+    return time_rows(np.moveaxis(rows, 1, 0), dt, N)
 
 
 @dataclass
@@ -340,7 +324,7 @@ class EnergyTracker:
     follow it; the flux at a centre adds dt * weight * |row|^2 * sqrt(g) at
     each line's abscissa by cubic interpolation, trapezoidal in time.  The
     centres are worked off in blocks, when FLUX_BLOCK of them are pending
-    and whenever `member_reports`, `reports` or `truncated_probes()` is read:
+    and whenever `member_reports` or `truncated_probes()` is read:
 
     - the spatial rows of each line's own side (N+1 deriv1 calls per
       block) only on probe windows: per line, the interpolation columns of
@@ -402,14 +386,6 @@ class EnergyTracker:
         """The reports of each member, up to the last accepted level."""
         self._flush()
         return self._member_reports
-
-    @property
-    def reports(self) -> list[EnergyReport]:
-        """The reports of a single-member run."""
-        member_reports = self.member_reports
-        if len(member_reports) > 1:
-            raise ValueError("an ensemble has member_reports, one list per member")
-        return member_reports[0] if member_reports else []
 
     def truncated_probes(self):
         """Names of the probe lines that left the grid, e.g. 'u0=3'."""
@@ -564,9 +540,8 @@ class EnergyTracker:
         t = float(times[i + N])
         weights = _side_weights(t, self._grid.x, self.gamma)
         for k, reports in enumerate(self._member_reports):
-            phi, w = self._fields[:, levels, k, None]
-            rows = _centred_rows(w + _LB_SIGN * deriv1(phi, self._grid.dx), self._grid.dx, N)
-            rows = time_rows(np.moveaxis(rows, 1, 0), dt, N)
+            phi, w = self._fields[:, levels, k]
+            rows = null_rows(phi, w, dt, self._grid.dx, N)
             tower = DerivativeTower(t=t, grid=self._grid, N=N, rows=rows)
             reports.append(report_from_tower(tower, self.gamma, t, flux[k, :nu].copy(),
                                              flux[k, nu:].copy(), weights))
@@ -672,14 +647,19 @@ class TraceCheckStudy:
     evolved solution, on a grid and its 2x refinement (dt = cfl*dx)."""
 
     dxs: list                      # grid spacing per level
+    dts: list                      # time step per level, cfl*dx
     discrepancy: dict              # (k1, k2) -> [relative max discrepancy per level]
     table: TraceTable              # exact table of level 0, with its den_min
 
     def worst(self, level):
         return float(np.max([d[level] for d in self.discrepancy.values()]))
 
+    @property
+    def orders(self):
+        return refinement_orders([self.worst(0), self.worst(1)])
+
     def passed(self):
-        return orders_pass(refinement_orders([self.worst(0), self.worst(1)]), TRACE_ORDER_MIN)
+        return orders_pass(self.orders, TRACE_ORDER_MIN)
 
 
 def trace_check_study(cfg) -> TraceCheckStudy:
@@ -700,7 +680,8 @@ def trace_check_study(cfg) -> TraceCheckStudy:
             dev = np.max(np.abs(tower.rows[k1, :top + 1 - k1] - exact), axis=(1, 2))
             for k2, d in enumerate(dev / scale):
                 discrepancy.setdefault((k1, k2), []).append(float(d))
-    return TraceCheckStudy([g.dx for g in grids], discrepancy, tables[0])
+    return TraceCheckStudy([g.dx for g in grids], [cfg.cfl * g.dx for g in grids],
+                           discrepancy, tables[0])
 
 
 # ---------------------------------------------------------------------------

@@ -140,25 +140,6 @@ def criterion_for_family(fam: DataFamily, x) -> CriterionReport:
     return check_kong_tsuji(lo, hi)
 
 
-def blowup_fixture() -> DataFamily:
-    """Colliding-packet family that violates the ordering condition.
-
-    Gaussians of amplitude 2.4 and width 1 at delta = 1: a right-travelling
-    packet at -4 and a left-travelling one at +4, both w-dominant at their
-    centers.  The backward speed inside the left packet exceeds the forward
-    speed inside the right packet, which sits ahead of it.  The packets are
-    separated at t = 0, so the data start timelike (g = 1 - delta^2 f fb ~ 1),
-    and degenerate when they meet.  Raises if the data accidentally satisfy
-    the criterion.
-    """
-    fam = DataFamily(gamma=0.5, delta=1.0, f=ProfileSpec("gaussian", 2.4, 4.0, 1.0),
-                     fb=ProfileSpec("gaussian", 2.4, -4.0, 1.0))
-    x = np.linspace(-14.0, 14.0, 4001)
-    if criterion_for_family(fam, x).passed:
-        raise ValueError("fixture unexpectedly satisfies the global-existence criterion")
-    return fam
-
-
 # ---------------------------------------------------------------------------
 # higher-order traces
 

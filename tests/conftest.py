@@ -1,9 +1,27 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stringlab import DataFamily, ProfileSpec
+from stringlab import DataFamily, ProfileSpec, parse_config
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def fixture_config(name):
+    """The ExperimentConfig of fixtures/<name>.cfg."""
+    return parse_config((FIXTURES / f"{name}.cfg").read_text())
+
+
+def refined(cfg):
+    """cfg on the 2x refinement of its grid, the same interval."""
+    return cfg.with_(dx=cfg.dx / 2, n=2 * cfg.n - 1)
+
+
+# the colliding packets of acceptance A5 on a 361-point grid to t = 5: each
+# level of a blowup study loses hyperbolicity near t = 3.9
+BLOWUP_SMALL = fixture_config("a5_blowup").with_(x0=-18.0, dx=0.1, n=361, t_end=5.0)
 
 
 class Recorder:

@@ -8,10 +8,11 @@ import time
 
 import numpy as np
 import pytest
+from conftest import fixture_config, refined
 
-from stringlab import (CharacteristicTracer, DataFamily, Grid1D, ProfileSpec, blowup_fixture,
-                       check_kong_tsuji, criterion_for_family, exact_travelling,
-                       higher_order_traces, run_evolution)
+from stringlab import (CharacteristicTracer, DataFamily, Grid1D, ProfileSpec, check_kong_tsuji,
+                       criterion_for_family, exact_travelling, higher_order_traces,
+                       run_evolution)
 from stringlab.config import ExperimentConfig
 from stringlab.energy import (fit_hierarchy, tower_at_zero as _tower_at_zero,
                              tracked_run as _single_run, tracked_sweep)
@@ -80,11 +81,9 @@ def test_a2_identity_suite():
 @pytest.fixture(scope="module")
 def hierarchy_fits():
     fits = []
-    for dx in (0.0625, 0.125):
-        X, T = 64.0, 50.0
-        n = int(round(2 * X / dx)) + 1
-        cfg = ExperimentConfig(x0=-X, dx=dx, n=n, t_end=T, report_every=50, N=4,
-                               gamma=0.5, deltas=(0.1, 0.05, 0.025))
+    # fine (dx = 0.0625, n = 2049) and coarse (dx = 0.125, n = 1025) on [-64, 64]
+    coarse = fixture_config("a3_sweep")
+    for cfg in (refined(coarse), coarse):
         monitors = []
         # the three deltas step in lockstep as one ensemble
         for res, _, mon in tracked_sweep(cfg):
@@ -129,18 +128,19 @@ def test_a4_global_existence_regime():
 
 def test_a5_blowup_regime():
     t0 = time.time()
-    fam = blowup_fixture()
+    cfg = fixture_config("a5_blowup")
+    fam = cfg.family()
     x = np.linspace(-20, 20, 2001)
     crit = criterion_for_family(fam, x)
     assert not crit.passed
 
-    X = 28.0
     t_blowups = []
     seeds = np.linspace(-6.0, 6.0, 17)
     tracer = CharacteristicTracer(seeds, "plus")
-    for dx in (1 / 32, 1 / 64, 1 / 128):
-        grid = Grid1D(-X, dx, int(round(2 * X / dx)) + 1)
-        res = run_evolution(fam, grid, t_end=12.0, callbacks=[tracer] if dx == 1 / 128 else ())
+    # dx = 1/32, 1/64 and 1/128 on [-28, 28]
+    for k in range(3):
+        grid = cfg.grid().refined(2 ** k)
+        res = run_evolution(fam, grid, t_end=cfg.t_end, callbacks=[tracer] if k == 2 else ())
         assert res.status == "blowup"
         t_blowups.append(res.t_blowup)
     diffs = np.abs(np.diff(t_blowups))
@@ -175,10 +175,9 @@ def test_a7_trace_induction():
     t0 = time.time()
     discrepancies = []
     den_mins = []
-    for dx in (0.1, 0.05):
-        X = 16.0
-        # the default family: gamma = 0.5, delta = 0.1, width-2 unit gaussians
-        cfg = ExperimentConfig(x0=-X, dx=dx, n=int(round(2 * X / dx)) + 1, N=4, t_end=1.0)
+    # the default family on [-16, 16] at dx = 0.1 and 0.05
+    coarse = fixture_config("a7_tracecheck")
+    for cfg in (coarse, refined(coarse)):
         grid = cfg.grid()
         table = higher_order_traces(cfg.family(), 4, grid.x)
         den_mins.append(table.den_min)
@@ -194,7 +193,7 @@ def test_a7_trace_induction():
         discrepancies.append(worst)
     order = float(np.log2(discrepancies[0] / discrepancies[1]))
     # other admissible families keep the denominator floor too
-    for fam2 in (blowup_fixture(),
+    for fam2 in (fixture_config("a5_blowup").family(),
                  DataFamily(0.3, 0.2, ProfileSpec("polynomial-gaussian", 0.8, 1.0, 1.5),
                             ProfileSpec("bump", 1.5, -1.0, 3.0))):
         x = np.linspace(-20, 20, 1001)

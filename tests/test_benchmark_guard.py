@@ -1,7 +1,8 @@
 """Guard of the benchmark's span tracer (perfbench/tracer.py), which wraps
 package functions by name from outside the package.  A rename or deletion
 in src that the tracer still names fails here, not only in the slower
-perfbench/tests."""
+perfbench/tests.  Also guards the benchmark's own copies of the fixture
+configs (perfbench/workloads.py) against drift from fixtures/."""
 
 import importlib
 import importlib.util
@@ -10,20 +11,34 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from conftest import BLOWUP_SMALL, fixture_config
+
+from stringlab import parse_config, serialize_config
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
+@pytest.mark.parametrize("copy,name", [("HIERARCHY_SWEEP", "a3_sweep"),
+                                       ("BLOWUP_REFINE", "a5_blowup"),
+                                       ("TRACECHECK", "a7_tracecheck")])
+def test_benchmark_config_copies_are_the_fixtures(copy, name):
+    text = getattr(_load("perfbench_workloads", WORKLOADS), copy)
+    assert parse_config(text).with_(mode="run") == fixture_config(name).with_(mode="run")
+
+
 def test_every_benchmark_target_resolves():
     # install() looks each target up in its owner's own namespace
-    for name, modname, attr_path in _load_tracer().TARGETS:
+    for name, modname, attr_path in _load("perfbench_tracer", TRACER).TARGETS:
         owner = importlib.import_module(modname)
         *classes, attr = attr_path.split(".")
         for cls in classes:
@@ -50,13 +65,12 @@ print(json.dumps({"rcs": rcs, "counts": t.counts,
 """
 
 _RUN = "t_end = 2\nx0 = -20\ndx = 0.1\nn = 401\nreport_every = 20\nprobes_u = 0\nprobes_ub = 0\n"
-_BLOWUP = ("delta = 1\nf_amplitude = 2.4\nf_center = 4\nfb_amplitude = 2.4\nfb_center = -4\n"
-           "f_width = 1\nfb_width = 1\nt_end = 5\nx0 = -18\ndx = 0.1\nn = 361\n")
 
 
 def test_traced_cli_modes_exit_zero(tmp_path):
     args = []
-    for mode, text in (("run", _RUN), ("blowup", _BLOWUP), ("verify", "seed = 17611\n")):
+    for mode, text in (("run", _RUN), ("blowup", serialize_config(BLOWUP_SMALL)),
+                       ("verify", "seed = 17611\n")):
         cfg = tmp_path / f"{mode}.cfg"
         cfg.write_text(text)
         args += [mode, str(cfg), str(tmp_path / mode)]

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import BLOWUP_SMALL, FIXTURES, fixture_config
 from hypothesis import given, settings, strategies as st
 
 from stringlab import (ExperimentConfig, Grid1D, ParseError, ValidationError, init_state,
@@ -79,6 +80,31 @@ def test_roundtrip_idempotent_on_defaults():
     cfg = parse_config(text)
     assert cfg == ExperimentConfig()
     assert serialize_config(cfg) == text
+
+
+@pytest.mark.parametrize("name,mode", [("a3_sweep", "sweep"), ("a5_blowup", "blowup"),
+                                       ("a7_tracecheck", "tracecheck")])
+def test_fixture_files_parse_validate_and_roundtrip(name, mode):
+    cfg = fixture_config(name)          # parse_config validates
+    assert cfg.mode == mode
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text
+
+
+@pytest.mark.parametrize("value", ["0,,1", "1,", ",", ", 1", "0, ,1"])
+def test_empty_list_item_rejected_with_line_number(value):
+    # used to drop the empty item and run with the others
+    with pytest.raises(ParseError, match=r"line 2: empty item in .* for key 'probes_u'"):
+        parse_config(f"gamma = 0.5\nprobes_u = {value}\n")
+
+
+@pytest.mark.parametrize("text", ["probes_u =\n", "probes_u =   # none\n"])
+def test_empty_list_value_is_no_items(text):
+    cfg = parse_config(text)
+    assert cfg.probes_u == ()
+    assert "probes_u = \n" in serialize_config(cfg)
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 @settings(max_examples=30, deadline=None)
@@ -171,43 +197,14 @@ def test_cli_run_deterministic(tmp_path):
 
 
 def test_cli_run_blowup_exit_two(tmp_path, capsys):
-    text = """
-mode = run
-delta = 1
-f_amplitude = 2.4
-f_center = 4
-fb_amplitude = 2.4
-fb_center = -4
-f_width = 1
-fb_width = 1
-t_end = 8
-x0 = -22
-dx = 0.1
-n = 441
-"""
+    text = serialize_config(BLOWUP_SMALL.with_(mode="run", t_end=8.0, x0=-22.0, n=441))
     rc = main(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "blow-up detected" in capsys.readouterr().out
 
 
-BLOWUP_SMALL = """
-mode = blowup
-delta = 1
-f_amplitude = 2.4
-f_center = 4
-fb_amplitude = 2.4
-fb_center = -4
-f_width = 1
-fb_width = 1
-t_end = 5
-x0 = -18
-dx = 0.1
-n = 361
-"""
-
-
 def test_cli_blowup_small(tmp_path, capsys):
-    rc = main(["blowup", "--config", _cfg_file(tmp_path, BLOWUP_SMALL),
+    rc = main(["blowup", "--config", _cfg_file(tmp_path, serialize_config(BLOWUP_SMALL)),
                "--out", str(tmp_path / "out")])
     assert rc == 0
     rows = (tmp_path / "out" / "blowup.csv").read_text().splitlines()
@@ -225,7 +222,7 @@ def test_cli_blowup_small(tmp_path, capsys):
 
 
 def test_cli_blowup_without_blowup_exit_one(tmp_path, capsys):
-    text = BLOWUP_SMALL.replace("t_end = 5", "t_end = 1")
+    text = serialize_config(BLOWUP_SMALL.with_(t_end=1.0))
     rc = main(["blowup", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "no blow-up detected on some level" in capsys.readouterr().out
@@ -316,8 +313,8 @@ def test_cli_sweep_too_short_for_a_report_named(tmp_path, capsys):
 def test_cli_sweep_member_blowup_named(tmp_path, capsys):
     # delta = 1 blows up at t = 4; the sweep used to exit 0 with slopes
     # fitted across it (slope(E2) = 2.94, slope(Eb2) = 2.06)
-    text = BLOWUP_SMALL.replace("mode = blowup", "mode = sweep")
-    text += "report_every = 10\ndeltas = 1, 0.5, 0.25\n"
+    text = serialize_config(BLOWUP_SMALL.with_(mode="sweep", report_every=10,
+                                               deltas=(1.0, 0.5, 0.25)))
     rc = main(["sweep", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "sw")])
     err = capsys.readouterr().err
     assert rc == 1 and "Traceback" not in err
@@ -375,10 +372,6 @@ def test_cli_tracecheck(tmp_path, capsys):
     assert out[1] == "tracecheck: order 2.04: pass"
 
 
-# the coarse level of acceptance A7
-TRACECHECK = "mode = tracecheck\nx0 = -16\ndx = 0.1\nn = 321\nt_end = 1\nN = 4\n"
-
-
 def test_cli_tracecheck_fails_a_wrong_w_equation(tmp_path, capsys, monkeypatch):
     # a 0.1 % defect of the w-equation; the discrepancy grows under refinement
     # (7.3e-4 -> 1.4e-3), which used to exit 0
@@ -390,7 +383,8 @@ def test_cli_tracecheck_fails_a_wrong_w_equation(tmp_path, capsys, monkeypatch):
         return k, disc
 
     monkeypatch.setattr(evolve, "_stage_rhs", defective)
-    rc = main(["tracecheck", "--config", _cfg_file(tmp_path, TRACECHECK),
+    # the coarse level of acceptance A7
+    rc = main(["tracecheck", "--config", str(FIXTURES / "a7_tracecheck.cfg"),
                "--out", str(tmp_path / "out")])
     assert rc == 1
     out = capsys.readouterr().out.splitlines()
@@ -421,7 +415,7 @@ def test_cli_verify_names_a_balance_level_that_blows_up(tmp_path, capsys):
     # the colliding packets of acceptance A5: balance level 0 (n = 385) runs
     # to t_end = 4, levels 1 and 2 lose hyperbolicity at t = 3.95 and 3.94;
     # verify used to pass both balance rows and exit 0
-    rc = main(["verify", "--config", _cfg_file(tmp_path, BLOWUP_SMALL),
+    rc = main(["verify", "--config", _cfg_file(tmp_path, serialize_config(BLOWUP_SMALL)),
                "--out", str(tmp_path / "v")])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""

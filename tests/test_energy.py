@@ -2,21 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import Recorder
+from conftest import BLOWUP_SMALL, Recorder
 from scipy import integrate
 
 from stringlab import (DataFamily, EnergyReport, EnergyTracker, Grid1D, InsufficientHistory,
-                       ProfileSpec, TimelikeViolation, blowup_fixture, build_tower,
+                       ProfileSpec, TimelikeViolation, build_tower,
                        energy_orders, higher_order_traces, init_state, monitor,
                        run_evolution, stack_states, stress_density, tracked_run, tracked_sweep)
 import stringlab.energy as energy
 from stringlab.config import ExperimentConfig
 from stringlab.energy import (FLUX_BLOCK, DerivativeTower, TraceCheckStudy, _level_dt,
                               _order_sums, _sobolev_stats, null_rows, report_from_tower,
-                              spatial_rows, time_rows)
+                              time_rows)
 from stringlab.evolve import FieldState, refinement_orders, step
 from stringlab.nullgeom import side_weight
-from stringlab.stencils import cubic_combine, cubic_weights
+from stringlab.stencils import cubic_combine, cubic_weights, deriv1
 
 GAUSS2 = ProfileSpec("gaussian", 1.0, 0.0, 2.0)
 
@@ -235,8 +235,8 @@ def test_tracker_zero_field_flux_zero():
     tr = EnergyTracker(gamma=0.5, N=2, probes_u=(-1.0, 0.0), probes_ub=(0.0,),
                        report_every=10)
     run_evolution(st, t_end=2.0, callbacks=[tr])
-    assert tr.reports
-    last = tr.reports[-1]
+    (reports,) = tr.member_reports
+    last = reports[-1]
     assert np.all(last.f2 == 0) and np.all(last.fb2 == 0)
     assert last.e2_total == 0 and last.eb2_total == 0
 
@@ -246,11 +246,12 @@ def test_tracker_flux_monotone_and_reports(default_family):
     tr = EnergyTracker(gamma=0.5, N=3, probes_u=(0.0,), probes_ub=(0.0,),
                        report_every=20)
     res = run_evolution(default_family, grid, t_end=6.0, callbacks=[tr])
-    assert res.status == "completed" and len(tr.reports) >= 3
-    f_series = [float(np.sum(r.fb2)) for r in tr.reports]
+    (reports,) = tr.member_reports
+    assert res.status == "completed" and len(reports) >= 3
+    f_series = [float(np.sum(r.fb2)) for r in reports]
     assert all(b >= a - 1e-15 for a, b in zip(f_series, f_series[1:]))
     assert f_series[-1] > 0
-    for rep in tr.reports:
+    for rep in reports:
         assert np.all(rep.e2 >= 0) and np.all(rep.eb2 >= 0)
         assert rep.min_g > 0.8
 
@@ -260,7 +261,7 @@ def test_tracker_travelling_flux_noise(travelling_family):
     tr = EnergyTracker(gamma=0.5, N=2, probes_u=(-1.0, 1.0), probes_ub=(),
                        report_every=20)
     run_evolution(travelling_family, grid, t_end=4.0, callbacks=[tr])
-    assert float(np.max(tr.reports[-1].f2)) < 1e-8
+    assert float(np.max(tr.member_reports[0][-1].f2)) < 1e-8
 
 
 def test_monitor_and_sobolev(default_family):
@@ -268,7 +269,7 @@ def test_monitor_and_sobolev(default_family):
     tr = EnergyTracker(gamma=0.5, N=4, probes_u=(0.0,), probes_ub=(0.0,),
                        report_every=25)
     run_evolution(default_family, grid, t_end=6.0, callbacks=[tr])
-    mon = monitor(tr.reports, default_family.delta)
+    mon = monitor(tr.member_reports[0], default_family.delta)
     assert mon.m2 > 0
     assert mon.sup_e2 <= default_family.delta ** 2 * mon.m2 * (1 + 1e-9)
     assert mon.c_l <= 2.0 and mon.c_lb <= 2.0
@@ -332,9 +333,10 @@ def test_tracker_reports_equal_reference_tower(default_family, N):
                        report_every=7)
     rec = Recorder()
     run_evolution(default_family, grid, t_end=1.5, callbacks=[tr, rec])
-    assert len(tr.reports) >= 3
+    (reports,) = tr.member_reports
+    assert len(reports) >= 3
     times = [s.t for s in rec.states]
-    for rep in tr.reports:
+    for rep in reports:
         i = times.index(rep.t)
         tower = build_tower(rec.states[i - N:i + N + 1], N=N)
         e2, eb2 = energy_orders(tower, 0.5)
@@ -363,15 +365,30 @@ def test_report_evaluates_each_side_weight_once(default_family, monkeypatch):
     assert sides == ["TL", "TLb"]
 
 
+def _spatial_rows(phi, w, dx, N):
+    """The k1 = 0 null rows L and Lb of d_x^k2 phi, k2 = 0..N, at one level
+    (any leading axes, grid axis last), shape (N+1, 2, *phi.shape): nested
+    deriv1 calls on the whole level, apart from `energy._centred_rows`."""
+    rows = np.empty((N + 1, 2) + phi.shape)
+    phx = deriv1(phi, dx)
+    rows[0, 0] = w + phx
+    rows[0, 1] = w - phx
+    for k2 in range(1, N + 1):
+        rows[k2] = deriv1(rows[k2 - 1], dx)
+    return rows
+
+
 def test_spatial_then_time_rows_is_null_rows():
     rng = np.random.default_rng(3)
     phis = rng.standard_normal((5, 3, 40))
     ws = rng.standard_normal((5, 3, 40))
     ref = null_rows(list(phis), list(ws), 0.05, 0.1, 2)
-    per_level = np.stack([spatial_rows(p, w, 0.1, 2) for p, w in zip(phis, ws)])
+    per_level = np.stack([_spatial_rows(p, w, 0.1, 2) for p, w in zip(phis, ws)])
     rows = time_rows(per_level, 0.05, 2)
     assert ref.shape == rows.shape == (3, 3, 2, 3, 40)
     assert np.array_equal(ref, rows)
+    # a stack of levels as one array gives the same rows
+    assert np.array_equal(null_rows(phis, ws, 0.05, 0.1, 2), ref)
     assert np.all(rows[2, 1:] == 0) and np.all(rows[1, 2] == 0)
 
 
@@ -398,7 +415,7 @@ def test_tracker_deriv1_budget(default_family, monkeypatch):
     tr = EnergyTracker(gamma=0.5, N=N, probes_u=(-1.0, 0.0, 1.0), probes_ub=(0.0, 1.0),
                        report_every=5)
     res = run_evolution(default_family, grid, t_end=1.0, callbacks=[tr])
-    n_reports = len(tr.reports)
+    n_reports = len(tr.member_reports[0])
     assert res.n_steps >= 2 * N + FLUX_BLOCK and n_reports >= 2
     assert len(calls) == (N + 1) * (_blocks(res.n_steps, N) + n_reports)
     assert calls.count(grid.n) == (N + 1) * n_reports
@@ -414,9 +431,9 @@ def test_tracker_probe_entering_late_accumulates(default_family):
     assert tr.truncated_probes() == [] and wide.truncated_probes() == []
     # the run ends on a report step (300 steps, reports at 50, ..., 300), so
     # the last report carries the fluxes of the whole run
-    assert res.n_steps == 300 and len(tr.reports) == 6
-    f_late = tr.reports[-1].fb2
-    f_wide = wide.reports[-1].fb2
+    assert res.n_steps == 300 and len(tr.member_reports[0]) == 6
+    f_late = tr.member_reports[0][-1].fb2
+    f_wide = wide.member_reports[0][-1].fb2
     assert np.all(f_late > 0)
     assert np.allclose(f_late, f_wide, rtol=1e-6, atol=0)
 
@@ -427,7 +444,7 @@ def test_tracker_probe_leaving_is_truncated(default_family):
     run_evolution(default_family, Grid1D(-20, 0.1, 401), t_end=5.0, callbacks=[tr])
     assert tr.truncated_probes() == ["u0=-8"]
     # the flux stops growing once the line is gone
-    f_series = [float(r.f2[0].sum()) for r in tr.reports if r.flux_t > 3.0]
+    f_series = [float(r.f2[0].sum()) for r in tr.member_reports[0] if r.flux_t > 3.0]
     assert len(f_series) >= 2 and len(set(f_series)) == 1
 
 
@@ -467,7 +484,7 @@ class RingTracker:
             self.member_reports = [[] for _ in range(w.shape[0])]
             self._rows = np.empty((self._n_levels, self.N + 1, 2) + w.shape)
             self._flux = np.zeros((w.shape[0], len(self.truncated), self.N + 1))
-        self._rows[self._levels_seen % self._n_levels] = spatial_rows(
+        self._rows[self._levels_seen % self._n_levels] = _spatial_rows(
             phi, w, state.grid.dx, self.N)
         self._times = (self._times + [state.t])[-self._n_levels:]
         self._levels_seen += 1
@@ -573,7 +590,7 @@ def test_blocked_tracker_equals_ring_reference(N, report_every, cfl, deltas, t_e
 def test_blocked_tracker_equals_ring_reference_at_a_blowup():
     # the blow-up stops the ensemble inside a block
     grid = Grid1D(-16.0, 0.1, 321)
-    fams = [blowup_fixture(), DataFamily(0.5, 0.1, GAUSS2, GAUSS2)]
+    fams = [BLOWUP_SMALL.family(), DataFamily(0.5, 0.1, GAUSS2, GAUSS2)]
     trackers = [cls(gamma=0.5, N=3, report_every=5, probes_u=(0.0, 2.0), probes_ub=(0.0,))
                 for cls in (EnergyTracker, RingTracker)]
     res = run_evolution(stack_states([init_state(f, grid) for f in fams]), t_end=6.0,
@@ -614,7 +631,7 @@ def test_tracker_member_blowup_keeps_its_reports():
     # the blow-up member stops the ensemble: it keeps its single run's
     # reports, the others their single runs' reports up to that step
     grid = Grid1D(-16, 0.05, 641)
-    fams = [blowup_fixture(), DataFamily(0.5, 0.1, GAUSS2, GAUSS2),
+    fams = [BLOWUP_SMALL.family(), DataFamily(0.5, 0.1, GAUSS2, GAUSS2),
             DataFamily(0.5, 0.05, GAUSS2, GAUSS2)]
     tracker = EnergyTracker(gamma=0.5, N=2, probes_u=(0.0,), probes_ub=(0.0, 1.0),
                             report_every=10)
@@ -622,8 +639,6 @@ def test_tracker_member_blowup_keeps_its_reports():
     ens = run_evolution(stack_states([init_state(f, grid) for f in fams]), t_end=6.0,
                         callbacks=[tracker, rec])
     assert [m.status for m in ens.members] == ["blowup", "stopped", "stopped"]
-    with pytest.raises(ValueError, match="member_reports"):
-        tracker.reports
     steps = len(rec.states) - 1
     for fam, member, reports in zip(fams, ens.members, tracker.member_reports):
         single = EnergyTracker(gamma=0.5, N=2, probes_u=(0.0,), probes_ub=(0.0, 1.0),
@@ -631,10 +646,10 @@ def test_tracker_member_blowup_keeps_its_reports():
         single_rec = Recorder()
         res = run_evolution(fam, grid, t_end=6.0, callbacks=[single, single_rec])
         if member.status == "blowup":
-            _assert_same_reports(reports, single.reports)
+            _assert_same_reports(reports, single.member_reports[0])
             continue
-        assert res.status == "completed" and len(reports) < len(single.reports)
-        _assert_same_reports(reports, single.reports[:len(reports)])
+        assert res.status == "completed" and len(reports) < len(single.member_reports[0])
+        _assert_same_reports(reports, single.member_reports[0][:len(reports)])
         for f in ("phi", "w", "p"):
             assert np.array_equal(getattr(member.state, f), getattr(single_rec.states[steps], f))
     assert len(tracker.member_reports[0]) == len(tracker.member_reports[1]) > 0
@@ -682,7 +697,7 @@ def test_tracker_holds_bounded_levels():
     assert len(held) == res.n_steps + 1 and max(held) == 2 * N + FLUX_BLOCK - 1
     assert tr._fields.shape == (2, 2 * N + FLUX_BLOCK, 1, grid.n)
     assert max(nbytes) < tr._fields.nbytes + 1024
-    assert len(tr.reports) == res.n_steps // 50
+    assert len(tr.member_reports[0]) == res.n_steps // 50
 
 
 @pytest.mark.parametrize("level1,order,passed", [
@@ -692,7 +707,8 @@ def test_tracker_holds_bounded_levels():
     ([float("nan"), 2.0 ** -13], None, False),   # a nan discrepancy is not skipped
 ])
 def test_trace_check_gate_on_the_worst_order(level1, order, passed):
-    study = TraceCheckStudy([0.1, 0.05], {(0, 0): [2.0 ** -10, level1[0]],
-                                          (1, 0): [2.0 ** -11, level1[1]]}, table=None)
-    assert refinement_orders([study.worst(0), study.worst(1)]) == [order]
+    study = TraceCheckStudy([0.1, 0.05], [0.09, 0.045], {(0, 0): [2.0 ** -10, level1[0]],
+                                                         (1, 0): [2.0 ** -11, level1[1]]},
+                            table=None)
+    assert study.orders == [order]
     assert study.passed() == passed

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from conftest import Recorder
+from conftest import BLOWUP_SMALL, Recorder
 
 from stringlab import (BlowupDetected, CharacteristicTracer, DataFamily, Grid1D,
                        HyperbolicityLoss, InsufficientHistory, ProfileSpec, StringLabError,
-                       blowup_fixture, blowup_study, exact_travelling, init_state,
-                       run_evolution, stack_states, step, trace_characteristics)
+                       blowup_study, exact_travelling, init_state, run_evolution,
+                       stack_states, step, trace_characteristics)
 import stringlab.evolve as evolve
-from stringlab.config import ExperimentConfig
 from stringlab.evolve import FieldState, _stage_rhs, max_speed, orders_pass, refinement_orders
 from stringlab.stencils import cubic_interp, deriv1
 
@@ -166,7 +165,7 @@ def test_speed_bound_on_run(default_family):
 
 
 def test_blowup_detection_and_reporting():
-    fam = blowup_fixture()
+    fam = BLOWUP_SMALL.family()
     res = run_evolution(fam, Grid1D(-16, 0.05, 641), t_end=10.0)
     assert res.status == "blowup"
     assert res.t_blowup is not None and 3.0 < res.t_blowup < 5.0
@@ -174,7 +173,7 @@ def test_blowup_detection_and_reporting():
 
 
 def test_step_raises_blowup_with_last_valid_time():
-    fam = blowup_fixture()
+    fam = BLOWUP_SMALL.family()
     grid = Grid1D(-16, 0.05, 641)
     st = init_state(fam, grid)
     with pytest.raises(BlowupDetected) as exc_info:
@@ -251,7 +250,7 @@ def _stored_history_trace(hist, seeds, family):
 
 @pytest.mark.parametrize("t_end,status", [(10.0, "blowup"), (2.0, "completed")])
 def test_streamed_characteristics_match_stored_history(t_end, status):
-    fam = blowup_fixture()
+    fam = BLOWUP_SMALL.family()
     grid = Grid1D(-16, 0.1, 321)
     # the outer seeds leave the usable domain, one per family
     seeds = np.r_[-15.7, np.linspace(-6.0, 6.0, 9), 15.7]
@@ -271,12 +270,8 @@ def test_streamed_characteristics_match_stored_history(t_end, status):
 
 
 def test_blowup_study_matches_plain_runs():
-    fam = blowup_fixture()
-    cfg = ExperimentConfig(x0=-18.0, dx=0.1, n=361, t_end=5.0, delta=fam.delta,
-                           f_amplitude=2.4, f_center=4.0, f_width=1.0,
-                           fb_amplitude=2.4, fb_center=-4.0, fb_width=1.0)
-    assert cfg.family() == fam
-    grid = cfg.grid()
+    cfg = BLOWUP_SMALL
+    fam, grid = cfg.family(), cfg.grid()
     study = blowup_study(cfg)
     grids = [grid, grid.refined(), grid.refined().refined()]
     rec = Recorder()
@@ -451,7 +446,7 @@ def test_ensemble_member_blowup_leaves_the_others_unchanged():
     bump = np.exp(-x * x / 8.0)
     states = [FieldState(0.0, grid, 0.05 * x, w0 + 0.1 * bump, 0.05 + 0.0 * x)
               for w0 in (0.2, 0.1)]
-    states.insert(1, init_state(blowup_fixture(), grid))
+    states.insert(1, init_state(BLOWUP_SMALL.family(), grid))
     rec = Recorder()
     ens = run_evolution(stack_states(states), t_end=5.0, callbacks=[rec])
     recs = [Recorder() for _ in states]
@@ -472,7 +467,7 @@ def test_ensemble_member_blowup_leaves_the_others_unchanged():
 
 def test_ensemble_step_names_each_failed_member():
     grid = Grid1D(-16, 0.05, 641)
-    fams = [blowup_fixture(), _families(0.1)[0]]
+    fams = [BLOWUP_SMALL.family(), _families(0.1)[0]]
     st = stack_states([init_state(fam, grid) for fam in fams])
     single = init_state(fams[0], grid)
     with pytest.raises(BlowupDetected) as exc_info:
@@ -588,7 +583,7 @@ def test_windowed_ensemble_members_equal_their_single_runs(monkeypatch):
     # differently, and the blow-up member stops the ensemble near t = 3.9
     grid = Grid1D(-40.0, 0.05, 1601)
     bumps = _bump_members(grid, (-25.0, 20.0))
-    states = [init_state(blowup_fixture(), grid), bumps.member(0), bumps.member(1)]
+    states = [init_state(BLOWUP_SMALL.family(), grid), bumps.member(0), bumps.member(1)]
     seen = _record_step_grids(monkeypatch)
     extremes = []
 

@@ -12,6 +12,7 @@ import pickle
 
 import numpy as np
 import pytest
+from conftest import BLOWUP_SMALL as BLOWUP
 
 import stringlab.errors as errors
 import stringlab.evolve as evolve
@@ -38,10 +39,6 @@ ERRORS = [
 ]
 
 CONVERGE = ExperimentConfig(delta=0.0, t_end=2.0, x0=-18.0, dx=0.28125, n=129)
-# the colliding packets of acceptance A5; every level blows up near t = 3.9
-BLOWUP = ExperimentConfig(x0=-18.0, dx=0.1, n=361, t_end=5.0, delta=1.0,
-                          f_amplitude=2.4, f_center=4.0, f_width=1.0,
-                          fb_amplitude=2.4, fb_center=-4.0, fb_width=1.0)
 
 
 def _subclasses(cls):

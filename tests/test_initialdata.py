@@ -2,10 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import fixture_config
 from hypothesis import given, strategies as st
 
 from stringlab import (DataFamily, DataOutOfRange, Grid1D, HyperbolicityLoss, ProfileSpec,
-                       blowup_fixture, check_kong_tsuji, criterion_for_family, eigenvalues,
+                       check_kong_tsuji, criterion_for_family, eigenvalues,
                        higher_order_traces, init_state, parse_config)
 from stringlab.cli import main
 
@@ -157,7 +158,9 @@ def test_criterion_delta_zero_passes(travelling_family):
 
 
 def test_blowup_fixture_fails_criterion():
-    fam = blowup_fixture()
+    # the colliding packets of acceptance A5, on two samplings of the data
+    fam = fixture_config("a5_blowup").family()
+    assert not criterion_for_family(fam, np.linspace(-14.0, 14.0, 4001)).passed
     x = np.linspace(-20, 20, 2001)
     rep = criterion_for_family(fam, x)
     assert not rep.passed and rep.order_margin < 0

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from stringlab import (HyperbolicityLoss, TimelikeViolation, causal_norm, eigenvalues,
                        metric_scalars, multiplier, null_stress, side_weight, weight_a,
                        weight_a_prime)
-from stringlab.energy import spatial_rows
+from stringlab.energy import null_rows
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 
@@ -34,10 +34,11 @@ def test_null_coords_roundtrip(t, x):
 
 
 def _null_gradient(w, p):
-    # the k = 0 null rows of phi = p*x with phi_t = w; the stencil is exact on lines
+    # the k = 0 null rows of phi = p*x with phi_t = w, an order-0 tower of
+    # one level; the stencil is exact on lines
     x = 0.5 * np.arange(-3, 4)
-    rows = spatial_rows(p * x, np.full_like(x, w), 0.5, 0)
-    return rows[0, 0], rows[0, 1]
+    rows = null_rows([p * x], [np.full_like(x, w)], 1.0, 0.5, 0)
+    return rows[0, 0, 0], rows[0, 0, 1]
 
 
 @pytest.mark.parametrize("w,p,lphi,lbphi", [
