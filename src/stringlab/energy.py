@@ -357,6 +357,8 @@ class EnergyTracker:
     accumulating for good.
     """
 
+    reads = ("phi", "w")        # the fields on_step reads (`forking.streamed_run`)
+
     def __init__(self, gamma, N=N_DEFAULT, probes_u=(), probes_ub=(),
                  report_every=25):
         self.gamma = float(gamma)

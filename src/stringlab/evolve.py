@@ -27,14 +27,10 @@ member keeps the new values on its own live range widened by _REACH cells
 and its old values elsewhere, so its result does not depend on the other
 members.  A member windows only when its window skips at least
 WINDOW_MIN_SKIP points, where the live mask costs a few per cent of what
-it saves.  Grids under WINDOW_MIN_SKIP + 33 points never build the mask,
-and neither does a step in which every member is live at the two cells
-_PRECHECK_CELL and n - 1 - _PRECHECK_CELL: such a member's window skips
-at most WINDOW_MIN_SKIP - 2 points.  That check decides every step of the
-default run and of verify's finest level, and 283 of the 316 steps of the
-coarse level of acceptance criterion A5 (n = 1793).  The stepped sub-grid
-is the hull of the members' windows, grown to whole blocks of
-_WINDOW_BLOCK points, or the whole grid when some member does not window.
+it saves.  Grids under WINDOW_MIN_SKIP + 33 points never build the mask.
+The stepped sub-grid is the hull of the members' windows, grown to whole
+blocks of _WINDOW_BLOCK points, or the whole grid when some member does
+not window.
 
 No blow-up check can trip on the cells a windowed step leaves out.  A
 frozen cell holds |w|, |p| <= 1e-30, and a stepped cell outside the kept
@@ -65,7 +61,7 @@ import numpy as np
 from .errors import BlowupDetected, HyperbolicityLoss, InsufficientHistory
 from .forking import refinement_levels, streamed_run
 from .initialdata import DataFamily, check_data
-from .nullgeom import FIELD_CAP, GMIN_DEFAULT
+from .nullgeom import FIELD_CAP, GMIN_DEFAULT, speed
 from .stencils import cubic_combine, cubic_weights, deriv1, ko_dissipation
 
 CFL_DEFAULT = 0.4
@@ -74,9 +70,6 @@ EPS_KO_DEFAULT = 0.01
 LIVE_FLOOR = 1e-30        # a cell is live where |w| or |p| exceeds this
 WINDOW_MIN_SKIP = 1024    # points a member's window must skip for it to act
 _REACH = 8                # cells one RK4 step reaches: 4 stages x stencil radius 2
-# a member live here and at n - 1 - this cell has a window no more than
-# (WINDOW_MIN_SKIP - 1) // 2 cells short of each grid edge
-_PRECHECK_CELL = (WINDOW_MIN_SKIP - 1) // 2 + 2 * _REACH
 # stepped widths are whole blocks of this many points, so that a step's
 # arrays fit the memory the last step freed (else peak memory grows)
 _WINDOW_BLOCK = 256
@@ -169,14 +162,14 @@ def _max_speed(w, p, disc):
     """max_speed of a state already known to have disc > 0 everywhere."""
     # max(|-wp - root|, |-wp + root|) is |wp| + root bit for bit: root >= 0
     # and rounding is monotone
-    speed = w * p
-    np.abs(speed, out=speed)
-    speed += np.sqrt(disc)
+    lam = w * p
+    np.abs(lam, out=lam)
+    lam += np.sqrt(disc)
     den = p * p
     den += 1.0
-    speed /= den
-    lam = np.max(speed, axis=-1)
-    return float(lam) if lam.ndim == 0 else lam
+    lam /= den
+    top = np.max(lam, axis=-1)
+    return float(top) if top.ndim == 0 else top
 
 
 def _time_step(dx, t0, t_end, cfl):
@@ -319,9 +312,6 @@ def _active_window(w, p):
     if n < WINDOW_MIN_SKIP + 4 * _REACH + 1:
         return None
     # NaN is live: a non-finite cell must reach step's checks
-    ends = [_PRECHECK_CELL, n - 1 - _PRECHECK_CELL]
-    if not np.any((np.abs(w[:, ends]) <= LIVE_FLOOR) & (np.abs(p[:, ends]) <= LIVE_FLOOR)):
-        return None
     quiet = np.abs(w) <= LIVE_FLOOR
     quiet &= np.abs(p) <= LIVE_FLOOR
     # each member's live range [a, b]; an all-quiet row gets [0, n - 1]
@@ -428,13 +418,13 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     accept()
     for _ in range(n_steps):
         try:
-            new, min_g, speed = advance()
+            new, min_g, top_speed = advance()
         except BlowupDetected as exc:
             # copy out, keep no exception: its traceback holds step's arrays
             t_last, why = exc.t_last, exc.members
             break
         state = new
-        max_seen = np.maximum(max_seen, speed)
+        max_seen = np.maximum(max_seen, top_speed)
         min_g_seen = np.minimum(min_g_seen, min_g)
         accept()
 
@@ -496,6 +486,8 @@ class CharacteristicTracer:
     finish() runs the remaining tail steps with j clipped to the last 4
     levels, as an integration over all the levels at once would.
     """
+
+    reads = ("w", "p")          # the fields on_step reads (`forking.streamed_run`)
 
     def __init__(self, seeds, family: str = "plus"):
         if family not in ("plus", "minus"):
@@ -563,8 +555,7 @@ class CharacteristicTracer:
         q = cubic_combine(weights, np.array([(w.take(cols), p.take(cols))
                                              for w, p in islice(self._levels, k, k + 4)]))
         wt, pt = cubic_combine(time_weights, q, axis=0)   # (2, m)
-        disc = np.maximum(1.0 + pt * pt - wt * wt, 0.0)
-        return (-wt * pt + self._sign * np.sqrt(disc)) / (1.0 + pt * pt)
+        return speed(wt, pt, np.maximum(1.0 + pt * pt - wt * wt, 0.0), self._sign)
 
     def _advance(self, i):
         t, dt = self._times[i], self._times[1] - self._times[0]

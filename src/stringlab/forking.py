@@ -21,11 +21,13 @@ first, where the serial loop would have stopped.
 Observers in a child.  `streamed_run` takes a run's observer, such as
 sweep's EnergyTracker or blowup's CharacteristicTracer, off the stepping
 path.  It opens one pipe and forks the observer's child.  A proxy rides the
-run in the observer's place: for each state it writes one frame, the t,
-phi, w and p of the state as float64, with one os.writev straight from the
-state's arrays.  The child reads each frame into fresh arrays and calls the
-observer's on_step.  The pipe holds PIPE_BYTES, resized once on Linux (on
-other systems it keeps its default size, and the caller only waits more);
+run in the observer's place: for each state it writes one frame, the t of
+the state and the fields the observer names in `reads`, as float64, with
+one os.writev straight from the state's arrays.  The child reads each frame
+into fresh arrays and calls the observer's on_step with a state whose
+other fields are None, so reading a field it did not name fails there.
+The pipe holds PIPE_BYTES, resized once on Linux (on other systems it
+keeps its default size, and the caller only waits more);
 the kernel's pipe buffer is the stream's ring.  EOF on a frame boundary
 ends the stream, and the child sends back only result(observer), never the
 levels the observer holds.  After a run that raised, the caller writes a
@@ -56,9 +58,10 @@ import numpy as np
 
 from .errors import StringLabError
 
-# bytes of an observer stream's pipe: 14 frames of the 3 x 1025 points of
-# a hierarchy sweep, 6 of blowup's finest 7169.  1 MiB is the default
-# /proc/sys/fs/pipe-max-size, the most an unprivileged process may ask for
+# bytes of an observer stream's pipe: 21 frames of a hierarchy sweep's
+# tracker (2 x 3 x 1025 floats), 9 of blowup's finest tracer (2 x 7169).
+# 1 MiB is the default /proc/sys/fs/pipe-max-size, the most an
+# unprivileged process may ask for
 PIPE_BYTES = 1 << 20
 
 # observer streams open in this process, which holds their pipes' write ends:
@@ -156,31 +159,34 @@ def streamed_run(run, observer, result, start):
     the run gives it to observer.on_step in a forked child, through a pipe
     (module docstring).
 
-    run takes the run's callbacks and calls their on_step(state) with
-    states of start's type, grid and field shape, such as the run's start
-    state; the child rebuilds each as dataclasses.replace(start, ...), and
-    this call drops start once the child is forked.  The stream is closed
-    and the child reaped before this returns or raises.  The observer's
-    error is raised before the run's, as in the serial order; after a run
-    that raised, the child skips result.  Without a fork the observer rides
-    the run in the caller.
+    observer.reads names the fields of phi, w and p that observer.on_step
+    reads.  run takes the run's callbacks and calls their on_step(state)
+    with states of start's type, grid and field shape, such as the run's
+    start state; the child rebuilds each as dataclasses.replace(start, ...)
+    with the fields not named set to None, and this call drops start once
+    the child is forked.  The stream is closed and the child reaped before
+    this returns or raises.  The observer's error is raised before the
+    run's, as in the serial order; after a run that raised, the child skips
+    result.  Without a fork the observer rides the run in the caller.
     """
     global _streams_open
-    frame_bytes = 8 * (1 + 3 * start.w.size)
+    names = observer.reads
+    frame_bytes = 8 * (1 + len(names) * start.w.size)
     read_fd, write_fd = os.pipe()
 
     def observe():
         os.close(write_fd)
+        unsent = {name: None for name in ("phi", "w", "p") if name not in names}
         while True:
             t = np.empty(1)
-            fields = [np.empty(start.w.shape) for _ in range(3)]
+            fields = [np.empty(start.w.shape) for _ in names]
             got = _transfer(os.readv, read_fd, [t, *fields])
             if got < frame_bytes:
                 # EOF: on a frame boundary the run ended; inside a frame it
                 # raised, and no result is wanted
                 return None if got else result(observer)
-            phi, w, p = fields
-            observer.on_step(dataclasses.replace(start, t=float(t[0]), phi=phi, w=w, p=p))
+            observer.on_step(dataclasses.replace(start, t=float(t[0]), **unsent,
+                                                 **dict(zip(names, fields))))
 
     try:
         join = forked(observe)
@@ -204,7 +210,8 @@ def streamed_run(run, observer, result, start):
     def send(state):
         """Write state's frame straight from its arrays, which are C-contiguous."""
         try:
-            _transfer(os.writev, write_fd, [np.float64(state.t), state.phi, state.w, state.p])
+            _transfer(os.writev, write_fd,
+                      [np.float64(state.t), *(getattr(state, name) for name in names)])
         except BrokenPipeError:
             raise StringLabError("an observer's child ended inside its stream") from None
 

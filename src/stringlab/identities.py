@@ -23,13 +23,14 @@ Three families of checks:
   flux equals the initial term minus the bulk divergence integral.  Checked
   discretely along a run for the row phi itself; the null-segment
   measure carries the Jacobian factor 2 that makes the discrete divergence
-  theorem close exactly.  `BalanceAccumulator` works the levels off in
-  blocks of BALANCE_BLOCK, summing its terms in the order and to the bits
-  of one level at a time, in O(n) memory whatever the run length.
+  theorem close exactly.  `BalanceAccumulator` computes the currents of
+  BALANCE_BLOCK levels at once and adds the levels one at a time, to the
+  bits of one level at a time, in O(n) memory whatever the run length.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,23 +370,24 @@ class BalanceAccumulator:
     line (u <= u0, boundary x = t - 2 u0).
 
     on_step copies phi, w and p of each level into a buffer of
-    BALANCE_BLOCK levels.  The pending levels are worked off in one block
-    when the buffer is full, and whenever finalize(), sigma0 or flux is
-    read: one multiplier, one current density and one deriv1 over the
-    stacked rows, and one cubic_interp call for the boundary values of
-    every level whose boundary point lies on the grid.  The scalar terms
-    are then summed level by level, in the order of one level at a time:
-    level i's bulk term (the region integral of d_t V^t plus the boundary
-    value of V^x) once level i+1 is there (level 0's, by its one-sided
-    stencil, once level 2 is), and finalize() adds only the last level's
-    one-sided term, so the sum runs over i = 0, 1, ..., n-1 as one sum over
-    all levels would.  Every sum is bit for bit that of a level at a time;
-    a TimelikeViolation names the first failing level's min g.
+    BALANCE_BLOCK levels.  flush(), when the buffer is full and from
+    finalize(), works the pending levels off: one multiplier, one current
+    density and one deriv1 over the stacked rows, and one cubic_interp call
+    for the boundary values of every level whose boundary point lies on the
+    grid.  Then it adds the levels one at a time, in order: the trapezoid of
+    the null flux, Sigma(0) at level 0 and dt at level 1, level 0's bulk
+    term (the region integral of d_t V^t plus the boundary value of V^x, by
+    its one-sided stencil) once level 2 is there, and each later level's
+    centred bulk term once the next level is.  finalize() adds only the
+    last level's one-sided term, so the sum runs over i = 0, 1, ..., n-1 as
+    one sum over all levels would.  Every sum is bit for bit that of a
+    level at a time; a TimelikeViolation names the first failing level's
+    min g.
 
-    The accumulator holds the V^t profiles of the last 3 levels worked off,
-    with their times and boundary terms, and fewer than BALANCE_BLOCK
-    pending levels: O(n) memory whatever the run length.  It follows one
-    single-member run, from its start state on.
+    The accumulator holds the V^t profiles of the last 3 levels added, in
+    one (3, n) array updated in place, with their times and boundary terms,
+    and fewer than BALANCE_BLOCK pending levels: O(n) memory whatever the
+    run length.  It follows one single-member run, from its start state on.
     """
 
     def __init__(self, side, coord, gamma):
@@ -397,27 +399,15 @@ class BalanceAccumulator:
         self._grid = None
         self._fields = None         # (3, BALANCE_BLOCK, n): phi, w, p of the pending levels
         self._times = []            # times of the pending levels
-        self._n = 0                 # levels worked off
-        self._taus = []             # times, V^t profiles and boundary V^x terms
-        self._vts = None            # of the last 3 levels worked off
-        self._edges = []
+        self._n = 0                 # levels added
+        self._vts = None            # (3, n), updated in place: the V^t profiles,
+        self._taus = deque(maxlen=3)    # times and boundary V^x terms of the last
+        self._edges = deque(maxlen=3)   # 3 levels added, oldest first
         self._dt = None
         self._bulk = 0.0
-        self._sigma0 = None
-        self._flux = 0.0
+        self._sigma0 = None         # Sigma(0), the region integral of -V^t at the start
+        self._flux = 0.0            # the null flux through the boundary line
         self._prev_flux_integrand = None
-
-    @property
-    def sigma0(self):
-        """Sigma(0), the region integral of -V^t at the start state."""
-        self._flush()
-        return self._sigma0
-
-    @property
-    def flux(self):
-        """The null flux through the boundary line up to the last level."""
-        self._flush()
-        return self._flux
 
     # geometry helpers -----------------------------------------------------
     def _boundary_x(self, tau):
@@ -464,17 +454,17 @@ class BalanceAccumulator:
                 raise ValueError("the energy balance is accumulated along a single-member run")
             self._grid = state.grid
             self._fields = np.empty((3, BALANCE_BLOCK, state.grid.n))
-            self._vts = np.empty((0, state.grid.n))
+            self._vts = np.empty((3, state.grid.n))
         k = len(self._times)
         self._fields[0, k] = state.phi
         self._fields[1, k] = state.w
         self._fields[2, k] = state.p
         self._times.append(state.t)
         if k + 1 == BALANCE_BLOCK:
-            self._flush()
+            self.flush()
 
-    def _flush(self):
-        """Work off the pending levels as one block (class docstring)."""
+    def flush(self):
+        """Work off the pending levels (class docstring)."""
         m, grid, taus = len(self._times), self._grid, self._times
         if not m:
             return
@@ -490,7 +480,6 @@ class BalanceAccumulator:
                               [xbs[k] for k in on])[:, r, r]
             ends = dict(zip(on, zip(*at.tolist())))     # level: (V^t, V^x) there
         vx_lo, vx_hi = vxs[:, 0].tolist(), vxs[:, -1].tolist()
-        edges = []
         for k, tau in enumerate(taus):
             if k in ends:
                 vt_b, vx_b = ends[k]
@@ -498,31 +487,34 @@ class BalanceAccumulator:
                 integrand = -(vt_b + vx_b) if self.side == "TLb" else -(vt_b - vx_b)
             else:
                 vx_b = integrand = 0.0
-            if self._prev_flux_integrand is not None:
-                dtau = tau - (taus[k - 1] if k else self._taus[-1])
-                self._flux += 0.5 * dtau * (self._prev_flux_integrand + integrand)
-            self._prev_flux_integrand = integrand
             # bulk: the V^x boundary term of the region integral of d_x V^x
-            edges.append(vx_b - vx_lo[k] if self.side == "TLb" else vx_hi[k] - vx_b)
-        # rows of the held levels, then the block's: row i is level base + i
-        n0, n1 = self._n, self._n + m
-        v, ts, es = np.concatenate((self._vts, vts)), self._taus + taus, self._edges + edges
-        base = n0 - len(self._taus)
-        if not n0:
-            self._sigma0 = self._region_integral(-v[0], grid, xbs[0])
-        if self._dt is None and n1 >= 2:
-            self._dt = ts[1] - ts[0]
-        if n1 >= 3:
-            if n0 < 3:
-                self._bulk += self._bulk_term(
-                    (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * self._dt), ts[0], es[0], 0.5)
-            # centred levels max(n0 - 1, 1) .. n1 - 2: each needs the next level
-            lo, hi = max(n0 - 1, 1) - base, n1 - 1 - base
-            for i, dvt in enumerate((v[lo + 1:hi + 1] - v[lo - 1:hi - 1]) / (2.0 * self._dt),
-                                    lo):
-                self._bulk += self._bulk_term(dvt, ts[i], es[i], 1.0)
-        self._n = n1
-        self._vts, self._taus, self._edges = v[-3:].copy(), ts[-3:], es[-3:]
+            self._add_level(tau, vts[k], integrand,
+                            vx_b - vx_lo[k] if self.side == "TLb" else vx_hi[k] - vx_b)
+
+    def _add_level(self, tau, vt, integrand, edge):
+        """Add the next level, at time tau with V^t profile vt, null flux
+        integrand and boundary V^x term edge, to the sums (class docstring)."""
+        v, taus, edges = self._vts, self._taus, self._edges
+        if self._n:
+            self._flux += 0.5 * (tau - taus[-1]) * (self._prev_flux_integrand + integrand)
+        else:
+            self._sigma0 = self._region_integral(-vt, self._grid, self._boundary_x(tau))
+        if self._n == 1:
+            self._dt = tau - taus[-1]
+        self._prev_flux_integrand = integrand
+        v[0] = v[1]
+        v[1] = v[2]
+        v[2] = vt
+        taus.append(tau)
+        edges.append(edge)
+        self._n += 1
+        if self._n == 3:
+            self._bulk += self._bulk_term((-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * self._dt),
+                                          taus[0], edges[0], 0.5)
+        if self._n >= 3:
+            # the level before, now that it has its next
+            self._bulk += self._bulk_term((v[2] - v[0]) / (2.0 * self._dt), taus[1], edges[1],
+                                          1.0)
 
     def _bulk_term(self, dvt, tau, edge, wgt):
         """Weighted bulk term of the level at time tau with d_t V^t = dvt and
@@ -535,7 +527,7 @@ class BalanceAccumulator:
     def finalize(self):
         """Returns (residual, scale): |Sigma(t) + flux - Sigma(0) + bulk| and
         the magnitude of the largest term."""
-        self._flush()
+        self.flush()
         if self._n < 3:
             raise InsufficientHistory(
                 f"balance check needs at least 3 levels, have {self._n}")
@@ -571,7 +563,7 @@ def energy_balance_study(cfg, regions, base_grid: Grid1D, t_end) -> list:
             # the pending levels first: an accumulator's error at a level
             # before the blow-up stopped the run, as it stops a serial one
             for acc in accs:
-                acc._flush()
+                acc.flush()
             raise BlowupDetected(run.t_blowup,
                                  f"{run.blowup_reason} on balance level {k} (n = {grid.n})")
         return grid.dx, [r / scale for r, scale in (acc.finalize() for acc in accs)]

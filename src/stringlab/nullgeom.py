@@ -80,13 +80,17 @@ def eigenvalues(w, p):
     mdisc = np.min(disc)
     if mdisc <= 0.0:
         raise HyperbolicityLoss(mdisc)
-    root = np.sqrt(disc)
-    den = 1.0 + p * p
-    lam_minus = (-w * p - root) / den
-    lam_plus = (-w * p + root) / den
+    lam_minus = speed(w, p, disc, -1.0)
+    lam_plus = speed(w, p, disc, 1.0)
     if lam_minus.ndim == 0:
         return float(lam_minus), float(lam_plus)
     return lam_minus, lam_plus
+
+
+def speed(w, p, disc, sign):
+    """The characteristic speed (-w p + sign sqrt(disc)) / (1 + p^2), disc =
+    1 + p^2 - w^2: lam_+ for sign 1, lam_- for sign -1; disc is not checked."""
+    return (-w * p + sign * np.sqrt(disc)) / (1.0 + p * p)
 
 
 def weight_a(x, gamma: float):

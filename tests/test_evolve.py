@@ -624,63 +624,6 @@ def test_window_needs_a_grid_it_can_skip_1024_points_of(monkeypatch, n):
         assert seen[0][1] < n
 
 
-def _full_window_rule(w, p):
-    """Reference for evolve._active_window: the rule on the live mask alone."""
-    n = w.shape[-1]
-    if n < evolve.WINDOW_MIN_SKIP + 4 * evolve._REACH + 1:
-        return None
-    quiet = (np.abs(w) <= evolve.LIVE_FLOOR) & (np.abs(p) <= evolve.LIVE_FLOOR)
-    ranges = list(zip(quiet.argmin(axis=-1).tolist(),
-                      (n - 1 - quiet[:, ::-1].argmin(axis=-1)).tolist()))
-
-    def widened(live, by):
-        return max(live[0] - by, 0), min(live[1] + by + 1, n)
-
-    windows = [widened(r, 2 * evolve._REACH) for r in ranges]
-    windowed = [n - (hi - lo) >= evolve.WINDOW_MIN_SKIP for lo, hi in windows]
-    if not any(windowed):
-        return None
-    keep = [widened(r, evolve._REACH) if on else None for r, on in zip(ranges, windowed)]
-    if not all(windowed):
-        return (0, n), keep
-    lo, hi = min(lo for lo, _ in windows), max(hi for _, hi in windows)
-    width = min(-(-(hi - lo) // evolve._WINDOW_BLOCK) * evolve._WINDOW_BLOCK, n)
-    hi = min(lo + width, n)
-    return (hi - width, hi), keep
-
-
-def test_live_cell_precheck_decides_as_the_full_rule():
-    # the precheck skips the live mask when every member is live at cells
-    # 527 and n - 528; rows live just inside, at or just outside those
-    # cells, NaN cells, all-quiet rows and one wide member among narrow ones
-    rng = np.random.default_rng(21)
-    c = evolve._PRECHECK_CELL
-    skipped = 0
-    for trial in range(400):
-        n = int(rng.integers(1057, 2400))
-        n_members = int(rng.integers(1, 4))
-        w, p = np.zeros((n_members, n)), np.zeros((n_members, n))
-        for row_w, row_p in zip(w, p):
-            kind = rng.integers(6)
-            if kind == 0:
-                continue                                   # all quiet
-            if kind == 1:
-                a, b = 0, n - 1                            # wide
-            elif kind == 2:
-                a, b = c + int(rng.integers(-2, 3)), n - 1 - c + int(rng.integers(-2, 3))
-            else:
-                a, b = np.sort(rng.integers(0, n, 2))
-            row = (row_w, row_p)[rng.integers(2)]
-            row[a] = row[b] = 1e-3
-            row[a:b + 1] += rng.uniform(-1, 1, b + 1 - a) * (rng.random(b + 1 - a) < 0.9)
-            if rng.random() < 0.2:
-                row[rng.integers(n)] = np.nan
-        assert evolve._active_window(w, p) == _full_window_rule(w, p)
-        ends = [c, n - 1 - c]
-        skipped += bool(np.all((w[:, ends] != 0) | (p[:, ends] != 0)))
-    assert skipped > 40
-
-
 def test_a_non_finite_cell_is_live():
     # far enough from the bump that a window of the finite cells alone
     # would leave it out

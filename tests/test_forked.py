@@ -3,8 +3,8 @@ errors that cross it, the inline fallback where os.fork is missing, the
 error order of the refinement levels, and the number of children alive.
 Also a run's observer streamed to a child (`forking.streamed_run`): the
 same results as in the caller, also on a one-page pipe and with short
-reads and writes, errors in serial order, and no fork while a stream is
-open.  conftest checks that no test leaves a child unreaped."""
+reads and writes, only the fields the observer names, errors in serial
+order, and no fork while a stream is open.  conftest checks that no test leaves a child unreaped."""
 
 import dataclasses
 import os
@@ -178,7 +178,8 @@ def _streamed_tracker_equals_the_tracker_in_the_caller():
     res_here = _sweep_run(start)([here])
     res, (member_reports, truncated) = streamed_run(_sweep_run(start), config_tracker(SWEEP),
                                                     _tracked_reports, start)
-    assert res.n_steps == 300 > forking.PIPE_BYTES // (8 * (1 + 3 * 2 * SWEEP.n))
+    # a frame holds t and the tracker's phi and w rows
+    assert res.n_steps == 300 > forking.PIPE_BYTES // (8 * (1 + 2 * 2 * SWEEP.n))
     assert np.array_equal(res.state.phi, res_here.state.phi)
     assert truncated == here.truncated_probes() == ["u0=-6"]
     assert len(member_reports) == 2
@@ -204,7 +205,7 @@ def _streamed_blowup_paths_equal_a_tracer_in_the_caller():
 @pytest.mark.parametrize("pipe_bytes", [4096, forking.PIPE_BYTES])
 def test_streamed_tracker_equals_the_tracker_in_the_caller(monkeypatch, pipe_bytes):
     # a one-page pipe, smaller than one frame of 2 x 481 points, and the
-    # default pipe of 45 frames under a run of 300 steps
+    # default pipe of 68 frames under a run of 300 steps
     monkeypatch.setattr(forking, "PIPE_BYTES", pipe_bytes)
     _streamed_tracker_equals_the_tracker_in_the_caller()
 
@@ -236,6 +237,8 @@ def test_short_reads_and_writes_are_resumed(monkeypatch):
 
 class _FailAt:
     """An observer that raises at its state of index `at`."""
+
+    reads = ()
 
     def __init__(self, at, exc):
         self.at, self.exc, self.seen = at, exc, 0
@@ -273,6 +276,33 @@ def test_an_observer_error_crosses_and_wins_over_a_run_error(monkeypatch, fork):
     # a run error alone is raised, the observer's result unread
     with pytest.raises(BlowupDetected, match="run at 3"):
         streamed_run(run_failing_at(3), _FailAt(10 ** 9, None), _unread, single)
+
+
+class _Carried:
+    """An observer that names w and records which of phi, w and p each
+    state carries."""
+
+    reads = ("w",)
+
+    def __init__(self):
+        self.seen = set()
+
+    def on_step(self, state):
+        self.seen.add(tuple(getattr(state, f) is not None for f in ("phi", "w", "p")))
+
+
+class _ReadsUnnamed(_Carried):
+    def on_step(self, state):
+        state.p.copy()
+
+
+def test_a_forked_observer_gets_only_the_fields_it_names():
+    start = _sweep_start()
+    res, seen = streamed_run(_sweep_run(start), _Carried(), lambda obs: obs.seen, start)
+    assert res.n_steps == 300 and seen == {(False, True, False)}
+    # reading a field it did not name fails in the child, and the error crosses
+    with pytest.raises(AttributeError, match="'NoneType' object has no attribute 'copy'"):
+        streamed_run(_sweep_run(start), _ReadsUnnamed(), _unread, start)
 
 
 def test_a_run_that_fails_before_its_first_state_leaves_no_child():

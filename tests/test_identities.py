@@ -1,12 +1,14 @@
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import Recorder
 
-from stringlab import (DataFamily, FieldState, Grid1D, InsufficientHistory, ProfileSpec,
-                       TimelikeViolation, identities, init_state, metric_scalars, run_evolution,
-                       stack_states, step)
+import stringlab.evolve as evolve
+from stringlab import (BlowupDetected, DataFamily, FieldState, Grid1D, InsufficientHistory,
+                       ProfileSpec, TimelikeViolation, identities, init_state, metric_scalars,
+                       run_evolution, stack_states, step)
 from stringlab.config import ExperimentConfig
 from stringlab.identities import (BALANCE_BLOCK, BalanceAccumulator, _null_data,
                                   deformation_check, deformation_closed, deformation_direct,
@@ -260,7 +262,7 @@ def test_balance_zero_solution():
     acc = BalanceAccumulator("TLb", 1.0, 0.5)
     run_evolution(fam, Grid1D(-12, 0.1, 241), t_end=2.0, callbacks=[acc])
     res, scale = acc.finalize()
-    assert res == 0.0 and acc.sigma0 == 0.0 and acc.flux == 0.0
+    assert res == 0.0 and acc._sigma0 == 0.0 and acc._flux == 0.0
 
 
 def test_balance_travelling_tl_side_noise(travelling_family):
@@ -269,7 +271,7 @@ def test_balance_travelling_tl_side_noise(travelling_family):
     run_evolution(travelling_family, Grid1D(-18, 0.05, 721), t_end=2.0,
                   eps_ko=0.0, callbacks=[acc])
     res, scale = acc.finalize()
-    assert abs(acc.sigma0) < 1e-12
+    assert abs(acc._sigma0) < 1e-12
     assert res < 1e-10
 
 
@@ -295,10 +297,8 @@ class _StoredBalance(BalanceAccumulator):
     """The stored-profile assembly that the streamed accumulator replaced:
     every V^t and V^x profile is kept, and finalize() runs the bulk sum over
     the whole history.  It shares only the current, geometry and region
-    integral helpers with the streamed accumulator."""
-
-    sigma0 = None       # plain attributes, summed as the levels arrive
-    flux = 0.0
+    integral helpers with the streamed accumulator, and sums Sigma(0) and
+    the flux into the same attributes as the levels arrive."""
 
     def __init__(self, side, coord, gamma):
         super().__init__(side, coord, gamma)
@@ -310,7 +310,7 @@ class _StoredBalance(BalanceAccumulator):
         vt_cur, vx_cur = self._currents(state.t, state.phi, state.w, state.p)
         tau = state.t
         if not self._all_taus:
-            self.sigma0 = self._region_integral(-vt_cur, state.grid, self._boundary_x(tau))
+            self._sigma0 = self._region_integral(-vt_cur, state.grid, self._boundary_x(tau))
         self._all_taus.append(tau)
         self._all_vts.append(vt_cur)
         self._all_vxs.append(vx_cur)
@@ -323,7 +323,7 @@ class _StoredBalance(BalanceAccumulator):
         else:
             integrand = 0.0
         if self._prev is not None:
-            self.flux += 0.5 * (tau - self._all_taus[-2]) * (self._prev + integrand)
+            self._flux += 0.5 * (tau - self._all_taus[-2]) * (self._prev + integrand)
         self._prev = integrand
 
     def finalize(self):
@@ -353,8 +353,8 @@ class _StoredBalance(BalanceAccumulator):
                 q += vxs[i][-1] - vx_b
             wgt = 0.5 if i in (0, n - 1) else 1.0
             bulk += wgt * dt * q
-        residual = abs(sigma_t + self.flux - self.sigma0 + bulk)
-        scale = max(abs(sigma_t), abs(self.sigma0), abs(self.flux), abs(bulk), 1e-300)
+        residual = abs(sigma_t + self._flux - self._sigma0 + bulk)
+        scale = max(abs(sigma_t), abs(self._sigma0), abs(self._flux), abs(bulk), 1e-300)
         return residual, scale
 
 
@@ -373,28 +373,30 @@ def test_streamed_balance_equals_stored_profiles(default_family, side, coord, le
     xb = streamed._boundary_x(2.0)
     assert (not grid.x0 <= xb <= grid.x_end) == leaves
     assert streamed.finalize() == stored.finalize()
-    assert (streamed.sigma0, streamed.flux) == (stored.sigma0, stored.flux)
+    assert (streamed._sigma0, streamed._flux) == (stored._sigma0, stored._flux)
     assert streamed.finalize() == stored.finalize()     # finalize leaves the sums alone
 
 
 def test_balance_window_stays_three_levels(default_family):
-    # 3 V^t profiles plus fewer than BALANCE_BLOCK pending levels in a buffer
-    # of BALANCE_BLOCK, whatever the run length
+    # 3 V^t profiles in one array updated in place, plus fewer than
+    # BALANCE_BLOCK pending levels in a buffer of BALANCE_BLOCK, whatever
+    # the run length
     acc = BalanceAccumulator("TLb", 1.0, 0.5)
     held = []
 
     class Probe:
         def on_step(self, state):
-            held.append((len(acc._vts), len(acc._times)))
+            held.append((acc._vts, len(acc._taus), len(acc._times)))
 
     res = run_evolution(default_family, Grid1D(-12.0, 0.1, 241), t_end=12.0,
                         callbacks=[acc, Probe()])
     assert res.n_steps == 300 and len(held) == 301
-    assert max(v for v, _ in held) == 3
-    assert max(pending for _, pending in held) == BALANCE_BLOCK - 1
+    assert all(v is acc._vts for v, _, _ in held) and acc._vts.shape == (3, 241)
+    assert max(t for _, t, _ in held) == 3
+    assert max(pending for _, _, pending in held) == BALANCE_BLOCK - 1
     assert acc._fields.shape == (3, BALANCE_BLOCK, 241)
     acc.finalize()
-    assert (len(acc._vts), len(acc._times)) == (3, 0)
+    assert (len(acc._taus), len(acc._times)) == (3, 0)
 
 
 @pytest.fixture(scope="module")
@@ -427,7 +429,8 @@ def test_blocked_balance_equals_stored_profiles_at_block_edges(balance_states, s
             if not grid.x0 <= blocked._boundary_x(s.t) <= grid.x_end]
     if coord == -2.95 and levels > 3:
         assert left[0] == 3 and left[0] % BALANCE_BLOCK     # mid-block
-    assert (blocked.sigma0, blocked.flux) == (stored.sigma0, stored.flux)
+    blocked.flush()
+    assert (blocked._sigma0, blocked._flux) == (stored._sigma0, stored._flux)
     assert blocked.finalize() == stored.finalize()
 
 
@@ -521,6 +524,25 @@ def test_verify_suite_evolves_each_balance_level_once(monkeypatch, tmp_path):
     calls = [line.split() for line in log.read_text().splitlines()]
     assert len(calls) == 3
     assert all(len(cbs) == 2 for cbs in calls)
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_verify_raises_a_closed_form_error_before_a_balance_error(monkeypatch, fork):
+    # the closed-form studies come first in the suite, so their error wins
+    # over a balance level's, whether they run in a child or inline
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    # the field-size cap stops every balance level at its first step
+    monkeypatch.setattr(evolve, "FIELD_CAP", 1e-3)
+    with pytest.raises(BlowupDetected, match="on balance level 0"):
+        verify_suite(ExperimentConfig(seed=1))
+
+    def fails(seed=0):
+        raise ValueError("the equivalence band fails")
+
+    monkeypatch.setattr(identities, "equivalence_ratios", fails)
+    with pytest.raises(ValueError, match="^the equivalence band fails$"):
+        verify_suite(ExperimentConfig(seed=1))
 
 
 def _scaled_weight_a_prime(x, gamma, _orig=identities.weight_a_prime):
