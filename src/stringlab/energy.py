@@ -770,6 +770,14 @@ class HierarchyFit:
     c1: float                      # envelope constant of the E tier
 
 
+def _slope(x, y) -> float:
+    """Slope of the least-squares line through (x, y), in closed form:
+    sum((x - mean x)(y - mean y)) / sum((x - mean x)^2).  x must hold at
+    least two distinct values, as the sweep's deltas do."""
+    dx = x - np.mean(x)
+    return float(np.sum(dx * (y - np.mean(y))) / np.sum(dx * dx))
+
+
 def fit_hierarchy(monitors) -> HierarchyFit:
     """Least-squares slopes and envelope constants from a delta sweep.
 
@@ -785,8 +793,9 @@ def fit_hierarchy(monitors) -> HierarchyFit:
     a_tier = np.array([mo.sup_eb2 + mo.sup_fb2 for mo in monitors])
     b_tier = np.array([mo.sup_e2 + mo.sup_f2 for mo in monitors])
     m2 = float(np.max([mo.m2 for mo in monitors]))
-    slope_e2 = float(np.polyfit(np.log(deltas), np.log(np.maximum(sup_e2, 1e-300)), 1)[0])
-    slope_eb2 = float(np.polyfit(np.log(deltas), np.log(np.maximum(sup_eb2, 1e-300)), 1)[0])
+    log_d = np.log(deltas)
+    slope_e2 = _slope(log_d, np.log(np.maximum(sup_e2, 1e-300)))
+    slope_eb2 = _slope(log_d, np.log(np.maximum(sup_eb2, 1e-300)))
     eb0 = np.array([mo.eb2_initial for mo in monitors])
     e0 = np.array([mo.e2_initial for mo in monitors])
     try:

@@ -11,7 +11,11 @@ order (the admissible data class):
 with s = (x - center)/width.  Derivatives come from exact polynomial
 recurrences in s (Hermite-style for the gaussian kinds, a rational-numerator
 recurrence for the bump), so any order is available everywhere without
-numerical differentiation.
+numerical differentiation.  The recurrences run on plain coefficient arrays
+with the operations of ``numpy.polynomial.Polynomial`` (trimmed ``np.convolve``
+products, its add/subtract and derivative paths, and Horner evaluation after
+the identity domain map), so the values match it bit for bit, signed zeros
+included, without importing that package.
 
 Everything here is numpy and the standard library: the gaussian
 antiderivative uses ``erf``, a port of the Cephes rational approximation
@@ -22,10 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .stencils import cubic_interp
 
@@ -51,26 +54,70 @@ class ProfileSpec:
             raise ValueError(f"profile width must be positive, got {self.width}")
 
 
+def _trim(c):
+    # drop trailing zeros of either sign, keeping at least one coefficient
+    nonzero = np.flatnonzero(c)
+    return c[:nonzero[-1] + 1] if nonzero.size else c[:1]
+
+
+def _mul(a, b):
+    return _trim(np.convolve(_trim(np.asarray(a, dtype=float)), _trim(b)))
+
+
+def _add(a, b):
+    a, b = _trim(a), _trim(b)
+    if a.size > b.size:
+        a, b = b, a
+    out = b.copy()
+    out[:a.size] += a
+    return _trim(out)
+
+
+def _sub(a, b):
+    a, b = _trim(a), _trim(b)
+    if a.size > b.size:
+        out = a.copy()
+        out[:b.size] -= b
+    else:
+        out = -b
+        out[:a.size] += a
+    return _trim(out)
+
+
+def _deriv(c):
+    return np.arange(1.0, c.size) * c[1:] if c.size > 1 else c[:1] * 0
+
+
+def _polyval(c, x):
+    # Horner's rule on c (lowest degree first), after the identity domain
+    # map 0 + 1*x, which turns -0.0 into +0.0
+    x = 0.0 + 1.0 * x
+    out = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        out = ci + out * x
+    return out
+
+
 @lru_cache(maxsize=None)
-def _gauss_poly(k: int, seed: str) -> Polynomial:
+def _gauss_poly(k: int, seed: str):
     # P_{k+1} = P_k' - 2 s P_k  applied to exp(-s^2) prefactors
-    p = Polynomial([1.0]) if seed == "1" else Polynomial([0.0, 1.0])
-    two_s = Polynomial([0.0, 2.0])
+    p = np.array([1.0]) if seed == "1" else np.array([0.0, 1.0])
     for _ in range(k):
-        p = p.deriv() - two_s * p
-    return p
+        p = _sub(_deriv(p), _mul([0.0, 2.0], p))
+    return partial(_polyval, p)
 
 
 @lru_cache(maxsize=None)
-def _bump_poly(k: int) -> Polynomial:
+def _bump_poly(k: int):
     # h^(k) = N_k(s) / (1-s^2)^(2k) * h, with
     # N_{k+1} = (N_k'(1-s^2) + 4k s N_k)(1-s^2) - 2 s N_k
-    n = Polynomial([1.0])
-    one_m_s2 = Polynomial([1.0, 0.0, -1.0])
-    s = Polynomial([0.0, 1.0])
+    n = np.array([1.0])
+    one_m_s2 = np.array([1.0, 0.0, -1.0])
+    s = np.array([0.0, 1.0])
     for j in range(k):
-        n = (n.deriv() * one_m_s2 + 4.0 * j * s * n) * one_m_s2 - 2.0 * s * n
-    return n
+        inner = _add(_mul(_deriv(n), one_m_s2), _mul(_mul([4.0 * j], s), n))
+        n = _sub(_mul(inner, one_m_s2), _mul(_mul([2.0], s), n))
+    return partial(_polyval, n)
 
 
 def profile_derivative(h: ProfileSpec, k: int, x):

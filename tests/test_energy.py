@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from conftest import BLOWUP_SMALL, Recorder
 from scipy import integrate
+from test_golden import GOLDEN
 
 from stringlab import (DataFamily, EnergyReport, EnergyTracker, Grid1D, InsufficientHistory,
                        ProfileSpec, TimelikeViolation, build_tower,
-                       energy_orders, higher_order_traces, init_state, monitor,
+                       energy_orders, higher_order_traces, init_state, monitor, parse_config,
                        run_evolution, stack_states, stress_density, tracked_run, tracked_sweep)
 import stringlab.energy as energy
 from stringlab.config import ExperimentConfig
@@ -712,3 +713,21 @@ def test_trace_check_gate_on_the_worst_order(level1, order, passed):
                             table=None)
     assert study.orders == [order]
     assert study.passed() == passed
+
+
+def test_hierarchy_slopes_equal_polyfit():
+    # the closed-form line against numpy's least-squares fit (an SVD in
+    # LAPACK): on seeded random sweeps, then on the golden sweep's monitors
+    rng = np.random.default_rng(2021)
+    for _ in range(2000):
+        deltas = rng.choice(np.geomspace(1e-4, 1.0, 4001), size=rng.integers(3, 7),
+                            replace=False)
+        x = np.log(deltas)
+        y = rng.uniform(-1.0, 3.0) * x + rng.uniform(-5.0, 5.0) + 0.1 * rng.standard_normal(x.size)
+        assert abs(energy._slope(x, y) - np.polyfit(x, y, 1)[0]) < 1e-12
+    monitors = [mon for _, _, mon in tracked_sweep(parse_config(GOLDEN["sweep"][0]))]
+    fit = energy.fit_hierarchy(monitors)
+    x = np.log(fit.deltas)
+    for slope, sups in ((fit.slope_e2, fit.sup_e2), (fit.slope_eb2, fit.sup_eb2)):
+        assert slope == energy._slope(x, np.log(sups))
+        assert abs(slope - np.polyfit(x, np.log(sups), 1)[0]) < 1e-12

@@ -63,7 +63,7 @@ GOLDEN = {
         "monitor.csv": "7d4854e3734882ba2ceececa9ca69bdff71f91f0bc8d9678371174e87f2e9317",
     }),
     "sweep": (SMALL_RUN + "deltas = 0.2,0.1,0.05\n", [], {
-        "hierarchy.csv": "df37043b463096ede292b65385aa8be64485fa0104170d275cf296bad9f09c71",
+        "hierarchy.csv": "dbb902eaa37848b2369f07433c3868f0f46883928b72b916066bab32d6faa010",
         "sweep.csv": "4b68f2b880eb5fe3bca1475138e0c42dc11dfffd6d2db7ccf7c58b489ea553c4",
     }),
     "converge": (CONVERGE, [], {

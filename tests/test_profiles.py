@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate, special
 
 from stringlab import ProfileSpec, parse_config, profile_antiderivative, profile_derivative
-from stringlab.profiles import erf, support_radius
+from stringlab.profiles import _bump_poly, _gauss_poly, erf, support_radius
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,6 +88,42 @@ def test_support_radius_of_zero_profile():
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _polynomial_reference(k, kind):
+    # the recurrences of _gauss_poly and _bump_poly on numpy.polynomial, which
+    # the package itself does not import
+    from numpy.polynomial import Polynomial
+    s = Polynomial([0.0, 1.0])
+    if kind == "bump":
+        n, one_m_s2 = Polynomial([1.0]), Polynomial([1.0, 0.0, -1.0])
+        for j in range(k):
+            n = (n.deriv() * one_m_s2 + 4.0 * j * s * n) * one_m_s2 - 2.0 * s * n
+        return n
+    p = Polynomial([1.0]) if kind == "1" else Polynomial([0.0, 1.0])
+    for _ in range(k):
+        p = p.deriv() - Polynomial([0.0, 2.0]) * p
+    return p
+
+
+@pytest.mark.parametrize("kind", ["1", "s", "bump"])
+@pytest.mark.parametrize("k", range(12))
+def test_profile_polynomials_equal_numpy_polynomial(kind, k):
+    # Bit for bit, signed zeros included: Polynomial's coefficients carry
+    # -0.0, so np.polyder/np.polymul/np.polysub would flip the sign of an
+    # exact zero at s = 0 (seed "1" at k = 5, seed "s" at k = 2).
+    ours = _bump_poly(k) if kind == "bump" else _gauss_poly(k, kind)
+    ref = _polynomial_reference(k, kind)
+    rng = np.random.default_rng(100 + k)
+    s = np.concatenate(([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, -1e-300],
+                        np.linspace(-3.0, 3.0, 6001), rng.uniform(-1.0, 1.0, 19999),
+                        4.0 * rng.standard_normal(20000)))
+    assert _same_bits(ours(s), ref(s))
+    assert _same_bits(ours(s.reshape(4, -1)), ref(s.reshape(4, -1)))
+    for point in (0.0, -0.0, 0.7, -2.5):
+        got, want = ours(np.asarray(point)), ref(np.asarray(point))
+        assert type(got) is type(want) and _same_bits(got, want)
+        assert np.signbit(got) == np.signbit(want)
 
 
 @pytest.mark.parametrize("lo, hi, n", [(-40.0, 40.0, 1_000_001), (-8.0, 8.0, 1_000_001)])
