@@ -4,7 +4,9 @@ Modes
 -----
 run         criterion check, evolve to t_end, energy/monitor CSV.
             Exit 0 when no blow-up and all monitors pass, 2 on blow-up,
-            1 on error or failed monitor.
+            1 on error or failed monitor.  A blow-up after a passing
+            criterion exits 2 with a stderr warning that names the ordering
+            margin and the stepper's min g: the grid may be under-resolved.
 sweep       one run per delta in `deltas`; emits per-delta sups and the
             fitted hierarchy slopes/constants.  All deltas step in
             lockstep as one ensemble; a delta that blows up is an error
@@ -42,7 +44,9 @@ CSV schemas (all files carry a header row; floats use repr-precision %.17g):
 
 An order is the log2 ratio of a level's value to the next finer level's.
 The order column reads n/a where that ratio is undefined (a value is zero
-or not finite), and an n/a order fails its gate.
+or not finite), and an n/a order fails its gate.  Level 0 has no order:
+converge.csv writes n/a there, identities.csv and tracecheck.csv leave the
+cell empty.
 
 Same config and seed give byte-identical CSV.
 """
@@ -144,6 +148,10 @@ def cmd_run(cfg, out: Path) -> int:
         _write_csv(out / "fields.csv", ["t", "x", "phi", "w", "p"], rows)
     if result.status == "blowup":
         print(f"blow-up detected at t = {result.t_blowup:.6g} ({result.blowup_reason})")
+        if crit.passed:
+            print(f"stringlab: warning: criterion pass (ordering margin {crit.order_margin:.3e}) "
+                  f"but blow-up (min g {result.min_g_seen:.3e}): the grid may be under-resolved",
+                  file=sys.stderr)
         return 2
     _write_csv(out / "monitor.csv", _MONITOR_HEADER, [_monitor_row(mon)])
     ok = mon.passed(cfg.gmin)

@@ -307,8 +307,8 @@ def report_from_tower(tower: DerivativeTower, gamma, flux_t, f2, fb2,
 
 
 class EnergyTracker:
-    """Run callback: accumulates null fluxes along fixed probe lines and emits
-    periodic EnergyReports from the derivative tower.
+    """Run observer (`forking`): accumulates null fluxes along fixed probe
+    lines and emits periodic EnergyReports from the derivative tower.
 
     Flux probes are fixed before the run: probes_u are retarded coordinates
     u0 of outgoing lines (x = t - 2 u0), probes_ub advanced coordinates ub0
@@ -324,7 +324,7 @@ class EnergyTracker:
     follow it; the flux at a centre adds dt * weight * |row|^2 * sqrt(g) at
     each line's abscissa by cubic interpolation, trapezoidal in time.  The
     centres are worked off in blocks, when FLUX_BLOCK of them are pending
-    and whenever `member_reports` or `truncated_probes()` is read:
+    and from finalize():
 
     - the spatial rows of each line's own side (N+1 deriv1 calls per
       block) only on probe windows: per line, the interpolation columns of
@@ -348,8 +348,8 @@ class EnergyTracker:
 
     An ensemble (fields (B, n), see `run_evolution`) is tracked as one: a
     block costs N+1 deriv1 calls whatever B is, and the probe abscissae,
-    weights and truncation flags are shared.  `member_reports[b]` lists
-    member b's reports.
+    weights and truncation flags are shared; finalize() returns the
+    reports per member.
 
     A line accumulates while it stays hw+1 cells inside the grid.  One that
     has not reached the grid yet (an outgoing line left of it, an incoming
@@ -357,7 +357,7 @@ class EnergyTracker:
     accumulating for good.
     """
 
-    reads = ("phi", "w")        # the fields on_step reads (`forking.streamed_run`)
+    reads = ("phi", "w")
 
     def __init__(self, gamma, N=N_DEFAULT, probes_u=(), probes_ub=(),
                  report_every=25):
@@ -366,7 +366,7 @@ class EnergyTracker:
         self.probes_u = np.asarray(probes_u, dtype=float)
         self.probes_ub = np.asarray(probes_ub, dtype=float)
         self.report_every = int(report_every)
-        self._member_reports: list[list[EnergyReport]] = []
+        self._reports = []
         self._grid = None
         self._fields = None            # (2, 2N+K, B, n): phi and w of the held levels
         self._times = []               # times of the held levels
@@ -383,23 +383,18 @@ class EnergyTracker:
         # point of its interpolation coordinate
         self._hw = 2 * (self.N + 2) + 4
 
-    @property
-    def member_reports(self) -> list[list[EnergyReport]]:
-        """The reports of each member, up to the last accepted level."""
-        self._flush()
-        return self._member_reports
-
-    def truncated_probes(self):
-        """Names of the probe lines that left the grid, e.g. 'u0=3'."""
+    def finalize(self):
+        """(reports per member up to the last accepted level, names of the
+        probe lines that left the grid)."""
         self._flush()
         names = [f"u0={c:g}" for c in self.probes_u] + [f"ub0={c:g}" for c in self.probes_ub]
-        return [name for name, gone in zip(names, self._truncated) if gone]
+        return self._reports, [name for name, gone in zip(names, self._truncated) if gone]
 
     def on_step(self, state: FieldState):
         phi, w = np.atleast_2d(state.phi), np.atleast_2d(state.w)
         if self._fields is None:
             self._grid = state.grid
-            self._member_reports = [[] for _ in range(w.shape[0])]
+            self._reports = [[] for _ in range(w.shape[0])]
             self._fields = np.empty((2, 2 * self.N + FLUX_BLOCK) + w.shape)
             self._flux = np.zeros((w.shape[0], len(self._truncated), self.N + 1))
         held = len(self._times)
@@ -541,7 +536,7 @@ class EnergyTracker:
         dt = _level_dt(times[levels])
         t = float(times[i + N])
         weights = _side_weights(t, self._grid.x, self.gamma)
-        for k, reports in enumerate(self._member_reports):
+        for k, reports in enumerate(self._reports):
             phi, w = self._fields[:, levels, k]
             rows = null_rows(phi, w, dt, self._grid.dx, N)
             tower = DerivativeTower(t=t, grid=self._grid, N=N, rows=rows)
@@ -567,12 +562,6 @@ def config_tracker(cfg) -> EnergyTracker:
                          probes_ub=cfg.probes_ub, report_every=cfg.report_every)
 
 
-def _tracked_reports(tracker):
-    """What an ensemble run's tracker sends back from its child: each
-    member's reports and the names of the probe lines that left the grid."""
-    return tracker.member_reports, tracker.truncated_probes()
-
-
 def _tracked_ensemble(cfg, deltas):
     """Evolve the family of cfg.with_(delta=d) for each d in deltas on cfg's
     grid, as one ensemble under cfg's tracker, which runs in a child
@@ -592,16 +581,15 @@ def _tracked_ensemble(cfg, deltas):
         # the t = 0 reports need no run: they overlap the child's last states
         return result, [tracker.initial_report(fam, grid) for fam in fams]
 
-    (result, initial), (member_reports, truncated) = streamed_run(
-        run, tracker, _tracked_reports, start)
+    (result, initial), (evolved, truncated) = streamed_run(run, tracker, start)
     if any(res.status == "completed" and not reports
-           for res, reports in zip(result.members, member_reports)):
+           for res, reports in zip(result.members, evolved)):
         raise InsufficientHistory(
             f"a run of {result.n_steps} steps gives no energy report: an order-{tracker.N} "
             f"tower needs {2 * tracker.N + 1} levels and reports come every "
             f"{tracker.report_every} steps")
     out = []
-    for res, first, delta, reports in zip(result.members, initial, deltas, member_reports):
+    for res, first, delta, reports in zip(result.members, initial, deltas, evolved):
         reports = [first] + reports
         out.append((res, reports, monitor(reports, delta)))
     return out, truncated

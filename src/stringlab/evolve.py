@@ -472,10 +472,9 @@ class CharPath:
 class CharacteristicTracer:
     """Integrate dx/dt = lambda_family along a run, as it is produced.
 
-    A run_evolution callback of one run (on_step, from the start state on)
-    followed by finish().  Path step i is the RK4 step of the field
-    evolution with cubic space-time interpolation of (w, p) over the 4
-    levels j..j+3 nearest its time, j = floor((t - t0)/dt) - 1.
+    A run observer (`forking`) of one run.  Path step i is the RK4 step of
+    the field evolution with cubic space-time interpolation of (w, p) over
+    the 4 levels j..j+3 nearest its time, j = floor((t - t0)/dt) - 1.
     Accumulated step times carry roundoff, so j is one of i-2, i-1, i.  The
     step runs once level i+4 has arrived, so the clip of j to the last 4
     levels of the run cannot act before the run ends; the tracer then drops
@@ -483,11 +482,11 @@ class CharacteristicTracer:
     accepted state has fresh arrays, so none is copied) and gathers only the
     4 stencil columns of each seed from each of the 4 levels it
     interpolates, so memory is O(n) whatever the run length.
-    finish() runs the remaining tail steps with j clipped to the last 4
+    finalize() runs the remaining tail steps with j clipped to the last 4
     levels, as an integration over all the levels at once would.
     """
 
-    reads = ("w", "p")          # the fields on_step reads (`forking.streamed_run`)
+    reads = ("w", "p")
 
     def __init__(self, seeds, family: str = "plus"):
         if family not in ("plus", "minus"):
@@ -495,7 +494,7 @@ class CharacteristicTracer:
         self.family = family
         self.seeds = np.asarray(seeds, dtype=float)
         self._sign = 1.0 if family == "plus" else -1.0
-        self._times = []                 # no level yet: finish() raises InsufficientHistory
+        self._times = []
         self._levels = deque()
         self._first = 0                  # run index of self._levels[0]
         self._xs = self.seeds.copy()
@@ -521,8 +520,9 @@ class CharacteristicTracer:
                 self._levels.popleft()
                 self._first += 1
 
-    def finish(self):
-        """Run the tail steps and return (paths, min_sep) for every seed."""
+    def finalize(self):
+        """(paths, min_sep) for every seed, after the tail steps; raises
+        InsufficientHistory below 4 levels."""
         count = len(self._times)
         if count < 4:
             raise InsufficientHistory(
@@ -592,7 +592,7 @@ def trace_characteristics(states, seeds, family: str = "plus"):
     tracer = CharacteristicTracer(seeds, family)
     for state in states:
         tracer.on_step(state)
-    return tracer.finish()
+    return tracer.finalize()
 
 
 def richardson_time(t_blowups):
@@ -684,15 +684,6 @@ class BlowupStudy:
     min_sep: float = float("nan")               # paths and min_sep only when t_star is set
 
 
-def _finished(tracer):
-    """tracer.finish(), or the InsufficientHistory it raises as a value:
-    blowup_study raises it only where it reads the paths."""
-    try:
-        return tracer.finish()
-    except InsufficientHistory as exc:
-        return exc
-
-
 def blowup_study(cfg) -> BlowupStudy:
     """Detected blow-up time of cfg's family on cfg's grid and its 2x and 4x
     refinements, and the focusing of adjacent plus-family characteristics.
@@ -715,11 +706,16 @@ def blowup_study(cfg) -> BlowupStudy:
         if k < 2:
             res = run()
         else:
-            # the run builds its own start state, so that none is held
-            # beside it while it steps
-            res, paths = streamed_run(lambda callbacks: run(callbacks=callbacks),
-                                      CharacteristicTracer(seeds, family="plus"), _finished,
-                                      init_state(fam, g))
+            # the run builds its own start state, so that none is held beside
+            # it while it steps; the tracer's error waits until paths are read
+            runs = []
+            try:
+                _, paths = streamed_run(lambda callbacks: runs.append(run(callbacks=callbacks)),
+                                        CharacteristicTracer(seeds, family="plus"),
+                                        init_state(fam, g))
+            except InsufficientHistory as exc:
+                paths = exc
+            (res,) = runs
             traced.append(paths)
         tb = res.t_blowup if res.status == "blowup" else float("nan")
         return BlowupLevel(g.n, g.dx, tb, res.blowup_reason)

@@ -10,29 +10,31 @@ Refinement levels.  The three grids of a refinement study (converge,
 blowup, and verify's energy balance) do not depend on each other.
 refinement_levels runs the two coarse levels in one child process while
 the finest level runs in the caller.  Only the coarse levels' results
-cross, so a callback riding on the finest run is never pickled;
-blowup_study's CharacteristicTracer rides it through an observer stream
-(below), opened after the coarse levels' child is forked.  A level runs
-the same floating-point operations in either process, so the results are
-bit-identical to the serial loop.  So are the errors: the child is joined
-also when the finest level raises, and a coarse level's error is raised
-first, where the serial loop would have stopped.
+cross, so an observer riding on the finest run is never pickled.  A level
+runs the same floating-point operations in either process, so the results
+are bit-identical to the serial loop.  So are the errors: the child is
+joined also when the finest level raises, and a coarse level's error is
+raised first, where the serial loop would have stopped.
 
-Observers in a child.  `streamed_run` takes a run's observer, such as
-sweep's EnergyTracker or blowup's CharacteristicTracer, off the stepping
+Run observers.  An observer follows one run through three members:
+`reads`, the fields of phi, w and p that it reads; on_step(state), called
+with the run's start state and then each accepted state; and finalize(),
+called once after the run, which returns a picklable result or raises a
+package error.  EnergyTracker, CharacteristicTracer and BalanceAccumulator
+are the three.  `streamed_run` takes a run's observer off the stepping
 path.  It opens one pipe and forks the observer's child.  A proxy rides the
 run in the observer's place: for each state it writes one frame, the t of
-the state and the fields the observer names in `reads`, as float64, with
-one os.writev straight from the state's arrays.  The child reads each frame
+the state and the fields the observer reads, as float64, with one
+os.writev straight from the state's arrays.  The child reads each frame
 into fresh arrays and calls the observer's on_step with a state whose
 other fields are None, so reading a field it did not name fails there.
 The pipe holds PIPE_BYTES, resized once on Linux (on other systems it
 keeps its default size, and the caller only waits more);
 the kernel's pipe buffer is the stream's ring.  EOF on a frame boundary
-ends the stream, and the child sends back only result(observer), never the
-levels the observer holds.  After a run that raised, the caller writes a
-partial frame before it closes the pipe: EOF inside a frame, and the child
-skips result.  The states are bit for bit those of the run, so the
+ends the stream, and the child sends back only observer.finalize(), never
+the levels the observer holds.  After a run that raised, the caller writes
+a partial frame before it closes the pipe: EOF inside a frame, and the
+child skips finalize.  The states are bit for bit those of the run, so the
 observer's results are those of the serial run.  An error of the observer
 reaches the caller at its next write or when the stream closes, with its
 type and message, and it wins over an error of the run, which came later in
@@ -41,9 +43,10 @@ forked process would inherit the pipe's write end and the stream would
 never end; `forked` raises then.
 
 Cost.  The forks move work onto a second core; they do not cut the CPU
-time.  On one core (taskset -c 0) the forked runs are no faster than the
-serial ones: medians of 5 pairs read sweep 0.903 vs 0.856 s and blowup
-1.572 vs 1.527 s, inside the noise.
+time.  On one core of a shared 2-core x86-64 host (taskset -c 0), 3 runs a
+side, forked vs serial (os.fork deleted) read blowup 1.16-1.28 vs
+1.02-1.16 s, forked slower in 3 of 3, and sweep 0.71-0.74 vs 0.66-0.77 s
+(ROADMAP item 22).
 """
 
 from __future__ import annotations
@@ -154,20 +157,17 @@ def refinement_levels(level):
     return [*coarse, finest]
 
 
-def streamed_run(run, observer, result, start):
-    """(run([proxy]), result(observer)), where the proxy hands each state
-    the run gives it to observer.on_step in a forked child, through a pipe
-    (module docstring).
+def streamed_run(run, observer, start):
+    """(run([proxy]), observer.finalize()), where the proxy hands each
+    state the run gives it to observer.on_step in a forked child, through a
+    pipe (module docstring).
 
-    observer.reads names the fields of phi, w and p that observer.on_step
-    reads.  run takes the run's callbacks and calls their on_step(state)
-    with states of start's type, grid and field shape, such as the run's
-    start state; the child rebuilds each as dataclasses.replace(start, ...)
-    with the fields not named set to None, and this call drops start once
-    the child is forked.  The stream is closed and the child reaped before
-    this returns or raises.  The observer's error is raised before the
-    run's, as in the serial order; after a run that raised, the child skips
-    result.  Without a fork the observer rides the run in the caller.
+    run takes the run's callbacks and calls their on_step(state) with
+    states of start's type, grid and field shape, such as the run's start
+    state; the child rebuilds each as dataclasses.replace(start, ...), and
+    this call drops start once the child is forked.  The stream is closed
+    and the child reaped before this returns or raises.  Without a fork the
+    observer rides the run in the caller and finalizes there.
     """
     global _streams_open
     names = observer.reads
@@ -184,7 +184,7 @@ def streamed_run(run, observer, result, start):
             if got < frame_bytes:
                 # EOF: on a frame boundary the run ended; inside a frame it
                 # raised, and no result is wanted
-                return None if got else result(observer)
+                return None if got else observer.finalize()
             observer.on_step(dataclasses.replace(start, t=float(t[0]), **unsent,
                                                  **dict(zip(names, fields))))
 
@@ -200,7 +200,7 @@ def streamed_run(run, observer, result, start):
     start = None
     if join is observe:
         os.close(write_fd)
-        return run([observer]), result(observer)
+        return run([observer]), observer.finalize()
     try:
         import fcntl
         fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)

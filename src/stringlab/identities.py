@@ -31,6 +31,7 @@ Three families of checks:
 from __future__ import annotations
 
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,7 +362,8 @@ BALANCE_BLOCK = 4
 
 
 class BalanceAccumulator:
-    """Run callback accumulating all terms of one null-region energy identity.
+    """Run observer (`forking`) accumulating all terms of one null-region
+    energy identity.
 
     The test row is phi itself, whose gradient (w, d_x phi) needs no time
     differencing, so every term is available at every step including t = 0.
@@ -370,7 +372,7 @@ class BalanceAccumulator:
     line (u <= u0, boundary x = t - 2 u0).
 
     on_step copies phi, w and p of each level into a buffer of
-    BALANCE_BLOCK levels.  flush(), when the buffer is full and from
+    BALANCE_BLOCK levels.  _flush(), when the buffer is full and from
     finalize(), works the pending levels off: one multiplier, one current
     density and one deriv1 over the stacked rows, and one cubic_interp call
     for the boundary values of every level whose boundary point lies on the
@@ -387,8 +389,10 @@ class BalanceAccumulator:
     The accumulator holds the V^t profiles of the last 3 levels added, in
     one (3, n) array updated in place, with their times and boundary terms,
     and fewer than BALANCE_BLOCK pending levels: O(n) memory whatever the
-    run length.  It follows one single-member run, from its start state on.
+    run length.  It follows one single-member run.
     """
+
+    reads = ("phi", "w", "p")
 
     def __init__(self, side, coord, gamma):
         if side not in ("TL", "TLb"):
@@ -461,9 +465,9 @@ class BalanceAccumulator:
         self._fields[2, k] = state.p
         self._times.append(state.t)
         if k + 1 == BALANCE_BLOCK:
-            self.flush()
+            self._flush()
 
-    def flush(self):
+    def _flush(self):
         """Work off the pending levels (class docstring)."""
         m, grid, taus = len(self._times), self._grid, self._times
         if not m:
@@ -527,7 +531,7 @@ class BalanceAccumulator:
     def finalize(self):
         """Returns (residual, scale): |Sigma(t) + flux - Sigma(0) + bulk| and
         the magnitude of the largest term."""
-        self.flush()
+        self._flush()
         if self._n < 3:
             raise InsufficientHistory(
                 f"balance check needs at least 3 levels, have {self._n}")
@@ -560,10 +564,11 @@ def energy_balance_study(cfg, regions, base_grid: Grid1D, t_end) -> list:
         run = run_evolution(fam, grid, t_end=t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
                             gmin=cfg.gmin, callbacks=accs)
         if run.status == "blowup":
-            # the pending levels first: an accumulator's error at a level
-            # before the blow-up stopped the run, as it stops a serial one
+            # the accumulators end first, as their error at an earlier level
+            # stops a serial run; too few levels to finalize leave the blow-up
             for acc in accs:
-                acc.flush()
+                with suppress(InsufficientHistory):
+                    acc.finalize()
             raise BlowupDetected(run.t_blowup,
                                  f"{run.blowup_reason} on balance level {k} (n = {grid.n})")
         return grid.dx, [r / scale for r, scale in (acc.finalize() for acc in accs)]

@@ -144,7 +144,7 @@ def test_a5_blowup_regime():
         assert res.status == "blowup"
         t_blowups.append(res.t_blowup)
     diffs = np.abs(np.diff(t_blowups))
-    _, min_sep = tracer.finish()
+    _, min_sep = tracer.finalize()
     sep0 = seeds[1] - seeds[0]
     wall = time.time() - t0
     ok = bool(diffs[1] * 2.0 <= diffs[0] and min_sep <= 0.2 * sep0 and wall <= 300.0)

@@ -203,6 +203,30 @@ def test_cli_run_blowup_exit_two(tmp_path, capsys):
     assert "blow-up detected" in capsys.readouterr().out
 
 
+def test_cli_run_warns_when_the_criterion_passes_and_the_run_blows_up(tmp_path, capsys):
+    # the A5 packets with fb_amplitude 1.6 pass the criterion (ordering
+    # margin 0.039), yet at dx = 1/16 the run loses hyperbolicity at t = 4.575
+    cfg = fixture_config("a5_blowup").with_(mode="run", fb_amplitude=1.6, dx=0.0625, n=897)
+    rc = main(["run", "--config", _cfg_file(tmp_path, serialize_config(cfg)),
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out.startswith("criterion: pass (gap 8.197e-01, ordering margin 3.918e-02)")
+    assert "blow-up detected at t = 4.575" in captured.out
+    assert captured.err.splitlines() == [
+        "stringlab: warning: criterion pass (ordering margin 3.918e-02) but blow-up "
+        "(min g 4.671e-04): the grid may be under-resolved"]
+    # only in that direction: a failing criterion before a blow-up, and the
+    # golden run config (the same text as SMALL_RUN), which passes and
+    # completes, leave stderr empty
+    text = serialize_config(BLOWUP_SMALL.with_(mode="run", t_end=8.0, x0=-22.0, n=441))
+    assert main(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "a")]) == 2
+    assert capsys.readouterr().err == ""
+    assert main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN),
+                 "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_blowup_small(tmp_path, capsys):
     rc = main(["blowup", "--config", _cfg_file(tmp_path, serialize_config(BLOWUP_SMALL)),
                "--out", str(tmp_path / "out")])

@@ -236,7 +236,7 @@ def test_tracker_zero_field_flux_zero():
     tr = EnergyTracker(gamma=0.5, N=2, probes_u=(-1.0, 0.0), probes_ub=(0.0,),
                        report_every=10)
     run_evolution(st, t_end=2.0, callbacks=[tr])
-    (reports,) = tr.member_reports
+    (reports,), _ = tr.finalize()
     last = reports[-1]
     assert np.all(last.f2 == 0) and np.all(last.fb2 == 0)
     assert last.e2_total == 0 and last.eb2_total == 0
@@ -247,7 +247,7 @@ def test_tracker_flux_monotone_and_reports(default_family):
     tr = EnergyTracker(gamma=0.5, N=3, probes_u=(0.0,), probes_ub=(0.0,),
                        report_every=20)
     res = run_evolution(default_family, grid, t_end=6.0, callbacks=[tr])
-    (reports,) = tr.member_reports
+    (reports,), _ = tr.finalize()
     assert res.status == "completed" and len(reports) >= 3
     f_series = [float(np.sum(r.fb2)) for r in reports]
     assert all(b >= a - 1e-15 for a, b in zip(f_series, f_series[1:]))
@@ -262,7 +262,8 @@ def test_tracker_travelling_flux_noise(travelling_family):
     tr = EnergyTracker(gamma=0.5, N=2, probes_u=(-1.0, 1.0), probes_ub=(),
                        report_every=20)
     run_evolution(travelling_family, grid, t_end=4.0, callbacks=[tr])
-    assert float(np.max(tr.member_reports[0][-1].f2)) < 1e-8
+    (reports,), _ = tr.finalize()
+    assert float(np.max(reports[-1].f2)) < 1e-8
 
 
 def test_monitor_and_sobolev(default_family):
@@ -270,7 +271,8 @@ def test_monitor_and_sobolev(default_family):
     tr = EnergyTracker(gamma=0.5, N=4, probes_u=(0.0,), probes_ub=(0.0,),
                        report_every=25)
     run_evolution(default_family, grid, t_end=6.0, callbacks=[tr])
-    mon = monitor(tr.member_reports[0], default_family.delta)
+    (reports,), _ = tr.finalize()
+    mon = monitor(reports, default_family.delta)
     assert mon.m2 > 0
     assert mon.sup_e2 <= default_family.delta ** 2 * mon.m2 * (1 + 1e-9)
     assert mon.c_l <= 2.0 and mon.c_lb <= 2.0
@@ -334,7 +336,7 @@ def test_tracker_reports_equal_reference_tower(default_family, N):
                        report_every=7)
     rec = Recorder()
     run_evolution(default_family, grid, t_end=1.5, callbacks=[tr, rec])
-    (reports,) = tr.member_reports
+    (reports,), _ = tr.finalize()
     assert len(reports) >= 3
     times = [s.t for s in rec.states]
     for rep in reports:
@@ -416,7 +418,8 @@ def test_tracker_deriv1_budget(default_family, monkeypatch):
     tr = EnergyTracker(gamma=0.5, N=N, probes_u=(-1.0, 0.0, 1.0), probes_ub=(0.0, 1.0),
                        report_every=5)
     res = run_evolution(default_family, grid, t_end=1.0, callbacks=[tr])
-    n_reports = len(tr.member_reports[0])
+    (reports,), _ = tr.finalize()
+    n_reports = len(reports)
     assert res.n_steps >= 2 * N + FLUX_BLOCK and n_reports >= 2
     assert len(calls) == (N + 1) * (_blocks(res.n_steps, N) + n_reports)
     assert calls.count(grid.n) == (N + 1) * n_reports
@@ -429,12 +432,13 @@ def test_tracker_probe_entering_late_accumulates(default_family):
     res = run_evolution(default_family, Grid1D(-20, 0.1, 401), t_end=12.0, callbacks=[tr])
     wide = EnergyTracker(gamma=0.5, N=2, probes_ub=(11.0,), report_every=50)
     run_evolution(default_family, Grid1D(-20, 0.1, 481), t_end=12.0, callbacks=[wide])
-    assert tr.truncated_probes() == [] and wide.truncated_probes() == []
+    ((late,), left), ((wider,), wide_left) = tr.finalize(), wide.finalize()
+    assert left == [] and wide_left == []
     # the run ends on a report step (300 steps, reports at 50, ..., 300), so
     # the last report carries the fluxes of the whole run
-    assert res.n_steps == 300 and len(tr.member_reports[0]) == 6
-    f_late = tr.member_reports[0][-1].fb2
-    f_wide = wide.member_reports[0][-1].fb2
+    assert res.n_steps == 300 and len(late) == 6
+    f_late = late[-1].fb2
+    f_wide = wider[-1].fb2
     assert np.all(f_late > 0)
     assert np.allclose(f_late, f_wide, rtol=1e-6, atol=0)
 
@@ -443,9 +447,10 @@ def test_tracker_probe_leaving_is_truncated(default_family):
     # u0 = -8: the outgoing line x = t + 16 leaves the grid at t ~ 2.7
     tr = EnergyTracker(gamma=0.5, N=2, probes_u=(-8.0, 0.0), report_every=10)
     run_evolution(default_family, Grid1D(-20, 0.1, 401), t_end=5.0, callbacks=[tr])
-    assert tr.truncated_probes() == ["u0=-8"]
+    (reports,), left = tr.finalize()
+    assert left == ["u0=-8"]
     # the flux stops growing once the line is gone
-    f_series = [float(r.f2[0].sum()) for r in tr.member_reports[0] if r.flux_t > 3.0]
+    f_series = [float(r.f2[0].sum()) for r in reports if r.flux_t > 3.0]
     assert len(f_series) >= 2 and len(set(f_series)) == 1
 
 
@@ -463,7 +468,7 @@ class RingTracker:
         self.gamma, self.N, self.report_every = gamma, N, report_every
         self.probes_u = np.asarray(probes_u, dtype=float)
         self.probes_ub = np.asarray(probes_ub, dtype=float)
-        self.member_reports = []
+        self._reports = []
         self._n_levels = 2 * N + 1
         self._rows = None
         self._times = []
@@ -474,15 +479,15 @@ class RingTracker:
         self._inside = np.zeros_like(self.truncated)
         self._hw = 2 * (N + 2) + 4
 
-    def truncated_probes(self):
+    def finalize(self):
         names = [f"u0={c:g}" for c in self.probes_u] + [f"ub0={c:g}" for c in self.probes_ub]
-        return [name for name, gone in zip(names, self.truncated) if gone]
+        return self._reports, [name for name, gone in zip(names, self.truncated) if gone]
 
     def on_step(self, state):
         phi, w = np.atleast_2d(state.phi), np.atleast_2d(state.w)
         if self._rows is None:
             self._grid = state.grid
-            self.member_reports = [[] for _ in range(w.shape[0])]
+            self._reports = [[] for _ in range(w.shape[0])]
             self._rows = np.empty((self._n_levels, self.N + 1, 2) + w.shape)
             self._flux = np.zeros((w.shape[0], len(self.truncated), self.N + 1))
         self._rows[self._levels_seen % self._n_levels] = _spatial_rows(
@@ -536,7 +541,7 @@ class RingTracker:
     def _report(self):
         dt = _level_dt(self._times)
         t = float(self._times[self.N])
-        for k, reports in enumerate(self.member_reports):
+        for k, reports in enumerate(self._reports):
             rows = time_rows(self._ring()[..., k, :], dt, self.N)
             tower = DerivativeTower(t=t, grid=self._grid, N=self.N, rows=rows)
             reports.append(report_from_tower(tower, self.gamma, self._prev_tau,
@@ -576,14 +581,14 @@ def test_blocked_tracker_equals_ring_reference(N, report_every, cfl, deltas, t_e
     res = run_evolution(stack_states([init_state(f, grid) for f in fams]), t_end=t_end,
                         cfl=cfl, callbacks=trackers)
     assert res.status == "completed"
-    blocked, ring = trackers
-    assert len(blocked.member_reports) == len(deltas)
-    for got, want in zip(blocked.member_reports, ring.member_reports):
+    (blocked, blocked_left), (ring, ring_left) = (tr.finalize() for tr in trackers)
+    assert len(blocked) == len(deltas)
+    for got, want in zip(blocked, ring):
         assert got
         _assert_same_reports(got, want)
-    assert blocked.truncated_probes() == ring.truncated_probes()
+    assert blocked_left == ring_left
     if t_end > 1.0:
-        assert blocked.truncated_probes() == ["u0=-4", "u0=-20", "ub0=-3"]
+        assert blocked_left == ["u0=-4", "u0=-20", "ub0=-3"]
     else:
         assert res.n_steps + 1 - 2 * N < FLUX_BLOCK
 
@@ -598,11 +603,11 @@ def test_blocked_tracker_equals_ring_reference_at_a_blowup():
                         cfl=0.9, callbacks=trackers)
     assert [m.status for m in res.members] == ["blowup", "stopped"]
     assert (res.n_steps - 2 * 3) % FLUX_BLOCK != 0
-    blocked, ring = trackers
-    for got, want in zip(blocked.member_reports, ring.member_reports):
+    (blocked, blocked_left), (ring, ring_left) = (tr.finalize() for tr in trackers)
+    for got, want in zip(blocked, ring):
         assert got
         _assert_same_reports(got, want)
-    assert blocked.truncated_probes() == ring.truncated_probes()
+    assert blocked_left == ring_left
 
 
 # ---------------------------------------------------------------------------
@@ -641,19 +646,21 @@ def test_tracker_member_blowup_keeps_its_reports():
                         callbacks=[tracker, rec])
     assert [m.status for m in ens.members] == ["blowup", "stopped", "stopped"]
     steps = len(rec.states) - 1
-    for fam, member, reports in zip(fams, ens.members, tracker.member_reports):
+    ensemble_reports, _ = tracker.finalize()
+    for fam, member, reports in zip(fams, ens.members, ensemble_reports):
         single = EnergyTracker(gamma=0.5, N=2, probes_u=(0.0,), probes_ub=(0.0, 1.0),
                                report_every=10)
         single_rec = Recorder()
         res = run_evolution(fam, grid, t_end=6.0, callbacks=[single, single_rec])
+        (single_reports,), _ = single.finalize()
         if member.status == "blowup":
-            _assert_same_reports(reports, single.member_reports[0])
+            _assert_same_reports(reports, single_reports)
             continue
-        assert res.status == "completed" and len(reports) < len(single.member_reports[0])
-        _assert_same_reports(reports, single.member_reports[0][:len(reports)])
+        assert res.status == "completed" and len(reports) < len(single_reports)
+        _assert_same_reports(reports, single_reports[:len(reports)])
         for f in ("phi", "w", "p"):
             assert np.array_equal(getattr(member.state, f), getattr(single_rec.states[steps], f))
-    assert len(tracker.member_reports[0]) == len(tracker.member_reports[1]) > 0
+    assert len(ensemble_reports[0]) == len(ensemble_reports[1]) > 0
 
 
 def test_ensemble_tracker_deriv1_budget(monkeypatch, tmp_path):
@@ -698,7 +705,7 @@ def test_tracker_holds_bounded_levels():
     assert len(held) == res.n_steps + 1 and max(held) == 2 * N + FLUX_BLOCK - 1
     assert tr._fields.shape == (2, 2 * N + FLUX_BLOCK, 1, grid.n)
     assert max(nbytes) < tr._fields.nbytes + 1024
-    assert len(tr.member_reports[0]) == res.n_steps // 50
+    assert len(tr.finalize()[0][0]) == res.n_steps // 50
 
 
 @pytest.mark.parametrize("level1,order,passed", [

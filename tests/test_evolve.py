@@ -261,7 +261,7 @@ def test_streamed_characteristics_match_stored_history(t_end, status):
     for family, tracer in tracers.items():
         ts, xs, alive, min_sep = _stored_history_trace(rec.states, seeds, family)
         assert not alive[-1].all()
-        for paths, sep in (tracer.finish(), trace_characteristics(rec.states, seeds, family)):
+        for paths, sep in (tracer.finalize(), trace_characteristics(rec.states, seeds, family)):
             assert sep == min_sep
             for k, path in enumerate(paths):
                 assert np.array_equal(path.ts, ts)
@@ -301,7 +301,7 @@ def test_tracer_holds_bounded_levels():
     res = run_evolution(_state(grid, z, z, z), t_end=40.0, callbacks=[tracer, Probe()])
     assert res.status == "completed" and res.n_steps >= 1000
     assert len(held) == res.n_steps + 1 and max(held) <= 8
-    paths, _ = tracer.finish()
+    paths, _ = tracer.finalize()
     assert len(paths[0].ts) == res.n_steps + 1
 
 
@@ -313,7 +313,7 @@ def test_tracer_needs_four_levels():
     tracer.on_step(st)
     tracer.on_step(step(st, dt=0.02)[0])
     with pytest.raises(InsufficientHistory, match="4 time levels") as exc_info:
-        tracer.finish()
+        tracer.finalize()
     assert isinstance(exc_info.value, StringLabError)
     rec = Recorder()
     run_evolution(st, t_end=0.04, callbacks=[rec])

@@ -1,10 +1,11 @@
 """Work in a forked child (`forking.forked`): the primitive, the package
 errors that cross it, the inline fallback where os.fork is missing, the
 error order of the refinement levels, and the number of children alive.
-Also a run's observer streamed to a child (`forking.streamed_run`): the
-same results as in the caller, also on a one-page pipe and with short
-reads and writes, only the fields the observer names, errors in serial
-order, and no fork while a stream is open.  conftest checks that no test leaves a child unreaped."""
+Also a run's observer streamed to a child (`forking.streamed_run`): every
+observer ends through finalize(), the same results as in the caller, also
+on a one-page pipe and with short reads and writes, only the fields the
+observer names, errors in serial order, and no fork while a stream is open.
+conftest checks that no test leaves a child unreaped."""
 
 import dataclasses
 import os
@@ -21,9 +22,9 @@ from stringlab import (BlowupDetected, CharacteristicTracer, EnergyReport, Energ
                        InsufficientHistory, StringLabError, blowup_study, convergence_study,
                        init_state, run_evolution, stack_states, tracked_sweep)
 from stringlab.config import ExperimentConfig
-from stringlab.energy import _tracked_reports, config_tracker
+from stringlab.energy import config_tracker
 from stringlab.forking import forked, refinement_levels, streamed_run
-from stringlab.identities import verify_suite
+from stringlab.identities import BalanceAccumulator, verify_suite
 
 # one instance of every package error
 ERRORS = [
@@ -177,13 +178,14 @@ def _streamed_tracker_equals_the_tracker_in_the_caller():
     here = config_tracker(SWEEP)
     res_here = _sweep_run(start)([here])
     res, (member_reports, truncated) = streamed_run(_sweep_run(start), config_tracker(SWEEP),
-                                                    _tracked_reports, start)
+                                                    start)
+    here_reports, here_truncated = here.finalize()
     # a frame holds t and the tracker's phi and w rows
     assert res.n_steps == 300 > forking.PIPE_BYTES // (8 * (1 + 2 * 2 * SWEEP.n))
     assert np.array_equal(res.state.phi, res_here.state.phi)
-    assert truncated == here.truncated_probes() == ["u0=-6"]
+    assert truncated == here_truncated == ["u0=-6"]
     assert len(member_reports) == 2
-    for got, want in zip(member_reports, here.member_reports):
+    for got, want in zip(member_reports, here_reports):
         assert len(got) == len(want) == 30
         for a, b in zip(got, want):
             for f in dataclasses.fields(EnergyReport):
@@ -196,7 +198,7 @@ def _streamed_blowup_paths_equal_a_tracer_in_the_caller():
     res = run_evolution(BLOWUP.family(), BLOWUP.grid().refined(4), t_end=BLOWUP.t_end,
                         callbacks=[tracer])
     assert res.t_blowup == study.levels[2].t_blowup
-    paths, min_sep = tracer.finish()
+    paths, min_sep = tracer.finalize()
     assert study.min_sep == min_sep
     for a, b in zip(study.paths, paths):
         assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("ts", "xs", "alive"))
@@ -213,6 +215,49 @@ def test_streamed_tracker_equals_the_tracker_in_the_caller(monkeypatch, pipe_byt
 def test_streamed_blowup_paths_equal_a_tracer_in_the_caller(monkeypatch):
     monkeypatch.setattr(forking, "PIPE_BYTES", 4096)
     _streamed_blowup_paths_equal_a_tracer_in_the_caller()
+
+
+def _same_bits(a, b):
+    """a and b hold the same values bit for bit, through dataclasses, lists
+    and tuples down to arrays, floats and strings."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_same_bits(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_bits, a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _single_start():
+    return init_state(SWEEP.family(), SWEEP.grid())
+
+
+# the package's run observers: (a new observer, the start state it follows)
+OBSERVERS = {
+    "EnergyTracker": (lambda: config_tracker(SWEEP), _sweep_start),
+    "CharacteristicTracer": (lambda: CharacteristicTracer(np.linspace(-6.0, 6.0, 9)),
+                             _single_start),
+    "BalanceAccumulator": (lambda: BalanceAccumulator("TLb", 1.0, SWEEP.gamma), _single_start),
+}
+
+
+@pytest.mark.parametrize("fork", [True, False])
+@pytest.mark.parametrize("name", list(OBSERVERS))
+def test_every_observer_ends_through_finalize(monkeypatch, name, fork):
+    # one protocol: reads, on_step and finalize, whose result crosses the
+    # stream bit for bit and pickles; no other ending is left
+    new, start_of = OBSERVERS[name]
+    start = start_of()
+    here = new()
+    assert _sweep_run(start)([here]).status == "completed"
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    _, streamed = streamed_run(_sweep_run(start), new(), start)
+    assert _same_bits(streamed, here.finalize())
+    assert _same_bits(pickle.loads(pickle.dumps(streamed)), streamed)
+    assert set(here.reads) <= {"phi", "w", "p"}
+    assert not {"finish", "flush", "member_reports", "truncated_probes"} & set(dir(here))
 
 
 def _at_most_a_page(call):
@@ -236,7 +281,8 @@ def test_short_reads_and_writes_are_resumed(monkeypatch):
 
 
 class _FailAt:
-    """An observer that raises at its state of index `at`."""
+    """An observer that raises at its state of index `at`; its result is
+    the number of states it took."""
 
     reads = ()
 
@@ -248,9 +294,21 @@ class _FailAt:
             raise self.exc
         self.seen += 1
 
+    def finalize(self):
+        return self.seen
+
 
 def _unread(observer):
     raise AssertionError("the result of a failed run was read")
+
+
+class _Unread(_FailAt):
+    """A _FailAt that never fails, whose result must not be read."""
+
+    def __init__(self):
+        super().__init__(10 ** 9, None)
+
+    finalize = _unread
 
 
 @pytest.mark.parametrize("fork", [True, False])
@@ -262,7 +320,7 @@ def test_an_observer_error_crosses_and_wins_over_a_run_error(monkeypatch, fork):
     # the error reaches a later handoff or the stream's close; the run
     # cannot tell which
     with pytest.raises(InsufficientHistory, match="^observer stops at state 40$"):
-        streamed_run(_sweep_run(start), _FailAt(40, bad), lambda obs: obs.seen, start)
+        streamed_run(_sweep_run(start), _FailAt(40, bad), start)
     # the run fails at state 1, after the observer did: the observer's
     # error is raised, as in the serial order
     single = init_state(SWEEP.family(), SWEEP.grid())
@@ -272,10 +330,10 @@ def test_an_observer_error_crosses_and_wins_over_a_run_error(monkeypatch, fork):
         return lambda callbacks: run_evolution(single, t_end=1.0, callbacks=[*callbacks, fail])
 
     with pytest.raises(ValueError, match="^observer at 1$"):
-        streamed_run(run_failing_at(1), _FailAt(1, ValueError("observer at 1")), len, single)
+        streamed_run(run_failing_at(1), _FailAt(1, ValueError("observer at 1")), single)
     # a run error alone is raised, the observer's result unread
     with pytest.raises(BlowupDetected, match="run at 3"):
-        streamed_run(run_failing_at(3), _FailAt(10 ** 9, None), _unread, single)
+        streamed_run(run_failing_at(3), _Unread(), single)
 
 
 class _Carried:
@@ -290,19 +348,24 @@ class _Carried:
     def on_step(self, state):
         self.seen.add(tuple(getattr(state, f) is not None for f in ("phi", "w", "p")))
 
+    def finalize(self):
+        return self.seen
+
 
 class _ReadsUnnamed(_Carried):
     def on_step(self, state):
         state.p.copy()
 
+    finalize = _unread
+
 
 def test_a_forked_observer_gets_only_the_fields_it_names():
     start = _sweep_start()
-    res, seen = streamed_run(_sweep_run(start), _Carried(), lambda obs: obs.seen, start)
+    res, seen = streamed_run(_sweep_run(start), _Carried(), start)
     assert res.n_steps == 300 and seen == {(False, True, False)}
     # reading a field it did not name fails in the child, and the error crosses
     with pytest.raises(AttributeError, match="'NoneType' object has no attribute 'copy'"):
-        streamed_run(_sweep_run(start), _ReadsUnnamed(), _unread, start)
+        streamed_run(_sweep_run(start), _ReadsUnnamed(), start)
 
 
 def test_a_run_that_fails_before_its_first_state_leaves_no_child():
@@ -311,7 +374,7 @@ def test_a_run_that_fails_before_its_first_state_leaves_no_child():
         raise ValueError("no state")
 
     with pytest.raises(ValueError, match="^no state$"):
-        streamed_run(run, _FailAt(10 ** 9, None), _unread, _sweep_start())
+        streamed_run(run, _Unread(), _sweep_start())
 
 
 def test_a_tracker_error_crosses_a_sweep(monkeypatch):
@@ -347,12 +410,12 @@ def test_no_fork_while_a_stream_is_open():
         # a second stream cannot start, and leaves no pipe open
         fds.append(len(os.listdir("/proc/self/fd")))
         with pytest.raises(StringLabError, match="no fork while an observer stream is open"):
-            streamed_run(_unread, _FailAt(10 ** 9, None), len, state)
+            streamed_run(_unread, _FailAt(10 ** 9, None), state)
         fds.append(len(os.listdir("/proc/self/fd")))
         for cb in callbacks:
             cb.on_step(state)
         return "ran"
 
-    assert streamed_run(run, _FailAt(10 ** 9, None), lambda obs: obs.seen, state) == ("ran", 2)
+    assert streamed_run(run, _FailAt(10 ** 9, None), state) == ("ran", 2)
     assert fds[0] == fds[1]
     assert forked(lambda: 3)() == 3

@@ -429,7 +429,7 @@ def test_blocked_balance_equals_stored_profiles_at_block_edges(balance_states, s
             if not grid.x0 <= blocked._boundary_x(s.t) <= grid.x_end]
     if coord == -2.95 and levels > 3:
         assert left[0] == 3 and left[0] % BALANCE_BLOCK     # mid-block
-    blocked.flush()
+    blocked._flush()
     assert (blocked._sigma0, blocked._flux) == (stored._sigma0, stored._flux)
     assert blocked.finalize() == stored.finalize()
 
