@@ -20,9 +20,9 @@ print(f"evolving to T = {cfg.t_end:g} on [{cfg.x0:g}, {cfg.grid().x_end:g}] "
       "at three resolutions:\n")
 print(f"{'n':>6} {'dx':>10} {'L_inf error':>14} {'order':>7} {'max |lambda|-1':>15}")
 study = convergence_study(cfg)
-for lev, order in zip(study.levels, [None, *study.orders]):
-    order = "  -" if order is None else f"{order:.2f}"
-    print(f"{lev.n:>6} {lev.dx:>10.5f} {lev.err:>14.3e} {order:>7} {lev.max_speed_seen - 1:>15.2e}")
+for lev, (_, dx, err, order) in zip(study.levels, study.errors.rows()):
+    order = f"{order:.2f}" if isinstance(order, float) else "  -"
+    print(f"{lev.n:>6} {dx:>10.5f} {err:>14.3e} {order:>7} {lev.max_speed_seen - 1:>15.2e}")
 
 print("\nnested-domain causality: rerunning on a domain shrunk by 15 ...")
 dx = 0.05

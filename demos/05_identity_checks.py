@@ -27,7 +27,7 @@ varphi = random_mixture(rng, amp=0.5)
 print("divergence identity (residual under stencil refinement):")
 for side in ("TL", "TLb"):
     st = divergence_identity_study(phi, varphi, side=side)
-    pairs = ", ".join(f"h={h:g}: {r:.3e}" for h, r in zip(st.levels, st.residuals))
+    pairs = ", ".join(f"h={h:g}: {r:.3e}" for h, r in zip(st.spacings, st.values))
     print(f"  side {side}: {pairs}  (smallest order {min(st.orders):.2f})")
 
 worst, worst_trace = deformation_check(seed=7)
@@ -46,5 +46,5 @@ print("\nintegrated energy balance on null regions (residual under refinement):"
 studies = energy_balance_study(ExperimentConfig(), (("TL", -1.0), ("TLb", 1.0)),
                                Grid1D(-24.0, 0.125, 385), t_end=4.0)
 for st, side, label in zip(studies, ("TL", "TLb"), ("outgoing", "incoming")):
-    pairs = ", ".join(f"{r:.3e}" for r in st.residuals)
+    pairs = ", ".join(f"{r:.3e}" for r in st.values)
     print(f"  {label} region ({side}): residuals {pairs} (smallest order {min(st.orders):.2f})")

@@ -13,9 +13,9 @@ from .energy import (DerivativeTower, EnergyReport, EnergyTracker, build_tower,
 from .errors import (BlowupDetected, DataOutOfRange, FitOverflow, HyperbolicityLoss,
                      InsufficientHistory, ParseError, StringLabError, TimelikeViolation,
                      ValidationError)
-from .evolve import (CharacteristicTracer, CharPath, FieldState, Grid1D, RunResult,
-                     blowup_study, convergence_study, exact_travelling, init_state,
-                     refinement_orders, richardson_time, run_evolution, stack_states, step,
+from .evolve import (CharacteristicTracer, CharPath, FieldState, Grid1D, Refinement,
+                     RunResult, blowup_study, convergence_study, exact_travelling,
+                     init_state, richardson_time, run_evolution, stack_states, step,
                      trace_characteristics)
 from .initialdata import (CriterionReport, DataFamily, TraceTable, check_kong_tsuji,
                           criterion_for_family, higher_order_traces)

@@ -16,7 +16,8 @@ converge    3-level refinement against the exact travelling-wave solution
             exit 1 unless every order >= 2.5.
 blowup      3-level refinement of the detected blow-up time plus
             characteristic focusing, traced while the finest level runs;
-            stderr names each level's blow-up time and reason.
+            stderr names each level's blow-up time and reason; exit 1
+            unless every level blows up.
 verify      manufactured-field identity suite (divergence, deformation,
             trace, equivalence band, energy balance); stdout marks each
             identity pass or FAIL, exit 1 on any failure.  Reads only the
@@ -63,7 +64,7 @@ import numpy as np
 from . import energy as en
 from .config import ExperimentConfig, parse_config, validate_config
 from .errors import StringLabError
-from .evolve import blowup_study, convergence_study, init_state, refinement_orders
+from .evolve import blowup_study, convergence_study, init_state
 # re-exported: perfbench checks that its tracer patches this binding site
 from .evolve import run_evolution  # noqa: F401
 from .identities import verify_suite
@@ -90,9 +91,10 @@ def _order_text(order):
     return "n/a" if order is None else f"{order:.2f}"
 
 
-def _order_verdict(mode, orders, ok) -> int:
-    """Print the smallest of orders and whether its gate passed; the exit code."""
-    print(f"{mode}: order {_order_text(None if None in orders else min(orders))}: "
+def _order_verdict(record) -> int:
+    """Print record's verdict line; the exit code."""
+    ok = record.passed()
+    print(f"{record.name}: order {_order_text(record.min_order)}: "
           f"{'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -177,13 +179,13 @@ def cmd_sweep(cfg, out: Path) -> int:
 
 def cmd_converge(cfg, out: Path) -> int:
     study = convergence_study(cfg)
-    orders = study.orders
+    errors = study.errors
     _write_csv(out / "converge.csv", ["level", "n", "dx", "err_inf", "order"],
-               [[k, lev.n, lev.dx, lev.err, order]
-                for k, (lev, order) in enumerate(zip(study.levels, [None, *orders]))])
-    print("converge: errors", ", ".join(f"{lev.err:.3e}" for lev in study.levels),
-          "orders", ", ".join(map(_order_text, orders)))
-    return _order_verdict("converge", orders, study.passed())
+               [[k, lev.n, dx, err, order if k else "n/a"]
+                for lev, (k, dx, err, order) in zip(study.levels, errors.rows())])
+    print("converge: errors", ", ".join(f"{err:.3e}" for err in errors.values),
+          "orders", ", ".join(map(_order_text, errors.orders)))
+    return _order_verdict(errors)
 
 
 def cmd_blowup(cfg, out: Path) -> int:
@@ -198,7 +200,13 @@ def cmd_blowup(cfg, out: Path) -> int:
     _write_csv(out / "blowup.csv", ["level", "n", "dx", "t_blowup"],
                [[k, lev.n, lev.dx, lev.t_blowup] for k, lev in enumerate(study.levels)])
     if np.isnan(study.t_star):
-        print("blowup: no blow-up detected on some level")
+        blown = [k for k, lev in enumerate(study.levels) if lev.reason]
+        ran = [k for k, lev in enumerate(study.levels) if not lev.reason]
+        if blown:
+            print(f"blowup: levels {blown} blow up, levels {ran} do not: "
+                  "the grid may be under-resolved")
+        else:
+            print("blowup: no blow-up detected on some level")
         return 1
     _write_csv(out / "blowup_summary.csv",
                ["t_star", "criterion_passed", "min_separation", "initial_separation"],
@@ -211,12 +219,14 @@ def cmd_blowup(cfg, out: Path) -> int:
 
 def cmd_verify(cfg, out: Path) -> int:
     suite = verify_suite(cfg)
-    _write_csv(out / "identities.csv",
-               ["identity", "level", "dx", "residual", "order"], suite.rows)
-    for name in sorted({r[0] for r in suite.rows}):
-        print(f"verify: {name}: {'FAIL' if name in suite.failures else 'pass'}")
-    if suite.failures:
-        print("verify failed:", ", ".join(sorted(suite.failures)))
+    _write_csv(out / "identities.csv", ["identity", "level", "dx", "residual", "order"],
+               ([rec.name, *row] for rec, _ in suite for row in rec.rows()))
+    verdicts = sorted((rec.name, ok) for rec, ok in suite)
+    for name, ok in verdicts:
+        print(f"verify: {name}: {'pass' if ok else 'FAIL'}")
+    failures = [name for name, ok in verdicts if not ok]
+    if failures:
+        print("verify failed:", ", ".join(failures))
         return 1
     return 0
 
@@ -230,13 +240,13 @@ def cmd_tracecheck(cfg, out: Path) -> int:
                 for xi, lv, lbv in zip(table.x, *table.rows[k1, k2])))
     _write_csv(out / "tracecheck.csv",
                ["k1", "k2", "level", "dx", "dt", "discrepancy", "order"],
-               ([*key, lvl, dx, dt, d, order]
-                for key, ds in sorted(study.discrepancy.items())
-                for lvl, (dx, dt, d, order) in enumerate(
-                    zip(study.dxs, study.dts, ds, ["", *refinement_orders(ds)]))))
-    print(f"tracecheck: max discrepancy {study.worst(0):.3e} -> {study.worst(1):.3e} under "
+               ([*key, lvl, dx, cfg.cfl * dx, d, order]
+                for key, rec in sorted(study.discrepancy.items())
+                for lvl, dx, d, order in rec.rows()))
+    gate = study.gate
+    print(f"tracecheck: max discrepancy {gate.values[0]:.3e} -> {gate.values[1]:.3e} under "
           f"refinement; induction denominator min {table.den_min:.6f} (>= 4)")
-    return _order_verdict("tracecheck", study.orders, study.passed())
+    return _order_verdict(gate)
 
 
 def main(argv=None) -> int:

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupDetected, FitOverflow, InsufficientHistory
-from .evolve import (FieldState, Grid1D, init_state, orders_pass, refinement_orders,
-                     run_evolution, stack_states, step)
+from .evolve import (FieldState, Grid1D, Refinement, init_state, run_evolution,
+                     stack_states, step)
 from .forking import streamed_run
 from .initialdata import TraceTable, higher_order_traces
 from .nullgeom import multiplier, null_stress, side_weight
@@ -634,22 +634,17 @@ def tower_at_zero(cfg, grid):
 @dataclass
 class TraceCheckStudy:
     """Exact t = 0 trace table against the tower time differences of the
-    evolved solution, on a grid and its 2x refinement (dt = cfl*dx)."""
+    evolved solution, on a grid and its 2x refinement."""
 
-    dxs: list                      # grid spacing per level
-    dts: list                      # time step per level, cfl*dx
-    discrepancy: dict              # (k1, k2) -> [relative max discrepancy per level]
+    discrepancy: dict              # (k1, k2) -> Refinement of its relative max discrepancy
     table: TraceTable              # exact table of level 0, with its den_min
 
-    def worst(self, level):
-        return float(np.max([d[level] for d in self.discrepancy.values()]))
-
     @property
-    def orders(self):
-        return refinement_orders([self.worst(0), self.worst(1)])
-
-    def passed(self):
-        return orders_pass(self.orders, TRACE_ORDER_MIN)
+    def gate(self):
+        """The worst discrepancy over (k1, k2) per level; np.max keeps a NaN."""
+        recs = list(self.discrepancy.values())
+        worst = np.max([rec.values for rec in recs], axis=0).tolist()
+        return Refinement("tracecheck", recs[0].spacings, worst, TRACE_ORDER_MIN)
 
 
 def trace_check_study(cfg) -> TraceCheckStudy:
@@ -670,8 +665,10 @@ def trace_check_study(cfg) -> TraceCheckStudy:
             dev = np.max(np.abs(tower.rows[k1, :top + 1 - k1] - exact), axis=(1, 2))
             for k2, d in enumerate(dev / scale):
                 discrepancy.setdefault((k1, k2), []).append(float(d))
-    return TraceCheckStudy([g.dx for g in grids], [cfg.cfl * g.dx for g in grids],
-                           discrepancy, tables[0])
+    dxs = [g.dx for g in grids]
+    recs = {(k1, k2): Refinement(f"trace_{k1}_{k2}", dxs, ds, TRACE_ORDER_MIN)
+            for (k1, k2), ds in discrepancy.items()}
+    return TraceCheckStudy(recs, tables[0])
 
 
 # ---------------------------------------------------------------------------

@@ -611,9 +611,34 @@ def refinement_orders(values):
             for a, b in zip(values, values[1:])]
 
 
-def orders_pass(orders, order_min):
-    """The rule of every order gate: each order is defined and >= order_min."""
-    return None not in orders and min(orders) >= order_min
+@dataclass
+class Refinement:
+    """A quantity on refined levels, coarse to fine, and its order floor.  A
+    one-level record has no orders; a threshold gates it."""
+
+    name: str
+    spacings: list
+    values: list
+    floor: float | None
+
+    @property
+    def orders(self):
+        return refinement_orders(self.values)
+
+    @property
+    def min_order(self):
+        """The smallest order; None if any is undefined or none exists."""
+        orders = self.orders
+        return None if None in orders or not orders else min(orders)
+
+    def passed(self):
+        """Every order is defined and >= floor."""
+        return self.min_order is not None and self.min_order >= self.floor
+
+    def rows(self):
+        """[level, spacing, value, order] per level: level 0's order is ""."""
+        return [[k, h, v, order] for k, (h, v, order) in
+                enumerate(zip(self.spacings, self.values, ["", *self.orders]))]
 
 
 # ---------------------------------------------------------------------------
@@ -625,24 +650,15 @@ CONVERGE_ORDER_MIN = 2.5        # every ratio: damping's O(dx^3) error holds it 
 @dataclass
 class ConvergenceLevel:
     n: int
-    dx: float
-    err: float                  # max |phi - exact travelling wave| at the final time
     max_speed_seen: float
 
 
 @dataclass
 class ConvergenceStudy:
-    """Errors against the exact travelling wave on a grid and its 2x and 4x
-    refinements, and the converge gate on their orders."""
+    """Run facts per level and the `converge` record of their errors."""
 
     levels: list                # ConvergenceLevel per grid, coarse to fine
-
-    @property
-    def orders(self):
-        return refinement_orders([lev.err for lev in self.levels])
-
-    def passed(self):
-        return orders_pass(self.orders, CONVERGE_ORDER_MIN)
+    errors: Refinement          # max |phi - exact travelling wave| at t_end
 
 
 def convergence_study(cfg) -> ConvergenceStudy:
@@ -662,9 +678,11 @@ def convergence_study(cfg) -> ConvergenceStudy:
             raise BlowupDetected(res.t_blowup,
                                  f"{res.blowup_reason} on level {k} (n = {grid.n})")
         err = float(np.max(np.abs(res.state.phi - exact_travelling(fam, res.state.t, grid.x))))
-        return ConvergenceLevel(grid.n, grid.dx, err, res.max_speed_seen)
+        return ConvergenceLevel(grid.n, res.max_speed_seen), grid.dx, err
 
-    return ConvergenceStudy(refinement_levels(level))
+    levels, dxs, errs = map(list, zip(*refinement_levels(level)))
+    errors = Refinement("converge", dxs, errs, CONVERGE_ORDER_MIN)
+    return ConvergenceStudy(levels, errors)
 
 
 @dataclass

@@ -32,29 +32,17 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import suppress
-from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import stress_density
 from .errors import BlowupDetected, InsufficientHistory, TimelikeViolation
-from .evolve import Grid1D, orders_pass, refinement_orders, run_evolution
+from .evolve import Grid1D, Refinement, run_evolution
 from .forking import refinement_levels, run_both
 from .manufactured import MixtureStack, MovingGaussian, ZeroField, random_mixture
 from .nullgeom import (GMIN_DEFAULT, multiplier, null_stress, side_weight, weight_a,
                        weight_a_prime)
 from .stencils import cubic_interp, deriv1
-
-
-@dataclass
-class IdentityResidual:
-    identity: str
-    levels: list          # stencil spacings or grid spacings, coarse to fine
-    residuals: list
-
-    @property
-    def orders(self):
-        return refinement_orders(self.residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +198,10 @@ def divergence_residual(phi, varphi, gamma, side, h, t, x):
 
 
 def divergence_identity_study(phi, varphi, gamma=0.5, side="TL",
-                              hs=(0.08, 0.04, 0.02)) -> IdentityResidual:
+                              hs=(0.08, 0.04, 0.02)) -> Refinement:
     tt, xx = np.meshgrid(np.linspace(0.3, 0.9, 7), np.linspace(-3.0, 3.0, 41), indexing="ij")
     res = [divergence_residual(phi, varphi, gamma, side, h, tt, xx) for h in hs]
-    return IdentityResidual(f"divergence_{side}", list(hs), res)
+    return Refinement(f"divergence_{side}", list(hs), res, DIVERGENCE_ORDER_MIN)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +535,7 @@ class BalanceAccumulator:
 def energy_balance_study(cfg, regions, base_grid: Grid1D, t_end) -> list:
     """Balance residuals of cfg's family on base_grid and its 2x and 4x
     refinements of (dx, dt), evolved to t_end under cfg's cfl, eps_ko and
-    gmin; one IdentityResidual per (side, coord) of regions, in order.
+    gmin; one Refinement per (side, coord) of regions, in order.
 
     All regions share one evolution per level: their accumulators ride as
     callbacks of the same run, each streaming its own terms in O(n) memory.
@@ -574,9 +562,9 @@ def energy_balance_study(cfg, regions, base_grid: Grid1D, t_end) -> list:
         return grid.dx, [r / scale for r, scale in (acc.finalize() for acc in accs)]
 
     hs, residuals = zip(*refinement_levels(level))
-    return [IdentityResidual("energy_balance_plus" if side == "TL" else "energy_balance_minus",
-                             list(hs), [res[i] for res in residuals])
-            for i, (side, _) in enumerate(regions)]
+    return [Refinement("energy_balance_plus" if side == "TL" else "energy_balance_minus",
+                       list(hs), list(res), BALANCE_ORDER_MIN)
+            for (side, _), res in zip(regions, zip(*residuals))]
 
 
 # ---------------------------------------------------------------------------
@@ -591,67 +579,53 @@ TRACE_TOL = 1e-13               # |T^a_a| relative to its quadratic scale
 EQUIVALENCE_BAND = (1.0 / 16.0, 16.0)
 
 
-@dataclass
-class SuiteResult:
-    rows: list            # identities.csv rows: identity, level, dx, residual, order
-    failures: list        # names of the failed identities, in suite order
-
-
 def _closed_form_studies(gamma, seed):
     """(study, passed) of each identity of `verify_suite` but the energy
     balance, in suite order."""
     rng = np.random.default_rng(seed)
 
-    def scalar(name, value):
-        return IdentityResidual(name, [0.0], [value])
+    def check(name, value, ok):
+        return Refinement(name, [0.0], [value], None), ok
 
     # divergence identity: flat background, constant null multiplier, exact
     flat = divergence_identity_study(ZeroField(), MovingGaussian(0.7, 0.0, 1.3, 1.0),
                                      gamma=gamma, side="const", hs=(0.05,))
-    studies = [(flat, flat.residuals[0] <= DIVERGENCE_FLAT_TOL)]
+    studies = [(flat, flat.values[0] <= DIVERGENCE_FLAT_TOL)]
 
     # divergence identity: curved background, both multipliers, refinement
     phi = random_mixture(rng, amp=0.25)
     varphi = random_mixture(rng, amp=0.5)
     for side in ("TL", "TLb"):
         study = divergence_identity_study(phi, varphi, gamma=gamma, side=side)
-        studies.append((study, orders_pass(study.orders, DIVERGENCE_ORDER_MIN)))
+        studies.append((study, study.passed()))
 
     # deformation closed forms and the trace identity
     worst, worst_trace = deformation_check(seed=seed, gamma=gamma)
-    studies.append((scalar("deformation_closed_vs_direct", worst), worst <= DEFORMATION_TOL))
-    studies.append((scalar("trace_identity", worst_trace), worst_trace <= TRACE_TOL))
+    studies.append(check("deformation_closed_vs_direct", worst, worst <= DEFORMATION_TOL))
+    studies.append(check("trace_identity", worst_trace, worst_trace <= TRACE_TOL))
 
     # two-sided equivalence band of the contractions
     bands = equivalence_ratios(seed=seed)
     # np.min and np.max, unlike min and max, keep a NaN of any band
     lo = float(np.min([b[0] for b in bands.values()]))
     hi = float(np.max([b[1] for b in bands.values()]))
-    studies.append((scalar("equivalence_band_lo", lo), EQUIVALENCE_BAND[0] <= lo))
-    studies.append((scalar("equivalence_band_hi", hi), hi <= EQUIVALENCE_BAND[1]))
+    studies.append(check("equivalence_band_lo", lo, EQUIVALENCE_BAND[0] <= lo))
+    studies.append(check("equivalence_band_hi", hi, hi <= EQUIVALENCE_BAND[1]))
     return studies
 
 
-def verify_suite(cfg) -> SuiteResult:
+def verify_suite(cfg) -> list:
     """The six identity studies at cfg.gamma: divergence on a flat and a
     curved background, deformation closed forms, the trace identity, the
     equivalence band, and the energy balance of cfg's family on both null
     regions.  The curved background and the deformation fields are drawn
-    from cfg.seed.
+    from cfg.seed.  Returns (Refinement, passed) per identity, in suite order.
 
     The closed-form studies run in a forked child while the balance study
-    runs (`forking.run_both`); rows and failures keep the suite order, and
-    a closed-form study's error is raised before the balance study's."""
+    runs (`forking.run_both`); a closed-form study's error is raised before
+    the balance study's."""
     bal_grid = Grid1D(-24.0, 0.125, 385)
     closed_forms, balance = run_both(
         lambda: _closed_form_studies(cfg.gamma, cfg.seed),
         lambda: energy_balance_study(cfg, (("TL", -1.0), ("TLb", 1.0)), bal_grid, t_end=4.0))
-    suite = SuiteResult([], [])
-    for study, ok in [*closed_forms,
-                      *((study, orders_pass(study.orders, BALANCE_ORDER_MIN))
-                        for study in balance)]:
-        suite.rows.extend([study.identity, i, h, r, order] for i, (h, r, order) in
-                          enumerate(zip(study.levels, study.residuals, ["", *study.orders])))
-        if not ok:
-            suite.failures.append(study.identity)
-    return suite
+    return [*closed_forms, *((study, study.passed()) for study in balance)]

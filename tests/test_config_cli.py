@@ -254,6 +254,20 @@ def test_cli_blowup_without_blowup_exit_one(tmp_path, capsys):
     assert not (tmp_path / "out" / "blowup_summary.csv").exists()
 
 
+def test_cli_blowup_names_a_level_disagreement(tmp_path, capsys):
+    # the A5 packets at fb_amplitude 1.6 pass the criterion; the two coarse
+    # levels lose hyperbolicity and the finest runs to t_end
+    cfg = fixture_config("a5_blowup").with_(fb_amplitude=1.6, dx=0.0625, n=897, t_end=6.0)
+    rc = main(["blowup", "--config", _cfg_file(tmp_path, serialize_config(cfg)),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == (
+        "blowup: levels [0, 1] blow up, levels [2] do not: the grid may be under-resolved")
+    assert "t_blowup = 4.575," in captured.err and "t_blowup = 4.475," in captured.err
+    assert not (tmp_path / "out" / "blowup_summary.csv").exists()
+
+
 def test_cli_bad_config_exit_one(tmp_path, capsys):
     rc = main(["run", "--config", _cfg_file(tmp_path, "gamma = 1.5"),
                "--out", str(tmp_path / "out")])

@@ -15,7 +15,7 @@ from stringlab.config import ExperimentConfig
 from stringlab.energy import (FLUX_BLOCK, DerivativeTower, TraceCheckStudy, _level_dt,
                               _order_sums, _sobolev_stats, null_rows, report_from_tower,
                               time_rows)
-from stringlab.evolve import FieldState, refinement_orders, step
+from stringlab.evolve import FieldState, Refinement, step
 from stringlab.nullgeom import side_weight
 from stringlab.stencils import cubic_combine, cubic_weights, deriv1
 
@@ -715,11 +715,12 @@ def test_tracker_holds_bounded_levels():
     ([float("nan"), 2.0 ** -13], None, False),   # a nan discrepancy is not skipped
 ])
 def test_trace_check_gate_on_the_worst_order(level1, order, passed):
-    study = TraceCheckStudy([0.1, 0.05], [0.09, 0.045], {(0, 0): [2.0 ** -10, level1[0]],
-                                                         (1, 0): [2.0 ** -11, level1[1]]},
-                            table=None)
-    assert study.orders == [order]
-    assert study.passed() == passed
+    rows = {(0, 0): [2.0 ** -10, level1[0]], (1, 0): [2.0 ** -11, level1[1]]}
+    study = TraceCheckStudy({key: Refinement(str(key), [0.1, 0.05], ds, 1.5)
+                             for key, ds in rows.items()}, table=None)
+    assert study.gate.name == "tracecheck" and study.gate.floor == energy.TRACE_ORDER_MIN
+    assert study.gate.orders == [order]
+    assert study.gate.passed() == passed
 
 
 def test_hierarchy_slopes_equal_polyfit():

@@ -7,7 +7,7 @@ from stringlab import (BlowupDetected, CharacteristicTracer, DataFamily, Grid1D,
                        blowup_study, exact_travelling, init_state, run_evolution,
                        stack_states, step, trace_characteristics)
 import stringlab.evolve as evolve
-from stringlab.evolve import FieldState, _stage_rhs, max_speed, orders_pass, refinement_orders
+from stringlab.evolve import FieldState, Refinement, _stage_rhs, max_speed, refinement_orders
 from stringlab.stencils import cubic_interp, deriv1
 
 
@@ -641,5 +641,19 @@ def test_refinement_orders_are_undefined_unless_both_values_are_positive_and_fin
     assert refinement_orders([0.0, 1.0, -1.0, inf, nan, 1.0]) == [None] * 5
     assert refinement_orders([1.0]) == []
     # an undefined order fails the gate whatever the others read
-    assert orders_pass([4.0, 3.5], 3.5) and not orders_pass([4.0, 3.4], 3.5)
-    assert not orders_pass([4.0, None], 3.5)
+    hs = [1.0, 0.5, 0.25]
+    assert Refinement("r", hs, [128.0, 8.0, 1.0], 3.0).min_order == 3.0
+    assert Refinement("r", hs, [128.0, 8.0, 1.0], 3.0).passed()
+    assert not Refinement("r", hs, [128.0, 8.0, 1.0], 3.1).passed()
+    assert not Refinement("r", hs, [128.0, 8.0, 0.0], 3.0).passed()
+
+
+def test_refinement_rows_leave_level_0_order_empty():
+    rec = Refinement("r", [1.0, 0.5, 0.25], [8.0, 1.0, 0.0], 2.5)
+    # an undefined order is None, which the CSV writer spells n/a
+    assert rec.rows() == [[0, 1.0, 8.0, ""], [1, 0.5, 1.0, 3.0], [2, 0.25, 0.0, None]]
+    assert rec.min_order is None
+    # a one-level record has no order to gate: its caller's threshold does
+    one = Refinement("one", [0.0], [1e-12], None)
+    assert one.orders == [] and one.rows() == [[0, 0.0, 1e-12, ""]]
+    assert one.min_order is None and not one.passed()

@@ -25,7 +25,7 @@ def test_divergence_flat_free_wave_roundoff():
     # right-moving free wave vanishes identically, so the residual is roundoff
     study = divergence_identity_study(ZeroField(), MovingGaussian(0.8, 0.3, 1.2, 1.0),
                                       side="const", hs=(0.04,))
-    assert study.residuals[0] < 1e-13
+    assert study.values[0] < 1e-13
 
 
 @pytest.mark.parametrize("side", ["TL", "TLb"])
@@ -34,7 +34,7 @@ def test_divergence_converges(side, rng):
     varphi = random_mixture(rng, amp=0.5)
     study = divergence_identity_study(phi, varphi, side=side)
     assert min(study.orders) > 1.5
-    assert study.residuals[-1] < 1e-5
+    assert study.values[-1] < 1e-5
 
 
 def test_divergence_quadratic_in_test_function(rng):
@@ -280,7 +280,7 @@ def test_balance_converges(side, coord):
     study, = energy_balance_study(ExperimentConfig(), [(side, coord)],
                                   Grid1D(-22.0, 0.25, 177), t_end=3.0)
     assert min(study.orders) > 1.5
-    assert study.residuals[-1] < 1e-3
+    assert study.values[-1] < 1e-3
 
 
 def test_balance_finalize_needs_three_levels(default_family):
@@ -504,7 +504,7 @@ def test_two_region_study_equals_one_region_studies():
     both = energy_balance_study(cfg, regions, grid, t_end=2.0)
     singles = [energy_balance_study(cfg, [r], grid, t_end=2.0)[0] for r in regions]
     assert both == singles
-    assert [s.identity for s in both] == ["energy_balance_plus", "energy_balance_minus"]
+    assert [s.name for s in both] == ["energy_balance_plus", "energy_balance_minus"]
 
 
 def test_verify_suite_evolves_each_balance_level_once(monkeypatch, tmp_path):
@@ -519,8 +519,7 @@ def test_verify_suite_evolves_each_balance_level_once(monkeypatch, tmp_path):
         return run_evolution(*args, **kwargs)
 
     monkeypatch.setattr(identities, "run_evolution", counted)
-    suite = verify_suite(ExperimentConfig(seed=1))
-    assert not suite.failures
+    assert all(ok for _, ok in verify_suite(ExperimentConfig(seed=1)))
     calls = [line.split() for line in log.read_text().splitlines()]
     assert len(calls) == 3
     assert all(len(cbs) == 2 for cbs in calls)
@@ -565,7 +564,7 @@ def test_verify_fails_a_one_percent_kernel_defect(monkeypatch, target, kernel, o
     # every ratio must reach the 4th-order floor
     monkeypatch.setattr(identities, target, kernel)
     suite = verify_suite(ExperimentConfig(seed=17611))
-    assert suite.failures == ["divergence_TL", "divergence_TLb"]
+    assert [rec.name for rec, ok in suite if not ok] == ["divergence_TL", "divergence_TLb"]
+    got = {rec.name: rec.orders for rec, _ in suite}
     for side, want in orders.items():
-        got = [r[4] for r in suite.rows if r[0] == f"divergence_{side}" and r[1] > 0]
-        assert got == pytest.approx(want, abs=0.005)
+        assert got[f"divergence_{side}"] == pytest.approx(want, abs=0.005)
