@@ -13,6 +13,7 @@ import hashlib
 import os
 
 import pytest
+from conftest import FIXTURES
 
 from stringlab.cli import main
 
@@ -117,3 +118,49 @@ def test_pins_hold_without_fork(tmp_path, monkeypatch, name):
     # process (forking.forked, forking.streamed_run)
     monkeypatch.delattr(os, "fork")
     _assert_pinned(tmp_path, name)
+
+
+# name -> (CLI arguments, {CSV name or "stdout": sha256}): the verify seeds
+# that the benchmark's identity workload draws from its seed 1, and the three
+# acceptance fixtures at their own size (about 2.5 s together).  Like the
+# pins above, the hashes are those of numpy 2 on x86-64
+PINNED_RUNS = {
+    "verify_17611": (["verify", "--seed", "17611"], {
+        "identities.csv": "772cc3e8cac56e77cd4abfc99464ec77db1a8061857d254619e83973e8f91bdb",
+        "stdout": "01268a6c5eca80736fab1910fad95ac2130bc0e7cc16faf5cd67b3caab0aedc5",
+    }),
+    "verify_74606": (["verify", "--seed", "74606"], {
+        "identities.csv": "359b5859ba9651d0f626cb4a48ae7d0636e73b4df58581f4b08ba310abe8210c",
+        "stdout": "01268a6c5eca80736fab1910fad95ac2130bc0e7cc16faf5cd67b3caab0aedc5",
+    }),
+    "verify_8271": (["verify", "--seed", "8271"], {
+        "identities.csv": "1a97d6b9229734c701f630b22da935377e67f17a31c031ec191f092806cb1ac3",
+        "stdout": "01268a6c5eca80736fab1910fad95ac2130bc0e7cc16faf5cd67b3caab0aedc5",
+    }),
+    "a3_sweep": (["sweep", "--config", str(FIXTURES / "a3_sweep.cfg")], {
+        "hierarchy.csv": "17b03d5403366ae3742d9acf29d4ef53f44d59e03128bb6f14e8f298c560fe0e",
+        "sweep.csv": "2fc132bad31d0067f036b8875ec510d3aac21849f60c20796013519dfc73f95a",
+        "stdout": "e30e6ccbe4a835919a228f86e349658f1bfd97f2969b98f792ac90a032f01532",
+    }),
+    "a5_blowup": (["blowup", "--config", str(FIXTURES / "a5_blowup.cfg")], {
+        "blowup.csv": "8641e49b1f82e6e9a4bc2c7c258b9155a2df074dfcaa8530225d3e18de57c045",
+        "blowup_summary.csv":
+            "a55d5b7e2f794c97571d8f0e31c4a359a7ba70197e58027791e0f7ba940409ab",
+        "stdout": "90e131f0396c96f3eaeadba501d536097825566e919de94e4281abeb6ce85088",
+    }),
+    "a7_tracecheck": (["tracecheck", "--config", str(FIXTURES / "a7_tracecheck.cfg")], {
+        "tracecheck.csv": "2fb594d8649a8db85d46cffa62dfbef268b3481bd0ff60dc3f61f230c2476304",
+        "traces.csv": "b33bea61a50e6c12399c8f91e3976ca37d2be85bad1203cc2dbc05b272854fe3",
+        "stdout": "ee15cface391c9a1c4e3597d6194bf95f2bfe39b4d217a9aa7b6cd0aaace4500",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_benchmark_and_fixture_outputs_are_pinned(tmp_path, capsys, name):
+    argv, pinned = PINNED_RUNS[name]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    written["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert written == pinned
