@@ -62,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from . import energy as en
-from .config import ExperimentConfig, parse_config, validate_config
+from .config import parse_config
 from .errors import StringLabError
 from .evolve import blowup_study, convergence_study, init_state
 # re-exported: perfbench checks that its tracer patches this binding site
@@ -261,17 +261,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, help="override the config rng seed")
     args = ap.parse_args(argv)
     try:
-        if args.config:
-            cfg = parse_config(Path(args.config).read_text())
-        else:
-            cfg = ExperimentConfig()
         over = {"mode": args.mode}
         if args.out is not None:
             over["out"] = args.out
         if args.seed is not None:
             over["seed"] = args.seed
-        cfg = cfg.with_(**over)
-        validate_config(cfg)
+        cfg = parse_config(Path(args.config).read_text() if args.config else "", **over)
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
         dispatch = {"run": cmd_run, "sweep": cmd_sweep, "converge": cmd_converge,

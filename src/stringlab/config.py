@@ -68,7 +68,9 @@ class ExperimentConfig:
 _KINDS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, **over) -> ExperimentConfig:
+    """Validated config of text, with over's fields in place of the file's;
+    the file's own mode must be one of MODES too."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -98,14 +100,19 @@ def parse_config(text: str) -> ExperimentConfig:
                 values[key] = kind(val)
         except ValueError:
             raise ParseError(lineno, f"bad value {val!r} for key {key!r}") from None
-    cfg = ExperimentConfig(**values)
+    _check_mode(values.get("mode", ExperimentConfig.mode))
+    cfg = ExperimentConfig(**{**values, **over})
     validate_config(cfg)
     return cfg
 
 
+def _check_mode(mode):
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def validate_config(cfg: ExperimentConfig):
-    if cfg.mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {cfg.mode!r}")
+    _check_mode(cfg.mode)
     if not 0.0 < cfg.gamma < 1.0:
         raise ValidationError(f"gamma out of (0, 1): {cfg.gamma}")
     if not 0.0 < cfg.cfl <= CFL_MAX:

@@ -26,6 +26,11 @@ Three families of checks:
   theorem close exactly.  `BalanceAccumulator` computes the currents of
   BALANCE_BLOCK levels at once and adds the levels one at a time, to the
   bits of one level at a time, in O(n) memory whatever the run length.
+
+Both weighted sides are one rule, mirrored by x -> -x: s = +1 (TL) or -1
+(TLb) gives the weight coordinate (t + s x)/2 and null gradient w + s p,
+swaps the multiplier's L and Lb parts and puts a balance region on the s
+side of its boundary.  Only exact negations carry s: the bits hold.
 """
 
 from __future__ import annotations
@@ -92,21 +97,17 @@ def _current_density(w, p, vt, vx, xi):
     return sq * (t_tt * xit + t_tx * xix), sq * (t_xt * xit + t_xx * xix)
 
 
-def _current(phi, varphi, t, x, gamma, side):
-    """(V^t, V^x) = sqrt(g) * (P^t, P^x) from closed-form fields."""
+def _event_fields(phi, varphi, t, x, gamma, side):
+    """(V^t, V^x, M^tt, M^tx, M^xx) at the events (t, x): the current
+    sqrt(g) (P^t, P^x) and the metric maps sqrt(g) g^{ab} of closed-form
+    fields, from one evaluation of each field's gradient."""
     w = phi.d(1, 0, t, x)
     p = phi.d(0, 1, t, x)
-    return _current_density(w, p, varphi.d(1, 0, t, x), varphi.d(0, 1, t, x),
-                            _multiplier_cartesian(w, p, t, x, gamma, side))
-
-
-def _metric_maps(phi, t, x):
-    """sqrt(g)*g^{ab} maps: (M^tt, M^tx, M^xx)."""
-    w = phi.d(1, 0, t, x)
-    p = phi.d(0, 1, t, x)
-    g = 1.0 - w * w + p * p
-    sq = np.sqrt(g)
-    return -(1.0 + p * p) / sq, w * p / sq, (1.0 - w * w) / sq
+    # the current raises on g <= 0 before the sqrt below
+    vt, vx = _current_density(w, p, varphi.d(1, 0, t, x), varphi.d(0, 1, t, x),
+                              _multiplier_cartesian(w, p, t, x, gamma, side))
+    sq = np.sqrt(1.0 - w * w + p * p)
+    return vt, vx, -(1.0 + p * p) / sq, w * p / sq, (1.0 - w * w) / sq
 
 
 def _stencil_derivs(fn, t, x, h):
@@ -128,15 +129,14 @@ def divergence_residual(phi, varphi, gamma, side, h, t, x):
     The left side differences the closed-form current (V^t, V^x) by 4th-order
     stencils.  The right side is assembled analytically from the fields'
     derivatives, except the derivatives of the metric maps sqrt(g) g^{ab},
-    which come from the same stencils on `_metric_maps`.  Each side
-    evaluates its function once per shifted event: 8 `_current` and 8
-    `_metric_maps` calls per residual.
+    which come from the same stencils.  `_event_fields` gives both at each
+    shifted event: 8 calls per residual.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
 
-    (dvt_t, _), (_, dvx_x) = _stencil_derivs(
-        lambda tt, xx: _current(phi, varphi, tt, xx, gamma, side), t, x, h)
+    (dvt_t, _, mtt_t, mtx_t, mxx_t), (_, dvx_x, mtt_x, mtx_x, mxx_x) = _stencil_derivs(
+        lambda tt, xx: _event_fields(phi, varphi, tt, xx, gamma, side), t, x, h)
     lhs = dvt_t + dvx_x
 
     # analytic pieces
@@ -155,36 +155,29 @@ def divergence_residual(phi, varphi, gamma, side, h, t, x):
 
     # wave operator: principal part analytic, gauge part by stencils on the
     # metric maps
-    (mtt_t, mtx_t, mxx_t), (mtt_x, mtx_x, mxx_x) = _stencil_derivs(
-        lambda tt, xx: _metric_maps(phi, tt, xx), t, x, h)
     principal = gtt * vtt + 2.0 * gtx * vtx + gxx * vxx
     div_t = mtt_t + mtx_x   # d_a M^{a t}
     div_x = mtx_t + mxx_x   # d_a M^{a x}
     box_term = sq * principal * xi_varphi + (div_t * vt + div_x * vx) * xi_varphi
 
-    # deformation term, analytic coefficient derivatives
+    # deformation term by the signed side rule: dc, dcc are the derivatives
+    # of the weight-only and the corrected coefficient
     if side == "const":
         dxit_t = dxit_x = dxix_t = dxix_x = np.zeros_like(w)
     else:
+        s = 1.0 if side == "TL" else -1.0
         wt = phi.d(2, 0, t, x)
         wx = phi.d(1, 1, t, x)
         px = phi.d(0, 2, t, x)
-        if side == "TL":
-            ub = (t + x) / 2.0
-            wgt, wgtp = weight_a(ub, gamma), weight_a_prime(ub, gamma)
-            lg = w + p
-            dcl_t, dcl_x = 0.5 * wgtp, 0.5 * wgtp
-            dclb_t = 0.5 * wgtp * lg ** 2 + wgt * 2.0 * lg * (wt + wx)
-            dclb_x = 0.5 * wgtp * lg ** 2 + wgt * 2.0 * lg * (wx + px)
-        else:
-            uu = (t - x) / 2.0
-            wgt, wgtp = weight_a(uu, gamma), weight_a_prime(uu, gamma)
-            lbg = w - p
-            dclb_t, dclb_x = 0.5 * wgtp, -0.5 * wgtp
-            dcl_t = 0.5 * wgtp * lbg ** 2 + wgt * 2.0 * lbg * (wt - wx)
-            dcl_x = -0.5 * wgtp * lbg ** 2 + wgt * 2.0 * lbg * (wx - px)
-        dxit_t, dxit_x = dcl_t + dclb_t, dcl_x + dclb_x
-        dxix_t, dxix_x = dcl_t - dclb_t, dcl_x - dclb_x
+        coord = (t + s * x) / 2.0
+        wgt, wgtp = weight_a(coord, gamma), weight_a_prime(coord, gamma)
+        ng = w + s * p
+        dc_t = 0.5 * wgtp
+        dc_x = s * dc_t
+        dcc_t = dc_t * ng ** 2 + wgt * 2.0 * ng * (wt + s * wx)
+        dcc_x = dc_x * ng ** 2 + wgt * 2.0 * ng * (wx + s * px)
+        dxit_t, dxit_x = dc_t + dcc_t, dc_x + dcc_x
+        dxix_t, dxix_x = s * (dc_t - dcc_t), s * (dc_x - dcc_x)
     deform = t_tt * dxit_t + t_xt * dxit_x + t_tx * dxix_t + t_xx * dxix_x
 
     # xi(sqrt(g) g^{cd}) d_c varphi d_d varphi, directional stencils
@@ -386,6 +379,8 @@ class BalanceAccumulator:
         if side not in ("TL", "TLb"):
             raise ValueError(f"bad side {side!r}")
         self.side = side
+        # s of the signed side rule (module docstring); the region's far node
+        self._sign, self._far = (1, -1) if side == "TL" else (-1, 0)
         self.coord = float(coord)
         self.gamma = float(gamma)
         self._grid = None
@@ -403,32 +398,23 @@ class BalanceAccumulator:
 
     # geometry helpers -----------------------------------------------------
     def _boundary_x(self, tau):
-        if self.side == "TLb":
-            return 2.0 * self.coord - tau
-        return tau - 2.0 * self.coord
+        return self._sign * (tau - 2.0 * self.coord)
 
     def _region_integral(self, f, grid, xb):
-        x0, dx, n = grid.x0, grid.dx, grid.n
-        pos = (xb - x0) / dx
-        idx = int(np.floor(pos))
-        if self.side == "TLb":
-            if idx < 1:
-                return 0.0
-            idx = min(idx, n - 1)
-            full = float(np.trapezoid(f[:idx + 1], dx=dx))
-            frac = xb - (x0 + idx * dx)
-            if frac > 0 and idx + 1 < n:
-                fb = f[idx] + (f[idx + 1] - f[idx]) * frac / dx
-                full += 0.5 * (f[idx] + fb) * frac
-            return full
-        if idx >= n - 2:
+        """Integral of f over the region's part of the grid, boundary xb: a
+        trapezoid from the far end to node j next to xb, plus the cell from
+        j to xb, f interpolated toward node j - s.  0 with fewer than 2
+        nodes in the region or a TL boundary on node n-2."""
+        s, x0, dx, n = self._sign, grid.x0, grid.dx, grid.n
+        far = self._far % n
+        j = min(max(int(np.floor((xb - x0) / dx)) + (s > 0), 0), n - 1)
+        if j == far:
             return 0.0
-        lo = max(idx + 1, 0)
-        full = float(np.trapezoid(f[lo:], dx=dx))
-        frac = (x0 + lo * dx) - xb
-        if frac > 0 and lo >= 1:
-            fb = f[lo] - (f[lo] - f[lo - 1]) * frac / dx
-            full += 0.5 * (f[lo] + fb) * frac
+        full = float(np.trapezoid(f[min(j, far):max(j, far) + 1], dx=dx))
+        frac = s * ((x0 + j * dx) - xb)
+        if frac > 0 and 0 <= j - s < n:
+            fb = f[j] + (f[j - s] - f[j]) * frac / dx
+            full += 0.5 * (f[j] + fb) * frac
         return full
 
     # current of the row phi ------------------------------------------------
@@ -471,17 +457,16 @@ class BalanceAccumulator:
             at = cubic_interp(np.stack((vts[on], vxs[on])), grid.x0, grid.dx,
                               [xbs[k] for k in on])[:, r, r]
             ends = dict(zip(on, zip(*at.tolist())))     # level: (V^t, V^x) there
-        vx_lo, vx_hi = vxs[:, 0].tolist(), vxs[:, -1].tolist()
+        s, vx_far = self._sign, vxs[:, self._far].tolist()
         for k, tau in enumerate(taus):
             if k in ends:
                 vt_b, vx_b = ends[k]
-                # minus region: 2 V^ub = V^t + V^x ; plus region: 2 V^u = V^t - V^x
-                integrand = -(vt_b + vx_b) if self.side == "TLb" else -(vt_b - vx_b)
+                # 2 V^ub (minus region) or 2 V^u (plus region) = V^t - s V^x
+                integrand = -(vt_b - s * vx_b)
             else:
                 vx_b = integrand = 0.0
             # bulk: the V^x boundary term of the region integral of d_x V^x
-            self._add_level(tau, vts[k], integrand,
-                            vx_b - vx_lo[k] if self.side == "TLb" else vx_hi[k] - vx_b)
+            self._add_level(tau, vts[k], integrand, s * (vx_far[k] - vx_b))
 
     def _add_level(self, tau, vt, integrand, edge):
         """Add the next level, at time tau with V^t profile vt, null flux

@@ -304,7 +304,8 @@ def test_cli_nonpositive_profile_width_named(tmp_path, capsys, line):
     ("run", "report_every = 0", [], "report_every must be >= 1"),
     ("run", "report_every = -5", [], "report_every must be >= 1"),
     ("run", "f_kind = foo", [], "f_kind must be one of"),
-], ids=["seed", "seed-flag", "report_every-0", "report_every-negative", "f_kind"])
+    ("run", "mode = fly", [], "mode must be one of"),
+], ids=["seed", "seed-flag", "report_every-0", "report_every-negative", "f_kind", "mode"])
 def test_cli_config_gap_named(tmp_path, capsys, mode, line, argv, match):
     # used to end in a traceback: a negative seed in np.random.default_rng, a
     # zero report_every in the tracker's child, an unknown kind in family();
@@ -390,6 +391,17 @@ def test_cli_sweep_deltas_positive_and_distinct(tmp_path, capsys, deltas):
                "--out", str(tmp_path / "sw")])
     _assert_named_error(capsys, rc, "sweep deltas must be positive and distinct")
     assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("lines", ["mode = converge\n", "mode = sweep\ndeltas = 0.1\n"],
+                         ids=["converge", "sweep"])
+def test_cli_mode_replaces_the_file_mode_before_validation(tmp_path, capsys, lines):
+    # the file's mode used to be validated, and failed these runs: converge
+    # needs delta = 0, sweep at least 3 deltas
+    rc = main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN + lines),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "out" / "monitor.csv").exists()
 
 
 def test_cli_converge_requires_travelling(tmp_path, capsys):

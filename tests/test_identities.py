@@ -52,20 +52,19 @@ def test_divergence_quadratic_in_test_function(rng):
 def test_divergence_residual_calls_each_shifted_field_once(side, rng, monkeypatch):
     # the 4th-order stencils need the current and the metric maps at the 8
     # shifted events only; every component comes from the same call
-    calls = {"_current": 0, "_metric_maps": 0}
-    for name in calls:
-        orig = getattr(identities, name)
+    calls = []
+    orig = identities._event_fields
 
-        def counted(*args, _name=name, _orig=orig):
-            calls[_name] += 1
-            return _orig(*args)
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
 
-        monkeypatch.setattr(identities, name, counted)
+    monkeypatch.setattr(identities, "_event_fields", counted)
     phi = random_mixture(rng, amp=0.2)
     varphi = random_mixture(rng, amp=0.4)
     tt, xx = np.meshgrid(np.linspace(0.3, 0.8, 3), np.linspace(-2, 2, 9), indexing="ij")
     divergence_residual(phi, varphi, 0.5, side, 0.05, tt, xx)
-    assert calls == {"_current": 8, "_metric_maps": 8}
+    assert len(calls) == 8
 
 
 def test_deformation_closed_vs_direct_random_fields():
