@@ -24,23 +24,23 @@ package error.  EnergyTracker, CharacteristicTracer and BalanceAccumulator
 are the three.  `streamed_run` takes a run's observer off the stepping
 path.  It opens one pipe and forks the observer's child.  A proxy rides the
 run in the observer's place: for each state it writes one frame, the t of
-the state and the fields the observer reads, as float64, with one
-os.writev straight from the state's arrays.  The child reads each frame
-into fresh arrays and calls the observer's on_step with a state whose
-other fields are None, so reading a field it did not name fails there.
-The pipe holds PIPE_BYTES, resized once on Linux (on other systems it
-keeps its default size, and the caller only waits more);
-the kernel's pipe buffer is the stream's ring.  EOF on a frame boundary
-ends the stream, and the child sends back only observer.finalize(), never
-the levels the observer holds.  After a run that raised, the caller writes
-a partial frame before it closes the pipe: EOF inside a frame, and the
-child skips finalize.  The states are bit for bit those of the run, so the
-observer's results are those of the serial run.  An error of the observer
-reaches the caller at its next write or when the stream closes, with its
-type and message, and it wins over an error of the run, which came later in
-the serial order.  No fork may happen while a stream is open, since the
-forked process would inherit the pipe's write end and the stream would
-never end; `forked` raises then.
+the state and the fields the observer reads, as float64, to a buffered pipe
+file straight from the state's arrays.  The child reads each frame with one
+readinto into a fresh array and calls the observer's on_step with a state
+whose named fields are views of it and whose other fields are None, so
+reading a field it did not name fails there.  The pipe holds PIPE_BYTES,
+resized once on Linux (on other systems it keeps its default size, and the
+caller only waits more); the kernel's pipe buffer is the stream's ring.
+EOF on a frame boundary ends the stream, and the child sends back only
+observer.finalize(), never the levels the observer holds.  After a run that
+raised, the caller writes a partial frame before it closes the pipe: EOF
+inside a frame, and the child skips finalize.  The states are bit for bit
+those of the run, so the observer's results are those of the serial run.
+An error of the observer reaches the caller at its next write or when the
+stream closes, with its type and message, and it wins over an error of the
+run, which came later in the serial order.  No fork may happen while a
+stream is open, since the forked process would inherit the pipe's write end
+and the stream would never end; `forked` raises then.
 
 Cost.  The forks move work onto a second core; they do not cut the CPU
 time.  On one core of a shared 2-core x86-64 host (taskset -c 0), 3 runs a
@@ -171,22 +171,22 @@ def streamed_run(run, observer, start):
     """
     global _streams_open
     names = observer.reads
-    frame_bytes = 8 * (1 + len(names) * start.w.size)
     read_fd, write_fd = os.pipe()
 
     def observe():
         os.close(write_fd)
         unsent = {name: None for name in ("phi", "w", "p") if name not in names}
-        while True:
-            t = np.empty(1)
-            fields = [np.empty(start.w.shape) for _ in names]
-            got = _transfer(os.readv, read_fd, [t, *fields])
-            if got < frame_bytes:
-                # EOF: on a frame boundary the run ended; inside a frame it
-                # raised, and no result is wanted
-                return None if got else observer.finalize()
-            observer.on_step(dataclasses.replace(start, t=float(t[0]), **unsent,
-                                                 **dict(zip(names, fields))))
+        with os.fdopen(read_fd, "rb") as pipe:
+            while True:
+                frame = np.empty(1 + len(names) * start.w.size)
+                got = pipe.readinto(frame)
+                if got < frame.nbytes:
+                    # EOF: on a frame boundary the run ended; inside a frame
+                    # it raised, and no result is wanted
+                    return None if got else observer.finalize()
+                fields = frame[1:].reshape(len(names), *start.w.shape)
+                observer.on_step(dataclasses.replace(start, t=float(frame[0]), **unsent,
+                                                     **dict(zip(names, fields))))
 
     try:
         join = forked(observe)
@@ -206,12 +206,14 @@ def streamed_run(run, observer, start):
         fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
     except (ImportError, AttributeError, OSError):
         pass                    # the default capacity: the caller waits more
+    pipe = os.fdopen(write_fd, "wb")
 
     def send(state):
         """Write state's frame straight from its arrays, which are C-contiguous."""
         try:
-            _transfer(os.writev, write_fd,
-                      [np.float64(state.t), *(getattr(state, name) for name in names)])
+            pipe.write(np.float64(state.t))
+            for name in names:
+                pipe.write(getattr(state, name))
         except BrokenPipeError:
             raise StringLabError("an observer's child ended inside its stream") from None
 
@@ -222,27 +224,12 @@ def streamed_run(run, observer, start):
         run_failed = False
     finally:
         _streams_open -= 1
-        if run_failed:
-            try:
-                os.write(write_fd, b"\0")   # a partial frame
-            except BrokenPipeError:
-                pass
-        os.close(write_fd)
+        try:
+            with pipe:
+                if run_failed:
+                    pipe.write(b"\0")      # a partial frame
+        except BrokenPipeError:
+            pass                # the child raised: join raises its error
         # raises the observer's error, which then wins over the run's
         observed = join()
     return value, observed
-
-
-def _transfer(call, fd, buffers):
-    """Fill or send buffers through fd with call, os.readv or os.writev,
-    resuming short transfers: the bytes moved, fewer than the buffers hold
-    only where a read meets EOF."""
-    views = [memoryview(b).cast("B") for b in buffers]
-    moved = 0
-    while views and (n := call(fd, views)):
-        moved += n
-        while views and n >= len(views[0]):
-            n -= len(views.pop(0))
-        if n:
-            views[0] = views[0][n:]
-    return moved

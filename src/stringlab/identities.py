@@ -403,13 +403,12 @@ class BalanceAccumulator:
     def _region_integral(self, f, grid, xb):
         """Integral of f over the region's part of the grid, boundary xb: a
         trapezoid from the far end to node j next to xb, plus the cell from
-        j to xb, f interpolated toward node j - s.  0 with fewer than 2
-        nodes in the region or a TL boundary on node n-2."""
+        j to xb, f interpolated toward node j - s.  A region narrower than
+        one cell is that interpolated part cell alone, and a region that
+        misses the grid gives 0."""
         s, x0, dx, n = self._sign, grid.x0, grid.dx, grid.n
         far = self._far % n
         j = min(max(int(np.floor((xb - x0) / dx)) + (s > 0), 0), n - 1)
-        if j == far:
-            return 0.0
         full = float(np.trapezoid(f[min(j, far):max(j, far) + 1], dx=dx))
         frac = s * ((x0 + j * dx) - xb)
         if frac > 0 and 0 <= j - s < n:

@@ -3,8 +3,9 @@ errors that cross it, the inline fallback where os.fork is missing, the
 error order of the refinement levels, and the number of children alive.
 Also a run's observer streamed to a child (`forking.streamed_run`): every
 observer ends through finalize(), the same results as in the caller, also
-on a one-page pipe and with short reads and writes, only the fields the
-observer names, errors in serial order, and no fork while a stream is open.
+on a one-page pipe, only the fields the observer names, errors in serial
+order, also where a failed run's stream ends inside a frame that spans
+several reads, and no fork while a stream is open.
 conftest checks that no test leaves a child unreaped."""
 
 import dataclasses
@@ -260,26 +261,6 @@ def test_every_observer_ends_through_finalize(monkeypatch, name, fork):
     assert not {"finish", "flush", "member_reports", "truncated_probes"} & set(dir(here))
 
 
-def _at_most_a_page(call):
-    """call(fd, buffers), os.readv or os.writev, moving at most 4096 bytes."""
-    def short(fd, buffers):
-        views, room = [], 4096
-        for buf in buffers:
-            views.append(memoryview(buf).cast("B")[:room])
-            room -= len(views[-1])
-        return call(fd, views)
-    return short
-
-
-def test_short_reads_and_writes_are_resumed(monkeypatch):
-    # the child inherits the patched calls, so both ends move at most a page
-    # per call, and every frame of either stream spans several calls
-    monkeypatch.setattr(os, "writev", _at_most_a_page(os.writev))
-    monkeypatch.setattr(os, "readv", _at_most_a_page(os.readv))
-    _streamed_tracker_equals_the_tracker_in_the_caller()
-    _streamed_blowup_paths_equal_a_tracer_in_the_caller()
-
-
 class _FailAt:
     """An observer that raises at its state of index `at`; its result is
     the number of states it took."""
@@ -334,6 +315,27 @@ def test_an_observer_error_crosses_and_wins_over_a_run_error(monkeypatch, fork):
     # a run error alone is raised, the observer's result unread
     with pytest.raises(BlowupDetected, match="run at 3"):
         streamed_run(run_failing_at(3), _Unread(), single)
+
+
+class _UnreadFields(_Unread):
+    """An _Unread whose frames carry all three fields."""
+
+    reads = ("phi", "w", "p")
+
+
+def test_a_failed_run_ends_a_one_page_stream_inside_a_frame(monkeypatch):
+    # a frame of t and 3 x 481 points spans several reads of a one-page
+    # pipe; after the run fails at state 3, the child meets EOF inside the
+    # next frame and leaves the observer's result unread
+    monkeypatch.setattr(forking, "PIPE_BYTES", 4096)
+    single = _single_start()
+    assert 8 * (1 + 3 * single.w.size) > 4096
+    fail = _FailAt(3, BlowupDetected(0.0, "run at 3"))
+    with pytest.raises(BlowupDetected, match="run at 3$"):
+        streamed_run(lambda callbacks: run_evolution(single, t_end=1.0,
+                                                     callbacks=[*callbacks, fail]),
+                     _UnreadFields(), single)
+    assert fail.seen == 3
 
 
 class _Carried:

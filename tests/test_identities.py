@@ -293,18 +293,19 @@ def test_balance_finalize_needs_three_levels(default_family):
 
 
 @pytest.mark.parametrize("side", ["TL", "TLb"])
-@pytest.mark.parametrize("cells", [-0.3, 0.4, 1.5, 7.6, 14.5, 15.6, 16.3])
+@pytest.mark.parametrize("cells", [-0.3, 0.4, 1.0, 1.5, 7.6, 14.5, 15.0, 15.6, 16.3])
 def test_region_integral_of_a_linear_profile_is_exact(side, cells):
     # the trapezoid and its interpolated partial cell integrate a linear
     # profile exactly over the region's part of the grid: left of the
-    # boundary for TLb, right of it for TL.  With fewer than 2 grid nodes
-    # inside the region the integral is 0
+    # boundary for TLb, right of it for TL.  A boundary exactly on node 1
+    # or 15 leaves one whole cell to one side, and a region narrower than
+    # a cell is its part cell; a region that misses the grid gives 0
     grid = Grid1D(-2.0, 0.25, 17)
     xb = grid.x0 + cells * grid.dx
     a, b = 0.7, -1.3
-    lo, hi = (grid.x0, min(xb, grid.x_end)) if side == "TLb" else (max(xb, grid.x0), grid.x_end)
-    inside = np.count_nonzero(grid.x < xb if side == "TLb" else grid.x > xb)
-    exact = a * (hi - lo) + 0.5 * b * (hi * hi - lo * lo) if inside >= 2 else 0.0
+    xb_in = min(max(xb, grid.x0), grid.x_end)
+    lo, hi = (grid.x0, xb_in) if side == "TLb" else (xb_in, grid.x_end)
+    exact = a * (hi - lo) + 0.5 * b * (hi * hi - lo * lo)
     got = BalanceAccumulator(side, 0.0, 0.5)._region_integral(a + b * grid.x, grid, xb)
     assert got == pytest.approx(exact, rel=1e-13, abs=1e-14)
 
