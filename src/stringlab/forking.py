@@ -29,13 +29,17 @@ file straight from the state's arrays.  The child reads each frame with one
 readinto into a fresh array and calls the observer's on_step with a state
 whose named fields are views of it and whose other fields are None, so
 reading a field it did not name fails there.  The pipe holds PIPE_BYTES,
-resized once on Linux (on other systems it keeps its default size, and the
-caller only waits more); the kernel's pipe buffer is the stream's ring.
-EOF on a frame boundary ends the stream, and the child sends back only
-observer.finalize(), never the levels the observer holds.  After a run that
-raised, the caller writes a partial frame before it closes the pipe: EOF
-inside a frame, and the child skips finalize.  The states are bit for bit
-those of the run, so the observer's results are those of the serial run.
+resized once on Linux; elsewhere it keeps the system's default size.  The
+kernel's pipe buffer is the stream's ring.  At Linux's default 64 KiB the
+caller waits on its child: in 6 alternating perfbench pairs on a shared
+2-core x86-64 host, hierarchy_sweep's experiment_s read 1.04-1.47 s
+against 0.66-0.81 s with the resize, and blowup_refine's +3 % was not
+resolved.  EOF on a frame boundary ends the stream, and the child sends
+back only observer.finalize(), never the levels the observer holds.  After
+a run that raised, the caller writes a partial frame before it closes the
+pipe: EOF inside a frame, and the child skips finalize.  The states are
+bit for bit those of the run, so the observer's results are those of the
+serial run.
 An error of the observer reaches the caller at its next write or when the
 stream closes, with its type and message, and it wins over an error of the
 run, which came later in the serial order.  No fork may happen while a
@@ -46,7 +50,15 @@ Cost.  The forks move work onto a second core; they do not cut the CPU
 time.  On one core of a shared 2-core x86-64 host (taskset -c 0), 3 runs a
 side, forked vs serial (os.fork deleted) read blowup 1.16-1.28 vs
 1.02-1.16 s, forked slower in 3 of 3, and sweep 0.71-0.74 vs 0.66-0.77 s
-(ROADMAP item 22).
+(ROADMAP item 22).  What they buy, in 6 alternating perfbench pairs per
+probe on the same host: with verify's closed-form studies run inline,
+identity_suite's peak_rss_mb read 39.55-39.66 MiB against 32.09-32.17 MiB
+and its experiment_s was 11 % higher (median); with blowup's tracer run in
+the caller instead of streamed, blowup_refine's experiment_s was 11 %
+higher and its peak 1.15 MiB higher.  peak_rss_mb counts the caller alone,
+so the first figure is the caller's memory, not the sum over processes.
+An earlier probe of a shared-memory ring of the pipe's depth in place of
+the pipe gave no resolvable gain and 0.4 MiB more peak memory.
 """
 
 from __future__ import annotations
@@ -205,7 +217,7 @@ def streamed_run(run, observer, start):
         import fcntl
         fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
     except (ImportError, AttributeError, OSError):
-        pass                    # the default capacity: the caller waits more
+        pass                    # the default size: the caller waits more (module docstring)
     pipe = os.fdopen(write_fd, "wb")
 
     def send(state):

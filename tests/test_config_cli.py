@@ -1,4 +1,6 @@
 import csv
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from stringlab import evolve, identities
 from stringlab.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def test_empty_file_gives_defaults():
@@ -515,6 +518,29 @@ def test_cli_verify_seeded(tmp_path, capsys):
     for name in ("divergence_TL", "divergence_TLb", "deformation_closed_vs_direct",
                  "trace_identity", "energy_balance_plus", "energy_balance_minus"):
         assert name in text
+
+
+# the CLI registers stringlab.identities without running its code (cli
+# docstring): in either import order, the CLI, the package attribute and
+# sys.modules hold one module, so a patch through any of them reaches verify
+_ONE_SUITE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+{imports}
+import stringlab
+suite = sys.modules["stringlab.identities"]
+assert first is suite is stringlab.identities is stringlab.cli.identities
+assert stringlab.identities.verify_suite is vars(suite)["verify_suite"]
+"""
+
+
+@pytest.mark.parametrize("imports", ["import stringlab.cli\nimport stringlab.identities as first",
+                                     "import stringlab.identities as first\nimport stringlab.cli"],
+                         ids=["cli_first", "identities_first"])
+def test_cli_and_importers_share_one_identities_module(imports):
+    proc = subprocess.run([sys.executable, "-c", _ONE_SUITE.format(imports=imports), str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_sweep_small(tmp_path, capsys):

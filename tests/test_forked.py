@@ -5,12 +5,14 @@ Also a run's observer streamed to a child (`forking.streamed_run`): every
 observer ends through finalize(), the same results as in the caller, also
 on a one-page pipe, only the fields the observer names, errors in serial
 order, also where a failed run's stream ends inside a frame that spans
-several reads, and no fork while a stream is open.
+several reads, a pipe that holds PIPE_BYTES while the run streams, and no
+fork while a stream is open.
 conftest checks that no test leaves a child unreaped."""
 
 import dataclasses
 import os
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -336,6 +338,31 @@ def test_a_failed_run_ends_a_one_page_stream_inside_a_frame(monkeypatch):
                                                      callbacks=[*callbacks, fail]),
                      _UnreadFields(), single)
     assert fail.seen == 3
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="pipe sizes are Linux's")
+def test_a_stream_holds_pipe_bytes_while_its_run_streams(monkeypatch):
+    # the default 64 KiB pipe holds one to five frames of the benchmark's
+    # runs, and the sweep's caller then waits on its child (module docstring)
+    import fcntl
+    pipes, make_pipe = [], os.pipe
+
+    def recorded_pipe():
+        pipes.append(make_pipe())
+        return pipes[-1]
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    single = _single_start()
+    held = []
+
+    def run(callbacks):
+        # the stream's pipe is opened before the pipe of the child's outcome
+        held.append(fcntl.fcntl(pipes[0][1], fcntl.F_GETPIPE_SZ))
+        return run_evolution(single, t_end=1.0, callbacks=callbacks)
+
+    res, seen = streamed_run(run, _FailAt(10 ** 9, None), single)
+    assert seen == res.n_steps + 1
+    assert held[0] >= forking.PIPE_BYTES
 
 
 class _Carried:
