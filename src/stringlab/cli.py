@@ -295,9 +295,18 @@ def main(argv=None) -> int:
             over["out"] = args.out
         if args.seed is not None:
             over["seed"] = args.seed
-        cfg = parse_config(Path(args.config).read_text() if args.config else "", **over)
+        try:
+            text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+        except OSError as exc:
+            raise StringLabError(f"cannot read config {args.config}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise StringLabError(f"cannot read config {args.config}: {exc}") from None
+        cfg = parse_config(text, **over)
         out = Path(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StringLabError(f"cannot create output directory {out}: {exc.strerror}") from None
         dispatch = {"run": cmd_run, "sweep": cmd_sweep, "converge": cmd_converge,
                     "blowup": cmd_blowup, "verify": cmd_verify,
                     "tracecheck": cmd_tracecheck}

@@ -1,10 +1,16 @@
+import importlib
+import io
 import os
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stringlab import DataFamily, ProfileSpec, parse_config
+from stringlab.cli import main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -36,6 +42,73 @@ class Recorder:
         self.states.append(state)
 
 
+def open_fds():
+    """The sorted /proc/self/fd listing; None where there is none."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@dataclass
+class FixtureRun:
+    """What one CLI call on fixtures/<name>.cfg gave (fixture_run)."""
+
+    code: int                   # exit code
+    csvs: dict                  # CSV name -> bytes
+    stdout: str
+    stderr: str
+    wall: float                 # seconds of the call
+    study: object               # what the mode's study call returned; None if it raised
+
+
+# acceptance fixture -> (its CLI mode, the name that cli calls for the mode's study)
+FIXTURE_STUDIES = {
+    "a3_sweep": ("sweep", "stringlab.energy.tracked_sweep"),
+    "a5_blowup": ("blowup", "stringlab.cli.blowup_study"),
+    "a7_tracecheck": ("tracecheck", "stringlab.energy.trace_check_study"),
+}
+
+
+def _run_fixture(name, out):
+    mode, target = FIXTURE_STUDIES[name]
+    module, _, attr = target.rpartition(".")
+    study = getattr(importlib.import_module(module), attr)
+    returned = []
+
+    def recorded(*args, **kwargs):
+        returned.append(study(*args, **kwargs))
+        return returned[-1]
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    fds = open_fds()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(stdout), redirect_stderr(stderr):
+        mp.setattr(target, recorded)
+        t0 = time.perf_counter()
+        code = main([mode, "--config", str(FIXTURES / f"{name}.cfg"), "--out", str(out)])
+        wall = time.perf_counter() - t0
+    # no_child_left's and no_fd_left's checks, made around the call itself:
+    # a failure then names the call, not the test that first asked for it
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+    return FixtureRun(code, {f.name: f.read_bytes() for f in out.iterdir()},
+                      stdout.getvalue(), stderr.getvalue(), wall,
+                      returned[0] if returned else None)
+
+
+@pytest.fixture(scope="session")
+def fixture_run(tmp_path_factory):
+    """fixture_run(name) -> the FixtureRun of fixtures/<name>.cfg's CLI call,
+    made at the session's first request of it, so that the acceptance tests
+    and the fixture pins read one call."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = _run_fixture(name, tmp_path_factory.mktemp(name) / "out")
+        return runs[name]
+
+    return run
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Every test reaps each child process it starts."""
@@ -48,12 +121,9 @@ def no_child_left():
 def no_fd_left():
     """Every test closes each file descriptor it opens, where /proc/self/fd
     lists them."""
-    if not os.path.isdir("/proc/self/fd"):
-        yield
-        return
-    before = sorted(os.listdir("/proc/self/fd"))
+    before = open_fds()
     yield
-    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert open_fds() == before
 
 
 @pytest.fixture

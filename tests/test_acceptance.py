@@ -2,6 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.  Tolerances are fixed here, not calibrated elsewhere.
+
+A3's coarse level, A5 and A7 read the CLI calls on their fixtures that the
+fixture pins of test_golden.py hash (conftest.fixture_run): each is made
+once per session, and the tests assert on what its study call returned.
 """
 
 import time
@@ -10,12 +14,10 @@ import numpy as np
 import pytest
 from conftest import fixture_config, refined
 
-from stringlab import (CharacteristicTracer, DataFamily, Grid1D, ProfileSpec, check_kong_tsuji,
-                       criterion_for_family, exact_travelling, higher_order_traces,
-                       run_evolution)
+from stringlab import (DataFamily, Grid1D, ProfileSpec, check_kong_tsuji, criterion_for_family,
+                       exact_travelling, higher_order_traces, run_evolution)
 from stringlab.config import ExperimentConfig
-from stringlab.energy import (fit_hierarchy, tower_at_zero as _tower_at_zero,
-                             tracked_run as _single_run, tracked_sweep)
+from stringlab.energy import fit_hierarchy, tracked_run as _single_run, tracked_sweep
 from stringlab.evolve import richardson_time
 from stringlab.identities import (deformation_check, divergence_identity_study,
                                   energy_balance_study)
@@ -79,14 +81,15 @@ def test_a2_identity_suite():
 
 
 @pytest.fixture(scope="module")
-def hierarchy_fits():
+def hierarchy_fits(fixture_run):
     fits = []
-    # fine (dx = 0.0625, n = 2049) and coarse (dx = 0.125, n = 1025) on [-64, 64]
-    coarse = fixture_config("a3_sweep")
-    for cfg in (refined(coarse), coarse):
+    # fine (dx = 0.0625, n = 2049) and coarse (dx = 0.125, n = 1025) on
+    # [-64, 64]; the coarse sweep is the sweep CLI call on the fixture
+    fine = tracked_sweep(refined(fixture_config("a3_sweep")))
+    for members in (fine, fixture_run("a3_sweep").study):
         monitors = []
         # the three deltas step in lockstep as one ensemble
-        for res, _, mon in tracked_sweep(cfg):
+        for res, _, mon in members:
             assert res.status == "completed"
             assert res.max_speed_seen <= 1.0 + 1e-12
             monitors.append(mon)
@@ -126,27 +129,22 @@ def test_a4_global_existence_regime():
             f"M2={mon.m2:.3e}; sup-bound margins positive at every output; {wall:.0f}s")
 
 
-def test_a5_blowup_regime():
+def test_a5_blowup_regime(fixture_run):
     t0 = time.time()
-    cfg = fixture_config("a5_blowup")
-    fam = cfg.family()
     x = np.linspace(-20, 20, 2001)
-    crit = criterion_for_family(fam, x)
+    crit = criterion_for_family(fixture_config("a5_blowup").family(), x)
     assert not crit.passed
 
-    t_blowups = []
-    seeds = np.linspace(-6.0, 6.0, 17)
-    tracer = CharacteristicTracer(seeds, "plus")
-    # dx = 1/32, 1/64 and 1/128 on [-28, 28]
-    for k in range(3):
-        grid = cfg.grid().refined(2 ** k)
-        res = run_evolution(fam, grid, t_end=cfg.t_end, callbacks=[tracer] if k == 2 else ())
-        assert res.status == "blowup"
-        t_blowups.append(res.t_blowup)
+    # the blowup CLI call on the fixture: dx = 1/32, 1/64 and 1/128 on
+    # [-28, 28], and 17 plus-family seeds on [-6, 6] traced on the finest
+    run = fixture_run("a5_blowup")
+    study = run.study
+    assert all(lev.reason is not None for lev in study.levels)
+    t_blowups = [lev.t_blowup for lev in study.levels]
     diffs = np.abs(np.diff(t_blowups))
-    _, min_sep = tracer.finalize()
-    sep0 = seeds[1] - seeds[0]
-    wall = time.time() - t0
+    min_sep, sep0 = study.min_sep, study.initial_sep
+    assert sep0 == 0.75
+    wall = time.time() - t0 + run.wall
     ok = bool(diffs[1] * 2.0 <= diffs[0] and min_sep <= 0.2 * sep0 and wall <= 300.0)
     _report(5, "blow-up regime", ok,
             f"criterion violated (margin {crit.order_margin:.3f}); detected times "
@@ -171,26 +169,17 @@ def test_a6_criterion_oracle():
             f"prefix-max scan equals brute force on {exact}/200 random sequences")
 
 
-def test_a7_trace_induction():
+def test_a7_trace_induction(fixture_run):
     t0 = time.time()
-    discrepancies = []
-    den_mins = []
-    # the default family on [-16, 16] at dx = 0.1 and 0.05
+    # the tracecheck CLI call on the fixture: the default family on
+    # [-16, 16] at dx = 0.1 and 0.05; per level, the worst relative
+    # discrepancy over the rows of total order <= 3
+    study = fixture_run("a7_tracecheck").study
+    discrepancies = study.gate.values
+    # the order-4 tables of both levels; the study keeps level 0's
     coarse = fixture_config("a7_tracecheck")
-    for cfg in (coarse, refined(coarse)):
-        grid = cfg.grid()
-        table = higher_order_traces(cfg.family(), 4, grid.x)
-        den_mins.append(table.den_min)
-        tower = _tower_at_zero(cfg, grid)
-        worst = 0.0
-        for k1, k2 in np.ndindex(5, 5):
-            if k1 + k2 > 3:
-                continue
-            (lt, lbt), (tl, tlb) = table.rows[k1, k2], tower.rows[k1, k2]
-            scale = max(float(np.max(np.abs(lt))), float(np.max(np.abs(lbt))), 1e-12)
-            worst = max(worst, max(float(np.max(np.abs(tl - lt))),
-                                   float(np.max(np.abs(tlb - lbt)))) / scale)
-        discrepancies.append(worst)
+    den_mins = [study.table.den_min,
+                higher_order_traces(coarse.family(), 4, refined(coarse).grid().x).den_min]
     order = float(np.log2(discrepancies[0] / discrepancies[1]))
     # other admissible families keep the denominator floor too
     for fam2 in (fixture_config("a5_blowup").family(),

@@ -319,6 +319,24 @@ def test_cli_config_gap_named(tmp_path, capsys, mode, line, argv, match):
     _assert_named_error(capsys, rc, match)
 
 
+@pytest.mark.parametrize("case, match", [
+    ("missing", "cannot read config {cfg}: No such file or directory"),
+    ("not-utf-8", "cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff"),
+    ("out-is-a-file", "cannot create output directory {out}: File exists"),
+], ids=["missing", "not-utf-8", "out-is-a-file"])
+def test_cli_unreadable_config_or_unmakeable_out_named(tmp_path, capsys, case, match):
+    # each used to end in a traceback: FileNotFoundError, UnicodeDecodeError
+    # and FileExistsError from mkdir
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
+    if case == "not-utf-8":
+        cfg.write_bytes(b"gamma = 0.5 # \xff\n")
+    elif case == "out-is-a-file":
+        cfg.write_text(SMALL_RUN)
+        out.write_text("")
+    rc = main(["run", "--config", str(cfg), "--out", str(out)])
+    _assert_named_error(capsys, rc, match.format(cfg=cfg, out=out))
+
+
 @pytest.mark.parametrize("mode", ["run", "tracecheck"])
 def test_cli_out_of_range_data_named(tmp_path, capsys, mode):
     # used to print about 20 numpy overflow warnings, then "blow-up detected

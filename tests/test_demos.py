@@ -1,5 +1,5 @@
-"""Every demo runs as a script, with numpy's runtime warnings as errors, and
-prints the pinned bytes.
+"""Every demo runs as a script, with runtime and resource warnings as errors
+as in tier-1, writes nothing to stderr, and prints the pinned bytes.
 
 The pins are the sha256 of each demo's stdout, so that a refactor that
 claims to keep a demo's output is checked, not compared by hand.  Like
@@ -37,8 +37,9 @@ def test_demo_exits_cleanly(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                           str(ROOT / "demos" / demo)], env=env,
-                          capture_output=True, timeout=300)
+                           "-W", "error::ResourceWarning", str(ROOT / "demos" / demo)],
+                          env=env, capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
     assert proc.stdout.strip()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo]

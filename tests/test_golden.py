@@ -7,13 +7,17 @@ here; if the change is intended, state and bound it in CHANGES.md and pin
 the new hashes.  The configs are frozen here on purpose, apart from the
 other CLI tests, so that editing those never moves a pin.  The hashes are
 those of numpy 2 on x86-64; another platform may round differently.
+
+Each GOLDEN config runs once with fork, in test_numpy_footprint.py's fresh
+interpreter, which checks its hashes, and once here without fork.  The
+acceptance fixtures' pins read the session's one call of each fixture
+(conftest.fixture_run), which the acceptance tests read too.
 """
 
 import hashlib
 import os
 
 import pytest
-from conftest import FIXTURES
 
 from stringlab.cli import main
 
@@ -94,20 +98,8 @@ GOLDEN = {
 }
 
 
-def _assert_pinned(tmp_path, name):
-    text, extra, pinned = GOLDEN[name]
-    mode = name.partition("_")[0]
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(text)
-    out = tmp_path / "out"
-    assert main([mode, "--config", str(cfg), "--out", str(out), *extra]) == 0
-    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
-    assert written == pinned
-
-
-@pytest.mark.parametrize("name", list(GOLDEN))
-def test_cli_csv_outputs_are_pinned(tmp_path, name):
-    _assert_pinned(tmp_path, name)
+def _hashes(out):
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
 
 
 @pytest.mark.parametrize("name", ["run", "sweep", "converge", "blowup", "blowup_windowed",
@@ -117,13 +109,19 @@ def test_pins_hold_without_fork(tmp_path, monkeypatch, name):
     # the observers of run, sweep and blowup run inline in the calling
     # process (forking.forked, forking.streamed_run)
     monkeypatch.delattr(os, "fork")
-    _assert_pinned(tmp_path, name)
+    text, extra, pinned = GOLDEN[name]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([name.partition("_")[0], "--config", str(cfg), "--out", str(out), *extra]) == 0
+    assert _hashes(out) == pinned
 
 
 # name -> (CLI arguments, {CSV name or "stdout": sha256}): the verify seeds
 # that the benchmark's identity workload draws from its seed 1, and the three
-# acceptance fixtures at their own size (about 2.5 s together).  Like the
-# pins above, the hashes are those of numpy 2 on x86-64
+# acceptance fixtures at their own size, whose arguments are None: they are
+# the session's calls of conftest.fixture_run.  Like the pins above, the
+# hashes are those of numpy 2 on x86-64
 PINNED_RUNS = {
     "verify_17611": (["verify", "--seed", "17611"], {
         "identities.csv": "772cc3e8cac56e77cd4abfc99464ec77db1a8061857d254619e83973e8f91bdb",
@@ -137,18 +135,18 @@ PINNED_RUNS = {
         "identities.csv": "1a97d6b9229734c701f630b22da935377e67f17a31c031ec191f092806cb1ac3",
         "stdout": "01268a6c5eca80736fab1910fad95ac2130bc0e7cc16faf5cd67b3caab0aedc5",
     }),
-    "a3_sweep": (["sweep", "--config", str(FIXTURES / "a3_sweep.cfg")], {
+    "a3_sweep": (None, {
         "hierarchy.csv": "17b03d5403366ae3742d9acf29d4ef53f44d59e03128bb6f14e8f298c560fe0e",
         "sweep.csv": "2fc132bad31d0067f036b8875ec510d3aac21849f60c20796013519dfc73f95a",
         "stdout": "e30e6ccbe4a835919a228f86e349658f1bfd97f2969b98f792ac90a032f01532",
     }),
-    "a5_blowup": (["blowup", "--config", str(FIXTURES / "a5_blowup.cfg")], {
+    "a5_blowup": (None, {
         "blowup.csv": "8641e49b1f82e6e9a4bc2c7c258b9155a2df074dfcaa8530225d3e18de57c045",
         "blowup_summary.csv":
             "a55d5b7e2f794c97571d8f0e31c4a359a7ba70197e58027791e0f7ba940409ab",
         "stdout": "90e131f0396c96f3eaeadba501d536097825566e919de94e4281abeb6ce85088",
     }),
-    "a7_tracecheck": (["tracecheck", "--config", str(FIXTURES / "a7_tracecheck.cfg")], {
+    "a7_tracecheck": (None, {
         "tracecheck.csv": "2fb594d8649a8db85d46cffa62dfbef268b3481bd0ff60dc3f61f230c2476304",
         "traces.csv": "b33bea61a50e6c12399c8f91e3976ca37d2be85bad1203cc2dbc05b272854fe3",
         "stdout": "ee15cface391c9a1c4e3597d6194bf95f2bfe39b4d217a9aa7b6cd0aaace4500",
@@ -157,10 +155,17 @@ PINNED_RUNS = {
 
 
 @pytest.mark.parametrize("name", list(PINNED_RUNS))
-def test_benchmark_and_fixture_outputs_are_pinned(tmp_path, capsys, name):
+def test_benchmark_and_fixture_outputs_are_pinned(tmp_path, capsys, fixture_run, name):
     argv, pinned = PINNED_RUNS[name]
-    out = tmp_path / "out"
-    assert main([*argv, "--out", str(out)]) == 0
-    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
-    written["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    if argv is None:
+        run = fixture_run(name)
+        code, stdout = run.code, run.stdout
+        written = {csv: hashlib.sha256(data).hexdigest() for csv, data in run.csvs.items()}
+    else:
+        out = tmp_path / "out"
+        code = main([*argv, "--out", str(out)])
+        stdout = capsys.readouterr().out
+        written = _hashes(out)
+    assert code == 0
+    written["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
     assert written == pinned

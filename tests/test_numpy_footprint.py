@@ -1,7 +1,11 @@
 """The package runs on numpy's array core alone.  No mode loads
 numpy.polynomial or calls into LAPACK: each would raise the peak memory of
 every run by about 1 MiB, and the science needs neither.  Only verify runs
-the identity suite's code, which imports stringlab.manufactured."""
+the identity suite's code, which imports stringlab.manufactured.
+
+The fresh interpreter that shows this runs every GOLDEN config with fork,
+under tier-1's warning filters, and checks its outputs against the golden
+pins: it is the one run of each with fork in a tier-1 session."""
 
 import json
 import os
@@ -15,11 +19,17 @@ from test_golden import GOLDEN
 ROOT = Path(__file__).resolve().parents[1]
 
 FOOTPRINT_CHECK = textwrap.dedent(r"""
+    import gc
+    import hashlib
     import json
+    import os
     import sys
     from pathlib import Path
     import numpy as np
     import stringlab.cli as cli
+
+    unraisable = []
+    sys.unraisablehook = lambda u: unraisable.append(f"{u.exc_type.__name__}: {u.exc_value}")
 
     def polynomial_modules():
         return sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "polynomial"])
@@ -36,15 +46,24 @@ FOOTPRINT_CHECK = textwrap.dedent(r"""
         if not isinstance(getattr(np.linalg, name), type):
             setattr(np.linalg, name, refuse)
     out = Path(sys.argv[1])
-    codes, suite = {}, {}
+    codes, suite, hashes = {}, {}, {}
     for name, (text, extra) in json.loads(sys.argv[2]).items():
         cfg = out / (name + ".cfg")
         cfg.write_text(text)
         codes[name] = cli.main([name.partition("_")[0], "--config", str(cfg),
                                 "--out", str(out / name), *extra])
         suite[name] = suite_ran()
+        hashes[name] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                        for f in (out / name).iterdir()}
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        child_left = True
+    except ChildProcessError:
+        child_left = False
+    gc.collect()
     print(json.dumps({"at_import": at_import, "codes": codes, "suite": suite,
-                      "after": polynomial_modules()}))
+                      "after": polynomial_modules(), "hashes": hashes,
+                      "child_left": child_left, "unraisable": unraisable}))
 """)
 
 
@@ -52,18 +71,26 @@ def test_no_mode_loads_numpy_polynomial_or_calls_lapack(tmp_path):
     # A fresh interpreter imports the CLI, makes numpy.polyfit and every
     # numpy.linalg function raise, and runs each golden config: the forked
     # children inherit the patches.  verify runs last, so that each other
-    # mode shows that it runs without the identity suite
+    # mode shows that it runs without the identity suite.  As in tier-1, a
+    # runtime or resource warning is an error, an exception that reaches
+    # sys.unraisablehook fails, and no child outlives the calls
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     configs = {name: (text, extra) for name, (text, extra, _)
                in sorted(GOLDEN.items(), key=lambda item: item[0] == "verify")}
-    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_CHECK, str(tmp_path),
-                           json.dumps(configs)],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-W", "error::ResourceWarning", "-c", FOOTPRINT_CHECK,
+                           str(tmp_path), json.dumps(configs)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    # exit code 0 and the pinned outputs, as test_golden.GOLDEN holds them
+    differs = {name: seen["codes"][name] for name, (_, _, pinned) in GOLDEN.items()
+               if seen["codes"][name] != 0 or seen["hashes"][name] != pinned}
+    assert not differs, f"golden configs off their pins (name: exit code): {differs}"
     assert seen["at_import"] == [[], False]
-    assert seen["codes"] == {name: 0 for name in GOLDEN}
     assert seen["suite"] == {name: name == "verify" for name in GOLDEN}
     assert seen["after"] == []
+    assert not seen["child_left"]
+    assert seen["unraisable"] == []
