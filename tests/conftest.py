@@ -109,6 +109,17 @@ def fixture_run(tmp_path_factory):
     return run
 
 
+@pytest.fixture(scope="session")
+def golden_fork_run(tmp_path_factory):
+    """What the session's one run of every test_golden.GOLDEN config with
+    fork saw (test_numpy_footprint.fresh_golden_run): exit codes, CSV hashes
+    and the footprint, warning and child checks.  The golden pins and the
+    footprint test read it."""
+    from test_numpy_footprint import fresh_golden_run
+
+    return fresh_golden_run(tmp_path_factory.mktemp("golden"))
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Every test reaps each child process it starts."""

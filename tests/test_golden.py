@@ -9,7 +9,8 @@ other CLI tests, so that editing those never moves a pin.  The hashes are
 those of numpy 2 on x86-64; another platform may round differently.
 
 Each GOLDEN config runs once with fork, in test_numpy_footprint.py's fresh
-interpreter, which checks its hashes, and once here without fork.  The
+interpreter (conftest.golden_fork_run), whose hashes
+test_cli_csv_outputs_are_pinned checks, and once here without fork.  The
 acceptance fixtures' pins read the session's one call of each fixture
 (conftest.fixture_run), which the acceptance tests read too.
 """
@@ -100,6 +101,14 @@ GOLDEN = {
 
 def _hashes(out):
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_cli_csv_outputs_are_pinned(golden_fork_run, name):
+    # the session's one run of the config with fork, in a fresh interpreter
+    _, _, pinned = GOLDEN[name]
+    assert golden_fork_run["codes"][name] == 0
+    assert golden_fork_run["hashes"][name] == pinned
 
 
 @pytest.mark.parametrize("name", ["run", "sweep", "converge", "blowup", "blowup_windowed",

@@ -4,8 +4,8 @@ every run by about 1 MiB, and the science needs neither.  Only verify runs
 the identity suite's code, which imports stringlab.manufactured.
 
 The fresh interpreter that shows this runs every GOLDEN config with fork,
-under tier-1's warning filters, and checks its outputs against the golden
-pins: it is the one run of each with fork in a tier-1 session."""
+under tier-1's warning filters: it is the one run of each with fork in a
+tier-1 session, and test_golden's pins read its outputs."""
 
 import json
 import os
@@ -67,13 +67,17 @@ FOOTPRINT_CHECK = textwrap.dedent(r"""
 """)
 
 
-def test_no_mode_loads_numpy_polynomial_or_calls_lapack(tmp_path):
-    # A fresh interpreter imports the CLI, makes numpy.polyfit and every
-    # numpy.linalg function raise, and runs each golden config: the forked
-    # children inherit the patches.  verify runs last, so that each other
-    # mode shows that it runs without the identity suite.  As in tier-1, a
-    # runtime or resource warning is an error, an exception that reaches
-    # sys.unraisablehook fails, and no child outlives the calls
+def fresh_golden_run(out):
+    """Run FOOTPRINT_CHECK on every GOLDEN config in a fresh interpreter,
+    writing under out, and return what it saw (conftest.golden_fork_run).
+
+    The interpreter imports the CLI, makes numpy.polyfit and every
+    numpy.linalg function raise, and runs each golden config: the forked
+    children inherit the patches.  verify runs last, so that each other
+    mode shows that it runs without the identity suite.  As in tier-1, a
+    runtime or resource warning is an error, an exception that reaches
+    sys.unraisablehook is recorded, and a child left after the calls is
+    recorded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -81,15 +85,18 @@ def test_no_mode_loads_numpy_polynomial_or_calls_lapack(tmp_path):
                in sorted(GOLDEN.items(), key=lambda item: item[0] == "verify")}
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
                            "-W", "error::ResourceWarning", "-c", FOOTPRINT_CHECK,
-                           str(tmp_path), json.dumps(configs)],
+                           str(out), json.dumps(configs)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    # exit code 0 and the pinned outputs, as test_golden.GOLDEN holds them
-    differs = {name: seen["codes"][name] for name, (_, _, pinned) in GOLDEN.items()
-               if seen["codes"][name] != 0 or seen["hashes"][name] != pinned}
-    assert not differs, f"golden configs off their pins (name: exit code): {differs}"
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_no_mode_loads_numpy_polynomial_or_calls_lapack(golden_fork_run):
+    # the session's one run of each golden config with fork; its outputs'
+    # pins are test_golden.test_cli_csv_outputs_are_pinned
+    seen = golden_fork_run
     assert seen["at_import"] == [[], False]
+    assert seen["codes"] == {name: 0 for name in GOLDEN}
     assert seen["suite"] == {name: name == "verify" for name in GOLDEN}
     assert seen["after"] == []
     assert not seen["child_left"]
