@@ -255,10 +255,11 @@ def _sobolev_stats(tower: DerivativeTower, gamma, weights=None):
     if weights is None:
         weights = _side_weights(tower.t, tower.grid.x, gamma)
     for s, wgt in enumerate(weights):
+        root = np.sqrt(wgt)
         for k1 in range(N):
             # rows k2 = 0..N-k1-1 of orders k1..N-1, and the d_x row of each
             rows = tower.rows[k1, :N + 1 - k1, s]
-            lhs = np.max(np.sqrt(wgt) * np.abs(rows[:-1]), axis=-1)
+            lhs = np.max(root * np.abs(rows[:-1]), axis=-1)
             l2 = np.sqrt(np.trapezoid(wgt * rows ** 2, dx=tower.grid.dx))
             bound = np.sqrt(2.0 * l2[:-1] * (c0 * l2[:-1] + l2[1:]))
             np.maximum(sups[s, k1:], lhs, out=sups[s, k1:])

@@ -27,10 +27,13 @@ Three families of checks:
   BALANCE_BLOCK levels at once and adds the levels one at a time, to the
   bits of one level at a time, in O(n) memory whatever the run length.
 
-Both weighted sides are one rule, mirrored by x -> -x: s = +1 (TL) or -1
-(TLb) gives the weight coordinate (t + s x)/2 and null gradient w + s p,
-swaps the multiplier's L and Lb parts and puts a balance region on the s
-side of its boundary.  Only exact negations carry s: the bits hold.
+Both weighted sides are one rule with the sign s of `nullgeom.side_sign`.
+The mirror x -> -x swaps L and Lb: a pair (L part, Lb part) read with step
+s lists the side's own part first, so each deformation form is one
+expression over (Y, Z) = (L phi, Lb phi) and (y, z) = (L varphi, Lb varphi)
+so read; a balance region lies on the s side of its boundary.  s only
+negates and reorders, in each side's own operand order (A*B and a*b
+fixed), so both sides keep their bits.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from .errors import BlowupDetected, InsufficientHistory, TimelikeViolation
 from .evolve import Grid1D, Refinement, run_evolution
 from .forking import refinement_levels, run_both
 from .manufactured import MixtureStack, MovingGaussian, ZeroField, random_mixture
-from .nullgeom import (GMIN_DEFAULT, multiplier, null_stress, side_weight, weight_a,
-                       weight_a_prime)
+from .nullgeom import (GMIN_DEFAULT, multiplier, null_stress, side_sign, side_weight,
+                       weight_a, weight_a_prime, weight_coord)
 from .stencils import cubic_interp, deriv1
 
 
@@ -165,11 +168,11 @@ def divergence_residual(phi, varphi, gamma, side, h, t, x):
     if side == "const":
         dxit_t = dxit_x = dxix_t = dxix_x = np.zeros_like(w)
     else:
-        s = 1.0 if side == "TL" else -1.0
+        s = side_sign(side)
         wt = phi.d(2, 0, t, x)
         wx = phi.d(1, 1, t, x)
         px = phi.d(0, 2, t, x)
-        coord = (t + s * x) / 2.0
+        coord = weight_coord(s, t, x)
         wgt, wgtp = weight_a(coord, gamma), weight_a_prime(coord, gamma)
         ng = w + s * p
         dc_t = 0.5 * wgtp
@@ -223,20 +226,13 @@ def deformation_direct(nd, t, x, gamma, side):
     """T^a_b d_a(xi^b) by direct contraction with analytic coefficient
     derivatives in the null frame; nd is `_null_data` at the events (t, x)."""
     A, B, a, b, llb, l2, lb2 = nd
+    s = side_sign(side)
+    coord = weight_coord(s, t, x)
+    wgt, wgtp = weight_a(coord, gamma), weight_a_prime(coord, gamma)
     t_uu, t_uub, t_ubu, t_ubub = null_stress(B, A, b, a)
-    if side == "TL":
-        ub = (np.asarray(t) + np.asarray(x)) / 2.0
-        wgt, wgtp = weight_a(ub, gamma), weight_a_prime(ub, gamma)
-        dy_u = 2.0 * wgt * B * llb
-        dy_ub = wgtp * B * B + 2.0 * wgt * B * l2
-        return t_uu * dy_u + t_ubu * dy_ub + t_ubub * wgtp
-    if side == "TLb":
-        uu = (np.asarray(t) - np.asarray(x)) / 2.0
-        wgt, wgtp = weight_a(uu, gamma), weight_a_prime(uu, gamma)
-        dyb_u = wgtp * A * A + 2.0 * wgt * A * lb2
-        dyb_ub = 2.0 * wgt * A * llb
-        return t_uu * wgtp + t_uub * dyb_u + t_ubub * dyb_ub
-    raise ValueError(f"bad side {side!r}")
+    (Y, _), (l_own, _), (t_mix, _) = (B, A)[::s], (l2, lb2)[::s], (t_ubu, t_uub)[::s]
+    c_u, c_ub = (2.0 * wgt * Y * llb, wgtp)[::s]
+    return t_uu * c_u + t_mix * (wgtp * Y * Y + 2.0 * wgt * Y * l_own) + t_ubub * c_ub
 
 
 def deformation_closed(nd, t, x, gamma, side):
@@ -250,24 +246,16 @@ def deformation_closed(nd, t, x, gamma, side):
     background, but not in general).
     """
     A, B, a, b, llb, l2, lb2 = nd
+    s = side_sign(side)
+    coord = weight_coord(s, t, x)
+    wgt, wgtp = weight_a(coord, gamma), weight_a_prime(coord, gamma)
     g = 1.0 - A * B
-    if side == "TL":
-        ub = (np.asarray(t) + np.asarray(x)) / 2.0
-        wgt, wgtp = weight_a(ub, gamma), weight_a_prime(ub, gamma)
-        correction = ((-0.5 * a * a - A * B * a * a / (4.0 * g) - A * A * a * b / (4.0 * g))
-                      * (wgtp * B * B + 2.0 * wgt * B * l2)
-                      + (A * A * b * b - B * B * a * a) / (8.0 * g) * 2.0 * wgt * B * llb)
-        weight_part = wgtp * (B * B * a * a - A * A * b * b) / (8.0 * g)
-        return correction + weight_part
-    if side == "TLb":
-        uu = (np.asarray(t) - np.asarray(x)) / 2.0
-        wgt, wgtp = weight_a(uu, gamma), weight_a_prime(uu, gamma)
-        correction = ((-0.5 * b * b - A * B * b * b / (4.0 * g) - B * B * a * b / (4.0 * g))
-                      * (wgtp * A * A + 2.0 * wgt * A * lb2)
-                      + (B * B * a * a - A * A * b * b) / (8.0 * g) * 2.0 * wgt * A * llb)
-        weight_part = wgtp * (A * A * b * b - B * B * a * a) / (8.0 * g)
-        return correction + weight_part
-    raise ValueError(f"bad side {side!r}")
+    (Y, Z), (y, z), (l_own, _) = (B, A)[::s], (b, a)[::s], (l2, lb2)[::s]
+    correction = ((-0.5 * z * z - A * B * z * z / (4.0 * g) - Z * Z * a * b / (4.0 * g))
+                  * (wgtp * Y * Y + 2.0 * wgt * Y * l_own)
+                  + (Z * Z * y * y - Y * Y * z * z) / (8.0 * g) * 2.0 * wgt * Y * llb)
+    weight_part = wgtp * (Y * Y * z * z - Z * Z * y * y) / (8.0 * g)
+    return correction + weight_part
 
 
 def trace_residual(nd):
@@ -376,11 +364,10 @@ class BalanceAccumulator:
     reads = ("phi", "w", "p")
 
     def __init__(self, side, coord, gamma):
-        if side not in ("TL", "TLb"):
-            raise ValueError(f"bad side {side!r}")
         self.side = side
         # s of the signed side rule (module docstring); the region's far node
-        self._sign, self._far = (1, -1) if side == "TL" else (-1, 0)
+        self._sign = side_sign(side)
+        self._far = -1 if self._sign > 0 else 0
         self.coord = float(coord)
         self.gamma = float(gamma)
         self._grid = None
@@ -546,7 +533,7 @@ def energy_balance_study(cfg, regions, base_grid: Grid1D, t_end) -> list:
         return grid.dx, [r / scale for r, scale in (acc.finalize() for acc in accs)]
 
     hs, residuals = zip(*refinement_levels(level))
-    return [Refinement("energy_balance_plus" if side == "TL" else "energy_balance_minus",
+    return [Refinement("energy_balance_" + ("plus" if side_sign(side) > 0 else "minus"),
                        list(hs), list(res), BALANCE_ORDER_MIN)
             for (side, _), res in zip(regions, zip(*residuals))]
 

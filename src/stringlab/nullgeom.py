@@ -12,8 +12,10 @@ first-order system.  The null gradient of phi is (Lphi, Lbphi) = (w + p, w - p).
 
 This module is the one home of the null-frame algebra of the energy
 method: the inverse metric, the stress tensor T^a_b of a row over the
-base field, the side weights a(ub) and a(u), and the dynamically corrected
-multipliers built from them.
+base field, the side rule of the two weighted sides, mirrored by x -> -x
+(the sign s = +1 for "TL", -1 for "TLb", and the weight coordinate
+(t + s x)/2), the side weights a(ub) and a(u), and the dynamically
+corrected multipliers built from them.
 
 Naming note: the time and space derivatives of phi are called w and p
 everywhere in this package, so that the letter u always means the retarded
@@ -118,14 +120,24 @@ def _check_gamma(gamma):
         raise ValueError(f"weight exponent gamma must lie in (0, 1), got {gamma}")
 
 
-def side_weight(side: str, t, x, gamma: float):
-    """The multiplier weight of a side at the events (t, x): a(ub) with
-    ub = (t + x)/2 for side "TL", a(u) with u = (t - x)/2 for side "TLb"."""
+def side_sign(side: str) -> int:
+    """The sign s of a side: +1 for "TL", -1 for "TLb"."""
     if side == "TL":
-        return weight_a((t + x) / 2.0, gamma)
+        return 1
     if side == "TLb":
-        return weight_a((t - x) / 2.0, gamma)
+        return -1
     raise ValueError(f"side must be 'TL' or 'TLb', got {side!r}")
+
+
+def weight_coord(s, t, x):
+    """The weight coordinate (t + s x)/2 of side s, ub or u, at the events (t, x)."""
+    return (np.asarray(t) + s * np.asarray(x)) / 2.0
+
+
+def side_weight(side: str, t, x, gamma: float):
+    """The multiplier weight of a side at the events (t, x): a(ub) for side
+    "TL", a(u) for side "TLb"."""
+    return weight_a(weight_coord(side_sign(side), t, x), gamma)
 
 
 def multiplier(side: str, weight, lphi, lbphi):
@@ -135,11 +147,10 @@ def multiplier(side: str, weight, lphi, lbphi):
     side "TL":  a(ub) * (L + |Lphi|^2 Lb)
     side "TLb": a(u)  * (Lb + |Lbphi|^2 L)
     """
-    if side == "TL":
-        return weight, weight * lphi ** 2
-    if side == "TLb":
-        return weight * lbphi ** 2, weight
-    raise ValueError(f"side must be 'TL' or 'TLb', got {side!r}")
+    s = side_sign(side)
+    # a pair (L part, Lb part) read with step s lists the side's own part first
+    own, _ = (lphi, lbphi)[::s]
+    return (weight, weight * own ** 2)[::s]
 
 
 def causal_norm(side: str, weight, lphi, lbphi):

@@ -49,14 +49,14 @@ def open_fds():
 
 @dataclass
 class FixtureRun:
-    """What one CLI call on fixtures/<name>.cfg gave (fixture_run)."""
+    """What one recorded CLI call gave (record_call)."""
 
     code: int                   # exit code
     csvs: dict                  # CSV name -> bytes
     stdout: str
     stderr: str
     wall: float                 # seconds of the call
-    study: object               # what the mode's study call returned; None if it raised
+    study: object               # what the recorded study call returned; None if none
 
 
 # acceptance fixture -> (its CLI mode, the name that cli calls for the mode's study)
@@ -67,22 +67,25 @@ FIXTURE_STUDIES = {
 }
 
 
-def _run_fixture(name, out):
-    mode, target = FIXTURE_STUDIES[name]
-    module, _, attr = target.rpartition(".")
-    study = getattr(importlib.import_module(module), attr)
+def record_call(argv, out, target=None):
+    """Call main(argv), whose CSVs go to out, and return its FixtureRun.
+    The call that the dotted name target names, if given, is wrapped for
+    the duration, and its return value is recorded as the study."""
     returned = []
-
-    def recorded(*args, **kwargs):
-        returned.append(study(*args, **kwargs))
-        return returned[-1]
-
     stdout, stderr = io.StringIO(), io.StringIO()
     fds = open_fds()
     with pytest.MonkeyPatch.context() as mp, redirect_stdout(stdout), redirect_stderr(stderr):
-        mp.setattr(target, recorded)
+        if target is not None:
+            module, _, attr = target.rpartition(".")
+            study = getattr(importlib.import_module(module), attr)
+
+            def recorded(*args, **kwargs):
+                returned.append(study(*args, **kwargs))
+                return returned[-1]
+
+            mp.setattr(target, recorded)
         t0 = time.perf_counter()
-        code = main([mode, "--config", str(FIXTURES / f"{name}.cfg"), "--out", str(out)])
+        code = main(argv)
         wall = time.perf_counter() - t0
     # no_child_left's and no_fd_left's checks, made around the call itself:
     # a failure then names the call, not the test that first asked for it
@@ -92,6 +95,12 @@ def _run_fixture(name, out):
     return FixtureRun(code, {f.name: f.read_bytes() for f in out.iterdir()},
                       stdout.getvalue(), stderr.getvalue(), wall,
                       returned[0] if returned else None)
+
+
+def _run_fixture(name, out):
+    mode, target = FIXTURE_STUDIES[name]
+    return record_call([mode, "--config", str(FIXTURES / f"{name}.cfg"), "--out", str(out)],
+                       out, target)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import BLOWUP_SMALL, FIXTURES, fixture_config
+from conftest import BLOWUP_SMALL, FIXTURES, fixture_config, record_call
 from hypothesis import given, settings, strategies as st
 
 from stringlab import (ExperimentConfig, Grid1D, ParseError, ValidationError, init_state,
@@ -144,18 +144,22 @@ probes_ub = 0
 """
 
 
-def test_cli_run_exit_zero(tmp_path, capsys):
-    rc = main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN),
-               "--out", str(tmp_path / "out")])
-    assert rc == 0
-    assert (tmp_path / "out" / "energy.csv").exists()
-    assert (tmp_path / "out" / "criterion.csv").exists()
-    assert (tmp_path / "out" / "monitor.csv").exists()
-    out = capsys.readouterr().out
-    assert "criterion: pass" in out and "monitors pass" in out
+@pytest.fixture(scope="session")
+def small_run(tmp_path_factory):
+    """The session's one `run` call on SMALL_RUN, recorded (conftest
+    record_call), which the tests that make that call read."""
+    tmp = tmp_path_factory.mktemp("small_run")
+    return record_call(["run", "--config", _cfg_file(tmp, SMALL_RUN), "--out", str(tmp / "out")],
+                       tmp / "out")
 
 
-def test_cli_run_warns_on_truncated_probe(tmp_path, capsys):
+def test_cli_run_exit_zero(small_run):
+    assert small_run.code == 0
+    assert {"energy.csv", "criterion.csv", "monitor.csv"} <= small_run.csvs.keys()
+    assert "criterion: pass" in small_run.stdout and "monitors pass" in small_run.stdout
+
+
+def test_cli_run_warns_on_truncated_probe(tmp_path, capsys, small_run):
     # the outgoing line u0 = -8 (x = t + 16) leaves the grid before t_end
     text = SMALL_RUN.replace("probes_u = 0", "probes_u = 0, -8")
     rc = main(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "out")])
@@ -163,15 +167,12 @@ def test_cli_run_warns_on_truncated_probe(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "left the grid" in err[0]
     assert err[0].endswith(": u0=-8")
-    main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN), "--out", str(tmp_path / "b")])
-    assert capsys.readouterr().err == ""
+    assert small_run.stderr == ""
 
 
-def test_cli_energy_csv_schema(tmp_path):
-    rc = main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN),
-               "--out", str(tmp_path / "out")])
-    assert rc == 0
-    header = (tmp_path / "out" / "energy.csv").read_text().splitlines()[0]
+def test_cli_energy_csv_schema(small_run):
+    assert small_run.code == 0
+    header = small_run.csvs["energy.csv"].decode().splitlines()[0]
     assert header == ("t,k,E2,Eb2,F2_u0,Fb2_ub0,min_g,"
                       "sobolev_L_margin,sobolev_Lb_margin")
 
@@ -192,6 +193,8 @@ def test_cli_run_dump_fields(tmp_path):
 
 
 def test_cli_run_deterministic(tmp_path):
+    """Two calls of the same config write the same bytes: this test makes
+    both calls itself, rather than read the recorded `small_run`."""
     cfgf = _cfg_file(tmp_path, SMALL_RUN)
     main(["run", "--config", cfgf, "--out", str(tmp_path / "a")])
     main(["run", "--config", cfgf, "--out", str(tmp_path / "b")])
@@ -206,7 +209,8 @@ def test_cli_run_blowup_exit_two(tmp_path, capsys):
     assert "blow-up detected" in capsys.readouterr().out
 
 
-def test_cli_run_warns_when_the_criterion_passes_and_the_run_blows_up(tmp_path, capsys):
+def test_cli_run_warns_when_the_criterion_passes_and_the_run_blows_up(tmp_path, capsys,
+                                                                     small_run):
     # the A5 packets with fb_amplitude 1.6 pass the criterion (ordering
     # margin 0.039), yet at dx = 1/16 the run loses hyperbolicity at t = 4.575
     cfg = fixture_config("a5_blowup").with_(mode="run", fb_amplitude=1.6, dx=0.0625, n=897)
@@ -225,9 +229,7 @@ def test_cli_run_warns_when_the_criterion_passes_and_the_run_blows_up(tmp_path, 
     text = serialize_config(BLOWUP_SMALL.with_(mode="run", t_end=8.0, x0=-22.0, n=441))
     assert main(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "a")]) == 2
     assert capsys.readouterr().err == ""
-    assert main(["run", "--config", _cfg_file(tmp_path, SMALL_RUN),
-                 "--out", str(tmp_path / "b")]) == 0
-    assert capsys.readouterr().err == ""
+    assert small_run.code == 0 and small_run.stderr == ""
 
 
 def test_cli_blowup_small(tmp_path, capsys):

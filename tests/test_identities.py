@@ -15,6 +15,7 @@ from stringlab.identities import (BALANCE_BLOCK, BalanceAccumulator, _null_data,
                                   divergence_identity_study, divergence_residual,
                                   energy_balance_study, equivalence_ratios,
                                   trace_residual, verify_suite)
+from stringlab.nullgeom import null_stress, weight_a, weight_a_prime
 from stringlab.stencils import cubic_interp
 from stringlab.manufactured import (Mixture, MixtureStack, MovingGaussian, ZeroField,
                                     random_mixture)
@@ -99,6 +100,57 @@ def test_stacked_deformation_check_equals_per_pair_loop(seed):
     assert deformation_check(seed=seed) == _deformation_check_per_pair(seed)
 
 
+# the two-branch deformation forms that the signed ones replaced, one copy
+# of each formula per side, as the reference of their bits
+def _two_branch_direct(nd, t, x, gamma, side):
+    A, B, a, b, llb, l2, lb2 = nd
+    t_uu, t_uub, t_ubu, t_ubub = null_stress(B, A, b, a)
+    if side == "TL":
+        ub = (np.asarray(t) + np.asarray(x)) / 2.0
+        wgt, wgtp = weight_a(ub, gamma), weight_a_prime(ub, gamma)
+        dy_u = 2.0 * wgt * B * llb
+        dy_ub = wgtp * B * B + 2.0 * wgt * B * l2
+        return t_uu * dy_u + t_ubu * dy_ub + t_ubub * wgtp
+    uu = (np.asarray(t) - np.asarray(x)) / 2.0
+    wgt, wgtp = weight_a(uu, gamma), weight_a_prime(uu, gamma)
+    dyb_u = wgtp * A * A + 2.0 * wgt * A * lb2
+    dyb_ub = 2.0 * wgt * A * llb
+    return t_uu * wgtp + t_uub * dyb_u + t_ubub * dyb_ub
+
+
+def _two_branch_closed(nd, t, x, gamma, side):
+    A, B, a, b, llb, l2, lb2 = nd
+    g = 1.0 - A * B
+    if side == "TL":
+        ub = (np.asarray(t) + np.asarray(x)) / 2.0
+        wgt, wgtp = weight_a(ub, gamma), weight_a_prime(ub, gamma)
+        correction = ((-0.5 * a * a - A * B * a * a / (4.0 * g) - A * A * a * b / (4.0 * g))
+                      * (wgtp * B * B + 2.0 * wgt * B * l2)
+                      + (A * A * b * b - B * B * a * a) / (8.0 * g) * 2.0 * wgt * B * llb)
+        return correction + wgtp * (B * B * a * a - A * A * b * b) / (8.0 * g)
+    uu = (np.asarray(t) - np.asarray(x)) / 2.0
+    wgt, wgtp = weight_a(uu, gamma), weight_a_prime(uu, gamma)
+    correction = ((-0.5 * b * b - A * B * b * b / (4.0 * g) - B * B * a * b / (4.0 * g))
+                  * (wgtp * A * A + 2.0 * wgt * A * lb2)
+                  + (B * B * a * a - A * A * b * b) / (8.0 * g) * 2.0 * wgt * A * llb)
+    return correction + wgtp * (A * A * b * b - B * B * a * a) / (8.0 * g)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17611])
+@pytest.mark.parametrize("side", ["TL", "TLb"])
+def test_signed_deformation_forms_equal_the_two_branch_forms(seed, side):
+    # deformation_check's stacked null data: the signed forms keep each
+    # side's operand order, so every value holds its bits
+    rng = np.random.default_rng(seed)
+    tt, xx = np.meshgrid(np.linspace(0.0, 2.0, 5), np.linspace(-4.0, 4.0, 33), indexing="ij")
+    pairs = [(random_mixture(rng, amp=0.25), random_mixture(rng, amp=0.5)) for _ in range(100)]
+    nd = _null_data(*map(MixtureStack, zip(*pairs)), tt, xx)
+    assert np.array_equal(deformation_direct(nd, tt, xx, 0.5, side),
+                          _two_branch_direct(nd, tt, xx, 0.5, side))
+    assert np.array_equal(deformation_closed(nd, tt, xx, 0.5, side),
+                          _two_branch_closed(nd, tt, xx, 0.5, side))
+
+
 @pytest.mark.parametrize("target,at", [("deformation_closed", 0), ("trace_residual", 1)])
 def test_a_nan_after_the_first_pair_fails_deformation_check(monkeypatch, target, at):
     # pair 1 of 100 is NaN: its check must fail, not be skipped
@@ -145,7 +197,6 @@ def test_deformation_weight_term_is_needed(rng):
     direct = deformation_direct(nd, tt, xx, 0.5, "TLb")
     closed = deformation_closed(nd, tt, xx, 0.5, "TLb")
     # reconstruct the weight part and subtract it
-    from stringlab.nullgeom import weight_a_prime
     A, B, a, b, *_ = nd
     g = 1.0 - A * B
     weight_part = weight_a_prime((tt - xx) / 2.0, 0.5) * (A * A * b * b - B * B * a * a) / (8 * g)
@@ -161,7 +212,6 @@ def test_deformation_sign_mutation_detected(rng):
     tt, xx = np.meshgrid(np.linspace(0.2, 0.9, 4), np.linspace(-3, 3, 21), indexing="ij")
 
     def corrupted_closed(nd, t, x, gamma, side):
-        from stringlab.nullgeom import weight_a, weight_a_prime
         A, B, a, b, llb, l2, lb2 = nd
         g = 1.0 - A * B
         uu = (np.asarray(t) - np.asarray(x)) / 2.0

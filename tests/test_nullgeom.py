@@ -1,11 +1,20 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import stringlab
 from stringlab import (HyperbolicityLoss, TimelikeViolation, causal_norm, eigenvalues,
                        metric_scalars, multiplier, null_stress, side_weight, weight_a,
                        weight_a_prime)
-from stringlab.energy import null_rows
+from stringlab.energy import null_rows, stress_density
+from stringlab.identities import (BalanceAccumulator, deformation_closed, deformation_direct,
+                                  divergence_residual)
+from stringlab.manufactured import ZeroField
+
+SRC = Path(stringlab.__file__).resolve().parent
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 
@@ -156,12 +165,50 @@ def test_weight_rejects_bad_gamma(gamma):
         weight_a(1.0, gamma)
 
 
+# every entry point that takes a side name, called with the name
+SIDE_ENTRY_POINTS = {
+    "side_weight": lambda side: side_weight(side, 0.0, 0.0, 0.5),
+    "multiplier": lambda side: multiplier(side, 1.0, 0.1, 0.2),
+    "causal_norm": lambda side: causal_norm(side, 1.0, 0.1, 0.2),
+    "stress_density": lambda side: stress_density(0.1, 0.2, 0.3, 0.4, 1.0, side, "t"),
+    "deformation_direct": lambda side: deformation_direct((0.1,) * 7, 0.0, 0.0, 0.5, side),
+    "deformation_closed": lambda side: deformation_closed((0.1,) * 7, 0.0, 0.0, 0.5, side),
+    "BalanceAccumulator": lambda side: BalanceAccumulator(side, 0.0, 0.5),
+    "divergence_residual": lambda side: divergence_residual(
+        ZeroField(), ZeroField(), 0.5, side, 0.05, np.zeros(3), np.zeros(3)),
+}
+
+
 @pytest.mark.parametrize("side", ["L", "tl", ""])
 def test_side_rejects_unknown(side):
-    with pytest.raises(ValueError, match="side must be"):
-        side_weight(side, 0.0, 0.0, 0.5)
-    with pytest.raises(ValueError, match="side must be"):
-        multiplier(side, 1.0, 0.1, 0.2)
+    # nullgeom.side_sign raises the one message for an unknown side name
+    message = f"side must be 'TL' or 'TLb', got {side!r}"
+    for name, call in SIDE_ENTRY_POINTS.items():
+        with pytest.raises(ValueError) as raised:
+            call(side)
+        assert str(raised.value) == message, name
+
+
+def _side_comparisons(path):
+    """Line numbers of the comparisons of a value with "TL" or "TLb" in
+    the source file path."""
+    def names_a_side(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(names_a_side, node.elts))
+        return isinstance(node, ast.Constant) and node.value in ("TL", "TLb")
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Compare)
+                  and any(map(names_a_side, [node.left, *node.comparators])))
+
+
+def test_only_nullgeom_compares_with_a_side_name():
+    # nullgeom owns the side rule: every other module takes the sign from
+    # side_sign instead of testing the name; the scan sees nullgeom's own
+    found = {path.name: _side_comparisons(path) for path in SRC.glob("*.py")
+             if path.name != "nullgeom.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _side_comparisons(SRC / "nullgeom.py")
 
 
 def test_multiplier_examples():
