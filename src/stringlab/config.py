@@ -6,6 +6,11 @@ list value is comma separated; an empty value is the empty list, and an
 empty item (``0,,1``, ``1,``, ``,``) is rejected.  An empty file yields the
 all-defaults configuration.  serialize() emits the canonical form;
 parse(serialize(parse(text))) is idempotent.
+
+validate_config calls the owner of each input rule (ProfileSpec, DataFamily's
+gamma, Grid1D, evolve.check_run, EnergyTracker) and raises its message as a
+ValidationError; it keeps only the file's rules: mode, seed, finite floats,
+sweep deltas, converge's delta = 0, tracecheck's N >= 2, the causal margin.
 """
 
 from __future__ import annotations
@@ -13,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .energy import N_DEFAULT
+from .energy import N_DEFAULT, config_tracker
 from .errors import ParseError, ValidationError
-from .evolve import CFL_DEFAULT, CFL_MAX, EPS_KO_DEFAULT, Grid1D
+from .evolve import CFL_DEFAULT, EPS_KO_DEFAULT, Grid1D, check_run
 from .initialdata import DataFamily
 from .nullgeom import GMIN_DEFAULT
-from .profiles import KINDS as PROFILE_KINDS, ProfileSpec
+from .profiles import ProfileSpec
 
 MODES = ("run", "sweep", "converge", "blowup", "verify", "tracecheck")
 
@@ -52,11 +57,17 @@ class ExperimentConfig:
     out: str = "out"
     dump_fields: bool = False
 
+    def profile(self, key) -> ProfileSpec:
+        """The profile of the keys key_kind, ..., key_width; its ValueError names the key."""
+        try:
+            return ProfileSpec(*(getattr(self, f"{key}_{name}")
+                                 for name in ("kind", "amplitude", "center", "width")))
+        except ValueError as exc:
+            raise ValueError(f"{key}_{exc}") from None
+
     def family(self) -> DataFamily:
-        return DataFamily(
-            gamma=self.gamma, delta=self.delta,
-            f=ProfileSpec(self.f_kind, self.f_amplitude, self.f_center, self.f_width),
-            fb=ProfileSpec(self.fb_kind, self.fb_amplitude, self.fb_center, self.fb_width))
+        return DataFamily(gamma=self.gamma, delta=self.delta,
+                          f=self.profile("f"), fb=self.profile("fb"))
 
     def grid(self) -> Grid1D:
         return Grid1D(self.x0, self.dx, self.n)
@@ -113,32 +124,12 @@ def _check_mode(mode):
 
 def validate_config(cfg: ExperimentConfig):
     _check_mode(cfg.mode)
-    if not 0.0 < cfg.gamma < 1.0:
-        raise ValidationError(f"gamma out of (0, 1): {cfg.gamma}")
-    if not 0.0 < cfg.cfl <= CFL_MAX:
-        raise ValidationError(f"cfl out of (0, {CFL_MAX}]: {cfg.cfl}")
-    if not 1 <= cfg.N <= 6:
-        raise ValidationError(f"N out of [1, 6]: {cfg.N}")
-    if not cfg.dx > 0:
-        raise ValidationError(f"dx must be positive: {cfg.dx}")
-    if cfg.n < 16:
-        raise ValidationError(f"n must be >= 16: {cfg.n}")
-    if not cfg.t_end > 0:
-        raise ValidationError(f"t_end must be positive: {cfg.t_end}")
-    if cfg.eps_ko < 0:
-        raise ValidationError(f"eps_ko must be >= 0: {cfg.eps_ko}")
-    # with gmin >= 0 every state that step accepts is hyperbolic (evolve.run_evolution)
-    if not 0.0 <= cfg.gmin < 1.0:
-        raise ValidationError(f"gmin out of [0, 1): {cfg.gmin}")
-    for key in ("f_width", "fb_width"):
-        if not getattr(cfg, key) > 0:
-            raise ValidationError(f"{key} must be positive: {getattr(cfg, key)}")
-    for key in ("f_kind", "fb_kind"):
-        if getattr(cfg, key) not in PROFILE_KINDS:
-            raise ValidationError(f"{key} must be one of {PROFILE_KINDS}: "
-                                  f"{getattr(cfg, key)!r}")
-    if cfg.report_every < 1:
-        raise ValidationError(f"report_every must be >= 1: {cfg.report_every}")
+    try:
+        fam, grid = cfg.family(), cfg.grid()
+        check_run(0.0, cfg.t_end, cfg.cfl, cfg.eps_ko, cfg.gmin)
+        config_tracker(cfg)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     if cfg.seed < 0:
         raise ValidationError(f"seed must be >= 0: {cfg.seed}")
     if cfg.mode == "sweep" and len(cfg.deltas) < 3:
@@ -156,11 +147,10 @@ def validate_config(cfg: ExperimentConfig):
         if not all(math.isfinite(v) for v in (val if _KINDS[key] is tuple else (val,))):
             raise ValidationError(f"{key} must be finite: {val}")
     if cfg.mode in ("run", "sweep", "blowup", "tracecheck"):
-        need = cfg.family().support_radius() + cfg.t_end + 2.0
-        x_end = cfg.grid().x_end
-        if cfg.x0 > -need or x_end < need:
+        need = fam.support_radius() + cfg.t_end + 2.0
+        if cfg.x0 > -need or grid.x_end < need:
             raise ValidationError(
-                f"domain [{cfg.x0:g}, {x_end:g}] violates the causal-margin rule: "
+                f"domain [{cfg.x0:g}, {grid.x_end:g}] violates the causal-margin rule: "
                 f"needs to cover [-{need:g}, {need:g}] (support + t_end + 2)")
 
 

@@ -279,7 +279,6 @@ class EnergyReport:
     sup_lb: np.ndarray
     agmon_l_margin: float
     agmon_lb_margin: float
-    flux_t: float
     f2: np.ndarray                # (n probes_u, N+1) running flux
     fb2: np.ndarray               # (n probes_ub, N+1)
 
@@ -292,10 +291,10 @@ class EnergyReport:
         return float(np.sum(self.eb2))
 
 
-def report_from_tower(tower: DerivativeTower, gamma, flux_t, f2, fb2,
-                      weights=None) -> EnergyReport:
+def report_from_tower(tower: DerivativeTower, gamma, f2, fb2, weights=None) -> EnergyReport:
     """Energies, weighted sups and Agmon margins of a tower, with the flux
-    totals accumulated up to flux_t; weights as in `energy_orders`."""
+    totals f2 and fb2 accumulated up to the tower's t; weights as in
+    `energy_orders`."""
     if weights is None:
         weights = _side_weights(tower.t, tower.grid.x, gamma)
     e2, eb2 = energy_orders(tower, gamma, weights)
@@ -303,8 +302,7 @@ def report_from_tower(tower: DerivativeTower, gamma, flux_t, f2, fb2,
     return EnergyReport(
         t=tower.t, e2=e2, eb2=eb2, min_g=float(np.min(tower.g)),
         sup_l=sup_l, sup_lb=sup_lb,
-        agmon_l_margin=am_l, agmon_lb_margin=am_lb,
-        flux_t=flux_t, f2=f2, fb2=fb2)
+        agmon_l_margin=am_l, agmon_lb_margin=am_lb, f2=f2, fb2=fb2)
 
 
 class EnergyTracker:
@@ -362,6 +360,10 @@ class EnergyTracker:
 
     def __init__(self, gamma, N=N_DEFAULT, probes_u=(), probes_ub=(),
                  report_every=25):
+        if not 1 <= N <= 6:
+            raise ValueError(f"N out of [1, 6]: {N}")
+        if report_every < 1:
+            raise ValueError(f"report_every must be >= 1: {report_every}")
         self.gamma = float(gamma)
         self.N = int(N)
         self.probes_u = np.asarray(probes_u, dtype=float)
@@ -541,14 +543,14 @@ class EnergyTracker:
             phi, w = self._fields[:, levels, k]
             rows = null_rows(phi, w, dt, self._grid.dx, N)
             tower = DerivativeTower(t=t, grid=self._grid, N=N, rows=rows)
-            reports.append(report_from_tower(tower, self.gamma, t, flux[k, :nu].copy(),
+            reports.append(report_from_tower(tower, self.gamma, flux[k, :nu].copy(),
                                              flux[k, nu:].copy(), weights))
 
     def initial_report(self, fam, grid) -> EnergyReport:
         """Report at t = 0 from the exact trace table of the data, zero flux."""
         table = higher_order_traces(fam, self.N, grid.x)
         tower = DerivativeTower(t=0.0, grid=grid, N=self.N, rows=table.rows)
-        return report_from_tower(tower, self.gamma, 0.0,
+        return report_from_tower(tower, self.gamma,
                                  np.zeros((len(self.probes_u), self.N + 1)),
                                  np.zeros((len(self.probes_ub), self.N + 1)))
 

@@ -85,9 +85,9 @@ class Grid1D:
 
     def __post_init__(self):
         if not self.dx > 0:
-            raise ValueError("dx must be positive")
+            raise ValueError(f"dx must be positive: {self.dx}")
         if self.n < 16:
-            raise ValueError("need at least 16 grid points")
+            raise ValueError(f"n must be >= 16: {self.n}")
 
     @property
     def x(self):
@@ -172,6 +172,19 @@ def _max_speed(w, p, disc):
     return float(top) if top.ndim == 0 else top
 
 
+def check_run(t0, t_end, cfl, eps_ko, gmin):
+    """Raises ValueError unless t_end > t0, cfl is in (0, CFL_MAX], eps_ko >= 0
+    and gmin is in [0, 1); with gmin >= 0, step accepts only hyperbolic states."""
+    if not t_end > t0:
+        raise ValueError(f"t_end = {t_end} is not after the start time {t0}")
+    if not 0.0 < cfl <= CFL_MAX:
+        raise ValueError(f"cfl out of (0, {CFL_MAX}]: {cfl}")
+    if eps_ko < 0:
+        raise ValueError(f"eps_ko must be >= 0: {eps_ko}")
+    if not 0.0 <= gmin < 1.0:
+        raise ValueError(f"gmin out of [0, 1): {gmin}")
+
+
 def _time_step(dx, t0, t_end, cfl):
     """(dt, n_steps) of a run: dt = cfl*dx, shrunk so that n_steps whole
     steps span t_end - t0; summed one by one, they end at t_end up to
@@ -179,10 +192,6 @@ def _time_step(dx, t0, t_end, cfl):
     characteristic speeds of a timelike state lie in [-1, 1]
     (`nullgeom.eigenvalues`), so the Courant number is at most cfl whatever
     the state."""
-    if not 0.0 < cfl <= CFL_MAX:
-        raise ValueError(f"cfl out of (0, {CFL_MAX}]: {cfl}")
-    if not t_end > t0:
-        raise ValueError(f"t_end = {t_end} is not after the start time {t0}")
     dt = cfl * dx
     n_steps = max(1, int(np.ceil((t_end - t0) / dt - 1e-12)))
     return (t_end - t0) / n_steps, n_steps
@@ -354,9 +363,8 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     """Evolve to t_end with the fixed dt = cfl*dx of the grid, shrunk so that
     a whole number of steps spans t_end, which the summed steps reach up to
     roundoff; the Courant number is at most cfl (see `_time_step`).  Raises
-    ValueError unless t_end is after the start time, cfl lies in
-    (0, CFL_MAX] and gmin in [0, 1).  Each callback's on_step(state) gets
-    the start state and then each accepted state.
+    `check_run`'s ValueError.  Each callback's on_step(state) gets the start
+    state and then each accepted state.
 
     Each step covers only the active window of the module docstring: on a
     grid of at least WINDOW_MIN_SKIP + 33 points, a member whose fields are
@@ -377,13 +385,12 @@ def run_evolution(fam_or_state, grid: Grid1D | None = None, t_end: float = 10.0,
     the members and the first failed member's blow-up.  A single-member run
     is the B = 1 case of the loop.
     """
-    if not 0.0 <= gmin < 1.0:
-        raise ValueError(f"gmin out of [0, 1): {gmin}")
     if isinstance(fam_or_state, FieldState):
         state = fam_or_state.copy()
         grid = state.grid
     else:
         state = init_state(fam_or_state, grid)
+    check_run(state.t, t_end, cfl, eps_ko, gmin)
     dt, n_steps = _time_step(grid.dx, state.t, t_end, cfl)
     single = state.w.ndim == 1
     state = FieldState(state.t, grid,

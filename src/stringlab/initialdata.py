@@ -52,8 +52,7 @@ class DataFamily:
     fb: ProfileSpec = field(default_factory=ProfileSpec)
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+        nullgeom.check_gamma(self.gamma)
 
     # closed-form data and derivatives -------------------------------------
     def f_deriv(self, k, x):
@@ -63,10 +62,10 @@ class DataFamily:
         return profile_derivative(self.fb, k, x)
 
     def F_prime(self, x):
-        return 0.5 * (self.delta * self.f_deriv(0, x) - self.fb_deriv(0, x))
+        return self.F_deriv(1, x)
 
     def G(self, x):
-        return 0.5 * (self.delta * self.f_deriv(0, x) + self.fb_deriv(0, x))
+        return self.G_deriv(0, x)
 
     def F(self, x):
         """Antiderivative of F' vanishing far to the left of the support."""

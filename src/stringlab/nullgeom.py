@@ -101,7 +101,7 @@ def weight_a(x, gamma: float):
     The same function evaluated at u or ub gives the two multiplier weights.
     gamma must lie in (0, 1).
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     x = np.asarray(x, dtype=float)
     out = (1.0 + x * x) ** (1.0 + gamma)
     return float(out) if out.ndim == 0 else out
@@ -109,15 +109,16 @@ def weight_a(x, gamma: float):
 
 def weight_a_prime(x, gamma: float):
     """d/dx of weight_a; satisfies a'(x)/a(x) = 2(1+gamma) x/(1+x^2) <= 1+gamma."""
-    _check_gamma(gamma)
+    check_gamma(gamma)
     x = np.asarray(x, dtype=float)
     out = 2.0 * (1.0 + gamma) * x * (1.0 + x * x) ** gamma
     return float(out) if out.ndim == 0 else out
 
 
-def _check_gamma(gamma):
+def check_gamma(gamma):
+    """Raises ValueError unless the weight exponent gamma lies in (0, 1)."""
     if not 0.0 < gamma < 1.0:
-        raise ValueError(f"weight exponent gamma must lie in (0, 1), got {gamma}")
+        raise ValueError(f"gamma out of (0, 1): {gamma}")
 
 
 def side_sign(side: str) -> int:

@@ -49,9 +49,9 @@ class ProfileSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown profile kind {self.kind!r}; choose from {KINDS}")
+            raise ValueError(f"kind must be one of {KINDS}: {self.kind!r}")
         if not self.width > 0:
-            raise ValueError(f"profile width must be positive, got {self.width}")
+            raise ValueError(f"width must be positive: {self.width}")
 
 
 def _trim(c):

@@ -9,8 +9,9 @@ import pytest
 from conftest import BLOWUP_SMALL, FIXTURES, fixture_config, record_call
 from hypothesis import given, settings, strategies as st
 
-from stringlab import (ExperimentConfig, Grid1D, ParseError, ValidationError, init_state,
-                       parse_config, serialize_config)
+from stringlab import (DataFamily, EnergyTracker, ExperimentConfig, Grid1D, ParseError,
+                       ProfileSpec, ValidationError, init_state, parse_config, run_evolution,
+                       serialize_config)
 from stringlab import evolve, identities
 from stringlab.cli import main
 
@@ -66,6 +67,36 @@ def test_bad_value_rejected():
 def test_invariant_violations_named(line, match):
     with pytest.raises(ValidationError, match=match):
         parse_config(line)
+
+
+# each input rule that a library owner checks: a config text that breaks
+# it, the owner's call with the same value, and the prefix that the config
+# adds to the owner's message
+_FAMILY, _GRID = DataFamily(), Grid1D(-20.0, 0.1, 401)
+OWNED_RULES = {
+    "gamma": ("gamma = 1.5", lambda: DataFamily(gamma=1.5), ""),
+    "dx": ("dx = -0.5", lambda: Grid1D(-40.0, -0.5, 1601), ""),
+    "n": ("n = 8", lambda: Grid1D(-40.0, 0.05, 8), ""),
+    "f_kind": ("f_kind = foo", lambda: ProfileSpec("foo"), "f_"),
+    "fb_width": ("fb_width = 0", lambda: ProfileSpec(width=0.0), "fb_"),
+    "t_end": ("t_end = -1", lambda: run_evolution(_FAMILY, _GRID, t_end=-1.0), ""),
+    "cfl": ("cfl = 0.95", lambda: run_evolution(_FAMILY, _GRID, cfl=0.95), ""),
+    "eps_ko": ("eps_ko = -0.5", lambda: run_evolution(_FAMILY, _GRID, eps_ko=-0.5), ""),
+    "gmin": ("gmin = 1", lambda: run_evolution(_FAMILY, _GRID, gmin=1.0), ""),
+    "N": ("N = 9", lambda: EnergyTracker(0.5, N=9), ""),
+    "report_every": ("report_every = 0", lambda: EnergyTracker(0.5, report_every=0), ""),
+}
+
+
+@pytest.mark.parametrize("rule", OWNED_RULES)
+def test_config_error_is_the_owners_message(rule):
+    # the config calls the owner of each rule rather than restating it
+    text, call, prefix = OWNED_RULES[rule]
+    with pytest.raises(ValueError) as owned:
+        call()
+    with pytest.raises(ValidationError) as validated:
+        parse_config(text)
+    assert str(validated.value) == prefix + str(owned.value)
 
 
 def test_causal_margin_enforced():
@@ -202,15 +233,23 @@ def test_cli_run_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_cli_run_blowup_exit_two(tmp_path, capsys):
+@pytest.fixture(scope="session")
+def blowup_run(tmp_path_factory):
+    """The session's one `run` call on BLOWUP_SMALL to t = 8 on a 441-point
+    grid from x0 = -22, recorded, which the tests that make that call read."""
+    tmp = tmp_path_factory.mktemp("blowup_run")
     text = serialize_config(BLOWUP_SMALL.with_(mode="run", t_end=8.0, x0=-22.0, n=441))
-    rc = main(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "blow-up detected" in capsys.readouterr().out
+    return record_call(["run", "--config", _cfg_file(tmp, text), "--out", str(tmp / "out")],
+                       tmp / "out")
+
+
+def test_cli_run_blowup_exit_two(blowup_run):
+    assert blowup_run.code == 2
+    assert "blow-up detected" in blowup_run.stdout
 
 
 def test_cli_run_warns_when_the_criterion_passes_and_the_run_blows_up(tmp_path, capsys,
-                                                                     small_run):
+                                                                     small_run, blowup_run):
     # the A5 packets with fb_amplitude 1.6 pass the criterion (ordering
     # margin 0.039), yet at dx = 1/16 the run loses hyperbolicity at t = 4.575
     cfg = fixture_config("a5_blowup").with_(mode="run", fb_amplitude=1.6, dx=0.0625, n=897)
@@ -226,9 +265,7 @@ def test_cli_run_warns_when_the_criterion_passes_and_the_run_blows_up(tmp_path, 
     # only in that direction: a failing criterion before a blow-up, and the
     # golden run config (the same text as SMALL_RUN), which passes and
     # completes, leave stderr empty
-    text = serialize_config(BLOWUP_SMALL.with_(mode="run", t_end=8.0, x0=-22.0, n=441))
-    assert main(["run", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "a")]) == 2
-    assert capsys.readouterr().err == ""
+    assert blowup_run.code == 2 and blowup_run.stderr == ""
     assert small_run.code == 0 and small_run.stderr == ""
 
 

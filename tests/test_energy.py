@@ -295,7 +295,7 @@ def test_a_nan_after_the_first_report_fails_the_monitor(name, delta):
         return EnergyReport(t=t, e2=np.array([0.01, 0.01]), eb2=np.array([1.0, 1.0]),
                             min_g=0.9, sup_l=np.array([0.05, 0.05]),
                             sup_lb=np.array([0.5, 0.5]), agmon_l_margin=0.1,
-                            agmon_lb_margin=0.1, flux_t=t, f2=np.zeros((1, 3)),
+                            agmon_lb_margin=0.1, f2=np.zeros((1, 3)),
                             fb2=np.zeros((1, 3)))
 
     reports = [report(t) for t in (0.0, 1.0, 2.0)]
@@ -364,7 +364,7 @@ def test_report_evaluates_each_side_weight_once(default_family, monkeypatch):
         return side_weight(side, *args)
 
     monkeypatch.setattr(energy, "side_weight", counted)
-    report_from_tower(tower, 0.5, 0.0, np.zeros((0, 3)), np.zeros((0, 3)))
+    report_from_tower(tower, 0.5, np.zeros((0, 3)), np.zeros((0, 3)))
     assert sides == ["TL", "TLb"]
 
 
@@ -443,6 +443,18 @@ def test_tracker_probe_entering_late_accumulates(default_family):
     assert np.allclose(f_late, f_wide, rtol=1e-6, atol=0)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"report_every": 0}, "report_every must be >= 1: 0"),
+    ({"N": 0}, "N out of [1, 6]: 0"),
+], ids=["report_every", "N"])
+def test_tracker_rejects_its_settings_when_built(kwargs, message):
+    # report_every = 0 used to raise ZeroDivisionError at the first flush,
+    # N = 0 a numpy broadcast ValueError
+    with pytest.raises(ValueError) as raised:
+        EnergyTracker(0.5, **kwargs)
+    assert str(raised.value) == message
+
+
 def test_tracker_probe_leaving_is_truncated(default_family):
     # u0 = -8: the outgoing line x = t + 16 leaves the grid at t ~ 2.7
     tr = EnergyTracker(gamma=0.5, N=2, probes_u=(-8.0, 0.0), report_every=10)
@@ -450,7 +462,7 @@ def test_tracker_probe_leaving_is_truncated(default_family):
     (reports,), left = tr.finalize()
     assert left == ["u0=-8"]
     # the flux stops growing once the line is gone
-    f_series = [float(r.f2[0].sum()) for r in reports if r.flux_t > 3.0]
+    f_series = [float(r.f2[0].sum()) for r in reports if r.t > 3.0]
     assert len(f_series) >= 2 and len(set(f_series)) == 1
 
 
@@ -544,7 +556,7 @@ class RingTracker:
         for k, reports in enumerate(self._reports):
             rows = time_rows(self._ring()[..., k, :], dt, self.N)
             tower = DerivativeTower(t=t, grid=self._grid, N=self.N, rows=rows)
-            reports.append(report_from_tower(tower, self.gamma, self._prev_tau,
+            reports.append(report_from_tower(tower, self.gamma,
                                              self._flux[k, :self._nu].copy(),
                                              self._flux[k, self._nu:].copy()))
 

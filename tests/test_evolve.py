@@ -428,10 +428,12 @@ def test_ensemble_of_mixed_speeds_matches_single_runs():
     # a negative gmin would let step accept a degenerate state
     ({"t_end": 2.0, "gmin": -1e-3}, "gmin"),
     ({"t_end": 2.0, "gmin": 1.0}, "gmin"),
+    ({"t_end": 1.0, "eps_ko": -0.5}, r"^eps_ko must be >= 0: -0\.5$"),
 ])
 def test_run_rejects_a_backward_or_unstable_step(kwargs, match):
     # each used to "complete": one backward step of dt = -0.5, one step of
-    # dt = 2.0 (Courant number 20), or four steps at Courant number 5
+    # dt = 2.0 (Courant number 20), four steps at Courant number 5, or steps
+    # whose negative damping amplifies the shortest waves
     grid = Grid1D(-20, 0.1, 401)
     with pytest.raises(ValueError, match=match):
         run_evolution(_families(0.1)[0], grid, **kwargs)
