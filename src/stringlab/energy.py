@@ -584,7 +584,7 @@ def _tracked_ensemble(cfg, deltas):
         # the t = 0 reports need no run: they overlap the child's last states
         return result, [tracker.initial_report(fam, grid) for fam in fams]
 
-    (result, initial), (evolved, truncated) = streamed_run(run, tracker, start)
+    (result, initial), [(evolved, truncated)] = streamed_run(run, [tracker], start)
     if any(res.status == "completed" and not reports
            for res, reports in zip(result.members, evolved)):
         raise InsufficientHistory(

@@ -44,8 +44,8 @@ Both sets are non-empty for a windowed member, so the minimum
 discriminant and the maximum speed over its stepped sub-grid row equal
 those over its whole new row.
 
-The refinement studies run their levels through `forking`, bit for bit
-as the serial loop.
+The refinement studies run their levels through one runner,
+refinement_runs, which `forking` places, bit for bit as the serial loop.
 """
 
 from __future__ import annotations
@@ -53,13 +53,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
 
 from .errors import BlowupDetected, HyperbolicityLoss, InsufficientHistory
-from .forking import refinement_levels, streamed_run
+from .forking import level_observe, refinement_levels
 from .initialdata import DataFamily, check_data
 from .nullgeom import FIELD_CAP, GMIN_DEFAULT, speed
 from .stencils import cubic_combine, cubic_weights, deriv1, ko_dissipation
@@ -86,6 +86,9 @@ class Grid1D:
     def __post_init__(self):
         if not self.dx > 0:
             raise ValueError(f"dx must be positive: {self.dx}")
+        for key in ("x0", "dx"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite: {getattr(self, key)}")
         if self.n < 16:
             raise ValueError(f"n must be >= 16: {self.n}")
 
@@ -174,13 +177,18 @@ def _max_speed(w, p, disc):
 
 def check_run(t0, t_end, cfl, eps_ko, gmin):
     """Raises ValueError unless t_end > t0, cfl is in (0, CFL_MAX], eps_ko >= 0
-    and gmin is in [0, 1); with gmin >= 0, step accepts only hyperbolic states."""
+    and gmin is in [0, 1), with t_end and eps_ko finite; with gmin >= 0, step
+    accepts only hyperbolic states."""
     if not t_end > t0:
         raise ValueError(f"t_end = {t_end} is not after the start time {t0}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite: {t_end}")
     if not 0.0 < cfl <= CFL_MAX:
         raise ValueError(f"cfl out of (0, {CFL_MAX}]: {cfl}")
     if eps_ko < 0:
         raise ValueError(f"eps_ko must be >= 0: {eps_ko}")
+    if not math.isfinite(eps_ko):
+        raise ValueError(f"eps_ko must be finite: {eps_ko}")
     if not 0.0 <= gmin < 1.0:
         raise ValueError(f"gmin out of [0, 1): {gmin}")
 
@@ -651,6 +659,28 @@ class Refinement:
 # ---------------------------------------------------------------------------
 # refinement studies
 
+
+def refinement_runs(cfg, base_grid: Grid1D, t_end, reduce, observers=lambda k, grid: []):
+    """[reduce(k, grid, result, finalized) for k = 0, 1, 2]: cfg's family
+    run to t_end under cfg's cfl, eps_ko and gmin on base_grid refined 2**k
+    times, observers(k, grid) riding it; finalized holds each observer's
+    finalize(), or the InsufficientHistory it raised.  `forking` places the
+    levels; reduce runs in the level's process, so only what it keeps
+    crosses.  Other errors are raised in serial order."""
+    fam = cfg.family()
+
+    def level(k):
+        grid = base_grid.refined(2 ** k)
+        result, finalized = level_observe(k)(
+            lambda callbacks: run_evolution(fam, grid, t_end=t_end, cfl=cfg.cfl,
+                                            eps_ko=cfg.eps_ko, gmin=cfg.gmin,
+                                            callbacks=callbacks),
+            observers(k, grid), init_state(fam, grid))
+        return reduce(k, grid, result, finalized)
+
+    return refinement_levels(level)
+
+
 CONVERGE_ORDER_MIN = 2.5        # every ratio: damping's O(dx^3) error holds it near 3, not 4
 
 
@@ -677,17 +707,14 @@ def convergence_study(cfg) -> ConvergenceStudy:
     """
     fam = cfg.family()
 
-    def level(k):
-        grid = cfg.grid().refined(2 ** k)
-        res = run_evolution(fam, grid, t_end=cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
-                            gmin=cfg.gmin)
+    def reduce(k, grid, res, _):
         if res.status == "blowup":
             raise BlowupDetected(res.t_blowup,
                                  f"{res.blowup_reason} on level {k} (n = {grid.n})")
         err = float(np.max(np.abs(res.state.phi - exact_travelling(fam, res.state.t, grid.x))))
         return ConvergenceLevel(grid.n, res.max_speed_seen), grid.dx, err
 
-    levels, dxs, errs = map(list, zip(*refinement_levels(level)))
+    levels, dxs, errs = map(list, zip(*refinement_runs(cfg, cfg.grid(), cfg.t_end, reduce)))
     errors = Refinement("converge", dxs, errs, CONVERGE_ORDER_MIN)
     return ConvergenceStudy(levels, errors)
 
@@ -714,42 +741,25 @@ def blowup_study(cfg) -> BlowupStudy:
     refinements, and the focusing of adjacent plus-family characteristics.
 
     17 seeds span max|center| + 2 max width on each side of the origin, so
-    they cover both packets.  They are traced while the finest level runs,
-    in O(n) memory, in a child fed by `forking.streamed_run`; the coarse
-    levels' child (`forking.refinement_levels`) is forked before that
-    stream opens.
+    they cover both packets, traced along the finest level in O(n) memory;
+    the tracer's InsufficientHistory is raised only when the paths are read.
     """
     fam = cfg.family()
     half = max(abs(fam.f.center), abs(fam.fb.center)) + 2.0 * max(fam.f.width, fam.fb.width)
     seeds = np.linspace(-half, half, 17)
-    traced = []
 
-    def level(k):
-        g = cfg.grid().refined(2 ** k)
-        run = partial(run_evolution, fam, g, t_end=cfg.t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
-                      gmin=cfg.gmin)
-        if k < 2:
-            res = run()
-        else:
-            # the run builds its own start state, so that none is held beside
-            # it while it steps; the tracer's error waits until paths are read
-            runs = []
-            try:
-                _, paths = streamed_run(lambda callbacks: runs.append(run(callbacks=callbacks)),
-                                        CharacteristicTracer(seeds, family="plus"),
-                                        init_state(fam, g))
-            except InsufficientHistory as exc:
-                paths = exc
-            (res,) = runs
-            traced.append(paths)
+    def reduce(k, grid, res, traced):
         tb = res.t_blowup if res.status == "blowup" else float("nan")
-        return BlowupLevel(g.n, g.dx, tb, res.blowup_reason)
+        return BlowupLevel(grid.n, grid.dx, tb, res.blowup_reason), traced
 
-    levels = refinement_levels(level)
-    t_blowups = [lev.t_blowup for lev in levels]
+    levels, traced = zip(*refinement_runs(
+        cfg, cfg.grid(), cfg.t_end, reduce,
+        lambda k, grid: [CharacteristicTracer(seeds, family="plus")] if k == 2 else []))
+    levels, t_blowups = list(levels), [lev.t_blowup for lev in levels]
     sep0 = float(seeds[1] - seeds[0])
     if np.isnan(t_blowups).any():
         return BlowupStudy(levels, float("nan"), sep0)
-    if isinstance(traced[0], InsufficientHistory):
-        raise traced[0]
-    return BlowupStudy(levels, richardson_time(t_blowups), sep0, *traced[0])
+    (paths,) = traced[2]
+    if isinstance(paths, InsufficientHistory):
+        raise paths
+    return BlowupStudy(levels, richardson_time(t_blowups), sep0, *paths)

@@ -39,14 +39,13 @@ fixed), so both sides keep their bits.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import suppress
 
 import numpy as np
 
 from .energy import stress_density
 from .errors import BlowupDetected, InsufficientHistory, TimelikeViolation
-from .evolve import Grid1D, Refinement, run_evolution
-from .forking import refinement_levels, run_both
+from .evolve import Grid1D, Refinement, refinement_runs
+from .forking import run_both
 from .manufactured import MixtureStack, MovingGaussian, ZeroField, random_mixture
 from .nullgeom import (GMIN_DEFAULT, multiplier, null_stress, side_sign, side_weight,
                        weight_a, weight_a_prime, weight_coord)
@@ -512,27 +511,24 @@ def energy_balance_study(cfg, regions, base_grid: Grid1D, t_end) -> list:
     callbacks of the same run, each streaming its own terms in O(n) memory.
     The identities stay independent: each compares its own Sigma(t) -
     Sigma(0) with its own flux and bulk, and only the evolved solution is
-    shared.  The levels run as `forking.refinement_levels`.  Raises
-    BlowupDetected, naming the level, when a run stops early."""
-    fam, regions = cfg.family(), list(regions)
+    shared.  The levels run as `evolve.refinement_runs`.  Raises
+    BlowupDetected, naming the level, when a run stops early, after an
+    accumulator's error other than too few levels to finalize."""
+    regions = list(regions)
 
-    def level(k):
+    def reduce(k, grid, run, finalized):
         """(dx, each region's relative residual) of level k"""
-        grid = base_grid.refined(2 ** k)
-        accs = [BalanceAccumulator(side, coord, fam.gamma) for side, coord in regions]
-        run = run_evolution(fam, grid, t_end=t_end, cfl=cfg.cfl, eps_ko=cfg.eps_ko,
-                            gmin=cfg.gmin, callbacks=accs)
         if run.status == "blowup":
-            # the accumulators end first, as their error at an earlier level
-            # stops a serial run; too few levels to finalize leave the blow-up
-            for acc in accs:
-                with suppress(InsufficientHistory):
-                    acc.finalize()
             raise BlowupDetected(run.t_blowup,
                                  f"{run.blowup_reason} on balance level {k} (n = {grid.n})")
-        return grid.dx, [r / scale for r, scale in (acc.finalize() for acc in accs)]
+        for out in finalized:
+            if isinstance(out, InsufficientHistory):
+                raise out
+        return grid.dx, [r / scale for r, scale in finalized]
 
-    hs, residuals = zip(*refinement_levels(level))
+    hs, residuals = zip(*refinement_runs(
+        cfg, base_grid, t_end, reduce,
+        lambda k, grid: [BalanceAccumulator(side, coord, cfg.gamma) for side, coord in regions]))
     return [Refinement("energy_balance_" + ("plus" if side_sign(side) > 0 else "minus"),
                        list(hs), list(res), BALANCE_ORDER_MIN)
             for (side, _), res in zip(regions, zip(*residuals))]

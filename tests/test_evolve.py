@@ -659,3 +659,17 @@ def test_refinement_rows_leave_level_0_order_empty():
     one = Refinement("one", [0.0], [1e-12], None)
     assert one.orders == [] and one.rows() == [[0, 0.0, 1e-12, ""]]
     assert one.min_order is None and not one.passed()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_the_library_rejects_non_finite_run_and_grid_inputs(default_family, value):
+    # the CLI's finite-float message, raised by the owners of the rules
+    grid = Grid1D(-12.0, 0.1, 241)
+    with pytest.raises(ValueError, match=f"^eps_ko must be finite: {value}$"):
+        run_evolution(default_family, grid, t_end=1.0, eps_ko=value)
+    with pytest.raises(ValueError, match=f"^x0 must be finite: {value}$"):
+        Grid1D(value, 0.1, 401)
+    with pytest.raises(ValueError, match="^dx must be finite: inf$"):
+        Grid1D(0.0, float("inf"), 16)
+    with pytest.raises(ValueError, match="^t_end must be finite: inf$"):
+        run_evolution(default_family, grid, t_end=float("inf"))

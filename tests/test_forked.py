@@ -9,15 +9,18 @@ several reads, a pipe that holds PIPE_BYTES while the run streams, and no
 fork while a stream is open.
 conftest checks that no test leaves a child unreaped."""
 
+import ast
 import dataclasses
 import os
 import pickle
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import BLOWUP_SMALL as BLOWUP
 
+import stringlab
 import stringlab.errors as errors
 import stringlab.evolve as evolve
 import stringlab.forking as forking
@@ -42,6 +45,7 @@ ERRORS = [
     errors.ValidationError("dx must be positive"),
 ]
 
+SRC = Path(stringlab.__file__).resolve().parent
 CONVERGE = ExperimentConfig(delta=0.0, t_end=2.0, x0=-18.0, dx=0.28125, n=129)
 
 
@@ -448,3 +452,102 @@ def test_no_fork_while_a_stream_is_open():
     assert streamed_run(run, _FailAt(10 ** 9, None), state) == ("ran", 2)
     assert fds[0] == fds[1]
     assert forked(lambda: 3)() == 3
+
+
+# ---------------------------------------------------------------------------
+# one runner for the refinement studies, and the two-children budget
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_converge_levels_carry_an_observer_through_the_runner(monkeypatch, fork):
+    # the hook for observers on converge's levels: a tracer on every level
+    # leaves convergence_study's errors bit for bit
+    want = convergence_study(CONVERGE).errors.values
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    fam = CONVERGE.family()
+
+    def reduce(k, grid, res, finalized):
+        (traced,) = finalized
+        assert len(traced[0]) == 9
+        return float(np.max(np.abs(res.state.phi - evolve.exact_travelling(fam, res.state.t,
+                                                                          grid.x))))
+
+    got = evolve.refinement_runs(CONVERGE, CONVERGE.grid(), CONVERGE.t_end, reduce,
+                                 lambda k, grid: [CharacteristicTracer(np.linspace(-6, 6, 9))])
+    assert _same_bits(got, want)
+
+
+def test_two_observers_share_one_stream():
+    # an EnergyTracker (phi, w) and a CharacteristicTracer (w, p)
+    start = _single_start()
+
+    def observers():
+        return [config_tracker(SWEEP), CharacteristicTracer(np.linspace(-6.0, 6.0, 9))]
+
+    here = observers()
+    _sweep_run(start)(here)
+    _, streamed = streamed_run(_sweep_run(start), observers(), start)
+    assert len(streamed) == 2
+    assert all(_same_bits(a, b.finalize()) for a, b in zip(streamed, here))
+    # 2 steps: too few levels for the tracer, whose InsufficientHistory
+    # fills its slot; the tracker's result still comes back
+    short = lambda callbacks: run_evolution(start, t_end=0.05, callbacks=callbacks)  # noqa: E731
+    _, (reports, tracer_out) = streamed_run(
+        short, [config_tracker(SWEEP), CharacteristicTracer([0.0])], start)
+    assert isinstance(tracer_out, InsufficientHistory) and reports == ([[]], [])
+
+
+def test_two_children_alive_run_forked_work_inline(monkeypatch):
+    # the second child, forked beside the first, starts its own count at 0
+    joins = [forked(lambda: 1), forked(lambda: forking._children_alive)]
+    assert forking._children_alive == 2
+    try:
+        def no_fork():
+            raise AssertionError("a third child was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        fn = lambda: 3  # noqa: E731
+        assert forked(fn) is fn
+        start = _sweep_start()
+        here = config_tracker(SWEEP)
+        want = _sweep_run(start)([here])
+        got, observed = streamed_run(_sweep_run(start), [config_tracker(SWEEP)], start)
+        assert _same_bits(got.state.phi, want.state.phi)
+        assert _same_bits(observed, [here.finalize()])
+    finally:
+        assert [join() for join in joins] == [1, 0]
+    assert forking._children_alive == 0
+
+
+def _callers(name):
+    """The functions of src/stringlab, by qualified name, whose bodies call
+    name, directly or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else
+                        getattr(func, "attr", None)) == name:
+                    found.add(f"{scope[0]}.{'.'.join(scope[1:])}")
+            visit(child, scope)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text()), [path.stem])
+    return found
+
+
+def test_only_the_runner_places_refinement_levels():
+    # one runner owns the level policy: no study refines, runs or places
+    # its own levels.  The runner's finest level reaches streamed_run
+    # through level_observe; the sweep streams beside it (streamed_run
+    # calls itself for a lone observer)
+    assert _callers("refinement_levels") == {"evolve.refinement_runs"}
+    assert _callers("level_observe") == {"evolve.refinement_runs.level"}
+    assert _callers("streamed_run") == {"energy._tracked_ensemble", "forking.streamed_run"}
+    assert not {f for f in _callers("run_evolution") if "_study" in f}

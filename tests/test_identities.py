@@ -547,7 +547,7 @@ def test_balance_study_raises_an_accumulator_error_before_the_blowup(balance_sta
         return SimpleNamespace(status="blowup", t_blowup=levels[-1].t,
                                blowup_reason="hyperbolicity loss")
 
-    monkeypatch.setattr(identities, "run_evolution", blows_up)
+    monkeypatch.setattr(evolve, "run_evolution", blows_up)
     stored = _StoredBalance("TL", -1.0, 0.5)
     with pytest.raises(TimelikeViolation) as serial:
         for state in levels:
@@ -585,7 +585,7 @@ def test_verify_suite_evolves_each_balance_level_once(monkeypatch, tmp_path):
             print(*(type(cb).__name__ for cb in kwargs.get("callbacks")), file=fh)
         return run_evolution(*args, **kwargs)
 
-    monkeypatch.setattr(identities, "run_evolution", counted)
+    monkeypatch.setattr(evolve, "run_evolution", counted)
     assert all(ok for _, ok in verify_suite(ExperimentConfig(seed=1)))
     calls = [line.split() for line in log.read_text().splitlines()]
     assert len(calls) == 3
