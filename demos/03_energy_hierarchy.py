@@ -21,7 +21,8 @@ cfg = ExperimentConfig(x0=-X, dx=dx, n=int(round(2 * X / dx)) + 1, t_end=T,
 print(f"gamma = {cfg.gamma}, N = {cfg.N}, T = {T:g}; sweeping delta:\n")
 print(f"{'delta':>7} {'sup E2':>12} {'sup Eb2':>12} {'sup F2':>12} {'sup Fb2':>12} {'min g':>8}")
 # the three deltas evolve in lockstep as one ensemble
-monitors = [mon for _, _, mon in tracked_sweep(cfg)]
+members, _ = tracked_sweep(cfg)
+monitors = [mon for _, _, mon in members]
 for delta, mon in zip(cfg.deltas, monitors):
     print(f"{delta:>7g} {mon.sup_e2:>12.4e} {mon.sup_eb2:>12.4e} "
           f"{mon.sup_f2:>12.4e} {mon.sup_fb2:>12.4e} {mon.min_g:>8.4f}")

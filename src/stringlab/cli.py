@@ -1,30 +1,35 @@
 """Command-line driver: deterministic experiment runs emitting CSV.
 
-Modes
+Modes (each cmd_* returns the Verdict that the library call in brackets
+builds; main prints it and returns its exit code)
 -----
 run         criterion check, evolve to t_end, energy/monitor CSV.
             Exit 0 when no blow-up and all monitors pass, 2 on blow-up,
             1 on error or failed monitor.  A blow-up after a passing
             criterion exits 2 with a stderr warning that names the ordering
             margin and the stepper's min g: the grid may be under-resolved.
+            [energy.run_verdict]
 sweep       one run per delta in `deltas`; emits per-delta sups and the
             fitted hierarchy slopes/constants.  All deltas step in
             lockstep as one ensemble; a delta that blows up is an error
-            naming it.
+            naming it.  [energy.sweep_verdict]
 converge    3-level refinement against the exact travelling-wave solution
             (requires delta = 0); a level that blows up is an error;
-            exit 1 unless every order >= 2.5.
+            exit 1 unless every order >= 2.5.  [ConvergenceStudy.verdict]
 blowup      3-level refinement of the detected blow-up time plus
             characteristic focusing, traced while the finest level runs;
             stderr names each level's blow-up time and reason; exit 1
-            unless every level blows up.
+            unless every level blows up.  [BlowupStudy.verdict]
 verify      manufactured-field identity suite (divergence, deformation,
             trace, equivalence band, energy balance); stdout marks each
             identity pass or FAIL, exit 1 on any failure.  Reads only the
             profile keys, gamma, delta, cfl, eps_ko, gmin and seed; a
             balance level that blows up is an error naming it.
+            [identities.suite_verdict]
 tracecheck  inductive t=0 trace table against tower time differences of the
             evolved solution under dt refinement; exit 1 unless order >= 1.5.
+            [TraceCheckStudy.verdict]
+run and sweep warn on stderr of flux probe lines that left the grid.
 
 CSV schemas (all files carry a header row; floats use repr-precision %.17g):
   energy.csv      t,k,E2,Eb2,F2_u<u0>...,Fb2_ub<ub0>...,min_g,
@@ -72,7 +77,7 @@ import numpy as np
 from . import energy as en
 from .config import parse_config
 from .errors import StringLabError
-from .evolve import blowup_study, convergence_study, init_state
+from .evolve import Verdict, blowup_study, convergence_study, init_state
 # re-exported: perfbench checks that its tracer patches this binding site
 from .evolve import run_evolution  # noqa: F401
 from .initialdata import criterion_for_family
@@ -116,18 +121,6 @@ def _write_csv(path, header, rows):
             wr.writerow([_fmt(v) for v in row])
 
 
-def _order_text(order):
-    return "n/a" if order is None else f"{order:.2f}"
-
-
-def _order_verdict(record) -> int:
-    """Print record's verdict line; the exit code."""
-    ok = record.passed()
-    print(f"{record.name}: order {_order_text(record.min_order)}: "
-          f"{'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
 def _energy_csv(path, cfg, reports):
     header = ["t", "k", "E2", "Eb2"]
     header += [f"F2_u{u0:g}" for u0 in cfg.probes_u]
@@ -154,12 +147,9 @@ _MONITOR_HEADER = ["delta", "sup_E2", "sup_Eb2", "sup_F2", "sup_Fb2", "M2",
                    "c_L", "c_Lb", "agmon_L_margin", "agmon_Lb_margin", "min_g"]
 
 
-def cmd_run(cfg, out: Path) -> int:
+def cmd_run(cfg, out: Path) -> Verdict:
     fam, grid = cfg.family(), cfg.grid()
     crit = criterion_for_family(fam, grid.x)
-    print(f"criterion: {'pass' if crit.passed else 'FAIL'} "
-          f"(gap {crit.gap_min:.3e}, ordering margin {crit.order_margin:.3e})")
-
     result, reports, mon, left = en.tracked_run(cfg)
     # written after the run, so that a run that fails by name leaves no CSV
     _write_csv(out / "criterion.csv", ["x", "lambda_minus", "lambda_plus"],
@@ -169,98 +159,60 @@ def cmd_run(cfg, out: Path) -> int:
                [[crit.lam_star_lo, crit.lam_star_hi, crit.gap_min,
                  crit.order_margin, int(crit.passed)]])
     _energy_csv(out / "energy.csv", cfg, reports)
-    if left:
-        print("stringlab: warning: flux probe lines left the grid and stopped "
-              f"accumulating: {', '.join(left)}", file=sys.stderr)
     if cfg.dump_fields:
         st0, st1 = init_state(fam, grid), result.state
         rows = [[s.t, xi, ph, wv, pv] for s in (st0, st1)
                 for xi, ph, wv, pv in zip(grid.x, s.phi, s.w, s.p)]
         _write_csv(out / "fields.csv", ["t", "x", "phi", "w", "p"], rows)
-    if result.status == "blowup":
-        print(f"blow-up detected at t = {result.t_blowup:.6g} ({result.blowup_reason})")
-        if crit.passed:
-            print(f"stringlab: warning: criterion pass (ordering margin {crit.order_margin:.3e}) "
-                  f"but blow-up (min g {result.min_g_seen:.3e}): the grid may be under-resolved",
-                  file=sys.stderr)
-        return 2
-    _write_csv(out / "monitor.csv", _MONITOR_HEADER, [_monitor_row(mon)])
-    ok = mon.passed(cfg.gmin)
-    print(f"run complete: t_end={cfg.t_end:g}, min_g={mon.min_g:.4f}, "
-          f"max|lambda|={result.max_speed_seen:.12f}, M2={mon.m2:.4e}, "
-          f"monitors {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    verdict = en.run_verdict(cfg, crit, result, mon, left)
+    if verdict.code != 2:       # 2: a blow-up, which has no monitors
+        _write_csv(out / "monitor.csv", _MONITOR_HEADER, [_monitor_row(mon)])
+    return verdict
 
 
-def cmd_sweep(cfg, out: Path) -> int:
-    monitors = [mon for _, _, mon in en.tracked_sweep(cfg)]
+def cmd_sweep(cfg, out: Path) -> Verdict:
+    members, left = en.tracked_sweep(cfg)
+    monitors = [mon for _, _, mon in members]
     fit = en.fit_hierarchy(monitors)
     _write_csv(out / "sweep.csv", _MONITOR_HEADER, [_monitor_row(m) for m in monitors])
     _write_csv(out / "hierarchy.csv",
                ["slope_E2", "slope_Eb2", "eb2_variation", "M2", "C1_bar", "C1"],
                [[fit.slope_e2, fit.slope_eb2, fit.eb2_variation, fit.m2,
                  fit.c1_bar, fit.c1]])
-    print(f"sweep: slope(E2)={fit.slope_e2:.3f} (expect 2), "
-          f"slope(Eb2)={fit.slope_eb2:.3f} (expect 0), "
-          f"Eb2 variation={fit.eb2_variation:.3%}, C1_bar={fit.c1_bar:.3e}, C1={fit.c1:.3e}")
-    return 0
+    return en.sweep_verdict(fit, left)
 
 
-def cmd_converge(cfg, out: Path) -> int:
+def cmd_converge(cfg, out: Path) -> Verdict:
     study = convergence_study(cfg)
     errors = study.errors
+    # level 0 has no order: n/a
     _write_csv(out / "converge.csv", ["level", "n", "dx", "err_inf", "order"],
-               [[k, lev.n, dx, err, order if k else "n/a"]
-                for lev, (k, dx, err, order) in zip(study.levels, errors.rows())])
-    print("converge: errors", ", ".join(f"{err:.3e}" for err in errors.values),
-          "orders", ", ".join(map(_order_text, errors.orders)))
-    return _order_verdict(errors)
+               [[k, lev.n, dx, err, order] for lev, (k, dx, err, _), order
+                in zip(study.levels, errors.rows(), ["n/a", *errors.orders])])
+    return study.verdict()
 
 
-def cmd_blowup(cfg, out: Path) -> int:
+def cmd_blowup(cfg, out: Path) -> Verdict:
     crit = criterion_for_family(cfg.family(), cfg.grid().x)
-    print(f"criterion: {'pass' if crit.passed else 'FAIL (blow-up data)'} "
-          f"(ordering margin {crit.order_margin:.3e})")
     study = blowup_study(cfg)
-    for k, lev in enumerate(study.levels):
-        what = (f"no blow-up up to t_end = {cfg.t_end:g}" if lev.reason is None
-                else f"t_blowup = {lev.t_blowup:.6g}, {lev.reason}")
-        print(f"stringlab: blowup level {k}: n = {lev.n}, {what}", file=sys.stderr)
     _write_csv(out / "blowup.csv", ["level", "n", "dx", "t_blowup"],
                [[k, lev.n, lev.dx, lev.t_blowup] for k, lev in enumerate(study.levels)])
-    if np.isnan(study.t_star):
-        blown = [k for k, lev in enumerate(study.levels) if lev.reason]
-        ran = [k for k, lev in enumerate(study.levels) if not lev.reason]
-        if blown:
-            print(f"blowup: levels {blown} blow up, levels {ran} do not: "
-                  "the grid may be under-resolved")
-        else:
-            print("blowup: no blow-up detected on some level")
-        return 1
-    _write_csv(out / "blowup_summary.csv",
-               ["t_star", "criterion_passed", "min_separation", "initial_separation"],
-               [[study.t_star, int(crit.passed), study.min_sep, study.initial_sep]])
-    print(f"blowup: t = {', '.join(f'{lev.t_blowup:.5f}' for lev in study.levels)} -> "
-          f"t* = {study.t_star:.5f}; plus-family separation {study.initial_sep:.3f} -> "
-          f"{study.min_sep:.2e}")
-    return 0
+    verdict = study.verdict(crit, cfg.t_end)
+    if verdict.code == 0:       # every level blew up: t* is defined
+        _write_csv(out / "blowup_summary.csv",
+                   ["t_star", "criterion_passed", "min_separation", "initial_separation"],
+                   [[study.t_star, int(crit.passed), study.min_sep, study.initial_sep]])
+    return verdict
 
 
-def cmd_verify(cfg, out: Path) -> int:
+def cmd_verify(cfg, out: Path) -> Verdict:
     suite = identities.verify_suite(cfg)
     _write_csv(out / "identities.csv", ["identity", "level", "dx", "residual", "order"],
                ([rec.name, *row] for rec, _ in suite for row in rec.rows()))
-    verdicts = sorted((rec.name, ok) for rec, ok in suite)
-    for name, ok in verdicts:
-        print(f"verify: {name}: {'pass' if ok else 'FAIL'}")
-    failures = [name for name, ok in verdicts if not ok]
-    if failures:
-        print("verify failed:", ", ".join(failures))
-        return 1
-    return 0
+    return identities.suite_verdict(suite)
 
 
-def cmd_tracecheck(cfg, out: Path) -> int:
+def cmd_tracecheck(cfg, out: Path) -> Verdict:
     study = en.trace_check_study(cfg)
     table = study.table
     _write_csv(out / "traces.csv", ["x", "k1", "k2", "L_trace", "Lb_trace"],
@@ -272,10 +224,7 @@ def cmd_tracecheck(cfg, out: Path) -> int:
                ([*key, lvl, dx, cfg.cfl * dx, d, order]
                 for key, rec in sorted(study.discrepancy.items())
                 for lvl, dx, d, order in rec.rows()))
-    gate = study.gate
-    print(f"tracecheck: max discrepancy {gate.values[0]:.3e} -> {gate.values[1]:.3e} under "
-          f"refinement; induction denominator min {table.den_min:.6f} (>= 4)")
-    return _order_verdict(gate)
+    return study.verdict()
 
 
 def main(argv=None) -> int:
@@ -310,10 +259,15 @@ def main(argv=None) -> int:
         dispatch = {"run": cmd_run, "sweep": cmd_sweep, "converge": cmd_converge,
                     "blowup": cmd_blowup, "verify": cmd_verify,
                     "tracecheck": cmd_tracecheck}
-        return dispatch[cfg.mode](cfg, out)
+        verdict = dispatch[cfg.mode](cfg, out)
     except StringLabError as exc:
         print(f"stringlab: error: {exc}", file=sys.stderr)
         return 1
+    for line in verdict.lines:
+        print(line)
+    for note in verdict.notes:
+        print(f"stringlab: {note}", file=sys.stderr)
+    return verdict.code
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupDetected, FitOverflow, InsufficientHistory
-from .evolve import (FieldState, Grid1D, Refinement, init_state, run_evolution,
+from .evolve import (FieldState, Grid1D, Refinement, Verdict, init_state, run_evolution,
                      stack_states, step)
 from .forking import streamed_run
 from .initialdata import TraceTable, higher_order_traces
@@ -607,18 +607,54 @@ def tracked_run(cfg):
 
 
 def tracked_sweep(cfg):
-    """tracked_run of cfg.with_(delta=d) for each d in cfg.deltas, in order,
-    without the truncated probe names.
+    """(members, the names of the probe lines that left the grid), where
+    members holds tracked_run's first three values of cfg.with_(delta=d)
+    for each d in cfg.deltas, in order.
 
     All deltas evolve as one ensemble, so each result is bit for bit its
     tracked_run.  Raises BlowupDetected, naming the delta, when a member
     blows up: the hierarchy holds only for globally smooth solutions.
     """
-    out, _ = _tracked_ensemble(cfg, cfg.deltas)
+    out, truncated = _tracked_ensemble(cfg, cfg.deltas)
     for d, (res, _, _) in zip(cfg.deltas, out):
         if res.status == "blowup":
             raise BlowupDetected(res.t_blowup, f"{res.blowup_reason} at delta = {d:g}")
-    return out
+    return out, truncated
+
+
+def _truncation_notes(truncated):
+    return [f"warning: flux probe lines left the grid and stopped accumulating: "
+            f"{', '.join(truncated)}"] if truncated else []
+
+
+def run_verdict(cfg, crit, result, mon, truncated) -> Verdict:
+    """`run`'s verdict on cfg's CriterionReport and tracked_run(cfg): exit 2
+    on a blow-up, warned of when crit passed, else 0 if mon passes at
+    cfg.gmin, or 1.  Truncated probe lines are warned of."""
+    lines = [f"criterion: {'pass' if crit.passed else 'FAIL'} "
+             f"(gap {crit.gap_min:.3e}, ordering margin {crit.order_margin:.3e})"]
+    notes = _truncation_notes(truncated)
+    if result.status == "blowup":
+        lines.append(f"blow-up detected at t = {result.t_blowup:.6g} ({result.blowup_reason})")
+        if crit.passed:
+            notes.append(f"warning: criterion pass (ordering margin {crit.order_margin:.3e}) "
+                         f"but blow-up (min g {result.min_g_seen:.3e}): "
+                         "the grid may be under-resolved")
+        return Verdict(2, lines, notes)
+    ok = mon.passed(cfg.gmin)
+    lines.append(f"run complete: t_end={cfg.t_end:g}, min_g={mon.min_g:.4f}, "
+                 f"max|lambda|={result.max_speed_seen:.12f}, M2={mon.m2:.4e}, "
+                 f"monitors {'pass' if ok else 'FAIL'}")
+    return Verdict(0 if ok else 1, lines, notes)
+
+
+def sweep_verdict(fit, truncated) -> Verdict:
+    """`sweep`'s verdict on the fit of tracked_sweep(cfg): exit 0, with
+    truncated probe lines warned of."""
+    return Verdict(0, [f"sweep: slope(E2)={fit.slope_e2:.3f} (expect 2), "
+                       f"slope(Eb2)={fit.slope_eb2:.3f} (expect 0), "
+                       f"Eb2 variation={fit.eb2_variation:.3%}, C1_bar={fit.c1_bar:.3e}, "
+                       f"C1={fit.c1:.3e}"], _truncation_notes(truncated))
 
 
 def tower_at_zero(cfg, grid):
@@ -648,6 +684,13 @@ class TraceCheckStudy:
         recs = list(self.discrepancy.values())
         worst = np.max([rec.values for rec in recs], axis=0).tolist()
         return Refinement("tracecheck", recs[0].spacings, worst, TRACE_ORDER_MIN)
+
+    def verdict(self) -> Verdict:
+        """The worst discrepancies and the denominator, then the gate."""
+        gate = self.gate
+        return gate.verdict(f"tracecheck: max discrepancy {gate.values[0]:.3e} -> "
+                            f"{gate.values[1]:.3e} under refinement; induction denominator "
+                            f"min {self.table.den_min:.6f} (>= 4)")
 
 
 def trace_check_study(cfg) -> TraceCheckStudy:

@@ -627,6 +627,20 @@ def refinement_orders(values):
 
 
 @dataclass
+class Verdict:
+    """What the CLI reports of a mode: its exit code, its stdout lines and
+    its stderr notes, each printed after "stringlab: "."""
+
+    code: int
+    lines: list
+    notes: list = field(default_factory=list)
+
+
+def _order_text(order):
+    return "n/a" if order is None else f"{order:.2f}"
+
+
+@dataclass
 class Refinement:
     """A quantity on refined levels, coarse to fine, and its order floor.  A
     one-level record has no orders; a threshold gates it."""
@@ -654,6 +668,12 @@ class Refinement:
         """[level, spacing, value, order] per level: level 0's order is ""."""
         return [[k, h, v, order] for k, (h, v, order) in
                 enumerate(zip(self.spacings, self.values, ["", *self.orders]))]
+
+    def verdict(self, *lines) -> Verdict:
+        """lines, then "<name>: order <min_order>: pass" and exit 0, or FAIL and 1."""
+        ok = self.passed()
+        gate = f"{self.name}: order {_order_text(self.min_order)}: {'pass' if ok else 'FAIL'}"
+        return Verdict(0 if ok else 1, [*lines, gate])
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +717,12 @@ class ConvergenceStudy:
     levels: list                # ConvergenceLevel per grid, coarse to fine
     errors: Refinement          # max |phi - exact travelling wave| at t_end
 
+    def verdict(self) -> Verdict:
+        """The errors and their orders, then their gate."""
+        errors = self.errors
+        return errors.verdict(f"converge: errors {', '.join(f'{e:.3e}' for e in errors.values)}"
+                              f" orders {', '.join(map(_order_text, errors.orders))}")
+
 
 def convergence_study(cfg) -> ConvergenceStudy:
     """Error against the exact travelling wave of cfg's family (delta = 0)
@@ -734,6 +760,27 @@ class BlowupStudy:
     initial_sep: float          # spacing of the plus-family characteristic seeds
     paths: list = field(default_factory=list)   # CharPath per seed on the finest level
     min_sep: float = float("nan")               # paths and min_sep only when t_star is set
+
+    def verdict(self, crit, t_end) -> Verdict:
+        """crit's line (a CriterionReport), then t* and exit 0, or why there
+        is none and exit 1; a note per level."""
+        notes = [f"blowup level {k}: n = {lev.n}, "
+                 + (f"no blow-up up to t_end = {t_end:g}" if lev.reason is None
+                    else f"t_blowup = {lev.t_blowup:.6g}, {lev.reason}")
+                 for k, lev in enumerate(self.levels)]
+        lines = [f"criterion: {'pass' if crit.passed else 'FAIL (blow-up data)'} "
+                 f"(ordering margin {crit.order_margin:.3e})"]
+        if np.isnan(self.t_star):
+            blown = [k for k, lev in enumerate(self.levels) if lev.reason]
+            ran = [k for k, lev in enumerate(self.levels) if not lev.reason]
+            lines.append(f"blowup: levels {blown} blow up, levels {ran} do not: "
+                         "the grid may be under-resolved" if blown
+                         else "blowup: no blow-up detected on some level")
+            return Verdict(1, lines, notes)
+        lines.append(f"blowup: t = {', '.join(f'{lev.t_blowup:.5f}' for lev in self.levels)} -> "
+                     f"t* = {self.t_star:.5f}; plus-family separation {self.initial_sep:.3f} -> "
+                     f"{self.min_sep:.2e}")
+        return Verdict(0, lines, notes)
 
 
 def blowup_study(cfg) -> BlowupStudy:

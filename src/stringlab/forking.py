@@ -211,8 +211,7 @@ def inline_run(run, observers, start):
 def streamed_run(run, observers, start):
     """(run([proxy]), [each observer's finalize(), or the InsufficientHistory
     it raised]), where the proxy hands each state to the observers' on_step
-    in one forked child, through a pipe (module docstring).  A lone
-    observer, not in a list, gives its slot alone.
+    in one forked child, through a pipe (module docstring).
 
     run takes the run's callbacks and calls their on_step(state) with
     states of start's type, grid and field shape, such as the run's start
@@ -222,9 +221,6 @@ def streamed_run(run, observers, start):
     without a fork or with MAX_CHILDREN children alive, this is inline_run.
     """
     global _streams_open
-    if hasattr(observers, "on_step"):
-        value, (observed,) = streamed_run(run, [observers], start)
-        return value, observed
     if not observers:
         return inline_run(run, observers, start)
     names = [name for name in ("phi", "w", "p") if any(name in o.reads for o in observers)]

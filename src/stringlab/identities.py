@@ -44,7 +44,7 @@ import numpy as np
 
 from .energy import stress_density
 from .errors import BlowupDetected, InsufficientHistory, TimelikeViolation
-from .evolve import Grid1D, Refinement, refinement_runs
+from .evolve import Grid1D, Refinement, Verdict, refinement_runs
 from .forking import run_both
 from .manufactured import MixtureStack, MovingGaussian, ZeroField, random_mixture
 from .nullgeom import (GMIN_DEFAULT, multiplier, null_stress, side_sign, side_weight,
@@ -596,3 +596,14 @@ def verify_suite(cfg) -> list:
         lambda: _closed_form_studies(cfg.gamma, cfg.seed),
         lambda: energy_balance_study(cfg, (("TL", -1.0), ("TLb", 1.0)), bal_grid, t_end=4.0))
     return [*closed_forms, *((study, study.passed()) for study in balance)]
+
+
+def suite_verdict(suite) -> Verdict:
+    """`verify`'s verdict on verify_suite's pairs: a pass or FAIL line per
+    identity, by name, and exit 0, or a line naming the failures and exit 1."""
+    verdicts = sorted((rec.name, ok) for rec, ok in suite)
+    lines = [f"verify: {name}: {'pass' if ok else 'FAIL'}" for name, ok in verdicts]
+    failures = [name for name, ok in verdicts if not ok]
+    if failures:
+        lines.append(f"verify failed: {', '.join(failures)}")
+    return Verdict(1 if failures else 0, lines)

@@ -86,7 +86,7 @@ def hierarchy_fits(fixture_run):
     # fine (dx = 0.0625, n = 2049) and coarse (dx = 0.125, n = 1025) on
     # [-64, 64]; the coarse sweep is the sweep CLI call on the fixture
     fine = tracked_sweep(refined(fixture_config("a3_sweep")))
-    for members in (fine, fixture_run("a3_sweep").study):
+    for members, _ in (fine, fixture_run("a3_sweep").study):
         monitors = []
         # the three deltas step in lockstep as one ensemble
         for res, _, mon in members:

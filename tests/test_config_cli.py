@@ -1,3 +1,4 @@
+import ast
 import csv
 import subprocess
 import sys
@@ -14,6 +15,9 @@ from stringlab import (DataFamily, EnergyTracker, ExperimentConfig, Grid1D, Pars
                        serialize_config)
 from stringlab import evolve, identities
 from stringlab.cli import main
+from stringlab.energy import HierarchyFit, TraceCheckStudy, run_verdict, sweep_verdict
+from stringlab.evolve import BlowupLevel, BlowupStudy, ConvergenceStudy, Refinement, RunResult
+from stringlab.initialdata import CriterionReport, TraceTable
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
@@ -613,6 +617,18 @@ def test_cli_sweep_small(tmp_path, capsys):
     assert "slope(E2)" in out
 
 
+def test_cli_sweep_warns_on_truncated_probe(tmp_path, capsys):
+    # the line u0 = -8 leaves the grid before t_end, as in `run`'s case; the
+    # sweep used to exit 0 silently with sup_F2 from the truncated flux
+    text = SMALL_RUN.replace("probes_u = 0", "probes_u = 0, -8") + "deltas = 0.2,0.1,0.05\n"
+    rc = main(["sweep", "--config", _cfg_file(tmp_path, text), "--out", str(tmp_path / "sw")])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["stringlab: warning: flux probe lines left the grid and stopped "
+                   "accumulating: u0=-8"]
+    assert (tmp_path / "sw" / "sweep.csv").exists()
+
+
 CONVERGE_SMALL = """
 mode = converge
 delta = 0
@@ -664,3 +680,142 @@ def test_cli_converge_names_a_level_that_blows_up(tmp_path, capsys, monkeypatch)
     assert err.startswith("stringlab: error: blow-up at t=0: field size ")
     assert err.rstrip().endswith("exceeds cap on level 0 (n = 257)")
     assert not (tmp_path / "c" / "converge.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# verdicts: the library builds every exit code and printed line from the
+# study values, so these need no run.  Each case asserts the text of the
+# CLI test of the same case above
+
+
+def _criterion(passed, gap_min=0.8197, order_margin=0.03918):
+    return CriterionReport(np.zeros(1), np.zeros(1), 0.0, 0.0, gap_min, order_margin, passed)
+
+
+def _blowup_result(t_blowup=4.575, min_g_seen=4.671e-4):
+    return RunResult("blowup", None, 0.025, 183, 1.0, min_g_seen, t_blowup, "hyperbolicity loss")
+
+
+def test_run_verdict_warns_when_the_criterion_passes_and_the_run_blows_up():
+    verdict = run_verdict(ExperimentConfig(), _criterion(True), _blowup_result(), None, [])
+    assert verdict.code == 2
+    assert verdict.lines[0].startswith("criterion: pass (gap 8.197e-01, ordering margin 3.918e-02)")
+    assert verdict.lines[1].startswith("blow-up detected at t = 4.575")
+    assert ["stringlab: " + note for note in verdict.notes] == [
+        "stringlab: warning: criterion pass (ordering margin 3.918e-02) but blow-up "
+        "(min g 4.671e-04): the grid may be under-resolved"]
+    # a failing criterion before a blow-up is no disagreement
+    failed = run_verdict(ExperimentConfig(), _criterion(False, order_margin=-0.18),
+                         _blowup_result(), None, [])
+    assert failed.code == 2 and failed.notes == []
+
+
+@pytest.mark.parametrize("mode", ["run", "sweep"])
+def test_run_and_sweep_verdicts_warn_of_truncated_probes(mode):
+    truncated = ["u0=-8"]
+    if mode == "run":
+        verdict = run_verdict(ExperimentConfig(), _criterion(False), _blowup_result(), None,
+                              truncated)
+    else:
+        fit = HierarchyFit(np.ones(3), np.ones(3), np.ones(3), 2.0, 0.0, 0.01, 1.0, 0.1, 0.1)
+        verdict = sweep_verdict(fit, truncated)
+        assert verdict.code == 0 and verdict.lines[0].startswith("sweep: slope(E2)=2.000")
+    assert "stringlab: " + verdict.notes[0] == (
+        "stringlab: warning: flux probe lines left the grid and stopped accumulating: u0=-8")
+
+
+def test_blowup_verdict_names_a_level_disagreement():
+    levels = [BlowupLevel(897, 0.0625, 4.575, "hyperbolicity loss"),
+              BlowupLevel(1793, 0.03125, 4.475, "hyperbolicity loss"),
+              BlowupLevel(3585, 0.015625, float("nan"), None)]
+    verdict = BlowupStudy(levels, float("nan"), 0.5).verdict(_criterion(True), 6.0)
+    assert verdict.code == 1
+    assert verdict.lines == [
+        "criterion: pass (ordering margin 3.918e-02)",
+        "blowup: levels [0, 1] blow up, levels [2] do not: the grid may be under-resolved"]
+    assert verdict.notes == ["blowup level 0: n = 897, t_blowup = 4.575, hyperbolicity loss",
+                             "blowup level 1: n = 1793, t_blowup = 4.475, hyperbolicity loss",
+                             "blowup level 2: n = 3585, no blow-up up to t_end = 6"]
+    none = BlowupStudy([BlowupLevel(361, 0.1, float("nan"), None)] * 3, float("nan"), 0.5)
+    assert none.verdict(_criterion(False), 1.0).lines == [
+        "criterion: FAIL (blow-up data) (ordering margin 3.918e-02)",
+        "blowup: no blow-up detected on some level"]
+
+
+def _identity(name, ok):
+    return Refinement(name, [0.0], [0.0], None), ok
+
+
+def test_suite_verdict_names_the_failed_identities():
+    suite = [_identity("trace_identity", True),
+             _identity("deformation_closed_vs_direct", False)]
+    verdict = identities.suite_verdict(suite)
+    assert verdict.code == 1
+    assert [line for line in verdict.lines if line.endswith(": FAIL")] == [
+        "verify: deformation_closed_vs_direct: FAIL"]
+    assert verdict.lines[-1] == "verify failed: deformation_closed_vs_direct"
+    balance = [_identity("energy_balance_plus", False),
+               _identity("energy_balance_minus", False)]
+    assert identities.suite_verdict(balance).lines[-1] == \
+        "verify failed: energy_balance_minus, energy_balance_plus"
+    passed = identities.suite_verdict(suite[:1])
+    assert passed.code == 0 and passed.lines == ["verify: trace_identity: pass"]
+
+
+def test_order_verdicts():
+    errors = Refinement("converge", [0.5, 0.25, 0.125], [1.659e-01, 3.780e-02, 1.191e-02], 2.5)
+    verdict = ConvergenceStudy([], errors).verdict()
+    assert verdict.code == 1 and verdict.lines == [
+        "converge: errors 1.659e-01, 3.780e-02, 1.191e-02 orders 2.13, 1.67",
+        "converge: order 1.67: FAIL"]
+    # an undefined order fails its gate
+    zero = Refinement("converge", [0.5, 0.25, 0.125], [1.0, 0.0, 0.0], 2.5).verdict()
+    assert zero.code == 1 and zero.lines == ["converge: order n/a: FAIL"]
+    table = TraceTable(np.zeros(1), 3, np.zeros((4, 4, 2, 1)), 4.0)
+    study = TraceCheckStudy({(0, 0): Refinement("trace_0_0", [0.1, 0.05], [7.3e-4, 1.39e-3], 1.5)},
+                            table)
+    verdict = study.verdict()
+    assert verdict.code == 1 and "induction denominator min 4" in verdict.lines[0]
+    assert verdict.lines[1] == "tracecheck: order -0.93: FAIL"
+
+
+def _branch_reads(fn):
+    """(line, names) of each if, while and conditional expression in fn,
+    with the names that its test reads."""
+    return [(node.lineno, {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)})
+            for node in ast.walk(fn) if isinstance(node, (ast.If, ast.While, ast.IfExp))]
+
+
+def _printers():
+    """The functions of src/stringlab, by qualified name, that call print."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "print"):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for path in (SRC / "stringlab").glob("*.py"):
+        visit(ast.parse(path.read_text()), [path.stem])
+    return found
+
+
+def test_cli_modes_only_return_library_verdicts():
+    # the library decides each exit code and builds each printed line: a
+    # cmd_* branches only on cfg or on its verdict, returns no literal exit
+    # code and prints nothing; main prints the verdict once
+    tree = ast.parse((SRC / "stringlab" / "cli.py").read_text())
+    cmds = [fn for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")]
+    assert len(cmds) == 6
+    for fn in cmds:
+        assert [(line, names) for line, names in _branch_reads(fn)
+                if not names <= {"cfg", "verdict"}] == [], fn.name
+        assert not [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Return)
+                    and any(isinstance(c, ast.Constant) for c in ast.walk(node.value))], fn.name
+    assert _printers() == {"cli.main"}

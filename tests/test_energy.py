@@ -632,7 +632,7 @@ def _small_cfg(**kw):
 
 def test_tracked_sweep_members_equal_tracked_runs():
     cfg = _small_cfg(deltas=(0.1, 0.05, 0.025))
-    swept = tracked_sweep(cfg)
+    swept, _ = tracked_sweep(cfg)
     for delta, (res, reports, mon) in zip(cfg.deltas, swept):
         res1, reports1, mon1, _ = tracked_run(cfg.with_(delta=delta))
         assert res.status == res1.status == "completed"
@@ -691,7 +691,7 @@ def test_ensemble_tracker_deriv1_budget(monkeypatch, tmp_path):
     cfg = _small_cfg(N=3)
     for deltas in ((0.1,), (0.1, 0.05, 0.025)):
         log = tmp_path / f"calls{len(deltas)}"
-        (res, reports, _), *_ = tracked_sweep(cfg.with_(deltas=deltas))
+        ((res, reports, _), *_), _ = tracked_sweep(cfg.with_(deltas=deltas))
         # the t = 0 report comes from the exact trace table
         n_reports = len(deltas) * (len(reports) - 1)
         calls = len(log.read_text().splitlines())
@@ -745,7 +745,7 @@ def test_hierarchy_slopes_equal_polyfit():
         x = np.log(deltas)
         y = rng.uniform(-1.0, 3.0) * x + rng.uniform(-5.0, 5.0) + 0.1 * rng.standard_normal(x.size)
         assert abs(energy._slope(x, y) - np.polyfit(x, y, 1)[0]) < 1e-12
-    monitors = [mon for _, _, mon in tracked_sweep(parse_config(GOLDEN["sweep"][0]))]
+    monitors = [mon for _, _, mon in tracked_sweep(parse_config(GOLDEN["sweep"][0]))[0]]
     fit = energy.fit_hierarchy(monitors)
     x = np.log(fit.deltas)
     for slope, sups in ((fit.slope_e2, fit.sup_e2), (fit.slope_eb2, fit.sup_eb2)):

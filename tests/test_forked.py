@@ -184,8 +184,8 @@ def _streamed_tracker_equals_the_tracker_in_the_caller():
     start = _sweep_start()
     here = config_tracker(SWEEP)
     res_here = _sweep_run(start)([here])
-    res, (member_reports, truncated) = streamed_run(_sweep_run(start), config_tracker(SWEEP),
-                                                    start)
+    res, ((member_reports, truncated),) = streamed_run(_sweep_run(start),
+                                                       [config_tracker(SWEEP)], start)
     here_reports, here_truncated = here.finalize()
     # a frame holds t and the tracker's phi and w rows
     assert res.n_steps == 300 > forking.PIPE_BYTES // (8 * (1 + 2 * 2 * SWEEP.n))
@@ -260,7 +260,7 @@ def test_every_observer_ends_through_finalize(monkeypatch, name, fork):
     assert _sweep_run(start)([here]).status == "completed"
     if not fork:
         monkeypatch.delattr(os, "fork")
-    _, streamed = streamed_run(_sweep_run(start), new(), start)
+    _, (streamed,) = streamed_run(_sweep_run(start), [new()], start)
     assert _same_bits(streamed, here.finalize())
     assert _same_bits(pickle.loads(pickle.dumps(streamed)), streamed)
     assert set(here.reads) <= {"phi", "w", "p"}
@@ -307,7 +307,7 @@ def test_an_observer_error_crosses_and_wins_over_a_run_error(monkeypatch, fork):
     # the error reaches a later handoff or the stream's close; the run
     # cannot tell which
     with pytest.raises(InsufficientHistory, match="^observer stops at state 40$"):
-        streamed_run(_sweep_run(start), _FailAt(40, bad), start)
+        streamed_run(_sweep_run(start), [_FailAt(40, bad)], start)
     # the run fails at state 1, after the observer did: the observer's
     # error is raised, as in the serial order
     single = init_state(SWEEP.family(), SWEEP.grid())
@@ -317,10 +317,10 @@ def test_an_observer_error_crosses_and_wins_over_a_run_error(monkeypatch, fork):
         return lambda callbacks: run_evolution(single, t_end=1.0, callbacks=[*callbacks, fail])
 
     with pytest.raises(ValueError, match="^observer at 1$"):
-        streamed_run(run_failing_at(1), _FailAt(1, ValueError("observer at 1")), single)
+        streamed_run(run_failing_at(1), [_FailAt(1, ValueError("observer at 1"))], single)
     # a run error alone is raised, the observer's result unread
     with pytest.raises(BlowupDetected, match="run at 3"):
-        streamed_run(run_failing_at(3), _Unread(), single)
+        streamed_run(run_failing_at(3), [_Unread()], single)
 
 
 class _UnreadFields(_Unread):
@@ -340,7 +340,7 @@ def test_a_failed_run_ends_a_one_page_stream_inside_a_frame(monkeypatch):
     with pytest.raises(BlowupDetected, match="run at 3$"):
         streamed_run(lambda callbacks: run_evolution(single, t_end=1.0,
                                                      callbacks=[*callbacks, fail]),
-                     _UnreadFields(), single)
+                     [_UnreadFields()], single)
     assert fail.seen == 3
 
 
@@ -364,7 +364,7 @@ def test_a_stream_holds_pipe_bytes_while_its_run_streams(monkeypatch):
         held.append(fcntl.fcntl(pipes[0][1], fcntl.F_GETPIPE_SZ))
         return run_evolution(single, t_end=1.0, callbacks=callbacks)
 
-    res, seen = streamed_run(run, _FailAt(10 ** 9, None), single)
+    res, (seen,) = streamed_run(run, [_FailAt(10 ** 9, None)], single)
     assert seen == res.n_steps + 1
     assert held[0] >= forking.PIPE_BYTES
 
@@ -394,11 +394,11 @@ class _ReadsUnnamed(_Carried):
 
 def test_a_forked_observer_gets_only_the_fields_it_names():
     start = _sweep_start()
-    res, seen = streamed_run(_sweep_run(start), _Carried(), start)
+    res, (seen,) = streamed_run(_sweep_run(start), [_Carried()], start)
     assert res.n_steps == 300 and seen == {(False, True, False)}
     # reading a field it did not name fails in the child, and the error crosses
     with pytest.raises(AttributeError, match="'NoneType' object has no attribute 'copy'"):
-        streamed_run(_sweep_run(start), _ReadsUnnamed(), start)
+        streamed_run(_sweep_run(start), [_ReadsUnnamed()], start)
 
 
 def test_a_run_that_fails_before_its_first_state_leaves_no_child():
@@ -407,7 +407,7 @@ def test_a_run_that_fails_before_its_first_state_leaves_no_child():
         raise ValueError("no state")
 
     with pytest.raises(ValueError, match="^no state$"):
-        streamed_run(run, _Unread(), _sweep_start())
+        streamed_run(run, [_Unread()], _sweep_start())
 
 
 def test_a_tracker_error_crosses_a_sweep(monkeypatch):
@@ -443,13 +443,13 @@ def test_no_fork_while_a_stream_is_open():
         # a second stream cannot start, and leaves no pipe open
         fds.append(len(os.listdir("/proc/self/fd")))
         with pytest.raises(StringLabError, match="no fork while an observer stream is open"):
-            streamed_run(_unread, _FailAt(10 ** 9, None), state)
+            streamed_run(_unread, [_FailAt(10 ** 9, None)], state)
         fds.append(len(os.listdir("/proc/self/fd")))
         for cb in callbacks:
             cb.on_step(state)
         return "ran"
 
-    assert streamed_run(run, _FailAt(10 ** 9, None), state) == ("ran", 2)
+    assert streamed_run(run, [_FailAt(10 ** 9, None)], state) == ("ran", [2])
     assert fds[0] == fds[1]
     assert forked(lambda: 3)() == 3
 
@@ -545,9 +545,8 @@ def _callers(name):
 def test_only_the_runner_places_refinement_levels():
     # one runner owns the level policy: no study refines, runs or places
     # its own levels.  The runner's finest level reaches streamed_run
-    # through level_observe; the sweep streams beside it (streamed_run
-    # calls itself for a lone observer)
+    # through level_observe; the sweep streams beside it
     assert _callers("refinement_levels") == {"evolve.refinement_runs"}
     assert _callers("level_observe") == {"evolve.refinement_runs.level"}
-    assert _callers("streamed_run") == {"energy._tracked_ensemble", "forking.streamed_run"}
+    assert _callers("streamed_run") == {"energy._tracked_ensemble"}
     assert not {f for f in _callers("run_evolution") if "_study" in f}
